@@ -294,8 +294,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--super", dest="super_twist", action="store_true",
                    help="apply the sign super-twist")
     p.add_argument("--budget", type=int, default=sp_mod.BUILD_BUDGET)
-    p.add_argument("--jobs", type=int, default=1,
-                   help="reserved; results are identical for any value")
     p.add_argument("--out", help="output path for the sector-graded algebra document")
     p.set_defaults(func=cmd_symprod)
 

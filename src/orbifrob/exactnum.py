@@ -43,8 +43,10 @@ def rat(x) -> Rat:
     if isinstance(x, str):
         s = x.strip()
         if "/" in s:
-            num, den = s.split("/", 1)
-            return norm(Fraction(int(num), int(den)))
+            num, den = (int(part) for part in s.split("/", 1))
+            if den == 0:
+                raise ValueError(f"zero denominator in {s!r}")
+            return norm(Fraction(num, den))
         return int(s)
     raise TypeError(f"cannot interpret {x!r} as an exact rational")
 

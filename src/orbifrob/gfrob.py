@@ -678,22 +678,29 @@ class InvariantAlgebra:
 
     def degree_of(self, i: int) -> int:
         """Common (unshifted) degree of an invariant basis vector."""
-        degs = set()
-        for g, vec in self.basis[i].items():
-            for k, x in enumerate(vec):
-                if x != 0:
-                    degs.add(self.source.sector_degrees[g][k])
-        if len(degs) != 1:
-            raise ValueError(f"invariant basis vector {i} is not degree-homogeneous")
-        return degs.pop()
+        return _degree_of(self.source, self.basis, i)
 
 
-def invariants(X: GFrobeniusAlgebra) -> InvariantAlgebra:
-    """Image of the averaging projector (1/|G|) sum_g phi_g.
+def _degree_of(X: GFrobeniusAlgebra, basis: list, i: int) -> int:
+    degs = set()
+    for g, vec in basis[i].items():
+        for k, x in enumerate(vec):
+            if x != 0:
+                degs.add(X.sector_degrees[g][k])
+    if len(degs) != 1:
+        raise ValueError(f"invariant basis vector {i} is not degree-homogeneous")
+    return degs.pop()
 
+
+def _invariant_basis(X: GFrobeniusAlgebra) -> tuple[list, list, list, list]:
+    """RREF rows of the averaging projector, one echelon per conjugacy class.
+
+    Returns ``(classes, basis, class_of, pivot_at)``.  Basis vector r is 1 at
+    its pivot ``pivot_at[r] = (g, k)`` (entry k of sector g) and 0 at every
+    other pivot of its class; classes have disjoint sector support, so the
+    coordinates of an invariant element are its entries at the pivots.
     Raises if the projector fails to be idempotent (the action data is then
-    not a representation).  The restricted pairing is reported as-is; it may
-    be degenerate for nontrivial characters.
+    not a representation).
     """
     from fractions import Fraction
 
@@ -703,6 +710,7 @@ def invariants(X: GFrobeniusAlgebra) -> InvariantAlgebra:
 
     basis = []
     class_of = []
+    pivot_at = []
     for ci, cls in enumerate(classes):
         offsets = {}
         size = 0
@@ -729,7 +737,8 @@ def invariants(X: GFrobeniusAlgebra) -> InvariantAlgebra:
                 "the action table is not a representation"
             )
         ech, pivots = ex.echelon(proj)
-        for r in range(len(pivots)):
+        position = [(g, k) for g in cls for k in range(X.sector_dims[g])]
+        for r, col in enumerate(pivots):
             vec = ech[r]
             elem = {}
             for g in cls:
@@ -738,39 +747,41 @@ def invariants(X: GFrobeniusAlgebra) -> InvariantAlgebra:
                     elem[g] = seg
             basis.append(elem)
             class_of.append(ci)
+            pivot_at.append(position[col])
+    return classes, basis, class_of, pivot_at
 
-    # coordinates of an arbitrary invariant element in the chosen basis
-    flat_offsets = {}
-    pos = 0
-    for g in G.elements():
-        flat_offsets[g] = pos
-        pos += X.sector_dims[g]
-    columns = []
-    for elem in basis:
-        col = ex.vec_zero(pos)
-        for g, vec in elem.items():
-            for k, x in enumerate(vec):
-                col[flat_offsets[g] + k] = x
-        columns.append(col)
-    coord_matrix = ex.mat_transpose(columns) if columns else []
+
+def invariants(X: GFrobeniusAlgebra) -> InvariantAlgebra:
+    """Image of the averaging projector (1/|G|) sum_g phi_g.
+
+    The coordinates of a product of basis vectors are its entries at the
+    basis pivots; each product is then rebuilt from those coordinates and
+    must equal the product exactly, or it has left the invariant subspace.
+    Raises if the projector fails to be idempotent (the action data is then
+    not a representation).  The restricted pairing is reported as-is; it may
+    be degenerate for nontrivial characters.
+    """
+    G = X.group
+    classes, basis, class_of, pivot_at = _invariant_basis(X)
+    pivots_in: dict = {}
+    for r, (g, k) in enumerate(pivot_at):
+        pivots_in.setdefault(g, []).append((k, r))
 
     def coordinates(elem):
-        target = ex.vec_zero(pos)
+        coords = {}
         for g, vec in elem.items():
-            for k, x in enumerate(vec):
-                target[flat_offsets[g] + k] = x
-        if not columns:
-            if any(x != 0 for x in target):
-                raise ValueError("element is not in the invariant subspace")
-            return []
-        aug = [row + [target[r]] for r, row in enumerate(coord_matrix)]
-        ech, pivots = ex.echelon(aug)
-        if len(columns) in pivots:
+            for k, r in pivots_in.get(g, ()):
+                if vec[k] != 0:
+                    coords[r] = vec[k]
+        rebuilt = {}
+        for r, c in coords.items():
+            for g, seg in basis[r].items():
+                term = ex.vec_scale(c, seg)
+                cur = rebuilt.get(g)
+                rebuilt[g] = ex.vec_add(cur, term) if cur is not None else term
+        if {g: v for g, v in rebuilt.items() if any(x != 0 for x in v)} != elem:
             raise ValueError("product left the invariant subspace")
-        coords = ex.vec_zero(len(columns))
-        for r, c in enumerate(pivots):
-            coords[c] = ech[r][len(columns)]
-        return coords
+        return dict(sorted(coords.items()))
 
     def mult(u, v):
         out = {}
@@ -788,8 +799,7 @@ def invariants(X: GFrobeniusAlgebra) -> InvariantAlgebra:
     for i, u in enumerate(basis):
         for j, v in enumerate(basis):
             uv = mult(u, v)
-            coords = coordinates(uv)
-            row = {k: c for k, c in enumerate(coords) if c != 0}
+            row = coordinates(uv)
             if row:
                 product[(i, j)] = row
             if i < j and mult(v, u) != uv:

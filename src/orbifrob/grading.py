@@ -13,7 +13,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import exactnum as ex
-from .gfrob import GFrobeniusAlgebra, invariants
+# ``invariants`` stays a name of this module: bench/tracing.py patches it here
+from .gfrob import GFrobeniusAlgebra, _degree_of, _invariant_basis, invariants  # noqa: F401
 from .groups import Permutation, cycles
 
 
@@ -121,21 +122,20 @@ def shifted_poincare(X: GFrobeniusAlgebra, shifts: ShiftData | None = None,
 
     Exponents are exact Fractions (half-integers for the standard shift).
     With ``invariants_only`` the sum runs over an invariant basis instead of
-    all sector basis elements.
+    all sector basis elements; only the basis is built, not its product table.
     """
     if shifts is None:
         shifts = zero_shifts(X)
     poly: dict[Fraction, int] = {}
     if invariants_only:
-        inv = invariants(X)
-        for i in range(inv.dim):
-            support = sorted(inv.basis[i])
-            shift_values = {shifts.s[g] for g in support}
+        _, basis, _, _ = _invariant_basis(X)
+        for i, elem in enumerate(basis):
+            shift_values = {shifts.s[g] for g in elem}
             if len(shift_values) != 1:
                 raise ValueError(
                     f"invariant basis vector {i} spans sectors with different shifts"
                 )
-            expo = Fraction(inv.degree_of(i)) + shift_values.pop()
+            expo = Fraction(_degree_of(X, basis, i)) + shift_values.pop()
             poly[expo] = poly.get(expo, 0) + 1
     else:
         for g in X.group.elements():

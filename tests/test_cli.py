@@ -37,6 +37,16 @@ def test_verify_malformed_json_exits_two(tmp_path, capsys):
     assert run("verify", tmp_path / "missing.json") == 2
 
 
+def test_verify_zero_denominator_exits_two(tmp_path, capsys):
+    doc = json.loads((FIXTURES / "dual_numbers.json").read_text())
+    doc["metric"][0][2] = "1/0"
+    bad = tmp_path / "zero_den.json"
+    bad.write_text(json.dumps(doc))
+    assert run("verify", bad) == 2
+    err = capsys.readouterr().err
+    assert err == "error: zero denominator in '1/0'\n"
+
+
 def test_verify_cocycle_document():
     assert run("verify", FIXTURES / "sn3_sign_cocycle.json") == 0
 

@@ -17,6 +17,11 @@ def test_rat_parsing_and_formatting():
         ex.rat(1.5)
 
 
+def test_rat_rejects_zero_denominator():
+    with pytest.raises(ValueError, match="zero denominator in '1/0'"):
+        ex.rat("1/0")
+
+
 def test_exact_arithmetic_no_tolerance():
     rng = random.Random(7)
     for _ in range(50):

@@ -3,7 +3,9 @@ import copy
 import pytest
 
 from orbifrob import cocycles as cocy
+from orbifrob import exactnum as ex
 from orbifrob import gfrob
+from orbifrob import symprod as sp_mod
 from orbifrob.groups import symmetric_group
 
 
@@ -240,6 +242,58 @@ def test_invariants_reject_non_representation(s3_ring):
     g2 = s3_ring.group.index_of("(1 3)")
     broken.action[(g1, g2)] = [[5]]
     with pytest.raises(ValueError):
+        gfrob.invariants(broken)
+
+
+def _reference_product(X, inv):
+    """Invariant product table by echelon-solving [basis columns | target] per pair."""
+    G = X.group
+    offsets, pos = {}, 0
+    for g in G.elements():
+        offsets[g] = pos
+        pos += X.sector_dims[g]
+
+    def flat(elem):
+        out = [0] * pos
+        for g, vec in elem.items():
+            out[offsets[g]: offsets[g] + len(vec)] = vec
+        return out
+
+    columns = [flat(b) for b in inv.basis]
+    product = {}
+    for i, u in enumerate(inv.basis):
+        for j, v in enumerate(inv.basis):
+            uv = [0] * pos
+            for g, ug in u.items():
+                for h, vh in v.items():
+                    gh = G.mul(g, h)
+                    for k, x in enumerate(X.multiply(g, h, ug, vh)):
+                        uv[offsets[gh] + k] += x
+            aug = [[col[r] for col in columns] + [uv[r]] for r in range(pos)]
+            ech, pivots = ex.echelon(aug)
+            assert len(columns) not in pivots, "product left the invariant subspace"
+            row = {c: ech[r][len(columns)] for r, c in enumerate(pivots)
+                   if ech[r][len(columns)] != 0}
+            if row:
+                product[(i, j)] = row
+    return product
+
+
+def test_invariant_product_matches_echelon_route(sp_factory, qx2, surface, s3_ring):
+    suite = [sp_factory(qx2, 2).realize(), sp_factory(qx2, 3).realize(),
+             sp_factory(surface, 2).realize(), s3_ring,
+             sp_mod.hilbert_twist(sp_factory(qx2, 3))]
+    for X in suite:
+        inv = gfrob.invariants(X)
+        assert inv.product == _reference_product(X, inv), X.name
+
+
+def test_invariants_reject_product_outside_subspace(s3_ring):
+    broken = copy.deepcopy(s3_ring)
+    e = broken.group.identity
+    tau = broken.group.index_of("(1 2)")
+    broken.product[(e, tau)] = {(0, 0): {0: 2}}
+    with pytest.raises(ValueError, match="product left the invariant subspace"):
         gfrob.invariants(broken)
 
 

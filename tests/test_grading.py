@@ -1,9 +1,14 @@
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from orbifrob import frobenius as frob
 from orbifrob import grading
 from orbifrob import groups as g
+from orbifrob import symprod as sp_mod
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def test_permutation_eigenangles():
@@ -86,3 +91,42 @@ def test_unshifted_total_is_sector_sum(sp_factory, qx2):
 def test_format_poincare_fractional():
     poly = {Fraction(1, 2): 2, Fraction(0): 1}
     assert grading.format_poincare(poly) == "1 + 2*t^(1/2)"
+
+
+def _generating_function(degrees, n):
+    """q^n coefficient of prod_{k>=1} prod_i (1 - t^(deg e_i + (k-1) d/2) q^k)^(-1).
+
+    Macdonald (1962), Goettsche (1990); d is the top degree of the base.
+    Shares no code with the tables: plain series arithmetic on Fractions.
+    """
+    half_top = Fraction(max(degrees), 2)
+    series = [{} for _ in range(n + 1)]
+    series[0] = {Fraction(0): 1}
+    for k in range(1, n + 1):
+        for deg in degrees:
+            expo = deg + (k - 1) * half_top
+            # multiply by 1/(1 - t^expo q^k): ascending in-place update
+            for m in range(k, n + 1):
+                for e, c in series[m - k].items():
+                    series[m][e + expo] = series[m].get(e + expo, 0) + c
+    return dict(sorted(series[n].items()))
+
+
+@pytest.mark.parametrize("fixture, n", [
+    ("dual_numbers.json", 2), ("dual_numbers.json", 3), ("dual_numbers.json", 4),
+    ("surface4.json", 2), ("surface4.json", 3),
+])
+def test_invariant_poincare_matches_generating_function(fixture, n):
+    base = frob.load(FIXTURES / fixture)
+    X = sp_mod.hilbert_twist(sp_mod.SymmetricProductAlgebra(base, n))
+    poly = grading.shifted_poincare(X, grading.standard_shifts(X), invariants_only=True)
+    assert poly == _generating_function(base.degrees, n)
+
+
+def test_generating_function_values():
+    surface = frob.load(FIXTURES / "surface4.json").degrees
+    dual = frob.load(FIXTURES / "dual_numbers.json").degrees
+    assert grading.format_poincare(_generating_function(surface, 3)) == (
+        "1 + 3*t^2 + 9*t^4 + 14*t^6 + 9*t^8 + 3*t^10 + t^12")
+    assert grading.format_poincare(_generating_function(dual, 4)) == (
+        "1 + t + 3*t^2 + 3*t^3 + 4*t^4 + 3*t^5 + 3*t^6 + t^7 + t^8")
