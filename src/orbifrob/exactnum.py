@@ -27,10 +27,9 @@ class SingularMatrixError(ValueError):
 
 def norm(x: Rat) -> Rat:
     """Collapse a Fraction with denominator 1 to an int."""
-    if isinstance(x, Fraction):
-        if x.denominator == 1:
-            return int(x)
-        return x
+    # an exact type test: isinstance would dispatch through the numbers ABCs
+    if type(x) is Fraction and x.denominator == 1:
+        return int(x)
     return x
 
 

@@ -9,7 +9,9 @@ parity bookkeeping) so downstream code may assume the laws hold.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 from . import exactnum as ex
 from ._report import Report
@@ -29,6 +31,7 @@ class FrobeniusAlgebra:
     # derived, filled in __post_init__
     dim: int = field(init=False)
     rows: dict = field(init=False, repr=False)
+    _pairs: list = field(init=False, repr=False, compare=False)
     top_degree: int = field(init=False)
     _metric_inv: list | None = field(init=False, default=None, repr=False)
 
@@ -39,6 +42,11 @@ class FrobeniusAlgebra:
         if len(self.metric) != self.dim or any(len(r) != self.dim for r in self.metric):
             raise ValueError(f"{self.name}: metric must be {self.dim}x{self.dim}")
         self.rows = self.structure.rows(self.dim)
+        # per left index x: (y, row items) for each y with e_x e_y != 0
+        self._pairs = [[] for _ in range(self.dim)]
+        for (x, y), row in self.rows.items():
+            if row:
+                self._pairs[x].append((y, list(row.items())))
         pair_degrees = {
             self.degrees[i] + self.degrees[j]
             for i in range(self.dim)
@@ -269,41 +277,53 @@ def tensor_power_space(algebra: FrobeniusAlgebra, m: int) -> list[tuple[int, ...
 
 
 def factorwise_multiply(algebra: FrobeniusAlgebra, m: int, u, v):
-    """Product on A^(x)m, factor by factor, on dense vectors."""
-    size = algebra.dim ** m
+    """Product on A^(x)m, factor by factor, on dense vectors.
+
+    Walks the factors from the first, pairing the blocks of ``u`` and ``v``
+    that share an index prefix; a factor pair with zero product or an all-zero
+    block ends its branch before any coefficient is multiplied.  The operands
+    are scaled to integer numerators over one denominator each, which divides
+    the result once at the end.
+    """
+    D = algebra.dim
+    size = D ** m
     if len(u) != size or len(v) != size:
         raise ValueError(f"tensor power operands must have length {size}")
-    out = ex.vec_zero(size)
-    for iu, x in enumerate(u):
-        if x == 0:
-            continue
-        tu = tensor_tuple(iu, algebra.dim, m)
-        for iv, y in enumerate(v):
-            if y == 0:
-                continue
-            tv = tensor_tuple(iv, algebra.dim, m)
-            for idx, c in _factorwise_basis(algebra, tu, tv).items():
-                out[idx] += x * y * c
-    return [ex.norm(w) for w in out]
+    pairs = algebra._pairs
 
+    def numerators(w):
+        support = [(i, c) for i, c in enumerate(w) if c]
+        den = math.lcm(*(c.denominator for _, c in support))
+        nums = {i: c.numerator * (den // c.denominator) for i, c in support}
+        # live[d]: the index prefixes of d factors whose block is not all zero
+        live = [{i // D ** (m - d) for i in nums} for d in range(m)]
+        live.append(nums)
+        return nums, den, live
 
-def _factorwise_basis(algebra: FrobeniusAlgebra, tu, tv) -> dict[int, Rat]:
-    """Sparse product of two tensor-power basis elements."""
-    terms = {0: 1}
-    for a, b in zip(tu, tv):
-        row = algebra.rows.get((a, b))
-        if not row:
-            return {}
-        new: dict[int, Rat] = {}
-        for idx, c in terms.items():
-            base = idx * algebra.dim
-            for k, v in row.items():
-                key = base + k
-                new[key] = new.get(key, 0) + c * v
-        terms = {k: v for k, v in new.items() if v != 0}
-        if not terms:
-            return {}
-    return terms
+    U, du, live_u = numerators(u)
+    V, dv, live_v = numerators(v)
+    acc = [0] * size
+
+    def walk(d, pu, pv, po, carry):
+        # recurse by factor depth: a block of size 1 still owes its factors' constants
+        if d == m:
+            acc[po] += U[pu] * V[pv] * carry
+            return
+        lu, lv = live_u[d + 1], live_v[d + 1]
+        bu, bv, bo = pu * D, pv * D, po * D
+        for x in range(D):
+            if bu + x in lu:
+                for y, row in pairs[x]:
+                    if bv + y in lv:
+                        for k, c in row:
+                            walk(d + 1, bu + x, bv + y, bo + k, carry * c)
+
+    if U and V:
+        walk(0, 0, 0, 0, 1)
+    den = du * dv
+    if den == 1:
+        return [ex.norm(w) for w in acc]
+    return [ex.norm(Fraction(w, den)) if w else 0 for w in acc]
 
 
 def tensor_metric_entry(algebra: FrobeniusAlgebra, tu, tv) -> Rat:

@@ -878,6 +878,13 @@ def to_json_dict(X: GFrobeniusAlgebra) -> dict:
     }
 
 
+def _check_indices(what: str, indices, bounds) -> None:
+    """Reject document indices outside 0 <= i < bound; negative ones would wrap."""
+    for i, bound in zip(indices, bounds):
+        if type(i) is not int or not 0 <= i < bound:
+            raise ValueError(f"{what} index {i!r} is not in range({bound})")
+
+
 def from_json_dict(doc: dict) -> GFrobeniusAlgebra:
     gdoc = doc["group"]
     if gdoc.get("type") == "symmetric":
@@ -888,20 +895,31 @@ def from_json_dict(doc: dict) -> GFrobeniusAlgebra:
     if len(sectors) != group.order:
         raise ValueError("sector count does not match the group order")
     dims = [s["dim"] for s in sectors]
+    for g, d in enumerate(dims):
+        if type(d) is not int or d < 0:
+            raise ValueError(f"sector {g}: dim {d!r} is not an integer >= 0")
+    order = group.order
     product: dict = {(g, h): {} for g in group.elements() for h in group.elements()}
     for g, h, i, j, k, v in doc.get("product", []):
+        _check_indices("product", (g, h), (order, order))
+        _check_indices("product", (i, j, k), (dims[g], dims[h], dims[group.mul(g, h)]))
         product[(g, h)].setdefault((i, j), {})[k] = ex.rat(v)
     action = {}
     for g in group.elements():
         for h in group.elements():
             action[(g, h)] = ex.mat_zero(dims[group.conj(g, h)], dims[h])
     for g, h, i, j, v in doc.get("action", []):
+        _check_indices("action", (g, h), (order, order))
+        _check_indices("action", (i, j), (dims[group.conj(g, h)], dims[h]))
         action[(g, h)][i][j] = ex.rat(v)
     metric = [ex.mat_zero(dims[g], dims[group.inv(g)]) for g in group.elements()]
     for g, i, j, v in doc.get("metric", []):
+        _check_indices("metric", (g,), (order,))
+        _check_indices("metric", (i, j), (dims[g], dims[group.inv(g)]))
         metric[g][i][j] = ex.rat(v)
     unit = ex.vec_zero(dims[group.identity])
     for i, v in doc.get("unit", []):
+        _check_indices("unit", (i,), (dims[group.identity],))
         unit[i] = ex.rat(v)
     return GFrobeniusAlgebra(
         name=doc.get("name", "g-algebra"),

@@ -20,12 +20,17 @@ The product is computed along two independent routes:
 
 Exact agreement of the two routes on all basis pairs is the cross-oracle the
 test suite enforces.
+
+Each route multiplies in A^(x)m by its own factor-by-factor walk that skips
+factor pairs with zero product before multiplying any coefficient.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 from . import cocycles as cocy
 from . import exactnum as ex
@@ -130,6 +135,12 @@ class SymmetricProductAlgebra:
         self.factors = [len(part) for part in self.parts]
         self.dims = [base.dim ** l for l in self.factors]
         self.euler = base.euler_class()
+        # the chain's factor pairs with nonzero product, by left index; the
+        # pushforward route keeps its own, so the cross-oracle shares no kernel
+        self._chain_pairs: dict[int, list] = {}
+        for (x, y), row in base.rows.items():
+            if row:
+                self._chain_pairs.setdefault(x, []).append((y, list(row.items())))
         self._perm_index = {p.images: i for i, p in enumerate(self.perms)}
         self._galg: GFrobeniusAlgebra | None = None
         self._mu_cache: dict[int, list] = {}
@@ -349,24 +360,48 @@ class SymmetricProductAlgebra:
         return {k: v for k, v in terms.items() if v != 0}
 
     def _elem_product(self, s1: dict, s2: dict) -> dict:
-        """Factorwise product of sparse A_e elements keyed by index tuples."""
-        rows = self.base.rows
-        out: dict[tuple, ex.Rat] = {}
-        for t1, c1 in s1.items():
-            for t2, c2 in s2.items():
-                terms = [(tuple(), c1 * c2)]
-                dead = False
-                for x, y in zip(t1, t2):
-                    row = rows.get((x, y))
-                    if not row:
-                        dead = True
-                        break
-                    terms = [(tup + (k,), c * v) for tup, c in terms for k, v in row.items()]
-                if dead:
-                    continue
-                for tup, c in terms:
-                    out[tup] = out.get(tup, 0) + c
-        return {k: ex.norm(v) for k, v in out.items() if v != 0}
+        """Factorwise product of sparse A_e elements keyed by index tuples.
+
+        Both operands become tries on their factor indices, holding integer
+        numerators over one denominator each; the walk descends position by
+        position through the factor pairs with a nonzero product, so a dead
+        pair costs no multiplication, and divides once at the end.
+        """
+        pairs = self._chain_pairs
+        last = self.n - 1
+
+        def trie(s):
+            den = math.lcm(*(c.denominator for c in s.values()))
+            root: dict = {}
+            for t, c in s.items():
+                if c != 0:
+                    node = root
+                    for x in t[:last]:
+                        node = node.setdefault(x, {})
+                    node[t[last]] = c.numerator * (den // c.denominator)
+            return root, den
+
+        (root1, d1), (root2, d2) = trie(s1), trie(s2)
+        out: dict[tuple, int] = {}
+
+        def walk(d, node1, node2, prefix, carry):
+            for x, sub1 in node1.items():
+                for y, row in pairs.get(x, ()):
+                    sub2 = node2.get(y)
+                    if sub2 is None:
+                        continue
+                    for k, c in row:
+                        key = prefix + (k,)
+                        if d == last:
+                            out[key] = out.get(key, 0) + sub1 * sub2 * carry * c
+                        else:
+                            walk(d + 1, sub1, sub2, key, carry * c)
+
+        walk(0, root1, root2, (), 1)
+        den = d1 * d2
+        if den == 1:
+            return {k: ex.norm(w) for k, w in out.items() if w != 0}
+        return {k: ex.norm(Fraction(w, den)) for k, w in out.items() if w != 0}
 
     def _contract_sparse(self, elem: dict, coarse: OrbitPartition):
         """Restriction A_e -> A^(x)|coarse| of a sparse tuple-keyed element."""

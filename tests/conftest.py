@@ -25,6 +25,19 @@ def surface():
     return frob.surface_model()
 
 
+@pytest.fixture(scope="session")
+def half():
+    """k on the basis u = 1/2: u u = u/2, unit 2u, eta(u, u) = 1/4.
+
+    Its one structure constant is not 1, so a product kernel that drops the
+    constants of one-dimensional factors disagrees with the pairwise product.
+    """
+    return frob.from_json_dict({
+        "name": "half", "dim": 1, "basis": [{"label": "u", "degree": 0, "parity": 0}],
+        "unit": ["2"], "metric": [[0, 0, "1/4"]], "structure": [[0, 0, 0, "1/2"]],
+    })
+
+
 _SP_CACHE: dict = {}
 
 

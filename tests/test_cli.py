@@ -47,6 +47,33 @@ def test_verify_zero_denominator_exits_two(tmp_path, capsys):
     assert err == "error: zero denominator in '1/0'\n"
 
 
+def _ks3_variant(tmp_path, edit):
+    doc = json.loads((FIXTURES / "ks3.json").read_text())
+    edit(doc)
+    path = tmp_path / "ks3_variant.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def test_verify_out_of_range_action_index_exits_two(tmp_path, capsys):
+    path = _ks3_variant(tmp_path, lambda doc: doc["action"][0].__setitem__(2, 7))
+    assert run("verify", path) == 2
+    assert capsys.readouterr().err == "error: action index 7 is not in range(1)\n"
+
+
+def test_verify_negative_sector_dim_exits_two(tmp_path, capsys):
+    path = _ks3_variant(tmp_path, lambda doc: doc["sectors"][1].__setitem__("dim", -1))
+    assert run("verify", path) == 2
+    assert capsys.readouterr().err == "error: sector 1: dim -1 is not an integer >= 0\n"
+
+
+def test_verify_negative_index_exits_two(tmp_path, capsys):
+    # a negative index used to wrap round to the last entry and pass silently
+    path = _ks3_variant(tmp_path, lambda doc: doc["action"][0].__setitem__(2, -1))
+    assert run("verify", path) == 2
+    assert capsys.readouterr().err == "error: action index -1 is not in range(1)\n"
+
+
 def test_verify_cocycle_document():
     assert run("verify", FIXTURES / "sn3_sign_cocycle.json") == 0
 

@@ -1,4 +1,6 @@
 import json
+import random
+from fractions import Fraction
 
 import pytest
 
@@ -79,6 +81,78 @@ def test_tensor_power_ops(qx2, ground):
     assert frob.tensor_unit(qx2, 2) == [1, 0, 0, 0]
     eta2 = frob.tensor_metric(qx2, 2)
     assert eta2[1][2] == 1 and eta2[0][0] == 0
+
+
+def _reference_factorwise_multiply(algebra, m, u, v):
+    """The pairwise loop the factor walk replaced: every nonzero pair of entries."""
+    size = algebra.dim ** m
+    if len(u) != size or len(v) != size:
+        raise ValueError(f"tensor power operands must have length {size}")
+    out = ex.vec_zero(size)
+    for iu, x in enumerate(u):
+        if x == 0:
+            continue
+        tu = frob.tensor_tuple(iu, algebra.dim, m)
+        for iv, y in enumerate(v):
+            if y == 0:
+                continue
+            tv = frob.tensor_tuple(iv, algebra.dim, m)
+            for idx, c in _reference_factorwise_basis(algebra, tu, tv).items():
+                out[idx] += x * y * c
+    return [ex.norm(w) for w in out]
+
+
+def _reference_factorwise_basis(algebra, tu, tv):
+    terms = {0: 1}
+    for a, b in zip(tu, tv):
+        row = algebra.rows.get((a, b))
+        if not row:
+            return {}
+        new = {}
+        for idx, c in terms.items():
+            base = idx * algebra.dim
+            for k, v in row.items():
+                key = base + k
+                new[key] = new.get(key, 0) + c * v
+        terms = {k: v for k, v in new.items() if v != 0}
+        if not terms:
+            return {}
+    return terms
+
+
+def _typed(vec):
+    return [(type(x), x) for x in vec]
+
+
+def _random_operand(rng, size, density):
+    return [Fraction(rng.randint(-9, 9), rng.randint(1, 6)) if rng.random() < density else 0
+            for _ in range(size)]
+
+
+def test_half_unit_algebra_verifies(half):
+    assert half.verify().passed
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_factorwise_multiply_matches_pairwise_reference(qx2, surface, half, m):
+    rng = random.Random(7919 + m)
+    for algebra in (qx2, surface, half):
+        size = algebra.dim ** m
+        zero = [0] * size
+        operands = [(_random_operand(rng, size, density), _random_operand(rng, size, 0.6))
+                    for density in (1.0, 0.5, 0.1)]
+        operands += [(zero, _random_operand(rng, size, 1.0)), (zero, zero),
+                     ([Fraction(0)] * size, [Fraction(3, 1)] * size)]
+        for u, v in operands:
+            assert _typed(frob.factorwise_multiply(algebra, m, u, v)) == \
+                _typed(_reference_factorwise_multiply(algebra, m, u, v))
+
+
+def test_factorwise_multiply_rejects_length_mismatch(qx2):
+    with pytest.raises(ValueError, match="length 4"):
+        frob.factorwise_multiply(qx2, 2, [1, 0, 0], [1, 0, 0, 0])
+    with pytest.raises(ValueError, match="length 4"):
+        frob.factorwise_multiply(qx2, 2, [], [])
 
 
 def test_power(qx2):

@@ -341,3 +341,17 @@ def test_json_explicit_table_group(tmp_path):
     loaded = gfrob.load(path)
     assert loaded.group.table == table
     assert loaded.math_equal(ring)
+
+
+@pytest.mark.parametrize("field, entry, position, value", [
+    ("product", 0, 4, 1),     # product index k past the one-dim target sector
+    ("product", 0, 0, 6),     # sector index past the group order
+    ("metric", 0, 0, -1),     # negative sector index
+    ("metric", 0, 2, 1),      # metric column past the inverse sector
+    ("unit", 0, 0, 1),        # unit index past the identity sector
+])
+def test_from_json_rejects_out_of_range_indices(s3_ring, field, entry, position, value):
+    doc = gfrob.to_json_dict(s3_ring)
+    doc[field][entry][position] = value
+    with pytest.raises(ValueError, match="is not in range"):
+        gfrob.from_json_dict(doc)

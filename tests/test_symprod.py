@@ -1,3 +1,7 @@
+import itertools
+import random
+from fractions import Fraction
+
 import pytest
 
 from orbifrob import cocycles as cocy
@@ -156,9 +160,10 @@ def test_right_identity_factor_is_module_action(sp_factory, qx2):
     assert sp.multiply_chain(tau, [1, 1], e, v) == sp.multiply_pushforward(tau, [1, 1], e, v)
 
 
-@pytest.mark.parametrize("n,base_name", [(2, "ground"), (2, "qx2"), (3, "qx2"), (2, "surface")])
-def test_cross_oracle_small(sp_factory, ground, qx2, surface, n, base_name):
-    base = {"ground": ground, "qx2": qx2, "surface": surface}[base_name]
+@pytest.mark.parametrize("n,base_name", [(2, "ground"), (2, "qx2"), (3, "qx2"), (2, "surface"),
+                                         (3, "half")])
+def test_cross_oracle_small(sp_factory, ground, qx2, surface, half, n, base_name):
+    base = {"ground": ground, "qx2": qx2, "surface": surface, "half": half}[base_name]
     sp = sp_factory(base, n)
     for gi in range(sp.group.order):
         for hi in range(sp.group.order):
@@ -185,6 +190,63 @@ def test_chain_rejects_non_minimal_word(sp_factory, qx2):
     e = sp.group.identity
     with pytest.raises(ValueError):
         sp.multiply_chain(e, [1, 0, 0, 0], e, [1, 0, 0, 0], [tau_perm, tau_perm])
+
+
+def _reference_elem_product(sp, s1, s2):
+    """The pairwise loop the factor walk replaced: every pair of terms."""
+    rows = sp.base.rows
+    out = {}
+    for t1, c1 in s1.items():
+        for t2, c2 in s2.items():
+            terms = [(tuple(), c1 * c2)]
+            dead = False
+            for x, y in zip(t1, t2):
+                row = rows.get((x, y))
+                if not row:
+                    dead = True
+                    break
+                terms = [(tup + (k,), c * v) for tup, c in terms for k, v in row.items()]
+            if dead:
+                continue
+            for tup, c in terms:
+                out[tup] = out.get(tup, 0) + c
+    return {k: ex.norm(v) for k, v in out.items() if v != 0}
+
+
+def _random_element(rng, dim, n, terms):
+    keys = rng.sample(list(itertools.product(range(dim), repeat=n)), min(terms, dim ** n))
+    return {t: Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for t in keys}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_elem_product_matches_pairwise_reference(sp_factory, qx2, surface, half, n):
+    rng = random.Random(104729 + n)
+    for base in (qx2, surface, half):
+        sp = sp_factory(base, n)
+        operands = [(_random_element(rng, base.dim, n, terms), _random_element(rng, base.dim, n, 40))
+                    for terms in (1, 5, 40)]
+        some = operands[-1][0]
+        operands += [({}, some), (some, {}), ({}, {}),
+                     ({t: 0 for t in some}, some), ({t: Fraction(2, 1) for t in some}, some)]
+        for s1, s2 in operands:
+            got = {k: (type(v), v) for k, v in sp._elem_product(s1, s2).items()}
+            want = {k: (type(v), v) for k, v in _reference_elem_product(sp, s1, s2).items()}
+            assert got == want
+
+
+@pytest.mark.parametrize("shape", ["e*e", "e*t"])
+def test_dense_identity_sector_products_sym5_surface(sp_factory, surface, shape):
+    # Sym^5(surface4) is past BUILD_BUDGET; a dense identity-sector operand has 1024 terms
+    sp = sp_factory(surface, 5)
+    rng = random.Random(5 if shape == "e*e" else 6)
+    e = sp.group.identity
+    h = e if shape == "e*e" else sp.group.index_of("(2 4)")
+    a = [Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 9)) for _ in range(sp.dims[e])]
+    b = [Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 9)) for _ in range(sp.dims[h])]
+    chain = sp.multiply_chain(e, a, h, b)
+    assert len(chain) == sp.dims[h] == (1024 if shape == "e*e" else 256)
+    assert chain == sp.multiply_pushforward(e, a, h, b)
+    assert any(chain)
 
 
 # -- build ---------------------------------------------------------------------------
