@@ -58,14 +58,17 @@ def fmt_rat(x: Rat) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
+def check_indices(what: str, indices, bounds) -> None:
+    """Reject document indices outside 0 <= i < bound; negative ones would wrap."""
+    for i, bound in zip(indices, bounds):
+        if type(i) is not int or not 0 <= i < bound:
+            raise ValueError(f"{what} index {i!r} is not in range({bound})")
+
+
 # -- dense vectors ---------------------------------------------------------
 
 def vec_zero(n: int) -> Vector:
     return [0] * n
-
-
-def vec_eq(u: Sequence[Rat], v: Sequence[Rat]) -> bool:
-    return len(u) == len(v) and all(a == b for a, b in zip(u, v))
 
 
 def vec_add(u: Sequence[Rat], v: Sequence[Rat]) -> Vector:
@@ -76,10 +79,6 @@ def vec_scale(c: Rat, u: Sequence[Rat]) -> Vector:
     return [norm(c * a) for a in u]
 
 
-def vec_is_zero(u: Sequence[Rat]) -> bool:
-    return all(a == 0 for a in u)
-
-
 # -- dense matrices --------------------------------------------------------
 
 def mat_identity(n: int) -> Matrix:
@@ -88,10 +87,6 @@ def mat_identity(n: int) -> Matrix:
 
 def mat_zero(rows: int, cols: int) -> Matrix:
     return [[0] * cols for _ in range(rows)]
-
-
-def mat_eq(a: Matrix, b: Matrix) -> bool:
-    return len(a) == len(b) and all(vec_eq(r, s) for r, s in zip(a, b))
 
 
 def mat_transpose(m: Matrix) -> Matrix:

@@ -438,14 +438,18 @@ def from_json_dict(doc: dict, validate: bool = True) -> FrobeniusAlgebra:
         raise ValueError(f"declared dim {dim} but {len(basis)} basis entries")
     metric = ex.mat_zero(dim, dim)
     for i, j, v in doc.get("metric", []):
+        ex.check_indices("metric", (i, j), (dim, dim))
         metric[i][j] = ex.rat(v)
+    structure = doc.get("structure", [])
+    for i, j, k, _ in structure:
+        ex.check_indices("structure", (i, j, k), (dim, dim, dim))
     algebra = FrobeniusAlgebra(
         name=doc.get("name", "algebra"),
         labels=[b["label"] for b in basis],
         degrees=[int(b.get("degree", 0)) for b in basis],
         parities=[int(b.get("parity", 0)) for b in basis],
         unit=[ex.rat(v) for v in doc["unit"]],
-        structure=SparseTensor3([(i, j, k, ex.rat(v)) for i, j, k, v in doc.get("structure", [])]),
+        structure=SparseTensor3([(i, j, k, ex.rat(v)) for i, j, k, v in structure]),
         metric=metric,
     )
     return validated(algebra) if validate else algebra

@@ -878,13 +878,6 @@ def to_json_dict(X: GFrobeniusAlgebra) -> dict:
     }
 
 
-def _check_indices(what: str, indices, bounds) -> None:
-    """Reject document indices outside 0 <= i < bound; negative ones would wrap."""
-    for i, bound in zip(indices, bounds):
-        if type(i) is not int or not 0 <= i < bound:
-            raise ValueError(f"{what} index {i!r} is not in range({bound})")
-
-
 def from_json_dict(doc: dict) -> GFrobeniusAlgebra:
     gdoc = doc["group"]
     if gdoc.get("type") == "symmetric":
@@ -901,25 +894,25 @@ def from_json_dict(doc: dict) -> GFrobeniusAlgebra:
     order = group.order
     product: dict = {(g, h): {} for g in group.elements() for h in group.elements()}
     for g, h, i, j, k, v in doc.get("product", []):
-        _check_indices("product", (g, h), (order, order))
-        _check_indices("product", (i, j, k), (dims[g], dims[h], dims[group.mul(g, h)]))
+        ex.check_indices("product", (g, h), (order, order))
+        ex.check_indices("product", (i, j, k), (dims[g], dims[h], dims[group.mul(g, h)]))
         product[(g, h)].setdefault((i, j), {})[k] = ex.rat(v)
     action = {}
     for g in group.elements():
         for h in group.elements():
             action[(g, h)] = ex.mat_zero(dims[group.conj(g, h)], dims[h])
     for g, h, i, j, v in doc.get("action", []):
-        _check_indices("action", (g, h), (order, order))
-        _check_indices("action", (i, j), (dims[group.conj(g, h)], dims[h]))
+        ex.check_indices("action", (g, h), (order, order))
+        ex.check_indices("action", (i, j), (dims[group.conj(g, h)], dims[h]))
         action[(g, h)][i][j] = ex.rat(v)
     metric = [ex.mat_zero(dims[g], dims[group.inv(g)]) for g in group.elements()]
     for g, i, j, v in doc.get("metric", []):
-        _check_indices("metric", (g,), (order,))
-        _check_indices("metric", (i, j), (dims[g], dims[group.inv(g)]))
+        ex.check_indices("metric", (g,), (order,))
+        ex.check_indices("metric", (i, j), (dims[g], dims[group.inv(g)]))
         metric[g][i][j] = ex.rat(v)
     unit = ex.vec_zero(dims[group.identity])
     for i, v in doc.get("unit", []):
-        _check_indices("unit", (i,), (dims[group.identity],))
+        ex.check_indices("unit", (i,), (dims[group.identity],))
         unit[i] = ex.rat(v)
     return GFrobeniusAlgebra(
         name=doc.get("name", "g-algebra"),

@@ -23,6 +23,9 @@ test suite enforces.
 
 Each route multiplies in A^(x)m by its own factor-by-factor walk that skips
 factor pairs with zero product before multiplying any coefficient.
+Everything that depends only on the sector pair (joint orbits, obstruction
+class, integer block tables, copairing insertions) is built on the pair's
+first product and reused.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter, mul
 
 from . import cocycles as cocy
 from . import exactnum as ex
@@ -41,12 +45,6 @@ from .groups import (OrbitPartition, Permutation, compose, cycles, degree,
                      group_orbits, symmetric_group)
 
 BUILD_BUDGET = 200_000  # max number of product-table entries a build may cost
-
-
-@dataclass(frozen=True)
-class SectorIndex:
-    perm: Permutation
-    orbits: OrbitPartition
 
 
 def obstruction_exponent(sigma: Permutation, sigma2: Permutation, block) -> int:
@@ -143,13 +141,15 @@ class SymmetricProductAlgebra:
                 self._chain_pairs.setdefault(x, []).append((y, list(row.items())))
         self._perm_index = {p.images: i for i, p in enumerate(self.perms)}
         self._galg: GFrobeniusAlgebra | None = None
-        self._mu_cache: dict[int, list] = {}
         self._adj_cache: dict[int, list] = {}
+        # filled lazily and idempotently, keyed by m, by sector or by sector pair
+        self._tuple_cache: dict[int, list] = {}
+        self._columns: dict[tuple, tuple] = {}
+        self._lifts: dict[int, tuple] = {}
+        self._push_plans: dict[tuple, tuple] = {}
+        self._chain_plans: dict[tuple, list] = {}
 
     # -- bookkeeping ----------------------------------------------------------
-
-    def sector(self, g: int) -> SectorIndex:
-        return SectorIndex(self.perms[g], self.parts[g])
 
     def sector_of(self, p: Permutation) -> int:
         return self._perm_index[p.images]
@@ -159,12 +159,7 @@ class SymmetricProductAlgebra:
         return frob.tensor_unit(self.base, self.factors[g])
 
     def sector_labels(self, g: int) -> list[str]:
-        base_labels = self.base.labels
-        out = []
-        for idx in range(self.dims[g]):
-            t = tensor_tuple(idx, self.base.dim, self.factors[g])
-            out.append("⊗".join(base_labels[i] for i in t))
-        return out
+        return ["⊗".join(self.base.labels[i] for i in t) for t in self._tuples(self.factors[g])]
 
     # -- contraction maps -------------------------------------------------------
 
@@ -177,6 +172,16 @@ class SymmetricProductAlgebra:
         for fpos, fblock in enumerate(fine.blocks):
             out[coarse_of[fblock[0]]].append(fpos)
         return out
+
+    def _tuples(self, m: int) -> list:
+        """Factor-index tuples of A^(x)m in basis order."""
+        if m not in self._tuple_cache:
+            self._tuple_cache[m] = list(itertools.product(range(self.base.dim), repeat=m))
+        return self._tuple_cache[m]
+
+    def _unit_tails(self, m: int) -> list:
+        """Nonzero terms (factor tuple, coefficient) of the unit tensor of A^(x)m."""
+        return [(t, c) for t, c in zip(self._tuples(m), frob.tensor_unit(self.base, m)) if c]
 
     def _basis_product(self, indices) -> dict:
         """Sparse product of a list of base basis elements."""
@@ -193,171 +198,182 @@ class SymmetricProductAlgebra:
                 break
         return terms
 
-    def restrict_between(self, fine: OrbitPartition, coarse: OrbitPartition, v):
-        """Contraction-by-multiplication A^(x)|fine| -> A^(x)|coarse|."""
-        nest = self._nesting(fine, coarse)
-        D = self.base.dim
-        out = ex.vec_zero(D ** len(coarse))
-        for idx, x in enumerate(v):
-            if x == 0:
-                continue
-            t = tensor_tuple(idx, D, len(fine))
-            terms = {(): x}
-            for fps in nest:
-                block_val = self._basis_product([t[f] for f in fps])
-                if not block_val:
-                    terms = {}
-                    break
-                new = {}
-                for prefix, c in terms.items():
-                    for k, w in block_val.items():
-                        new[prefix + (k,)] = ex.norm(c * w)
-                terms = new
-            for tup, c in terms.items():
-                out[tensor_index(tup, D)] += c
-        return [ex.norm(x) for x in out]
-
-    def _mu_matrix(self, m: int) -> list:
-        """Matrix of the m-fold multiplication A^(x)m -> A."""
-        if m not in self._mu_cache:
-            D = self.base.dim
-            mat = ex.mat_zero(D, D ** m)
-            for col in range(D ** m):
-                for k, v in self._basis_product(list(tensor_tuple(col, D, m))).items():
-                    mat[k][col] = v
-            self._mu_cache[m] = mat
-        return self._mu_cache[m]
-
     def _adjoint_matrix(self, m: int) -> list:
         """Metric adjoint of the m-fold multiplication: A -> A^(x)m."""
         if m not in self._adj_cache:
             eta_inv_power = [[1]]
             for _ in range(m):
                 eta_inv_power = ex.kron(eta_inv_power, self.base.metric_inv)
-            mat = ex.mat_mul(eta_inv_power,
-                             ex.mat_mul(ex.mat_transpose(self._mu_matrix(m)), self.base.metric))
-            self._adj_cache[m] = mat
+            mu_t = [[self._basis_product(list(t)).get(k, 0) for k in range(self.base.dim)]
+                    for t in self._tuples(m)]
+            self._adj_cache[m] = ex.mat_mul(eta_inv_power, ex.mat_mul(mu_t, self.base.metric))
         return self._adj_cache[m]
+
+    def _mu_columns(self, m: int) -> tuple[dict, int]:
+        """The m-fold product as integer columns over one denominator.
+
+        Factor tuple -> [(k, numerator)]; the key is the bare index when m = 1,
+        as ``itemgetter`` reads it off a tensor tuple.
+        """
+        if ("mu", m) not in self._columns:
+            self._columns["mu", m] = _integral({
+                t if m > 1 else t[0]: list(self._basis_product(list(t)).items())
+                for t in self._tuples(m)})
+        return self._columns["mu", m]
+
+    def _adjoint_columns(self, m: int) -> tuple[dict, int]:
+        """Metric adjoint of the m-fold product: k -> [(factor tuple, numerator)]."""
+        if ("adj", m) not in self._columns:
+            adj, D = self._adjoint_matrix(m), self.base.dim
+            self._columns["adj", m] = _integral(
+                {k: [(t, row[k]) for t, row in zip(self._tuples(m), adj)] for k in range(D)})
+        return self._columns["adj", m]
+
+    def _section_columns(self, m: int) -> tuple[dict, int]:
+        """Unit-tensor section A -> A^(x)m: k -> [((k, unit tail), numerator)]."""
+        if ("section", m) not in self._columns:
+            tails = self._unit_tails(m - 1)
+            self._columns["section", m] = _integral({
+                k: [((k,) + tail, u) for tail, u in tails] for k in range(self.base.dim)})
+        return self._columns["section", m]
+
+    def _gather_map(self, fine: OrbitPartition, coarse: OrbitPartition) -> tuple:
+        """Block map fine -> coarse: each coarse factor multiplies its fine factors."""
+        D = self.base.dim
+        last = len(coarse) - 1
+        blocks, den = [], 1
+        for c, fps in enumerate(self._nesting(fine, coarse)):
+            cols, d = self._mu_columns(len(fps))
+            stride = D ** (last - c)
+            blocks.append((itemgetter(*fps),
+                           {key: [(k * stride, w) for k, w in col] for key, col in cols.items()}))
+            den *= d
+        return len(fine), blocks, den, D ** len(coarse)
+
+    def _spread_map(self, fine: OrbitPartition, coarse: OrbitPartition, columns) -> tuple:
+        """Block map coarse -> fine: each coarse factor spreads over its fine factors."""
+        D = self.base.dim
+        last = len(fine) - 1
+        blocks, den = [], 1
+        for c, fps in enumerate(self._nesting(fine, coarse)):
+            cols, d = columns(len(fps))
+            strides = [D ** (last - f) for f in fps]
+            blocks.append((itemgetter(c),
+                           {k: [(sum(map(mul, t, strides)), w) for t, w in col]
+                            for k, col in cols.items()}))
+            den *= d
+        return len(coarse), blocks, den, D ** len(fine)
+
+    def _block_map(self, v, bmap: tuple):
+        """Apply a block map to a dense vector.
+
+        Each nonzero entry reads one integer column per block, multiplies the
+        columns out and adds the terms into the output; the operand's own
+        denominator and the tables' are divided out once at the end.
+        """
+        length, blocks, table_den, size = bmap
+        tuples = self._tuples(length)
+        if len(v) != len(tuples):
+            raise ValueError(f"operand must have length {len(tuples)}")
+        den = math.lcm(*(x.denominator for x in v if x))
+        acc = [0] * size
+        for t, x in zip(tuples, v):
+            if not x:
+                continue
+            terms = [(0, x.numerator * (den // x.denominator))]
+            for get, table in blocks:
+                col = table.get(get(t))
+                if col is None:
+                    break
+                terms = [(o + p, c * w) for o, c in terms for p, w in col]
+            else:
+                for o, c in terms:
+                    acc[o] += c
+        return _divided(acc, den * table_den)
+
+    def restrict_between(self, fine: OrbitPartition, coarse: OrbitPartition, v):
+        """Contraction-by-multiplication A^(x)|fine| -> A^(x)|coarse|."""
+        return self._block_map(v, self._gather_map(fine, coarse))
 
     def push_between(self, fine: OrbitPartition, coarse: OrbitPartition, w):
         """Metric adjoint of restrict_between(fine, coarse, .): coarse -> fine."""
-        nest = self._nesting(fine, coarse)
-        D = self.base.dim
-        adjoints = [self._adjoint_matrix(len(fps)) for fps in nest]
-        concat = [f for fps in nest for f in fps]
-        out = ex.vec_zero(D ** len(fine))
-        for idx, x in enumerate(w):
-            if x == 0:
-                continue
-            tc = tensor_tuple(idx, D, len(coarse))
-            terms = {(): x}
-            for cpos, fps in enumerate(nest):
-                adj = adjoints[cpos]
-                col = tc[cpos]
-                new = {}
-                for prefix, c in terms.items():
-                    for row in range(len(adj)):
-                        v = adj[row][col]
-                        if v != 0:
-                            new[prefix + tensor_tuple(row, D, len(fps))] = ex.norm(c * v)
-                terms = new
-                if not terms:
-                    break
-            for tup, c in terms.items():
-                canonical = [0] * len(fine)
-                for spot, fpos in enumerate(concat):
-                    canonical[fpos] = tup[spot]
-                out[tensor_index(canonical, D)] += c
-        return [ex.norm(x) for x in out]
+        return self._block_map(w, self._spread_map(fine, coarse, self._adjoint_columns))
+
+    def _joint_section(self, fine: OrbitPartition, coarse: OrbitPartition, v):
+        """Unit-tensor section A^(x)|coarse| -> A^(x)|fine| of the contraction."""
+        return self._block_map(v, self._spread_map(fine, coarse, self._section_columns))
 
     def restriction_matrix(self, fine: OrbitPartition, coarse: OrbitPartition) -> list:
-        D = self.base.dim
-        cols = []
-        for idx in range(D ** len(fine)):
-            v = ex.vec_zero(D ** len(fine))
-            v[idx] = 1
-            cols.append(self.restrict_between(fine, coarse, v))
-        return ex.mat_transpose(cols)
+        size = self.base.dim ** len(fine)
+        unit_vectors = ([int(i == j) for i in range(size)] for j in range(size))
+        return ex.mat_transpose([self.restrict_between(fine, coarse, e) for e in unit_vectors])
 
     # -- the two product routes -------------------------------------------------
 
+    def _push_plan(self, g: int, h: int) -> tuple:
+        """Per sector pair: both restrictions to the joint orbits, the joint
+        orbit count, the obstruction class and the pushforward to the product."""
+        plan = self._push_plans.get((g, h))
+        if plan is None:
+            joint = group_orbits([self.perms[g], self.perms[h]])
+            plan = self._push_plans[g, h] = (
+                self._gather_map(self.parts[g], joint),
+                self._gather_map(self.parts[h], joint),
+                len(joint),
+                self.gamma_tilde(g, h, joint),
+                self._spread_map(self.parts[self.group.mul(g, h)], joint, self._adjoint_columns),
+            )
+        return plan
+
     def multiply_pushforward(self, g: int, a, h: int, b):
         """Product through the double intersection with Euler-class insertion."""
-        sigma, sigma2 = self.perms[g], self.perms[h]
-        joint = group_orbits([sigma, sigma2])
-        ra = self.restrict_between(self.parts[g], joint, a)
-        rb = self.restrict_between(self.parts[h], joint, b)
-        m = len(joint)
-        u = frob.factorwise_multiply(self.base, m, ra, rb)
-        gamma_tilde = self.gamma_tilde(g, h, joint)
-        u = frob.factorwise_multiply(self.base, m, u, gamma_tilde)
-        return self.push_between(self.parts[self.group.mul(g, h)], joint, u)
+        restrict_g, restrict_h, m, tilde, push = self._push_plan(g, h)
+        u = frob.factorwise_multiply(self.base, m, self._block_map(a, restrict_g),
+                                     self._block_map(b, restrict_h))
+        u = frob.factorwise_multiply(self.base, m, u, tilde)
+        return self._block_map(u, push)
 
     def gamma_tilde(self, g: int, h: int, joint: OrbitPartition | None = None):
         """Obstruction class: one Euler-class power per joint orbit."""
         sigma, sigma2 = self.perms[g], self.perms[h]
         if joint is None:
             joint = group_orbits([sigma, sigma2])
-        D = self.base.dim
-        out = [1]
+        out = [[1]]
         for block in joint.blocks:
             power = self.base.power(self.euler, obstruction_exponent(sigma, sigma2, block))
-            new = ex.vec_zero(len(out) * D)
-            for i, c in enumerate(out):
-                if c == 0:
-                    continue
-                for k, v in enumerate(power):
-                    if v != 0:
-                        new[i * D + k] = ex.norm(c * v)
-            out = new
-        return out
+            out = ex.kron(out, [power])
+        return out[0]
+
+    def _placement(self, positions) -> tuple:
+        """(place, tails) for A_e elements with given factors at ``positions``.
+
+        ``place(given + tail)`` orders the given factors followed by a unit
+        tail for the other positions into an A_e index tuple; ``tails`` lists
+        the unit tensor's terms on those other positions.
+        """
+        fillers = [p for p in range(self.n) if p not in positions]
+        order = [0] * self.n
+        for spot, p in enumerate([*positions, *fillers]):
+            order[p] = spot
+        # itemgetter of one index returns a bare item, not a tuple
+        return (itemgetter(*order) if self.n > 1 else tuple), self._unit_tails(len(fillers))
 
     def section_lift(self, g: int, a):
         """Unit-tensor section A_s -> A_e: factor values at cycle minima."""
-        D = self.base.dim
-        part = self.parts[g]
-        mins = [blk[0] for blk in part.blocks]
-        unit_support = [(k, v) for k, v in enumerate(self.base.unit) if v != 0]
-        fillers = [p for p in range(self.n) if p not in mins]
-        terms: dict[tuple, ex.Rat] = {}
-        for idx, x in enumerate(a):
-            if x == 0:
-                continue
-            t = tensor_tuple(idx, D, len(part))
-            partial = [(tuple(), x)]
-            for _ in fillers:
-                partial = [(tup + (k,), ex.norm(c * v)) for tup, c in partial for k, v in unit_support]
-            for tail, c in partial:
-                full = [0] * self.n
-                for fpos, m0 in enumerate(mins):
-                    full[m0] = t[fpos]
-                for spot, p in enumerate(fillers):
-                    full[p] = tail[spot]
-                key = tuple(full)
-                terms[key] = ex.norm(terms.get(key, 0) + c)
-        return {k: v for k, v in terms.items() if v != 0}
+        if g not in self._lifts:
+            self._lifts[g] = self._placement([blk[0] for blk in self.parts[g].blocks])
+        place, tails = self._lifts[g]
+        return {place(t + tail): ex.norm(x * u)
+                for t, x in zip(self._tuples(self.factors[g]), a) if x for tail, u in tails}
 
     def _copairing_element(self, tau: Permutation) -> dict:
         """gamma_{tau,tau} in A_e: copairing across the two moved points."""
         moved = tau.moved_points()
         if len(moved) != 2:
             raise ValueError(f"{tau} is not a transposition")
-        p1, p2 = moved
-        unit_support = [(k, v) for k, v in enumerate(self.base.unit) if v != 0]
-        fillers = [p for p in range(self.n) if p not in (p1, p2)]
-        terms: dict[tuple, ex.Rat] = {}
-        for i, j, c in self.base.copairing():
-            partial = [(tuple(), c)]
-            for _ in fillers:
-                partial = [(tup + (k,), ex.norm(cc * v)) for tup, cc in partial for k, v in unit_support]
-            for tail, cc in partial:
-                full = [0] * self.n
-                full[p1], full[p2] = i, j
-                for spot, p in enumerate(fillers):
-                    full[p] = tail[spot]
-                key = tuple(full)
-                terms[key] = ex.norm(terms.get(key, 0) + cc)
-        return {k: v for k, v in terms.items() if v != 0}
+        place, tails = self._placement(moved)
+        return {place((i, j) + tail): ex.norm(c * u)
+                for i, j, c in self.base.copairing() for tail, u in tails}
 
     def _elem_product(self, s1: dict, s2: dict) -> dict:
         """Factorwise product of sparse A_e elements keyed by index tuples.
@@ -404,21 +420,27 @@ class SymmetricProductAlgebra:
         return {k: ex.norm(Fraction(w, den)) for k, w in out.items() if w != 0}
 
     def _contract_sparse(self, elem: dict, coarse: OrbitPartition):
-        """Restriction A_e -> A^(x)|coarse| of a sparse tuple-keyed element."""
+        """Restriction A_e -> A^(x)|coarse| of a sparse tuple-keyed element.
+
+        Runs on integer numerators over one denominator: each coarse factor
+        reads its column of the m-fold product table, and the output index
+        grows one factor at a time.
+        """
         D = self.base.dim
-        out = ex.vec_zero(D ** len(coarse))
+        blocks = [(itemgetter(*blk), *self._mu_columns(len(blk))) for blk in coarse.blocks]
+        den = math.lcm(*(x.denominator for x in elem.values()))
+        acc = [0] * D ** len(coarse)
         for t, x in elem.items():
-            terms = {(): x}
-            for block in coarse.blocks:
-                block_val = self._basis_product([t[p] for p in block])
-                if not block_val:
-                    terms = {}
+            terms = [(0, x.numerator * (den // x.denominator))]
+            for get, cols, _ in blocks:
+                col = cols.get(get(t))
+                if col is None:
                     break
-                terms = {prefix + (k,): ex.norm(c * v)
-                         for prefix, c in terms.items() for k, v in block_val.items()}
-            for tup, c in terms.items():
-                out[tensor_index(tup, D)] += c
-        return [ex.norm(x) for x in out]
+                terms = [(o * D + k, c * w) for o, c in terms for k, w in col]
+            else:
+                for o, c in terms:
+                    acc[o] += c
+        return _divided(acc, den * math.prod(d for _, _, d in blocks))
 
     def contraction_steps(self, g: int, h: int, word: list[Permutation] | None = None):
         """The word for the right factor and the positions where length drops."""
@@ -442,12 +464,23 @@ class SymmetricProductAlgebra:
             rho = nxt
         return word, insertions
 
+    def _insertions(self, g: int, h: int, word: list[Permutation] | None = None) -> list:
+        """Copairing elements the word inserts; cached per sector pair for the
+        default word, rebuilt (and the word validated) when a word is given."""
+        if word is None and (g, h) in self._chain_plans:
+            return self._chain_plans[g, h]
+        _, insertions = self.contraction_steps(g, h, word)
+        gammas = [self._copairing_element(t) for t in insertions]
+        if word is None:
+            self._chain_plans[g, h] = gammas
+        return gammas
+
     def multiply_chain(self, g: int, a, h: int, b, word: list[Permutation] | None = None):
         """Product via the explicit transposition-word cocycle formula."""
-        _, insertions = self.contraction_steps(g, h, word)
+        gammas = self._insertions(g, h, word)
         acc = self._elem_product(self.section_lift(g, a), self.section_lift(h, b))
-        for t in insertions:
-            acc = self._elem_product(acc, self._copairing_element(t))
+        for gamma in gammas:
+            acc = self._elem_product(acc, gamma)
         return self._contract_sparse(acc, self.parts[self.group.mul(g, h)])
 
     def gamma_cocycle(self, g: int, h: int):
@@ -456,16 +489,12 @@ class SymmetricProductAlgebra:
         pi_{ss'} applied to the product of the word's copairing insertions;
         multiplying generators is r_{ss'} of this element.
         """
-        _, insertions = self.contraction_steps(g, h)
         acc = self.section_lift(self.group.identity, frob.tensor_unit(self.base, self.n))
-        for t in insertions:
-            acc = self._elem_product(acc, self._copairing_element(t))
+        for gamma in self._insertions(g, h):
+            acc = self._elem_product(acc, gamma)
         restricted = self._contract_sparse(acc, self.parts[self.group.mul(g, h)])
         lifted = self.section_lift(self.group.mul(g, h), restricted)
-        out = ex.vec_zero(self.base.dim ** self.n)
-        for t, c in lifted.items():
-            out[tensor_index(t, self.base.dim)] += c
-        return [ex.norm(x) for x in out]
+        return [lifted.get(t, 0) for t in self._tuples(self.n)]
 
     def gamma_data(self, g: int, h: int) -> "GammaData":
         """Decomposition data of the cocycle at a sector pair."""
@@ -486,33 +515,6 @@ class SymmetricProductAlgebra:
             restricted=restricted,
         )
 
-    def _joint_section(self, fine: OrbitPartition, coarse: OrbitPartition, v):
-        """Unit-tensor section A^(x)|coarse| -> A^(x)|fine| of the contraction."""
-        nest = self._nesting(fine, coarse)
-        D = self.base.dim
-        unit_support = [(k, c) for k, c in enumerate(self.base.unit) if c != 0]
-        out = ex.vec_zero(D ** len(fine))
-        for idx, x in enumerate(v):
-            if x == 0:
-                continue
-            tc = tensor_tuple(idx, D, len(coarse))
-            terms = [([0] * len(fine), x)]
-            for cpos, fps in enumerate(nest):
-                carrier = fps[0]
-                new = []
-                for tup, c in terms:
-                    tup = list(tup)
-                    tup[carrier] = tc[cpos]
-                    exp = [(tup, c)]
-                    for f in fps[1:]:
-                        exp = [(t[:f] + [k] + t[f + 1:], ex.norm(cc * u))
-                               for t, cc in exp for k, u in unit_support]
-                    new.extend(exp)
-                terms = new
-            for tup, c in terms:
-                out[tensor_index(tup, D)] += c
-        return [ex.norm(x) for x in out]
-
     # -- realized group-graded algebra -------------------------------------------
 
     def table_cost(self) -> int:
@@ -528,7 +530,6 @@ class SymmetricProductAlgebra:
                 f"building all product tables costs {cost} entries (budget {budget})", cost
             )
         G = self.group
-        D = self.base.dim
         product = {}
         for g in G.elements():
             for h in G.elements():
@@ -538,13 +539,8 @@ class SymmetricProductAlgebra:
             for h in G.elements():
                 action[(g, h)] = self._action_matrix(g, h)
         metric = [frob.tensor_metric(self.base, self.factors[g]) for g in G.elements()]
-        degrees = []
-        for g in G.elements():
-            degs = []
-            for idx in range(self.dims[g]):
-                t = tensor_tuple(idx, D, self.factors[g])
-                degs.append(sum(self.base.degrees[i] for i in t))
-            degrees.append(degs)
+        degrees = [[sum(self.base.degrees[i] for i in t) for t in self._tuples(self.factors[g])]
+                   for g in G.elements()]
         self._galg = GFrobeniusAlgebra(
             name=f"sym{self.n}({self.base.name})",
             group=G,
@@ -672,6 +668,21 @@ class SymmetricProductAlgebra:
         return table
 
 
+def _integral(cols: dict) -> tuple[dict, int]:
+    """Nonzero column entries as integer numerators over one denominator."""
+    den = math.lcm(*(w.denominator for col in cols.values() for _, w in col))
+    cols = {key: [(x, w.numerator * (den // w.denominator)) for x, w in col if w]
+            for key, col in cols.items()}
+    return {key: col for key, col in cols.items() if col}, den
+
+
+def _divided(acc: list, den: int) -> list:
+    """Integer numerators over ``den`` as exact scalars (int when integral)."""
+    if den == 1:
+        return acc
+    return [ex.norm(Fraction(w, den)) if w else 0 for w in acc]
+
+
 # -- public wrappers -----------------------------------------------------------
 
 @dataclass
@@ -707,10 +718,6 @@ def multiply_pushforward(sp: SymmetricProductAlgebra, g: int, a, h: int, b):
 
 def multiply_chain(sp: SymmetricProductAlgebra, g: int, a, h: int, b, word=None):
     return sp.multiply_chain(g, a, h, b, word)
-
-
-def gamma_data(sp: SymmetricProductAlgebra, g: int, h: int) -> GammaData:
-    return sp.gamma_data(g, h)
 
 
 def hilbert_twist(sp: SymmetricProductAlgebra) -> GFrobeniusAlgebra:

@@ -371,7 +371,7 @@ def test_criterion_7_intersection_lemmas(qx2, surface):
                 kernels[gi] = ex.nullspace(mat)
             for gi in range(sp.group.order):
                 for hi in range(sp.group.order):
-                    data = sp_mod.gamma_data(sp, gi, hi)
+                    data = sp.gamma_data(gi, hi)
                     ghi = sp.group.mul(gi, hi)
                     m = sp.factors[ghi]
                     for x in kernels[gi] + kernels[hi]:

@@ -47,31 +47,45 @@ def test_verify_zero_denominator_exits_two(tmp_path, capsys):
     assert err == "error: zero denominator in '1/0'\n"
 
 
-def _ks3_variant(tmp_path, edit):
-    doc = json.loads((FIXTURES / "ks3.json").read_text())
+def _variant(tmp_path, fixture, edit):
+    doc = json.loads((FIXTURES / fixture).read_text())
     edit(doc)
-    path = tmp_path / "ks3_variant.json"
+    path = tmp_path / f"variant_{fixture}"
     path.write_text(json.dumps(doc))
     return path
 
 
 def test_verify_out_of_range_action_index_exits_two(tmp_path, capsys):
-    path = _ks3_variant(tmp_path, lambda doc: doc["action"][0].__setitem__(2, 7))
+    path = _variant(tmp_path, "ks3.json", lambda doc: doc["action"][0].__setitem__(2, 7))
     assert run("verify", path) == 2
     assert capsys.readouterr().err == "error: action index 7 is not in range(1)\n"
 
 
 def test_verify_negative_sector_dim_exits_two(tmp_path, capsys):
-    path = _ks3_variant(tmp_path, lambda doc: doc["sectors"][1].__setitem__("dim", -1))
+    path = _variant(tmp_path, "ks3.json", lambda doc: doc["sectors"][1].__setitem__("dim", -1))
     assert run("verify", path) == 2
     assert capsys.readouterr().err == "error: sector 1: dim -1 is not an integer >= 0\n"
 
 
 def test_verify_negative_index_exits_two(tmp_path, capsys):
     # a negative index used to wrap round to the last entry and pass silently
-    path = _ks3_variant(tmp_path, lambda doc: doc["action"][0].__setitem__(2, -1))
+    path = _variant(tmp_path, "ks3.json", lambda doc: doc["action"][0].__setitem__(2, -1))
     assert run("verify", path) == 2
     assert capsys.readouterr().err == "error: action index -1 is not in range(1)\n"
+
+
+def test_verify_out_of_range_base_metric_index_exits_two(tmp_path, capsys):
+    # used to end in an IndexError traceback
+    path = _variant(tmp_path, "dual_numbers.json", lambda doc: doc["metric"][0].__setitem__(0, 5))
+    assert run("verify", path) == 2
+    assert capsys.readouterr().err == "error: metric index 5 is not in range(2)\n"
+
+
+def test_verify_negative_base_structure_index_exits_two(tmp_path, capsys):
+    # k = -1 used to wrap round to the last basis element and fail as a grading law
+    path = _variant(tmp_path, "dual_numbers.json", lambda doc: doc["structure"][0].__setitem__(2, -1))
+    assert run("verify", path) == 2
+    assert capsys.readouterr().err == "error: structure index -1 is not in range(2)\n"
 
 
 def test_verify_cocycle_document():

@@ -388,7 +388,7 @@ def test_hilbert_twist_flips_invariant_pairing_on_twisted_class(sp_factory, surf
 def test_gamma_data_n2(sp_factory, qx2):
     sp = sp_factory(qx2, 2)
     tau = sp.group.index_of("(1 2)")
-    data = sp_mod.gamma_data(sp, tau, tau)
+    data = sp.gamma_data(tau, tau)
     assert data.tilde == [1, 0]
     assert data.perp == [0, 1, 1, 0]
     assert data.restricted == [0, 1, 1, 0]
@@ -398,14 +398,14 @@ def test_gamma_data_n2(sp_factory, qx2):
 def test_gamma_data_n3_euler_obstruction(sp_factory, qx2):
     sp = sp_factory(qx2, 3)
     c123 = sp.group.index_of("(1 2 3)")
-    data = sp_mod.gamma_data(sp, c123, c123)
+    data = sp.gamma_data(c123, c123)
     assert data.tilde == [0, 2]   # the Euler class 2x in the joint sector
 
 
 def test_gamma_data_transversal_is_unit(sp_factory, qx2):
     sp = sp_factory(qx2, 3)
     t12, t13 = sp.group.index_of("(1 2)"), sp.group.index_of("(1 3)")
-    data = sp_mod.gamma_data(sp, t12, t13)
+    data = sp.gamma_data(t12, t13)
     gh = sp.group.mul(t12, t13)
     assert data.restricted == sp.generator(gh)
     assert data.cocycle == frob.tensor_unit(qx2, 3)
@@ -418,7 +418,7 @@ def test_gamma_decomposition_matches_restriction(sp_factory, qx2, surface):
         e_part = g.group_orbits([], n=n)
         for gi in range(sp.group.order):
             for hi in range(sp.group.order):
-                data = sp_mod.gamma_data(sp, gi, hi)
+                data = sp.gamma_data(gi, hi)
                 lhs = sp.restrict_between(e_part, sp.parts[sp.group.mul(gi, hi)], data.cocycle)
                 assert lhs == data.restricted
 
@@ -433,3 +433,217 @@ def test_metric_compatibility(sp_factory, qx2):
             data_vec = sp.gamma_cocycle(gi, ginv)
             dual_unit = sp.push_between(e_part, sp.parts[gi], sp.generator(gi))
             assert data_vec == dual_unit
+
+
+# -- per-sector-pair plans against the per-entry loops they replaced ---------------
+
+def _reference_restrict_between(sp, fine, coarse, v):
+    nest = sp._nesting(fine, coarse)
+    D = sp.base.dim
+    out = ex.vec_zero(D ** len(coarse))
+    for idx, x in enumerate(v):
+        if x == 0:
+            continue
+        t = frob.tensor_tuple(idx, D, len(fine))
+        terms = {(): x}
+        for fps in nest:
+            block_val = sp._basis_product([t[f] for f in fps])
+            if not block_val:
+                terms = {}
+                break
+            new = {}
+            for prefix, c in terms.items():
+                for k, w in block_val.items():
+                    new[prefix + (k,)] = ex.norm(c * w)
+            terms = new
+        for tup, c in terms.items():
+            out[frob.tensor_index(tup, D)] += c
+    return [ex.norm(x) for x in out]
+
+
+def _reference_push_between(sp, fine, coarse, w):
+    nest = sp._nesting(fine, coarse)
+    D = sp.base.dim
+    adjoints = [sp._adjoint_matrix(len(fps)) for fps in nest]
+    concat = [f for fps in nest for f in fps]
+    out = ex.vec_zero(D ** len(fine))
+    for idx, x in enumerate(w):
+        if x == 0:
+            continue
+        tc = frob.tensor_tuple(idx, D, len(coarse))
+        terms = {(): x}
+        for cpos, fps in enumerate(nest):
+            adj = adjoints[cpos]
+            col = tc[cpos]
+            new = {}
+            for prefix, c in terms.items():
+                for row in range(len(adj)):
+                    v = adj[row][col]
+                    if v != 0:
+                        new[prefix + frob.tensor_tuple(row, D, len(fps))] = ex.norm(c * v)
+            terms = new
+            if not terms:
+                break
+        for tup, c in terms.items():
+            canonical = [0] * len(fine)
+            for spot, fpos in enumerate(concat):
+                canonical[fpos] = tup[spot]
+            out[frob.tensor_index(canonical, D)] += c
+    return [ex.norm(x) for x in out]
+
+
+def _reference_joint_section(sp, fine, coarse, v):
+    nest = sp._nesting(fine, coarse)
+    D = sp.base.dim
+    unit_support = [(k, c) for k, c in enumerate(sp.base.unit) if c != 0]
+    out = ex.vec_zero(D ** len(fine))
+    for idx, x in enumerate(v):
+        if x == 0:
+            continue
+        tc = frob.tensor_tuple(idx, D, len(coarse))
+        terms = [([0] * len(fine), x)]
+        for cpos, fps in enumerate(nest):
+            new = []
+            for tup, c in terms:
+                tup = list(tup)
+                tup[fps[0]] = tc[cpos]
+                exp = [(tup, c)]
+                for f in fps[1:]:
+                    exp = [(t[:f] + [k] + t[f + 1:], ex.norm(cc * u))
+                           for t, cc in exp for k, u in unit_support]
+                new.extend(exp)
+            terms = new
+        for tup, c in terms:
+            out[frob.tensor_index(tup, D)] += c
+    return [ex.norm(x) for x in out]
+
+
+def _reference_section_lift(sp, g, a):
+    D = sp.base.dim
+    part = sp.parts[g]
+    mins = [blk[0] for blk in part.blocks]
+    unit_support = [(k, v) for k, v in enumerate(sp.base.unit) if v != 0]
+    fillers = [p for p in range(sp.n) if p not in mins]
+    terms = {}
+    for idx, x in enumerate(a):
+        if x == 0:
+            continue
+        t = frob.tensor_tuple(idx, D, len(part))
+        partial = [(tuple(), x)]
+        for _ in fillers:
+            partial = [(tup + (k,), ex.norm(c * v)) for tup, c in partial for k, v in unit_support]
+        for tail, c in partial:
+            full = [0] * sp.n
+            for fpos, m0 in enumerate(mins):
+                full[m0] = t[fpos]
+            for spot, p in enumerate(fillers):
+                full[p] = tail[spot]
+            key = tuple(full)
+            terms[key] = ex.norm(terms.get(key, 0) + c)
+    return {k: v for k, v in terms.items() if v != 0}
+
+
+def _reference_contract_sparse(sp, elem, coarse):
+    D = sp.base.dim
+    out = ex.vec_zero(D ** len(coarse))
+    for t, x in elem.items():
+        terms = {(): x}
+        for block in coarse.blocks:
+            block_val = sp._basis_product([t[p] for p in block])
+            if not block_val:
+                terms = {}
+                break
+            terms = {prefix + (k,): ex.norm(c * v)
+                     for prefix, c in terms.items() for k, v in block_val.items()}
+        for tup, c in terms.items():
+            out[frob.tensor_index(tup, D)] += c
+    return [ex.norm(x) for x in out]
+
+
+def _typed(v):
+    if isinstance(v, dict):
+        return {k: (type(x), x) for k, x in v.items()}
+    return [(type(x), x) for x in v]
+
+
+def _random_vector(rng, size):
+    # zeros, integers, integral Fractions and proper Fractions
+    return [rng.choice((0, rng.randint(-5, 5), Fraction(rng.randint(-6, 6), 1),
+                        Fraction(rng.randint(-9, 9), rng.randint(1, 6)))) for _ in range(size)]
+
+
+def _pairs_to_check(sp, n, rng):
+    pairs = [(gi, hi) for gi in range(sp.group.order) for hi in range(sp.group.order)]
+    return pairs if n <= 3 else rng.sample(pairs, 40)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_block_maps_match_per_entry_reference(sp_factory, qx2, surface, half, n):
+    rng = random.Random(7919 + n)
+    for base in (qx2, surface, half):
+        sp = sp_factory(base, n)
+        D = base.dim
+        for gi, hi in _pairs_to_check(sp, n, rng):
+            joint = g.group_orbits([sp.perms[gi], sp.perms[hi]])
+            part_g, part_gh = sp.parts[gi], sp.parts[sp.group.mul(gi, hi)]
+            for v in (_random_vector(rng, sp.dims[gi]), [0] * sp.dims[gi], [Fraction(0)] * sp.dims[gi]):
+                assert _typed(sp.restrict_between(part_g, joint, v)) == \
+                    _typed(_reference_restrict_between(sp, part_g, joint, v))
+                assert _typed(sp.section_lift(gi, v)) == _typed(_reference_section_lift(sp, gi, v))
+            for w in (_random_vector(rng, D ** len(joint)), [0] * D ** len(joint)):
+                assert _typed(sp.push_between(part_gh, joint, w)) == \
+                    _typed(_reference_push_between(sp, part_gh, joint, w))
+                assert _typed(sp._joint_section(part_gh, joint, w)) == \
+                    _typed(_reference_joint_section(sp, part_gh, joint, w))
+            for elem in (_random_element(rng, D, n, 30), {}):
+                assert _typed(sp._contract_sparse(elem, part_gh)) == \
+                    _typed(_reference_contract_sparse(sp, elem, part_gh))
+
+
+def test_planned_products_repeat(sp_factory, surface, half):
+    rng = random.Random(31)
+    for base in (surface, half):
+        sp = sp_factory(base, 3)
+        for gi, hi in rng.sample([(x, y) for x in range(6) for y in range(6)], 12):
+            a, b = _random_vector(rng, sp.dims[gi]), _random_vector(rng, sp.dims[hi])
+            push, chain = sp.multiply_pushforward(gi, a, hi, b), sp.multiply_chain(gi, a, hi, b)
+            assert _typed(push) == _typed(chain)
+            assert _typed(sp.multiply_pushforward(gi, a, hi, b)) == _typed(push)
+            assert _typed(sp.multiply_chain(gi, a, hi, b)) == _typed(chain)
+
+
+def test_explicit_word_is_validated_after_the_plan_is_built(sp_factory, qx2):
+    sp = sp_factory(qx2, 3)
+    h = sp.group.index_of("(1 2 3)")
+    one = sp.generator(h)
+    expected = sp.multiply_chain(h, one, h, one)   # builds and caches the default plan
+    t12, t13 = g.parse_cycles("(1 2)", 3), g.parse_cycles("(1 3)", 3)
+    with pytest.raises(ValueError):
+        sp.multiply_chain(h, one, h, one, [t12, t13, t12, t12])
+    with pytest.raises(ValueError):
+        sp.multiply_chain(h, one, h, one, [t12])
+    for word in sp_mod.all_minimal_words(sp.perms[h]):
+        assert sp.multiply_chain(h, one, h, one, word) == expected
+
+
+def test_plan_computes_obstruction_exponents_once_per_joint_orbit(qx2, monkeypatch):
+    calls = []
+    original = sp_mod.obstruction_exponent
+
+    def counted(sigma, sigma2, block):
+        calls.append(block)
+        return original(sigma, sigma2, block)
+
+    monkeypatch.setattr(sp_mod, "obstruction_exponent", counted)
+    sp = sp_mod.SymmetricProductAlgebra(qx2, 4)   # fresh: no plan built yet
+    gi, hi = sp.group.index_of("(1 2)"), sp.group.index_of("(3 4)")
+    joint = g.group_orbits([sp.perms[gi], sp.perms[hi]])
+    assert len(joint) == 2
+    products = 0
+    for i in range(sp.dims[gi]):
+        for j in range(sp.dims[hi]):
+            a, b = basis(sp.dims[gi], i), basis(sp.dims[hi], j)
+            assert sp.multiply_pushforward(gi, a, hi, b) == sp.multiply_chain(gi, a, hi, b)
+            products += 1
+    assert products == 64
+    assert sorted(calls) == sorted(joint.blocks)
