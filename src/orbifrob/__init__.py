@@ -16,8 +16,7 @@ from .gfrob import (BudgetExceededError, GFrobeniusAlgebra, invariants,
 from .groups import (FiniteGroup, OrbitPartition, Permutation, compose,
                      conjugacy_classes, cycles, degree, enumerate_sn,
                      group_orbits, is_transversal, symmetric_group)
-from .symprod import (SymmetricProductAlgebra, build, hilbert_twist,
-                      multiply_chain, multiply_pushforward, qw_twist)
+from .symprod import SymmetricProductAlgebra, build, hilbert_twist, qw_twist
 
 __all__ = [
     "BudgetExceededError",
@@ -42,8 +41,6 @@ __all__ = [
     "hilbert_twist",
     "invariants",
     "is_transversal",
-    "multiply_chain",
-    "multiply_pushforward",
     "normalized_sn_cocycle",
     "qw_twist",
     "sign_supertwist",

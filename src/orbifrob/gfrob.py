@@ -12,7 +12,9 @@ exhaustive over basis tuples, not randomized.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from . import exactnum as ex
@@ -355,7 +357,7 @@ def verify_axioms(X: GFrobeniusAlgebra, super_mode: bool | None = None,
     count = 0
     for g in G.elements():
         count += 1
-        chi_inv = ex.norm(1 / _as_fraction(X.character[g]))
+        chi_inv = ex.norm(1 / Fraction(X.character[g]))
         expected = ex.mat_scale(chi_inv, ex.mat_identity(dims[g]))
         if X.action[(g, g)] != expected and witness is None:
             witness = {"g": G.labels[g], "issue": "phi_g|A_g != chi_g^-1 id"}
@@ -406,7 +408,7 @@ def verify_axioms(X: GFrobeniusAlgebra, super_mode: bool | None = None,
     witness = None
     count = 0
     for g in G.elements():
-        chi2_inv = ex.norm(1 / (_as_fraction(X.character[g]) ** 2))
+        chi2_inv = ex.norm(1 / (Fraction(X.character[g]) ** 2))
         for h in G.elements():
             hinv = inv(h)
             act_h = X.action[(g, h)]
@@ -445,8 +447,8 @@ def verify_axioms(X: GFrobeniusAlgebra, super_mode: bool | None = None,
             T_right = product.get((comm, h), {})    # l_c : A_h -> A_{ghg^-1}
             act_h_on_g = X.action[(h, g)]
             act_ginv = X.action[(inv(g), ghg)]
-            chi_h = _as_fraction(X.character[h])
-            chi_ginv = _as_fraction(X.character[inv(g)])
+            chi_h = Fraction(X.character[h])
+            chi_ginv = Fraction(X.character[inv(g)])
             par_g = X.sector_parities[g]
             par_h = X.sector_parities[h]
             for c in range(dims[comm]):
@@ -481,11 +483,6 @@ def verify_axioms(X: GFrobeniusAlgebra, super_mode: bool | None = None,
     report.add("iv", "projective trace axiom" + (" (supertrace)" if super_mode else ""),
                witness is None, count, witness)
     return report
-
-
-def _as_fraction(x):
-    from fractions import Fraction
-    return Fraction(x)
 
 
 def _fmt_vec(X: GFrobeniusAlgebra, g: int, vec: SparseVec) -> str:
@@ -626,7 +623,7 @@ def twist(X: GFrobeniusAlgebra, alpha: "Cocycle2 | None" = None,
 
     action = {}
     for (g, h), mat in X.action.items():
-        eps = ex.norm(_as_fraction(a_val(g, h)) / _as_fraction(a_val(G.conj(g, h), g)))
+        eps = ex.norm(Fraction(a_val(g, h)) / Fraction(a_val(G.conj(g, h), g)))
         if (s_val(g) * s_val(h)) % 2:
             eps = ex.norm(-eps)
         action[(g, h)] = ex.mat_scale(eps, mat)
@@ -702,8 +699,6 @@ def _invariant_basis(X: GFrobeniusAlgebra) -> tuple[list, list, list, list]:
     Raises if the projector fails to be idempotent (the action data is then
     not a representation).
     """
-    from fractions import Fraction
-
     G = X.group
     classes = G.conjugacy_classes()
     scale = Fraction(1, G.order)
@@ -879,12 +874,17 @@ def to_json_dict(X: GFrobeniusAlgebra) -> dict:
 
 
 def from_json_dict(doc: dict) -> GFrobeniusAlgebra:
-    gdoc = doc["group"]
+    gdoc, sectors = doc["group"], doc["sectors"]
     if gdoc.get("type") == "symmetric":
-        group = symmetric_group(gdoc["n"])
+        n = gdoc["n"]
+        if type(n) is not int or n < 1:
+            raise ValueError(f"symmetric group degree {n!r} is not an integer >= 1")
+        # compare before building the (n!)^2-entry table; as n! >= n, n > #sectors cannot match
+        if n > len(sectors) or math.factorial(n) != len(sectors):
+            raise ValueError("sector count does not match the group order")
+        group = symmetric_group(n)
     else:
         group = FiniteGroup(gdoc["labels"], gdoc["table"])
-    sectors = doc["sectors"]
     if len(sectors) != group.order:
         raise ValueError("sector count does not match the group order")
     dims = [s["dim"] for s in sectors]

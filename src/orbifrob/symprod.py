@@ -19,7 +19,10 @@ The product is computed along two independent routes:
   drops, then contracts everything down to the product sector.
 
 Exact agreement of the two routes on all basis pairs is the cross-oracle the
-test suite enforces.
+test suite enforces.  The realized tables (``pair_table``) are the tensor
+product, over the joint orbits of each sector pair, of local tables that
+``multiply_pushforward`` computes in the degree-|B| instance for an orbit B;
+the chain stays independent of them as the oracle.
 
 Each route multiplies in A^(x)m by its own factor-by-factor walk that skips
 factor pairs with zero product before multiplying any coefficient.
@@ -148,6 +151,8 @@ class SymmetricProductAlgebra:
         self._lifts: dict[int, tuple] = {}
         self._push_plans: dict[tuple, tuple] = {}
         self._chain_plans: dict[tuple, list] = {}
+        self._local_tables: dict[tuple, dict] = {}
+        self._local_instances: dict[int, SymmetricProductAlgebra] = {}
 
     # -- bookkeeping ----------------------------------------------------------
 
@@ -576,96 +581,61 @@ class SymmetricProductAlgebra:
         return mat
 
     def pair_table(self, g: int, h: int) -> dict:
-        """Product table for a sector pair, assembled per joint orbit."""
+        """Product table for a sector pair: the tensor product, over the joint
+        orbits of the pair, of local ``multiply_pushforward`` tables, each one
+        placed at its orbit's factor positions as (index offset, value) terms."""
         sigma, sigma2 = self.perms[g], self.perms[h]
-        joint = group_orbits([sigma, sigma2])
         gh = self.group.mul(g, h)
-        D = self.base.dim
-        block_infos = []
-        for block in joint.blocks:
-            bset = set(block)
-            s_pos = [i for i, blk in enumerate(self.parts[g].blocks) if blk[0] in bset]
-            t_pos = [i for i, blk in enumerate(self.parts[h].blocks) if blk[0] in bset]
-            p_pos = [i for i, blk in enumerate(self.parts[gh].blocks) if blk[0] in bset]
-            expo = obstruction_exponent(sigma, sigma2, block)
-            euler_pow = self.base.power(self.euler, expo)
-            adj = self._adjoint_matrix(len(p_pos))
-            local: dict = {}
-            for t1 in itertools.product(range(D), repeat=len(s_pos)):
-                v1 = self._basis_product(list(t1)) if t1 else {}
-                if t1 and not v1:
-                    continue
-                for t2 in itertools.product(range(D), repeat=len(t_pos)):
-                    v2 = self._basis_product(list(t2)) if t2 else {}
-                    if t2 and not v2:
-                        continue
-                    u: dict = {}
-                    for i, c1 in v1.items():
-                        for j, c2 in v2.items():
-                            row = self.base.rows.get((i, j))
-                            if row:
-                                c12 = c1 * c2
-                                for k, v in row.items():
-                                    u[k] = u.get(k, 0) + c12 * v
-                    w: dict = {}
-                    for k, c in u.items():
-                        if c == 0:
-                            continue
-                        for k2, e in enumerate(euler_pow):
-                            if e == 0:
-                                continue
-                            row = self.base.rows.get((k, k2))
-                            if row:
-                                ce = c * e
-                                for k3, v in row.items():
-                                    w[k3] = w.get(k3, 0) + ce * v
-                    result: dict = {}
-                    for k, c in w.items():
-                        if c == 0:
-                            continue
-                        for r in range(len(adj)):
-                            v = adj[r][k]
-                            if v != 0:
-                                result[r] = ex.norm(result.get(r, 0) + c * v)
-                    result = {k: v for k, v in result.items() if v != 0}
-                    if result:
-                        local[(t1, t2)] = result
-            block_infos.append((s_pos, t_pos, p_pos, local))
-
+        D, lp = self.base.dim, self.factors[gh]
+        blocks = []
+        for block in group_orbits([sigma, sigma2]).blocks:
+            s_pos = [i for i, blk in enumerate(self.parts[g].blocks) if blk[0] in block]
+            t_pos = [i for i, blk in enumerate(self.parts[h].blocks) if blk[0] in block]
+            p_pos = [i for i, blk in enumerate(self.parts[gh].blocks) if blk[0] in block]
+            strides = [D ** (lp - 1 - q) for q in p_pos]
+            outputs = self._tuples(len(p_pos))
+            placed = {key: [(sum(map(mul, outputs[r], strides)), x) for r, x in vals.items()]
+                      for key, vals in self._local_table(sigma, sigma2, block).items()}
+            blocks.append((s_pos, t_pos, placed))
         table: dict = {}
-        lg, lh, lp = self.factors[g], self.factors[h], self.factors[gh]
-        for i in range(self.dims[g]):
-            ti = tensor_tuple(i, D, lg)
-            for j in range(self.dims[h]):
-                tj = tensor_tuple(j, D, lh)
-                terms = [([0] * lp, 1)]
-                dead = False
-                for s_pos, t_pos, p_pos, local in block_infos:
-                    key = (tuple(ti[p] for p in s_pos), tuple(tj[p] for p in t_pos))
-                    vals = local.get(key)
-                    if not vals:
-                        dead = True
+        for i, ti in enumerate(self._tuples(self.factors[g])):
+            for j, tj in enumerate(self._tuples(self.factors[h])):
+                terms = [(0, 1)]
+                for s_pos, t_pos, placed in blocks:
+                    col = placed.get((tuple(ti[p] for p in s_pos), tuple(tj[p] for p in t_pos)))
+                    if col is None:
                         break
-                    m = len(p_pos)
-                    new = []
-                    for tup, c in terms:
-                        for packed, v in vals.items():
-                            sub = tensor_tuple(packed, D, m)
-                            t2 = list(tup)
-                            for spot, ppos in enumerate(p_pos):
-                                t2[ppos] = sub[spot]
-                            new.append((t2, c * v))
-                    terms = new
-                if dead:
-                    continue
-                vec: dict = {}
-                for tup, c in terms:
-                    k = tensor_index(tup, D)
-                    vec[k] = vec.get(k, 0) + c
-                vec = {k: ex.norm(v) for k, v in vec.items() if v != 0}
-                if vec:
-                    table[(i, j)] = vec
+                    terms = [(o + p, c * x) for o, c in terms for p, x in col]
+                else:
+                    vec: dict = {}
+                    for o, c in terms:
+                        vec[o] = vec.get(o, 0) + c
+                    vec = {k: ex.norm(x) for k, x in vec.items() if x != 0}
+                    if vec:
+                        table[i, j] = vec
         return table
+
+    def _local_table(self, sigma: Permutation, sigma2: Permutation, block) -> dict:
+        """Basis products of the pair on one joint orbit, relabelled monotonically
+        onto 0..|B|-1 (which keeps the cycle order), by ``multiply_pushforward``
+        in the degree-|B| instance; cached by the restricted pair."""
+        spot = {p: i for i, p in enumerate(block)}
+        key = tuple(tuple(spot[s(p)] for p in block) for s in (sigma, sigma2))
+        if key not in self._local_tables:
+            m = len(block)
+            local = self if m == self.n else self._local_instances.get(m)
+            if local is None:
+                local = self._local_instances[m] = SymmetricProductAlgebra(self.base, m)
+            g, h = (local._perm_index[images] for images in key)
+            table: dict = {}
+            lefts, rights = ex.mat_identity(local.dims[g]), ex.mat_identity(local.dims[h])
+            for t1, a in zip(local._tuples(local.factors[g]), lefts):
+                for t2, b in zip(local._tuples(local.factors[h]), rights):
+                    vals = {r: x for r, x in enumerate(local.multiply_pushforward(g, a, h, b)) if x}
+                    if vals:
+                        table[t1, t2] = vals
+            self._local_tables[key] = table
+        return self._local_tables[key]
 
 
 def _integral(cols: dict) -> tuple[dict, int]:
@@ -698,26 +668,6 @@ def build(base: FrobeniusAlgebra, n: int, budget: int = BUILD_BUDGET) -> Symmetr
     sp = SymmetricProductAlgebra(base, n)
     sp.realize(budget)
     return sp
-
-
-def restriction(sp: SymmetricProductAlgebra, fine_gens, coarse_gens, v):
-    fine = group_orbits(list(fine_gens), sp.n)
-    coarse = group_orbits(list(coarse_gens), sp.n)
-    return sp.restrict_between(fine, coarse, v)
-
-
-def pushforward(sp: SymmetricProductAlgebra, fine_gens, coarse_gens, w):
-    fine = group_orbits(list(fine_gens), sp.n)
-    coarse = group_orbits(list(coarse_gens), sp.n)
-    return sp.push_between(fine, coarse, w)
-
-
-def multiply_pushforward(sp: SymmetricProductAlgebra, g: int, a, h: int, b):
-    return sp.multiply_pushforward(g, a, h, b)
-
-
-def multiply_chain(sp: SymmetricProductAlgebra, g: int, a, h: int, b, word=None):
-    return sp.multiply_chain(g, a, h, b, word)
 
 
 def hilbert_twist(sp: SymmetricProductAlgebra) -> GFrobeniusAlgebra:

@@ -1,6 +1,8 @@
 import json
 from pathlib import Path
 
+import pytest
+
 from orbifrob import cli
 from orbifrob import cocycles as cocy
 from orbifrob import gfrob
@@ -65,6 +67,18 @@ def test_verify_negative_sector_dim_exits_two(tmp_path, capsys):
     path = _variant(tmp_path, "ks3.json", lambda doc: doc["sectors"][1].__setitem__("dim", -1))
     assert run("verify", path) == 2
     assert capsys.readouterr().err == "error: sector 1: dim -1 is not an integer >= 0\n"
+
+
+@pytest.mark.parametrize("n,message", [
+    (8, "sector count does not match the group order"),
+    (10 ** 30, "sector count does not match the group order"),
+    ("3", "symmetric group degree '3' is not an integer >= 1"),
+])
+def test_verify_bad_symmetric_degree_exits_two(tmp_path, capsys, n, message):
+    # n = 8 used to build all (8!)^2 table entries of S_8 before counting the 6 sectors
+    path = _variant(tmp_path, "ks3.json", lambda doc: doc["group"].__setitem__("n", n))
+    assert run("verify", path) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_verify_negative_index_exits_two(tmp_path, capsys):

@@ -32,38 +32,39 @@ def all_basis_pairs_agree(sp, gi, hi):
 
 def test_restriction_contracts_by_multiplication(sp_factory, qx2):
     sp = sp_factory(qx2, 2)
-    tau = g.parse_cycles("(1 2)", 2)
+    e_part, tau_part = g.group_orbits([], n=2), g.group_orbits([g.parse_cycles("(1 2)", 2)])
     # from the identity sector (two factors) to the transposition sector
-    assert sp_mod.restriction(sp, [], [tau], [0, 1, 0, 0]) == [0, 1]   # 1(x)x -> x
-    assert sp_mod.restriction(sp, [], [tau], [1, 0, 0, 0]) == [1, 0]   # unit -> unit
+    assert sp.restrict_between(e_part, tau_part, [0, 1, 0, 0]) == [0, 1]   # 1(x)x -> x
+    assert sp.restrict_between(e_part, tau_part, [1, 0, 0, 0]) == [1, 0]   # unit -> unit
     sp3 = sp_factory(qx2, 3)
     t12, t13 = g.parse_cycles("(1 2)", 3), g.parse_cycles("(1 3)", 3)
+    fine, coarse = g.group_orbits([t12]), g.group_orbits([t12, t13])
     # factors of (1 2): orbits {0,1} and {2}; target has one orbit: u(x)w -> uw
     x_tensor_x = [0] * 4
     x_tensor_x[frob.tensor_index((1, 1), 2)] = 1
-    assert sp_mod.restriction(sp3, [t12], [t12, t13], x_tensor_x) == [0, 0]
+    assert sp3.restrict_between(fine, coarse, x_tensor_x) == [0, 0]
     one_tensor_x = [0] * 4
     one_tensor_x[frob.tensor_index((0, 1), 2)] = 1
-    assert sp_mod.restriction(sp3, [t12], [t12, t13], one_tensor_x) == [0, 1]
+    assert sp3.restrict_between(fine, coarse, one_tensor_x) == [0, 1]
 
 
 def test_restriction_requires_nesting(sp_factory, qx2):
     sp = sp_factory(qx2, 3)
     t12, t13 = g.parse_cycles("(1 2)", 3), g.parse_cycles("(1 3)", 3)
     with pytest.raises(ValueError):
-        sp_mod.restriction(sp, [t12], [t13], [0, 1, 0, 0])
+        sp.restrict_between(g.group_orbits([t12]), g.group_orbits([t13]), [0, 1, 0, 0])
 
 
 def test_pushforward_of_unit_is_copairing(sp_factory, qx2):
     sp = sp_factory(qx2, 2)
-    tau = g.parse_cycles("(1 2)", 2)
-    assert sp_mod.pushforward(sp, [], [tau], [1, 0]) == [0, 1, 1, 0]
+    e_part, tau_part = g.group_orbits([], n=2), g.group_orbits([g.parse_cycles("(1 2)", 2)])
+    assert sp.push_between(e_part, tau_part, [1, 0]) == [0, 1, 1, 0]
 
 
 def test_pushforward_trivial_base(sp_factory, ground):
     sp = sp_factory(ground, 2)
-    tau = g.parse_cycles("(1 2)", 2)
-    r_then_push = sp_mod.pushforward(sp, [], [tau], sp_mod.restriction(sp, [], [tau], [1]))
+    e_part, tau_part = g.group_orbits([], n=2), g.group_orbits([g.parse_cycles("(1 2)", 2)])
+    r_then_push = sp.push_between(e_part, tau_part, sp.restrict_between(e_part, tau_part, [1]))
     assert r_then_push == [1]
 
 
@@ -647,3 +648,126 @@ def test_plan_computes_obstruction_exponents_once_per_joint_orbit(qx2, monkeypat
             products += 1
     assert products == 64
     assert sorted(calls) == sorted(joint.blocks)
+
+
+# -- pair tables against the inlined per-orbit loops they replaced -----------------
+
+def _reference_pair_table(sp, gi, hi):
+    sigma, sigma2 = sp.perms[gi], sp.perms[hi]
+    joint = g.group_orbits([sigma, sigma2])
+    gh = sp.group.mul(gi, hi)
+    D = sp.base.dim
+    block_infos = []
+    for block in joint.blocks:
+        bset = set(block)
+        s_pos = [i for i, blk in enumerate(sp.parts[gi].blocks) if blk[0] in bset]
+        t_pos = [i for i, blk in enumerate(sp.parts[hi].blocks) if blk[0] in bset]
+        p_pos = [i for i, blk in enumerate(sp.parts[gh].blocks) if blk[0] in bset]
+        expo = sp_mod.obstruction_exponent(sigma, sigma2, block)
+        euler_pow = sp.base.power(sp.euler, expo)
+        adj = sp._adjoint_matrix(len(p_pos))
+        local = {}
+        for t1 in itertools.product(range(D), repeat=len(s_pos)):
+            v1 = sp._basis_product(list(t1)) if t1 else {}
+            if t1 and not v1:
+                continue
+            for t2 in itertools.product(range(D), repeat=len(t_pos)):
+                v2 = sp._basis_product(list(t2)) if t2 else {}
+                if t2 and not v2:
+                    continue
+                u = {}
+                for i, c1 in v1.items():
+                    for j, c2 in v2.items():
+                        row = sp.base.rows.get((i, j))
+                        if row:
+                            c12 = c1 * c2
+                            for k, v in row.items():
+                                u[k] = u.get(k, 0) + c12 * v
+                w = {}
+                for k, c in u.items():
+                    if c == 0:
+                        continue
+                    for k2, e in enumerate(euler_pow):
+                        if e == 0:
+                            continue
+                        row = sp.base.rows.get((k, k2))
+                        if row:
+                            ce = c * e
+                            for k3, v in row.items():
+                                w[k3] = w.get(k3, 0) + ce * v
+                result = {}
+                for k, c in w.items():
+                    if c == 0:
+                        continue
+                    for r in range(len(adj)):
+                        v = adj[r][k]
+                        if v != 0:
+                            result[r] = ex.norm(result.get(r, 0) + c * v)
+                result = {k: v for k, v in result.items() if v != 0}
+                if result:
+                    local[(t1, t2)] = result
+        block_infos.append((s_pos, t_pos, p_pos, local))
+
+    table = {}
+    lg, lh, lp = sp.factors[gi], sp.factors[hi], sp.factors[gh]
+    for i in range(sp.dims[gi]):
+        ti = frob.tensor_tuple(i, D, lg)
+        for j in range(sp.dims[hi]):
+            tj = frob.tensor_tuple(j, D, lh)
+            terms = [([0] * lp, 1)]
+            dead = False
+            for s_pos, t_pos, p_pos, local in block_infos:
+                key = (tuple(ti[p] for p in s_pos), tuple(tj[p] for p in t_pos))
+                vals = local.get(key)
+                if not vals:
+                    dead = True
+                    break
+                m = len(p_pos)
+                new = []
+                for tup, c in terms:
+                    for packed, v in vals.items():
+                        sub = frob.tensor_tuple(packed, D, m)
+                        t2 = list(tup)
+                        for spot, ppos in enumerate(p_pos):
+                            t2[ppos] = sub[spot]
+                        new.append((t2, c * v))
+                terms = new
+            if dead:
+                continue
+            vec = {}
+            for tup, c in terms:
+                k = frob.tensor_index(tup, D)
+                vec[k] = vec.get(k, 0) + c
+            vec = {k: ex.norm(v) for k, v in vec.items() if v != 0}
+            if vec:
+                table[(i, j)] = vec
+    return table
+
+
+@pytest.mark.parametrize("base_name,n", [("ground", 2), ("ground", 3), ("ground", 4),
+                                         ("qx2", 2), ("qx2", 3), ("qx2", 4),
+                                         ("surface", 2), ("surface", 3),
+                                         ("half", 2), ("half", 3)])
+def test_pair_tables_match_inlined_reference(sp_factory, ground, qx2, surface, half, base_name, n):
+    base = {"ground": ground, "qx2": qx2, "surface": surface, "half": half}[base_name]
+    sp = sp_factory(base, n)
+    for gi in range(sp.group.order):
+        for hi in range(sp.group.order):
+            got = {key: _typed(vec) for key, vec in sp.pair_table(gi, hi).items()}
+            want = {key: _typed(vec) for key, vec in _reference_pair_table(sp, gi, hi).items()}
+            assert got == want
+
+
+def test_realize_builds_one_pair_table_per_sector_pair(qx2, monkeypatch):
+    calls = []
+    original = sp_mod.SymmetricProductAlgebra.pair_table
+
+    def counted(self, gi, hi):
+        calls.append((self.n, gi, hi))
+        return original(self, gi, hi)
+
+    monkeypatch.setattr(sp_mod.SymmetricProductAlgebra, "pair_table", counted)
+    sp = sp_mod.SymmetricProductAlgebra(qx2, 3)   # fresh: no table or local instance built yet
+    sp.realize()
+    pairs = [(3, gi, hi) for gi in range(6) for hi in range(6)]
+    assert sorted(calls) == pairs
