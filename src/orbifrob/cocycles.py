@@ -194,8 +194,8 @@ def twisted_group_ring(group: FiniteGroup, alpha: Cocycle2 | None = None,
             coeff = eps[g][h]
             if (sg * sigma.parity[h]) % 2:
                 coeff = ex.norm(-coeff)
-            action[(g, h)] = [[coeff]]
-    metric = [[[alpha.values[g][group.inv(g)]]] for g in range(n)]
+            action[(g, h)] = {0: {0: coeff}}
+    metric = [{0: {0: alpha.values[g][group.inv(g)]}} for g in range(n)]
     character = [(-1 if sigma.parity[g] else 1) for g in range(n)]
 
     return GFrobeniusAlgebra(
@@ -270,8 +270,11 @@ def from_json_dict(doc: dict) -> Cocycle2:
         group = FiniteGroup(gdoc["labels"], gdoc["table"])
     n = group.order
     values = [[1] * n for _ in range(n)]
+    seen: set = set()
     for glabel, hlabel, v in doc.get("values", []):
-        values[group.index_of(glabel)][group.index_of(hlabel)] = ex.rat(v)
+        g, h = group.index_of(glabel), group.index_of(hlabel)
+        ex.check_new("values", seen, (glabel, hlabel))
+        values[g][h] = ex.rat(v)
     return Cocycle2(group, values)
 
 

@@ -10,11 +10,12 @@ denominators allow).
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Sequence, Union
 
 Rat = Union[int, Fraction]
 Vector = list  # list[Rat]
 Matrix = list  # list[list[Rat]]
+SparseMap = dict  # {index: {index: Rat}}, no zero value and no empty inner map stored
 
 
 class SingularMatrixError(ValueError):
@@ -65,6 +66,13 @@ def check_indices(what: str, indices, bounds) -> None:
             raise ValueError(f"{what} index {i!r} is not in range({bound})")
 
 
+def check_new(what: str, seen: set, key: tuple) -> None:
+    """Reject a document entry whose indices repeat an earlier entry's in ``seen``."""
+    if key in seen:
+        raise ValueError(f"duplicate {what} entry at {list(key)}")
+    seen.add(key)
+
+
 # -- dense vectors ---------------------------------------------------------
 
 def vec_zero(n: int) -> Vector:
@@ -112,23 +120,6 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     return out
 
 
-def mat_vec(m: Matrix, v: Sequence[Rat]) -> Vector:
-    if m and len(m[0]) != len(v):
-        raise ValueError(f"shape mismatch for matrix-vector product: {len(m[0])} vs {len(v)}")
-    out = []
-    for row in m:
-        s = 0
-        for c, x in zip(row, v):
-            if c != 0 and x != 0:
-                s += c * x
-        out.append(norm(s))
-    return out
-
-
-def mat_scale(c: Rat, m: Matrix) -> Matrix:
-    return [[norm(c * x) for x in row] for row in m]
-
-
 def is_symmetric(m: Matrix) -> bool:
     n = len(m)
     return all(len(row) == n for row in m) and all(
@@ -168,24 +159,30 @@ def rank(m: Matrix) -> int:
     return len(pivots)
 
 
-def solve(m: Matrix, b: Sequence[Rat]) -> Vector:
-    """Exact solution of ``m @ x = b``; raises SingularMatrixError if none/ambiguous."""
-    n = len(m)
-    if n != len(b):
-        raise ValueError(f"solve: {n} rows vs {len(b)} right-hand entries")
-    cols = len(m[0]) if n else 0
-    aug = [list(row) + [b[i]] for i, row in enumerate(m)]
-    ech, pivots = echelon(aug)
-    if cols in pivots:
-        raise SingularMatrixError("inconsistent linear system", rank=len(pivots) - 1)
-    if len(pivots) < cols:
-        raise SingularMatrixError(
-            f"underdetermined system (rank {len(pivots)} < {cols})", rank=len(pivots)
-        )
-    x = vec_zero(cols)
-    for r, c in enumerate(pivots):
-        x[c] = ech[r][cols]
-    return x
+def sparse_rank(m: SparseMap) -> int:
+    """Rank of a sparse map, by elimination on its inner maps.
+
+    Each kept row is 1 at its pivot and 0 at every other pivot, so reducing a
+    new row needs one pass over the pivots it touches.
+    """
+    kept: dict = {}
+    for vec in m.values():
+        row = dict(vec)
+        for c in [c for c in row if c in kept]:
+            f = row[c]
+            for k, v in kept[c].items():
+                row[k] = row.get(k, 0) - f * v
+        row = {k: v for k, v in row.items() if v != 0}
+        if row:
+            c = min(row)
+            pivot = {k: Fraction(v) / row[c] for k, v in row.items()}
+            for other in kept.values():
+                f = other.pop(c, 0)
+                for k, v in pivot.items():
+                    if k != c:
+                        other[k] = other.get(k, 0) - f * v
+            kept[c] = pivot
+    return len(kept)
 
 
 def invert(m: Matrix) -> Matrix:
@@ -216,23 +213,6 @@ def nullspace(m: Matrix) -> list[Vector]:
     return basis
 
 
-def metric_adjoint(m: Matrix, eta_src: Matrix, eta_dst: Matrix) -> Matrix:
-    """Adjoint of ``m: V_src -> V_dst`` for pairings on source and target.
-
-    Returns the map ``m*: V_dst -> V_src`` with
-    ``eta_src(m* y, x) = eta_dst(y, m x)``, i.e. ``eta_src^-1 m^T eta_dst``.
-    Both pairings must be symmetric and nondegenerate.
-    """
-    for eta, tag in ((eta_src, "source"), (eta_dst, "target")):
-        if not is_symmetric(eta):
-            raise ValueError(f"metric_adjoint: {tag} pairing is not symmetric")
-    try:
-        src_inv = invert(eta_src)
-    except SingularMatrixError as exc:
-        raise SingularMatrixError("metric_adjoint: degenerate source pairing", exc.rank)
-    return mat_mul(src_inv, mat_mul(mat_transpose(m), eta_dst))
-
-
 def kron(a: Matrix, b: Matrix) -> Matrix:
     """Kronecker product, row-major index convention."""
     if not a or not b:
@@ -252,37 +232,8 @@ def kron(a: Matrix, b: Matrix) -> Matrix:
     return out
 
 
-class SparseTensor3:
-    """Sparse 3-index tensor: structure constants c[i,j,k] with unique keys."""
-
-    __slots__ = ("entries",)
-
-    def __init__(self, entries: Iterable[tuple[int, int, int, Rat]] = ()):
-        self.entries: dict[tuple[int, int, int], Rat] = {}
-        for i, j, k, v in entries:
-            v = norm(rat(v) if isinstance(v, str) else v)
-            if v == 0:
-                continue
-            key = (i, j, k)
-            if key in self.entries:
-                raise ValueError(f"duplicate sparse entry at {key}")
-            self.entries[key] = v
-
-    def get(self, i: int, j: int, k: int) -> Rat:
-        return self.entries.get((i, j, k), 0)
-
-    def items(self):
-        return self.entries.items()
-
-    def rows(self, dim: int) -> dict[tuple[int, int], dict[int, Rat]]:
-        """Reshape into (i, j) -> {k: value} lookup rows."""
-        table: dict[tuple[int, int], dict[int, Rat]] = {}
-        for (i, j, k), v in self.entries.items():
-            table.setdefault((i, j), {})[k] = v
-        return table
-
-    def __eq__(self, other):
-        return isinstance(other, SparseTensor3) and self.entries == other.entries
-
-    def __len__(self):
-        return len(self.entries)
+def sparse_kron(a: SparseMap, b: SparseMap, outer: int, inner: int) -> SparseMap:
+    """Kronecker product of sparse maps with row-major index fusion; ``outer``
+    and ``inner`` bound the outer and inner indices of ``b``."""
+    return {p * outer + r: {q * inner + s: norm(x * y) for q, x in ap.items() for s, y in br.items()}
+            for p, ap in a.items() for r, br in b.items()}

@@ -1,7 +1,8 @@
 """Finite-dimensional graded Frobenius algebras over exact rationals.
 
 An algebra is given by structure constants ``e_i e_j = sum_k c[i,j,k] e_k``,
-a distinguished unit vector and a pairing matrix.  Construction validates the
+stored as rows ``{(i, j): {k: c[i,j,k]}}`` with no zero constant, a
+distinguished unit vector and a pairing matrix.  Construction validates the
 full law set (associativity, unit, invariance, nondegeneracy, grading and
 parity bookkeeping) so downstream code may assume the laws hold.
 """
@@ -15,7 +16,7 @@ from fractions import Fraction
 
 from . import exactnum as ex
 from ._report import Report
-from .exactnum import Rat, SparseTensor3
+from .exactnum import Rat
 
 
 @dataclass
@@ -25,12 +26,11 @@ class FrobeniusAlgebra:
     degrees: list[int]
     parities: list[int]
     unit: list
-    structure: SparseTensor3
+    rows: dict             # (i, j) -> {k: c[i,j,k]}
     metric: list
 
     # derived, filled in __post_init__
     dim: int = field(init=False)
-    rows: dict = field(init=False, repr=False)
     _pairs: list = field(init=False, repr=False, compare=False)
     top_degree: int = field(init=False)
     _metric_inv: list | None = field(init=False, default=None, repr=False)
@@ -41,7 +41,12 @@ class FrobeniusAlgebra:
             raise ValueError(f"{self.name}: field lengths disagree with dim {self.dim}")
         if len(self.metric) != self.dim or any(len(r) != self.dim for r in self.metric):
             raise ValueError(f"{self.name}: metric must be {self.dim}x{self.dim}")
-        self.rows = self.structure.rows(self.dim)
+        rows = {}
+        for key, row in self.rows.items():
+            row = {k: ex.norm(v) for k, v in row.items() if v != 0}
+            if row:
+                rows[key] = row
+        self.rows = rows
         # per left index x: (y, row items) for each y with e_x e_y != 0
         self._pairs = [[] for _ in range(self.dim)]
         for (x, y), row in self.rows.items():
@@ -133,6 +138,10 @@ class FrobeniusAlgebra:
     def is_even(self) -> bool:
         return all(p == 0 for p in self.parities)
 
+    def _constants(self):
+        """Index triples (i, j, k) of the nonzero structure constants."""
+        return [(i, j, k) for (i, j), row in self.rows.items() for k in row]
+
     # -- verification --------------------------------------------------------
 
     def verify(self) -> Report:
@@ -200,7 +209,7 @@ class FrobeniusAlgebra:
 
         witness = None
         count = 0
-        for (i, j, k), _ in self.structure.items():
+        for i, j, k in self._constants():
             count += 1
             if self.degrees[i] + self.degrees[j] != self.degrees[k] and witness is None:
                 witness = {"i": self.labels[i], "j": self.labels[j], "k": self.labels[k]}
@@ -208,7 +217,7 @@ class FrobeniusAlgebra:
 
         witness = None
         count = 0
-        for (i, j, k), _ in self.structure.items():
+        for i, j, k in self._constants():
             count += 1
             if (self.parities[i] + self.parities[j] - self.parities[k]) % 2 and witness is None:
                 witness = {"i": self.labels[i], "j": self.labels[j], "k": self.labels[k]}
@@ -365,7 +374,7 @@ def ground_field() -> FrobeniusAlgebra:
         degrees=[0],
         parities=[0],
         unit=[1],
-        structure=SparseTensor3([(0, 0, 0, 1)]),
+        rows={(0, 0): {0: 1}},
         metric=[[1]],
     ))
 
@@ -378,7 +387,7 @@ def dual_numbers() -> FrobeniusAlgebra:
         degrees=[0, 2],
         parities=[0, 0],
         unit=[1, 0],
-        structure=SparseTensor3([(0, 0, 0, 1), (0, 1, 1, 1), (1, 0, 1, 1)]),
+        rows={(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 0): {1: 1}},
         metric=[[0, 1], [1, 0]],
     ))
 
@@ -391,13 +400,13 @@ def surface_model() -> FrobeniusAlgebra:
         degrees=[0, 2, 2, 4],
         parities=[0, 0, 0, 0],
         unit=[1, 0, 0, 0],
-        structure=SparseTensor3([
-            (0, 0, 0, 1),
-            (0, 1, 1, 1), (1, 0, 1, 1),
-            (0, 2, 2, 1), (2, 0, 2, 1),
-            (0, 3, 3, 1), (3, 0, 3, 1),
-            (1, 2, 3, 1), (2, 1, 3, 1),
-        ]),
+        rows={
+            (0, 0): {0: 1},
+            (0, 1): {1: 1}, (1, 0): {1: 1},
+            (0, 2): {2: 1}, (2, 0): {2: 1},
+            (0, 3): {3: 1}, (3, 0): {3: 1},
+            (1, 2): {3: 1}, (2, 1): {3: 1},
+        },
         metric=[
             [0, 0, 0, 1],
             [0, 0, 1, 0],
@@ -425,8 +434,8 @@ def to_json_dict(algebra: FrobeniusAlgebra) -> dict:
             if algebra.metric[i][j] != 0
         ],
         "structure": [
-            [i, j, k, ex.fmt_rat(v)]
-            for (i, j, k), v in sorted(algebra.structure.items())
+            [i, j, k, ex.fmt_rat(algebra.rows[i, j][k])]
+            for i, j, k in sorted(algebra._constants())
         ],
     }
 
@@ -437,19 +446,24 @@ def from_json_dict(doc: dict, validate: bool = True) -> FrobeniusAlgebra:
     if len(basis) != dim:
         raise ValueError(f"declared dim {dim} but {len(basis)} basis entries")
     metric = ex.mat_zero(dim, dim)
+    seen: set = set()
     for i, j, v in doc.get("metric", []):
         ex.check_indices("metric", (i, j), (dim, dim))
+        ex.check_new("metric", seen, (i, j))
         metric[i][j] = ex.rat(v)
-    structure = doc.get("structure", [])
-    for i, j, k, _ in structure:
+    rows: dict = {}
+    seen = set()
+    for i, j, k, v in doc.get("structure", []):
         ex.check_indices("structure", (i, j, k), (dim, dim, dim))
+        ex.check_new("structure", seen, (i, j, k))
+        rows.setdefault((i, j), {})[k] = ex.rat(v)
     algebra = FrobeniusAlgebra(
         name=doc.get("name", "algebra"),
         labels=[b["label"] for b in basis],
         degrees=[int(b.get("degree", 0)) for b in basis],
         parities=[int(b.get("parity", 0)) for b in basis],
         unit=[ex.rat(v) for v in doc["unit"]],
-        structure=SparseTensor3([(i, j, k, ex.rat(v)) for i, j, k, v in structure]),
+        rows=rows,
         metric=metric,
     )
     return validated(algebra) if validate else algebra

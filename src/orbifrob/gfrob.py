@@ -5,8 +5,9 @@ A structure is a family of sector spaces ``A_g`` (one per group element)
 with a graded product ``A_g x A_h -> A_gh``, a pairing that couples ``A_g``
 with ``A_{g^-1}`` only, a group action ``phi_g: A_h -> A_{ghg^-1}``, a
 character ``chi`` and an optional supergrading.  All maps are stored as
-explicit exact-rational tables over the sector bases; the verifier is
-exhaustive over basis tuples, not randomized.
+sparse exact-rational tables over the sector bases, ``{index: {index:
+value}}`` with no zero value stored; the verifier is exhaustive over basis
+tuples, not randomized.
 """
 
 from __future__ import annotations
@@ -42,6 +43,50 @@ def _clean(vec: SparseVec) -> SparseVec:
     return {k: ex.norm(v) for k, v in vec.items() if v != 0}
 
 
+def _cleaned_map(block: ex.SparseMap, outer: int, inner: int, what: str) -> ex.SparseMap:
+    """Zero-free copy of an {index: {index: value}} map, its indices checked."""
+    out = {}
+    for p, vec in block.items():
+        if not 0 <= p < outer or any(not 0 <= q < inner for q in vec):
+            raise ValueError(f"{what} index out of range")
+        vec = _clean(vec)
+        if vec:
+            out[p] = vec
+    return out
+
+
+def _scalar_map(c, d: int) -> ex.SparseMap:
+    """c times the identity of a d-dimensional sector."""
+    return {j: {j: c} for j in range(d)}
+
+
+def _scaled(c, block: ex.SparseMap) -> ex.SparseMap:
+    return {p: {q: ex.norm(c * v) for q, v in vec.items()} for p, vec in block.items()}
+
+
+def _transpose(block: ex.SparseMap) -> ex.SparseMap:
+    out: dict = {}
+    for i, row in block.items():
+        for j, v in row.items():
+            out.setdefault(j, {})[i] = v
+    return out
+
+
+def _apply(block: ex.SparseMap, vec: SparseVec) -> SparseVec:
+    """A column map applied to a sparse vector."""
+    out: SparseVec = {}
+    for k, c in vec.items():
+        for i, v in block.get(k, {}).items():
+            out[i] = out.get(i, 0) + c * v
+    return _clean(out)
+
+
+def _compose(a: ex.SparseMap, b: ex.SparseMap) -> ex.SparseMap:
+    """Column map of a after b."""
+    out = {j: _apply(a, col) for j, col in b.items()}
+    return {j: col for j, col in out.items() if col}
+
+
 @dataclass
 class GFrobeniusAlgebra:
     name: str
@@ -51,8 +96,8 @@ class GFrobeniusAlgebra:
     sector_parities: list[list[int]]
     sector_labels: list[list[str]]
     product: dict          # (g, h) -> {(i, j): {k: coeff}}
-    action: dict           # (g, h) -> matrix phi_g|_{A_h}: A_h -> A_{ghg^-1}
-    metric: list           # per g: block pairing A_g x A_{g^-1}
+    action: dict           # (g, h) -> phi_g|_{A_h}: A_h -> A_{ghg^-1} by columns, {j: {i: coeff}}
+    metric: list           # per g: pairing A_g x A_{g^-1} by rows, {i: {j: eta(e_i, e_j)}}
     character: list
     unit: list             # vector in A_e
 
@@ -66,17 +111,15 @@ class GFrobeniusAlgebra:
             if not (len(self.sector_degrees[g]) == len(self.sector_parities[g])
                     == len(self.sector_labels[g]) == d):
                 raise ValueError(f"{self.name}: sector {self.group.labels[g]} bookkeeping length != {d}")
-            dinv = self.sector_dims[self.group.inv(g)]
-            if len(self.metric[g]) != d or any(len(row) != dinv for row in self.metric[g]):
-                raise ValueError(f"{self.name}: metric block {self.group.labels[g]} is not {d}x{dinv}")
         if len(self.unit) != self.sector_dims[self.group.identity]:
             raise ValueError(f"{self.name}: unit length does not match the identity sector")
-        for (g, h), mat in self.action.items():
-            tgt = self.group.conj(g, h)
-            if len(mat) != self.sector_dims[tgt] or any(len(r) != self.sector_dims[h] for r in mat):
-                raise ValueError(
-                    f"{self.name}: action block ({self.group.labels[g]}, {self.group.labels[h]}) has wrong shape"
-                )
+        dims, labels = self.sector_dims, self.group.labels
+        self.metric = [_cleaned_map(block, dims[g], dims[self.group.inv(g)],
+                                    f"{self.name}: metric block {labels[g]}")
+                       for g, block in enumerate(self.metric)]
+        self.action = {(g, h): _cleaned_map(block, dims[h], dims[self.group.conj(g, h)],
+                                            f"{self.name}: action block ({labels[g]}, {labels[h]})")
+                       for (g, h), block in self.action.items()}
         cleaned = {}
         for (g, h), table in self.product.items():
             tgt_dim = self.sector_dims[self.group.mul(g, h)]
@@ -125,19 +168,20 @@ class GFrobeniusAlgebra:
 
     def act(self, g: int, h: int, v):
         """phi_g applied to v in A_h; result in A_{ghg^-1}."""
-        return ex.mat_vec(self.action[(g, h)], v)
+        block = self.action[(g, h)]
+        out = ex.vec_zero(self.sector_dims[self.group.conj(g, h)])
+        for j, x in enumerate(v):
+            if x != 0:
+                for i, c in block.get(j, {}).items():
+                    out[i] += c * x
+        return [ex.norm(y) for y in out]
 
     def pair(self, g: int, a, b) -> ex.Rat:
         """eta(a, b) for a in A_g, b in A_{g^-1}."""
-        block = self.metric[g]
         s = 0
-        for i, x in enumerate(a):
-            if x == 0:
-                continue
-            row = block[i]
-            for j, y in enumerate(b):
-                if y != 0 and row[j] != 0:
-                    s += x * row[j] * y
+        for i, row in self.metric[g].items():
+            if a[i] != 0:
+                s += a[i] * sum(v * b[j] for j, v in row.items())
         return ex.norm(s)
 
     def is_super(self) -> bool:
@@ -174,11 +218,11 @@ def _verify_structure(X: GFrobeniusAlgebra, report: Report) -> bool:
     for g in G.elements():
         count += 1
         ginv = G.inv(g)
-        if ex.mat_transpose(X.metric[g]) != X.metric[ginv] and witness is None:
+        if _transpose(X.metric[g]) != X.metric[ginv] and witness is None:
             witness = {"g": G.labels[g], "issue": "metric block not the transpose of its partner"}
-        if X.sector_dims[g] and ex.rank(X.metric[g]) != X.sector_dims[g] and witness is None:
+        if X.sector_dims[g] and ex.sparse_rank(X.metric[g]) != X.sector_dims[g] and witness is None:
             witness = {"g": G.labels[g], "issue": "metric block degenerate",
-                       "rank": ex.rank(X.metric[g])}
+                       "rank": ex.sparse_rank(X.metric[g])}
         if X.character[g] == 0 and witness is None:
             witness = {"g": G.labels[g], "issue": "character value zero"}
     missing = [(g, h) for g in G.elements() for h in G.elements() if (g, h) not in X.action]
@@ -191,13 +235,13 @@ def _verify_structure(X: GFrobeniusAlgebra, report: Report) -> bool:
     e = G.identity
     for h in G.elements():
         count += 1
-        if X.action[(e, h)] != ex.mat_identity(X.sector_dims[h]) and witness is None:
+        if X.action[(e, h)] != _scalar_map(1, X.sector_dims[h]) and witness is None:
             witness = {"h": G.labels[h], "issue": "phi_e is not the identity"}
     for g in G.elements():
         for h in G.elements():
             for s in G.elements():
                 count += 1
-                left = ex.mat_mul(X.action[(g, G.conj(h, s))], X.action[(h, s)])
+                left = _compose(X.action[(g, G.conj(h, s))], X.action[(h, s)])
                 if left != X.action[(G.mul(g, h), s)] and witness is None:
                     witness = {"g": G.labels[g], "h": G.labels[h], "sector": G.labels[s],
                                "issue": "phi_g phi_h != phi_gh"}
@@ -293,10 +337,7 @@ def verify_axioms(X: GFrobeniusAlgebra, super_mode: bool | None = None,
                     count += 1
                     lhs = _clean(dict(T.get((i, j), {})))
                     rhs: SparseVec = {}
-                    for p in range(dims[ghg]):
-                        c = act[p][j]
-                        if c == 0:
-                            continue
+                    for p, c in act.get(j, {}).items():
                         row = Tb.get((p, i))
                         if row:
                             for q, v in row.items():
@@ -337,14 +378,14 @@ def verify_axioms(X: GFrobeniusAlgebra, super_mode: bool | None = None,
             eta_g = X.metric[g]
             eta_gh = X.metric[mul(g, h)]
             for i in range(dims[g]):
-                row_g = eta_g[i]
+                row_g = eta_g.get(i, {})
                 for j in range(dims[h]):
                     row1 = T1.get((i, j))
                     for m in range(dims[k]):
                         count += 1
                         row3 = T3.get((j, m))
-                        lhs = sum(row_g[p] * c for p, c in row3.items()) if row3 else 0
-                        rhs = sum(c * eta_gh[p][m] for p, c in row1.items()) if row1 else 0
+                        lhs = sum(row_g.get(p, 0) * c for p, c in row3.items()) if row3 else 0
+                        rhs = sum(c * eta_gh.get(p, {}).get(m, 0) for p, c in row1.items()) if row1 else 0
                         if lhs != rhs and witness is None:
                             witness = {"g": G.labels[g], "h": G.labels[h], "k": G.labels[k],
                                        "basis": (i, j, m),
@@ -358,8 +399,7 @@ def verify_axioms(X: GFrobeniusAlgebra, super_mode: bool | None = None,
     for g in G.elements():
         count += 1
         chi_inv = ex.norm(1 / Fraction(X.character[g]))
-        expected = ex.mat_scale(chi_inv, ex.mat_identity(dims[g]))
-        if X.action[(g, g)] != expected and witness is None:
+        if X.action[(g, g)] != _scalar_map(chi_inv, dims[g]) and witness is None:
             witness = {"g": G.labels[g], "issue": "phi_g|A_g != chi_g^-1 id"}
     report.add("i", "projective self-invariance", witness is None, count, witness)
 
@@ -377,29 +417,16 @@ def verify_axioms(X: GFrobeniusAlgebra, super_mode: bool | None = None,
                 count += dims[g] * dims[h]
                 for i in range(dims[g]):
                     for j in range(dims[h]):
-                        row = T.get((i, j))
-                        lhs: SparseVec = {}
-                        if row:
-                            for p, c in row.items():
-                                for q in range(len(act_gh)):
-                                    v = act_gh[q][p]
-                                    if v != 0:
-                                        lhs[q] = lhs.get(q, 0) + c * v
+                        lhs = _apply(act_gh, T.get((i, j), {}))
                         rhs: SparseVec = {}
-                        for p in range(len(act_g)):
-                            cg = act_g[p][i]
-                            if cg == 0:
-                                continue
-                            for q in range(len(act_h)):
-                                ch = act_h[q][j]
-                                if ch == 0:
-                                    continue
+                        for p, cg in act_g.get(i, {}).items():
+                            for q, ch in act_h.get(j, {}).items():
                                 row2 = Tc.get((p, q))
                                 if row2:
                                     cgh = cg * ch
                                     for r, v in row2.items():
                                         rhs[r] = rhs.get(r, 0) + cgh * v
-                        if _clean(lhs) != _clean(rhs) and witness is None:
+                        if lhs != _clean(rhs) and witness is None:
                             witness = {"k": G.labels[k], "g": G.labels[g], "h": G.labels[h],
                                        "basis": (i, j)}
     report.add("ii", "action multiplicative", witness is None, count, witness)
@@ -420,16 +447,12 @@ def verify_axioms(X: GFrobeniusAlgebra, super_mode: bool | None = None,
                 for j in range(dims[hinv]):
                     count += 1
                     lhs = 0
-                    for p in range(len(act_h)):
-                        cp = act_h[p][i]
-                        if cp == 0:
-                            continue
-                        row = eta_tgt[p]
-                        for q in range(len(act_hinv)):
-                            cq = act_hinv[q][j]
-                            if cq != 0 and row[q] != 0:
+                    for p, cp in act_h.get(i, {}).items():
+                        row = eta_tgt.get(p, {})
+                        for q, cq in act_hinv.get(j, {}).items():
+                            if q in row:
                                 lhs += cp * row[q] * cq
-                    rhs = chi2_inv * eta_h[i][j]
+                    rhs = chi2_inv * eta_h.get(i, {}).get(j, 0)
                     if ex.norm(lhs) != ex.norm(rhs) and witness is None:
                         witness = {"g": G.labels[g], "h": G.labels[h], "basis": (i, j),
                                    "lhs": ex.fmt_rat(ex.norm(lhs)), "rhs": ex.fmt_rat(ex.norm(rhs))}
@@ -456,10 +479,7 @@ def verify_axioms(X: GFrobeniusAlgebra, super_mode: bool | None = None,
                 lhs = 0
                 for v in range(dims[g]):
                     acc = 0
-                    for p in range(dims[hgh]):
-                        cp = act_h_on_g[p][v]
-                        if cp == 0:
-                            continue
+                    for p, cp in act_h_on_g.get(v, {}).items():
                         row = T_left.get((c, p))
                         if row and v in row:
                             acc += cp * row[v]
@@ -471,9 +491,7 @@ def verify_axioms(X: GFrobeniusAlgebra, super_mode: bool | None = None,
                     acc = 0
                     if row:
                         for p, cv in row.items():
-                            cq = act_ginv[v][p]
-                            if cq != 0:
-                                acc += cv * cq
+                            acc += cv * act_ginv.get(p, {}).get(v, 0)
                     if acc != 0:
                         rhs += -acc if (super_mode and par_h[v] % 2) else acc
                 if ex.norm(chi_h * lhs) != ex.norm(chi_ginv * rhs) and witness is None:
@@ -553,12 +571,10 @@ def tensor_hat(X: GFrobeniusAlgebra, Y: GFrobeniusAlgebra) -> GFrobeniusAlgebra:
                     table[(fuse(g, i, a), fuse(h, j, b))] = vec
             product[(g, h)] = table
 
-    action = {}
-    for g in G.elements():
-        for h in G.elements():
-            action[(g, h)] = ex.kron(X.action[(g, h)], Y.action[(g, h)])
-
-    metric = [ex.kron(X.metric[g], Y.metric[g]) for g in G.elements()]
+    dy = Y.sector_dims
+    action = {(g, h): ex.sparse_kron(X.action[(g, h)], Y.action[(g, h)], dy[h], dy[G.conj(g, h)])
+              for g in G.elements() for h in G.elements()}
+    metric = [ex.sparse_kron(X.metric[g], Y.metric[g], dy[g], dy[G.inv(g)]) for g in G.elements()]
     character = [ex.norm(X.character[g] * Y.character[g]) for g in G.elements()]
 
     unit = ex.vec_zero(dims[G.identity])
@@ -622,13 +638,13 @@ def twist(X: GFrobeniusAlgebra, alpha: "Cocycle2 | None" = None,
         }
 
     action = {}
-    for (g, h), mat in X.action.items():
+    for (g, h), block in X.action.items():
         eps = ex.norm(Fraction(a_val(g, h)) / Fraction(a_val(G.conj(g, h), g)))
         if (s_val(g) * s_val(h)) % 2:
             eps = ex.norm(-eps)
-        action[(g, h)] = ex.mat_scale(eps, mat)
+        action[(g, h)] = _scaled(eps, block)
 
-    metric = [ex.mat_scale(a_val(g, G.inv(g)), X.metric[g]) for g in G.elements()]
+    metric = [_scaled(a_val(g, G.inv(g)), X.metric[g]) for g in G.elements()]
     character = [ex.norm(X.character[g] * (-1 if s_val(g) % 2 else 1)) for g in G.elements()]
     parities = [[(p + s_val(g)) % 2 for p in X.sector_parities[g]] for g in G.elements()]
 
@@ -717,14 +733,10 @@ def _invariant_basis(X: GFrobeniusAlgebra) -> tuple[list, list, list, list]:
         proj = ex.mat_zero(size, size)
         for k in G.elements():
             for h in cls:
-                mat = X.action[(k, h)]
-                tgt = G.conj(k, h)
-                ro, co = offsets[tgt], offsets[h]
-                for i, row in enumerate(mat):
-                    pr = proj[ro + i]
-                    for j, v in enumerate(row):
-                        if v != 0:
-                            pr[co + j] += v * scale
+                ro, co = offsets[G.conj(k, h)], offsets[h]
+                for j, col in X.action[(k, h)].items():
+                    for i, v in col.items():
+                        proj[ro + i][co + j] += v * scale
         proj = [[ex.norm(v) for v in row] for row in proj]
         if ex.mat_mul(proj, proj) != proj:
             raise ValueError(
@@ -850,17 +862,15 @@ def to_json_dict(X: GFrobeniusAlgebra) -> dict:
     action = []
     for g in G.elements():
         for h in G.elements():
-            mat = X.action[(g, h)]
-            for i, row in enumerate(mat):
-                for j, v in enumerate(row):
-                    if v != 0:
-                        action.append([g, h, i, j, ex.fmt_rat(v)])
+            block = X.action[(g, h)]
+            for i, j in sorted((i, j) for j, col in block.items() for i in col):
+                action.append([g, h, i, j, ex.fmt_rat(block[j][i])])
     metric = []
     for g in G.elements():
-        for i, row in enumerate(X.metric[g]):
-            for j, v in enumerate(row):
-                if v != 0:
-                    metric.append([g, i, j, ex.fmt_rat(v)])
+        block = X.metric[g]
+        for i in sorted(block):
+            for j in sorted(block[i]):
+                metric.append([g, i, j, ex.fmt_rat(block[i][j])])
     return {
         "name": X.name,
         "group": group_doc,
@@ -893,26 +903,31 @@ def from_json_dict(doc: dict) -> GFrobeniusAlgebra:
             raise ValueError(f"sector {g}: dim {d!r} is not an integer >= 0")
     order = group.order
     product: dict = {(g, h): {} for g in group.elements() for h in group.elements()}
+    seen: set = set()
     for g, h, i, j, k, v in doc.get("product", []):
         ex.check_indices("product", (g, h), (order, order))
         ex.check_indices("product", (i, j, k), (dims[g], dims[h], dims[group.mul(g, h)]))
+        ex.check_new("product", seen, (g, h, i, j, k))
         product[(g, h)].setdefault((i, j), {})[k] = ex.rat(v)
-    action = {}
-    for g in group.elements():
-        for h in group.elements():
-            action[(g, h)] = ex.mat_zero(dims[group.conj(g, h)], dims[h])
+    action: dict = {(g, h): {} for g in group.elements() for h in group.elements()}
+    seen = set()
     for g, h, i, j, v in doc.get("action", []):
         ex.check_indices("action", (g, h), (order, order))
         ex.check_indices("action", (i, j), (dims[group.conj(g, h)], dims[h]))
-        action[(g, h)][i][j] = ex.rat(v)
-    metric = [ex.mat_zero(dims[g], dims[group.inv(g)]) for g in group.elements()]
+        ex.check_new("action", seen, (g, h, i, j))
+        action[(g, h)].setdefault(j, {})[i] = ex.rat(v)
+    metric: list = [{} for _ in group.elements()]
+    seen = set()
     for g, i, j, v in doc.get("metric", []):
         ex.check_indices("metric", (g,), (order,))
         ex.check_indices("metric", (i, j), (dims[g], dims[group.inv(g)]))
-        metric[g][i][j] = ex.rat(v)
+        ex.check_new("metric", seen, (g, i, j))
+        metric[g].setdefault(i, {})[j] = ex.rat(v)
     unit = ex.vec_zero(dims[group.identity])
+    seen = set()
     for i, v in doc.get("unit", []):
         ex.check_indices("unit", (i,), (dims[group.identity],))
+        ex.check_new("unit", seen, (i,))
         unit[i] = ex.rat(v)
     return GFrobeniusAlgebra(
         name=doc.get("name", "g-algebra"),

@@ -82,9 +82,8 @@ def sector_pairing_degrees(X: GFrobeniusAlgebra) -> list[int]:
     for g in X.group.elements():
         degs = {
             X.sector_degrees[g][i] + X.sector_degrees[X.group.inv(g)][j]
-            for i, row in enumerate(X.metric[g])
-            for j, v in enumerate(row)
-            if v != 0
+            for i, row in X.metric[g].items()
+            for j in row
         }
         if len(degs) > 1:
             raise ValueError(

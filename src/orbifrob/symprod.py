@@ -539,11 +539,12 @@ class SymmetricProductAlgebra:
         for g in G.elements():
             for h in G.elements():
                 product[(g, h)] = self.pair_table(g, h)
-        action = {}
-        for g in G.elements():
-            for h in G.elements():
-                action[(g, h)] = self._action_matrix(g, h)
-        metric = [frob.tensor_metric(self.base, self.factors[g]) for g in G.elements()]
+        action = {(g, h): self._action_block(g, h) for g in G.elements() for h in G.elements()}
+        D = self.base.dim
+        eta = {i: {j: v for j, v in enumerate(row) if v} for i, row in enumerate(self.base.metric)}
+        powers = [{0: {0: 1}}]   # the factorwise pairing on A^(x)m, m = 0..n
+        for _ in range(self.n):
+            powers.append(ex.sparse_kron(powers[-1], eta, D, D))
         degrees = [[sum(self.base.degrees[i] for i in t) for t in self._tuples(self.factors[g])]
                    for g in G.elements()]
         self._galg = GFrobeniusAlgebra(
@@ -555,14 +556,14 @@ class SymmetricProductAlgebra:
             sector_labels=[self.sector_labels(g) for g in G.elements()],
             product=product,
             action=action,
-            metric=metric,
+            metric=[powers[m] for m in self.factors],
             character=[1] * G.order,
             unit=frob.tensor_unit(self.base, self.n),
         )
         return self._galg
 
-    def _action_matrix(self, g: int, h: int) -> list:
-        """phi_g on A_h: cycles relabel along g, coefficient 1."""
+    def _action_block(self, g: int, h: int) -> dict:
+        """phi_g on A_h by columns: cycles relabel along g, coefficient 1."""
         G = self.group
         D = self.base.dim
         tgt = G.conj(g, h)
@@ -570,15 +571,15 @@ class SymmetricProductAlgebra:
         perm_g = self.perms[g]
         tgt_index = tgt_part.block_index()
         slot_map = [tgt_index[perm_g(block[0])] for block in src_part.blocks]
-        mat = ex.mat_zero(self.dims[tgt], self.dims[h])
+        columns = {}
         lh = self.factors[h]
         for col in range(self.dims[h]):
             t = tensor_tuple(col, D, lh)
             out = [0] * lh
             for fpos, value in enumerate(t):
                 out[slot_map[fpos]] = value
-            mat[tensor_index(out, D)][col] = 1
-        return mat
+            columns[col] = {tensor_index(out, D): 1}
+        return columns
 
     def pair_table(self, g: int, h: int) -> dict:
         """Product table for a sector pair: the tensor product, over the joint

@@ -251,7 +251,8 @@ def test_criterion_4_hilbert_twist(qx2):
         assert twisted.character == plain.character
         for a in G.elements():
             sign = (-1) ** degs[a]
-            assert twisted.metric[a] == ex.mat_scale(sign, plain.metric[a])
+            assert twisted.metric[a] == {i: {j: sign * v for j, v in row.items()}
+                                         for i, row in plain.metric[a].items()}
         eps = cocy.epsilon(cocy.normalized_sn_cocycle(n, -1))
         assert all(eps[a][b] == 1 for a in G.elements() for b in G.elements())
         report = gfrob.verify_axioms(twisted)
@@ -289,7 +290,8 @@ def test_criterion_5_cocycle_family(qx2):
     tau = sp.group.index_of("(1 2)")
     for lam in lambdas:
         twisted = sp_mod.qw_twist(sp, lam)
-        assert twisted.metric[tau] == ex.mat_scale(lam, plain.metric[tau])
+        assert twisted.metric[tau] == {i: {j: ex.norm(lam * v) for j, v in row.items()}
+                                       for i, row in plain.metric[tau].items()}
         T_plain = plain.product[(tau, tau)]
         T_tw = twisted.product[(tau, tau)]
         for key, vec in T_plain.items():
@@ -330,7 +332,7 @@ def test_criterion_6_compatible_pairs(qx2):
                     # scalar parts agree because |k|(|a|+|b|-|ab|) is even
                     assert (degs[k] * (degs[a] + degs[b] - degs[G.mul(a, b)])) % 2 == 0
                     ka, kb = G.conj(k, a), G.conj(k, b)
-                    moved = ex.mat_vec(galg.action[(k, G.identity)], gammas[(a, b)])
+                    moved = galg.act(k, G.identity, gammas[(a, b)])
                     diff = [x - y for x, y in zip(gammas[(ka, kb)], moved)]
                     assert reduces_to_zero(G.conj(k, G.mul(a, b)), diff)
     # only the two sign patterns exist: (-1)^(p|s||s'|) depends on p mod 2 alone
@@ -436,10 +438,9 @@ def _fixed_space_count(X):
         d = X.sector_dims[rep]
         P = ex.mat_zero(d, d)
         for z in Z:
-            m = X.action[(z, rep)]
-            for i in range(d):
-                for j in range(d):
-                    P[i][j] += Fraction(m[i][j], len(Z))
+            for j, col in X.action[(z, rep)].items():
+                for i, v in col.items():
+                    P[i][j] += Fraction(v, len(Z))
         per_class[X.group.labels[rep]] = ex.rank([[ex.norm(v) for v in row] for row in P])
     return per_class
 

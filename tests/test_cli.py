@@ -102,6 +102,46 @@ def test_verify_negative_base_structure_index_exits_two(tmp_path, capsys):
     assert capsys.readouterr().err == "error: structure index -1 is not in range(2)\n"
 
 
+@pytest.mark.parametrize("fixture, field, message", [
+    ("ks3.json", "product", "duplicate product entry at [0, 0, 0, 0, 0]"),
+    ("ks3.json", "action", "duplicate action entry at [0, 0, 0, 0]"),
+    ("ks3.json", "metric", "duplicate metric entry at [0, 0, 0]"),
+    ("ks3.json", "unit", "duplicate unit entry at [0]"),
+    ("dual_numbers.json", "metric", "duplicate metric entry at [0, 1]"),
+    ("dual_numbers.json", "structure", "duplicate structure entry at [0, 0, 0]"),
+    ("sn3_sign_cocycle.json", "values", "duplicate values entry at ['(2 3)', '(2 3)']"),
+])
+def test_repeated_entry_exits_two(tmp_path, capsys, fixture, field, message):
+    # a repeated entry used to keep its last value silently: verify exited 1 on the
+    # repeated ks3 product entry, and export re-emitted the "7"
+    path = _variant(tmp_path, fixture, lambda doc: doc[field].append(doc[field][0][:-1] + ["7"]))
+    for command in ("verify", "export"):
+        assert run(command, path) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def _unreduced_ks3(doc):
+    for field in ("product", "action", "metric", "unit"):
+        doc[field][0][-1] = "2/2"
+
+
+def _unreduced_dual_numbers(doc):
+    doc["structure"][0][-1] = "2/2"
+    doc["structure"].append([1, 1, 0, "0"])
+    doc["metric"].append([0, 0, "0/3"])
+
+
+@pytest.mark.parametrize("fixture, edit", [("ks3.json", _unreduced_ks3),
+                                           ("dual_numbers.json", _unreduced_dual_numbers)],
+                         ids=["ks3", "dual_numbers"])
+def test_unreduced_and_zero_entries_normalize(tmp_path, capsys, fixture, edit):
+    # "2/2" reads as 1 and a zero entry is not stored, so export gives the fixture's bytes
+    assert run("export", FIXTURES / fixture) == 0
+    expected = capsys.readouterr().out
+    assert run("export", _variant(tmp_path, fixture, edit)) == 0
+    assert capsys.readouterr().out == expected
+
+
 def test_verify_cocycle_document():
     assert run("verify", FIXTURES / "sn3_sign_cocycle.json") == 0
 
@@ -145,7 +185,7 @@ def test_symprod_lambda_scales_metric(tmp_path):
     a = gfrob.load(plain)
     b = gfrob.load(twisted)
     tau = a.group.index_of("(1 2)")
-    assert b.metric[tau] == [[-x for x in row] for row in a.metric[tau]]
+    assert b.metric[tau] == {i: {j: -x for j, x in row.items()} for i, row in a.metric[tau].items()}
     assert b.metric[a.group.identity] == a.metric[a.group.identity]
 
 

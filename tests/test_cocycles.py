@@ -145,7 +145,7 @@ def test_twisted_group_ring_is_g_frobenius():
 def test_twisted_ring_metric_value():
     ring = cocy.twisted_group_ring(symmetric_group(2), cocy.normalized_sn_cocycle(2, -1))
     tau = ring.group.index_of("(1 2)")
-    assert ring.metric[tau] == [[-1]]
+    assert ring.metric[tau] == {0: {0: -1}}
 
 
 def test_super_ring_matches_tensor_decomposition():

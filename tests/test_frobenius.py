@@ -28,13 +28,24 @@ def test_verify_flags_broken_invariance(qx2):
         degrees=list(qx2.degrees),
         parities=list(qx2.parities),
         unit=list(qx2.unit),
-        structure=qx2.structure,
+        rows=qx2.rows,
         metric=[[0, 0], [0, 1]],
     )
     report = broken.verify()
     assert not report["invariance"].passed
     assert report["invariance"].witness is not None
     assert not report["nondegeneracy"].passed
+
+
+def test_metric_inverse_rejects_degenerate_metric(qx2):
+    # the copairing and every metric adjoint read the inverse pairing
+    broken = frob.FrobeniusAlgebra(
+        name="degenerate", labels=list(qx2.labels), degrees=list(qx2.degrees),
+        parities=list(qx2.parities), unit=list(qx2.unit), rows=qx2.rows,
+        metric=[[0, 0], [0, 1]],
+    )
+    with pytest.raises(ex.SingularMatrixError):
+        broken.metric_inv
 
 
 def test_copairing(qx2, ground, surface):
@@ -166,7 +177,7 @@ def test_json_round_trip(tmp_path, surface):
     path = tmp_path / "surface.json"
     frob.save(surface, path)
     loaded = frob.load(path)
-    assert loaded.structure == surface.structure
+    assert loaded.rows == surface.rows
     assert loaded.metric == surface.metric
     assert loaded.unit == surface.unit
     assert loaded.labels == surface.labels

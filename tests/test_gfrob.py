@@ -18,7 +18,7 @@ def test_group_ring_passes_all_axioms(s3_ring):
 def test_broken_metric_fails_axiom_d(s3_ring):
     broken = copy.deepcopy(s3_ring)
     tau = broken.group.index_of("(1 2)")
-    broken.metric[tau] = [[2]]
+    broken.metric[tau] = {0: {0: 2}}
     report = gfrob.verify_axioms(broken)
     assert not report["d"].passed
     assert report["d"].witness is not None
@@ -40,7 +40,7 @@ def test_malformed_shapes_rejected(s3_ring):
             sector_labels=[["1"]] * 6,
             product=s3_ring.product,
             action=s3_ring.action,
-            metric=[[[1]]] * 5,  # one block short
+            metric=[{0: {0: 1}}] * 5,  # one block short
             character=[1] * 6,
             unit=[1],
         )
@@ -113,7 +113,7 @@ def test_twist_k_s2_metric_sign():
     ring = cocy.twisted_group_ring(symmetric_group(2))
     twisted = gfrob.twist(ring, cocy.normalized_sn_cocycle(2, -1))
     tau = ring.group.index_of("(1 2)")
-    assert twisted.metric[tau] == [[-1]]
+    assert twisted.metric[tau] == {0: {0: -1}}
     assert twisted.metric[ring.group.identity] == ring.metric[ring.group.identity]
 
 
@@ -232,15 +232,14 @@ def test_self_action_is_identity_for_second_quantization(sp_factory, qx2):
     # chi = 1 forces phi_g to fix its own sector pointwise
     X = sp_factory(qx2, 2).realize()
     for g in X.group.elements():
-        assert X.action[(g, g)] == [[1 if i == j else 0 for j in range(X.sector_dims[g])]
-                                    for i in range(X.sector_dims[g])]
+        assert X.action[(g, g)] == {j: {j: 1} for j in range(X.sector_dims[g])}
 
 
 def test_invariants_reject_non_representation(s3_ring):
     broken = copy.deepcopy(s3_ring)
     g1 = s3_ring.group.index_of("(1 2)")
     g2 = s3_ring.group.index_of("(1 3)")
-    broken.action[(g1, g2)] = [[5]]
+    broken.action[(g1, g2)] = {0: {0: 5}}
     with pytest.raises(ValueError):
         gfrob.invariants(broken)
 
@@ -355,3 +354,29 @@ def test_from_json_rejects_out_of_range_indices(s3_ring, field, entry, position,
     doc[field][entry][position] = value
     with pytest.raises(ValueError, match="is not in range"):
         gfrob.from_json_dict(doc)
+
+
+@pytest.mark.parametrize("key, document, field, index, value, failing", [
+    ("structure", "ring", "action", 0, "2", {"structure"}),   # phi_e is not the identity
+    ("a", "ring", "product", 0, "2", {"a", "c", "iv"}),
+    ("b", "sym2", "product", 19, "2", {"a", "b", "d"}),
+    ("c", "ring", "unit", 0, "2", {"c"}),
+    ("d", "ring", "metric", 0, "2", {"d"}),
+    ("i", "ring", "character", 1, "-1", {"i", "iv"}),
+    ("ii", "ring", "product", 7, "2", {"a", "d", "ii"}),
+    ("iii", "ring", "metric", 1, "2", {"d", "iii"}),
+    ("iv", "sym2", "action", 9, "-1", {"ii", "iii", "iv"}),
+])
+def test_one_document_edit_fails_each_check(sp_factory, qx2, s3_ring, key, document, field,
+                                            index, value, failing):
+    # every check bites: one edited entry of a passing document makes it FAIL
+    X = {"ring": s3_ring, "sym2": sp_factory(qx2, 2).realize()}[document]
+    doc = gfrob.to_json_dict(X)
+    assert gfrob.verify_axioms(gfrob.from_json_dict(doc)).passed
+    if field == "character":
+        doc[field][index] = value
+    else:
+        doc[field][index][-1] = value
+    report = gfrob.verify_axioms(gfrob.from_json_dict(doc))
+    assert {c.key for c in report.failures()} == failing
+    assert report[key].witness is not None

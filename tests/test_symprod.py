@@ -91,6 +91,40 @@ def test_pushforward_is_metric_adjoint(sp_factory, qx2, n):
                 assert ex.norm(lhs) == ex.norm(rhs)
 
 
+# -- the metric adjoint of the m-fold product --------------------------------------
+
+def test_adjoint_of_one_fold_product_is_identity(sp_factory, qx2, surface, half):
+    for base in (qx2, surface, half):
+        assert sp_factory(base, 2)._adjoint_matrix(1) == ex.mat_identity(base.dim)
+
+
+def test_adjoint_of_multiplication_map(sp_factory, qx2):
+    # for Q[x]/(x^2): the dual of multiplication sends 1 to 1(x)x + x(x)1
+    adj = sp_factory(qx2, 2)._adjoint_matrix(2)
+    assert [row[0] for row in adj] == [0, 1, 1, 0]
+
+
+def test_adjoint_defining_identity(sp_factory, surface, half):
+    # eta_m(mu* e_y, e_x) = eta(e_y, mu e_x) for every basis pair
+    for base in (surface, half):
+        sp = sp_factory(base, 2)
+        for m in (2, 3):
+            adj, eta_m = sp._adjoint_matrix(m), frob.tensor_metric(base, m)
+            for y in range(base.dim):
+                for x, t in enumerate(sp._tuples(m)):
+                    lhs = sum(adj[r][y] * eta_m[r][x] for r in range(len(adj)))
+                    rhs = sum(base.metric[y][k] * c for k, c in sp._basis_product(list(t)).items())
+                    assert lhs == rhs
+
+
+def test_adjoint_is_contravariant(sp_factory, surface, half):
+    # mu_3 = mu (mu (x) id) dualizes to mu_3* = (mu* (x) id) mu*
+    for base in (surface, half):
+        sp = sp_factory(base, 2)
+        lifted = ex.kron(sp._adjoint_matrix(2), ex.mat_identity(base.dim))
+        assert sp._adjoint_matrix(3) == ex.mat_mul(lifted, sp._adjoint_matrix(2))
+
+
 # -- obstruction exponents -------------------------------------------------------
 
 def test_obstruction_exponent_examples():
@@ -289,8 +323,26 @@ def test_action_on_generators_permutes_sectors(sp_factory, qx2):
     galg = sp.realize()
     t12, t13, t23 = (sp.group.index_of(s) for s in ("(1 2)", "(1 3)", "(2 3)"))
     assert sp.group.conj(t12, t13) == t23
-    moved = ex.mat_vec(galg.action[(t12, t13)], sp.generator(t13))
+    moved = galg.act(t12, t13, sp.generator(t13))
     assert moved == sp.generator(t23)
+
+
+@pytest.mark.parametrize("base_name", ["ground", "qx2", "surface", "half"])
+def test_action_and_metric_blocks_are_sparse_maps(sp_factory, ground, qx2, surface, half,
+                                                  base_name):
+    # phi_g permutes tensor factors: one entry +-1 per column, on distinct rows;
+    # no block stores a zero, so == on the algebra compares canonical forms
+    base = {"ground": ground, "qx2": qx2, "surface": surface, "half": half}[base_name]
+    for n in (1, 2, 3):
+        sp = sp_factory(base, n)
+        for X in (sp.realize(), sp_mod.hilbert_twist(sp)):
+            for (gi, hi), block in X.action.items():
+                assert sorted(block) == list(range(X.sector_dims[hi]))
+                assert all(len(col) == 1 and abs(v) == 1 for col in block.values()
+                           for v in col.values())
+                assert len({i for col in block.values() for i in col}) == len(block)
+            for block in [*X.action.values(), *X.metric]:
+                assert all(vec and 0 not in vec.values() for vec in block.values())
 
 
 def test_budget_guard(surface):
@@ -307,7 +359,7 @@ def test_odd_base_rejected():
         degrees=[0, 1],
         parities=[0, 1],
         unit=[1, 0],
-        structure=ex.SparseTensor3([(0, 0, 0, 1), (0, 1, 1, 1), (1, 0, 1, 1)]),
+        rows={(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 0): {1: 1}},
         metric=[[0, 1], [1, 0]],
     )
     assert odd.verify().passed
@@ -322,7 +374,7 @@ def test_noncommutative_base_rejected():
         degrees=[0, 0],
         parities=[0, 0],
         unit=[1, 0],
-        structure=ex.SparseTensor3([(0, 0, 0, 1), (0, 1, 1, 1), (1, 0, 1, -1), (1, 1, 0, 1)]),
+        rows={(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 0): {1: -1}, (1, 1): {0: 1}},
         metric=[[1, 0], [0, 1]],
     )
     with pytest.raises(ValueError):
@@ -349,7 +401,8 @@ def test_hilbert_twist_examples(sp_factory, qx2):
     assert twisted.multiply(c123, c123, one, one) == [0, -2]
     tau = sp.group.index_of("(1 2)")
     untwisted = sp.realize()
-    assert twisted.metric[tau] == ex.mat_scale(-1, untwisted.metric[tau])
+    assert twisted.metric[tau] == {i: {j: -v for j, v in row.items()}
+                                   for i, row in untwisted.metric[tau].items()}
     # transversal products unchanged
     t12, t13 = sp.group.index_of("(1 2)"), sp.group.index_of("(1 3)")
     assert twisted.multiply(t12, t13, sp.generator(t12), sp.generator(t13)) == \
@@ -364,7 +417,8 @@ def test_qw_family(sp_factory, qx2):
     tau = sp.group.index_of("(1 2)")
     one_tau = sp.generator(tau)
     assert lam2.multiply(tau, tau, one_tau, one_tau) == [0, 2, 2, 0]
-    assert lam2.metric[tau] == ex.mat_scale(2, sp.realize().metric[tau])
+    assert lam2.metric[tau] == {i: {j: 2 * v for j, v in row.items()}
+                                for i, row in sp.realize().metric[tau].items()}
     with pytest.raises(ValueError):
         sp_mod.qw_twist(sp, 0)
 
