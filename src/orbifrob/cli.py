@@ -168,6 +168,10 @@ def cmd_verify(args) -> int:
         title = f"algebra {algebra.name!r}"
     elif "values" in doc:
         alpha = cocy.from_json_dict(doc)
+        triples = alpha.group.order ** 3
+        if triples > args.budget:
+            raise gfrob.BudgetExceededError(
+                f"cocycle check would touch ~{triples} group triples (budget {args.budget})", triples)
         report = cocy.validate(alpha)
         title = "cocycle"
     else:
@@ -248,7 +252,7 @@ def cmd_invariants(args) -> int:
             shifts = grading.standard_shifts(X, copies=args.copies)
         else:
             shifts = grading.zero_shifts(X)
-        poly = grading.shifted_poincare(X, shifts, invariants_only=True)
+        poly = grading.invariant_poincare(X, inv.basis, shifts)
         print(f"poincare: {grading.format_poincare(poly)}")
     return 0
 

@@ -10,13 +10,14 @@ turns the symmetric-product algebra into the Hilbert-scheme ring.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import exactnum as ex
 from ._report import Report
-from .gfrob import GFrobeniusAlgebra
-from .groups import FiniteGroup, degree, symmetric_group
+from .gfrob import VERIFY_BUDGET, BudgetExceededError, GFrobeniusAlgebra
+from .groups import FiniteGroup, degree, group_doc, symmetric_group, symmetric_order
 
 
 @dataclass
@@ -250,21 +251,22 @@ def sign_supertwist(n: int) -> SuperTwist:
 
 def to_json_dict(alpha: Cocycle2) -> dict:
     G = alpha.group
-    if G.perms is not None:
-        group_doc: dict = {"type": "symmetric", "n": G.perms[0].n}
-    else:
-        group_doc = {"type": "table", "labels": list(G.labels), "table": [list(r) for r in G.table]}
     values = []
     for g in G.elements():
         for h in G.elements():
             if alpha.values[g][h] != 1:
                 values.append([G.labels[g], G.labels[h], ex.fmt_rat(alpha.values[g][h])])
-    return {"group": group_doc, "values": values}
+    return {"group": group_doc(G), "values": values}
 
 
 def from_json_dict(doc: dict) -> Cocycle2:
     gdoc = doc["group"]
     if gdoc.get("type") == "symmetric":
+        # refuse before building the (n!)^2-entry group table and value table
+        cells = symmetric_order(gdoc["n"], math.isqrt(VERIFY_BUDGET)) ** 2
+        if cells > VERIFY_BUDGET:
+            raise BudgetExceededError(f"a cocycle on S_{gdoc['n']} holds at least {cells} "
+                                      f"values (budget {VERIFY_BUDGET})", cells)
         group = symmetric_group(gdoc["n"])
     else:
         group = FiniteGroup(gdoc["labels"], gdoc["table"])

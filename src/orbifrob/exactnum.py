@@ -10,7 +10,7 @@ denominators allow).
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import Union
 
 Rat = Union[int, Fraction]
 Vector = list  # list[Rat]
@@ -66,6 +66,19 @@ def check_indices(what: str, indices, bounds) -> None:
             raise ValueError(f"{what} index {i!r} is not in range({bound})")
 
 
+def check_basis_data(what: str, degrees, parities, labels) -> None:
+    """Reject a degree that is not an int (nor a bool), a parity not 0 or 1, a label not a str."""
+    for d in degrees:
+        if type(d) is not int:
+            raise ValueError(f"{what}: degree {d!r} is not an integer")
+    for p in parities:
+        if type(p) is not int or p not in (0, 1):
+            raise ValueError(f"{what}: parity {p!r} is not 0 or 1")
+    for label in labels:
+        if type(label) is not str:
+            raise ValueError(f"{what}: basis label {label!r} is not a string")
+
+
 def check_new(what: str, seen: set, key: tuple) -> None:
     """Reject a document entry whose indices repeat an earlier entry's in ``seen``."""
     if key in seen:
@@ -77,14 +90,6 @@ def check_new(what: str, seen: set, key: tuple) -> None:
 
 def vec_zero(n: int) -> Vector:
     return [0] * n
-
-
-def vec_add(u: Sequence[Rat], v: Sequence[Rat]) -> Vector:
-    return [norm(a + b) for a, b in zip(u, v)]
-
-
-def vec_scale(c: Rat, u: Sequence[Rat]) -> Vector:
-    return [norm(c * a) for a in u]
 
 
 # -- dense matrices --------------------------------------------------------
@@ -159,11 +164,13 @@ def rank(m: Matrix) -> int:
     return len(pivots)
 
 
-def sparse_rank(m: SparseMap) -> int:
-    """Rank of a sparse map, by elimination on its inner maps.
+def sparse_echelon(m: SparseMap) -> SparseMap:
+    """Reduced row echelon form of a sparse map's inner maps, as {pivot: row}.
 
-    Each kept row is 1 at its pivot and 0 at every other pivot, so reducing a
-    new row needs one pass over the pivots it touches.
+    Each kept row is 1 at its pivot, 0 at every other pivot and 0 before its
+    pivot, so the rows are the unique RREF of the dense ``echelon``; the rank
+    is their count.  Reducing a new row needs one pass over the pivots it
+    touches.
     """
     kept: dict = {}
     for vec in m.values():
@@ -178,11 +185,12 @@ def sparse_rank(m: SparseMap) -> int:
             pivot = {k: Fraction(v) / row[c] for k, v in row.items()}
             for other in kept.values():
                 f = other.pop(c, 0)
-                for k, v in pivot.items():
-                    if k != c:
-                        other[k] = other.get(k, 0) - f * v
+                if f:
+                    for k, v in pivot.items():
+                        if k != c:
+                            other[k] = other.get(k, 0) - f * v
             kept[c] = pivot
-    return len(kept)
+    return {c: {k: norm(v) for k, v in row.items() if v != 0} for c, row in kept.items()}
 
 
 def invert(m: Matrix) -> Matrix:

@@ -39,6 +39,7 @@ class FrobeniusAlgebra:
         self.dim = len(self.labels)
         if not (len(self.degrees) == len(self.parities) == len(self.unit) == self.dim):
             raise ValueError(f"{self.name}: field lengths disagree with dim {self.dim}")
+        ex.check_basis_data(self.name, self.degrees, self.parities, self.labels)
         if len(self.metric) != self.dim or any(len(r) != self.dim for r in self.metric):
             raise ValueError(f"{self.name}: metric must be {self.dim}x{self.dim}")
         rows = {}
@@ -460,8 +461,8 @@ def from_json_dict(doc: dict, validate: bool = True) -> FrobeniusAlgebra:
     algebra = FrobeniusAlgebra(
         name=doc.get("name", "algebra"),
         labels=[b["label"] for b in basis],
-        degrees=[int(b.get("degree", 0)) for b in basis],
-        parities=[int(b.get("parity", 0)) for b in basis],
+        degrees=[b.get("degree", 0) for b in basis],
+        parities=[b.get("parity", 0) for b in basis],
         unit=[ex.rat(v) for v in doc["unit"]],
         rows=rows,
         metric=metric,

@@ -13,14 +13,13 @@ tuples, not randomized.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from . import exactnum as ex
 from ._report import Report
-from .groups import FiniteGroup, symmetric_group
+from .groups import FiniteGroup, group_doc, symmetric_group, symmetric_order
 
 if TYPE_CHECKING:  # pragma: no cover
     from .cocycles import Cocycle2, SuperTwist
@@ -111,6 +110,8 @@ class GFrobeniusAlgebra:
             if not (len(self.sector_degrees[g]) == len(self.sector_parities[g])
                     == len(self.sector_labels[g]) == d):
                 raise ValueError(f"{self.name}: sector {self.group.labels[g]} bookkeeping length != {d}")
+            ex.check_basis_data(f"{self.name}: sector {self.group.labels[g]}",
+                                self.sector_degrees[g], self.sector_parities[g], self.sector_labels[g])
         if len(self.unit) != self.sector_dims[self.group.identity]:
             raise ValueError(f"{self.name}: unit length does not match the identity sector")
         dims, labels = self.sector_dims, self.group.labels
@@ -141,12 +142,6 @@ class GFrobeniusAlgebra:
 
     def dim(self, g: int) -> int:
         return self.sector_dims[g]
-
-    def total_dim(self) -> int:
-        return sum(self.sector_dims)
-
-    def multiply_basis(self, g: int, h: int, i: int, j: int) -> SparseVec:
-        return dict(self.product.get((g, h), {}).get((i, j), {}))
 
     def multiply(self, g: int, h: int, a, b):
         """Product of dense vectors a in A_g, b in A_h; result in A_gh."""
@@ -220,9 +215,9 @@ def _verify_structure(X: GFrobeniusAlgebra, report: Report) -> bool:
         ginv = G.inv(g)
         if _transpose(X.metric[g]) != X.metric[ginv] and witness is None:
             witness = {"g": G.labels[g], "issue": "metric block not the transpose of its partner"}
-        if X.sector_dims[g] and ex.sparse_rank(X.metric[g]) != X.sector_dims[g] and witness is None:
-            witness = {"g": G.labels[g], "issue": "metric block degenerate",
-                       "rank": ex.sparse_rank(X.metric[g])}
+        rank = len(ex.sparse_echelon(X.metric[g]))
+        if rank != X.sector_dims[g] and witness is None:
+            witness = {"g": G.labels[g], "issue": "metric block degenerate", "rank": rank}
         if X.character[g] == 0 and witness is None:
             witness = {"g": G.labels[g], "issue": "character value zero"}
     missing = [(g, h) for g in G.elements() for h in G.elements() if (g, h) not in X.action]
@@ -674,7 +669,7 @@ class InvariantAlgebra:
     class_of: list         # class index per basis vector
     classes: list          # class index lists (group element indices)
     product: dict          # (i, j) -> {k: coeff} in the invariant basis
-    pairing: list          # matrix eta(b_i, b_j)
+    pairing: dict          # rows {i: {j: eta(b_i, b_j)}}, no zero stored
     pairing_nondegenerate: bool
     commutative: bool
 
@@ -689,24 +684,9 @@ class InvariantAlgebra:
             out[label] = sum(1 for c in self.class_of if c == ci)
         return out
 
-    def degree_of(self, i: int) -> int:
-        """Common (unshifted) degree of an invariant basis vector."""
-        return _degree_of(self.source, self.basis, i)
-
-
-def _degree_of(X: GFrobeniusAlgebra, basis: list, i: int) -> int:
-    degs = set()
-    for g, vec in basis[i].items():
-        for k, x in enumerate(vec):
-            if x != 0:
-                degs.add(X.sector_degrees[g][k])
-    if len(degs) != 1:
-        raise ValueError(f"invariant basis vector {i} is not degree-homogeneous")
-    return degs.pop()
-
 
 def _invariant_basis(X: GFrobeniusAlgebra) -> tuple[list, list, list, list]:
-    """RREF rows of the averaging projector, one echelon per conjugacy class.
+    """RREF rows of the averaging projector, one sparse echelon per conjugacy class.
 
     Returns ``(classes, basis, class_of, pivot_at)``.  Basis vector r is 1 at
     its pivot ``pivot_at[r] = (g, k)`` (entry k of sector g) and 0 at every
@@ -717,45 +697,54 @@ def _invariant_basis(X: GFrobeniusAlgebra) -> tuple[list, list, list, list]:
     """
     G = X.group
     classes = G.conjugacy_classes()
-    scale = Fraction(1, G.order)
 
     basis = []
     class_of = []
     pivot_at = []
     for ci, cls in enumerate(classes):
-        offsets = {}
-        size = 0
-        for g in cls:
-            offsets[g] = size
-            size += X.sector_dims[g]
-        if size == 0:
+        position = [(g, k) for g in cls for k in range(X.sector_dims[g])]
+        if not position:
             continue
-        proj = ex.mat_zero(size, size)
+        index = {p: c for c, p in enumerate(position)}
+        # rows of |G| times the projector: the columns of every phi_k on the class, summed;
+        # the scalar changes neither the echelon form nor the idempotency test below
+        proj: dict = {}
         for k in G.elements():
             for h in cls:
-                ro, co = offsets[G.conj(k, h)], offsets[h]
+                kh = G.conj(k, h)
                 for j, col in X.action[(k, h)].items():
                     for i, v in col.items():
-                        proj[ro + i][co + j] += v * scale
-        proj = [[ex.norm(v) for v in row] for row in proj]
-        if ex.mat_mul(proj, proj) != proj:
+                        row, c = proj.setdefault(index[kh, i], {}), index[h, j]
+                        row[c] = row.get(c, 0) + v
+        proj = {r: _clean(row) for r, row in proj.items() if any(row.values())}
+        # read as a column map, the row map is the transpose: P^2 = P iff (|G|P)^2 = |G|(|G|P)
+        if _compose(proj, proj) != _scaled(G.order, proj):
             raise ValueError(
                 f"projector on class of {G.labels[cls[0]]} is not idempotent; "
                 "the action table is not a representation"
             )
-        ech, pivots = ex.echelon(proj)
-        position = [(g, k) for g in cls for k in range(X.sector_dims[g])]
-        for r, col in enumerate(pivots):
-            vec = ech[r]
-            elem = {}
-            for g in cls:
-                seg = vec[offsets[g]: offsets[g] + X.sector_dims[g]]
-                if any(x != 0 for x in seg):
-                    elem[g] = seg
+        ech = ex.sparse_echelon(proj)
+        for col in sorted(ech):
+            elem: dict = {}
+            for c, x in sorted(ech[col].items()):
+                g, k = position[c]
+                elem.setdefault(g, [0] * X.sector_dims[g])[k] = x
             basis.append(elem)
             class_of.append(ci)
             pivot_at.append(position[col])
     return classes, basis, class_of, pivot_at
+
+
+def _combination(terms) -> dict:
+    """Sum of c * elem over the (c, elem) terms, as a zero-free {g: {k: value}} map."""
+    out: dict = {}
+    for c, elem in terms:
+        for g, vec in elem.items():
+            acc = out.setdefault(g, {})
+            for k, x in vec.items():
+                acc[k] = acc.get(k, 0) + c * x
+    out = {g: _clean(vec) for g, vec in out.items()}
+    return {g: vec for g, vec in out.items() if vec}
 
 
 def invariants(X: GFrobeniusAlgebra) -> InvariantAlgebra:
@@ -764,64 +753,45 @@ def invariants(X: GFrobeniusAlgebra) -> InvariantAlgebra:
     The coordinates of a product of basis vectors are its entries at the
     basis pivots; each product is then rebuilt from those coordinates and
     must equal the product exactly, or it has left the invariant subspace.
-    Raises if the projector fails to be idempotent (the action data is then
-    not a representation).  The restricted pairing is reported as-is; it may
-    be degenerate for nontrivial characters.
+    So equal coordinate rows mean equal products, and commutativity is read
+    off the finished table.  Raises if the projector fails to be idempotent
+    (the action data is then not a representation).  The restricted pairing
+    is reported as-is; it may be degenerate for nontrivial characters.
     """
     G = X.group
     classes, basis, class_of, pivot_at = _invariant_basis(X)
-    pivots_in: dict = {}
-    for r, (g, k) in enumerate(pivot_at):
-        pivots_in.setdefault(g, []).append((k, r))
-
-    def coordinates(elem):
-        coords = {}
-        for g, vec in elem.items():
-            for k, r in pivots_in.get(g, ()):
-                if vec[k] != 0:
-                    coords[r] = vec[k]
-        rebuilt = {}
-        for r, c in coords.items():
-            for g, seg in basis[r].items():
-                term = ex.vec_scale(c, seg)
-                cur = rebuilt.get(g)
-                rebuilt[g] = ex.vec_add(cur, term) if cur is not None else term
-        if {g: v for g, v in rebuilt.items() if any(x != 0 for x in v)} != elem:
-            raise ValueError("product left the invariant subspace")
-        return dict(sorted(coords.items()))
+    support = [{g: {k: x for k, x in enumerate(seg) if x != 0} for g, seg in elem.items()}
+               for elem in basis]
 
     def mult(u, v):
-        out = {}
+        terms = []
         for g, ug in u.items():
             for h, vh in v.items():
-                gh = G.mul(g, h)
-                w = X.multiply(g, h, ug, vh)
-                if any(x != 0 for x in w):
-                    cur = out.get(gh)
-                    out[gh] = ex.vec_add(cur, w) if cur is not None else w
-        return {g: v for g, v in out.items() if any(x != 0 for x in v)}
+                table, gh = X.product.get((g, h), {}), G.mul(g, h)
+                terms += [(x * y, {gh: table[a, b]})
+                          for a, x in ug.items() for b, y in vh.items() if (a, b) in table]
+        return _combination(terms)
+
+    def coordinates(elem):
+        coords = {r: elem[g][k] for r, (g, k) in enumerate(pivot_at) if k in elem.get(g, ())}
+        if _combination((c, support[r]) for r, c in coords.items()) != elem:
+            raise ValueError("product left the invariant subspace")
+        return coords
 
     product = {}
-    commutative = True
-    for i, u in enumerate(basis):
-        for j, v in enumerate(basis):
-            uv = mult(u, v)
-            row = coordinates(uv)
+    for i, u in enumerate(support):
+        for j, v in enumerate(support):
+            row = coordinates(mult(u, v))
             if row:
                 product[(i, j)] = row
-            if i < j and mult(v, u) != uv:
-                commutative = False
+    commutative = all(product.get((j, i)) == row for (i, j), row in product.items())
 
-    pairing = ex.mat_zero(len(basis), len(basis))
+    pairing: dict = {}
     for i, u in enumerate(basis):
         for j, v in enumerate(basis):
-            s = 0
-            for g, ug in u.items():
-                vg = v.get(G.inv(g))
-                if vg is not None:
-                    s += X.pair(g, ug, vg)
-            pairing[i][j] = ex.norm(s)
-    nondeg = bool(basis) and ex.rank(pairing) == len(basis) if basis else True
+            s = ex.norm(sum(X.pair(g, ug, v[G.inv(g)]) for g, ug in u.items() if G.inv(g) in v))
+            if s != 0:
+                pairing.setdefault(i, {})[j] = s
 
     return InvariantAlgebra(
         source=X,
@@ -830,7 +800,7 @@ def invariants(X: GFrobeniusAlgebra) -> InvariantAlgebra:
         classes=classes,
         product=product,
         pairing=pairing,
-        pairing_nondegenerate=nondeg,
+        pairing_nondegenerate=len(ex.sparse_echelon(pairing)) == len(basis),
         commutative=commutative,
     )
 
@@ -839,10 +809,6 @@ def invariants(X: GFrobeniusAlgebra) -> InvariantAlgebra:
 
 def to_json_dict(X: GFrobeniusAlgebra) -> dict:
     G = X.group
-    if G.perms is not None:
-        group_doc: dict = {"type": "symmetric", "n": G.perms[0].n}
-    else:
-        group_doc = {"type": "table", "labels": list(G.labels), "table": [list(r) for r in G.table]}
     sectors = []
     for g in G.elements():
         sectors.append({
@@ -873,7 +839,7 @@ def to_json_dict(X: GFrobeniusAlgebra) -> dict:
                 metric.append([g, i, j, ex.fmt_rat(block[i][j])])
     return {
         "name": X.name,
-        "group": group_doc,
+        "group": group_doc(G),
         "sectors": sectors,
         "product": product,
         "action": action,
@@ -886,13 +852,10 @@ def to_json_dict(X: GFrobeniusAlgebra) -> dict:
 def from_json_dict(doc: dict) -> GFrobeniusAlgebra:
     gdoc, sectors = doc["group"], doc["sectors"]
     if gdoc.get("type") == "symmetric":
-        n = gdoc["n"]
-        if type(n) is not int or n < 1:
-            raise ValueError(f"symmetric group degree {n!r} is not an integer >= 1")
-        # compare before building the (n!)^2-entry table; as n! >= n, n > #sectors cannot match
-        if n > len(sectors) or math.factorial(n) != len(sectors):
+        # compare before building the (n!)^2-entry table
+        if symmetric_order(gdoc["n"], len(sectors)) != len(sectors):
             raise ValueError("sector count does not match the group order")
-        group = symmetric_group(n)
+        group = symmetric_group(gdoc["n"])
     else:
         group = FiniteGroup(gdoc["labels"], gdoc["table"])
     if len(sectors) != group.order:

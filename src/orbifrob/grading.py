@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from . import exactnum as ex
 # ``invariants`` stays a name of this module: bench/tracing.py patches it here
-from .gfrob import GFrobeniusAlgebra, _degree_of, _invariant_basis, invariants  # noqa: F401
+from .gfrob import GFrobeniusAlgebra, _invariant_basis, invariants  # noqa: F401
 from .groups import Permutation, cycles
 
 
@@ -27,9 +27,6 @@ class ShiftData:
     s_plus: list
     s_minus: list
     s: list
-
-    def shift_of(self, g: int) -> Fraction:
-        return self.s[g]
 
 
 def permutation_eigenangles(sigma: Permutation, copies: int = 1) -> list[Fraction]:
@@ -125,22 +122,28 @@ def shifted_poincare(X: GFrobeniusAlgebra, shifts: ShiftData | None = None,
     """
     if shifts is None:
         shifts = zero_shifts(X)
-    poly: dict[Fraction, int] = {}
     if invariants_only:
-        _, basis, _, _ = _invariant_basis(X)
-        for i, elem in enumerate(basis):
-            shift_values = {shifts.s[g] for g in elem}
-            if len(shift_values) != 1:
-                raise ValueError(
-                    f"invariant basis vector {i} spans sectors with different shifts"
-                )
-            expo = Fraction(_degree_of(X, basis, i)) + shift_values.pop()
+        return invariant_poincare(X, _invariant_basis(X)[1], shifts)
+    poly: dict[Fraction, int] = {}
+    for g in X.group.elements():
+        for deg in X.sector_degrees[g]:
+            expo = Fraction(deg) + shifts.s[g]
             poly[expo] = poly.get(expo, 0) + 1
-    else:
-        for g in X.group.elements():
-            for deg in X.sector_degrees[g]:
-                expo = Fraction(deg) + shifts.s[g]
-                poly[expo] = poly.get(expo, 0) + 1
+    return dict(sorted(poly.items()))
+
+
+def invariant_poincare(X: GFrobeniusAlgebra, basis: list, shifts: ShiftData) -> dict:
+    """Shifted Poincare polynomial over an invariant basis, such as ``invariants(X).basis``."""
+    poly: dict[Fraction, int] = {}
+    for i, elem in enumerate(basis):
+        shift_values = {shifts.s[g] for g in elem}
+        if len(shift_values) != 1:
+            raise ValueError(f"invariant basis vector {i} spans sectors with different shifts")
+        degrees = {X.sector_degrees[g][k] for g, vec in elem.items() for k, x in enumerate(vec) if x}
+        if len(degrees) != 1:
+            raise ValueError(f"invariant basis vector {i} is not degree-homogeneous")
+        expo = Fraction(degrees.pop()) + shift_values.pop()
+        poly[expo] = poly.get(expo, 0) + 1
     return dict(sorted(poly.items()))
 
 

@@ -391,3 +391,21 @@ def symmetric_group(n: int, bound: int = ENUMERATION_BOUND) -> FiniteGroup:
     group = FiniteGroup([cycle_notation(p) for p in perms], table, assoc_bound=200)
     group.perms = perms
     return group
+
+
+def symmetric_order(n, cap: int) -> int:
+    """n! for a document's degree n, or a partial product past ``cap`` (a huge n costs nothing)."""
+    if type(n) is not int or n < 1:
+        raise ValueError(f"symmetric group degree {n!r} is not an integer >= 1")
+    order = k = 1
+    while k < n and order <= cap:
+        k += 1
+        order *= k
+    return order
+
+
+def group_doc(G: FiniteGroup) -> dict:
+    """The ``group`` entry of a document: S_n by its degree, any other group by its table."""
+    if G.perms is not None:
+        return {"type": "symmetric", "n": G.perms[0].n}
+    return {"type": "table", "labels": list(G.labels), "table": [list(r) for r in G.table]}

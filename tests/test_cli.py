@@ -6,6 +6,7 @@ import pytest
 from orbifrob import cli
 from orbifrob import cocycles as cocy
 from orbifrob import gfrob
+from orbifrob import grading
 from orbifrob.groups import symmetric_group
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -52,7 +53,7 @@ def test_verify_zero_denominator_exits_two(tmp_path, capsys):
 def _variant(tmp_path, fixture, edit):
     doc = json.loads((FIXTURES / fixture).read_text())
     edit(doc)
-    path = tmp_path / f"variant_{fixture}"
+    path = tmp_path / f"variant_{Path(fixture).name}"
     path.write_text(json.dumps(doc))
     return path
 
@@ -140,6 +141,88 @@ def test_unreduced_and_zero_entries_normalize(tmp_path, capsys, fixture, edit):
     expected = capsys.readouterr().out
     assert run("export", _variant(tmp_path, fixture, edit)) == 0
     assert capsys.readouterr().out == expected
+
+
+@pytest.fixture
+def sym2_hilbert(tmp_path):
+    """Sym^2(Q[x]/x^2) twisted by lambda = -1, as a document."""
+    path = tmp_path / "sym2_hilbert.json"
+    assert run("symprod", FIXTURES / "dual_numbers.json", "--n", 2, "--lambda", "-1",
+               "--out", path) == 0
+    return path
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("degree", 2.5, "degree 2.5 is not an integer"),
+    ("degree", True, "degree True is not an integer"),
+    ("degree", "2", "degree '2' is not an integer"),
+    ("parity", 2, "parity 2 is not 0 or 1"),
+    ("parity", True, "parity True is not 0 or 1"),
+    ("label", 7, "basis label 7 is not a string"),
+])
+def test_base_basis_data_must_be_typed(tmp_path, capsys, field, value, message):
+    # 2.5, true and "2" used to pass verify, and export wrote them back as 2, 1 and 2
+    path = _variant(tmp_path, "dual_numbers.json", lambda doc: doc["basis"][1].__setitem__(field, value))
+    for command in ("verify", "export"):
+        assert run(command, path) == 2
+        assert capsys.readouterr().err == f"error: Q[x]/(x^2): {message}\n"
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("degrees", "2", "degree '2' is not an integer"),
+    ("degrees", 2.5, "degree 2.5 is not an integer"),
+    ("parities", -1, "parity -1 is not 0 or 1"),
+    ("basis", None, "basis label None is not a string"),
+])
+def test_sector_basis_data_must_be_typed(tmp_path, capsys, sym2_hilbert, field, value, message):
+    # a sector degree "2" used to pass verify, then fail invariants --poincare on comparing
+    # an int with a str; 2.5 reached the exact engine as a float
+    path = _variant(tmp_path, sym2_hilbert, lambda doc: doc["sectors"][1][field].__setitem__(0, value))
+    capsys.readouterr()
+    for argv in (("verify",), ("invariants", "--poincare", "--shift", "standard"), ("export",)):
+        assert run(argv[0], path, *argv[1:]) == 2
+        assert capsys.readouterr().err == \
+            f"error: sym2(Q[x]/(x^2)) lambda=-1: sector (1 2): {message}\n"
+
+
+@pytest.mark.parametrize("n, message", [
+    (8, "a cocycle on S_8 holds at least 1625702400 values (budget 50000000)"),
+    (10 ** 30, f"a cocycle on S_{10 ** 30} holds at least 1625702400 values (budget 50000000)"),
+    ("3", "symmetric group degree '3' is not an integer >= 1"),
+    (0, "symmetric group degree 0 is not an integer >= 1"),
+])
+def test_cocycle_document_degree_is_guarded(tmp_path, capsys, n, message):
+    # n = 8 used to build the 40320^2 group table on load
+    path = _variant(tmp_path, "sn3_sign_cocycle.json",
+                    lambda doc: doc.update(group={"type": "symmetric", "n": n}, values=[]))
+    for command in ("verify", "export"):
+        assert run(command, path) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_cocycle_law_scan_respects_the_budget(tmp_path, capsys):
+    # S_4 has 24^3 = 13824 triples; the scan is refused before it starts
+    path = _variant(tmp_path, "sn3_sign_cocycle.json",
+                    lambda doc: doc.update(group={"type": "symmetric", "n": 4}, values=[]))
+    assert run("verify", path, "--budget", 1000) == 2
+    assert capsys.readouterr().err == \
+        "error: cocycle check would touch ~13824 group triples (budget 1000)\n"
+    assert run("verify", path) == 0
+
+
+def test_invariants_poincare_builds_the_basis_once(monkeypatch, capsys, sym2_hilbert):
+    calls = []
+    build = gfrob._invariant_basis
+
+    def counted(X):
+        calls.append(X.name)
+        return build(X)
+
+    monkeypatch.setattr(gfrob, "_invariant_basis", counted)
+    monkeypatch.setattr(grading, "_invariant_basis", counted)
+    assert run("invariants", sym2_hilbert, "--poincare", "--shift", "standard") == 0
+    assert "poincare: 1 + t + t^2 + t^3 + t^4" in capsys.readouterr().out
+    assert len(calls) == 1
 
 
 def test_verify_cocycle_document():

@@ -1,0 +1,92 @@
+"""Single-leaf mutations of sector-graded documents under the commands that read them.
+
+Every run must end in exit code 0, 1 or 2, with no exception escaping
+``cli.main``, and an exit 2 must write exactly one ``error:`` line.
+"""
+
+import contextlib
+import copy
+import io
+import json
+from pathlib import Path
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from orbifrob import cli
+from orbifrob import cocycles as cocy
+from orbifrob import frobenius as frob
+from orbifrob import gfrob
+from orbifrob import symprod as sp_mod
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+
+
+def _sym2_hilbert() -> dict:
+    X = sp_mod.SymmetricProductAlgebra(frob.dual_numbers(), 2).realize()
+    return gfrob.to_json_dict(gfrob.twist(X, cocy.normalized_sn_cocycle(2, -1)))
+
+
+# document, and the unit of its identity sector in element syntax
+DOCUMENTS = {
+    "ks3": (json.loads((FIXTURES / "ks3.json").read_text()), "1@e"),
+    "sym2_hilbert": (_sym2_hilbert(), "1⊗1@e"),
+}
+
+
+def _leaves(node, path=()):
+    if isinstance(node, dict) and node:
+        for key, value in node.items():
+            yield from _leaves(value, path + (key,))
+    elif isinstance(node, list) and node:
+        for i, value in enumerate(node):
+            yield from _leaves(value, path + (i,))
+    else:
+        yield path
+
+
+LEAVES = {name: list(_leaves(doc)) for name, (doc, _) in DOCUMENTS.items()}
+
+REPLACEMENTS = st.one_of(
+    st.integers(-2, 9),
+    st.sampled_from(["0", "-1", "1/2", "1/0", "x", "", "e", "(1 2)", True, None, 2.5, [], {},
+                     [0], {"n": 2}]),
+    st.text(max_size=4),
+)
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+def _run(argv) -> tuple[int, str]:
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, err.getvalue()
+
+
+@settings(max_examples=150, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_mutated_document_exits_cleanly(workdir, data):
+    name = data.draw(st.sampled_from(sorted(DOCUMENTS)))
+    original, unit = DOCUMENTS[name]
+    doc = copy.deepcopy(original)
+    *parents, last = data.draw(st.sampled_from(LEAVES[name]))
+    node = doc
+    for key in parents:
+        node = node[key]
+    node[last] = data.draw(REPLACEMENTS)
+    path = workdir / f"{name}.json"
+    path.write_text(json.dumps(doc))
+    for argv in (["invariants", path, "--poincare", "--shift", "standard"],
+                 ["mult", path, unit, unit],
+                 ["twist", path, "--lambda", "-1"]):
+        code, err = _run([str(a) for a in argv])
+        assert code in (0, 1, 2)
+        if code == 2:
+            lines = err.splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error: "), err

@@ -62,15 +62,24 @@ def test_sparse_kron_row_major():
     assert ex.sparse_kron(a, b, 1, 2) == {0: {1: 3, 3: 6}, 1: {3: 3}}
 
 
-def test_sparse_rank_matches_dense_rank():
+def test_sparse_echelon_matches_dense_echelon():
+    # the kept rows are the unique RREF: rows, pivots and rank equal the dense echelon's
     rng = random.Random(5)
-    for _ in range(40):
+    for _ in range(60):
         rows, cols = rng.randint(1, 6), rng.randint(1, 6)
-        dense = [[rng.choice((0, 0, 0, 1, -2, Fraction(1, 3))) for _ in range(cols)]
+        dense = [[rng.choice((0, 0, 0, 1, -2, Fraction(1, 3), Fraction(-5, 7))) for _ in range(cols)]
                  for _ in range(rows)]
+        dense.append([0] * cols)
+        dense.append(list(rng.choice(dense)))
         sparse = {i: {j: v for j, v in enumerate(row) if v} for i, row in enumerate(dense)}
-        assert ex.sparse_rank({i: row for i, row in sparse.items() if row}) == ex.rank(dense)
-    assert ex.sparse_rank({}) == 0
+        ech, pivots = ex.echelon(dense)
+        expected = {c: {j: (type(v), v) for j, v in enumerate(ech[r]) if v}
+                    for r, c in enumerate(pivots)}
+        kept = ex.sparse_echelon(sparse)
+        assert {c: {j: (type(v), v) for j, v in row.items()} for c, row in kept.items()} == expected
+        assert sorted(kept) == pivots
+        assert len(kept) == ex.rank(dense)
+    assert ex.sparse_echelon({}) == {}
 
 
 def test_check_new_rejects_a_repeated_key():

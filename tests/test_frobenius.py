@@ -63,7 +63,7 @@ def test_copairing_reproduces_identity(qx2, surface):
             for i, j, c in algebra.copairing():
                 coeff = c * algebra.pair(a, algebra.basis_vector(i))
                 if coeff:
-                    out = ex.vec_add(out, ex.vec_scale(coeff, algebra.basis_vector(j)))
+                    out = [x + coeff * y for x, y in zip(out, algebra.basis_vector(j))]
             assert out == a
 
 

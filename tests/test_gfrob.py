@@ -1,4 +1,5 @@
 import copy
+from fractions import Fraction
 
 import pytest
 
@@ -6,7 +7,7 @@ from orbifrob import cocycles as cocy
 from orbifrob import exactnum as ex
 from orbifrob import gfrob
 from orbifrob import symprod as sp_mod
-from orbifrob.groups import symmetric_group
+from orbifrob.groups import FiniteGroup, symmetric_group
 
 
 def test_group_ring_passes_all_axioms(s3_ring):
@@ -221,9 +222,9 @@ def test_invariants_restricted_pairing_is_invariant(sp_factory, qx2, surface, s3
         for i in range(inv.dim):
             for j in range(inv.dim):
                 for k in range(inv.dim):
-                    lhs = sum(c * inv.pairing[p][k]
+                    lhs = sum(c * inv.pairing.get(p, {}).get(k, 0)
                               for p, c in inv.product.get((i, j), {}).items())
-                    rhs = sum(c * inv.pairing[i][p]
+                    rhs = sum(c * inv.pairing.get(i, {}).get(p, 0)
                               for p, c in inv.product.get((j, k), {}).items())
                     assert lhs == rhs
 
@@ -294,6 +295,148 @@ def test_invariants_reject_product_outside_subspace(s3_ring):
     broken.product[(e, tau)] = {(0, 0): {0: 2}}
     with pytest.raises(ValueError, match="product left the invariant subspace"):
         gfrob.invariants(broken)
+
+
+def _dense_invariants(X):
+    """The dense projector, echelon and product route that the sparse one replaced.
+
+    Returns (basis, class_of, classes, product, pairing, nondegenerate,
+    commutative) with a dense pairing matrix.
+    """
+    G = X.group
+    classes = G.conjugacy_classes()
+    scale = Fraction(1, G.order)
+    basis, class_of, pivot_at = [], [], []
+    for ci, cls in enumerate(classes):
+        offsets, size = {}, 0
+        for g in cls:
+            offsets[g] = size
+            size += X.sector_dims[g]
+        if size == 0:
+            continue
+        proj = ex.mat_zero(size, size)
+        for k in G.elements():
+            for h in cls:
+                ro, co = offsets[G.conj(k, h)], offsets[h]
+                for j, col in X.action[(k, h)].items():
+                    for i, v in col.items():
+                        proj[ro + i][co + j] += v * scale
+        proj = [[ex.norm(v) for v in row] for row in proj]
+        if ex.mat_mul(proj, proj) != proj:
+            raise ValueError(f"projector on class of {G.labels[cls[0]]} is not idempotent; "
+                             "the action table is not a representation")
+        ech, pivots = ex.echelon(proj)
+        position = [(g, k) for g in cls for k in range(X.sector_dims[g])]
+        for r, col in enumerate(pivots):
+            segs = {g: ech[r][offsets[g]: offsets[g] + X.sector_dims[g]] for g in cls}
+            basis.append({g: seg for g, seg in segs.items() if any(x != 0 for x in seg)})
+            class_of.append(ci)
+            pivot_at.append(position[col])
+
+    def add(u, v):
+        return [ex.norm(a + b) for a, b in zip(u, v)]
+
+    def coordinates(elem):
+        coords = {r: elem[g][k] for r, (g, k) in enumerate(pivot_at)
+                  if g in elem and elem[g][k] != 0}
+        rebuilt = {}
+        for r, c in coords.items():
+            for g, seg in basis[r].items():
+                term = [ex.norm(c * x) for x in seg]
+                rebuilt[g] = add(rebuilt[g], term) if g in rebuilt else term
+        if {g: v for g, v in rebuilt.items() if any(x != 0 for x in v)} != elem:
+            raise ValueError("product left the invariant subspace")
+        return coords
+
+    def mult(u, v):
+        out = {}
+        for g, ug in u.items():
+            for h, vh in v.items():
+                gh, w = G.mul(g, h), X.multiply(g, h, ug, vh)
+                out[gh] = add(out[gh], w) if gh in out else w
+        return {g: v for g, v in out.items() if any(x != 0 for x in v)}
+
+    product, commutative = {}, True
+    for i, u in enumerate(basis):
+        for j, v in enumerate(basis):
+            row = coordinates(mult(u, v))
+            if row:
+                product[(i, j)] = row
+            if i < j and mult(v, u) != mult(u, v):
+                commutative = False
+    pairing = [[ex.norm(sum(X.pair(g, ug, v[G.inv(g)]) for g, ug in u.items() if G.inv(g) in v))
+                for v in basis] for u in basis]
+    nondeg = ex.rank(pairing) == len(basis) if basis else True
+    return basis, class_of, classes, product, pairing, nondeg, commutative
+
+
+def _typed(x):
+    return (type(x), x)
+
+
+def _invariant_suite(sp_factory, ground, qx2, surface):
+    """(name, algebra, expected error) over Sym^n plain, lambda = -1 and lambda = -1 super."""
+    suite = []
+    for base, top in ((ground, 3), (qx2, 4), (surface, 3)):
+        for n in range(1, top + 1):
+            X = sp_factory(base, n).realize()
+            alpha = cocy.normalized_sn_cocycle(n, -1)
+            suite += [(f"{base.name}^{n}", X, None),
+                      (f"{base.name}^{n} lambda=-1", gfrob.twist(X, alpha), None),
+                      (f"{base.name}^{n} lambda=-1 super",
+                       gfrob.twist(X, alpha, cocy.sign_supertwist(n)), None)]
+    for n in (3, 4):
+        suite.append((f"k[S_{n}]", cocy.twisted_group_ring(symmetric_group(n)), None))
+    ring = cocy.twisted_group_ring(symmetric_group(3))
+    tau, tau2 = ring.group.index_of("(1 2)"), ring.group.index_of("(1 3)")
+    not_a_rep = copy.deepcopy(ring)
+    not_a_rep.action[(tau, tau2)] = {0: {0: 5}}
+    leaks = copy.deepcopy(ring)
+    leaks.product[(ring.group.identity, tau)] = {(0, 0): {0: 2}}
+    suite += [("not a representation", not_a_rep, "is not idempotent"),
+              ("product leaks", leaks, "product left the invariant subspace")]
+    return suite
+
+
+def test_sparse_invariants_match_dense_reference(sp_factory, ground, qx2, surface):
+    for name, X, error in _invariant_suite(sp_factory, ground, qx2, surface):
+        if error is not None:
+            with pytest.raises(ValueError, match=error):
+                _dense_invariants(X)
+            with pytest.raises(ValueError, match=error):
+                gfrob.invariants(X)
+            continue
+        basis, class_of, classes, product, pairing, nondeg, commutative = _dense_invariants(X)
+        inv = gfrob.invariants(X)
+        assert [{g: [_typed(x) for x in seg] for g, seg in elem.items()} for elem in inv.basis] == \
+            [{g: [_typed(x) for x in seg] for g, seg in elem.items()} for elem in basis], name
+        assert (inv.class_of, inv.classes) == (class_of, classes), name
+        assert {key: {k: _typed(c) for k, c in row.items()} for key, row in inv.product.items()} == \
+            {key: {k: _typed(c) for k, c in row.items()} for key, row in product.items()}, name
+        assert [[_typed(inv.pairing.get(i, {}).get(j, 0)) for j in range(inv.dim)]
+                for i in range(inv.dim)] == [[_typed(x) for x in row] for row in pairing], name
+        assert all(v != 0 for row in inv.pairing.values() for v in row.values()), name
+        assert (inv.pairing_nondegenerate, inv.commutative) == (nondeg, commutative), name
+
+
+def test_matrix_algebra_invariants_are_not_commutative():
+    # M_2(k) over the trivial group: basis E_ab at index 2a + b, E_ab E_cd = [b = c] E_ad,
+    # trace pairing eta(E_ab, E_cd) = [b = c][a = d]
+    one = FiniteGroup(["e"], [[0]])
+    product = {(2 * a + b, 2 * b + d): {2 * a + d: 1} for a in (0, 1) for b in (0, 1) for d in (0, 1)}
+    m2 = gfrob.GFrobeniusAlgebra(
+        name="M2", group=one, sector_dims=[4], sector_degrees=[[0] * 4],
+        sector_parities=[[0] * 4], sector_labels=[["E00", "E01", "E10", "E11"]],
+        product={(0, 0): product}, action={(0, 0): {j: {j: 1} for j in range(4)}},
+        metric=[{2 * a + b: {2 * b + a: 1} for a in (0, 1) for b in (0, 1)}],
+        character=[1], unit=[1, 0, 0, 1],
+    )
+    assert gfrob.verify_axioms(m2)["a"].passed
+    inv = gfrob.invariants(m2)
+    assert inv.dim == 4
+    assert inv.commutative is False
+    assert inv.pairing_nondegenerate
+    assert inv.product[(1, 2)] == {0: 1} and inv.product[(2, 1)] == {3: 1}
 
 
 def test_json_round_trip(tmp_path, sp_factory, qx2):
