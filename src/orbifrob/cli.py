@@ -167,12 +167,12 @@ def cmd_verify(args) -> int:
         report = algebra.verify()
         title = f"algebra {algebra.name!r}"
     elif "values" in doc:
-        alpha = cocy.from_json_dict(doc)
-        triples = alpha.group.order ** 3
+        # refuse the scan before the group and value tables are built
+        triples = cocy.document_order(doc) ** 3
         if triples > args.budget:
             raise gfrob.BudgetExceededError(
                 f"cocycle check would touch ~{triples} group triples (budget {args.budget})", triples)
-        report = cocy.validate(alpha)
+        report = cocy.validate(cocy.from_json_dict(doc))
         title = "cocycle"
     else:
         raise UsageError(f"{args.file}: unrecognized document type")

@@ -259,14 +259,26 @@ def to_json_dict(alpha: Cocycle2) -> dict:
     return {"group": group_doc(G), "values": values}
 
 
-def from_json_dict(doc: dict) -> Cocycle2:
+def document_order(doc: dict) -> int:
+    """Order of a cocycle document's group, read without building the group.
+
+    Refuses an S_n whose (n!)^2-entry group table and value table alone would
+    pass ``VERIFY_BUDGET``.
+    """
     gdoc = doc["group"]
     if gdoc.get("type") == "symmetric":
-        # refuse before building the (n!)^2-entry group table and value table
-        cells = symmetric_order(gdoc["n"], math.isqrt(VERIFY_BUDGET)) ** 2
-        if cells > VERIFY_BUDGET:
-            raise BudgetExceededError(f"a cocycle on S_{gdoc['n']} holds at least {cells} "
-                                      f"values (budget {VERIFY_BUDGET})", cells)
+        order = symmetric_order(gdoc["n"], math.isqrt(VERIFY_BUDGET))
+        if order ** 2 > VERIFY_BUDGET:
+            raise BudgetExceededError(f"a cocycle on S_{gdoc['n']} holds at least {order ** 2} "
+                                      f"values (budget {VERIFY_BUDGET})", order ** 2)
+        return order
+    return len(gdoc["labels"])
+
+
+def from_json_dict(doc: dict) -> Cocycle2:
+    document_order(doc)   # refuses an oversized S_n before its tables are built
+    gdoc = doc["group"]
+    if gdoc.get("type") == "symmetric":
         group = symmetric_group(gdoc["n"])
     else:
         group = FiniteGroup(gdoc["labels"], gdoc["table"])

@@ -25,10 +25,12 @@ product, over the joint orbits of each sector pair, of local tables that
 the chain stays independent of them as the oracle.
 
 Each route multiplies in A^(x)m by its own factor-by-factor walk that skips
-factor pairs with zero product before multiplying any coefficient.
-Everything that depends only on the sector pair (joint orbits, obstruction
-class, integer block tables, copairing insertions) is built on the pair's
-first product and reused.
+factor pairs with zero product before multiplying any coefficient.  Every
+intermediate value of either route is an integer numerator over one
+denominator per stage; the denominators multiply along the stages and each
+product divides once, at the end.  Everything that depends only on the
+sector pair (joint orbits, obstruction class, integer block tables, tries of
+the copairing insertions) is built on the pair's first product and reused.
 """
 
 from __future__ import annotations
@@ -136,12 +138,16 @@ class SymmetricProductAlgebra:
         self.factors = [len(part) for part in self.parts]
         self.dims = [base.dim ** l for l in self.factors]
         self.euler = base.euler_class()
-        # the chain's factor pairs with nonzero product, by left index; the
-        # pushforward route keeps its own, so the cross-oracle shares no kernel
+        # the chain's factor pairs with nonzero product, by left index, as integer
+        # numerators over one denominator; the pushforward route keeps its own,
+        # so the cross-oracle shares no kernel
+        rows_den = math.lcm(*(c.denominator for row in base.rows.values() for c in row.values()))
         self._chain_pairs: dict[int, list] = {}
         for (x, y), row in base.rows.items():
             if row:
-                self._chain_pairs.setdefault(x, []).append((y, list(row.items())))
+                self._chain_pairs.setdefault(x, []).append(
+                    (y, [(k, c.numerator * (rows_den // c.denominator)) for k, c in row.items()]))
+        self._chain_den = rows_den ** n   # one row constant per position and product
         self._perm_index = {p.images: i for i, p in enumerate(self.perms)}
         self._galg: GFrobeniusAlgebra | None = None
         self._adj_cache: dict[int, list] = {}
@@ -184,9 +190,13 @@ class SymmetricProductAlgebra:
             self._tuple_cache[m] = list(itertools.product(range(self.base.dim), repeat=m))
         return self._tuple_cache[m]
 
-    def _unit_tails(self, m: int) -> list:
-        """Nonzero terms (factor tuple, coefficient) of the unit tensor of A^(x)m."""
-        return [(t, c) for t, c in zip(self._tuples(m), frob.tensor_unit(self.base, m)) if c]
+    def _unit_tails(self, m: int) -> tuple[list, int]:
+        """Nonzero terms (factor tuple, numerator) of the unit tensor of A^(x)m,
+        over one denominator."""
+        unit = frob.tensor_unit(self.base, m)
+        den = math.lcm(*(c.denominator for c in unit if c))
+        return [(t, c.numerator * (den // c.denominator))
+                for t, c in zip(self._tuples(m), unit) if c], den
 
     def _basis_product(self, indices) -> dict:
         """Sparse product of a list of base basis elements."""
@@ -237,9 +247,9 @@ class SymmetricProductAlgebra:
     def _section_columns(self, m: int) -> tuple[dict, int]:
         """Unit-tensor section A -> A^(x)m: k -> [((k, unit tail), numerator)]."""
         if ("section", m) not in self._columns:
-            tails = self._unit_tails(m - 1)
-            self._columns["section", m] = _integral({
-                k: [((k,) + tail, u) for tail, u in tails] for k in range(self.base.dim)})
+            tails, den = self._unit_tails(m - 1)
+            self._columns["section", m] = (
+                {k: [((k,) + tail, u) for tail, u in tails] for k in range(self.base.dim)}, den)
         return self._columns["section", m]
 
     def _gather_map(self, fine: OrbitPartition, coarse: OrbitPartition) -> tuple:
@@ -269,12 +279,12 @@ class SymmetricProductAlgebra:
             den *= d
         return len(coarse), blocks, den, D ** len(fine)
 
-    def _block_map(self, v, bmap: tuple):
-        """Apply a block map to a dense vector.
+    def _block_map(self, v, bmap: tuple) -> tuple[list, int]:
+        """Apply a block map to a dense vector: (integer numerators, denominator).
 
         Each nonzero entry reads one integer column per block, multiplies the
-        columns out and adds the terms into the output; the operand's own
-        denominator and the tables' are divided out once at the end.
+        columns out and adds the terms into the output.  The denominator is the
+        operand's own times the tables'; the caller divides it out.
         """
         length, blocks, table_den, size = bmap
         tuples = self._tuples(length)
@@ -294,19 +304,19 @@ class SymmetricProductAlgebra:
             else:
                 for o, c in terms:
                     acc[o] += c
-        return _divided(acc, den * table_den)
+        return acc, den * table_den
 
     def restrict_between(self, fine: OrbitPartition, coarse: OrbitPartition, v):
         """Contraction-by-multiplication A^(x)|fine| -> A^(x)|coarse|."""
-        return self._block_map(v, self._gather_map(fine, coarse))
+        return _divided(*self._block_map(v, self._gather_map(fine, coarse)))
 
     def push_between(self, fine: OrbitPartition, coarse: OrbitPartition, w):
         """Metric adjoint of restrict_between(fine, coarse, .): coarse -> fine."""
-        return self._block_map(w, self._spread_map(fine, coarse, self._adjoint_columns))
+        return _divided(*self._block_map(w, self._spread_map(fine, coarse, self._adjoint_columns)))
 
     def _joint_section(self, fine: OrbitPartition, coarse: OrbitPartition, v):
         """Unit-tensor section A^(x)|coarse| -> A^(x)|fine| of the contraction."""
-        return self._block_map(v, self._spread_map(fine, coarse, self._section_columns))
+        return _divided(*self._block_map(v, self._spread_map(fine, coarse, self._section_columns)))
 
     def restriction_matrix(self, fine: OrbitPartition, coarse: OrbitPartition) -> list:
         size = self.base.dim ** len(fine)
@@ -317,26 +327,37 @@ class SymmetricProductAlgebra:
 
     def _push_plan(self, g: int, h: int) -> tuple:
         """Per sector pair: both restrictions to the joint orbits, the joint
-        orbit count, the obstruction class and the pushforward to the product."""
+        orbit count, the obstruction class (integer numerators and their
+        denominator) and the pushforward to the product."""
         plan = self._push_plans.get((g, h))
         if plan is None:
             joint = group_orbits([self.perms[g], self.perms[h]])
+            tilde = self.gamma_tilde(g, h, joint)
+            tilde_den = math.lcm(*(x.denominator for x in tilde if x))
             plan = self._push_plans[g, h] = (
                 self._gather_map(self.parts[g], joint),
                 self._gather_map(self.parts[h], joint),
                 len(joint),
-                self.gamma_tilde(g, h, joint),
+                [x.numerator * (tilde_den // x.denominator) for x in tilde],
+                tilde_den,
                 self._spread_map(self.parts[self.group.mul(g, h)], joint, self._adjoint_columns),
             )
         return plan
 
     def multiply_pushforward(self, g: int, a, h: int, b):
-        """Product through the double intersection with Euler-class insertion."""
-        restrict_g, restrict_h, m, tilde, push = self._push_plan(g, h)
-        u = frob.factorwise_multiply(self.base, m, self._block_map(a, restrict_g),
-                                     self._block_map(b, restrict_h))
+        """Product through the double intersection with Euler-class insertion.
+
+        The restricted operands and the obstruction class enter the factorwise
+        products as integer numerators; the stage denominators multiply, and the
+        product sector's vector is divided once.
+        """
+        restrict_g, restrict_h, m, tilde, tilde_den, push = self._push_plan(g, h)
+        ra, da = self._block_map(a, restrict_g)
+        rb, db = self._block_map(b, restrict_h)
+        u = frob.factorwise_multiply(self.base, m, ra, rb)
         u = frob.factorwise_multiply(self.base, m, u, tilde)
-        return self._block_map(u, push)
+        acc, dp = self._block_map(u, push)
+        return _divided(acc, da * db * tilde_den * dp)
 
     def gamma_tilde(self, g: int, h: int, joint: OrbitPartition | None = None):
         """Obstruction class: one Euler-class power per joint orbit."""
@@ -350,93 +371,119 @@ class SymmetricProductAlgebra:
         return out[0]
 
     def _placement(self, positions) -> tuple:
-        """(place, tails) for A_e elements with given factors at ``positions``.
+        """(place, tails, den) for A_e elements with given factors at ``positions``.
 
         ``place(given + tail)`` orders the given factors followed by a unit
         tail for the other positions into an A_e index tuple; ``tails`` lists
-        the unit tensor's terms on those other positions.
+        the unit tensor's terms on those other positions as numerators over
+        ``den``.
         """
         fillers = [p for p in range(self.n) if p not in positions]
         order = [0] * self.n
         for spot, p in enumerate([*positions, *fillers]):
             order[p] = spot
         # itemgetter of one index returns a bare item, not a tuple
-        return (itemgetter(*order) if self.n > 1 else tuple), self._unit_tails(len(fillers))
+        return (itemgetter(*order) if self.n > 1 else tuple), *self._unit_tails(len(fillers))
 
-    def section_lift(self, g: int, a):
-        """Unit-tensor section A_s -> A_e: factor values at cycle minima."""
+    def _lift(self, g: int, a) -> tuple[dict, int]:
+        """``section_lift`` as (``_trie`` of integer numerators, denominator)."""
         if g not in self._lifts:
             self._lifts[g] = self._placement([blk[0] for blk in self.parts[g].blocks])
-        place, tails = self._lifts[g]
-        return {place(t + tail): ex.norm(x * u)
-                for t, x in zip(self._tuples(self.factors[g]), a) if x for tail, u in tails}
+        place, tails, tail_den = self._lifts[g]
+        den = math.lcm(*(x.denominator for x in a if x))
+        out = {}
+        for t, x in zip(self._tuples(self.factors[g]), a):
+            if x:
+                x = x.numerator * (den // x.denominator)
+                for tail, u in tails:
+                    out[place(t + tail)] = x if u == 1 else x * u
+        return self._trie(out), den * tail_den
 
-    def _copairing_element(self, tau: Permutation) -> dict:
-        """gamma_{tau,tau} in A_e: copairing across the two moved points."""
+    def section_lift(self, g: int, a) -> dict:
+        """Unit-tensor section A_s -> A_e: factor values at cycle minima."""
+        root, den = self._lift(g, a)
+        return {t: w if den == 1 else ex.norm(Fraction(w, den)) for t, w in self._leaves(root)}
+
+    def _copairing_element(self, tau: Permutation) -> tuple[dict, int]:
+        """gamma_{tau,tau} in A_e, the copairing across the two moved points, as
+        (``_trie`` of integer numerators, denominator)."""
         moved = tau.moved_points()
         if len(moved) != 2:
             raise ValueError(f"{tau} is not a transposition")
-        place, tails = self._placement(moved)
-        return {place((i, j) + tail): ex.norm(c * u)
-                for i, j, c in self.base.copairing() for tail, u in tails}
+        place, tails, tail_den = self._placement(moved)
+        copairing = self.base.copairing()
+        den = math.lcm(*(c.denominator for _, _, c in copairing))
+        return self._trie({place((i, j) + tail): c.numerator * (den // c.denominator) * u
+                           for i, j, c in copairing for tail, u in tails}), den * tail_den
 
-    def _elem_product(self, s1: dict, s2: dict) -> dict:
-        """Factorwise product of sparse A_e elements keyed by index tuples.
+    def _trie(self, elem: dict) -> dict:
+        """Nested dicts on the factor indices of a tuple-keyed element; zeros dropped."""
+        last = self.n - 1
+        root: dict = {}
+        for t, c in elem.items():
+            if c:
+                node = root
+                for x in t[:last]:
+                    node = node.setdefault(x, {})
+                node[t[last]] = c
+        return root
 
-        Both operands become tries on their factor indices, holding integer
-        numerators over one denominator each; the walk descends position by
-        position through the factor pairs with a nonzero product, so a dead
-        pair costs no multiplication, and divides once at the end.
+    def _leaves(self, root: dict) -> list:
+        """(index tuple, numerator) for every leaf of a trie."""
+        level = [((), root)]
+        for _ in range(self.n - 1):
+            level = [(t + (x,), sub) for t, node in level for x, sub in node.items()]
+        return [(t + (x,), c) for t, node in level for x, c in node.items()]
+
+    def _elem_product(self, left: tuple[dict, int], right: tuple[dict, int]) -> tuple[dict, int]:
+        """Factorwise product of sparse A_e elements on integer numerators.
+
+        Operands and result are (``_trie`` of numerators, denominator); the
+        result may hold zero leaves and empty branches.  The walk descends
+        position by position through the factor pairs with a nonzero product,
+        so a dead pair costs no multiplication, and writes each term straight
+        into the result's trie.
         """
         pairs = self._chain_pairs
         last = self.n - 1
+        (root1, d1), (root2, d2) = left, right
+        out: dict = {}
 
-        def trie(s):
-            den = math.lcm(*(c.denominator for c in s.values()))
-            root: dict = {}
-            for t, c in s.items():
-                if c != 0:
-                    node = root
-                    for x in t[:last]:
-                        node = node.setdefault(x, {})
-                    node[t[last]] = c.numerator * (den // c.denominator)
-            return root, den
-
-        (root1, d1), (root2, d2) = trie(s1), trie(s2)
-        out: dict[tuple, int] = {}
-
-        def walk(d, node1, node2, prefix, carry):
+        def walk(d, node1, node2, node, carry):
+            if d == last:
+                for x, c1 in node1.items():
+                    for y, row in pairs.get(x, ()):
+                        c2 = node2.get(y)
+                        if c2 is not None:
+                            w = c1 * c2 * carry
+                            for k, c in row:
+                                node[k] = node.get(k, 0) + w * c
+                return
             for x, sub1 in node1.items():
                 for y, row in pairs.get(x, ()):
                     sub2 = node2.get(y)
-                    if sub2 is None:
-                        continue
-                    for k, c in row:
-                        key = prefix + (k,)
-                        if d == last:
-                            out[key] = out.get(key, 0) + sub1 * sub2 * carry * c
-                        else:
-                            walk(d + 1, sub1, sub2, key, carry * c)
+                    if sub2 is not None:
+                        for k, c in row:
+                            child = node.get(k)
+                            if child is None:
+                                child = node[k] = {}
+                            walk(d + 1, sub1, sub2, child, carry * c)
 
-        walk(0, root1, root2, (), 1)
-        den = d1 * d2
-        if den == 1:
-            return {k: ex.norm(w) for k, w in out.items() if w != 0}
-        return {k: ex.norm(Fraction(w, den)) for k, w in out.items() if w != 0}
+        walk(0, root1, root2, out, 1)
+        return out, d1 * d2 * self._chain_den
 
-    def _contract_sparse(self, elem: dict, coarse: OrbitPartition):
-        """Restriction A_e -> A^(x)|coarse| of a sparse tuple-keyed element.
-
-        Runs on integer numerators over one denominator: each coarse factor
-        reads its column of the m-fold product table, and the output index
-        grows one factor at a time.
+    def _contract_sparse(self, elem: tuple[dict, int], coarse: OrbitPartition):
+        """Restriction A_e -> A^(x)|coarse| of (``_trie`` of numerators,
+        denominator): each coarse factor reads its column of the m-fold product
+        table, the output index grows one factor at a time, and the result is
+        divided once.
         """
         D = self.base.dim
         blocks = [(itemgetter(*blk), *self._mu_columns(len(blk))) for blk in coarse.blocks]
-        den = math.lcm(*(x.denominator for x in elem.values()))
+        root, den = elem
         acc = [0] * D ** len(coarse)
-        for t, x in elem.items():
-            terms = [(0, x.numerator * (den // x.denominator))]
+        for t, x in self._leaves(root):
+            terms = [(0, x)]
             for get, cols, _ in blocks:
                 col = cols.get(get(t))
                 if col is None:
@@ -470,8 +517,9 @@ class SymmetricProductAlgebra:
         return word, insertions
 
     def _insertions(self, g: int, h: int, word: list[Permutation] | None = None) -> list:
-        """Copairing elements the word inserts; cached per sector pair for the
-        default word, rebuilt (and the word validated) when a word is given."""
+        """(trie, denominator) of each copairing element the word inserts; cached
+        per sector pair for the default word, rebuilt (and the word validated)
+        when a word is given."""
         if word is None and (g, h) in self._chain_plans:
             return self._chain_plans[g, h]
         _, insertions = self.contraction_steps(g, h, word)
@@ -481,9 +529,10 @@ class SymmetricProductAlgebra:
         return gammas
 
     def multiply_chain(self, g: int, a, h: int, b, word: list[Permutation] | None = None):
-        """Product via the explicit transposition-word cocycle formula."""
+        """Product via the explicit transposition-word cocycle formula, on
+        integer numerators divided once at the end."""
         gammas = self._insertions(g, h, word)
-        acc = self._elem_product(self.section_lift(g, a), self.section_lift(h, b))
+        acc = self._elem_product(self._lift(g, a), self._lift(h, b))
         for gamma in gammas:
             acc = self._elem_product(acc, gamma)
         return self._contract_sparse(acc, self.parts[self.group.mul(g, h)])
@@ -494,7 +543,7 @@ class SymmetricProductAlgebra:
         pi_{ss'} applied to the product of the word's copairing insertions;
         multiplying generators is r_{ss'} of this element.
         """
-        acc = self.section_lift(self.group.identity, frob.tensor_unit(self.base, self.n))
+        acc = self._lift(self.group.identity, frob.tensor_unit(self.base, self.n))
         for gamma in self._insertions(g, h):
             acc = self._elem_product(acc, gamma)
         restricted = self._contract_sparse(acc, self.parts[self.group.mul(g, h)])
@@ -531,8 +580,14 @@ class SymmetricProductAlgebra:
             return self._galg
         cost = self.table_cost()
         if cost > budget:
+            # the total dim of Sym^m(A) is the rising factorial D(D+1)...(D+m-1)
+            m, total = 0, 1
+            while m < self.n and (total * (self.base.dim + m)) ** 2 <= budget:
+                total *= self.base.dim + m
+                m += 1
             raise BudgetExceededError(
-                f"building all product tables costs {cost} entries (budget {budget})", cost
+                f"building all product tables costs {cost} entries (budget {budget}); "
+                + (f"n <= {m} fits" if m else "no n fits"), cost
             )
         G = self.group
         product = {}
@@ -636,6 +691,7 @@ class SymmetricProductAlgebra:
                     if vals:
                         table[t1, t2] = vals
             self._local_tables[key] = table
+            local._push_plans.pop((g, h), None)   # it served this table only
         return self._local_tables[key]
 
 

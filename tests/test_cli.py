@@ -7,6 +7,7 @@ from orbifrob import cli
 from orbifrob import cocycles as cocy
 from orbifrob import gfrob
 from orbifrob import grading
+from orbifrob import groups
 from orbifrob.groups import symmetric_group
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -210,6 +211,21 @@ def test_cocycle_law_scan_respects_the_budget(tmp_path, capsys):
     assert run("verify", path) == 0
 
 
+def test_cocycle_verify_refuses_before_building_the_group(tmp_path, capsys, monkeypatch):
+    # S_7 passes the load guard ((7!)^2 values) but not the 5040^3-triple scan
+    calls = []
+    for module in (cocy, groups):
+        original = module.symmetric_group
+        monkeypatch.setattr(module, "symmetric_group",
+                            lambda n, *rest, f=original: calls.append(n) or f(n, *rest))
+    path = _variant(tmp_path, "sn3_sign_cocycle.json",
+                    lambda doc: doc.update(group={"type": "symmetric", "n": 7}, values=[]))
+    assert run("verify", path) == 2
+    assert capsys.readouterr().err == \
+        "error: cocycle check would touch ~128024064000 group triples (budget 50000000)\n"
+    assert calls == []
+
+
 def test_invariants_poincare_builds_the_basis_once(monkeypatch, capsys, sym2_hilbert):
     calls = []
     build = gfrob._invariant_basis
@@ -377,9 +393,15 @@ def test_export_frobenius_and_cocycle_documents(tmp_path):
     assert "values" in json.loads(out2.read_text())
 
 
-def test_symprod_budget_exceeded_exits_two(tmp_path):
+def test_symprod_budget_exceeded_exits_two(tmp_path, capsys):
     assert run("symprod", FIXTURES / "surface4.json", "--n", 4,
                "--out", tmp_path / "never.json") == 2
+    # Sym^3(surface4) has total dim 4*5*6 = 120, Sym^4 840
+    assert capsys.readouterr().err == ("error: building all product tables costs 705600 "
+                                       "entries (budget 200000); n <= 3 fits\n")
+    assert run("symprod", FIXTURES / "surface4.json", "--n", 2, "--budget", 15) == 2
+    assert capsys.readouterr().err == ("error: building all product tables costs 400 "
+                                       "entries (budget 15); no n fits\n")
 
 
 def test_supergraded_document_round_trips_and_verifies(tmp_path, capsys):

@@ -1,7 +1,9 @@
-"""Single-leaf mutations of sector-graded documents under the commands that read them.
+"""Single-leaf mutations of sector-graded and cocycle documents under the
+commands that read them.
 
 Every run must end in exit code 0, 1 or 2, with no exception escaping
-``cli.main``, and an exit 2 must write exactly one ``error:`` line.
+``cli.main``; an exit 1 must name a failing check with its witness, and an
+exit 2 must write exactly one ``error:`` line.
 """
 
 import contextlib
@@ -28,9 +30,12 @@ def _sym2_hilbert() -> dict:
     return gfrob.to_json_dict(gfrob.twist(X, cocy.normalized_sn_cocycle(2, -1)))
 
 
+KS3 = json.loads((FIXTURES / "ks3.json").read_text())
+SN3_COCYCLE = json.loads((FIXTURES / "sn3_sign_cocycle.json").read_text())
+
 # document, and the unit of its identity sector in element syntax
 DOCUMENTS = {
-    "ks3": (json.loads((FIXTURES / "ks3.json").read_text()), "1@e"),
+    "ks3": (KS3, "1@e"),
     "sym2_hilbert": (_sym2_hilbert(), "1⊗1@e"),
 }
 
@@ -47,6 +52,7 @@ def _leaves(node, path=()):
 
 
 LEAVES = {name: list(_leaves(doc)) for name, (doc, _) in DOCUMENTS.items()}
+LEAVES["sn3_cocycle"] = list(_leaves(SN3_COCYCLE))
 
 REPLACEMENTS = st.one_of(
     st.integers(-2, 9),
@@ -61,19 +67,8 @@ def workdir(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz")
 
 
-def _run(argv) -> tuple[int, str]:
-    err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-        code = cli.main(argv)
-    return code, err.getvalue()
-
-
-@settings(max_examples=150, derandomize=True, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow])
-@given(data=st.data())
-def test_mutated_document_exits_cleanly(workdir, data):
-    name = data.draw(st.sampled_from(sorted(DOCUMENTS)))
-    original, unit = DOCUMENTS[name]
+def _mutated(data, workdir, name, original) -> Path:
+    """Write ``original`` with one leaf, drawn from ``data``, replaced."""
     doc = copy.deepcopy(original)
     *parents, last = data.draw(st.sampled_from(LEAVES[name]))
     node = doc
@@ -82,11 +77,43 @@ def test_mutated_document_exits_cleanly(workdir, data):
     node[last] = data.draw(REPLACEMENTS)
     path = workdir / f"{name}.json"
     path.write_text(json.dumps(doc))
+    return path
+
+
+def _check_run(argv) -> None:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main([str(a) for a in argv])
+    assert code in (0, 1, 2)
+    if code == 1:
+        assert any(": FAIL [" in line and " witness: " in line
+                   for line in out.getvalue().splitlines()), out.getvalue()
+    if code == 2:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), err.getvalue()
+
+
+@settings(max_examples=150, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_mutated_document_exits_cleanly(workdir, data):
+    name = data.draw(st.sampled_from(sorted(DOCUMENTS)))
+    original, unit = DOCUMENTS[name]
+    path = _mutated(data, workdir, name, original)
     for argv in (["invariants", path, "--poincare", "--shift", "standard"],
                  ["mult", path, unit, unit],
                  ["twist", path, "--lambda", "-1"]):
-        code, err = _run([str(a) for a in argv])
-        assert code in (0, 1, 2)
-        if code == 2:
-            lines = err.splitlines()
-            assert len(lines) == 1 and lines[0].startswith("error: "), err
+        _check_run(argv)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_mutated_document_verifies_and_twists_cleanly(workdir, data):
+    ks3, cocycle = FIXTURES / "ks3.json", FIXTURES / "sn3_sign_cocycle.json"
+    if data.draw(st.booleans()):
+        ks3 = _mutated(data, workdir, "ks3", KS3)
+    else:
+        cocycle = _mutated(data, workdir, "sn3_cocycle", SN3_COCYCLE)
+    for argv in (["verify", ks3], ["verify", cocycle], ["twist", ks3, "--cocycle", cocycle]):
+        _check_run(argv)

@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -248,6 +250,18 @@ def _reference_elem_product(sp, s1, s2):
     return {k: ex.norm(v) for k, v in out.items() if v != 0}
 
 
+def _numerators(sp, elem):
+    """A tuple-keyed element as (trie of integer numerators, denominator)."""
+    den = math.lcm(*(c.denominator for c in elem.values()))
+    return sp._trie({t: c.numerator * (den // c.denominator) for t, c in elem.items()}), den
+
+
+def _divide(sp, elem):
+    """(trie of integer numerators, denominator) as exact nonzero scalars."""
+    root, den = elem
+    return {t: ex.norm(Fraction(w, den)) for t, w in sp._leaves(root) if w}
+
+
 def _random_element(rng, dim, n, terms):
     keys = rng.sample(list(itertools.product(range(dim), repeat=n)), min(terms, dim ** n))
     return {t: Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for t in keys}
@@ -264,7 +278,8 @@ def test_elem_product_matches_pairwise_reference(sp_factory, qx2, surface, half,
         operands += [({}, some), (some, {}), ({}, {}),
                      ({t: 0 for t in some}, some), ({t: Fraction(2, 1) for t in some}, some)]
         for s1, s2 in operands:
-            got = {k: (type(v), v) for k, v in sp._elem_product(s1, s2).items()}
+            product = sp._elem_product(_numerators(sp, s1), _numerators(sp, s2))
+            got = {k: (type(v), v) for k, v in _divide(sp, product).items()}
             want = {k: (type(v), v) for k, v in _reference_elem_product(sp, s1, s2).items()}
             assert got == want
 
@@ -652,7 +667,7 @@ def test_block_maps_match_per_entry_reference(sp_factory, qx2, surface, half, n)
                 assert _typed(sp._joint_section(part_gh, joint, w)) == \
                     _typed(_reference_joint_section(sp, part_gh, joint, w))
             for elem in (_random_element(rng, D, n, 30), {}):
-                assert _typed(sp._contract_sparse(elem, part_gh)) == \
+                assert _typed(sp._contract_sparse(_numerators(sp, elem), part_gh)) == \
                     _typed(_reference_contract_sparse(sp, elem, part_gh))
 
 
@@ -826,3 +841,93 @@ def test_realize_builds_one_pair_table_per_sector_pair(qx2, monkeypatch):
     sp.realize()
     pairs = [(3, gi, hi) for gi in range(6) for hi in range(6)]
     assert sorted(calls) == pairs
+
+
+def test_realize_keeps_no_push_plan(qx2):
+    # each transitive pair's plan serves one local table; realize drops it
+    sp = sp_mod.SymmetricProductAlgebra(qx2, 3)
+    sp.realize()
+    assert sp._local_tables and sp._local_instances
+    assert not sp._push_plans
+    assert not any(local._push_plans for local in sp._local_instances.values())
+
+
+# -- exact outputs of both routes, pinned across kernel changes ---------------------
+
+def _route_digest(sp, pairs, rng) -> str:
+    """sha256 of the (type, value) outputs of both routes and of the cocycle data
+    over seeded operands: dense with proper Fractions, and all-zero."""
+    h = hashlib.sha256()
+    for gi, hi in pairs:
+        dg, dh = sp.dims[gi], sp.dims[hi]
+        operands = [(_random_vector(rng, dg), _random_vector(rng, dh)),
+                    ([0] * dg, _random_vector(rng, dh)),
+                    (_random_vector(rng, dg), [Fraction(0)] * dh)]
+        outputs = []
+        for a, b in operands:
+            outputs += [sp.multiply_chain(gi, a, hi, b), sp.multiply_pushforward(gi, a, hi, b)]
+        data = sp.gamma_data(gi, hi)
+        outputs += [sp.gamma_cocycle(gi, hi), data.cocycle, data.tilde, data.perp, data.bar,
+                    data.restricted]
+        for vec in outputs:
+            h.update(repr([(type(x).__name__, x) for x in vec]).encode())
+    return h.hexdigest()
+
+
+# recorded before the product kernels moved to integer numerators end to end
+ROUTE_DIGESTS = {
+    ("qx2", 1): "2e85766c9cf736f06ef992baa11ccfb99f933fdb712eda33f7bc6dd8cce5b8b5",
+    ("qx2", 2): "83e73989cf01ea6b6e33788dfe53c536b04c04afed52f1ad175595ee144341c0",
+    ("qx2", 3): "f2fa7a339b9bed6fea5641a779bcaa96618d42b8519a5c44195264a22b9a3457",
+    ("qx2", 4): "19370ea1d318b93473521235e2342fb690bd6c3fee1c88678ab4fb10cf637d1a",
+    ("surface", 1): "980a183bb3eeee07b7188d6a37cd9b75c4571e21ae50d7c60e864e2f8586e46b",
+    ("surface", 2): "2eb628012f3cc7797e98934c8396c1b888f023ff526da499249dcea27ea20b38",
+    ("surface", 3): "0e65fa8c71882f3f42c7381acfd34ea94287caaf96d5d0ddb85c2ca34423e3bb",
+    ("surface", 4): "38dcdf31746a04133fe341f1d08eb6a03377f32475f887af3ab0a4cbaf317ad5",
+    ("half", 1): "d0682342504c1d4159a5ccfa89fb8f3dae24b19b73a070dfe6440da7833b6844",
+    ("half", 2): "64a1a94f45061354aec9687f504787bc2822e4e470ccc849b1e597ffee059963",
+    ("half", 3): "97c4bd0d1397e3528a7841de4c17e4b563377757d926803e3634d45faaeac95e",
+    ("half", 4): "f8d576fcb3afb6acd5299d6f054ec005c557be2bf84132a0c18261c1c419b90a",
+}
+
+
+@pytest.mark.parametrize("base_name,n", sorted(ROUTE_DIGESTS))
+def test_route_outputs_are_pinned(sp_factory, qx2, surface, half, base_name, n):
+    base = {"qx2": qx2, "surface": surface, "half": half}[base_name]
+    sp = sp_factory(base, n)
+    rng = random.Random(2718 + n)
+    pairs = [(gi, hi) for gi in range(sp.group.order) for hi in range(sp.group.order)]
+    if n > 3:
+        pairs = rng.sample(pairs, 24)
+    assert _route_digest(sp, pairs, rng) == ROUTE_DIGESTS[base_name, n]
+
+
+def test_product_stages_see_integer_numerators(sp_factory, qx2, surface, monkeypatch):
+    # between scaling the operands and the one final division, every stage of
+    # either route multiplies integers only (on a base with integral constants)
+    stages = []
+
+    def ints(values):
+        stages.append(all(type(x) is int for x in values))
+
+    factorwise, elem_product = frob.factorwise_multiply, sp_mod.SymmetricProductAlgebra._elem_product
+
+    def checked_factorwise(algebra, m, u, v):
+        ints(u)
+        ints(v)
+        return factorwise(algebra, m, u, v)
+
+    def checked_elem_product(self, left, right):
+        for root, den in (left, right):
+            ints([w for _, w in self._leaves(root)] + [den])
+        return elem_product(self, left, right)
+
+    monkeypatch.setattr(frob, "factorwise_multiply", checked_factorwise)
+    monkeypatch.setattr(sp_mod.SymmetricProductAlgebra, "_elem_product", checked_elem_product)
+    rng = random.Random(61)
+    for base in (qx2, surface):
+        sp = sp_factory(base, 3)
+        for gi, hi in rng.sample([(x, y) for x in range(6) for y in range(6)], 8):
+            a, b = _random_vector(rng, sp.dims[gi]), _random_vector(rng, sp.dims[hi])
+            assert sp.multiply_pushforward(gi, a, hi, b) == sp.multiply_chain(gi, a, hi, b)
+    assert len(stages) > 40 and all(stages)
