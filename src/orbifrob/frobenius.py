@@ -32,6 +32,7 @@ class FrobeniusAlgebra:
     # derived, filled in __post_init__
     dim: int = field(init=False)
     _pairs: list = field(init=False, repr=False, compare=False)
+    _pairs_den: int = field(init=False, repr=False, compare=False)
     top_degree: int = field(init=False)
     _metric_inv: list | None = field(init=False, default=None, repr=False)
 
@@ -48,11 +49,14 @@ class FrobeniusAlgebra:
             if row:
                 rows[key] = row
         self.rows = rows
-        # per left index x: (y, row items) for each y with e_x e_y != 0
+        # per left index x: (y, row items) for each y with e_x e_y != 0, as
+        # integer numerators over one denominator
+        den = math.lcm(*(c.denominator for row in rows.values() for c in row.values()))
+        self._pairs_den = den
         self._pairs = [[] for _ in range(self.dim)]
-        for (x, y), row in self.rows.items():
-            if row:
-                self._pairs[x].append((y, list(row.items())))
+        for (x, y), row in rows.items():
+            self._pairs[x].append(
+                (y, [(k, c.numerator * (den // c.denominator)) for k, c in row.items()]))
         pair_degrees = {
             self.degrees[i] + self.degrees[j]
             for i in range(self.dim)
@@ -292,8 +296,9 @@ def factorwise_multiply(algebra: FrobeniusAlgebra, m: int, u, v):
     Walks the factors from the first, pairing the blocks of ``u`` and ``v``
     that share an index prefix; a factor pair with zero product or an all-zero
     block ends its branch before any coefficient is multiplied.  The operands
-    are scaled to integer numerators over one denominator each, which divides
-    the result once at the end.
+    and the structure constants are integer numerators over one denominator
+    each; their product divides the result once at the end, and when it is 1
+    the integers are returned as they are.
     """
     D = algebra.dim
     size = D ** m
@@ -330,9 +335,9 @@ def factorwise_multiply(algebra: FrobeniusAlgebra, m: int, u, v):
 
     if U and V:
         walk(0, 0, 0, 0, 1)
-    den = du * dv
+    den = du * dv * algebra._pairs_den ** m
     if den == 1:
-        return [ex.norm(w) for w in acc]
+        return acc
     return [ex.norm(Fraction(w, den)) if w else 0 for w in acc]
 
 

@@ -177,7 +177,8 @@ def sign(p: Permutation) -> int:
 
 
 def group_orbits(gens, n: int | None = None) -> OrbitPartition:
-    """Orbits of the group generated by `gens`, via union-find over images."""
+    """Orbits of the group generated by `gens`, by closing each unseen point
+    under the generators' images."""
     gens = list(gens)
     if not gens:
         if n is None:
@@ -189,23 +190,21 @@ def group_orbits(gens, n: int | None = None) -> OrbitPartition:
         if n is not None and n != gens[0].n:
             raise ValueError(f"degree {n} does not match generators of degree {gens[0].n}")
         n = gens[0].n
-    parent = list(range(n))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for g in gens:
-        for i in range(n):
-            a, b = find(i), find(g.images[i])
-            if a != b:
-                parent[max(a, b)] = min(a, b)
-    groups: dict[int, list[int]] = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
-    return OrbitPartition.from_blocks(n, groups.values())
+    images = [g.images for g in gens]
+    seen = [False] * n
+    blocks = []
+    for start in range(n):   # every smaller point is seen, so start is its block's minimum
+        if not seen[start]:
+            seen[start] = True
+            block = [start]
+            for p in block:   # the block grows while it is read
+                for image in images:
+                    q = image[p]
+                    if not seen[q]:
+                        seen[q] = True
+                        block.append(q)
+            blocks.append(tuple(sorted(block)))
+    return OrbitPartition(n, tuple(blocks))
 
 
 def is_transversal(p: Permutation, q: Permutation) -> bool:

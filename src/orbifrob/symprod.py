@@ -19,18 +19,22 @@ The product is computed along two independent routes:
   drops, then contracts everything down to the product sector.
 
 Exact agreement of the two routes on all basis pairs is the cross-oracle the
-test suite enforces.  The realized tables (``pair_table``) are the tensor
-product, over the joint orbits of each sector pair, of local tables that
-``multiply_pushforward`` computes in the degree-|B| instance for an orbit B;
-the chain stays independent of them as the oracle.
+test suite enforces.  On a joint orbit B the pushforward is one bilinear map,
+and as the base is commutative it depends only on the numbers of cycles of
+s, s' and ss' in B and on B's graph defect; it is composed once per instance
+from the m-fold products, the Euler-class power and the metric adjoint.  A
+sector pair's plan places these maps at the pair's factor positions.
+``multiply_pushforward`` walks both operands through the plan orbit by
+orbit, and the realized tables (``pair_table``) walk the basis indices
+through the same plan; the chain stays independent of both as the oracle.
 
-Each route multiplies in A^(x)m by its own factor-by-factor walk that skips
-factor pairs with zero product before multiplying any coefficient.  Every
+The chain walks its tensors factor by factor, the pushforward orbit by orbit;
+each skips pairs with zero product before multiplying any coefficient.  Every
 intermediate value of either route is an integer numerator over one
 denominator per stage; the denominators multiply along the stages and each
 product divides once, at the end.  Everything that depends only on the
-sector pair (joint orbits, obstruction class, integer block tables, tries of
-the copairing insertions) is built on the pair's first product and reused.
+sector pair (joint orbits and their composed maps, tries of the copairing
+insertions) is built on the pair's first product and reused.
 """
 
 from __future__ import annotations
@@ -58,18 +62,33 @@ def obstruction_exponent(sigma: Permutation, sigma2: Permutation, block) -> int:
     ``block`` must be an orbit of <sigma, sigma'>.  A negative or fractional
     value signals a convention bug and raises.
     """
+    if sigma.n != sigma2.n:
+        raise ValueError(f"generators of mixed degree: {sorted({sigma.n, sigma2.n})}")
+    s1, s2, n = sigma.images, sigma2.images, sigma.n
     bset = set(block)
-    joint = group_orbits([sigma, sigma2])
-    if tuple(sorted(bset)) not in joint.blocks:
+    # an orbit: inside 0..n-1, and the points reached from one of them under
+    # sigma and sigma' are exactly the block
+    reached = {min(bset)} if bset and all(0 <= p < n for p in bset) else set()
+    frontier = list(reached)
+    while frontier:
+        p = frontier.pop()
+        for q in (s1[p], s2[p]):
+            if q not in reached:
+                reached.add(q)
+                frontier.append(q)
+    if not bset or reached != bset:
         raise ValueError(f"{sorted(bset)} is not an orbit of the pair")
 
-    def orbits_inside(p: Permutation) -> int:
-        return sum(1 for blk in cycles(p).blocks if blk[0] in bset)
-
-    k1 = orbits_inside(sigma)
-    k2 = orbits_inside(sigma2)
-    k3 = orbits_inside(compose(sigma, sigma2))
-    num = len(bset) + 2 - k1 - k2 - k3
+    inside = 0   # cycles of sigma, sigma' and sigma sigma' inside the block
+    for image in (s1, s2, [s1[q] for q in s2]):
+        seen: set = set()
+        for p in bset:
+            if p not in seen:
+                inside += 1
+                while p not in seen:
+                    seen.add(p)
+                    p = image[p]
+    num = len(bset) + 2 - inside
     if num < 0 or num % 2:
         raise ValueError(
             f"obstruction exponent {num}/2 on block {sorted(bset)} is negative or fractional"
@@ -139,8 +158,8 @@ class SymmetricProductAlgebra:
         self.dims = [base.dim ** l for l in self.factors]
         self.euler = base.euler_class()
         # the chain's factor pairs with nonzero product, by left index, as integer
-        # numerators over one denominator; the pushforward route keeps its own,
-        # so the cross-oracle shares no kernel
+        # numerators over one denominator; the pushforward route composes its own
+        # per-orbit maps, so the cross-oracle shares no kernel
         rows_den = math.lcm(*(c.denominator for row in base.rows.values() for c in row.values()))
         self._chain_pairs: dict[int, list] = {}
         for (x, y), row in base.rows.items():
@@ -155,10 +174,9 @@ class SymmetricProductAlgebra:
         self._tuple_cache: dict[int, list] = {}
         self._columns: dict[tuple, tuple] = {}
         self._lifts: dict[int, tuple] = {}
+        self._orbit_maps: dict[tuple, tuple] = {}
         self._push_plans: dict[tuple, tuple] = {}
         self._chain_plans: dict[tuple, list] = {}
-        self._local_tables: dict[tuple, dict] = {}
-        self._local_instances: dict[int, SymmetricProductAlgebra] = {}
 
     # -- bookkeeping ----------------------------------------------------------
 
@@ -325,39 +343,99 @@ class SymmetricProductAlgebra:
 
     # -- the two product routes -------------------------------------------------
 
+    def _orbit_map(self, kg: int, kh: int, kgh: int, d: int) -> tuple[dict, int]:
+        """The product on one joint orbit as integer numerators over one denominator.
+
+        The orbit holds kg cycles of g, kh of h and kgh of gh, and its graph
+        defect is d.  ``x -> [(y, [(output factor tuple, numerator)])]``: the
+        kg factors x multiply together, so do the kh factors y, the product
+        takes e^d and is pushed forward along the metric adjoint of the
+        kgh-fold product.  The base is commutative, so these four integers fix
+        the map; it is built once per instance.  A key is a bare index for one
+        factor, as ``itemgetter`` reads it off a tensor tuple.
+        """
+        key = (kg, kh, kgh, d)
+        if key not in self._orbit_maps:
+            power = self.base.power(self.euler, d)
+            adj, adj_den = self._adjoint_columns(kgh)
+            pushed = {}   # (i, j) -> terms of e_i e_j e^d pushed forward
+            for (i, j), row in self.base.rows.items():
+                z = self.base.multiply([row.get(k, 0) for k in range(self.base.dim)], power)
+                pushed[i, j] = [(t, c * w) for k, c in enumerate(z) if c for t, w in adj.get(k, ())]
+            (mu_g, den_g), (mu_h, den_h) = self._mu_columns(kg), self._mu_columns(kh)
+            flat = {}
+            for (x, col_x), (y, col_y) in itertools.product(mu_g.items(), mu_h.items()):
+                out: dict = {}
+                for (i, a), (j, b) in itertools.product(col_x, col_y):
+                    for t, c in pushed.get((i, j), ()):
+                        out[t] = out.get(t, 0) + a * b * c
+                flat[x, y] = sorted(out.items())
+            flat, den = _integral(flat)
+            local: dict = {}
+            for (x, y), outs in flat.items():
+                local.setdefault(x, []).append((y, outs))
+            self._orbit_maps[key] = local, den * den_g * den_h * adj_den
+        return self._orbit_maps[key]
+
     def _push_plan(self, g: int, h: int) -> tuple:
-        """Per sector pair: both restrictions to the joint orbits, the joint
-        orbit count, the obstruction class (integer numerators and their
-        denominator) and the pushforward to the product."""
+        """Per sector pair, one entry per joint orbit: the getters of its factors
+        of g and of h, and its composed map with output offsets at gh's
+        strides; then the product of the maps' denominators."""
         plan = self._push_plans.get((g, h))
         if plan is None:
-            joint = group_orbits([self.perms[g], self.perms[h]])
-            tilde = self.gamma_tilde(g, h, joint)
-            tilde_den = math.lcm(*(x.denominator for x in tilde if x))
-            plan = self._push_plans[g, h] = (
-                self._gather_map(self.parts[g], joint),
-                self._gather_map(self.parts[h], joint),
-                len(joint),
-                [x.numerator * (tilde_den // x.denominator) for x in tilde],
-                tilde_den,
-                self._spread_map(self.parts[self.group.mul(g, h)], joint, self._adjoint_columns),
-            )
+            sigma, sigma2 = self.perms[g], self.perms[h]
+            gh = self.group.mul(g, h)
+            D, last = self.base.dim, self.factors[gh] - 1
+            joint = group_orbits([sigma, sigma2])
+            where = joint.block_index()
+            positions = [([], [], []) for _ in joint.blocks]   # factor positions of g, h, gh
+            for r, s in enumerate((g, h, gh)):
+                for i, blk in enumerate(self.parts[s].blocks):
+                    positions[where[blk[0]]][r].append(i)
+            gets_g, gets_h, maps, den = [], [], [], 1
+            for block, (s_pos, t_pos, p_pos) in zip(joint.blocks, positions):
+                local, local_den = self._orbit_map(len(s_pos), len(t_pos), len(p_pos),
+                                                   obstruction_exponent(sigma, sigma2, block))
+                strides = [D ** (last - q) for q in p_pos]
+                gets_g.append(itemgetter(*s_pos))
+                gets_h.append(itemgetter(*t_pos))
+                maps.append({x: [(y, [(sum(map(mul, t, strides)), c) for t, c in outs])
+                                 for y, outs in ys] for x, ys in local.items()})
+                den *= local_den
+            plan = self._push_plans[g, h] = (gets_g, gets_h, maps, den)
         return plan
+
+    def _nested(self, g: int, v, gets: list) -> tuple[dict, int]:
+        """A dense operand of sector g as (``_nest`` of its integer numerators,
+        denominator)."""
+        tuples = self._tuples(self.factors[g])
+        if len(v) != len(tuples):
+            raise ValueError(f"operand must have length {len(tuples)}")
+        den = math.lcm(*(x.denominator for x in v if x))
+        return _nest(gets, ((t, x.numerator * (den // x.denominator))
+                            for t, x in zip(tuples, v) if x)), den
 
     def multiply_pushforward(self, g: int, a, h: int, b):
         """Product through the double intersection with Euler-class insertion.
 
-        The restricted operands and the obstruction class enter the factorwise
-        products as integer numerators; the stage denominators multiply, and the
-        product sector's vector is divided once.
+        Both operands' integer numerators, nested orbit by orbit, walk the
+        plan's composed maps once; the product sector's vector is divided once.
         """
-        restrict_g, restrict_h, m, tilde, tilde_den, push = self._push_plan(g, h)
-        ra, da = self._block_map(a, restrict_g)
-        rb, db = self._block_map(b, restrict_h)
-        u = frob.factorwise_multiply(self.base, m, ra, rb)
-        u = frob.factorwise_multiply(self.base, m, u, tilde)
-        acc, dp = self._block_map(u, push)
-        return _divided(acc, da * db * tilde_den * dp)
+        gets_g, gets_h, maps, den = self._push_plan(g, h)
+        left, da = self._nested(g, a, gets_g)
+        right, db = self._nested(h, b, gets_h)
+        acc = [0] * self.dims[self.group.mul(g, h)]
+        # the last orbit holds most terms: add them straight into acc
+        *inner, final = maps
+        for node1, node2, off, carry in _joint_walk(inner, left, right):
+            for x, c1 in node1.items():
+                for y, outs in final.get(x, ()):
+                    c2 = node2.get(y)
+                    if c2 is not None:
+                        w = c1 * c2 * carry
+                        for o, c in outs:
+                            acc[off + o] += w * c
+        return _divided(acc, da * db * den)
 
     def gamma_tilde(self, g: int, h: int, joint: OrbitPartition | None = None):
         """Obstruction class: one Euler-class power per joint orbit."""
@@ -386,18 +464,27 @@ class SymmetricProductAlgebra:
         return (itemgetter(*order) if self.n > 1 else tuple), *self._unit_tails(len(fillers))
 
     def _lift(self, g: int, a) -> tuple[dict, int]:
-        """``section_lift`` as (``_trie`` of integer numerators, denominator)."""
+        """``section_lift`` as (``_trie`` of integer numerators, denominator),
+        each term written straight into the trie."""
         if g not in self._lifts:
             self._lifts[g] = self._placement([blk[0] for blk in self.parts[g].blocks])
         place, tails, tail_den = self._lifts[g]
         den = math.lcm(*(x.denominator for x in a if x))
-        out = {}
+        last = self.n - 1
+        root: dict = {}
         for t, x in zip(self._tuples(self.factors[g]), a):
             if x:
                 x = x.numerator * (den // x.denominator)
                 for tail, u in tails:
-                    out[place(t + tail)] = x if u == 1 else x * u
-        return self._trie(out), den * tail_den
+                    key = place(t + tail)
+                    node = root
+                    for i in key[:last]:
+                        child = node.get(i)
+                        if child is None:
+                            child = node[i] = {}
+                        node = child
+                    node[key[last]] = x if u == 1 else x * u
+        return root, den * tail_den
 
     def section_lift(self, g: int, a) -> dict:
         """Unit-tensor section A_s -> A_e: factor values at cycle minima."""
@@ -474,25 +561,41 @@ class SymmetricProductAlgebra:
 
     def _contract_sparse(self, elem: tuple[dict, int], coarse: OrbitPartition):
         """Restriction A_e -> A^(x)|coarse| of (``_trie`` of numerators,
-        denominator): each coarse factor reads its column of the m-fold product
-        table, the output index grows one factor at a time, and the result is
-        divided once.
+        denominator), divided once.
+
+        A singleton cycle writes its factor straight into the output index
+        (the 1-fold product is the identity); a longer one reads its column of
+        the m-fold product table.
         """
         D = self.base.dim
-        blocks = [(itemgetter(*blk), *self._mu_columns(len(blk))) for blk in coarse.blocks]
+        last = len(coarse) - 1
+        strides = [0] * self.n   # output stride of each singleton cycle's point
+        longs, table_den = [], 1
+        for c, blk in enumerate(coarse.blocks):
+            if len(blk) == 1:
+                strides[blk[0]] = D ** (last - c)
+            else:
+                cols, d = self._mu_columns(len(blk))
+                stride = D ** (last - c)
+                longs.append((itemgetter(*blk),
+                              {key: [(k * stride, w) for k, w in col] for key, col in cols.items()}))
+                table_den *= d
         root, den = elem
+        level = [((), 0, root)]
+        for s in strides:
+            level = [(t + (x,), o + x * s, sub) for t, o, node in level for x, sub in node.items()]
         acc = [0] * D ** len(coarse)
-        for t, x in self._leaves(root):
-            terms = [(0, x)]
-            for get, cols, _ in blocks:
-                col = cols.get(get(t))
+        for t, o, x in level:
+            terms = [(o, x)]
+            for get, table in longs:
+                col = table.get(get(t))
                 if col is None:
                     break
-                terms = [(o * D + k, c * w) for o, c in terms for k, w in col]
+                terms = [(p + q, c * w) for p, c in terms for q, w in col]
             else:
-                for o, c in terms:
-                    acc[o] += c
-        return _divided(acc, den * math.prod(d for _, _, d in blocks))
+                for p, c in terms:
+                    acc[p] += c
+        return _divided(acc, den * table_den)
 
     def contraction_steps(self, g: int, h: int, word: list[Permutation] | None = None):
         """The word for the right factor and the positions where length drops."""
@@ -594,6 +697,7 @@ class SymmetricProductAlgebra:
         for g in G.elements():
             for h in G.elements():
                 product[(g, h)] = self.pair_table(g, h)
+                self._push_plans.pop((g, h), None)   # it served this table only
         action = {(g, h): self._action_block(g, h) for g in G.elements() for h in G.elements()}
         D = self.base.dim
         eta = {i: {j: v for j, v in enumerate(row) if v} for i, row in enumerate(self.base.metric)}
@@ -637,62 +741,18 @@ class SymmetricProductAlgebra:
         return columns
 
     def pair_table(self, g: int, h: int) -> dict:
-        """Product table for a sector pair: the tensor product, over the joint
-        orbits of the pair, of local ``multiply_pushforward`` tables, each one
-        placed at its orbit's factor positions as (index offset, value) terms."""
-        sigma, sigma2 = self.perms[g], self.perms[h]
-        gh = self.group.mul(g, h)
-        D, lp = self.base.dim, self.factors[gh]
-        blocks = []
-        for block in group_orbits([sigma, sigma2]).blocks:
-            s_pos = [i for i, blk in enumerate(self.parts[g].blocks) if blk[0] in block]
-            t_pos = [i for i, blk in enumerate(self.parts[h].blocks) if blk[0] in block]
-            p_pos = [i for i, blk in enumerate(self.parts[gh].blocks) if blk[0] in block]
-            strides = [D ** (lp - 1 - q) for q in p_pos]
-            outputs = self._tuples(len(p_pos))
-            placed = {key: [(sum(map(mul, outputs[r], strides)), x) for r, x in vals.items()]
-                      for key, vals in self._local_table(sigma, sigma2, block).items()}
-            blocks.append((s_pos, t_pos, placed))
+        """Product table for a sector pair, read off the pair's push plan: the
+        basis indices, nested orbit by orbit, walk its composed maps."""
+        gets_g, gets_h, maps, den = self._push_plan(g, h)
+        left = _nest(gets_g, zip(self._tuples(self.factors[g]), itertools.count()))
+        right = _nest(gets_h, zip(self._tuples(self.factors[h]), itertools.count()))
         table: dict = {}
-        for i, ti in enumerate(self._tuples(self.factors[g])):
-            for j, tj in enumerate(self._tuples(self.factors[h])):
-                terms = [(0, 1)]
-                for s_pos, t_pos, placed in blocks:
-                    col = placed.get((tuple(ti[p] for p in s_pos), tuple(tj[p] for p in t_pos)))
-                    if col is None:
-                        break
-                    terms = [(o + p, c * x) for o, c in terms for p, x in col]
-                else:
-                    vec: dict = {}
-                    for o, c in terms:
-                        vec[o] = vec.get(o, 0) + c
-                    vec = {k: ex.norm(x) for k, x in vec.items() if x != 0}
-                    if vec:
-                        table[i, j] = vec
+        for i, j, o, c in _joint_walk(maps, left, right):
+            vec = table.get((i, j))
+            if vec is None:
+                vec = table[i, j] = {}
+            vec[o] = c if den == 1 else ex.norm(Fraction(c, den))
         return table
-
-    def _local_table(self, sigma: Permutation, sigma2: Permutation, block) -> dict:
-        """Basis products of the pair on one joint orbit, relabelled monotonically
-        onto 0..|B|-1 (which keeps the cycle order), by ``multiply_pushforward``
-        in the degree-|B| instance; cached by the restricted pair."""
-        spot = {p: i for i, p in enumerate(block)}
-        key = tuple(tuple(spot[s(p)] for p in block) for s in (sigma, sigma2))
-        if key not in self._local_tables:
-            m = len(block)
-            local = self if m == self.n else self._local_instances.get(m)
-            if local is None:
-                local = self._local_instances[m] = SymmetricProductAlgebra(self.base, m)
-            g, h = (local._perm_index[images] for images in key)
-            table: dict = {}
-            lefts, rights = ex.mat_identity(local.dims[g]), ex.mat_identity(local.dims[h])
-            for t1, a in zip(local._tuples(local.factors[g]), lefts):
-                for t2, b in zip(local._tuples(local.factors[h]), rights):
-                    vals = {r: x for r, x in enumerate(local.multiply_pushforward(g, a, h, b)) if x}
-                    if vals:
-                        table[t1, t2] = vals
-            self._local_tables[key] = table
-            local._push_plans.pop((g, h), None)   # it served this table only
-        return self._local_tables[key]
 
 
 def _integral(cols: dict) -> tuple[dict, int]:
@@ -701,6 +761,41 @@ def _integral(cols: dict) -> tuple[dict, int]:
     cols = {key: [(x, w.numerator * (den // w.denominator)) for x, w in col if w]
             for key, col in cols.items()}
     return {key: col for key, col in cols.items() if col}, den
+
+
+def _nest(gets: list, items) -> dict:
+    """Nested dicts keyed by each getter in turn on the factor tuples of
+    (factor tuple, leaf) items."""
+    *inner, last = gets
+    root: dict = {}
+    for t, leaf in items:
+        node = root
+        for get in inner:
+            key = get(t)
+            child = node.get(key)
+            if child is None:
+                child = node[key] = {}
+            node = child
+        node[last(t)] = leaf
+    return root
+
+
+def _joint_walk(maps: list, left: dict, right: dict) -> list:
+    """Walk two ``_nest`` operands orbit by orbit through the per-orbit maps.
+
+    Returns (left leaf, right leaf, output offset, product of the map
+    numerators) for every term; a pair of keys with no map entry ends its
+    branch.
+    """
+    level = [(left, right, 0, 1)]
+    for table in maps:
+        level = [(sub1, sub2, off + o, carry * c)
+                 for node1, node2, off, carry in level
+                 for x, sub1 in node1.items()
+                 for y, outs in table.get(x, ())
+                 if (sub2 := node2.get(y)) is not None
+                 for o, c in outs]
+    return level
 
 
 def _divided(acc: list, den: int) -> list:

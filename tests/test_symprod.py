@@ -671,6 +671,60 @@ def test_block_maps_match_per_entry_reference(sp_factory, qx2, surface, half, n)
                     _typed(_reference_contract_sparse(sp, elem, part_gh))
 
 
+def _staged_pushforward(sp, gi, a, hi, b):
+    """The pushforward as separate stages: restrict both operands to the joint
+    orbits, multiply them factorwise, multiply by the obstruction class, push
+    forward to the product sector."""
+    joint = g.group_orbits([sp.perms[gi], sp.perms[hi]])
+    gh = sp.group.mul(gi, hi)
+    ra = sp.restrict_between(sp.parts[gi], joint, a)
+    rb = sp.restrict_between(sp.parts[hi], joint, b)
+    u = frob.factorwise_multiply(sp.base, len(joint), ra, rb)
+    u = frob.factorwise_multiply(sp.base, len(joint), u, sp.gamma_tilde(gi, hi, joint))
+    return sp.push_between(sp.parts[gh], joint, u)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_pushforward_matches_staged_reference(sp_factory, qx2, surface, half, n):
+    rng = random.Random(4241 + n)
+    for base in (qx2, surface, half):
+        sp = sp_factory(base, n)
+        for gi, hi in _pairs_to_check(sp, n, rng):
+            dg, dh = sp.dims[gi], sp.dims[hi]
+            for a, b in ((_random_vector(rng, dg), _random_vector(rng, dh)),
+                         ([0] * dg, _random_vector(rng, dh)),
+                         (_random_vector(rng, dg), [Fraction(0)] * dh)):
+                assert _typed(sp.multiply_pushforward(gi, a, hi, b)) == \
+                    _typed(_staged_pushforward(sp, gi, a, hi, b))
+
+
+def test_pushforward_route_calls_no_staged_kernel(qx2, monkeypatch):
+    # pair_table reads the push plan instead of calling multiply_pushforward, and
+    # multiply_pushforward walks the composed maps instead of factorwise_multiply
+    calls = {"multiply_pushforward": 0, "factorwise_multiply": 0}
+    push, factorwise = sp_mod.SymmetricProductAlgebra.multiply_pushforward, frob.factorwise_multiply
+
+    def counted_push(self, *args):
+        calls["multiply_pushforward"] += 1
+        return push(self, *args)
+
+    def counted_factorwise(*args):
+        calls["factorwise_multiply"] += 1
+        return factorwise(*args)
+
+    monkeypatch.setattr(sp_mod.SymmetricProductAlgebra, "multiply_pushforward", counted_push)
+    monkeypatch.setattr(frob, "factorwise_multiply", counted_factorwise)
+    sp = sp_mod.SymmetricProductAlgebra(qx2, 3)
+    sp.realize()
+    assert calls == {"multiply_pushforward": 0, "factorwise_multiply": 0}
+    rng = random.Random(17)
+    for gi in range(6):
+        for hi in range(6):
+            sp.multiply_pushforward(gi, _random_vector(rng, sp.dims[gi]), hi,
+                                    _random_vector(rng, sp.dims[hi]))
+    assert calls == {"multiply_pushforward": 36, "factorwise_multiply": 0}
+
+
 def test_planned_products_repeat(sp_factory, surface, half):
     rng = random.Random(31)
     for base in (surface, half):
@@ -844,12 +898,20 @@ def test_realize_builds_one_pair_table_per_sector_pair(qx2, monkeypatch):
 
 
 def test_realize_keeps_no_push_plan(qx2):
-    # each transitive pair's plan serves one local table; realize drops it
+    # each sector pair's plan serves its table and is dropped; what stays is one
+    # composed map per (k_g, k_h, k_gh, d) that a joint orbit of some pair has
     sp = sp_mod.SymmetricProductAlgebra(qx2, 3)
     sp.realize()
-    assert sp._local_tables and sp._local_instances
     assert not sp._push_plans
-    assert not any(local._push_plans for local in sp._local_instances.values())
+    want = set()
+    for gi in range(6):
+        for hi in range(6):
+            sigma, sigma2 = sp.perms[gi], sp.perms[hi]
+            for block in g.group_orbits([sigma, sigma2]).blocks:
+                counts = tuple(sum(1 for blk in sp.parts[x].blocks if blk[0] in block)
+                               for x in (gi, hi, sp.group.mul(gi, hi)))
+                want.add(counts + (sp_mod.obstruction_exponent(sigma, sigma2, block),))
+    assert set(sp._orbit_maps) == want
 
 
 # -- exact outputs of both routes, pinned across kernel changes ---------------------
@@ -904,25 +966,38 @@ def test_route_outputs_are_pinned(sp_factory, qx2, surface, half, base_name, n):
 
 def test_product_stages_see_integer_numerators(sp_factory, qx2, surface, monkeypatch):
     # between scaling the operands and the one final division, every stage of
-    # either route multiplies integers only (on a base with integral constants)
+    # either route multiplies integers only (on a base with integral constants):
+    # the pushforward walks nested operand numerators through the plan's maps
     stages = []
 
     def ints(values):
         stages.append(all(type(x) is int for x in values))
 
-    factorwise, elem_product = frob.factorwise_multiply, sp_mod.SymmetricProductAlgebra._elem_product
+    nested, push_plan = sp_mod.SymmetricProductAlgebra._nested, sp_mod.SymmetricProductAlgebra._push_plan
+    elem_product = sp_mod.SymmetricProductAlgebra._elem_product
 
-    def checked_factorwise(algebra, m, u, v):
-        ints(u)
-        ints(v)
-        return factorwise(algebra, m, u, v)
+    def checked_nested(self, g, v, gets):
+        root, den = nested(self, g, v, gets)
+        level = [root]
+        for _ in gets:
+            level = [leaf for node in level for leaf in node.values()]
+        ints(level + [den])
+        return root, den
+
+    def checked_push_plan(self, g, h):
+        plan = push_plan(self, g, h)
+        _, _, maps, den = plan
+        ints([c for table in maps for ys in table.values() for _, outs in ys for _, c in outs]
+             + [den])
+        return plan
 
     def checked_elem_product(self, left, right):
         for root, den in (left, right):
             ints([w for _, w in self._leaves(root)] + [den])
         return elem_product(self, left, right)
 
-    monkeypatch.setattr(frob, "factorwise_multiply", checked_factorwise)
+    monkeypatch.setattr(sp_mod.SymmetricProductAlgebra, "_nested", checked_nested)
+    monkeypatch.setattr(sp_mod.SymmetricProductAlgebra, "_push_plan", checked_push_plan)
     monkeypatch.setattr(sp_mod.SymmetricProductAlgebra, "_elem_product", checked_elem_product)
     rng = random.Random(61)
     for base in (qx2, surface):
