@@ -39,19 +39,22 @@ SparseVec = dict  # dict[int, Rat]
 
 
 def _clean(vec: SparseVec) -> SparseVec:
-    return {k: ex.norm(v) for k, v in vec.items() if v != 0}
+    """Drop the zeros of a sparse vector and normalize its values, in place."""
+    for k in [k for k, v in vec.items() if v == 0]:
+        del vec[k]
+    for k, v in vec.items():
+        vec[k] = ex.norm(v)
+    return vec
 
 
-def _cleaned_map(block: ex.SparseMap, outer: int, inner: int, what: str) -> ex.SparseMap:
-    """Zero-free copy of an {index: {index: value}} map, its indices checked."""
-    out = {}
+def _clean_map(block: ex.SparseMap, outer: int, inner: int, what: str) -> None:
+    """``_clean`` every vector of an {index: {index: value}} map and drop the
+    empty ones, in place; the indices are checked first."""
     for p, vec in block.items():
         if not 0 <= p < outer or any(not 0 <= q < inner for q in vec):
             raise ValueError(f"{what} index out of range")
-        vec = _clean(vec)
-        if vec:
-            out[p] = vec
-    return out
+    for p in [p for p, vec in block.items() if not _clean(vec)]:
+        del block[p]
 
 
 def _scalar_map(c, d: int) -> ex.SparseMap:
@@ -115,16 +118,15 @@ class GFrobeniusAlgebra:
         if len(self.unit) != self.sector_dims[self.group.identity]:
             raise ValueError(f"{self.name}: unit length does not match the identity sector")
         dims, labels = self.sector_dims, self.group.labels
-        self.metric = [_cleaned_map(block, dims[g], dims[self.group.inv(g)],
-                                    f"{self.name}: metric block {labels[g]}")
-                       for g, block in enumerate(self.metric)]
-        self.action = {(g, h): _cleaned_map(block, dims[h], dims[self.group.conj(g, h)],
-                                            f"{self.name}: action block ({labels[g]}, {labels[h]})")
-                       for (g, h), block in self.action.items()}
-        cleaned = {}
+        # blocks are cleaned in place: a build holds no second copy of its tables
+        for g, block in enumerate(self.metric):
+            _clean_map(block, dims[g], dims[self.group.inv(g)],
+                       f"{self.name}: metric block {labels[g]}")
+        for (g, h), block in self.action.items():
+            _clean_map(block, dims[h], dims[self.group.conj(g, h)],
+                       f"{self.name}: action block ({labels[g]}, {labels[h]})")
         for (g, h), table in self.product.items():
             tgt_dim = self.sector_dims[self.group.mul(g, h)]
-            entries = {}
             for (i, j), vec in table.items():
                 if i >= self.sector_dims[g] or j >= self.sector_dims[h]:
                     raise ValueError(f"{self.name}: product entry out of range in sector pair "
@@ -132,11 +134,8 @@ class GFrobeniusAlgebra:
                 if any(k >= tgt_dim for k in vec):
                     raise ValueError(f"{self.name}: product value out of range in sector pair "
                                      f"({self.group.labels[g]}, {self.group.labels[h]})")
-                v = _clean(vec)
-                if v:
-                    entries[(i, j)] = v
-            cleaned[(g, h)] = entries
-        self.product = cleaned
+            for key in [key for key, vec in table.items() if not _clean(vec)]:
+                del table[key]
 
     # -- basic access --------------------------------------------------------
 

@@ -34,7 +34,10 @@ intermediate value of either route is an integer numerator over one
 denominator per stage; the denominators multiply along the stages and each
 product divides once, at the end.  Everything that depends only on the
 sector pair (joint orbits and their composed maps, tries of the copairing
-insertions) is built on the pair's first product and reused.
+insertions) is built on the pair's first product and reused.  Contractions
+between nested cycle partitions (the chain's last step too), their metric
+adjoints and sections are block maps with one kernel, ``_block_map``, where a
+block of one factor only adds its index times its stride.
 """
 
 from __future__ import annotations
@@ -88,10 +91,16 @@ def obstruction_exponent(sigma: Permutation, sigma2: Permutation, block) -> int:
                 while p not in seen:
                     seen.add(p)
                     p = image[p]
-    num = len(bset) + 2 - inside
+    return _graph_defect(bset, inside)
+
+
+def _graph_defect(block, inside: int) -> int:
+    """(|B| + 2 - inside)/2 for a joint orbit B holding ``inside`` cycles of
+    s, s' and ss'; a negative or fractional value signals a convention bug."""
+    num = len(block) + 2 - inside
     if num < 0 or num % 2:
         raise ValueError(
-            f"obstruction exponent {num}/2 on block {sorted(bset)} is negative or fractional"
+            f"obstruction exponent {num}/2 on block {sorted(block)} is negative or fractional"
         )
     return num // 2
 
@@ -157,18 +166,10 @@ class SymmetricProductAlgebra:
         self.factors = [len(part) for part in self.parts]
         self.dims = [base.dim ** l for l in self.factors]
         self.euler = base.euler_class()
-        # the chain's factor pairs with nonzero product, by left index, as integer
-        # numerators over one denominator; the pushforward route composes its own
-        # per-orbit maps, so the cross-oracle shares no kernel
-        rows_den = math.lcm(*(c.denominator for row in base.rows.values() for c in row.values()))
-        self._chain_pairs: dict[int, list] = {}
-        for (x, y), row in base.rows.items():
-            if row:
-                self._chain_pairs.setdefault(x, []).append(
-                    (y, [(k, c.numerator * (rows_den // c.denominator)) for k, c in row.items()]))
-        self._chain_den = rows_den ** n   # one row constant per position and product
         self._perm_index = {p.images: i for i, p in enumerate(self.perms)}
         self._galg: GFrobeniusAlgebra | None = None
+        # the routes share read-only tables only (m-fold product columns, base rows);
+        # the pushforward's own per-orbit maps keep the cross-oracle independent
         self._adj_cache: dict[int, list] = {}
         # filled lazily and idempotently, keyed by m, by sector or by sector pair
         self._tuple_cache: dict[int, list] = {}
@@ -208,13 +209,18 @@ class SymmetricProductAlgebra:
             self._tuple_cache[m] = list(itertools.product(range(self.base.dim), repeat=m))
         return self._tuple_cache[m]
 
+    def _numerators(self, v, m: int) -> tuple[list, int]:
+        """Nonzero terms (factor tuple, integer numerator) of a dense vector on
+        A^(x)m, over one denominator."""
+        tuples = self._tuples(m)
+        if len(v) != len(tuples):
+            raise ValueError(f"operand must have length {len(tuples)}")
+        den = math.lcm(*(x.denominator for x in v if x))
+        return [(t, x.numerator * (den // x.denominator)) for t, x in zip(tuples, v) if x], den
+
     def _unit_tails(self, m: int) -> tuple[list, int]:
-        """Nonzero terms (factor tuple, numerator) of the unit tensor of A^(x)m,
-        over one denominator."""
-        unit = frob.tensor_unit(self.base, m)
-        den = math.lcm(*(c.denominator for c in unit if c))
-        return [(t, c.numerator * (den // c.denominator))
-                for t, c in zip(self._tuples(m), unit) if c], den
+        """``_numerators`` of the unit tensor of A^(x)m."""
+        return self._numerators(frob.tensor_unit(self.base, m), m)
 
     def _basis_product(self, indices) -> dict:
         """Sparse product of a list of base basis elements."""
@@ -272,69 +278,77 @@ class SymmetricProductAlgebra:
 
     def _gather_map(self, fine: OrbitPartition, coarse: OrbitPartition) -> tuple:
         """Block map fine -> coarse: each coarse factor multiplies its fine factors."""
-        D = self.base.dim
-        last = len(coarse) - 1
-        blocks, den = [], 1
+        D, last = self.base.dim, len(coarse) - 1
+        strides, blocks, den = [0] * len(fine), [], 1
         for c, fps in enumerate(self._nesting(fine, coarse)):
-            cols, d = self._mu_columns(len(fps))
             stride = D ** (last - c)
+            if len(fps) == 1:
+                strides[fps[0]] = stride
+                continue
+            cols, d = self._mu_columns(len(fps))
             blocks.append((itemgetter(*fps),
                            {key: [(k * stride, w) for k, w in col] for key, col in cols.items()}))
             den *= d
-        return len(fine), blocks, den, D ** len(coarse)
+        return strides, blocks, den, D ** len(coarse)
 
     def _spread_map(self, fine: OrbitPartition, coarse: OrbitPartition, columns) -> tuple:
         """Block map coarse -> fine: each coarse factor spreads over its fine factors."""
-        D = self.base.dim
-        last = len(fine) - 1
-        blocks, den = [], 1
+        D, last = self.base.dim, len(fine) - 1
+        strides, blocks, den = [0] * len(coarse), [], 1
         for c, fps in enumerate(self._nesting(fine, coarse)):
+            if len(fps) == 1:
+                strides[c] = D ** (last - fps[0])
+                continue
             cols, d = columns(len(fps))
-            strides = [D ** (last - f) for f in fps]
+            fine_strides = [D ** (last - f) for f in fps]
             blocks.append((itemgetter(c),
-                           {k: [(sum(map(mul, t, strides)), w) for t, w in col]
+                           {k: [(sum(map(mul, t, fine_strides)), w) for t, w in col]
                             for k, col in cols.items()}))
             den *= d
-        return len(coarse), blocks, den, D ** len(fine)
+        return strides, blocks, den, D ** len(fine)
 
-    def _block_map(self, v, bmap: tuple) -> tuple[list, int]:
-        """Apply a block map to a dense vector: (integer numerators, denominator).
+    def _block_map(self, terms, den: int, bmap: tuple) -> tuple[list, int]:
+        """Apply a block map (input strides, blocks, denominator, output size)
+        to (factor tuple, offset, integer numerator) terms over ``den``.
 
-        Each nonzero entry reads one integer column per block, multiplies the
-        columns out and adds the terms into the output.  The denominator is the
-        operand's own times the tables'; the caller divides it out.
+        A block of one factor is the identity: the caller folds its factor
+        times its input stride into the term's offset.  Every other block reads
+        one integer column, the columns multiply out and the terms add into
+        the output.  Returns (integer numerators, the operand's times the
+        tables' denominator); the caller divides it out.
         """
-        length, blocks, table_den, size = bmap
-        tuples = self._tuples(length)
-        if len(v) != len(tuples):
-            raise ValueError(f"operand must have length {len(tuples)}")
-        den = math.lcm(*(x.denominator for x in v if x))
+        _, blocks, table_den, size = bmap
         acc = [0] * size
-        for t, x in zip(tuples, v):
-            if not x:
-                continue
-            terms = [(0, x.numerator * (den // x.denominator))]
+        for t, o, x in terms:
+            out = [(o, x)]
             for get, table in blocks:
                 col = table.get(get(t))
                 if col is None:
                     break
-                terms = [(o + p, c * w) for o, c in terms for p, w in col]
+                out = [(p + q, c * w) for p, c in out for q, w in col]
             else:
-                for o, c in terms:
-                    acc[o] += c
+                for p, c in out:
+                    acc[p] += c
         return acc, den * table_den
+
+    def _dense_map(self, v, bmap: tuple) -> list:
+        """A block map applied to a dense vector, divided once."""
+        strides = bmap[0]
+        terms, den = self._numerators(v, len(strides))
+        return _divided(*self._block_map(
+            [(t, sum(map(mul, t, strides)), x) for t, x in terms], den, bmap))
 
     def restrict_between(self, fine: OrbitPartition, coarse: OrbitPartition, v):
         """Contraction-by-multiplication A^(x)|fine| -> A^(x)|coarse|."""
-        return _divided(*self._block_map(v, self._gather_map(fine, coarse)))
+        return self._dense_map(v, self._gather_map(fine, coarse))
 
     def push_between(self, fine: OrbitPartition, coarse: OrbitPartition, w):
         """Metric adjoint of restrict_between(fine, coarse, .): coarse -> fine."""
-        return _divided(*self._block_map(w, self._spread_map(fine, coarse, self._adjoint_columns)))
+        return self._dense_map(w, self._spread_map(fine, coarse, self._adjoint_columns))
 
     def _joint_section(self, fine: OrbitPartition, coarse: OrbitPartition, v):
         """Unit-tensor section A^(x)|coarse| -> A^(x)|fine| of the contraction."""
-        return _divided(*self._block_map(v, self._spread_map(fine, coarse, self._section_columns)))
+        return self._dense_map(v, self._spread_map(fine, coarse, self._section_columns))
 
     def restriction_matrix(self, fine: OrbitPartition, coarse: OrbitPartition) -> list:
         size = self.base.dim ** len(fine)
@@ -379,14 +393,14 @@ class SymmetricProductAlgebra:
 
     def _push_plan(self, g: int, h: int) -> tuple:
         """Per sector pair, one entry per joint orbit: the getters of its factors
-        of g and of h, and its composed map with output offsets at gh's
-        strides; then the product of the maps' denominators."""
+        of g and of h, and its composed map (its graph defect read off its cycle
+        counts) with output offsets at gh's strides; then the product of the
+        maps' denominators."""
         plan = self._push_plans.get((g, h))
         if plan is None:
-            sigma, sigma2 = self.perms[g], self.perms[h]
             gh = self.group.mul(g, h)
             D, last = self.base.dim, self.factors[gh] - 1
-            joint = group_orbits([sigma, sigma2])
+            joint = group_orbits([self.perms[g], self.perms[h]])
             where = joint.block_index()
             positions = [([], [], []) for _ in joint.blocks]   # factor positions of g, h, gh
             for r, s in enumerate((g, h, gh)):
@@ -394,8 +408,8 @@ class SymmetricProductAlgebra:
                     positions[where[blk[0]]][r].append(i)
             gets_g, gets_h, maps, den = [], [], [], 1
             for block, (s_pos, t_pos, p_pos) in zip(joint.blocks, positions):
-                local, local_den = self._orbit_map(len(s_pos), len(t_pos), len(p_pos),
-                                                   obstruction_exponent(sigma, sigma2, block))
+                counts = len(s_pos), len(t_pos), len(p_pos)
+                local, local_den = self._orbit_map(*counts, _graph_defect(block, sum(counts)))
                 strides = [D ** (last - q) for q in p_pos]
                 gets_g.append(itemgetter(*s_pos))
                 gets_h.append(itemgetter(*t_pos))
@@ -464,27 +478,13 @@ class SymmetricProductAlgebra:
         return (itemgetter(*order) if self.n > 1 else tuple), *self._unit_tails(len(fillers))
 
     def _lift(self, g: int, a) -> tuple[dict, int]:
-        """``section_lift`` as (``_trie`` of integer numerators, denominator),
-        each term written straight into the trie."""
+        """``section_lift`` as (``_trie`` of integer numerators, denominator)."""
         if g not in self._lifts:
             self._lifts[g] = self._placement([blk[0] for blk in self.parts[g].blocks])
         place, tails, tail_den = self._lifts[g]
-        den = math.lcm(*(x.denominator for x in a if x))
-        last = self.n - 1
-        root: dict = {}
-        for t, x in zip(self._tuples(self.factors[g]), a):
-            if x:
-                x = x.numerator * (den // x.denominator)
-                for tail, u in tails:
-                    key = place(t + tail)
-                    node = root
-                    for i in key[:last]:
-                        child = node.get(i)
-                        if child is None:
-                            child = node[i] = {}
-                        node = child
-                    node[key[last]] = x if u == 1 else x * u
-        return root, den * tail_den
+        terms, den = self._numerators(a, self.factors[g])
+        lifted = {place(t + tail): x * u for t, x in terms for tail, u in tails}
+        return self._trie(lifted), den * tail_den
 
     def section_lift(self, g: int, a) -> dict:
         """Unit-tensor section A_s -> A_e: factor values at cycle minima."""
@@ -511,7 +511,10 @@ class SymmetricProductAlgebra:
             if c:
                 node = root
                 for x in t[:last]:
-                    node = node.setdefault(x, {})
+                    child = node.get(x)
+                    if child is None:
+                        child = node[x] = {}
+                    node = child
                 node[t[last]] = c
         return root
 
@@ -531,7 +534,7 @@ class SymmetricProductAlgebra:
         so a dead pair costs no multiplication, and writes each term straight
         into the result's trie.
         """
-        pairs = self._chain_pairs
+        pairs = self.base._pairs
         last = self.n - 1
         (root1, d1), (root2, d2) = left, right
         out: dict = {}
@@ -539,7 +542,7 @@ class SymmetricProductAlgebra:
         def walk(d, node1, node2, node, carry):
             if d == last:
                 for x, c1 in node1.items():
-                    for y, row in pairs.get(x, ()):
+                    for y, row in pairs[x]:
                         c2 = node2.get(y)
                         if c2 is not None:
                             w = c1 * c2 * carry
@@ -547,7 +550,7 @@ class SymmetricProductAlgebra:
                                 node[k] = node.get(k, 0) + w * c
                 return
             for x, sub1 in node1.items():
-                for y, row in pairs.get(x, ()):
+                for y, row in pairs[x]:
                     sub2 = node2.get(y)
                     if sub2 is not None:
                         for k, c in row:
@@ -557,45 +560,19 @@ class SymmetricProductAlgebra:
                             walk(d + 1, sub1, sub2, child, carry * c)
 
         walk(0, root1, root2, out, 1)
-        return out, d1 * d2 * self._chain_den
+        # one row constant per position and product
+        return out, d1 * d2 * self.base._pairs_den ** self.n
 
     def _contract_sparse(self, elem: tuple[dict, int], coarse: OrbitPartition):
         """Restriction A_e -> A^(x)|coarse| of (``_trie`` of numerators,
-        denominator), divided once.
-
-        A singleton cycle writes its factor straight into the output index
-        (the 1-fold product is the identity); a longer one reads its column of
-        the m-fold product table.
-        """
-        D = self.base.dim
-        last = len(coarse) - 1
-        strides = [0] * self.n   # output stride of each singleton cycle's point
-        longs, table_den = [], 1
-        for c, blk in enumerate(coarse.blocks):
-            if len(blk) == 1:
-                strides[blk[0]] = D ** (last - c)
-            else:
-                cols, d = self._mu_columns(len(blk))
-                stride = D ** (last - c)
-                longs.append((itemgetter(*blk),
-                              {key: [(k * stride, w) for k, w in col] for key, col in cols.items()}))
-                table_den *= d
+        denominator), divided once; the trie's leaves take their offsets on
+        the way down."""
+        bmap = self._gather_map(self.parts[self.group.identity], coarse)
         root, den = elem
         level = [((), 0, root)]
-        for s in strides:
+        for s in bmap[0]:
             level = [(t + (x,), o + x * s, sub) for t, o, node in level for x, sub in node.items()]
-        acc = [0] * D ** len(coarse)
-        for t, o, x in level:
-            terms = [(o, x)]
-            for get, table in longs:
-                col = table.get(get(t))
-                if col is None:
-                    break
-                terms = [(p + q, c * w) for p, c in terms for q, w in col]
-            else:
-                for p, c in terms:
-                    acc[p] += c
-        return _divided(acc, den * table_den)
+        return _divided(*self._block_map(level, den, bmap))
 
     def contraction_steps(self, g: int, h: int, word: list[Permutation] | None = None):
         """The word for the right factor and the positions where length drops."""
@@ -643,14 +620,11 @@ class SymmetricProductAlgebra:
     def gamma_cocycle(self, g: int, h: int):
         """The sector cocycle as an identity-sector element (chain form).
 
-        pi_{ss'} applied to the product of the word's copairing insertions;
-        multiplying generators is r_{ss'} of this element.
+        pi_{ss'} applied to the product of the word's copairing insertions: the
+        section of the chain product of the generators, which is r_{ss'} of it.
         """
-        acc = self._lift(self.group.identity, frob.tensor_unit(self.base, self.n))
-        for gamma in self._insertions(g, h):
-            acc = self._elem_product(acc, gamma)
-        restricted = self._contract_sparse(acc, self.parts[self.group.mul(g, h)])
-        lifted = self.section_lift(self.group.mul(g, h), restricted)
+        product = self.multiply_chain(g, self.generator(g), h, self.generator(h))
+        lifted = self.section_lift(self.group.mul(g, h), product)
         return [lifted.get(t, 0) for t in self._tuples(self.n)]
 
     def gamma_data(self, g: int, h: int) -> "GammaData":

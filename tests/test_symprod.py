@@ -229,6 +229,25 @@ def test_chain_rejects_non_minimal_word(sp_factory, qx2):
         sp.multiply_chain(e, [1, 0, 0, 0], e, [1, 0, 0, 0], [tau_perm, tau_perm])
 
 
+def test_wrong_length_operands_raise(sp_factory, qx2):
+    # a short operand must not be truncated, nor a long one's tail dropped
+    sp = sp_factory(qx2, 3)
+    gi = sp.group.index_of("(1 2)")
+    a, b = [1, 1, 1, 1], [Fraction(1, 2), 2, 0, 3]
+    fine, coarse = sp.parts[sp.group.identity], sp.parts[gi]
+    assert sp.dims[gi] == 4 and len(fine) == 3
+    for bad in (a[:3], a + [1]):
+        calls = [lambda: sp.multiply_chain(gi, bad, gi, b),
+                 lambda: sp.multiply_chain(gi, b, gi, bad),
+                 lambda: sp.multiply_pushforward(gi, bad, gi, b),
+                 lambda: sp.multiply_pushforward(gi, b, gi, bad),
+                 lambda: sp.section_lift(gi, bad),
+                 lambda: sp.restrict_between(fine, coarse, bad + [0] * 4)]
+        for call in calls:
+            with pytest.raises(ValueError, match="operand must have length"):
+                call()
+
+
 def _reference_elem_product(sp, s1, s2):
     """The pairwise loop the factor walk replaced: every pair of terms."""
     rows = sp.base.rows
@@ -751,7 +770,10 @@ def test_explicit_word_is_validated_after_the_plan_is_built(sp_factory, qx2):
         assert sp.multiply_chain(h, one, h, one, word) == expected
 
 
-def test_plan_computes_obstruction_exponents_once_per_joint_orbit(qx2, monkeypatch):
+def test_plan_reads_graph_defects_from_its_cycle_counts(qx2, monkeypatch):
+    # the plan already holds each joint orbit's cycle counts, so it calls no
+    # orbit-walking obstruction_exponent; test_realize_keeps_no_push_plan pins
+    # the exponents it reads through the keys of _orbit_maps
     calls = []
     original = sp_mod.obstruction_exponent
 
@@ -771,7 +793,7 @@ def test_plan_computes_obstruction_exponents_once_per_joint_orbit(qx2, monkeypat
             assert sp.multiply_pushforward(gi, a, hi, b) == sp.multiply_chain(gi, a, hi, b)
             products += 1
     assert products == 64
-    assert sorted(calls) == sorted(joint.blocks)
+    assert (gi, hi) in sp._push_plans and calls == []
 
 
 # -- pair tables against the inlined per-orbit loops they replaced -----------------
