@@ -17,7 +17,7 @@ from fractions import Fraction
 from . import exactnum as ex
 from ._report import Report
 from .gfrob import VERIFY_BUDGET, BudgetExceededError, GFrobeniusAlgebra
-from .groups import FiniteGroup, degree, group_doc, symmetric_group, symmetric_order
+from .groups import FiniteGroup, degree, group_doc, group_from_doc, symmetric_group, symmetric_order
 
 
 @dataclass
@@ -277,11 +277,7 @@ def document_order(doc: dict) -> int:
 
 def from_json_dict(doc: dict) -> Cocycle2:
     document_order(doc)   # refuses an oversized S_n before its tables are built
-    gdoc = doc["group"]
-    if gdoc.get("type") == "symmetric":
-        group = symmetric_group(gdoc["n"])
-    else:
-        group = FiniteGroup(gdoc["labels"], gdoc["table"])
+    group = group_from_doc(doc["group"])
     n = group.order
     values = [[1] * n for _ in range(n)]
     seen: set = set()

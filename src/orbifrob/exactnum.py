@@ -5,6 +5,12 @@ no floating point anywhere.  Scalars are plain Python ``int`` where possible
 and ``fractions.Fraction`` otherwise (``norm`` collapses integral fractions
 back to ``int`` so the hot loops stay on machine integers as long as the
 denominators allow).
+
+Linear maps are sparse ``{index: {index: value}}`` maps, reduced by
+``sparse_echelon`` and combined by ``sparse_kron``.  The dense helpers
+(``echelon``, ``rank``, ``mat_mul``, ``kron``, ``mat_zero``, ``mat_identity``,
+``nullspace``) remain as the references the tests check sparse results
+against, and as the entry points the benchmark tracer patches by name.
 """
 
 from __future__ import annotations
@@ -125,13 +131,6 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     return out
 
 
-def is_symmetric(m: Matrix) -> bool:
-    n = len(m)
-    return all(len(row) == n for row in m) and all(
-        m[i][j] == m[j][i] for i in range(n) for j in range(i + 1, n)
-    )
-
-
 def echelon(m: Matrix) -> tuple[Matrix, list[int]]:
     """Reduced row echelon form (copy) plus pivot column list."""
     a = [[Fraction(x) for x in row] for row in m]
@@ -191,17 +190,6 @@ def sparse_echelon(m: SparseMap) -> SparseMap:
                             other[k] = other.get(k, 0) - f * v
             kept[c] = pivot
     return {c: {k: norm(v) for k, v in row.items() if v != 0} for c, row in kept.items()}
-
-
-def invert(m: Matrix) -> Matrix:
-    n = len(m)
-    if any(len(row) != n for row in m):
-        raise ValueError("invert: matrix is not square")
-    aug = [list(row) + [1 if i == j else 0 for j in range(n)] for i, row in enumerate(m)]
-    ech, pivots = echelon(aug)
-    if pivots[:n] != list(range(n)):
-        raise SingularMatrixError(f"singular matrix (rank {rank(m)})", rank=rank(m))
-    return [row[n:] for row in ech]
 
 
 def nullspace(m: Matrix) -> list[Vector]:

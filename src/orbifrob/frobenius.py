@@ -2,9 +2,10 @@
 
 An algebra is given by structure constants ``e_i e_j = sum_k c[i,j,k] e_k``,
 stored as rows ``{(i, j): {k: c[i,j,k]}}`` with no zero constant, a
-distinguished unit vector and a pairing matrix.  Construction validates the
-full law set (associativity, unit, invariance, nondegeneracy, grading and
-parity bookkeeping) so downstream code may assume the laws hold.
+distinguished unit vector and the pairing's rows ``{i: {j: eta(e_i, e_j)}}``
+with no zero value, the form every G-algebra block takes.  Construction
+validates the full law set (associativity, unit, invariance, nondegeneracy,
+grading and parity bookkeeping) so downstream code may assume the laws hold.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from fractions import Fraction
 from . import exactnum as ex
 from ._report import Report
 from .exactnum import Rat
+from .gfrob import _clean_map, _transpose
 
 
 @dataclass
@@ -27,22 +29,21 @@ class FrobeniusAlgebra:
     parities: list[int]
     unit: list
     rows: dict             # (i, j) -> {k: c[i,j,k]}
-    metric: list
+    metric: ex.SparseMap   # i -> {j: eta(e_i, e_j)}
 
     # derived, filled in __post_init__
     dim: int = field(init=False)
     _pairs: list = field(init=False, repr=False, compare=False)
     _pairs_den: int = field(init=False, repr=False, compare=False)
     top_degree: int = field(init=False)
-    _metric_inv: list | None = field(init=False, default=None, repr=False)
+    _metric_inv: ex.SparseMap | None = field(init=False, default=None, repr=False, compare=False)
 
     def __post_init__(self):
         self.dim = len(self.labels)
         if not (len(self.degrees) == len(self.parities) == len(self.unit) == self.dim):
             raise ValueError(f"{self.name}: field lengths disagree with dim {self.dim}")
         ex.check_basis_data(self.name, self.degrees, self.parities, self.labels)
-        if len(self.metric) != self.dim or any(len(r) != self.dim for r in self.metric):
-            raise ValueError(f"{self.name}: metric must be {self.dim}x{self.dim}")
+        _clean_map(self.metric, self.dim, self.dim, f"{self.name}: metric")
         rows = {}
         for key, row in self.rows.items():
             row = {k: ex.norm(v) for k, v in row.items() if v != 0}
@@ -57,19 +58,22 @@ class FrobeniusAlgebra:
         for (x, y), row in rows.items():
             self._pairs[x].append(
                 (y, [(k, c.numerator * (den // c.denominator)) for k, c in row.items()]))
-        pair_degrees = {
-            self.degrees[i] + self.degrees[j]
-            for i in range(self.dim)
-            for j in range(self.dim)
-            if self.metric[i][j] != 0
-        }
+        pair_degrees = {self.degrees[i] + self.degrees[j]
+                        for i, row in self.metric.items() for j in row}
         # uniformity of the pairing degree is a law checked by verify()
         self.top_degree = max(pair_degrees) if pair_degrees else 0
 
     @property
-    def metric_inv(self) -> list:
+    def metric_inv(self) -> ex.SparseMap:
+        """The inverse pairing's rows: the right block of the echelon of [eta | I]."""
         if self._metric_inv is None:
-            self._metric_inv = ex.invert(self.metric)
+            n = self.dim
+            ech = ex.sparse_echelon({i: {**self.metric.get(i, {}), n + i: 1} for i in range(n)})
+            rank = sum(c < n for c in ech)
+            if rank != n:
+                raise ex.SingularMatrixError(f"singular matrix (rank {rank})", rank=rank)
+            self._metric_inv = {i: {j - n: v for j, v in ech[i].items() if j >= n}
+                                for i in range(n)}
         return self._metric_inv
 
     # -- algebra operations -------------------------------------------------
@@ -99,24 +103,15 @@ class FrobeniusAlgebra:
 
     def pair(self, a, b) -> Rat:
         s = 0
-        for i, x in enumerate(a):
-            if x == 0:
-                continue
-            row = self.metric[i]
-            for j, y in enumerate(b):
-                if y != 0 and row[j] != 0:
-                    s += x * row[j] * y
+        for i, row in self.metric.items():
+            if a[i] != 0:
+                s += a[i] * sum(v * b[j] for j, v in row.items())
         return ex.norm(s)
 
     def copairing(self) -> list[tuple[int, int, Rat]]:
         """Dual-basis tensor: triples (i, j, c) representing sum c e_i (x) e_j."""
-        out = []
-        for i in range(self.dim):
-            for j in range(self.dim):
-                c = self.metric_inv[i][j]
-                if c != 0:
-                    out.append((i, j, c))
-        return out
+        inv = self.metric_inv
+        return [(i, j, inv[i][j]) for i in sorted(inv) for j in sorted(inv[i])]
 
     def euler_class(self):
         """Product of the copairing: sum over dual pairs of e_i e^i."""
@@ -184,31 +179,30 @@ class FrobeniusAlgebra:
                 ij = self.multiply_basis(i, j)
                 for k in range(dim):
                     count += 1
-                    lhs = sum(c * self.metric[p][k] for p, c in ij.items())
+                    lhs = sum(c * self.metric.get(p, {}).get(k, 0) for p, c in ij.items())
                     jk = self.multiply_basis(j, k)
-                    rhs = sum(c * self.metric[i][p] for p, c in jk.items())
+                    rhs = sum(c * self.metric.get(i, {}).get(p, 0) for p, c in jk.items())
                     if lhs != rhs and witness is None:
                         witness = {"i": self.labels[i], "j": self.labels[j], "k": self.labels[k],
                                    "eta(ij,k)": ex.fmt_rat(ex.norm(lhs)), "eta(i,jk)": ex.fmt_rat(ex.norm(rhs))}
         report.add("invariance", "eta(ab,c) = eta(a,bc)", witness is None, count, witness)
 
-        nondeg = ex.rank(self.metric) == dim
-        report.add("nondegeneracy", "pairing invertible", nondeg, 1,
-                   None if nondeg else {"rank": ex.rank(self.metric)})
+        rank = len(ex.sparse_echelon(self.metric))
+        report.add("nondegeneracy", "pairing invertible", rank == dim, 1,
+                   None if rank == dim else {"rank": rank})
 
-        sym = ex.is_symmetric(self.metric)
+        sym = _transpose(self.metric) == self.metric
         report.add("symmetry", "pairing symmetric", sym, 1, None if sym else {})
 
         witness = None
         count = 0
-        for i in range(dim):
-            for j in range(dim):
-                if self.metric[i][j] != 0:
-                    count += 1
-                    if self.degrees[i] + self.degrees[j] != self.top_degree and witness is None:
-                        witness = {"i": self.labels[i], "j": self.labels[j],
-                                   "degree": self.degrees[i] + self.degrees[j],
-                                   "top": self.top_degree}
+        for i in sorted(self.metric):
+            for j in sorted(self.metric[i]):
+                count += 1
+                if self.degrees[i] + self.degrees[j] != self.top_degree and witness is None:
+                    witness = {"i": self.labels[i], "j": self.labels[j],
+                               "degree": self.degrees[i] + self.degrees[j],
+                               "top": self.top_degree}
         report.add("metric-grading", "pairing concentrated in one degree",
                    witness is None, count, witness)
 
@@ -282,14 +276,6 @@ def tensor_tuple(index: int, dim: int, m: int) -> tuple[int, ...]:
     return tuple(reversed(out))
 
 
-def tensor_power_space(algebra: FrobeniusAlgebra, m: int) -> list[tuple[int, ...]]:
-    """Basis index scheme of A^(x)m: all factor tuples in lexicographic order."""
-    if m < 0:
-        raise ValueError("tensor power exponent must be >= 0")
-    dim = algebra.dim
-    return [tensor_tuple(i, dim, m) for i in range(dim ** m)]
-
-
 def factorwise_multiply(algebra: FrobeniusAlgebra, m: int, u, v):
     """Product on A^(x)m, factor by factor, on dense vectors.
 
@@ -341,19 +327,12 @@ def factorwise_multiply(algebra: FrobeniusAlgebra, m: int, u, v):
     return [ex.norm(Fraction(w, den)) if w else 0 for w in acc]
 
 
-def tensor_metric_entry(algebra: FrobeniusAlgebra, tu, tv) -> Rat:
-    out = 1
-    for a, b in zip(tu, tv):
-        x = algebra.metric[a][b]
-        if x == 0:
-            return 0
-        out *= x
-    return ex.norm(out)
-
-
-def tensor_metric(algebra: FrobeniusAlgebra, m: int) -> list:
-    basis = tensor_power_space(algebra, m)
-    return [[tensor_metric_entry(algebra, tu, tv) for tv in basis] for tu in basis]
+def tensor_metric(algebra: FrobeniusAlgebra, m: int) -> ex.SparseMap:
+    """The factorwise pairing eta^(x)m on A^(x)m, as rows."""
+    D, out = algebra.dim, {0: {0: 1}}
+    for _ in range(m):
+        out = ex.sparse_kron(out, algebra.metric, D, D)
+    return out
 
 
 def tensor_unit(algebra: FrobeniusAlgebra, m: int):
@@ -381,7 +360,7 @@ def ground_field() -> FrobeniusAlgebra:
         parities=[0],
         unit=[1],
         rows={(0, 0): {0: 1}},
-        metric=[[1]],
+        metric={0: {0: 1}},
     ))
 
 
@@ -394,7 +373,7 @@ def dual_numbers() -> FrobeniusAlgebra:
         parities=[0, 0],
         unit=[1, 0],
         rows={(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 0): {1: 1}},
-        metric=[[0, 1], [1, 0]],
+        metric={0: {1: 1}, 1: {0: 1}},
     ))
 
 
@@ -413,12 +392,7 @@ def surface_model() -> FrobeniusAlgebra:
             (0, 3): {3: 1}, (3, 0): {3: 1},
             (1, 2): {3: 1}, (2, 1): {3: 1},
         },
-        metric=[
-            [0, 0, 0, 1],
-            [0, 0, 1, 0],
-            [0, 1, 0, 0],
-            [1, 0, 0, 0],
-        ],
+        metric={0: {3: 1}, 1: {2: 1}, 2: {1: 1}, 3: {0: 1}},
     ))
 
 
@@ -433,12 +407,8 @@ def to_json_dict(algebra: FrobeniusAlgebra) -> dict:
             for i in range(algebra.dim)
         ],
         "unit": [ex.fmt_rat(x) for x in algebra.unit],
-        "metric": [
-            [i, j, ex.fmt_rat(algebra.metric[i][j])]
-            for i in range(algebra.dim)
-            for j in range(algebra.dim)
-            if algebra.metric[i][j] != 0
-        ],
+        "metric": [[i, j, ex.fmt_rat(row[j])]
+                   for i, row in sorted(algebra.metric.items()) for j in sorted(row)],
         "structure": [
             [i, j, k, ex.fmt_rat(algebra.rows[i, j][k])]
             for i, j, k in sorted(algebra._constants())
@@ -449,14 +419,16 @@ def to_json_dict(algebra: FrobeniusAlgebra) -> dict:
 def from_json_dict(doc: dict, validate: bool = True) -> FrobeniusAlgebra:
     dim = doc["dim"]
     basis = doc["basis"]
+    if type(dim) is not int or dim < 0:
+        raise ValueError(f"dim {dim!r} is not an integer >= 0")
     if len(basis) != dim:
         raise ValueError(f"declared dim {dim} but {len(basis)} basis entries")
-    metric = ex.mat_zero(dim, dim)
+    metric: dict = {}
     seen: set = set()
     for i, j, v in doc.get("metric", []):
         ex.check_indices("metric", (i, j), (dim, dim))
         ex.check_new("metric", seen, (i, j))
-        metric[i][j] = ex.rat(v)
+        metric.setdefault(i, {})[j] = ex.rat(v)
     rows: dict = {}
     seen = set()
     for i, j, k, v in doc.get("structure", []):

@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING
 
 from . import exactnum as ex
 from ._report import Report
-from .groups import FiniteGroup, group_doc, symmetric_group, symmetric_order
+from .groups import FiniteGroup, group_doc, group_from_doc, symmetric_order
 
 if TYPE_CHECKING:  # pragma: no cover
     from .cocycles import Cocycle2, SuperTwist
@@ -850,13 +850,10 @@ def to_json_dict(X: GFrobeniusAlgebra) -> dict:
 
 def from_json_dict(doc: dict) -> GFrobeniusAlgebra:
     gdoc, sectors = doc["group"], doc["sectors"]
-    if gdoc.get("type") == "symmetric":
-        # compare before building the (n!)^2-entry table
-        if symmetric_order(gdoc["n"], len(sectors)) != len(sectors):
-            raise ValueError("sector count does not match the group order")
-        group = symmetric_group(gdoc["n"])
-    else:
-        group = FiniteGroup(gdoc["labels"], gdoc["table"])
+    # compare before building the (n!)^2-entry table
+    if gdoc.get("type") == "symmetric" and symmetric_order(gdoc["n"], len(sectors)) != len(sectors):
+        raise ValueError("sector count does not match the group order")
+    group = group_from_doc(gdoc)
     if len(sectors) != group.order:
         raise ValueError("sector count does not match the group order")
     dims = [s["dim"] for s in sectors]

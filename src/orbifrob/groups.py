@@ -408,3 +408,10 @@ def group_doc(G: FiniteGroup) -> dict:
     if G.perms is not None:
         return {"type": "symmetric", "n": G.perms[0].n}
     return {"type": "table", "labels": list(G.labels), "table": [list(r) for r in G.table]}
+
+
+def group_from_doc(gdoc: dict) -> FiniteGroup:
+    """The group of a document's ``group`` entry; the inverse of ``group_doc``."""
+    if gdoc.get("type") == "symmetric":
+        return symmetric_group(gdoc["n"])
+    return FiniteGroup(gdoc["labels"], gdoc["table"])

@@ -52,7 +52,7 @@ from . import cocycles as cocy
 from . import exactnum as ex
 from . import frobenius as frob
 from .frobenius import FrobeniusAlgebra, tensor_index, tensor_tuple
-from .gfrob import BudgetExceededError, GFrobeniusAlgebra, twist
+from .gfrob import BudgetExceededError, GFrobeniusAlgebra, _transpose, twist
 from .groups import (OrbitPartition, Permutation, compose, cycles, degree,
                      group_orbits, symmetric_group)
 
@@ -169,9 +169,8 @@ class SymmetricProductAlgebra:
         self._perm_index = {p.images: i for i, p in enumerate(self.perms)}
         self._galg: GFrobeniusAlgebra | None = None
         # the routes share read-only tables only (m-fold product columns, base rows);
-        # the pushforward's own per-orbit maps keep the cross-oracle independent
-        self._adj_cache: dict[int, list] = {}
-        # filled lazily and idempotently, keyed by m, by sector or by sector pair
+        # the pushforward's own per-orbit maps keep the cross-oracle independent.
+        # Filled lazily and idempotently, keyed by m, by sector or by sector pair:
         self._tuple_cache: dict[int, list] = {}
         self._columns: dict[tuple, tuple] = {}
         self._lifts: dict[int, tuple] = {}
@@ -237,17 +236,6 @@ class SymmetricProductAlgebra:
                 break
         return terms
 
-    def _adjoint_matrix(self, m: int) -> list:
-        """Metric adjoint of the m-fold multiplication: A -> A^(x)m."""
-        if m not in self._adj_cache:
-            eta_inv_power = [[1]]
-            for _ in range(m):
-                eta_inv_power = ex.kron(eta_inv_power, self.base.metric_inv)
-            mu_t = [[self._basis_product(list(t)).get(k, 0) for k in range(self.base.dim)]
-                    for t in self._tuples(m)]
-            self._adj_cache[m] = ex.mat_mul(eta_inv_power, ex.mat_mul(mu_t, self.base.metric))
-        return self._adj_cache[m]
-
     def _mu_columns(self, m: int) -> tuple[dict, int]:
         """The m-fold product as integer columns over one denominator.
 
@@ -261,11 +249,33 @@ class SymmetricProductAlgebra:
         return self._columns["mu", m]
 
     def _adjoint_columns(self, m: int) -> tuple[dict, int]:
-        """Metric adjoint of the m-fold product: k -> [(factor tuple, numerator)]."""
+        """Metric adjoint of the m-fold product: k -> [(factor tuple, numerator)].
+
+        Column k is eta^(-1)(x)m applied to s -> eta(mu(s), e_k): the m-fold
+        product's columns meet the pairing's rows, then the inverse pairing's
+        columns spread over one factor at a time.
+        """
         if ("adj", m) not in self._columns:
-            adj, D = self._adjoint_matrix(m), self.base.dim
+            mu, mu_den = self._mu_columns(m)
+            eta, inv = self.base.metric, _transpose(self.base.metric_inv)
+            cols: dict = {}
+            for s, col in mu.items():
+                t = s if m > 1 else (s,)
+                for p, w in col:
+                    for k, e in eta.get(p, {}).items():
+                        vec = cols.setdefault(k, {})
+                        vec[t] = vec.get(t, 0) + w * e
+            for f in range(m):
+                for k, vec in cols.items():
+                    spread: dict = {}
+                    for t, c in vec.items():
+                        for q, v in inv.get(t[f], {}).items():
+                            u = t[:f] + (q,) + t[f + 1:]
+                            spread[u] = spread.get(u, 0) + c * v
+                    cols[k] = spread
             self._columns["adj", m] = _integral(
-                {k: [(t, row[k]) for t, row in zip(self._tuples(m), adj)] for k in range(D)})
+                {k: [(t, Fraction(c, mu_den)) for t, c in sorted(cols[k].items())]
+                 for k in sorted(cols)})
         return self._columns["adj", m]
 
     def _section_columns(self, m: int) -> tuple[dict, int]:
@@ -673,11 +683,7 @@ class SymmetricProductAlgebra:
                 product[(g, h)] = self.pair_table(g, h)
                 self._push_plans.pop((g, h), None)   # it served this table only
         action = {(g, h): self._action_block(g, h) for g in G.elements() for h in G.elements()}
-        D = self.base.dim
-        eta = {i: {j: v for j, v in enumerate(row) if v} for i, row in enumerate(self.base.metric)}
-        powers = [{0: {0: 1}}]   # the factorwise pairing on A^(x)m, m = 0..n
-        for _ in range(self.n):
-            powers.append(ex.sparse_kron(powers[-1], eta, D, D))
+        powers = {m: frob.tensor_metric(self.base, m) for m in set(self.factors)}
         degrees = [[sum(self.base.degrees[i] for i in t) for t in self._tuples(self.factors[g])]
                    for g in G.elements()]
         self._galg = GFrobeniusAlgebra(

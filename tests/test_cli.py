@@ -104,6 +104,15 @@ def test_verify_negative_base_structure_index_exits_two(tmp_path, capsys):
     assert capsys.readouterr().err == "error: structure index -1 is not in range(2)\n"
 
 
+@pytest.mark.parametrize("dim", ["2", 2.0, True, -1])
+def test_verify_untyped_base_dim_exits_two(tmp_path, capsys, dim):
+    # "2" with two basis entries used to fail as "declared dim 2 but 2 basis entries"
+    path = _variant(tmp_path, "dual_numbers.json", lambda doc: doc.__setitem__("dim", dim))
+    for command in ("verify", "export"):
+        assert run(command, path) == 2
+        assert capsys.readouterr().err == f"error: dim {dim!r} is not an integer >= 0\n"
+
+
 @pytest.mark.parametrize("fixture, field, message", [
     ("ks3.json", "product", "duplicate product entry at [0, 0, 0, 0, 0]"),
     ("ks3.json", "action", "duplicate action entry at [0, 0, 0, 0]"),

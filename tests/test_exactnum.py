@@ -29,17 +29,31 @@ def test_exact_arithmetic_no_tolerance():
         assert a * (1 / a) == 1
 
 
-def test_invert_identity():
-    assert ex.invert(ex.mat_identity(3)) == ex.mat_identity(3)
+def _with_metric(metric, dim):
+    """k^dim with idempotent basis e_i e_i = e_i and the given pairing rows."""
+    return frob.FrobeniusAlgebra(
+        name="diag", labels=[f"e{i}" for i in range(dim)], degrees=[0] * dim,
+        parities=[0] * dim, unit=[1] * dim, rows={(i, i): {i: 1} for i in range(dim)},
+        metric=metric)
+
+
+def test_metric_inv_inverts_identity_and_diagonal():
+    identity = {i: {i: 1} for i in range(3)}
+    assert _with_metric(identity, 3).metric_inv == identity
+    inv = _with_metric({0: {0: 1}, 1: {1: Fraction(2, 3)}}, 2).metric_inv
+    assert inv == {0: {0: 1}, 1: {1: Fraction(3, 2)}}
+    assert _with_metric({}, 0).metric_inv == {}
 
 
 def test_rank_of_dual_number_pairing():
-    assert ex.rank(frob.dual_numbers().metric) == 2
+    metric = frob.dual_numbers().metric
+    assert len(ex.sparse_echelon(metric)) == 2
+    assert ex.rank([[metric.get(i, {}).get(j, 0) for j in range(2)] for i in range(2)]) == 2
 
 
 def test_singular_matrix_reports_rank():
-    with pytest.raises(ex.SingularMatrixError) as info:
-        ex.invert([[1, 2], [2, 4]])
+    with pytest.raises(ex.SingularMatrixError, match=r"singular matrix \(rank 1\)") as info:
+        _with_metric({0: {0: 1, 1: 2}, 1: {0: 2, 1: 4}}, 2).metric_inv
     assert info.value.rank == 1
 
 

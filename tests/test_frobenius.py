@@ -6,6 +6,7 @@ import pytest
 
 from orbifrob import exactnum as ex
 from orbifrob import frobenius as frob
+from orbifrob import symprod as sp_mod
 
 
 def test_multiply_dual_numbers(qx2):
@@ -21,31 +22,49 @@ def test_verify_models(ground, qx2, surface):
         assert a.verify().passed
 
 
+def _with_metric(algebra, metric):
+    return frob.FrobeniusAlgebra(
+        name="broken", labels=list(algebra.labels), degrees=list(algebra.degrees),
+        parities=list(algebra.parities), unit=list(algebra.unit), rows=algebra.rows, metric=metric)
+
+
 def test_verify_flags_broken_invariance(qx2):
-    broken = frob.FrobeniusAlgebra(
-        name="broken",
-        labels=list(qx2.labels),
-        degrees=list(qx2.degrees),
-        parities=list(qx2.parities),
-        unit=list(qx2.unit),
-        rows=qx2.rows,
-        metric=[[0, 0], [0, 1]],
-    )
-    report = broken.verify()
+    report = _with_metric(qx2, {1: {1: 1}}).verify()
     assert not report["invariance"].passed
     assert report["invariance"].witness is not None
     assert not report["nondegeneracy"].passed
+    assert report["nondegeneracy"].witness == {"rank": 1}
+    assert report["symmetry"].passed
+    # eta(x, 1) = 2 but eta(1, x) = 1: invertible, not symmetric
+    report = _with_metric(qx2, {0: {1: 1}, 1: {0: 2}}).verify()
+    assert not report["symmetry"].passed
+    assert report["symmetry"].witness == {}
+    assert report["nondegeneracy"].passed
+    assert not report["invariance"].passed
 
 
 def test_metric_inverse_rejects_degenerate_metric(qx2):
     # the copairing and every metric adjoint read the inverse pairing
-    broken = frob.FrobeniusAlgebra(
-        name="degenerate", labels=list(qx2.labels), degrees=list(qx2.degrees),
-        parities=list(qx2.parities), unit=list(qx2.unit), rows=qx2.rows,
-        metric=[[0, 0], [0, 1]],
-    )
-    with pytest.raises(ex.SingularMatrixError):
-        broken.metric_inv
+    with pytest.raises(ex.SingularMatrixError) as info:
+        _with_metric(qx2, {0: {0: 0}, 1: {1: 1}}).metric_inv
+    assert info.value.rank == 1
+
+
+def test_metric_rows_are_index_checked_and_cleaned(qx2):
+    algebra = _with_metric(qx2, {0: {1: Fraction(2, 2), 0: 0}, 1: {0: 1}})
+    assert algebra.metric == {0: {1: 1}, 1: {0: 1}} and type(algebra.metric[0][1]) is int
+    assert _with_metric(qx2, {0: {0: 0}, 1: {1: 1}}).metric == {1: {1: 1}}
+    with pytest.raises(ValueError, match="broken: metric index out of range"):
+        _with_metric(qx2, {0: {2: 1}})
+
+
+def test_equality_ignores_the_cached_inverse(surface):
+    a, b = frob.surface_model(), frob.surface_model()
+    assert a == b
+    a.copairing()
+    assert a == b and b == a
+    sp_mod.SymmetricProductAlgebra(b, 2)
+    assert a == b == surface
 
 
 def test_copairing(qx2, ground, surface):
@@ -87,11 +106,10 @@ def test_tensor_power_ops(qx2, ground):
     one_x = [0, 1, 0, 0]   # 1(x)x
     x_one = [0, 0, 1, 0]   # x(x)1
     assert frob.factorwise_multiply(qx2, 2, one_x, x_one) == [0, 0, 0, 1]
-    assert frob.tensor_power_space(ground, 0) == [()]
-    assert frob.tensor_metric_entry(qx2, (0, 1), (1, 0)) == 1
     assert frob.tensor_unit(qx2, 2) == [1, 0, 0, 0]
-    eta2 = frob.tensor_metric(qx2, 2)
-    assert eta2[1][2] == 1 and eta2[0][0] == 0
+    assert frob.tensor_metric(ground, 0) == {0: {0: 1}}
+    # eta(1(x)x, x(x)1) = 1: the pairing pairs index 1 with 2 and 0 with 3
+    assert frob.tensor_metric(qx2, 2) == {0: {3: 1}, 1: {2: 1}, 2: {1: 1}, 3: {0: 1}}
 
 
 def _reference_factorwise_multiply(algebra, m, u, v):

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import itertools
 import math
@@ -86,24 +87,48 @@ def test_pushforward_is_metric_adjoint(sp_factory, qx2, n):
             for i in range(fine_dim):
                 x = basis(fine_dim, i)
                 rx = sp.restrict_between(e_part, coarse, x)
-                lhs = sum(eta_fine[a][b] * py[a] * x[b]
-                          for a in range(fine_dim) for b in range(fine_dim))
-                rhs = sum(eta_coarse[a][b] * y[a] * rx[b]
-                          for a in range(coarse_dim) for b in range(coarse_dim))
+                lhs = sum(v * py[a] * x[b] for a, row in eta_fine.items() for b, v in row.items())
+                rhs = sum(v * y[a] * rx[b] for a, row in eta_coarse.items() for b, v in row.items())
                 assert ex.norm(lhs) == ex.norm(rhs)
 
 
 # -- the metric adjoint of the m-fold product --------------------------------------
 
+def _dense(rows, dim):
+    return [[rows.get(i, {}).get(j, 0) for j in range(dim)] for i in range(dim)]
+
+
+@functools.lru_cache(maxsize=None)
+def _adjoint_matrix(sp, m):
+    """Reference: the dense metric adjoint eta^(-1)(x)m mu^T eta of the m-fold
+    product, with the inverse pairing read off the dense echelon of [eta | I]."""
+    D = sp.base.dim
+    eta = _dense(sp.base.metric, D)
+    ech, pivots = ex.echelon([row + [int(i == j) for j in range(D)] for i, row in enumerate(eta)])
+    assert pivots[:D] == list(range(D))
+    eta_inv_power = [[1]]
+    for _ in range(m):
+        eta_inv_power = ex.kron(eta_inv_power, [row[D:] for row in ech])
+    mu_t = [[sp._basis_product(list(t)).get(k, 0) for k in range(D)] for t in sp._tuples(m)]
+    return ex.mat_mul(eta_inv_power, ex.mat_mul(mu_t, eta))
+
+
+def _adjoint_values(sp, m):
+    """``_adjoint_columns(m)`` as exact values: k -> {factor tuple: value}."""
+    cols, den = sp._adjoint_columns(m)
+    return {k: {t: ex.norm(Fraction(w, den)) for t, w in col} for k, col in cols.items()}
+
+
 def test_adjoint_of_one_fold_product_is_identity(sp_factory, qx2, surface, half):
     for base in (qx2, surface, half):
-        assert sp_factory(base, 2)._adjoint_matrix(1) == ex.mat_identity(base.dim)
+        assert sp_factory(base, 2)._adjoint_columns(1) == (
+            {k: [((k,), 1)] for k in range(base.dim)}, 1)
 
 
 def test_adjoint_of_multiplication_map(sp_factory, qx2):
     # for Q[x]/(x^2): the dual of multiplication sends 1 to 1(x)x + x(x)1
-    adj = sp_factory(qx2, 2)._adjoint_matrix(2)
-    assert [row[0] for row in adj] == [0, 1, 1, 0]
+    cols, den = sp_factory(qx2, 2)._adjoint_columns(2)
+    assert (cols[0], den) == ([((0, 1), 1), ((1, 0), 1)], 1)
 
 
 def test_adjoint_defining_identity(sp_factory, surface, half):
@@ -111,11 +136,13 @@ def test_adjoint_defining_identity(sp_factory, surface, half):
     for base in (surface, half):
         sp = sp_factory(base, 2)
         for m in (2, 3):
-            adj, eta_m = sp._adjoint_matrix(m), frob.tensor_metric(base, m)
+            adj, eta_m = _adjoint_values(sp, m), frob.tensor_metric(base, m)
             for y in range(base.dim):
                 for x, t in enumerate(sp._tuples(m)):
-                    lhs = sum(adj[r][y] * eta_m[r][x] for r in range(len(adj)))
-                    rhs = sum(base.metric[y][k] * c for k, c in sp._basis_product(list(t)).items())
+                    lhs = sum(c * eta_m.get(frob.tensor_index(r, base.dim), {}).get(x, 0)
+                              for r, c in adj.get(y, {}).items())
+                    rhs = sum(base.metric.get(y, {}).get(k, 0) * c
+                              for k, c in sp._basis_product(list(t)).items())
                     assert lhs == rhs
 
 
@@ -123,8 +150,31 @@ def test_adjoint_is_contravariant(sp_factory, surface, half):
     # mu_3 = mu (mu (x) id) dualizes to mu_3* = (mu* (x) id) mu*
     for base in (surface, half):
         sp = sp_factory(base, 2)
-        lifted = ex.kron(sp._adjoint_matrix(2), ex.mat_identity(base.dim))
-        assert sp._adjoint_matrix(3) == ex.mat_mul(lifted, sp._adjoint_matrix(2))
+        adj2, adj3 = _adjoint_values(sp, 2), _adjoint_values(sp, 3)
+        for k in range(base.dim):
+            lifted: dict = {}
+            for (i, j), c in adj2.get(k, {}).items():
+                for u, w in adj2.get(i, {}).items():
+                    lifted[u + (j,)] = lifted.get(u + (j,), 0) + c * w
+            assert {t: c for t, c in lifted.items() if c} == adj3.get(k, {})
+
+
+def test_adjoint_columns_match_the_dense_reference(sp_factory, qx2, surface, half):
+    # k x k with eta = diag(1, 2/3): the inverse pairing is not integral
+    kk = frob.from_json_dict({
+        "name": "kk", "dim": 2, "basis": [{"label": "e"}, {"label": "f"}], "unit": ["1", "1"],
+        "metric": [[0, 0, "1"], [1, 1, "2/3"]], "structure": [[0, 0, 0, "1"], [1, 1, 1, "1"]]})
+    for base in (qx2, surface, half, kk):
+        sp = sp_factory(base, 2)
+        for m in range(1, 5):
+            adj = _adjoint_matrix(sp, m)
+            want = {k: {t: row[k] for t, row in zip(sp._tuples(m), adj) if row[k]}
+                    for k in range(base.dim)}
+            assert _adjoint_values(sp, m) == {k: col for k, col in want.items() if col}
+            den = math.lcm(*(v.denominator for col in want.values() for v in col.values()))
+            assert sp._adjoint_columns(m)[1] == den
+    # mu* f = eta(f, f) eta^(-1)(f, f)^2 f(x)f = 3/2 f(x)f
+    assert _adjoint_values(sp_factory(kk, 2), 2) == {0: {(0, 0): 1}, 1: {(1, 1): Fraction(3, 2)}}
 
 
 # -- obstruction exponents -------------------------------------------------------
@@ -394,7 +444,7 @@ def test_odd_base_rejected():
         parities=[0, 1],
         unit=[1, 0],
         rows={(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 0): {1: 1}},
-        metric=[[0, 1], [1, 0]],
+        metric={0: {1: 1}, 1: {0: 1}},
     )
     assert odd.verify().passed
     with pytest.raises(ValueError):
@@ -409,7 +459,7 @@ def test_noncommutative_base_rejected():
         parities=[0, 0],
         unit=[1, 0],
         rows={(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 0): {1: -1}, (1, 1): {0: 1}},
-        metric=[[1, 0], [0, 1]],
+        metric={0: {0: 1}, 1: {1: 1}},
     )
     with pytest.raises(ValueError):
         sp_mod.SymmetricProductAlgebra(nc, 2)
@@ -554,7 +604,7 @@ def _reference_restrict_between(sp, fine, coarse, v):
 def _reference_push_between(sp, fine, coarse, w):
     nest = sp._nesting(fine, coarse)
     D = sp.base.dim
-    adjoints = [sp._adjoint_matrix(len(fps)) for fps in nest]
+    adjoints = [_adjoint_matrix(sp, len(fps)) for fps in nest]
     concat = [f for fps in nest for f in fps]
     out = ex.vec_zero(D ** len(fine))
     for idx, x in enumerate(w):
@@ -811,7 +861,7 @@ def _reference_pair_table(sp, gi, hi):
         p_pos = [i for i, blk in enumerate(sp.parts[gh].blocks) if blk[0] in bset]
         expo = sp_mod.obstruction_exponent(sigma, sigma2, block)
         euler_pow = sp.base.power(sp.euler, expo)
-        adj = sp._adjoint_matrix(len(p_pos))
+        adj = _adjoint_matrix(sp, len(p_pos))
         local = {}
         for t1 in itertools.product(range(D), repeat=len(s_pos)):
             v1 = sp._basis_product(list(t1)) if t1 else {}
