@@ -17,7 +17,8 @@ from fractions import Fraction
 from . import exactnum as ex
 from ._report import Report
 from .gfrob import VERIFY_BUDGET, BudgetExceededError, GFrobeniusAlgebra
-from .groups import FiniteGroup, degree, group_doc, group_from_doc, symmetric_group, symmetric_order
+from .groups import (FiniteGroup, degree, group_doc, group_entry, group_from_doc, symmetric_group,
+                     symmetric_order)
 
 
 @dataclass
@@ -265,7 +266,7 @@ def document_order(doc: dict) -> int:
     Refuses an S_n whose (n!)^2-entry group table and value table alone would
     pass ``VERIFY_BUDGET``.
     """
-    gdoc = doc["group"]
+    gdoc = group_entry(doc)
     if gdoc.get("type") == "symmetric":
         order = symmetric_order(gdoc["n"], math.isqrt(VERIFY_BUDGET))
         if order ** 2 > VERIFY_BUDGET:

@@ -8,9 +8,9 @@ denominators allow).
 
 Linear maps are sparse ``{index: {index: value}}`` maps, reduced by
 ``sparse_echelon`` and combined by ``sparse_kron``.  The dense helpers
-(``echelon``, ``rank``, ``mat_mul``, ``kron``, ``mat_zero``, ``mat_identity``,
-``nullspace``) remain as the references the tests check sparse results
-against, and as the entry points the benchmark tracer patches by name.
+(``echelon``, ``rank``, ``mat_mul``, ``kron``, ``mat_zero``, ``nullspace``)
+remain as the references the tests check sparse results against, and as the
+entry points the benchmark tracer patches by name.
 """
 
 from __future__ import annotations
@@ -100,18 +100,8 @@ def vec_zero(n: int) -> Vector:
 
 # -- dense matrices --------------------------------------------------------
 
-def mat_identity(n: int) -> Matrix:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
 def mat_zero(rows: int, cols: int) -> Matrix:
     return [[0] * cols for _ in range(rows)]
-
-
-def mat_transpose(m: Matrix) -> Matrix:
-    if not m:
-        return []
-    return [[m[i][j] for i in range(len(m))] for j in range(len(m[0]))]
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:

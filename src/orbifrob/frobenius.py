@@ -18,7 +18,7 @@ from fractions import Fraction
 from . import exactnum as ex
 from ._report import Report
 from .exactnum import Rat
-from .gfrob import _clean_map, _transpose
+from .gfrob import _as_product, _associator, _bilinear, _clean_map, _entries, _joins, _transpose
 
 
 @dataclass
@@ -82,20 +82,7 @@ class FrobeniusAlgebra:
         """Bilinear extension of the structure constants."""
         if len(a) != self.dim or len(b) != self.dim:
             raise ValueError(f"{self.name}: operand dimension mismatch")
-        out = ex.vec_zero(self.dim)
-        for i, x in enumerate(a):
-            if x == 0:
-                continue
-            for j, y in enumerate(b):
-                if y == 0:
-                    continue
-                row = self.rows.get((i, j))
-                if not row:
-                    continue
-                xy = x * y
-                for k, c in row.items():
-                    out[k] += xy * c
-        return [ex.norm(v) for v in out]
+        return _bilinear(self.rows, a, b, self.dim)
 
     def multiply_basis(self, i: int, j: int) -> dict:
         """Sparse product of two basis elements."""
@@ -149,20 +136,17 @@ class FrobeniusAlgebra:
         report = Report()
         dim = self.dim
 
+        # the associator kernel with a single outer index
+        entries = _entries(self.rows)
+        yz = [(0, j, k, p, c) for j, k, p, c in entries]
+        after, before = _joins(self.rows, 0)
+        found = _associator(entries, after, yz, before)
         witness = None
-        count = 0
-        for i in range(dim):
-            for j in range(dim):
-                ij = self.multiply_basis(i, j)
-                for k in range(dim):
-                    count += 1
-                    lhs = _sparse_extend(self, ij, k, left=True)
-                    jk = self.multiply_basis(j, k)
-                    rhs = _sparse_extend(self, jk, i, left=False)
-                    if lhs != rhs and witness is None:
-                        witness = {"i": self.labels[i], "j": self.labels[j], "k": self.labels[k],
-                                   "lhs": _fmt_sparse(self, lhs), "rhs": _fmt_sparse(self, rhs)}
-        report.add("associativity", "(ab)c = a(bc)", witness is None, count, witness)
+        if found:
+            (_, i, j, k), lhs, rhs = found
+            witness = {"i": self.labels[i], "j": self.labels[j], "k": self.labels[k],
+                       "lhs": _fmt_sparse(self, lhs), "rhs": _fmt_sparse(self, rhs)}
+        report.add("associativity", "(ab)c = a(bc)", witness is None, dim ** 3, witness)
 
         witness = None
         for i in range(dim):
@@ -172,20 +156,14 @@ class FrobeniusAlgebra:
                 break
         report.add("unit", "1 a = a 1 = a", witness is None, dim, witness)
 
+        after, before = _joins(_as_product(self.metric), 0)
+        found = _associator(entries, after, yz, before)
         witness = None
-        count = 0
-        for i in range(dim):
-            for j in range(dim):
-                ij = self.multiply_basis(i, j)
-                for k in range(dim):
-                    count += 1
-                    lhs = sum(c * self.metric.get(p, {}).get(k, 0) for p, c in ij.items())
-                    jk = self.multiply_basis(j, k)
-                    rhs = sum(c * self.metric.get(i, {}).get(p, 0) for p, c in jk.items())
-                    if lhs != rhs and witness is None:
-                        witness = {"i": self.labels[i], "j": self.labels[j], "k": self.labels[k],
-                                   "eta(ij,k)": ex.fmt_rat(ex.norm(lhs)), "eta(i,jk)": ex.fmt_rat(ex.norm(rhs))}
-        report.add("invariance", "eta(ab,c) = eta(a,bc)", witness is None, count, witness)
+        if found:
+            (_, i, j, k), lhs, rhs = found
+            witness = {"i": self.labels[i], "j": self.labels[j], "k": self.labels[k],
+                       "eta(ij,k)": ex.fmt_rat(lhs.get(0, 0)), "eta(i,jk)": ex.fmt_rat(rhs.get(0, 0))}
+        report.add("invariance", "eta(ab,c) = eta(a,bc)", witness is None, dim ** 3, witness)
 
         rank = len(ex.sparse_echelon(self.metric))
         report.add("nondegeneracy", "pairing invertible", rank == dim, 1,
@@ -228,16 +206,6 @@ class FrobeniusAlgebra:
         report.add("parity", "parity additive, unit even", witness is None and unit_even, count + 1, witness)
 
         return report
-
-
-def _sparse_extend(alg: FrobeniusAlgebra, sparse: dict, other: int, left: bool) -> dict:
-    """Multiply a sparse combination by basis element `other` on one side."""
-    out: dict[int, Rat] = {}
-    for p, c in sparse.items():
-        row = alg.rows.get((p, other) if left else (other, p), {})
-        for k, v in row.items():
-            out[k] = out.get(k, 0) + c * v
-    return {k: ex.norm(v) for k, v in out.items() if v != 0}
 
 
 def _fmt_sparse(alg: FrobeniusAlgebra, sparse: dict) -> str:

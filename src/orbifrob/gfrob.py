@@ -6,8 +6,16 @@ with a graded product ``A_g x A_h -> A_gh``, a pairing that couples ``A_g``
 with ``A_{g^-1}`` only, a group action ``phi_g: A_h -> A_{ghg^-1}``, a
 character ``chi`` and an optional supergrading.  All maps are stored as
 sparse exact-rational tables over the sector bases, ``{index: {index:
-value}}`` with no zero value stored; the verifier is exhaustive over basis
-tuples, not randomized.
+value}}`` with no zero value stored.
+
+The verifier is exhaustive over basis tuples but joins nonzero rows only:
+each law computes both sides where some table row reaches, so a tuple
+neither side reaches is decided as 0 = 0 and still counted in
+``instances``.  Associativity (a), invariance of the metric (d) and the
+base algebra's two such laws share one kernel, ``_associator``.  Before any
+scan, ``_verify_cost`` counts the products the joins will multiply, the
+|G|^3 compositions of the representation check and the per-pair loops of
+the other checks; ``VERIFY_BUDGET`` bounds that count.
 """
 
 from __future__ import annotations
@@ -19,13 +27,13 @@ from typing import TYPE_CHECKING
 
 from . import exactnum as ex
 from ._report import Report
-from .groups import FiniteGroup, group_doc, group_from_doc, symmetric_order
+from .groups import FiniteGroup, group_doc, group_entry, group_from_doc, symmetric_order
 
 if TYPE_CHECKING:  # pragma: no cover
     from .cocycles import Cocycle2, SuperTwist
 
-# instance budget for the exhaustive verifier; roughly the number of basis
-# tuples the associativity scan would touch
+# budget of the exhaustive verifier: the products its joins multiply plus its
+# per-pair and |G|^3 loop steps, as ``_verify_cost`` counts them
 VERIFY_BUDGET = 50_000_000
 
 
@@ -81,6 +89,21 @@ def _apply(block: ex.SparseMap, vec: SparseVec) -> SparseVec:
         for i, v in block.get(k, {}).items():
             out[i] = out.get(i, 0) + c * v
     return _clean(out)
+
+
+def _bilinear(table: dict, a, b, size: int) -> list:
+    """Dense vectors a and b multiplied through a table {(i, j): {k: c}}."""
+    out = ex.vec_zero(size)
+    for i, x in enumerate(a):
+        if x == 0:
+            continue
+        for j, y in enumerate(b):
+            row = table.get((i, j)) if y != 0 else None
+            if row:
+                xy = x * y
+                for k, c in row.items():
+                    out[k] += xy * c
+    return [ex.norm(v) for v in out]
 
 
 def _compose(a: ex.SparseMap, b: ex.SparseMap) -> ex.SparseMap:
@@ -139,26 +162,9 @@ class GFrobeniusAlgebra:
 
     # -- basic access --------------------------------------------------------
 
-    def dim(self, g: int) -> int:
-        return self.sector_dims[g]
-
     def multiply(self, g: int, h: int, a, b):
         """Product of dense vectors a in A_g, b in A_h; result in A_gh."""
-        table = self.product.get((g, h), {})
-        out = ex.vec_zero(self.sector_dims[self.group.mul(g, h)])
-        for i, x in enumerate(a):
-            if x == 0:
-                continue
-            for j, y in enumerate(b):
-                if y == 0:
-                    continue
-                row = table.get((i, j))
-                if not row:
-                    continue
-                xy = x * y
-                for k, c in row.items():
-                    out[k] += xy * c
-        return [ex.norm(v) for v in out]
+        return _bilinear(self.product.get((g, h), {}), a, b, self.sector_dims[self.group.mul(g, h)])
 
     def act(self, g: int, h: int, v):
         """phi_g applied to v in A_h; result in A_{ghg^-1}."""
@@ -205,12 +211,95 @@ class GFrobeniusAlgebra:
 
 # -- verifier ----------------------------------------------------------------
 
+def _first_difference(lhs: dict, rhs: dict):
+    """The smallest key at which two maps of sparse vectors differ, as
+    ``(key, lhs vector, rhs vector)`` cleaned, or None; a missing key is 0."""
+    if lhs == rhs:
+        return None
+    for key in sorted(lhs.keys() | rhs.keys()):
+        a, b = _clean(dict(lhs.get(key, {}))), _clean(dict(rhs.get(key, {})))
+        if a != b:
+            return key, a, b
+    return None
+
+
+def _associator(xy: list, after: dict, yz: list, before: dict):
+    """The smallest basis tuple (k, i, j, m) where (x_i y_j) z_m != x_i (y_j z_m).
+
+    ``xy`` lists the entries (i, j, p, c) of x_i y_j = ... + c e_p and
+    ``after[p]`` the rows (k, m, row) of e_p z_m; ``yz`` lists the entries
+    (k, j, m, p, c) of y_j z_m and ``before[p]`` the rows (i, row) of x_i e_p.
+    Returns ``(key, lhs, rhs)`` or None.
+    """
+    lhs: dict = {}
+    rhs: dict = {}
+    for i, j, p, c in xy:
+        for k, m, row in after.get(p, ()):
+            acc = lhs.setdefault((k, i, j, m), {})
+            for q, v in row.items():
+                acc[q] = acc.get(q, 0) + c * v
+    for k, j, m, p, c in yz:
+        for i, row in before.get(p, ()):
+            acc = rhs.setdefault((k, i, j, m), {})
+            for q, v in row.items():
+                acc[q] = acc.get(q, 0) + c * v
+    return _first_difference(lhs, rhs)
+
+
+def _entries(table: dict) -> list:
+    """The entries (i, j, p, c) of a product table: c e_p is a term of e_i e_j."""
+    return [(i, j, p, c) for (i, j), row in table.items() for p, c in row.items()]
+
+
+def _joins(table: dict, k) -> tuple[dict, dict]:
+    """A product table's rows as the ``after`` (outer index k) and ``before``
+    arguments of ``_associator``: by left index and by right index."""
+    after: dict = {}
+    before: dict = {}
+    for (p, m), row in table.items():
+        after.setdefault(p, []).append((k, m, row))
+        before.setdefault(m, []).append((p, row))
+    return after, before
+
+
+def _as_product(block: ex.SparseMap) -> dict:
+    """A pairing block read as a product table into a one-dimensional sector."""
+    return {(i, j): {0: v} for i, row in block.items() for j, v in row.items()}
+
+
+def _add(out: dict, key, x) -> None:
+    """Add the scalar x to the one-dimensional vector ``out[key]``."""
+    acc = out.setdefault(key, {0: 0})
+    acc[0] += x
+
+
+def _verify_cost(X: GFrobeniusAlgebra) -> int:
+    """The work of ``verify_axioms``, counted before any scan from the nonzero
+    entries and the dimensions: the products the associativity join
+    multiplies, the row entries ii pushes through every phi_k (twice, for its
+    pulled-back side), structure's |G|^3 compositions, c's unit products, and
+    for b, d, iii and iv the largest block once per sector pair."""
+    G, dims, n = X.group, X.sector_dims, X.group.order
+    meet: dict = {}   # (s, p): what a row entry landing on e_p in A_s meets
+    for (s, t), table in X.product.items():
+        for (p, m), row in table.items():
+            meet[s, p] = meet.get((s, p), 0) + len(row)   # as x y, (x y) z by left index
+            meet[t, m] = meet.get((t, m), 0) + len(row)   # as y z, x (y z) by right index
+    for (_, s), block in X.action.items():
+        for p, col in block.items():
+            meet[s, p] = meet.get((s, p), 0) + 2 * len(col)
+    blocks = [*X.product.values(), *X.action.values(), *X.metric]
+    largest = max(sum(map(len, block.values())) for block in blocks)
+    return (sum(meet.get((G.mul(g, h), p), 0) for (g, h), table in X.product.items()
+                for row in table.values() for p in row)
+            + n ** 3 + sum(d * (dims[G.identity] + d) for d in dims) + n * n * largest)
+
+
 def _verify_structure(X: GFrobeniusAlgebra, report: Report) -> bool:
-    G = X.group
+    G, n = X.group, X.group.order
+    name = "shapes, metric blocks, action is a representation"
     witness = None
-    count = 0
     for g in G.elements():
-        count += 1
         ginv = G.inv(g)
         if _transpose(X.metric[g]) != X.metric[ginv] and witness is None:
             witness = {"g": G.labels[g], "issue": "metric block not the transpose of its partner"}
@@ -222,25 +311,21 @@ def _verify_structure(X: GFrobeniusAlgebra, report: Report) -> bool:
     missing = [(g, h) for g in G.elements() for h in G.elements() if (g, h) not in X.action]
     if missing:
         g, h = missing[0]
-        report.add("structure", "shapes, metric blocks, action is a representation",
-                   False, count,
+        report.add("structure", name, False, n,
                    {"g": G.labels[g], "h": G.labels[h], "issue": "missing action block"})
         return False
     e = G.identity
     for h in G.elements():
-        count += 1
         if X.action[(e, h)] != _scalar_map(1, X.sector_dims[h]) and witness is None:
             witness = {"h": G.labels[h], "issue": "phi_e is not the identity"}
     for g in G.elements():
         for h in G.elements():
             for s in G.elements():
-                count += 1
-                left = _compose(X.action[(g, G.conj(h, s))], X.action[(h, s)])
-                if left != X.action[(G.mul(g, h), s)] and witness is None:
+                if witness is None and (_compose(X.action[(g, G.conj(h, s))], X.action[(h, s)])
+                                        != X.action[(G.mul(g, h), s)]):
                     witness = {"g": G.labels[g], "h": G.labels[h], "sector": G.labels[s],
                                "issue": "phi_g phi_h != phi_gh"}
-    report.add("structure", "shapes, metric blocks, action is a representation",
-               witness is None, count, witness)
+    report.add("structure", name, witness is None, 2 * n + n ** 3, witness)
     return witness is None
 
 
@@ -256,242 +341,184 @@ def verify_axioms(X: GFrobeniusAlgebra, super_mode: bool | None = None,
     report = Report()
     if super_mode is None:
         super_mode = X.is_super()
-    G = X.group
-    dims = X.sector_dims
-    n = G.order
-
-    total = sum(dims)
-    estimate = total ** 3 + n * total ** 2
+    estimate = _verify_cost(X)
     if estimate > budget:
         raise BudgetExceededError(
-            f"verification would touch ~{estimate} basis tuples (budget {budget})", estimate
-        )
-
+            f"verification would cost ~{estimate} products and loop steps (budget {budget})",
+            estimate)
     if not _verify_structure(X, report):
         return report
 
-    mul = G.mul
-    inv = G.inv
-    product = X.product
+    G, dims, product, par = X.group, X.sector_dims, X.product, X.sector_parities
+    mul, inv, conj, labels = G.mul, G.inv, G.conj, G.labels
+    n, total = G.order, sum(dims)
+    pairs = [(g, h) for g in G.elements() for h in G.elements()]
+    pulled = {key: _transpose(block) for key, block in X.action.items()}   # rows of phi_g|A_h
 
-    # a) associativity over all basis triples
+    # a) associativity, one join per sector pair (g, h) with every k inside:
+    # the entries of T_{g,h} meet the tables T_{gh,k} by left index, and the
+    # entries of every T_{h,k} meet the tables T_{g,hk} by right index
+    entries = {key: _entries(table) for key, table in product.items()}
+    after: list = [{} for _ in G.elements()]    # per s: p -> [(k, m, row of e_p z_m)]
+    before: list = [{} for _ in G.elements()]   # per g: (s, p) -> [(i, row of x_i e_p)]
+    for (s, t), table in product.items():
+        for (p, m), row in table.items():
+            after[s].setdefault(p, []).append((t, m, row))
+            before[s].setdefault((t, m), []).append((p, row))
+    yz_of = [[(k, j, m, (mul(h, k), p), c) for k in G.elements()
+              for j, m, p, c in entries.get((h, k), ())] for h in G.elements()]
     witness = None
-    count = 0
-    for g in G.elements():
-        for h in G.elements():
-            gh = mul(g, h)
-            T1 = product.get((g, h), {})
-            for k in G.elements():
-                T2 = product.get((gh, k), {})
-                T3 = product.get((h, k), {})
-                T4 = product.get((g, mul(h, k)), {})
-                dg, dh, dk = dims[g], dims[h], dims[k]
-                count += dg * dh * dk
-                for i in range(dg):
-                    for j in range(dh):
-                        row1 = T1.get((i, j))
-                        for m in range(dk):
-                            row3 = T3.get((j, m))
-                            if not row1 and not row3:
-                                continue
-                            lhs: SparseVec = {}
-                            if row1:
-                                for p, c in row1.items():
-                                    r2 = T2.get((p, m))
-                                    if r2:
-                                        for q, v in r2.items():
-                                            lhs[q] = lhs.get(q, 0) + c * v
-                            rhs: SparseVec = {}
-                            if row3:
-                                for p, c in row3.items():
-                                    r4 = T4.get((i, p))
-                                    if r4:
-                                        for q, v in r4.items():
-                                            rhs[q] = rhs.get(q, 0) + c * v
-                            if _clean(lhs) != _clean(rhs) and witness is None:
-                                witness = {"g": G.labels[g], "h": G.labels[h], "k": G.labels[k],
-                                           "basis": (i, j, m),
-                                           "lhs": _fmt_vec(X, mul(gh, k), _clean(lhs)),
-                                           "rhs": _fmt_vec(X, mul(gh, k), _clean(rhs))}
-    report.add("a", "associativity", witness is None, count, witness)
+    for g, h in pairs:
+        found = _associator(entries.get((g, h), ()), after[mul(g, h)], yz_of[h], before[g])
+        if found:
+            (k, i, j, m), lhs, rhs = found
+            ghk = mul(mul(g, h), k)
+            witness = {"g": labels[g], "h": labels[h], "k": labels[k], "basis": (i, j, m),
+                       "lhs": _fmt_vec(X, ghk, lhs), "rhs": _fmt_vec(X, ghk, rhs)}
+            break
+    report.add("a", "associativity", witness is None, total ** 3, witness)
 
-    # b) twisted (super-)commutativity
+    # b) twisted (super-)commutativity: T_{g,h} against the rows of
+    # T_{ghg^-1,g} pulled back through phi_g
     witness = None
-    count = 0
-    for g in G.elements():
-        for h in G.elements():
-            ghg = G.conj(g, h)
-            T = product.get((g, h), {})
-            Tb = product.get((ghg, g), {})
-            act = X.action[(g, h)]
-            par_g = X.sector_parities[g]
-            par_h = X.sector_parities[h]
-            for i in range(dims[g]):
-                for j in range(dims[h]):
-                    count += 1
-                    lhs = _clean(dict(T.get((i, j), {})))
-                    rhs: SparseVec = {}
-                    for p, c in act.get(j, {}).items():
-                        row = Tb.get((p, i))
-                        if row:
-                            for q, v in row.items():
-                                rhs[q] = rhs.get(q, 0) + c * v
-                    if super_mode and (par_g[i] * par_h[j]) % 2:
-                        rhs = {q: -v for q, v in rhs.items()}
-                    if lhs != _clean(rhs) and witness is None:
-                        witness = {"g": G.labels[g], "h": G.labels[h], "basis": (i, j),
-                                   "lhs": _fmt_vec(X, mul(g, h), lhs),
-                                   "rhs": _fmt_vec(X, mul(g, h), _clean(rhs))}
-    report.add("b", "twisted commutativity", witness is None, count, witness)
+    for g, h in pairs:
+        rhs: dict = {}
+        for (p, i), row in product.get((conj(g, h), g), {}).items():
+            for j, c in pulled[g, h].get(p, {}).items():
+                c = -c if super_mode and par[g][i] * par[h][j] % 2 else c
+                acc = rhs.setdefault((i, j), {})
+                for q, v in row.items():
+                    acc[q] = acc.get(q, 0) + c * v
+        found = _first_difference(product.get((g, h), {}), rhs)
+        if found:
+            (i, j), lhs, rhs = found
+            witness = {"g": labels[g], "h": labels[h], "basis": (i, j),
+                       "lhs": _fmt_vec(X, mul(g, h), lhs), "rhs": _fmt_vec(X, mul(g, h), rhs)}
+            break
+    report.add("b", "twisted commutativity", witness is None, total ** 2, witness)
 
     # c) invariant unit
     witness = None
-    count = 0
     e = G.identity
     for h in G.elements():
         for j in range(dims[h]):
-            count += 1
             ej = X.basis_vector(h, j)
             if X.multiply(e, h, X.unit, ej) != ej or X.multiply(h, e, ej, X.unit) != ej:
                 if witness is None:
-                    witness = {"h": G.labels[h], "basis": j, "issue": "unit does not act as identity"}
+                    witness = {"h": labels[h], "basis": j, "issue": "unit does not act as identity"}
     for g in G.elements():
-        count += 1
         if X.act(g, e, X.unit) != X.unit and witness is None:
-            witness = {"g": G.labels[g], "issue": "phi_g(1) != 1"}
-    report.add("c", "invariant unit", witness is None, count, witness)
+            witness = {"g": labels[g], "issue": "phi_g(1) != 1"}
+    report.add("c", "invariant unit", witness is None, total + n, witness)
 
-    # d) invariance of the metric
+    # d) invariance of the metric: the associativity join, each pairing block
+    # read as a product into a one-dimensional sector
+    eta = [_joins(_as_product(block), inv(s)) for s, block in enumerate(X.metric)]
     witness = None
-    count = 0
-    for g in G.elements():
-        for h in G.elements():
-            k = inv(mul(g, h))
-            T1 = product.get((g, h), {})
-            T3 = product.get((h, k), {})
-            eta_g = X.metric[g]
-            eta_gh = X.metric[mul(g, h)]
-            for i in range(dims[g]):
-                row_g = eta_g.get(i, {})
-                for j in range(dims[h]):
-                    row1 = T1.get((i, j))
-                    for m in range(dims[k]):
-                        count += 1
-                        row3 = T3.get((j, m))
-                        lhs = sum(row_g.get(p, 0) * c for p, c in row3.items()) if row3 else 0
-                        rhs = sum(c * eta_gh.get(p, {}).get(m, 0) for p, c in row1.items()) if row1 else 0
-                        if lhs != rhs and witness is None:
-                            witness = {"g": G.labels[g], "h": G.labels[h], "k": G.labels[k],
-                                       "basis": (i, j, m),
-                                       "eta(a,bc)": ex.fmt_rat(ex.norm(lhs)),
-                                       "eta(ab,c)": ex.fmt_rat(ex.norm(rhs))}
+    for g, h in pairs:
+        k = inv(mul(g, h))
+        found = _associator(entries.get((g, h), ()), eta[mul(g, h)][0],
+                            [(k, j, m, p, c) for j, m, p, c in entries.get((h, k), ())], eta[g][1])
+        if found:
+            (_, i, j, m), lhs, rhs = found
+            witness = {"g": labels[g], "h": labels[h], "k": labels[k], "basis": (i, j, m),
+                       "eta(a,bc)": ex.fmt_rat(rhs.get(0, 0)), "eta(ab,c)": ex.fmt_rat(lhs.get(0, 0))}
+            break
+    count = sum(dims[g] * dims[h] * dims[inv(mul(g, h))] for g, h in pairs)
     report.add("d", "invariance of the metric", witness is None, count, witness)
 
     # i) projective self-invariance of the twisted sectors
     witness = None
-    count = 0
     for g in G.elements():
-        count += 1
         chi_inv = ex.norm(1 / Fraction(X.character[g]))
         if X.action[(g, g)] != _scalar_map(chi_inv, dims[g]) and witness is None:
-            witness = {"g": G.labels[g], "issue": "phi_g|A_g != chi_g^-1 id"}
-    report.add("i", "projective self-invariance", witness is None, count, witness)
+            witness = {"g": labels[g], "issue": "phi_g|A_g != chi_g^-1 id"}
+    report.add("i", "projective self-invariance", witness is None, n, witness)
 
-    # ii) G-invariance of the multiplication
+    # ii) G-invariance of the multiplication, one join per (k, g) with every h
+    # inside: the rows of T_{g,h} pushed through phi_k meet the rows of
+    # T_{kgk^-1,khk^-1} pulled back through the transposed action columns
+    tables_from: list = [[] for _ in G.elements()]   # per g: (h, T_{g,h}) for T_{g,h} != 0
+    for (g, h), table in product.items():
+        if table:
+            tables_from[g].append((h, table))
     witness = None
-    count = 0
-    for k in G.elements():
-        for g in G.elements():
-            for h in G.elements():
-                T = product.get((g, h), {})
-                Tc = product.get((G.conj(k, g), G.conj(k, h)), {})
-                act_g = X.action[(k, g)]
-                act_h = X.action[(k, h)]
-                act_gh = X.action[(k, mul(g, h))]
-                count += dims[g] * dims[h]
-                for i in range(dims[g]):
-                    for j in range(dims[h]):
-                        lhs = _apply(act_gh, T.get((i, j), {}))
-                        rhs: SparseVec = {}
-                        for p, cg in act_g.get(i, {}).items():
-                            for q, ch in act_h.get(j, {}).items():
-                                row2 = Tc.get((p, q))
-                                if row2:
-                                    cgh = cg * ch
-                                    for r, v in row2.items():
-                                        rhs[r] = rhs.get(r, 0) + cgh * v
-                        if lhs != _clean(rhs) and witness is None:
-                            witness = {"k": G.labels[k], "g": G.labels[g], "h": G.labels[h],
-                                       "basis": (i, j)}
-    report.add("ii", "action multiplicative", witness is None, count, witness)
+    for k, g in pairs:
+        lhs: dict = {}
+        for h, table in tables_from[g]:
+            push = X.action[k, mul(g, h)]
+            for (i, j), row in table.items():
+                acc = lhs.setdefault((h, i, j), {})
+                for p, c in row.items():
+                    for r, v in push.get(p, {}).items():
+                        acc[r] = acc.get(r, 0) + c * v
+        rhs: dict = {}
+        back_g = pulled[k, g]
+        for kh, table in tables_from[conj(k, g)]:
+            h = conj(inv(k), kh)
+            back_h = pulled[k, h]
+            for (p, q), row in table.items():
+                for i, cg in back_g.get(p, {}).items():
+                    for j, ch in back_h.get(q, {}).items():
+                        acc, c = rhs.setdefault((h, i, j), {}), cg * ch
+                        for r, v in row.items():
+                            acc[r] = acc.get(r, 0) + c * v
+        found = _first_difference(lhs, rhs)
+        if found:
+            h, i, j = found[0]
+            witness = {"k": labels[k], "g": labels[g], "h": labels[h], "basis": (i, j)}
+            break
+    report.add("ii", "action multiplicative", witness is None, n * total ** 2, witness)
 
-    # iii) projective G-invariance of the metric
+    # iii) projective G-invariance of the metric: eta(phi_g e_i, phi_g e_j)
+    # from the nonzero pairing entries, against chi_g^-2 eta(e_i, e_j)
     witness = None
-    count = 0
-    for g in G.elements():
+    for g, h in pairs:
         chi2_inv = ex.norm(1 / (Fraction(X.character[g]) ** 2))
-        for h in G.elements():
-            hinv = inv(h)
-            act_h = X.action[(g, h)]
-            act_hinv = X.action[(g, hinv)]
-            tgt = G.conj(g, h)
-            eta_tgt = X.metric[tgt]
-            eta_h = X.metric[h]
-            for i in range(dims[h]):
-                for j in range(dims[hinv]):
-                    count += 1
-                    lhs = 0
-                    for p, cp in act_h.get(i, {}).items():
-                        row = eta_tgt.get(p, {})
-                        for q, cq in act_hinv.get(j, {}).items():
-                            if q in row:
-                                lhs += cp * row[q] * cq
-                    rhs = chi2_inv * eta_h.get(i, {}).get(j, 0)
-                    if ex.norm(lhs) != ex.norm(rhs) and witness is None:
-                        witness = {"g": G.labels[g], "h": G.labels[h], "basis": (i, j),
-                                   "lhs": ex.fmt_rat(ex.norm(lhs)), "rhs": ex.fmt_rat(ex.norm(rhs))}
+        eta_gh, back = X.metric[conj(g, h)], pulled[g, inv(h)]
+        lhs: dict = {}
+        for i, col in X.action[g, h].items():
+            for p, cp in col.items():
+                for q, v in eta_gh.get(p, {}).items():
+                    for j, cq in back.get(q, {}).items():
+                        _add(lhs, (i, j), cp * v * cq)
+        rhs = {(i, j): {0: chi2_inv * v} for i, row in X.metric[h].items() for j, v in row.items()}
+        found = _first_difference(lhs, rhs)
+        if found:
+            (i, j), lhs, rhs = found
+            witness = {"g": labels[g], "h": labels[h], "basis": (i, j),
+                       "lhs": ex.fmt_rat(lhs.get(0, 0)), "rhs": ex.fmt_rat(rhs.get(0, 0))}
+            break
+    count = n * sum(d * dims[inv(h)] for h, d in enumerate(dims))
     report.add("iii", "projective invariance of the metric", witness is None, count, witness)
 
-    # iv) projective (super-)trace axiom, over all pairs (g, h)
+    # iv) projective (super-)trace axiom, over all pairs (g, h): the
+    # supertraces of l_c phi_h on A_g and of phi_g^-1 l_c on A_h, from the
+    # nonzero rows of l_c
+    def sign(s, v):
+        return -1 if super_mode and par[s][v] % 2 else 1
+
     witness = None
-    count = 0
-    for g in G.elements():
-        for h in G.elements():
-            comm = G.commutator(g, h)
-            hgh = G.conj(h, g)
-            ghg = G.conj(g, h)
-            T_left = product.get((comm, hgh), {})   # l_c : A_{hgh^-1} -> A_g
-            T_right = product.get((comm, h), {})    # l_c : A_h -> A_{ghg^-1}
-            act_h_on_g = X.action[(h, g)]
-            act_ginv = X.action[(inv(g), ghg)]
-            chi_h = Fraction(X.character[h])
-            chi_ginv = Fraction(X.character[inv(g)])
-            par_g = X.sector_parities[g]
-            par_h = X.sector_parities[h]
-            for c in range(dims[comm]):
-                count += 1
-                lhs = 0
-                for v in range(dims[g]):
-                    acc = 0
-                    for p, cp in act_h_on_g.get(v, {}).items():
-                        row = T_left.get((c, p))
-                        if row and v in row:
-                            acc += cp * row[v]
-                    if acc != 0:
-                        lhs += -acc if (super_mode and par_g[v] % 2) else acc
-                rhs = 0
-                for v in range(dims[h]):
-                    row = T_right.get((c, v))
-                    acc = 0
-                    if row:
-                        for p, cv in row.items():
-                            acc += cv * act_ginv.get(p, {}).get(v, 0)
-                    if acc != 0:
-                        rhs += -acc if (super_mode and par_h[v] % 2) else acc
-                if ex.norm(chi_h * lhs) != ex.norm(chi_ginv * rhs) and witness is None:
-                    witness = {"g": G.labels[g], "h": G.labels[h], "c": c,
-                               "lhs": ex.fmt_rat(ex.norm(chi_h * lhs)),
-                               "rhs": ex.fmt_rat(ex.norm(chi_ginv * rhs))}
+    for g, h in pairs:
+        comm, chi_h, chi_ginv = G.commutator(g, h), X.character[h], X.character[inv(g)]
+        phi_h, phi_ginv = X.action[h, g], X.action[inv(g), conj(g, h)]
+        lhs: dict = {}
+        for (c, p), row in product.get((comm, conj(h, g)), {}).items():   # l_c: A_{hgh^-1} -> A_g
+            for v, x in row.items():
+                if p in phi_h.get(v, ()):
+                    _add(lhs, c, sign(g, v) * chi_h * x * phi_h[v][p])
+        rhs: dict = {}
+        for (c, v), row in product.get((comm, h), {}).items():            # l_c: A_h -> A_{ghg^-1}
+            for p, x in row.items():
+                if v in phi_ginv.get(p, ()):
+                    _add(rhs, c, sign(h, v) * chi_ginv * x * phi_ginv[p][v])
+        found = _first_difference(lhs, rhs)
+        if found:
+            c, lhs, rhs = found
+            witness = {"g": labels[g], "h": labels[h], "c": c,
+                       "lhs": ex.fmt_rat(lhs.get(0, 0)), "rhs": ex.fmt_rat(rhs.get(0, 0))}
+            break
+    count = sum(dims[G.commutator(g, h)] for g, h in pairs)
     report.add("iv", "projective trace axiom" + (" (supertrace)" if super_mode else ""),
                witness is None, count, witness)
     return report
@@ -849,7 +876,7 @@ def to_json_dict(X: GFrobeniusAlgebra) -> dict:
 
 
 def from_json_dict(doc: dict) -> GFrobeniusAlgebra:
-    gdoc, sectors = doc["group"], doc["sectors"]
+    gdoc, sectors = group_entry(doc), doc["sectors"]
     # compare before building the (n!)^2-entry table
     if gdoc.get("type") == "symmetric" and symmetric_order(gdoc["n"], len(sectors)) != len(sectors):
         raise ValueError("sector count does not match the group order")

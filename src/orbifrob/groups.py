@@ -108,11 +108,6 @@ class OrbitPartition:
         if canonical != self.blocks:
             raise ValueError("blocks are not in canonical order (sorted, by minimal element)")
 
-    @staticmethod
-    def from_blocks(n: int, blocks) -> "OrbitPartition":
-        canonical = tuple(sorted((tuple(sorted(b)) for b in blocks), key=lambda b: b[0]))
-        return OrbitPartition(n, canonical)
-
     def block_index(self) -> dict[int, int]:
         """point -> position of its block in the canonical order."""
         out = {}
@@ -408,6 +403,14 @@ def group_doc(G: FiniteGroup) -> dict:
     if G.perms is not None:
         return {"type": "symmetric", "n": G.perms[0].n}
     return {"type": "table", "labels": list(G.labels), "table": [list(r) for r in G.table]}
+
+
+def group_entry(doc: dict) -> dict:
+    """A document's ``group`` entry, refused unless it is an object."""
+    gdoc = doc["group"]
+    if not isinstance(gdoc, dict):
+        raise ValueError(f"group entry {gdoc!r} is not an object")
+    return gdoc
 
 
 def group_from_doc(gdoc: dict) -> FiniteGroup:

@@ -360,11 +360,6 @@ class SymmetricProductAlgebra:
         """Unit-tensor section A^(x)|coarse| -> A^(x)|fine| of the contraction."""
         return self._dense_map(v, self._spread_map(fine, coarse, self._section_columns))
 
-    def restriction_matrix(self, fine: OrbitPartition, coarse: OrbitPartition) -> list:
-        size = self.base.dim ** len(fine)
-        unit_vectors = ([int(i == j) for i in range(size)] for j in range(size))
-        return ex.mat_transpose([self.restrict_between(fine, coarse, e) for e in unit_vectors])
-
     # -- the two product routes -------------------------------------------------
 
     def _orbit_map(self, kg: int, kh: int, kgh: int, d: int) -> tuple[dict, int]:

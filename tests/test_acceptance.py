@@ -350,6 +350,13 @@ def test_criterion_6_compatible_pairs(qx2):
 # 7. intersection lemmas
 
 
+def _restriction_matrix(sp, fine, coarse) -> list:
+    """restrict_between(fine, coarse, .) as a dense matrix, column by column."""
+    size = sp.base.dim ** len(fine)
+    unit_vectors = ([int(i == j) for i in range(size)] for j in range(size))
+    return [list(row) for row in zip(*(sp.restrict_between(fine, coarse, e) for e in unit_vectors))]
+
+
 def test_criterion_7_intersection_lemmas(qx2, surface):
     # metric compatibility gamma(s, s^-1) = dual unit, n <= 4
     for base, n_max in ((qx2, 4), (surface, 3)):
@@ -369,7 +376,7 @@ def test_criterion_7_intersection_lemmas(qx2, surface):
             e_part = g.group_orbits([], n=n)
             kernels = {}
             for gi in range(sp.group.order):
-                mat = sp.restriction_matrix(e_part, sp.parts[gi])
+                mat = _restriction_matrix(sp, e_part, sp.parts[gi])
                 kernels[gi] = ex.nullspace(mat)
             for gi in range(sp.group.order):
                 for hi in range(sp.group.order):

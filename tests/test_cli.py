@@ -83,6 +83,17 @@ def test_verify_bad_symmetric_degree_exits_two(tmp_path, capsys, n, message):
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("command, fixture", [
+    ("verify", "ks3.json"), ("export", "ks3.json"), ("invariants", "ks3.json"),
+    ("verify", "sn3_sign_cocycle.json"), ("export", "sn3_sign_cocycle.json"),
+])
+def test_group_entry_that_is_not_an_object_exits_two(tmp_path, capsys, command, fixture):
+    # used to end in an AttributeError traceback ('str' object has no attribute 'get')
+    path = _variant(tmp_path, fixture, lambda doc: doc.__setitem__("group", "S3"))
+    assert run(command, path) == 2
+    assert capsys.readouterr().err == "error: group entry 'S3' is not an object\n"
+
+
 def test_verify_negative_index_exits_two(tmp_path, capsys):
     # a negative index used to wrap round to the last entry and pass silently
     path = _variant(tmp_path, "ks3.json", lambda doc: doc["action"][0].__setitem__(2, -1))

@@ -52,6 +52,14 @@ def test_verify_budget_guard(s3_ring):
         gfrob.verify_axioms(s3_ring, budget=10)
 
 
+def test_sym4_surface_verifies_exhaustively_within_the_default_budget(surface):
+    # 840 basis elements; every basis triple is decided, most of them as 0 = 0
+    X = sp_mod.SymmetricProductAlgebra(surface, 4).realize(budget=840 ** 2)
+    report = gfrob.verify_axioms(X)
+    assert report.passed
+    assert report["a"].instances == 840 ** 3
+
+
 def test_tensor_hat_with_trivial_ring_is_identity(sp_factory, qx2):
     sp2 = sp_factory(qx2, 2).realize()
     trivial = cocy.twisted_group_ring(sp2.group)
