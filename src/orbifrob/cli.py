@@ -168,10 +168,7 @@ def cmd_verify(args) -> int:
         title = f"algebra {algebra.name!r}"
     elif "values" in doc:
         # refuse the scan before the group and value tables are built
-        triples = cocy.document_order(doc) ** 3
-        if triples > args.budget:
-            raise gfrob.BudgetExceededError(
-                f"cocycle check would touch ~{triples} group triples (budget {args.budget})", triples)
+        cocy.refuse_scan(cocy.document_order(doc), args.budget)
         report = cocy.validate(cocy.from_json_dict(doc))
         title = "cocycle"
     else:

@@ -109,6 +109,14 @@ def coboundary(group: FiniteGroup, scale: list) -> Cocycle2:
     ])
 
 
+def refuse_scan(order: int, budget: int = VERIFY_BUDGET) -> None:
+    """Refuse, before it starts, a cocycle-law scan of order^3 group triples past ``budget``."""
+    triples = order ** 3
+    if triples > budget:
+        raise BudgetExceededError(
+            f"cocycle check would touch ~{triples} group triples (budget {budget})", triples)
+
+
 def validate(alpha: Cocycle2) -> Report:
     """Exhaustive cocycle-law and normalization check."""
     report = Report()
@@ -170,8 +178,10 @@ def twisted_group_ring(group: FiniteGroup, alpha: Cocycle2 | None = None,
     One-dimensional sectors spanned by ``g^``; product ``g^ h^ = alpha(g,h)
     (gh)^``, pairing ``eta(g^, (g^-1)^) = alpha(g,g^-1)``, action by twisted
     conjugation with scalar ``(-1)^{sigma(g)sigma(h)} eps(g,h)``, character
-    ``(-1)^{sigma(g)}``, sector parity ``sigma(g)``.
+    ``(-1)^{sigma(g)}``, sector parity ``sigma(g)``.  The cocycle is validated
+    by its |G|^3 scan, which is refused past ``VERIFY_BUDGET``.
     """
+    refuse_scan(group.order)
     if alpha is None:
         alpha = trivial_cocycle(group)
     if alpha.group != group:

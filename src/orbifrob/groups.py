@@ -14,6 +14,7 @@ import itertools
 import re
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import itemgetter
 
 ENUMERATION_BOUND = 8  # n! blows up past this; override per call if you must
 
@@ -293,40 +294,86 @@ class FiniteGroup:
             self._validate(assoc_bound)
 
     def _find_identity(self) -> int:
-        for e in range(self.order):
-            if all(self.table[e][g] == g and self.table[g][e] == g for g in range(self.order)):
+        ids = list(range(self.order))
+        for e, row in enumerate(self.table):
+            if row == ids and all(r[e] == g for g, r in enumerate(self.table)):
                 return e
         raise ValueError("multiplication table has no identity element")
 
     def _find_inverses(self) -> list[int]:
-        inv = [-1] * self.order
-        for g in range(self.order):
-            for h in range(self.order):
-                if self.table[g][h] == self.identity and self.table[h][g] == self.identity:
-                    inv[g] = h
-                    break
-            if inv[g] < 0:
-                raise ValueError(f"element {self.labels[g]} has no inverse")
+        t, e = self.table, self.identity
+        inv = []
+        for g, row in enumerate(t):
+            try:
+                h = row.index(e)
+                while t[h][g] != e:   # only a table that is no Latin square repeats e
+                    h = row.index(e, h + 1)
+            except ValueError:
+                raise ValueError(f"element {self.labels[g]} has no inverse") from None
+            inv.append(h)
         return inv
 
+    def _generators(self) -> list[int]:
+        """Greedy generators: in index order, each element that right products
+        of the earlier generators, starting from the identity, do not reach.
+
+        Every element is then a left-nested word ``((e a1) a2) ... ak`` in them.
+        """
+        t = self.table
+        reached = [False] * self.order
+        reached[self.identity] = True
+        words = [self.identity]
+        gens: list[int] = []
+        for g in range(self.order):
+            if reached[g]:
+                continue
+            gens.append(g)
+            # old words meet the new generator; new words meet every generator
+            fresh = []
+            for w in words:
+                v = t[w][g]
+                if not reached[v]:
+                    reached[v] = True
+                    fresh.append(v)
+            for w in fresh:   # the list grows while it is read
+                row = t[w]
+                for a in gens:
+                    v = row[a]
+                    if not reached[v]:
+                        reached[v] = True
+                        fresh.append(v)
+            words += fresh
+        return gens
+
     def _validate(self, assoc_bound: int):
-        n = self.order
-        for g in range(n):
-            if sorted(self.table[g]) != list(range(n)) or sorted(r[g] for r in self.table) != list(range(n)):
-                raise ValueError(f"table row/column for {self.labels[g]} is not a bijection")
+        """Latin-square check, then, up to ``assoc_bound`` elements, Light's
+        associativity test: (x a) y = x (a y) for every x, y and every greedy
+        generator a.
+
+        The test is exact without assuming associativity.  The middle elements
+        a that pass for all x and y contain the identity and are closed under
+        the product: if a and b pass, then (x (ab)) y = ((x a) b) y =
+        (x a)(b y) = x (a (b y)) = x ((ab) y).  Every element is a right-product
+        word in the generators, so every element passes.  The cost is
+        |generators| * order^2 lookups instead of order^3; the witness is a
+        failing triple, not necessarily the lexicographically first one.
+        """
+        n, t, labels = self.order, self.table, self.labels
+        ids = list(range(n))
+        for g, (row, col) in enumerate(zip(t, zip(*t))):
+            if sorted(row) != ids or sorted(col) != ids:
+                raise ValueError(f"table row/column for {labels[g]} is not a bijection")
         if n <= assoc_bound:
-            t = self.table
-            for g in range(n):
-                tg = t[g]
-                for h in range(n):
-                    tgh = t[tg[h]]
-                    th = t[h]
-                    for k in range(n):
-                        if tgh[k] != tg[th[k]]:
-                            raise ValueError(
-                                f"table is not associative at "
-                                f"({self.labels[g]}, {self.labels[h]}, {self.labels[k]})"
-                            )
+            rows = [tuple(r) for r in t]
+            for a in self._generators():
+                right = itemgetter(*t[a])   # x -> x (a y) over every y; n > 1 here
+                for x, row in enumerate(rows):
+                    if rows[row[a]] != right(row):
+                        y = next(y for y in ids if t[row[a]][y] != row[t[a][y]])
+                        raise ValueError(
+                            f"table is not associative at "
+                            f"({labels[x]}, {labels[a]}, {labels[y]})"
+                        )
 
     def mul(self, g: int, h: int) -> int:
         return self.table[g][h]
@@ -380,8 +427,13 @@ def symmetric_group(n: int, bound: int = ENUMERATION_BOUND) -> FiniteGroup:
     """S_n as an explicit table; element order matches enumerate_sn(n)."""
     perms = enumerate_sn(n, bound)
     index = {p.images: i for i, p in enumerate(perms)}
-    table = [[index[compose(p, q).images] for q in perms] for p in perms]
-    # associator scan is cubic; past order 200 trust composition-by-construction
+    if n == 1:   # a one-index getter returns a bare item, not a tuple
+        table = [[0]]
+    else:
+        # (p * q).images is q's images read off p's images
+        getters = [itemgetter(*q.images) for q in perms]
+        table = [[index[get(p.images)] for get in getters] for p in perms]
+    # Light's test checks orders up to 200 (S_5); past that, trust composition
     group = FiniteGroup([cycle_notation(p) for p in perms], table, assoc_bound=200)
     group.perms = perms
     return group

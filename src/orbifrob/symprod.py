@@ -221,31 +221,40 @@ class SymmetricProductAlgebra:
         """``_numerators`` of the unit tensor of A^(x)m."""
         return self._numerators(frob.tensor_unit(self.base, m), m)
 
-    def _basis_product(self, indices) -> dict:
-        """Sparse product of a list of base basis elements."""
-        terms = {indices[0]: 1}
-        for idx in indices[1:]:
-            new: dict = {}
-            for i, c in terms.items():
-                row = self.base.rows.get((i, idx))
-                if row:
-                    for k, v in row.items():
-                        new[k] = new.get(k, 0) + c * v
-            terms = {k: ex.norm(v) for k, v in new.items() if v != 0}
-            if not terms:
-                break
-        return terms
-
     def _mu_columns(self, m: int) -> tuple[dict, int]:
         """The m-fold product as integer columns over one denominator.
 
         Factor tuple -> [(k, numerator)]; the key is the bare index when m = 1,
-        as ``itemgetter`` reads it off a tensor tuple.
+        as ``itemgetter`` reads it off a tensor tuple.  Each nonzero column of
+        the (m-1)-fold product meets the base's pair rows, so no zero product is
+        formed; the keys come out in lexicographic order.
         """
         if ("mu", m) not in self._columns:
-            self._columns["mu", m] = _integral({
-                t if m > 1 else t[0]: list(self._basis_product(list(t)).items())
-                for t in self._tuples(m)})
+            if m == 1:
+                self._columns["mu", m] = {k: [(k, 1)] for k in range(self.base.dim)}, 1
+                return self._columns["mu", m]
+            prev, prev_den = self._mu_columns(m - 1)
+            pairs, den = self.base._pairs, prev_den * self.base._pairs_den
+            nums: dict = {}
+            for s, col in prev.items():
+                t = s if m > 2 else (s,)
+                by_last: dict = {}
+                for k, c in col:
+                    for y, row in pairs[k]:
+                        acc = by_last.get(y)
+                        if acc is None:
+                            acc = by_last[y] = {}
+                        for q, w in row:
+                            acc[q] = acc.get(q, 0) + c * w
+                for y in sorted(by_last):
+                    col_y = [(q, v) for q, v in by_last[y].items() if v]
+                    if col_y:
+                        nums[t + (y,)] = col_y
+            # numerators over den, rescaled to the lcm of their reduced denominators
+            out_den = math.lcm(*(den // math.gcd(v, den) for col in nums.values() for _, v in col))
+            scale = den // out_den
+            self._columns["mu", m] = (
+                {t: [(q, v // scale) for q, v in col] for t, col in nums.items()}, out_den)
         return self._columns["mu", m]
 
     def _adjoint_columns(self, m: int) -> tuple[dict, int]:

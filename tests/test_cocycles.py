@@ -166,6 +166,21 @@ def test_invalid_cocycle_rejected_by_ring():
         cocy.twisted_group_ring(G, bad)
 
 
+def test_ring_refuses_a_cocycle_scan_past_the_budget():
+    # Z/400 as a table: 64M triples, refused before the trivial cocycle is built
+    n = 400
+    G = g.FiniteGroup([str(i) for i in range(n)], [[(i + j) % n for j in range(n)] for i in range(n)])
+    with pytest.raises(gfrob.BudgetExceededError, match=f"~{n ** 3} group triples "
+                                                       f"\\(budget {gfrob.VERIFY_BUDGET}\\)") as err:
+        cocy.twisted_group_ring(G)
+    assert err.value.estimate == n ** 3
+    with pytest.raises(gfrob.BudgetExceededError):
+        cocy.twisted_group_ring(symmetric_group(6))   # 373M triples
+    cocy.refuse_scan(368)   # 368^3 < VERIFY_BUDGET < 369^3
+    with pytest.raises(gfrob.BudgetExceededError):
+        cocy.refuse_scan(369)
+
+
 def test_json_round_trip(tmp_path):
     alpha = cocy.normalized_sn_cocycle(3, Fraction(-2, 3))
     path = tmp_path / "alpha.json"

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -158,5 +159,108 @@ def test_bad_table_rejected():
         [3, 2, 4, 0, 1],
         [4, 3, 1, 2, 0],
     ]
-    with pytest.raises(ValueError):
+    # (a a) b = b but a (a b) = a c = d
+    with pytest.raises(ValueError, match=r"table is not associative at \(a, a, b\)"):
         g.FiniteGroup(list("eabcd"), table)
+    assert g.FiniteGroup(list("eabcd"), table, assoc_bound=4).order == 5   # past the bound
+
+
+# -- table validation: Light's test against the cubic scan ------------------------
+
+def _cubic_associative(table) -> bool:
+    """Reference: (x a) y = x (a y) over all order^3 triples."""
+    n = len(table)
+    return all(table[table[x][a]][y] == table[x][table[a][y]]
+               for x in range(n) for a in range(n) for y in range(n))
+
+
+def _normalized_loops(n):
+    """Every Latin square of order n whose row 0 and column 0 are 0..n-1, by backtracking."""
+    table = [list(range(n))] + [[r] + [None] * (n - 1) for r in range(1, n)]
+    missing = [set(range(n)) - {c} for c in range(n)]   # values column c still lacks
+    cells = [(r, c) for r in range(1, n) for c in range(1, n)]
+
+    def fill(pos):
+        if pos == len(cells):
+            yield [row[:] for row in table]
+            return
+        r, c = cells[pos]
+        row = table[r]
+        for v in sorted(missing[c].difference(row[:c])):
+            row[c] = v
+            missing[c].remove(v)
+            yield from fill(pos + 1)
+            missing[c].add(v)
+        row[c] = None
+
+    yield from fill(0)
+
+
+def test_light_test_accepts_exactly_the_associative_loops():
+    counts, associative = [], []
+    for n in range(1, 7):
+        loops = list(_normalized_loops(n))
+        counts.append(len(loops))
+        accepted = 0
+        for table in loops:
+            try:
+                g.FiniteGroup([str(i) for i in range(n)], table)
+            except ValueError as exc:
+                assert not _cubic_associative(table)
+                # a loop whose left and right inverses differ fails before the law
+                witness = re.fullmatch(r"table is not associative at \((\d+), (\d+), (\d+)\)",
+                                       str(exc))
+                if witness:
+                    x, a, y = map(int, witness.groups())
+                    assert table[table[x][a]][y] != table[x][table[a][y]]
+                else:
+                    assert re.fullmatch(r"element \d+ has no inverse", str(exc))
+            else:
+                assert _cubic_associative(table)
+                accepted += 1
+        associative.append(accepted)
+    assert counts == [1, 1, 1, 4, 56, 9408]
+    assert associative == [1, 1, 1, 4, 6, 80]
+
+
+# -- symmetric-group tables ---------------------------------------------------------
+
+def _closure(perms, n):
+    """Images of the subgroup of S_n the permutations generate."""
+    seen = {g.Permutation.identity(n).images}
+    frontier = list(seen)
+    for images in frontier:
+        for q in perms:
+            r = g.compose(g.Permutation(images), q).images
+            if r not in seen:
+                seen.add(r)
+                frontier.append(r)
+    return seen
+
+
+def test_symmetric_group_tables_match_composition():
+    for n in range(1, 6):   # n = 1 is the one-index getter
+        G, perms = g.symmetric_group(n), g.enumerate_sn(n)
+        index = {p.images: i for i, p in enumerate(perms)}
+        assert G.table == [[index[g.compose(p, q).images] for q in perms] for p in perms]
+        assert G.labels == [g.cycle_notation(p) for p in perms]
+        assert G.perms == perms
+    G, perms = g.symmetric_group(6), g.enumerate_sn(6)
+    index = {p.images: i for i, p in enumerate(perms)}
+    for i in random.Random(6).sample(range(720), 12) + [0, 719]:
+        assert G.table[i] == [index[g.compose(perms[i], q).images] for q in perms]
+    assert G.labels == [g.cycle_notation(p) for p in perms]
+
+
+def test_greedy_generators_of_symmetric_groups():
+    # each generator is the first element outside the subgroup the earlier
+    # ones generate, so each at least doubles it and all together reach S_n
+    for n in range(1, 7):
+        G = g.symmetric_group(n)
+        gens = G._generators()
+        for k, a in enumerate(gens):
+            below = _closure([G.perms[b] for b in gens[:k]], n)
+            outside = [i for i, p in enumerate(G.perms) if p.images not in below]
+            assert outside and a == outside[0]
+        assert len(_closure([G.perms[a] for a in gens], n)) == G.order
+        assert 2 ** len(gens) <= G.order

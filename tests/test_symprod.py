@@ -21,6 +21,20 @@ def basis(dim, i):
     return v
 
 
+def basis_product(base, indices) -> dict:
+    """Reference: the sparse product of a list of base basis elements, left to right."""
+    terms = {indices[0]: 1}
+    for idx in indices[1:]:
+        new: dict = {}
+        for i, c in terms.items():
+            for k, v in base.rows.get((i, idx), {}).items():
+                new[k] = new.get(k, 0) + c * v
+        terms = {k: ex.norm(v) for k, v in new.items() if v != 0}
+        if not terms:
+            break
+    return terms
+
+
 def all_basis_pairs_agree(sp, gi, hi):
     for i in range(sp.dims[gi]):
         a = basis(sp.dims[gi], i)
@@ -109,7 +123,7 @@ def _adjoint_matrix(sp, m):
     eta_inv_power = [[1]]
     for _ in range(m):
         eta_inv_power = ex.kron(eta_inv_power, [row[D:] for row in ech])
-    mu_t = [[sp._basis_product(list(t)).get(k, 0) for k in range(D)] for t in sp._tuples(m)]
+    mu_t = [[basis_product(sp.base, list(t)).get(k, 0) for k in range(D)] for t in sp._tuples(m)]
     return ex.mat_mul(eta_inv_power, ex.mat_mul(mu_t, eta))
 
 
@@ -142,7 +156,7 @@ def test_adjoint_defining_identity(sp_factory, surface, half):
                     lhs = sum(c * eta_m.get(frob.tensor_index(r, base.dim), {}).get(x, 0)
                               for r, c in adj.get(y, {}).items())
                     rhs = sum(base.metric.get(y, {}).get(k, 0) * c
-                              for k, c in sp._basis_product(list(t)).items())
+                              for k, c in basis_product(sp.base, list(t)).items())
                     assert lhs == rhs
 
 
@@ -175,6 +189,23 @@ def test_adjoint_columns_match_the_dense_reference(sp_factory, qx2, surface, hal
             assert sp._adjoint_columns(m)[1] == den
     # mu* f = eta(f, f) eta^(-1)(f, f)^2 f(x)f = 3/2 f(x)f
     assert _adjoint_values(sp_factory(kk, 2), 2) == {0: {(0, 0): 1}, 1: {(1, 1): Fraction(3, 2)}}
+
+
+def test_mu_columns_match_the_product_of_every_tuple(qx2, surface, half):
+    # the columns grow from the (m-1)-fold ones through nonzero products only;
+    # the reference multiplies every one of the D^m factor tuples
+    kk = frob.from_json_dict({
+        "name": "kk", "dim": 2, "basis": [{"label": "e"}, {"label": "f"}], "unit": ["1", "1"],
+        "metric": [[0, 0, "1"], [1, 1, "2/3"]], "structure": [[0, 0, 0, "1"], [1, 1, 1, "1"]]})
+    for base in (qx2, surface, half, kk):
+        sp = sp_mod.SymmetricProductAlgebra(base, 2)
+        for m in range(1, 7):
+            cols = {t if m > 1 else t[0]: list(basis_product(base, list(t)).items())
+                    for t in itertools.product(range(base.dim), repeat=m)}
+            den = math.lcm(*(w.denominator for col in cols.values() for _, w in col))
+            want = {key: [(k, w.numerator * (den // w.denominator)) for k, w in col]
+                    for key, col in cols.items() if col}
+            assert repr(sp._mu_columns(m)) == repr((want, den))
 
 
 # -- obstruction exponents -------------------------------------------------------
@@ -587,7 +618,7 @@ def _reference_restrict_between(sp, fine, coarse, v):
         t = frob.tensor_tuple(idx, D, len(fine))
         terms = {(): x}
         for fps in nest:
-            block_val = sp._basis_product([t[f] for f in fps])
+            block_val = basis_product(sp.base, [t[f] for f in fps])
             if not block_val:
                 terms = {}
                 break
@@ -689,7 +720,7 @@ def _reference_contract_sparse(sp, elem, coarse):
     for t, x in elem.items():
         terms = {(): x}
         for block in coarse.blocks:
-            block_val = sp._basis_product([t[p] for p in block])
+            block_val = basis_product(sp.base, [t[p] for p in block])
             if not block_val:
                 terms = {}
                 break
@@ -864,11 +895,11 @@ def _reference_pair_table(sp, gi, hi):
         adj = _adjoint_matrix(sp, len(p_pos))
         local = {}
         for t1 in itertools.product(range(D), repeat=len(s_pos)):
-            v1 = sp._basis_product(list(t1)) if t1 else {}
+            v1 = basis_product(sp.base, list(t1)) if t1 else {}
             if t1 and not v1:
                 continue
             for t2 in itertools.product(range(D), repeat=len(t_pos)):
-                v2 = sp._basis_product(list(t2)) if t2 else {}
+                v2 = basis_product(sp.base, list(t2)) if t2 else {}
                 if t2 and not v2:
                     continue
                 u = {}
