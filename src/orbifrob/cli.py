@@ -11,6 +11,7 @@ import argparse
 import json
 import re
 import sys
+from functools import partial
 
 from . import cocycles as cocy
 from . import exactnum as ex
@@ -140,45 +141,54 @@ def format_element(X: GFrobeniusAlgebra, g: int, vec) -> str:
     return f"{combo}@{X.group.labels[g]}"
 
 
-# -- document loading ---------------------------------------------------------
-
-def _load_json(path) -> dict:
-    with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
-
+# -- documents ------------------------------------------------------------------
 
 def _load_galg(path) -> GFrobeniusAlgebra:
-    doc = _load_json(path)
+    doc = ex.load_json(path)
     if "sectors" not in doc:
         raise UsageError(f"{path} is not a sector-graded algebra document")
     return gfrob.from_json_dict(doc)
 
 
+def _document(path, budget: int | None = None) -> tuple:
+    """(title, law check, canonical dict) of a stored document, by the key
+    that marks its kind; the last two are calls without arguments.  With
+    ``budget``, a cocycle whose verification scan exceeds it is refused
+    before its group and value tables are built."""
+    doc = ex.load_json(path)
+    if "sectors" in doc:
+        X = gfrob.from_json_dict(doc)
+        return (f"sector-graded algebra {X.name!r}", partial(gfrob.verify_axioms, X, budget=budget),
+                partial(gfrob.to_json_dict, X))
+    if "basis" in doc:
+        algebra = frob.from_json_dict(doc, validate=False)
+        return f"algebra {algebra.name!r}", algebra.verify, partial(frob.to_json_dict, algebra)
+    if "values" in doc:
+        if budget is not None:
+            cocy.refuse_scan(cocy.document_order(doc), budget)
+        alpha = cocy.from_json_dict(doc)
+        return "cocycle", partial(cocy.validate, alpha), partial(cocy.to_json_dict, alpha)
+    raise UsageError(f"{path}: unrecognized document type")
+
+
+def _emit(payload: dict, out) -> None:
+    """Write a document's canonical text to ``out``, or print it."""
+    if out:
+        ex.save_json(payload, out)
+        print(f"wrote {out}")
+    else:
+        print(ex.dump_json(payload), end="")
+
+
 # -- subcommands ---------------------------------------------------------------
 
 def cmd_verify(args) -> int:
-    doc = _load_json(args.file)
-    if "sectors" in doc:
-        algebra = gfrob.from_json_dict(doc)
-        report = gfrob.verify_axioms(algebra, budget=args.budget)
-        title = f"sector-graded algebra {algebra.name!r}"
-    elif "basis" in doc:
-        algebra = frob.from_json_dict(doc, validate=False)
-        report = algebra.verify()
-        title = f"algebra {algebra.name!r}"
-    elif "values" in doc:
-        # refuse the scan before the group and value tables are built
-        cocy.refuse_scan(cocy.document_order(doc), args.budget)
-        report = cocy.validate(cocy.from_json_dict(doc))
-        title = "cocycle"
-    else:
-        raise UsageError(f"{args.file}: unrecognized document type")
+    title, check, _ = _document(args.file, args.budget)
+    report = check()
     print(f"verify: {title}")
     print(report.summary())
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(report.to_json(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        ex.save_json(report.to_json(), args.out)
     print("RESULT: " + ("all checks pass" if report.passed else "FAILED"))
     return 0 if report.passed else 1
 
@@ -194,11 +204,7 @@ def cmd_symprod(args) -> int:
         out = gfrob.twist(out, alpha, sigma)
         out.name = f"sym{args.n}({base.name})" + (f" lambda={args.lam}" if lam is not None else "") + (
             " super" if sigma is not None else "")
-    if args.out:
-        gfrob.save(out, args.out)
-        print(f"wrote {args.out}")
-    else:
-        print(json.dumps(gfrob.to_json_dict(out), indent=2, sort_keys=True))
+    _emit(gfrob.to_json_dict(out), args.out)
     return 0
 
 
@@ -227,12 +233,7 @@ def cmd_twist(args) -> int:
         sigma = cocy.sign_supertwist(X.group.perms[0].n)
     if alpha is None and sigma is None:
         raise UsageError("nothing to do: pass --lambda, --cocycle and/or --super")
-    out = gfrob.twist(X, alpha, sigma)
-    if args.out:
-        gfrob.save(out, args.out)
-        print(f"wrote {args.out}")
-    else:
-        print(json.dumps(gfrob.to_json_dict(out), indent=2, sort_keys=True))
+    _emit(gfrob.to_json_dict(gfrob.twist(X, alpha, sigma)), args.out)
     return 0
 
 
@@ -255,22 +256,8 @@ def cmd_invariants(args) -> int:
 
 
 def cmd_export(args) -> int:
-    doc = _load_json(args.file)
-    if "sectors" in doc:
-        payload = gfrob.to_json_dict(gfrob.from_json_dict(doc))
-    elif "basis" in doc:
-        payload = frob.to_json_dict(frob.from_json_dict(doc, validate=False))
-    elif "values" in doc:
-        payload = cocy.to_json_dict(cocy.from_json_dict(doc))
-    else:
-        raise UsageError(f"{args.file}: unrecognized document type")
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        print(f"wrote {args.out}")
-    else:
-        print(text, end="")
+    _, _, canonical = _document(args.file)
+    _emit(canonical(), args.out)
     return 0
 
 
@@ -333,10 +320,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (UsageError, FileNotFoundError, json.JSONDecodeError, KeyError,
-            ValueError, TypeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except gfrob.BudgetExceededError as exc:
+            ValueError, TypeError, gfrob.BudgetExceededError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

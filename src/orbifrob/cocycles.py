@@ -9,7 +9,6 @@ turns the symmetric-product algebra into the Hilbert-scheme ring.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -300,11 +299,8 @@ def from_json_dict(doc: dict) -> Cocycle2:
 
 
 def save(alpha: Cocycle2, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(to_json_dict(alpha), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    ex.save_json(to_json_dict(alpha), path)
 
 
 def load(path) -> Cocycle2:
-    with open(path, encoding="utf-8") as fh:
-        return from_json_dict(json.load(fh))
+    return from_json_dict(ex.load_json(path))

@@ -7,14 +7,16 @@ back to ``int`` so the hot loops stay on machine integers as long as the
 denominators allow).
 
 Linear maps are sparse ``{index: {index: value}}`` maps, reduced by
-``sparse_echelon`` and combined by ``sparse_kron``.  The dense helpers
-(``echelon``, ``rank``, ``mat_mul``, ``kron``, ``mat_zero``, ``nullspace``)
-remain as the references the tests check sparse results against, and as the
-entry points the benchmark tracer patches by name.
+``sparse_echelon`` and combined by ``sparse_kron``.  The dense ``echelon``,
+``rank`` and ``mat_mul`` (with its ``mat_zero``) have no caller in the
+package: they remain as the entry points the benchmark tracer patches by
+name, and as references the tests check sparse results against.  Documents
+are read and written here too, in one canonical JSON form (``dump_json``).
 """
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 from typing import Union
 
@@ -92,10 +94,31 @@ def check_new(what: str, seen: set, key: tuple) -> None:
     seen.add(key)
 
 
+def dump_json(payload) -> str:
+    """A document's canonical text: sorted keys, two-space indent, final newline."""
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def save_json(payload, path) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(dump_json(payload))
+
+
+def load_json(path):
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
 # -- dense vectors ---------------------------------------------------------
 
 def vec_zero(n: int) -> Vector:
     return [0] * n
+
+
+def basis_vector(n: int, i: int) -> Vector:
+    v = [0] * n
+    v[i] = 1
+    return v
 
 
 # -- dense matrices --------------------------------------------------------
@@ -180,42 +203,6 @@ def sparse_echelon(m: SparseMap) -> SparseMap:
                             other[k] = other.get(k, 0) - f * v
             kept[c] = pivot
     return {c: {k: norm(v) for k, v in row.items() if v != 0} for c, row in kept.items()}
-
-
-def nullspace(m: Matrix) -> list[Vector]:
-    """Basis of the right kernel, deterministic (free columns in order)."""
-    if not m:
-        return []
-    cols = len(m[0])
-    ech, pivots = echelon(m)
-    free = [c for c in range(cols) if c not in pivots]
-    basis = []
-    for f in free:
-        v = vec_zero(cols)
-        v[f] = 1
-        for r, c in enumerate(pivots):
-            v[c] = norm(-ech[r][f])
-        basis.append(v)
-    return basis
-
-
-def kron(a: Matrix, b: Matrix) -> Matrix:
-    """Kronecker product, row-major index convention."""
-    if not a or not b:
-        return []
-    ra, ca, rb, cb = len(a), len(a[0]), len(b), len(b[0])
-    out = mat_zero(ra * rb, ca * cb)
-    for i in range(ra):
-        for j in range(ca):
-            x = a[i][j]
-            if x == 0:
-                continue
-            for k in range(rb):
-                row = out[i * rb + k]
-                for l in range(cb):
-                    if b[k][l] != 0:
-                        row[j * cb + l] = norm(x * b[k][l])
-    return out
 
 
 def sparse_kron(a: SparseMap, b: SparseMap, outer: int, inner: int) -> SparseMap:

@@ -6,19 +6,27 @@ distinguished unit vector and the pairing's rows ``{i: {j: eta(e_i, e_j)}}``
 with no zero value, the form every G-algebra block takes.  Construction
 validates the full law set (associativity, unit, invariance, nondegeneracy,
 grading and parity bookkeeping) so downstream code may assume the laws hold.
+
+Every product inside a tensor power A^(x)m goes through one kernel,
+``factorwise_product``, which walks two tries of integer numerators factor
+by factor (a trie is ``_nest`` with one single-position getter per factor);
+``factorwise_multiply`` is its form on dense vectors, and the symmetric
+products' chain route calls the kernel on its tries directly.
 """
 
 from __future__ import annotations
 
-import json
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import itemgetter
 
 from . import exactnum as ex
 from ._report import Report
 from .exactnum import Rat
-from .gfrob import _as_product, _associator, _bilinear, _clean_map, _entries, _joins, _transpose
+from .gfrob import (_as_product, _associator, _bilinear, _clean_map, _entries, _fmt_vec, _joins,
+                    _transpose)
 
 
 @dataclass
@@ -88,13 +96,6 @@ class FrobeniusAlgebra:
         """Sparse product of two basis elements."""
         return dict(self.rows.get((i, j), {}))
 
-    def pair(self, a, b) -> Rat:
-        s = 0
-        for i, row in self.metric.items():
-            if a[i] != 0:
-                s += a[i] * sum(v * b[j] for j, v in row.items())
-        return ex.norm(s)
-
     def copairing(self) -> list[tuple[int, int, Rat]]:
         """Dual-basis tensor: triples (i, j, c) representing sum c e_i (x) e_j."""
         inv = self.metric_inv
@@ -116,11 +117,6 @@ class FrobeniusAlgebra:
         for _ in range(exponent):
             out = self.multiply(out, v)
         return out
-
-    def basis_vector(self, i: int):
-        v = ex.vec_zero(self.dim)
-        v[i] = 1
-        return v
 
     def is_even(self) -> bool:
         return all(p == 0 for p in self.parities)
@@ -145,12 +141,12 @@ class FrobeniusAlgebra:
         if found:
             (_, i, j, k), lhs, rhs = found
             witness = {"i": self.labels[i], "j": self.labels[j], "k": self.labels[k],
-                       "lhs": _fmt_sparse(self, lhs), "rhs": _fmt_sparse(self, rhs)}
+                       "lhs": _fmt_vec(self.labels, lhs), "rhs": _fmt_vec(self.labels, rhs)}
         report.add("associativity", "(ab)c = a(bc)", witness is None, dim ** 3, witness)
 
         witness = None
         for i in range(dim):
-            e = self.basis_vector(i)
+            e = ex.basis_vector(dim, i)
             if self.multiply(self.unit, e) != e or self.multiply(e, self.unit) != e:
                 witness = {"i": self.labels[i]}
                 break
@@ -208,12 +204,6 @@ class FrobeniusAlgebra:
         return report
 
 
-def _fmt_sparse(alg: FrobeniusAlgebra, sparse: dict) -> str:
-    if not sparse:
-        return "0"
-    return " + ".join(f"{ex.fmt_rat(c)}*{alg.labels[k]}" for k, c in sorted(sparse.items()))
-
-
 def verify(algebra: FrobeniusAlgebra) -> Report:
     return algebra.verify()
 
@@ -244,55 +234,105 @@ def tensor_tuple(index: int, dim: int, m: int) -> tuple[int, ...]:
     return tuple(reversed(out))
 
 
-def factorwise_multiply(algebra: FrobeniusAlgebra, m: int, u, v):
-    """Product on A^(x)m, factor by factor, on dense vectors.
+def _nest(gets: list, items) -> dict:
+    """Nested dicts keyed by each getter in turn on the index tuples of
+    (index tuple, leaf) items.  A trie on A^(x)m, the kernel's operand form,
+    takes one single-position getter per factor."""
+    *inner, last = gets
+    root: dict = {}
+    for t, leaf in items:
+        node = root
+        for get in inner:
+            key = get(t)
+            child = node.get(key)
+            if child is None:
+                child = node[key] = {}
+            node = child
+        node[last(t)] = leaf
+    return root
 
-    Walks the factors from the first, pairing the blocks of ``u`` and ``v``
-    that share an index prefix; a factor pair with zero product or an all-zero
-    block ends its branch before any coefficient is multiplied.  The operands
-    and the structure constants are integer numerators over one denominator
-    each; their product divides the result once at the end, and when it is 1
-    the integers are returned as they are.
+
+def _leaves(root: dict, m: int) -> list:
+    """(index tuple, leaf) for every leaf of a trie on A^(x)m, m >= 1."""
+    level = [((), root)]
+    for _ in range(m - 1):
+        level = [(t + (x,), sub) for t, node in level for x, sub in node.items()]
+    return [(t + (x,), c) for t, node in level for x, c in node.items()]
+
+
+def _numerators(v, tuples: list) -> tuple[list, int]:
+    """Nonzero terms (index tuple, integer numerator) of a dense vector, over
+    one denominator; ``tuples`` are the index tuples in basis order."""
+    if len(v) != len(tuples):
+        raise ValueError(f"operand must have length {len(tuples)}")
+    den = math.lcm(*(x.denominator for x in v if x))
+    return [(t, x.numerator * (den // x.denominator)) for t, x in zip(tuples, v) if x], den
+
+
+def _divided(acc: list, den: int) -> list:
+    """Integer numerators over ``den`` as exact scalars (int when integral)."""
+    if den == 1:
+        return acc
+    return [ex.norm(Fraction(w, den)) if w else 0 for w in acc]
+
+
+def factorwise_product(algebra: FrobeniusAlgebra, m: int, left, right) -> tuple[dict, int]:
+    """Product on A^(x)m, m >= 1, factor by factor on integer numerators.
+
+    Operands and result are (trie of numerators, denominator); the result may
+    hold zero leaves and empty branches.  The walk descends position by
+    position through the factor pairs with a nonzero product, so a dead pair
+    costs no multiplication, and writes each term straight into the result's
+    trie.
     """
+    pairs = algebra._pairs
+    last = m - 1
+    (root1, d1), (root2, d2) = left, right
+    out: dict = {}
+
+    def walk(d, node1, node2, node, carry):
+        if d == last:
+            for x, c1 in node1.items():
+                for y, row in pairs[x]:
+                    c2 = node2.get(y)
+                    if c2 is not None:
+                        w = c1 * c2 * carry
+                        for k, c in row:
+                            node[k] = node.get(k, 0) + w * c
+            return
+        for x, sub1 in node1.items():
+            for y, row in pairs[x]:
+                sub2 = node2.get(y)
+                if sub2 is not None:
+                    for k, c in row:
+                        child = node.get(k)
+                        if child is None:
+                            child = node[k] = {}
+                        walk(d + 1, sub1, sub2, child, carry * c)
+
+    walk(0, root1, root2, out, 1)
+    # one row constant per position and product
+    return out, d1 * d2 * algebra._pairs_den ** m
+
+
+def factorwise_multiply(algebra: FrobeniusAlgebra, m: int, u, v):
+    """Product on A^(x)m on dense vectors: ``factorwise_product`` of the
+    operands' nested numerators, divided once.  A^(x)0 is the ground field,
+    where the product is that of the two scalars."""
     D = algebra.dim
     size = D ** m
     if len(u) != size or len(v) != size:
         raise ValueError(f"tensor power operands must have length {size}")
-    pairs = algebra._pairs
-
-    def numerators(w):
-        support = [(i, c) for i, c in enumerate(w) if c]
-        den = math.lcm(*(c.denominator for _, c in support))
-        nums = {i: c.numerator * (den // c.denominator) for i, c in support}
-        # live[d]: the index prefixes of d factors whose block is not all zero
-        live = [{i // D ** (m - d) for i in nums} for d in range(m)]
-        live.append(nums)
-        return nums, den, live
-
-    U, du, live_u = numerators(u)
-    V, dv, live_v = numerators(v)
+    if m == 0:
+        return [ex.norm(u[0] * v[0])]
+    tuples = list(itertools.product(range(D), repeat=m))
+    gets = [itemgetter(f) for f in range(m)]
+    (terms_u, du), (terms_v, dv) = _numerators(u, tuples), _numerators(v, tuples)
+    root, den = factorwise_product(algebra, m, (_nest(gets, terms_u), du), (_nest(gets, terms_v), dv))
     acc = [0] * size
-
-    def walk(d, pu, pv, po, carry):
-        # recurse by factor depth: a block of size 1 still owes its factors' constants
-        if d == m:
-            acc[po] += U[pu] * V[pv] * carry
-            return
-        lu, lv = live_u[d + 1], live_v[d + 1]
-        bu, bv, bo = pu * D, pv * D, po * D
-        for x in range(D):
-            if bu + x in lu:
-                for y, row in pairs[x]:
-                    if bv + y in lv:
-                        for k, c in row:
-                            walk(d + 1, bu + x, bv + y, bo + k, carry * c)
-
-    if U and V:
-        walk(0, 0, 0, 0, 1)
-    den = du * dv * algebra._pairs_den ** m
-    if den == 1:
-        return acc
-    return [ex.norm(Fraction(w, den)) if w else 0 for w in acc]
+    for t, w in _leaves(root, m):
+        acc[tensor_index(t, D)] = w
+    return _divided(acc, den)
 
 
 def tensor_metric(algebra: FrobeniusAlgebra, m: int) -> ex.SparseMap:
@@ -416,11 +456,8 @@ def from_json_dict(doc: dict, validate: bool = True) -> FrobeniusAlgebra:
 
 
 def save(algebra: FrobeniusAlgebra, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(to_json_dict(algebra), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    ex.save_json(to_json_dict(algebra), path)
 
 
 def load(path, validate: bool = True) -> FrobeniusAlgebra:
-    with open(path, encoding="utf-8") as fh:
-        return from_json_dict(json.load(fh), validate=validate)
+    return from_json_dict(ex.load_json(path), validate=validate)

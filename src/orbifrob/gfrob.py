@@ -20,7 +20,6 @@ the other checks; ``VERIFY_BUDGET`` bounds that count.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING
@@ -187,11 +186,6 @@ class GFrobeniusAlgebra:
     def is_super(self) -> bool:
         return any(any(p % 2 for p in ps) for ps in self.sector_parities)
 
-    def basis_vector(self, g: int, i: int):
-        v = ex.vec_zero(self.sector_dims[g])
-        v[i] = 1
-        return v
-
     def math_equal(self, other: "GFrobeniusAlgebra") -> bool:
         """Structure equality: identical tables, ignoring names and labels."""
         return (
@@ -350,7 +344,7 @@ def verify_axioms(X: GFrobeniusAlgebra, super_mode: bool | None = None,
         return report
 
     G, dims, product, par = X.group, X.sector_dims, X.product, X.sector_parities
-    mul, inv, conj, labels = G.mul, G.inv, G.conj, G.labels
+    mul, inv, conj, labels, blabels = G.mul, G.inv, G.conj, G.labels, X.sector_labels
     n, total = G.order, sum(dims)
     pairs = [(g, h) for g in G.elements() for h in G.elements()]
     pulled = {key: _transpose(block) for key, block in X.action.items()}   # rows of phi_g|A_h
@@ -374,7 +368,7 @@ def verify_axioms(X: GFrobeniusAlgebra, super_mode: bool | None = None,
             (k, i, j, m), lhs, rhs = found
             ghk = mul(mul(g, h), k)
             witness = {"g": labels[g], "h": labels[h], "k": labels[k], "basis": (i, j, m),
-                       "lhs": _fmt_vec(X, ghk, lhs), "rhs": _fmt_vec(X, ghk, rhs)}
+                       "lhs": _fmt_vec(blabels[ghk], lhs), "rhs": _fmt_vec(blabels[ghk], rhs)}
             break
     report.add("a", "associativity", witness is None, total ** 3, witness)
 
@@ -393,7 +387,8 @@ def verify_axioms(X: GFrobeniusAlgebra, super_mode: bool | None = None,
         if found:
             (i, j), lhs, rhs = found
             witness = {"g": labels[g], "h": labels[h], "basis": (i, j),
-                       "lhs": _fmt_vec(X, mul(g, h), lhs), "rhs": _fmt_vec(X, mul(g, h), rhs)}
+                       "lhs": _fmt_vec(blabels[mul(g, h)], lhs),
+                       "rhs": _fmt_vec(blabels[mul(g, h)], rhs)}
             break
     report.add("b", "twisted commutativity", witness is None, total ** 2, witness)
 
@@ -402,7 +397,7 @@ def verify_axioms(X: GFrobeniusAlgebra, super_mode: bool | None = None,
     e = G.identity
     for h in G.elements():
         for j in range(dims[h]):
-            ej = X.basis_vector(h, j)
+            ej = ex.basis_vector(dims[h], j)
             if X.multiply(e, h, X.unit, ej) != ej or X.multiply(h, e, ej, X.unit) != ej:
                 if witness is None:
                     witness = {"h": labels[h], "basis": j, "issue": "unit does not act as identity"}
@@ -524,10 +519,10 @@ def verify_axioms(X: GFrobeniusAlgebra, super_mode: bool | None = None,
     return report
 
 
-def _fmt_vec(X: GFrobeniusAlgebra, g: int, vec: SparseVec) -> str:
+def _fmt_vec(labels: list, vec: SparseVec) -> str:
+    """A sparse vector as ``c*label`` terms in index order, "0" when empty."""
     if not vec:
         return "0"
-    labels = X.sector_labels[g]
     return " + ".join(f"{ex.fmt_rat(c)}*{labels[k]}" for k, c in sorted(vec.items()))
 
 
@@ -931,11 +926,8 @@ def from_json_dict(doc: dict) -> GFrobeniusAlgebra:
 
 
 def save(X: GFrobeniusAlgebra, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(to_json_dict(X), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    ex.save_json(to_json_dict(X), path)
 
 
 def load(path) -> GFrobeniusAlgebra:
-    with open(path, encoding="utf-8") as fh:
-        return from_json_dict(json.load(fh))
+    return from_json_dict(ex.load_json(path))

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from operator import itemgetter
 
-ENUMERATION_BOUND = 8  # n! blows up past this; override per call if you must
+ENUMERATION_BOUND = 8  # n! blows up past this
+ASSOC_BOUND = 200      # Light's associativity test runs up to this order (S_5)
 
 
 class Permutation:
@@ -137,11 +138,6 @@ def compose(p: Permutation, q: Permutation) -> Permutation:
     return Permutation(tuple(pi[qi[i]] for i in range(p.n)))
 
 
-def conjugate(g: Permutation, h: Permutation) -> Permutation:
-    """g h g^-1; relabels h's cycles by g, preserving cycle type."""
-    return compose(compose(g, h), g.inverse())
-
-
 def commutator(g: Permutation, h: Permutation) -> Permutation:
     return compose(compose(g, h), compose(g.inverse(), h.inverse()))
 
@@ -208,12 +204,12 @@ def is_transversal(p: Permutation, q: Permutation) -> bool:
     return degree(compose(p, q)) == degree(p) + degree(q)
 
 
-def enumerate_sn(n: int, bound: int = ENUMERATION_BOUND) -> list[Permutation]:
+def enumerate_sn(n: int) -> list[Permutation]:
     """All of S_n in lexicographic one-line order (identity first)."""
     if n < 1:
         raise ValueError("degree must be positive")
-    if n > bound:
-        raise ValueError(f"S_{n} enumeration exceeds the configured bound {bound}")
+    if n > ENUMERATION_BOUND:
+        raise ValueError(f"S_{n} enumeration exceeds the configured bound {ENUMERATION_BOUND}")
     return [Permutation(images) for images in itertools.permutations(range(n))]
 
 
@@ -221,10 +217,10 @@ def transpositions(n: int) -> list[Permutation]:
     return [Permutation.transposition(n, a, b) for a in range(n) for b in range(a + 1, n)]
 
 
-def conjugacy_classes(n: int, bound: int = ENUMERATION_BOUND) -> list[list[Permutation]]:
+def conjugacy_classes(n: int) -> list[list[Permutation]]:
     """Classes of S_n keyed by cycle type, ordered by cycle type."""
     by_type: dict[tuple[int, ...], list[Permutation]] = {}
-    for p in enumerate_sn(n, bound):
+    for p in enumerate_sn(n):
         by_type.setdefault(p.cycle_type(), []).append(p)
     return [by_type[t] for t in sorted(by_type)]
 
@@ -281,17 +277,20 @@ def parse_cycles(text: str, n: int) -> Permutation:
 class FiniteGroup:
     """A finite group given by its multiplication table over 0..order-1."""
 
-    def __init__(self, labels, table, validate: bool = True, assoc_bound: int = 200):
+    def __init__(self, labels, table):
         self.labels = list(labels)
         self.order = len(self.labels)
         self.table = [list(row) for row in table]
         if len(self.table) != self.order or any(len(r) != self.order for r in self.table):
             raise ValueError("multiplication table shape does not match the label count")
+        for row in self.table:
+            for x in row:
+                if type(x) is not int:   # a bool or a float would pass as an index
+                    raise ValueError(f"multiplication table entry {x!r} is not an integer")
         self.identity = self._find_identity()
         self.inverse = self._find_inverses()
         self.perms: list[Permutation] | None = None  # set by symmetric()
-        if validate:
-            self._validate(assoc_bound)
+        self._validate()
 
     def _find_identity(self) -> int:
         ids = list(range(self.order))
@@ -345,8 +344,8 @@ class FiniteGroup:
             words += fresh
         return gens
 
-    def _validate(self, assoc_bound: int):
-        """Latin-square check, then, up to ``assoc_bound`` elements, Light's
+    def _validate(self):
+        """Latin-square check, then, up to ``ASSOC_BOUND`` elements, Light's
         associativity test: (x a) y = x (a y) for every x, y and every greedy
         generator a.
 
@@ -363,7 +362,7 @@ class FiniteGroup:
         for g, (row, col) in enumerate(zip(t, zip(*t))):
             if sorted(row) != ids or sorted(col) != ids:
                 raise ValueError(f"table row/column for {labels[g]} is not a bijection")
-        if n <= assoc_bound:
+        if n <= ASSOC_BOUND:
             rows = [tuple(r) for r in t]
             for a in self._generators():
                 right = itemgetter(*t[a])   # x -> x (a y) over every y; n > 1 here
@@ -402,9 +401,6 @@ class FiniteGroup:
             remaining.difference_update(cls)
         return classes
 
-    def centralizer(self, g: int) -> list[int]:
-        return [h for h in range(self.order) if self.table[g][h] == self.table[h][g]]
-
     def index_of(self, label: str) -> int:
         try:
             return self.labels.index(label)
@@ -423,9 +419,9 @@ class FiniteGroup:
 
 
 @lru_cache(maxsize=None)
-def symmetric_group(n: int, bound: int = ENUMERATION_BOUND) -> FiniteGroup:
+def symmetric_group(n: int) -> FiniteGroup:
     """S_n as an explicit table; element order matches enumerate_sn(n)."""
-    perms = enumerate_sn(n, bound)
+    perms = enumerate_sn(n)
     index = {p.images: i for i, p in enumerate(perms)}
     if n == 1:   # a one-index getter returns a bare item, not a tuple
         table = [[0]]
@@ -433,8 +429,8 @@ def symmetric_group(n: int, bound: int = ENUMERATION_BOUND) -> FiniteGroup:
         # (p * q).images is q's images read off p's images
         getters = [itemgetter(*q.images) for q in perms]
         table = [[index[get(p.images)] for get in getters] for p in perms]
-    # Light's test checks orders up to 200 (S_5); past that, trust composition
-    group = FiniteGroup([cycle_notation(p) for p in perms], table, assoc_bound=200)
+    # Light's test checks orders up to ASSOC_BOUND; past that, trust composition
+    group = FiniteGroup([cycle_notation(p) for p in perms], table)
     group.perms = perms
     return group
 

@@ -28,8 +28,10 @@ sector pair's plan places these maps at the pair's factor positions.
 orbit, and the realized tables (``pair_table``) walk the basis indices
 through the same plan; the chain stays independent of both as the oracle.
 
-The chain walks its tensors factor by factor, the pushforward orbit by orbit;
-each skips pairs with zero product before multiplying any coefficient.  Every
+The chain's products in A_e = A^(x)n are ``frobenius.factorwise_product``,
+the one factor-by-factor kernel on tensor powers, on tries that
+``frobenius._nest`` builds; the pushforward walks orbit by orbit.  Each
+skips pairs with zero product before multiplying any coefficient.  Every
 intermediate value of either route is an integer numerator over one
 denominator per stage; the denominators multiply along the stages and each
 product divides once, at the end.  Everything that depends only on the
@@ -51,7 +53,8 @@ from operator import itemgetter, mul
 from . import cocycles as cocy
 from . import exactnum as ex
 from . import frobenius as frob
-from .frobenius import FrobeniusAlgebra, tensor_index, tensor_tuple
+from .frobenius import (FrobeniusAlgebra, _divided, _leaves, _nest, _numerators, tensor_index,
+                        tensor_tuple)
 from .gfrob import BudgetExceededError, GFrobeniusAlgebra, _transpose, twist
 from .groups import (OrbitPartition, Permutation, compose, cycles, degree,
                      group_orbits, symmetric_group)
@@ -208,18 +211,9 @@ class SymmetricProductAlgebra:
             self._tuple_cache[m] = list(itertools.product(range(self.base.dim), repeat=m))
         return self._tuple_cache[m]
 
-    def _numerators(self, v, m: int) -> tuple[list, int]:
-        """Nonzero terms (factor tuple, integer numerator) of a dense vector on
-        A^(x)m, over one denominator."""
-        tuples = self._tuples(m)
-        if len(v) != len(tuples):
-            raise ValueError(f"operand must have length {len(tuples)}")
-        den = math.lcm(*(x.denominator for x in v if x))
-        return [(t, x.numerator * (den // x.denominator)) for t, x in zip(tuples, v) if x], den
-
     def _unit_tails(self, m: int) -> tuple[list, int]:
         """``_numerators`` of the unit tensor of A^(x)m."""
-        return self._numerators(frob.tensor_unit(self.base, m), m)
+        return _numerators(frob.tensor_unit(self.base, m), self._tuples(m))
 
     def _mu_columns(self, m: int) -> tuple[dict, int]:
         """The m-fold product as integer columns over one denominator.
@@ -353,7 +347,7 @@ class SymmetricProductAlgebra:
     def _dense_map(self, v, bmap: tuple) -> list:
         """A block map applied to a dense vector, divided once."""
         strides = bmap[0]
-        terms, den = self._numerators(v, len(strides))
+        terms, den = _numerators(v, self._tuples(len(strides)))
         return _divided(*self._block_map(
             [(t, sum(map(mul, t, strides)), x) for t, x in terms], den, bmap))
 
@@ -436,12 +430,8 @@ class SymmetricProductAlgebra:
     def _nested(self, g: int, v, gets: list) -> tuple[dict, int]:
         """A dense operand of sector g as (``_nest`` of its integer numerators,
         denominator)."""
-        tuples = self._tuples(self.factors[g])
-        if len(v) != len(tuples):
-            raise ValueError(f"operand must have length {len(tuples)}")
-        den = math.lcm(*(x.denominator for x in v if x))
-        return _nest(gets, ((t, x.numerator * (den // x.denominator))
-                            for t, x in zip(tuples, v) if x)), den
+        terms, den = _numerators(v, self._tuples(self.factors[g]))
+        return _nest(gets, terms), den
 
     def multiply_pushforward(self, g: int, a, h: int, b):
         """Product through the double intersection with Euler-class insertion.
@@ -470,115 +460,53 @@ class SymmetricProductAlgebra:
         sigma, sigma2 = self.perms[g], self.perms[h]
         if joint is None:
             joint = group_orbits([sigma, sigma2])
-        out = [[1]]
+        out = [1]
         for block in joint.blocks:
             power = self.base.power(self.euler, obstruction_exponent(sigma, sigma2, block))
-            out = ex.kron(out, [power])
-        return out[0]
+            out = [ex.norm(x * y) for x in out for y in power]
+        return out
 
     def _placement(self, positions) -> tuple:
-        """(place, tails, den) for A_e elements with given factors at ``positions``.
+        """(gets, tails, den) for A_e elements with given factors at ``positions``.
 
-        ``place(given + tail)`` orders the given factors followed by a unit
-        tail for the other positions into an A_e index tuple; ``tails`` lists
-        the unit tensor's terms on those other positions as numerators over
-        ``den``.
+        The given factors followed by a unit tail for the other positions form
+        one tuple, and ``gets[p]`` reads A_e position p off it, so ``_nest``
+        with ``gets`` builds the element's trie; ``tails`` lists the unit
+        tensor's terms on those other positions as numerators over ``den``.
         """
         fillers = [p for p in range(self.n) if p not in positions]
         order = [0] * self.n
         for spot, p in enumerate([*positions, *fillers]):
             order[p] = spot
-        # itemgetter of one index returns a bare item, not a tuple
-        return (itemgetter(*order) if self.n > 1 else tuple), *self._unit_tails(len(fillers))
+        return [itemgetter(spot) for spot in order], *self._unit_tails(len(fillers))
 
     def _lift(self, g: int, a) -> tuple[dict, int]:
-        """``section_lift`` as (``_trie`` of integer numerators, denominator)."""
+        """``section_lift`` as (trie of integer numerators, denominator)."""
         if g not in self._lifts:
             self._lifts[g] = self._placement([blk[0] for blk in self.parts[g].blocks])
-        place, tails, tail_den = self._lifts[g]
-        terms, den = self._numerators(a, self.factors[g])
-        lifted = {place(t + tail): x * u for t, x in terms for tail, u in tails}
-        return self._trie(lifted), den * tail_den
+        gets, tails, tail_den = self._lifts[g]
+        terms, den = _numerators(a, self._tuples(self.factors[g]))
+        return _nest(gets, ((t + tail, x * u) for t, x in terms for tail, u in tails)), den * tail_den
 
     def section_lift(self, g: int, a) -> dict:
         """Unit-tensor section A_s -> A_e: factor values at cycle minima."""
         root, den = self._lift(g, a)
-        return {t: w if den == 1 else ex.norm(Fraction(w, den)) for t, w in self._leaves(root)}
+        return {t: w if den == 1 else ex.norm(Fraction(w, den)) for t, w in _leaves(root, self.n)}
 
     def _copairing_element(self, tau: Permutation) -> tuple[dict, int]:
         """gamma_{tau,tau} in A_e, the copairing across the two moved points, as
-        (``_trie`` of integer numerators, denominator)."""
+        (trie of integer numerators, denominator)."""
         moved = tau.moved_points()
         if len(moved) != 2:
             raise ValueError(f"{tau} is not a transposition")
-        place, tails, tail_den = self._placement(moved)
+        gets, tails, tail_den = self._placement(moved)
         copairing = self.base.copairing()
         den = math.lcm(*(c.denominator for _, _, c in copairing))
-        return self._trie({place((i, j) + tail): c.numerator * (den // c.denominator) * u
-                           for i, j, c in copairing for tail, u in tails}), den * tail_den
-
-    def _trie(self, elem: dict) -> dict:
-        """Nested dicts on the factor indices of a tuple-keyed element; zeros dropped."""
-        last = self.n - 1
-        root: dict = {}
-        for t, c in elem.items():
-            if c:
-                node = root
-                for x in t[:last]:
-                    child = node.get(x)
-                    if child is None:
-                        child = node[x] = {}
-                    node = child
-                node[t[last]] = c
-        return root
-
-    def _leaves(self, root: dict) -> list:
-        """(index tuple, numerator) for every leaf of a trie."""
-        level = [((), root)]
-        for _ in range(self.n - 1):
-            level = [(t + (x,), sub) for t, node in level for x, sub in node.items()]
-        return [(t + (x,), c) for t, node in level for x, c in node.items()]
-
-    def _elem_product(self, left: tuple[dict, int], right: tuple[dict, int]) -> tuple[dict, int]:
-        """Factorwise product of sparse A_e elements on integer numerators.
-
-        Operands and result are (``_trie`` of numerators, denominator); the
-        result may hold zero leaves and empty branches.  The walk descends
-        position by position through the factor pairs with a nonzero product,
-        so a dead pair costs no multiplication, and writes each term straight
-        into the result's trie.
-        """
-        pairs = self.base._pairs
-        last = self.n - 1
-        (root1, d1), (root2, d2) = left, right
-        out: dict = {}
-
-        def walk(d, node1, node2, node, carry):
-            if d == last:
-                for x, c1 in node1.items():
-                    for y, row in pairs[x]:
-                        c2 = node2.get(y)
-                        if c2 is not None:
-                            w = c1 * c2 * carry
-                            for k, c in row:
-                                node[k] = node.get(k, 0) + w * c
-                return
-            for x, sub1 in node1.items():
-                for y, row in pairs[x]:
-                    sub2 = node2.get(y)
-                    if sub2 is not None:
-                        for k, c in row:
-                            child = node.get(k)
-                            if child is None:
-                                child = node[k] = {}
-                            walk(d + 1, sub1, sub2, child, carry * c)
-
-        walk(0, root1, root2, out, 1)
-        # one row constant per position and product
-        return out, d1 * d2 * self.base._pairs_den ** self.n
+        return _nest(gets, (((i, j) + tail, c.numerator * (den // c.denominator) * u)
+                            for i, j, c in copairing for tail, u in tails)), den * tail_den
 
     def _contract_sparse(self, elem: tuple[dict, int], coarse: OrbitPartition):
-        """Restriction A_e -> A^(x)|coarse| of (``_trie`` of numerators,
+        """Restriction A_e -> A^(x)|coarse| of (trie of numerators,
         denominator), divided once; the trie's leaves take their offsets on
         the way down."""
         bmap = self._gather_map(self.parts[self.group.identity], coarse)
@@ -626,9 +554,9 @@ class SymmetricProductAlgebra:
         """Product via the explicit transposition-word cocycle formula, on
         integer numerators divided once at the end."""
         gammas = self._insertions(g, h, word)
-        acc = self._elem_product(self._lift(g, a), self._lift(h, b))
+        acc = frob.factorwise_product(self.base, self.n, self._lift(g, a), self._lift(h, b))
         for gamma in gammas:
-            acc = self._elem_product(acc, gamma)
+            acc = frob.factorwise_product(self.base, self.n, acc, gamma)
         return self._contract_sparse(acc, self.parts[self.group.mul(g, h)])
 
     def gamma_cocycle(self, g: int, h: int):
@@ -747,23 +675,6 @@ def _integral(cols: dict) -> tuple[dict, int]:
     return {key: col for key, col in cols.items() if col}, den
 
 
-def _nest(gets: list, items) -> dict:
-    """Nested dicts keyed by each getter in turn on the factor tuples of
-    (factor tuple, leaf) items."""
-    *inner, last = gets
-    root: dict = {}
-    for t, leaf in items:
-        node = root
-        for get in inner:
-            key = get(t)
-            child = node.get(key)
-            if child is None:
-                child = node[key] = {}
-            node = child
-        node[last(t)] = leaf
-    return root
-
-
 def _joint_walk(maps: list, left: dict, right: dict) -> list:
     """Walk two ``_nest`` operands orbit by orbit through the per-orbit maps.
 
@@ -780,13 +691,6 @@ def _joint_walk(maps: list, left: dict, right: dict) -> list:
                  if (sub2 := node2.get(y)) is not None
                  for o, c in outs]
     return level
-
-
-def _divided(acc: list, den: int) -> list:
-    """Integer numerators over ``den`` as exact scalars (int when integral)."""
-    if den == 1:
-        return acc
-    return [ex.norm(Fraction(w, den)) if w else 0 for w in acc]
 
 
 # -- public wrappers -----------------------------------------------------------

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from orbifrob import cocycles as cocy
+from orbifrob import exactnum as ex
 from orbifrob import frobenius as frob
 from orbifrob import symprod as sp_mod
 from orbifrob.groups import symmetric_group
@@ -57,3 +58,40 @@ def sp_factory():
 @pytest.fixture(scope="session")
 def s3_ring():
     return cocy.twisted_group_ring(symmetric_group(3))
+
+
+# -- dense references ---------------------------------------------------------
+
+def nullspace(m):
+    """Basis of the right kernel, deterministic (free columns in order)."""
+    if not m:
+        return []
+    cols = len(m[0])
+    ech, pivots = ex.echelon(m)
+    basis = []
+    for f in (c for c in range(cols) if c not in pivots):
+        v = [0] * cols
+        v[f] = 1
+        for r, c in enumerate(pivots):
+            v[c] = ex.norm(-ech[r][f])
+        basis.append(v)
+    return basis
+
+
+def kron(a, b):
+    """Kronecker product, row-major index convention."""
+    if not a or not b:
+        return []
+    ra, ca, rb, cb = len(a), len(a[0]), len(b), len(b[0])
+    out = ex.mat_zero(ra * rb, ca * cb)
+    for i in range(ra):
+        for j in range(ca):
+            x = a[i][j]
+            if x == 0:
+                continue
+            for k in range(rb):
+                row = out[i * rb + k]
+                for l in range(cb):
+                    if b[k][l] != 0:
+                        row[j * cb + l] = ex.norm(x * b[k][l])
+    return out

@@ -18,7 +18,7 @@ from orbifrob import groups as g
 from orbifrob import symprod as sp_mod
 from orbifrob.groups import symmetric_group
 
-from conftest import sp_instance
+from conftest import nullspace, sp_instance
 
 
 def basis(dim, i):
@@ -82,7 +82,8 @@ _RESTRICTED_TABLE_CACHE: dict = {}
 
 
 def _restricted_chain_table(base, sigma, tau):
-    """Full chain-route product table of the restricted pair (memoized)."""
+    """Chain-route product table of the restricted pair, {(i, j): {k: c}}
+    with no zero entry (memoized)."""
     key = (base.name, sigma.images, tau.images)
     if key in _RESTRICTED_TABLE_CACHE:
         return _RESTRICTED_TABLE_CACHE[key]
@@ -93,7 +94,9 @@ def _restricted_chain_table(base, sigma, tau):
         a = basis(sp.dims[gi], i)
         for j in range(sp.dims[hi]):
             b = basis(sp.dims[hi], j)
-            table[(i, j)] = sp.multiply_chain(gi, a, hi, b)
+            vec = {k: c for k, c in enumerate(sp.multiply_chain(gi, a, hi, b)) if c != 0}
+            if vec:
+                table[(i, j)] = vec
     _RESTRICTED_TABLE_CACHE[key] = table
     return table
 
@@ -107,48 +110,33 @@ def _restrict_perm(p, block):
 
 
 def _assembled_chain_table(sp, gi, hi):
-    """Tensor-assemble the pair table from restricted chain tables per joint orbit."""
-    base = sp.base
-    D = base.dim
+    """Tensor-assemble the pair table {(i, j): {k: c}} from the restricted
+    chain tables, one per joint orbit.
+
+    The orbits own disjoint factor positions of g, h and gh, so each
+    orbit's local index adds its digits at those positions, and the
+    assembled entries are the products of the local ones, never zero.
+    """
+    D = sp.base.dim
     sigma, tau = sp.perms[gi], sp.perms[hi]
-    joint = g.group_orbits([sigma, tau])
-    ghi = sp.group.mul(gi, hi)
-    blocks = []
-    for block in joint.blocks:
-        bset = set(block)
-        s_pos = [i for i, blk in enumerate(sp.parts[gi].blocks) if blk[0] in bset]
-        t_pos = [i for i, blk in enumerate(sp.parts[hi].blocks) if blk[0] in bset]
-        p_pos = [i for i, blk in enumerate(sp.parts[ghi].blocks) if blk[0] in bset]
-        local = _restricted_chain_table(base, _restrict_perm(sigma, block), _restrict_perm(tau, block))
-        blocks.append((block, s_pos, t_pos, p_pos, local))
-    lg, lh, lp = sp.factors[gi], sp.factors[hi], sp.factors[ghi]
-    table = {}
-    for i in range(sp.dims[gi]):
-        ti = frob.tensor_tuple(i, D, lg)
-        for j in range(sp.dims[hi]):
-            tj = frob.tensor_tuple(j, D, lh)
-            terms = [([0] * lp, 1)]
-            for block, s_pos, t_pos, p_pos, local in blocks:
-                li = frob.tensor_index([ti[p] for p in s_pos], D)
-                lj = frob.tensor_index([tj[p] for p in t_pos], D)
-                dense = local[(li, lj)]
-                sparse = [(k, c) for k, c in enumerate(dense) if c != 0]
-                if not sparse:
-                    terms = []
-                    break
-                new = []
-                for tup, c in terms:
-                    for packed, v in sparse:
-                        sub = frob.tensor_tuple(packed, D, len(p_pos))
-                        t2 = list(tup)
-                        for spot, ppos in enumerate(p_pos):
-                            t2[ppos] = sub[spot]
-                        new.append((t2, c * v))
-                terms = new
-            vec = [0] * sp.dims[ghi]
-            for tup, c in terms:
-                vec[frob.tensor_index(tup, D)] += c
-            table[(i, j)] = [ex.norm(x) for x in vec]
+    sectors = (gi, hi, sp.group.mul(gi, hi))
+
+    def placed(s, positions):
+        """local index -> its digits at ``positions`` of sector s, as an index"""
+        last = sp.factors[s] - 1
+        return {packed: sum(x * D ** (last - p)
+                            for x, p in zip(frob.tensor_tuple(packed, D, len(positions)), positions))
+                for packed in range(D ** len(positions))}
+
+    table = {(0, 0): {0: 1}}
+    for block in g.group_orbits([sigma, tau]).blocks:
+        at_g, at_h, at_gh = (placed(s, [i for i, blk in enumerate(sp.parts[s].blocks)
+                                        if blk[0] in block]) for s in sectors)
+        local = _restricted_chain_table(sp.base, _restrict_perm(sigma, block),
+                                        _restrict_perm(tau, block))
+        table = {(i + at_g[li], j + at_h[lj]): {o + at_gh[k]: c * v
+                                                for o, c in vec.items() for k, v in lvec.items()}
+                 for (i, j), vec in table.items() for (li, lj), lvec in local.items()}
     return table
 
 
@@ -188,20 +176,20 @@ def test_criterion_3_cross_oracle(ground, qx2, surface):
             push_table = sp44.pair_table(gi, hi)
             chain_table = _assembled_chain_table(sp44, gi, hi)
             ghi = sp44.group.mul(gi, hi)
-            for key, dense in chain_table.items():
-                entry = push_table.get(key, {})
-                assert dense == [entry.get(k, 0) for k in range(sp44.dims[ghi])], \
-                    (sp44.group.labels[gi], sp44.group.labels[hi], key)
+            pair = (sp44.group.labels[gi], sp44.group.labels[hi])
+            assert chain_table.keys() == push_table.keys(), pair
+            for key, entry in chain_table.items():
+                assert entry == push_table[key], (pair, key)
             # stratified direct spot checks against both unfactored routes
             samples = {(0, 0)}
             for _ in range(3):
                 samples.add((rng.randrange(sp44.dims[gi]), rng.randrange(sp44.dims[hi])))
             for i, j in samples:
                 a, b = basis(sp44.dims[gi], i), basis(sp44.dims[hi], j)
-                direct_push = sp44.multiply_pushforward(gi, a, hi, b)
-                direct_chain = sp44.multiply_chain(gi, a, hi, b)
-                assert direct_push == chain_table[(i, j)]
-                assert direct_chain == chain_table[(i, j)]
+                entry = chain_table.get((i, j), {})
+                dense = [entry.get(k, 0) for k in range(sp44.dims[ghi])]
+                assert sp44.multiply_pushforward(gi, a, hi, b) == dense
+                assert sp44.multiply_chain(gi, a, hi, b) == dense
                 spot_checks += 1
     assert spot_checks >= 500
 
@@ -377,7 +365,7 @@ def test_criterion_7_intersection_lemmas(qx2, surface):
             kernels = {}
             for gi in range(sp.group.order):
                 mat = _restriction_matrix(sp, e_part, sp.parts[gi])
-                kernels[gi] = ex.nullspace(mat)
+                kernels[gi] = nullspace(mat)
             for gi in range(sp.group.order):
                 for hi in range(sp.group.order):
                     data = sp.gamma_data(gi, hi)
@@ -441,7 +429,7 @@ def _fixed_space_count(X):
     per_class = {}
     for cls in X.group.conjugacy_classes():
         rep = cls[0]
-        Z = X.group.centralizer(rep)
+        Z = [z for z in X.group.elements() if X.group.mul(rep, z) == X.group.mul(z, rep)]
         d = X.sector_dims[rep]
         P = ex.mat_zero(d, d)
         for z in Z:

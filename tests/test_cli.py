@@ -246,6 +246,17 @@ def test_cocycle_verify_refuses_before_building_the_group(tmp_path, capsys, monk
     assert calls == []
 
 
+@pytest.mark.parametrize("entry", [True, 1.0])
+def test_group_table_entries_must_be_integers(tmp_path, capsys, entry):
+    # true used to verify as element 1, and 1.0 ended in a tuple-index error
+    path = tmp_path / "table_cocycle.json"
+    path.write_text(json.dumps({"group": {"type": "table", "labels": ["e", "a"],
+                                          "table": [[0, 1], [entry, 0]]}, "values": []}))
+    assert run("verify", path) == 2
+    assert capsys.readouterr().err == \
+        f"error: multiplication table entry {entry!r} is not an integer\n"
+
+
 def test_invariants_poincare_builds_the_basis_once(monkeypatch, capsys, sym2_hilbert):
     calls = []
     build = gfrob._invariant_basis

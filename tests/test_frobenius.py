@@ -77,12 +77,12 @@ def test_copairing_reproduces_identity(qx2, surface):
     # sum_i eta(a, e_i) e^i = a for every basis a
     for algebra in (qx2, surface):
         for b in range(algebra.dim):
-            a = algebra.basis_vector(b)
+            a = ex.basis_vector(algebra.dim, b)
             out = ex.vec_zero(algebra.dim)
             for i, j, c in algebra.copairing():
-                coeff = c * algebra.pair(a, algebra.basis_vector(i))
+                coeff = c * algebra.metric.get(b, {}).get(i, 0)
                 if coeff:
-                    out = [x + coeff * y for x, y in zip(out, algebra.basis_vector(j))]
+                    out = [x + coeff * y for x, y in zip(out, ex.basis_vector(algebra.dim, j))]
             assert out == a
 
 
@@ -96,7 +96,7 @@ def test_euler_class_is_central_and_top_degree(qx2, surface):
     for algebra in (qx2, surface):
         e = algebra.euler_class()
         for b in range(algebra.dim):
-            v = algebra.basis_vector(b)
+            v = ex.basis_vector(algebra.dim, b)
             assert algebra.multiply(e, v) == algebra.multiply(v, e)
         degs = {algebra.degrees[i] for i, c in enumerate(e) if c != 0}
         assert degs == {algebra.top_degree}
@@ -162,7 +162,7 @@ def test_half_unit_algebra_verifies(half):
     assert half.verify().passed
 
 
-@pytest.mark.parametrize("m", [1, 2, 3, 4])
+@pytest.mark.parametrize("m", [0, 1, 2, 3, 4])
 def test_factorwise_multiply_matches_pairwise_reference(qx2, surface, half, m):
     rng = random.Random(7919 + m)
     for algebra in (qx2, surface, half):

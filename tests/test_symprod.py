@@ -2,6 +2,7 @@ import functools
 import hashlib
 import itertools
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -13,6 +14,8 @@ from orbifrob import frobenius as frob
 from orbifrob import gfrob
 from orbifrob import groups as g
 from orbifrob import symprod as sp_mod
+
+from conftest import kron
 
 
 def basis(dim, i):
@@ -122,7 +125,7 @@ def _adjoint_matrix(sp, m):
     assert pivots[:D] == list(range(D))
     eta_inv_power = [[1]]
     for _ in range(m):
-        eta_inv_power = ex.kron(eta_inv_power, [row[D:] for row in ech])
+        eta_inv_power = kron(eta_inv_power, [row[D:] for row in ech])
     mu_t = [[basis_product(sp.base, list(t)).get(k, 0) for k in range(D)] for t in sp._tuples(m)]
     return ex.mat_mul(eta_inv_power, ex.mat_mul(mu_t, eta))
 
@@ -353,13 +356,15 @@ def _reference_elem_product(sp, s1, s2):
 def _numerators(sp, elem):
     """A tuple-keyed element as (trie of integer numerators, denominator)."""
     den = math.lcm(*(c.denominator for c in elem.values()))
-    return sp._trie({t: c.numerator * (den // c.denominator) for t, c in elem.items()}), den
+    gets = [operator.itemgetter(p) for p in range(sp.n)]
+    return frob._nest(gets, ((t, c.numerator * (den // c.denominator))
+                             for t, c in elem.items())), den
 
 
 def _divide(sp, elem):
     """(trie of integer numerators, denominator) as exact nonzero scalars."""
     root, den = elem
-    return {t: ex.norm(Fraction(w, den)) for t, w in sp._leaves(root) if w}
+    return {t: ex.norm(Fraction(w, den)) for t, w in frob._leaves(root, sp.n) if w}
 
 
 def _random_element(rng, dim, n, terms):
@@ -378,7 +383,7 @@ def test_elem_product_matches_pairwise_reference(sp_factory, qx2, surface, half,
         operands += [({}, some), (some, {}), ({}, {}),
                      ({t: 0 for t in some}, some), ({t: Fraction(2, 1) for t in some}, some)]
         for s1, s2 in operands:
-            product = sp._elem_product(_numerators(sp, s1), _numerators(sp, s2))
+            product = frob.factorwise_product(base, n, _numerators(sp, s1), _numerators(sp, s2))
             got = {k: (type(v), v) for k, v in _divide(sp, product).items()}
             want = {k: (type(v), v) for k, v in _reference_elem_product(sp, s1, s2).items()}
             assert got == want
@@ -1077,7 +1082,7 @@ def test_product_stages_see_integer_numerators(sp_factory, qx2, surface, monkeyp
         stages.append(all(type(x) is int for x in values))
 
     nested, push_plan = sp_mod.SymmetricProductAlgebra._nested, sp_mod.SymmetricProductAlgebra._push_plan
-    elem_product = sp_mod.SymmetricProductAlgebra._elem_product
+    factorwise_product = frob.factorwise_product
 
     def checked_nested(self, g, v, gets):
         root, den = nested(self, g, v, gets)
@@ -1094,14 +1099,14 @@ def test_product_stages_see_integer_numerators(sp_factory, qx2, surface, monkeyp
              + [den])
         return plan
 
-    def checked_elem_product(self, left, right):
+    def checked_factorwise_product(algebra, m, left, right):
         for root, den in (left, right):
-            ints([w for _, w in self._leaves(root)] + [den])
-        return elem_product(self, left, right)
+            ints([w for _, w in frob._leaves(root, m)] + [den])
+        return factorwise_product(algebra, m, left, right)
 
     monkeypatch.setattr(sp_mod.SymmetricProductAlgebra, "_nested", checked_nested)
     monkeypatch.setattr(sp_mod.SymmetricProductAlgebra, "_push_plan", checked_push_plan)
-    monkeypatch.setattr(sp_mod.SymmetricProductAlgebra, "_elem_product", checked_elem_product)
+    monkeypatch.setattr(frob, "factorwise_product", checked_factorwise_product)
     rng = random.Random(61)
     for base in (qx2, surface):
         sp = sp_factory(base, 3)

@@ -60,8 +60,8 @@ def reference_a(X):
                             if _clean(lhs) != _clean(rhs) and witness is None:
                                 witness = {"g": G.labels[g], "h": G.labels[h], "k": G.labels[k],
                                            "basis": (i, j, m),
-                                           "lhs": _fmt_vec(X, mul(gh, k), lhs),
-                                           "rhs": _fmt_vec(X, mul(gh, k), rhs)}
+                                           "lhs": _fmt_vec(X.sector_labels[mul(gh, k)], lhs),
+                                           "rhs": _fmt_vec(X.sector_labels[mul(gh, k)], rhs)}
     return witness is None, count, witness
 
 
@@ -88,8 +88,8 @@ def reference_b(X):
                         rhs = {q: -v for q, v in rhs.items()}
                     if lhs != _clean(rhs) and witness is None:
                         witness = {"g": G.labels[g], "h": G.labels[h], "basis": (i, j),
-                                   "lhs": _fmt_vec(X, mul(g, h), lhs),
-                                   "rhs": _fmt_vec(X, mul(g, h), _clean(rhs))}
+                                   "lhs": _fmt_vec(X.sector_labels[mul(g, h)], lhs),
+                                   "rhs": _fmt_vec(X.sector_labels[mul(g, h)], _clean(rhs))}
     return witness is None, count, witness
 
 
@@ -224,7 +224,7 @@ def reference_associativity(alg):
                         rhs[q] = rhs.get(q, 0) + c * v
                 if _clean(lhs) != _clean(rhs) and witness is None:
                     witness = {"i": alg.labels[i], "j": alg.labels[j], "k": alg.labels[k],
-                               "lhs": frob._fmt_sparse(alg, lhs), "rhs": frob._fmt_sparse(alg, rhs)}
+                               "lhs": _fmt_vec(alg.labels, lhs), "rhs": _fmt_vec(alg.labels, rhs)}
     return witness is None, count, witness
 
 
