@@ -13,12 +13,11 @@ import re
 import sys
 from functools import partial
 
-from . import cocycles as cocy
+# Each step runs in a process of its own, and compiling modules it never calls
+# costs more than most steps' arithmetic: frobenius, cocycles, symprod and
+# grading are imported inside the commands that use them.
 from . import exactnum as ex
-from . import frobenius as frob
 from . import gfrob
-from . import grading
-from . import symprod as sp_mod
 from .gfrob import GFrobeniusAlgebra
 from .groups import cycle_notation, parse_cycles
 
@@ -161,9 +160,11 @@ def _document(path, budget: int | None = None) -> tuple:
         return (f"sector-graded algebra {X.name!r}", partial(gfrob.verify_axioms, X, budget=budget),
                 partial(gfrob.to_json_dict, X))
     if "basis" in doc:
+        from . import frobenius as frob
         algebra = frob.from_json_dict(doc, validate=False)
         return f"algebra {algebra.name!r}", algebra.verify, partial(frob.to_json_dict, algebra)
     if "values" in doc:
+        from . import cocycles as cocy
         if budget is not None:
             cocy.refuse_scan(cocy.document_order(doc), budget)
         alpha = cocy.from_json_dict(doc)
@@ -194,8 +195,12 @@ def cmd_verify(args) -> int:
 
 
 def cmd_symprod(args) -> int:
+    from . import cocycles as cocy
+    from . import frobenius as frob
+    from . import symprod as sp_mod
     base = frob.load(args.base)
-    spq = sp_mod.build(base, args.n, budget=args.budget)
+    budget = sp_mod.BUILD_BUDGET if args.budget is None else args.budget
+    spq = sp_mod.build(base, args.n, budget=budget)
     out = spq.realize()
     lam = ex.rat(args.lam) if args.lam is not None else None
     sigma = cocy.sign_supertwist(args.n) if args.super_twist else None
@@ -218,6 +223,7 @@ def cmd_mult(args) -> int:
 
 
 def cmd_twist(args) -> int:
+    from . import cocycles as cocy
     X = _load_galg(args.file)
     alpha = None
     if args.cocycle:
@@ -246,6 +252,7 @@ def cmd_invariants(args) -> int:
     if not inv.commutative:
         print("WARNING: invariant product is not commutative")
     if args.poincare:
+        from . import grading
         if args.shift == "standard":
             shifts = grading.standard_shifts(X, copies=args.copies)
         else:
@@ -281,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="twist by the normalized cocycle with alpha(tau,tau) = p/q")
     p.add_argument("--super", dest="super_twist", action="store_true",
                    help="apply the sign super-twist")
-    p.add_argument("--budget", type=int, default=sp_mod.BUILD_BUDGET)
+    p.add_argument("--budget", type=int, default=None)   # None: symprod.BUILD_BUDGET
     p.add_argument("--out", help="output path for the sector-graded algebra document")
     p.set_defaults(func=cmd_symprod)
 

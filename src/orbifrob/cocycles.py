@@ -298,9 +298,5 @@ def from_json_dict(doc: dict) -> Cocycle2:
     return Cocycle2(group, values)
 
 
-def save(alpha: Cocycle2, path) -> None:
-    ex.save_json(to_json_dict(alpha), path)
-
-
 def load(path) -> Cocycle2:
     return from_json_dict(ex.load_json(path))

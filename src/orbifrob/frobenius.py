@@ -47,6 +47,8 @@ class FrobeniusAlgebra:
     _metric_inv: ex.SparseMap | None = field(init=False, default=None, repr=False, compare=False)
 
     def __post_init__(self):
+        if type(self.name) is not str:
+            raise ValueError(f"name {self.name!r} is not a string")
         self.dim = len(self.labels)
         if not (len(self.degrees) == len(self.parities) == len(self.unit) == self.dim):
             raise ValueError(f"{self.name}: field lengths disagree with dim {self.dim}")
@@ -453,10 +455,6 @@ def from_json_dict(doc: dict, validate: bool = True) -> FrobeniusAlgebra:
         metric=metric,
     )
     return validated(algebra) if validate else algebra
-
-
-def save(algebra: FrobeniusAlgebra, path) -> None:
-    ex.save_json(to_json_dict(algebra), path)
 
 
 def load(path, validate: bool = True) -> FrobeniusAlgebra:

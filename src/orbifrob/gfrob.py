@@ -126,6 +126,8 @@ class GFrobeniusAlgebra:
     unit: list             # vector in A_e
 
     def __post_init__(self):
+        if type(self.name) is not str:
+            raise ValueError(f"name {self.name!r} is not a string")
         n = self.group.order
         if not (len(self.sector_dims) == len(self.sector_degrees) == len(self.sector_parities)
                 == len(self.sector_labels) == len(self.metric) == len(self.character) == n):
@@ -223,21 +225,39 @@ def _associator(xy: list, after: dict, yz: list, before: dict):
     ``xy`` lists the entries (i, j, p, c) of x_i y_j = ... + c e_p and
     ``after[p]`` the rows (k, m, row) of e_p z_m; ``yz`` lists the entries
     (k, j, m, p, c) of y_j z_m and ``before[p]`` the rows (i, row) of x_i e_p.
+    Both sides meet in one flat accumulator {(k, i, j, m, q): lhs - rhs};
+    only a failing call sums the two sides at its tuple for the witness.
     Returns ``(key, lhs, rhs)`` or None.
     """
-    lhs: dict = {}
-    rhs: dict = {}
+    diff: dict = {}
     for i, j, p, c in xy:
         for k, m, row in after.get(p, ()):
-            acc = lhs.setdefault((k, i, j, m), {})
             for q, v in row.items():
-                acc[q] = acc.get(q, 0) + c * v
+                key = (k, i, j, m, q)
+                diff[key] = diff.get(key, 0) + c * v
     for k, j, m, p, c in yz:
         for i, row in before.get(p, ()):
-            acc = rhs.setdefault((k, i, j, m), {})
             for q, v in row.items():
-                acc[q] = acc.get(q, 0) + c * v
-    return _first_difference(lhs, rhs)
+                key = (k, i, j, m, q)
+                diff[key] = diff.get(key, 0) - c * v
+    if not any(diff.values()):
+        return None
+    t = min(key[:4] for key, v in diff.items() if v)
+    k, i, j, m = t
+    lhs = _sum_rows((c, row) for i2, j2, p, c in xy if (i2, j2) == (i, j)
+                    for k2, m2, row in after.get(p, ()) if (k2, m2) == (k, m))
+    rhs = _sum_rows((c, row) for k2, j2, m2, p, c in yz if (k2, j2, m2) == (k, j, m)
+                    for i2, row in before.get(p, ()) if i2 == i)
+    return t, lhs, rhs
+
+
+def _sum_rows(terms) -> SparseVec:
+    """The cleaned sum of c * row over the (c, row) pairs of ``terms``."""
+    out: SparseVec = {}
+    for c, row in terms:
+        for q, v in row.items():
+            out[q] = out.get(q, 0) + c * v
+    return _clean(out)
 
 
 def _entries(table: dict) -> list:
@@ -432,22 +452,22 @@ def verify_axioms(X: GFrobeniusAlgebra, super_mode: bool | None = None,
 
     # ii) G-invariance of the multiplication, one join per (k, g) with every h
     # inside: the rows of T_{g,h} pushed through phi_k meet the rows of
-    # T_{kgk^-1,khk^-1} pulled back through the transposed action columns
+    # T_{kgk^-1,khk^-1} pulled back through the transposed action columns, both
+    # sides in one flat accumulator {(h, i, j, r): lhs - rhs}
     tables_from: list = [[] for _ in G.elements()]   # per g: (h, T_{g,h}) for T_{g,h} != 0
     for (g, h), table in product.items():
         if table:
             tables_from[g].append((h, table))
     witness = None
     for k, g in pairs:
-        lhs: dict = {}
+        diff: dict = {}
         for h, table in tables_from[g]:
             push = X.action[k, mul(g, h)]
             for (i, j), row in table.items():
-                acc = lhs.setdefault((h, i, j), {})
                 for p, c in row.items():
                     for r, v in push.get(p, {}).items():
-                        acc[r] = acc.get(r, 0) + c * v
-        rhs: dict = {}
+                        key = (h, i, j, r)
+                        diff[key] = diff.get(key, 0) + c * v
         back_g = pulled[k, g]
         for kh, table in tables_from[conj(k, g)]:
             h = conj(inv(k), kh)
@@ -455,12 +475,12 @@ def verify_axioms(X: GFrobeniusAlgebra, super_mode: bool | None = None,
             for (p, q), row in table.items():
                 for i, cg in back_g.get(p, {}).items():
                     for j, ch in back_h.get(q, {}).items():
-                        acc, c = rhs.setdefault((h, i, j), {}), cg * ch
+                        c = cg * ch
                         for r, v in row.items():
-                            acc[r] = acc.get(r, 0) + c * v
-        found = _first_difference(lhs, rhs)
-        if found:
-            h, i, j = found[0]
+                            key = (h, i, j, r)
+                            diff[key] = diff.get(key, 0) - c * v
+        if any(diff.values()):
+            h, i, j = min(key[:3] for key, v in diff.items() if v)
             witness = {"k": labels[k], "g": labels[g], "h": labels[h], "basis": (i, j)}
             break
     report.add("ii", "action multiplicative", witness is None, n * total ** 2, witness)

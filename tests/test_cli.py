@@ -206,6 +206,19 @@ def test_sector_basis_data_must_be_typed(tmp_path, capsys, sym2_hilbert, field, 
             f"error: sym2(Q[x]/(x^2)) lambda=-1: sector (1 2): {message}\n"
 
 
+def test_document_names_must_be_strings(tmp_path, capsys, sym2_hilbert):
+    # a base named [1, 2] used to verify, and symprod wrote it out as "sym2([1, 2])"
+    base = _variant(tmp_path, "dual_numbers.json", lambda doc: doc.__setitem__("name", [1, 2]))
+    for argv in (("verify", base), ("export", base), ("symprod", base, "--n", 2)):
+        assert run(*argv) == 2
+        assert capsys.readouterr().err == "error: name [1, 2] is not a string\n"
+    graded = _variant(tmp_path, sym2_hilbert, lambda doc: doc.__setitem__("name", {"x": 1}))
+    capsys.readouterr()
+    for argv in (("verify",), ("invariants", "--poincare", "--shift", "standard"), ("export",)):
+        assert run(argv[0], graded, *argv[1:]) == 2
+        assert capsys.readouterr().err == "error: name {'x': 1} is not a string\n"
+
+
 @pytest.mark.parametrize("n, message", [
     (8, "a cocycle on S_8 holds at least 1625702400 values (budget 50000000)"),
     (10 ** 30, f"a cocycle on S_{10 ** 30} holds at least 1625702400 values (budget 50000000)"),

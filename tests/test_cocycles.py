@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from orbifrob import cocycles as cocy
+from orbifrob import exactnum as ex
 from orbifrob import gfrob
 from orbifrob import groups as g
 from orbifrob.groups import symmetric_group
@@ -184,9 +185,9 @@ def test_ring_refuses_a_cocycle_scan_past_the_budget():
 def test_json_round_trip(tmp_path):
     alpha = cocy.normalized_sn_cocycle(3, Fraction(-2, 3))
     path = tmp_path / "alpha.json"
-    cocy.save(alpha, path)
+    ex.save_json(cocy.to_json_dict(alpha), path)
     loaded = cocy.load(path)
     assert loaded.values == alpha.values
     assert loaded.group == alpha.group
-    cocy.save(loaded, tmp_path / "again.json")
+    ex.save_json(cocy.to_json_dict(loaded), tmp_path / "again.json")
     assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
