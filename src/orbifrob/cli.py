@@ -172,6 +172,22 @@ def _document(path, budget: int | None = None) -> tuple:
     raise UsageError(f"{path}: unrecognized document type")
 
 
+def _sn_twists(group, lam, super_twist: bool) -> tuple:
+    """(alpha, sigma) for ``--lambda`` and ``--super`` on an S_n grading
+    ``group``; None for a flag that is not given."""
+    from . import cocycles as cocy
+    alpha = sigma = None
+    if lam is not None:
+        if group.perms is None:
+            raise UsageError("--lambda needs a symmetric-group graded algebra")
+        alpha = cocy.normalized_sn_cocycle(group.perms[0].n, ex.rat(lam))
+    if super_twist:
+        if group.perms is None:
+            raise UsageError("--super needs a symmetric-group graded algebra")
+        sigma = cocy.sign_supertwist(group.perms[0].n)
+    return alpha, sigma
+
+
 def _emit(payload: dict, out) -> None:
     """Write a document's canonical text to ``out``, or print it."""
     if out:
@@ -195,20 +211,17 @@ def cmd_verify(args) -> int:
 
 
 def cmd_symprod(args) -> int:
-    from . import cocycles as cocy
     from . import frobenius as frob
     from . import symprod as sp_mod
     base = frob.load(args.base)
     budget = sp_mod.BUILD_BUDGET if args.budget is None else args.budget
-    spq = sp_mod.build(base, args.n, budget=budget)
-    out = spq.realize()
-    lam = ex.rat(args.lam) if args.lam is not None else None
-    sigma = cocy.sign_supertwist(args.n) if args.super_twist else None
-    if lam is not None or sigma is not None:
-        alpha = cocy.normalized_sn_cocycle(args.n, lam) if lam is not None else None
+    out = sp_mod.SymmetricProductAlgebra(base, args.n).realize(budget)
+    alpha, sigma = _sn_twists(out.group, args.lam, args.super_twist)
+    if alpha is not None or sigma is not None:
         out = gfrob.twist(out, alpha, sigma)
-        out.name = f"sym{args.n}({base.name})" + (f" lambda={args.lam}" if lam is not None else "") + (
-            " super" if sigma is not None else "")
+        out.name = (f"sym{args.n}({base.name})"
+                    + (f" lambda={args.lam}" if alpha is not None else "")
+                    + (" super" if sigma is not None else ""))
     _emit(gfrob.to_json_dict(out), args.out)
     return 0
 
@@ -223,20 +236,14 @@ def cmd_mult(args) -> int:
 
 
 def cmd_twist(args) -> int:
-    from . import cocycles as cocy
     X = _load_galg(args.file)
-    alpha = None
     if args.cocycle:
-        alpha = cocy.load(args.cocycle)
-    elif args.lam is not None:
-        if X.group.perms is None:
-            raise UsageError("--lambda needs a symmetric-group graded algebra")
-        alpha = cocy.normalized_sn_cocycle(X.group.perms[0].n, ex.rat(args.lam))
-    sigma = None
-    if args.super_twist:
-        if X.group.perms is None:
-            raise UsageError("--super needs a symmetric-group graded algebra")
-        sigma = cocy.sign_supertwist(X.group.perms[0].n)
+        from . import cocycles as cocy
+        doc = ex.load_json(args.cocycle)
+        cocy.refuse_scan(cocy.document_order(doc))   # as verify does: twist runs the scan
+        alpha, sigma = cocy.from_json_dict(doc), _sn_twists(X.group, None, args.super_twist)[1]
+    else:
+        alpha, sigma = _sn_twists(X.group, args.lam, args.super_twist)
     if alpha is None and sigma is None:
         raise UsageError("nothing to do: pass --lambda, --cocycle and/or --super")
     _emit(gfrob.to_json_dict(gfrob.twist(X, alpha, sigma)), args.out)

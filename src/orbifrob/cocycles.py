@@ -296,7 +296,3 @@ def from_json_dict(doc: dict) -> Cocycle2:
         ex.check_new("values", seen, (glabel, hlabel))
         values[g][h] = ex.rat(v)
     return Cocycle2(group, values)
-
-
-def load(path) -> Cocycle2:
-    return from_json_dict(ex.load_json(path))

@@ -206,10 +206,6 @@ class FrobeniusAlgebra:
         return report
 
 
-def verify(algebra: FrobeniusAlgebra) -> Report:
-    return algebra.verify()
-
-
 def validated(algebra: FrobeniusAlgebra) -> FrobeniusAlgebra:
     report = algebra.verify()
     if not report.passed:
@@ -357,53 +353,6 @@ def tensor_unit(algebra: FrobeniusAlgebra, m: int):
                     new[idx * algebra.dim + k] = ex.norm(c * v)
         out = new
     return out
-
-
-# -- stock algebras ----------------------------------------------------------
-
-def ground_field() -> FrobeniusAlgebra:
-    """The one-dimensional algebra k with eta(1,1) = 1."""
-    return validated(FrobeniusAlgebra(
-        name="k",
-        labels=["1"],
-        degrees=[0],
-        parities=[0],
-        unit=[1],
-        rows={(0, 0): {0: 1}},
-        metric={0: {0: 1}},
-    ))
-
-
-def dual_numbers() -> FrobeniusAlgebra:
-    """Q[x]/(x^2) with deg x = 2 and eta(1,x) = 1."""
-    return validated(FrobeniusAlgebra(
-        name="Q[x]/(x^2)",
-        labels=["1", "x"],
-        degrees=[0, 2],
-        parities=[0, 0],
-        unit=[1, 0],
-        rows={(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 0): {1: 1}},
-        metric={0: {1: 1}, 1: {0: 1}},
-    ))
-
-
-def surface_model() -> FrobeniusAlgebra:
-    """Even 4-dim model {1, a, b, t}: ab = ba = t, eta(1,t) = eta(a,b) = 1."""
-    return validated(FrobeniusAlgebra(
-        name="surface4",
-        labels=["1", "a", "b", "t"],
-        degrees=[0, 2, 2, 4],
-        parities=[0, 0, 0, 0],
-        unit=[1, 0, 0, 0],
-        rows={
-            (0, 0): {0: 1},
-            (0, 1): {1: 1}, (1, 0): {1: 1},
-            (0, 2): {2: 1}, (2, 0): {2: 1},
-            (0, 3): {3: 1}, (3, 0): {3: 1},
-            (1, 2): {3: 1}, (2, 1): {3: 1},
-        },
-        metric={0: {3: 1}, 1: {2: 1}, 2: {1: 1}, 3: {0: 1}},
-    ))
 
 
 # -- JSON document -----------------------------------------------------------

@@ -343,18 +343,15 @@ def _verify_structure(X: GFrobeniusAlgebra, report: Report) -> bool:
     return witness is None
 
 
-def verify_axioms(X: GFrobeniusAlgebra, super_mode: bool | None = None,
-                  budget: int = VERIFY_BUDGET) -> Report:
+def verify_axioms(X: GFrobeniusAlgebra, budget: int = VERIFY_BUDGET) -> Report:
     """Exhaustive exact check of the eight defining axioms.
 
-    ``super_mode`` selects the supergraded variants of twisted commutativity
-    and the trace axiom (signs from element parities, supertrace); by default
-    it is on exactly when some basis element is odd.  For evenly graded input
-    the super forms coincide with the plain ones.
+    When some basis element is odd, twisted commutativity and the trace axiom
+    take their supergraded forms (signs from element parities, supertrace).
+    For evenly graded input the super forms coincide with the plain ones.
     """
     report = Report()
-    if super_mode is None:
-        super_mode = X.is_super()
+    super_mode = X.is_super()
     estimate = _verify_cost(X)
     if estimate > budget:
         raise BudgetExceededError(

@@ -17,7 +17,6 @@ from functools import lru_cache
 from operator import itemgetter
 
 ENUMERATION_BOUND = 8  # n! blows up past this
-ASSOC_BOUND = 200      # Light's associativity test runs up to this order (S_5)
 
 
 class Permutation:
@@ -50,9 +49,6 @@ class Permutation:
     def __call__(self, i: int) -> int:
         return self.images[i]
 
-    def __mul__(self, other: "Permutation") -> "Permutation":
-        return compose(self, other)
-
     def __eq__(self, other):
         return isinstance(other, Permutation) and self.images == other.images
 
@@ -65,27 +61,8 @@ class Permutation:
     def __str__(self):
         return cycle_notation(self)
 
-    def inverse(self) -> "Permutation":
-        inv = [0] * self.n
-        for i, j in enumerate(self.images):
-            inv[j] = i
-        return Permutation(inv)
-
     def is_identity(self) -> bool:
         return all(i == j for i, j in enumerate(self.images))
-
-    def cycles(self) -> "OrbitPartition":
-        return cycles(self)
-
-    def degree(self) -> int:
-        return degree(self)
-
-    def sign(self) -> int:
-        return sign(self)
-
-    def cycle_type(self) -> tuple[int, ...]:
-        """Cycle lengths, descending; conjugation invariant."""
-        return tuple(sorted((len(b) for b in cycles(self).blocks), reverse=True))
 
     def moved_points(self) -> list[int]:
         return [i for i, j in enumerate(self.images) if i != j]
@@ -138,10 +115,6 @@ def compose(p: Permutation, q: Permutation) -> Permutation:
     return Permutation(tuple(pi[qi[i]] for i in range(p.n)))
 
 
-def commutator(g: Permutation, h: Permutation) -> Permutation:
-    return compose(compose(g, h), compose(g.inverse(), h.inverse()))
-
-
 def cycles(p: Permutation) -> OrbitPartition:
     """Orbits of <p>, fixed points included as singletons."""
     seen = [False] * p.n
@@ -162,10 +135,6 @@ def cycles(p: Permutation) -> OrbitPartition:
 def degree(p: Permutation) -> int:
     """|p| = n - (number of cycles) = minimal transposition word length."""
     return p.n - len(cycles(p).blocks)
-
-
-def sign(p: Permutation) -> int:
-    return -1 if degree(p) % 2 else 1
 
 
 def group_orbits(gens, n: int | None = None) -> OrbitPartition:
@@ -199,11 +168,6 @@ def group_orbits(gens, n: int | None = None) -> OrbitPartition:
     return OrbitPartition(n, tuple(blocks))
 
 
-def is_transversal(p: Permutation, q: Permutation) -> bool:
-    """True iff |pq| = |p| + |q| (product incurs no contraction)."""
-    return degree(compose(p, q)) == degree(p) + degree(q)
-
-
 def enumerate_sn(n: int) -> list[Permutation]:
     """All of S_n in lexicographic one-line order (identity first)."""
     if n < 1:
@@ -211,18 +175,6 @@ def enumerate_sn(n: int) -> list[Permutation]:
     if n > ENUMERATION_BOUND:
         raise ValueError(f"S_{n} enumeration exceeds the configured bound {ENUMERATION_BOUND}")
     return [Permutation(images) for images in itertools.permutations(range(n))]
-
-
-def transpositions(n: int) -> list[Permutation]:
-    return [Permutation.transposition(n, a, b) for a in range(n) for b in range(a + 1, n)]
-
-
-def conjugacy_classes(n: int) -> list[list[Permutation]]:
-    """Classes of S_n keyed by cycle type, ordered by cycle type."""
-    by_type: dict[tuple[int, ...], list[Permutation]] = {}
-    for p in enumerate_sn(n):
-        by_type.setdefault(p.cycle_type(), []).append(p)
-    return [by_type[t] for t in sorted(by_type)]
 
 
 # -- cycle notation I/O ----------------------------------------------------
@@ -345,9 +297,8 @@ class FiniteGroup:
         return gens
 
     def _validate(self):
-        """Latin-square check, then, up to ``ASSOC_BOUND`` elements, Light's
-        associativity test: (x a) y = x (a y) for every x, y and every greedy
-        generator a.
+        """Latin-square check, then Light's associativity test: (x a) y = x (a y)
+        for every x, y and every greedy generator a.
 
         The test is exact without assuming associativity.  The middle elements
         a that pass for all x and y contain the identity and are closed under
@@ -362,17 +313,16 @@ class FiniteGroup:
         for g, (row, col) in enumerate(zip(t, zip(*t))):
             if sorted(row) != ids or sorted(col) != ids:
                 raise ValueError(f"table row/column for {labels[g]} is not a bijection")
-        if n <= ASSOC_BOUND:
-            rows = [tuple(r) for r in t]
-            for a in self._generators():
-                right = itemgetter(*t[a])   # x -> x (a y) over every y; n > 1 here
-                for x, row in enumerate(rows):
-                    if rows[row[a]] != right(row):
-                        y = next(y for y in ids if t[row[a]][y] != row[t[a][y]])
-                        raise ValueError(
-                            f"table is not associative at "
-                            f"({labels[x]}, {labels[a]}, {labels[y]})"
-                        )
+        rows = [tuple(r) for r in t]
+        for a in self._generators():
+            right = itemgetter(*t[a])   # x -> x (a y) over every y; n > 1 here
+            for x, row in enumerate(rows):
+                if rows[row[a]] != right(row):
+                    y = next(y for y in ids if t[row[a]][y] != row[t[a][y]])
+                    raise ValueError(
+                        f"table is not associative at "
+                        f"({labels[x]}, {labels[a]}, {labels[y]})"
+                    )
 
     def mul(self, g: int, h: int) -> int:
         return self.table[g][h]
@@ -429,7 +379,7 @@ def symmetric_group(n: int) -> FiniteGroup:
         # (p * q).images is q's images read off p's images
         getters = [itemgetter(*q.images) for q in perms]
         table = [[index[get(p.images)] for get in getters] for p in perms]
-    # Light's test checks orders up to ASSOC_BOUND; past that, trust composition
+    # composition makes this a group; the constructor still checks it, as every table
     group = FiniteGroup([cycle_notation(p) for p in perms], table)
     group.perms = perms
     return group

@@ -50,12 +50,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter, mul
 
-from . import cocycles as cocy
 from . import exactnum as ex
 from . import frobenius as frob
 from .frobenius import (FrobeniusAlgebra, _divided, _leaves, _nest, _numerators, tensor_index,
                         tensor_tuple)
-from .gfrob import BudgetExceededError, GFrobeniusAlgebra, _transpose, twist
+from .gfrob import BudgetExceededError, GFrobeniusAlgebra, _transpose
 from .groups import (OrbitPartition, Permutation, compose, cycles, degree,
                      group_orbits, symmetric_group)
 
@@ -693,8 +692,6 @@ def _joint_walk(maps: list, left: dict, right: dict) -> list:
     return level
 
 
-# -- public wrappers -----------------------------------------------------------
-
 @dataclass
 class GammaData:
     cocycle: list     # identity-sector form (chain formula, section-projected)
@@ -703,21 +700,3 @@ class GammaData:
     bar: list         # section image of tilde in the product sector
     restricted: list  # bar * perp = the cocycle restricted to the product sector
 
-
-def build(base: FrobeniusAlgebra, n: int, budget: int = BUILD_BUDGET) -> SymmetricProductAlgebra:
-    sp = SymmetricProductAlgebra(base, n)
-    sp.realize(budget)
-    return sp
-
-
-def hilbert_twist(sp: SymmetricProductAlgebra) -> GFrobeniusAlgebra:
-    """Twist by the normalized sign cocycle alpha(tau,tau) = -1."""
-    return twist(sp.realize(), cocy.normalized_sn_cocycle(sp.n, -1))
-
-
-def qw_twist(sp: SymmetricProductAlgebra, lam) -> GFrobeniusAlgebra:
-    """The lambda-family: twist by the normalized cocycle alpha(tau,tau) = lambda."""
-    lam = ex.rat(lam) if isinstance(lam, str) else lam
-    if lam == 0:
-        raise ValueError("lambda must be nonzero")
-    return twist(sp.realize(), cocy.normalized_sn_cocycle(sp.n, lam))

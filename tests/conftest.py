@@ -2,28 +2,40 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
 from orbifrob import cocycles as cocy
 from orbifrob import exactnum as ex
 from orbifrob import frobenius as frob
 from orbifrob import symprod as sp_mod
-from orbifrob.groups import symmetric_group
+from orbifrob.groups import compose, degree, symmetric_group
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+
+
+def load_base(name: str) -> frob.FrobeniusAlgebra:
+    """A validated base algebra from ``fixtures/<name>.json``."""
+    return frob.load(FIXTURES / f"{name}.json")
 
 
 @pytest.fixture(scope="session")
 def ground():
-    return frob.ground_field()
+    """k with eta(1,1) = 1."""
+    return load_base("ground")
 
 
 @pytest.fixture(scope="session")
 def qx2():
-    return frob.dual_numbers()
+    """Q[x]/(x^2) with deg x = 2 and eta(1,x) = 1."""
+    return load_base("dual_numbers")
 
 
 @pytest.fixture(scope="session")
 def surface():
-    return frob.surface_model()
+    """Even 4-dim model {1, a, b, t}: ab = ba = t, eta(1,t) = eta(a,b) = 1."""
+    return load_base("surface4")
 
 
 @pytest.fixture(scope="session")
@@ -58,6 +70,27 @@ def sp_factory():
 @pytest.fixture(scope="session")
 def s3_ring():
     return cocy.twisted_group_ring(symmetric_group(3))
+
+
+# -- group references ---------------------------------------------------------
+
+def is_transversal(p, q) -> bool:
+    """True iff |pq| = |p| + |q| (the product incurs no contraction)."""
+    return degree(compose(p, q)) == degree(p) + degree(q)
+
+
+def cyclic_table(n: int) -> list[list[int]]:
+    """The multiplication table of Z/n."""
+    return [[(i + j) % n for j in range(n)] for i in range(n)]
+
+
+def swapped_cyclic_table(n: int) -> list[list[int]]:
+    """Z/n, n even, with its 2x2 intercalate at rows and columns 1 and 1 + n/2
+    swapped: a Latin square with an identity that is not associative."""
+    table, b = cyclic_table(n), 1 + n // 2
+    table[1][1], table[1][b] = table[1][b], table[1][1]
+    table[b][1], table[b][b] = table[b][b], table[b][1]
+    return table
 
 
 # -- dense references ---------------------------------------------------------

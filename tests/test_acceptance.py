@@ -224,7 +224,7 @@ def test_criterion_4_hilbert_twist(qx2):
     for n in (2, 3, 4):
         sp = sp_instance(qx2, n)
         plain = sp.realize()
-        twisted = sp_mod.hilbert_twist(sp)
+        twisted = gfrob.twist(plain, cocy.normalized_sn_cocycle(n, -1))
         G = sp.group
         degs = [g.degree(p) for p in sp.perms]
         for a in G.elements():
@@ -277,7 +277,7 @@ def test_criterion_5_cocycle_family(qx2):
     plain = sp.realize()
     tau = sp.group.index_of("(1 2)")
     for lam in lambdas:
-        twisted = sp_mod.qw_twist(sp, lam)
+        twisted = gfrob.twist(plain, cocy.normalized_sn_cocycle(2, lam))
         assert twisted.metric[tau] == {i: {j: ex.norm(lam * v) for j, v in row.items()}
                                        for i, row in plain.metric[tau].items()}
         T_plain = plain.product[(tau, tau)]
@@ -415,7 +415,7 @@ def test_criterion_8_euler_classes(ground, qx2, surface):
     assert sp.group.mul(c123, c123) == c132
     one = sp.generator(c123)
     assert sp.realize().multiply(c123, c123, one, one) == qx2.euler_class()
-    twisted = sp_mod.hilbert_twist(sp)
+    twisted = gfrob.twist(sp.realize(), cocy.normalized_sn_cocycle(3, -1))
     assert twisted.multiply(c123, c123, one, one) == [-x for x in qx2.euler_class()]
     _report(8, "Euler classes are 1, 2x, 4t; a 3-cycle squared give the Euler class, "
                "and its negative after the sign twist")

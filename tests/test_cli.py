@@ -10,6 +10,8 @@ from orbifrob import grading
 from orbifrob import groups
 from orbifrob.groups import symmetric_group
 
+from conftest import cyclic_table, swapped_cyclic_table
+
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
@@ -268,6 +270,32 @@ def test_group_table_entries_must_be_integers(tmp_path, capsys, entry):
     assert run("verify", path) == 2
     assert capsys.readouterr().err == \
         f"error: multiplication table entry {entry!r} is not an integer\n"
+
+
+def _table_cocycle(path, table):
+    """A cocycle document with every value 1 on the group of ``table``."""
+    labels = [str(i) for i in range(len(table))]
+    path.write_text(json.dumps({"group": {"type": "table", "labels": labels, "table": table},
+                                "values": []}))
+    return path
+
+
+def test_verify_refuses_a_nonassociative_table_past_the_order_of_s5(tmp_path, capsys):
+    # a Latin square with an identity used to pass as a group past order 200
+    path = _table_cocycle(tmp_path / "z202_swapped.json", swapped_cyclic_table(202))
+    assert run("verify", path) == 2
+    assert capsys.readouterr().err == "error: table is not associative at (1, 1, 2)\n"
+
+
+def test_twist_refuses_an_oversized_cocycle_before_building_its_group(tmp_path, capsys,
+                                                                      sym2_hilbert):
+    # 370^3 group triples pass the budget that verify applies to the same document
+    path = _table_cocycle(tmp_path / "z370.json", cyclic_table(370))
+    message = "error: cocycle check would touch ~50653000 group triples (budget 50000000)\n"
+    assert run("twist", sym2_hilbert, "--cocycle", path) == 2
+    assert capsys.readouterr().err == message
+    assert run("verify", path) == 2
+    assert capsys.readouterr().err == message
 
 
 def test_invariants_poincare_builds_the_basis_once(monkeypatch, capsys, sym2_hilbert):

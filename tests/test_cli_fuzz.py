@@ -26,7 +26,7 @@ FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def _sym2_hilbert() -> dict:
-    X = sp_mod.SymmetricProductAlgebra(frob.dual_numbers(), 2).realize()
+    X = sp_mod.SymmetricProductAlgebra(frob.load(FIXTURES / "dual_numbers.json"), 2).realize()
     return gfrob.to_json_dict(gfrob.twist(X, cocy.normalized_sn_cocycle(2, -1)))
 
 

@@ -8,6 +8,8 @@ from orbifrob import exactnum as ex
 from orbifrob import frobenius as frob
 from orbifrob import symprod as sp_mod
 
+from conftest import load_base
+
 
 def test_multiply_dual_numbers(qx2):
     x = [0, 1]
@@ -59,7 +61,7 @@ def test_metric_rows_are_index_checked_and_cleaned(qx2):
 
 
 def test_equality_ignores_the_cached_inverse(surface):
-    a, b = frob.surface_model(), frob.surface_model()
+    a, b = load_base("surface4"), load_base("surface4")
     assert a == b
     a.copairing()
     assert a == b and b == a
@@ -204,8 +206,8 @@ def test_json_round_trip(tmp_path, surface):
     assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
 
 
-def test_json_rejects_bad_dim(tmp_path):
-    doc = frob.to_json_dict(frob.ground_field())
+def test_json_rejects_bad_dim(tmp_path, ground):
+    doc = frob.to_json_dict(ground)
     doc["dim"] = 2
     with pytest.raises(ValueError):
         frob.from_json_dict(doc)

@@ -290,7 +290,7 @@ def _reference_product(X, inv):
 def test_invariant_product_matches_echelon_route(sp_factory, qx2, surface, s3_ring):
     suite = [sp_factory(qx2, 2).realize(), sp_factory(qx2, 3).realize(),
              sp_factory(surface, 2).realize(), s3_ring,
-             sp_mod.hilbert_twist(sp_factory(qx2, 3))]
+             gfrob.twist(sp_factory(qx2, 3).realize(), cocy.normalized_sn_cocycle(3, -1))]
     for X in suite:
         inv = gfrob.invariants(X)
         assert inv.product == _reference_product(X, inv), X.name

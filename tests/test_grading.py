@@ -3,7 +3,9 @@ from pathlib import Path
 
 import pytest
 
+from orbifrob import cocycles as cocy
 from orbifrob import frobenius as frob
+from orbifrob import gfrob
 from orbifrob import grading
 from orbifrob import groups as g
 from orbifrob import symprod as sp_mod
@@ -118,7 +120,8 @@ def _generating_function(degrees, n):
 ])
 def test_invariant_poincare_matches_generating_function(fixture, n):
     base = frob.load(FIXTURES / fixture)
-    X = sp_mod.hilbert_twist(sp_mod.SymmetricProductAlgebra(base, n))
+    X = gfrob.twist(sp_mod.SymmetricProductAlgebra(base, n).realize(),
+                    cocy.normalized_sn_cocycle(n, -1))
     poly = grading.shifted_poincare(X, grading.standard_shifts(X), invariants_only=True)
     assert poly == _generating_function(base.degrees, n)
 

@@ -5,9 +5,39 @@ import pytest
 
 from orbifrob import groups as g
 
+from conftest import is_transversal, swapped_cyclic_table
+
 
 def P(text, n):
     return g.parse_cycles(text, n)
+
+
+def _transpositions(n):
+    return [g.Permutation.transposition(n, a, b) for a in range(n) for b in range(a + 1, n)]
+
+
+def _inverse(p):
+    inv = [0] * p.n
+    for i, j in enumerate(p.images):
+        inv[j] = i
+    return g.Permutation(inv)
+
+
+def _sign(p):
+    return -1 if g.degree(p) % 2 else 1
+
+
+def _cycle_type(p):
+    """Cycle lengths, descending; conjugation invariant."""
+    return tuple(sorted((len(b) for b in g.cycles(p).blocks), reverse=True))
+
+
+def _conjugacy_classes(n):
+    """Classes of S_n keyed by cycle type, ordered by cycle type."""
+    by_type = {}
+    for p in g.enumerate_sn(n):
+        by_type.setdefault(_cycle_type(p), []).append(p)
+    return [by_type[t] for t in sorted(by_type)]
 
 
 def test_compose_applies_right_factor_first():
@@ -34,7 +64,7 @@ def test_degree_is_word_length():
     assert g.degree(P("(1 2 3)", 3)) == 2
     # brute-force word length oracle on S_4: breadth-first over transpositions
     import collections
-    taus = g.transpositions(4)
+    taus = _transpositions(4)
     dist = {g.Permutation.identity(4).images: 0}
     queue = collections.deque([g.Permutation.identity(4)])
     while queue:
@@ -64,14 +94,14 @@ def test_single_generator_orbits_match_cycles():
 
 
 def test_transversal():
-    assert g.is_transversal(P("(1 2)", 4), P("(3 4)", 4))
-    assert not g.is_transversal(P("(1 2)", 4), P("(1 2)", 4))
-    assert g.is_transversal(P("(1 2)", 3), P("(1 3)", 3))
+    assert is_transversal(P("(1 2)", 4), P("(3 4)", 4))
+    assert not is_transversal(P("(1 2)", 4), P("(1 2)", 4))
+    assert is_transversal(P("(1 2)", 3), P("(1 3)", 3))
 
 
 def _conjugate(a, b):
     """a b a^-1; relabels b's cycles by a, preserving cycle type."""
-    return g.compose(g.compose(a, b), a.inverse())
+    return g.compose(g.compose(a, b), _inverse(a))
 
 
 def test_conjugate():
@@ -83,16 +113,16 @@ def test_conjugate():
     for _ in range(20):
         a, b = rng.choice(perms), rng.choice(perms)
         assert g.degree(_conjugate(a, b)) == g.degree(b)
-        assert _conjugate(a, b).cycle_type() == b.cycle_type()
+        assert _cycle_type(_conjugate(a, b)) == _cycle_type(b)
 
 
 def test_enumerate_classes_sign():
     assert len(g.enumerate_sn(3)) == 6
-    sizes = sorted(len(c) for c in g.conjugacy_classes(3))
+    sizes = sorted(len(c) for c in _conjugacy_classes(3))
     assert sizes == [1, 2, 3]
-    assert g.sign(P("(1 2 3)", 3)) == 1
-    assert g.sign(P("(1 2)", 2)) == -1
-    assert len(g.transpositions(4)) == 6
+    assert _sign(P("(1 2 3)", 3)) == 1
+    assert _sign(P("(1 2)", 2)) == -1
+    assert len(_transpositions(4)) == 6
     with pytest.raises(ValueError):
         g.enumerate_sn(9)
 
@@ -110,7 +140,7 @@ def test_parity_lemma_exhaustive():
 
 def test_degree_symmetries():
     for p in g.enumerate_sn(4):
-        assert g.degree(p) == g.degree(p.inverse())
+        assert g.degree(p) == g.degree(_inverse(p))
 
 
 def test_sn_table_is_a_group():
@@ -153,7 +183,7 @@ def test_cycle_parser_errors():
         g.parse_cycles("junk", 3)
 
 
-def test_bad_table_rejected(monkeypatch):
+def test_bad_table_rejected():
     with pytest.raises(ValueError):
         g.FiniteGroup(["e", "a"], [[0, 1], [1, 1]])
     # Latin square but not associative: no identity row breaks earlier, so
@@ -168,8 +198,11 @@ def test_bad_table_rejected(monkeypatch):
     # (a a) b = b but a (a b) = a c = d
     with pytest.raises(ValueError, match=r"table is not associative at \(a, a, b\)"):
         g.FiniteGroup(list("eabcd"), table)
-    monkeypatch.setattr(g, "ASSOC_BOUND", 4)
-    assert g.FiniteGroup(list("eabcd"), table).order == 5   # past the bound
+    # the same law at every order: Z/n with a swapped intercalate, small and
+    # past the order of S_5
+    for n in (10, 202):
+        with pytest.raises(ValueError, match="table is not associative"):
+            g.FiniteGroup([str(i) for i in range(n)], swapped_cyclic_table(n))
     # True == 1 passes the Latin check, so the type is checked first, at every order
     with pytest.raises(ValueError, match="entry True is not an integer"):
         g.FiniteGroup(list("eabcd"), [[True if x == 1 else x for x in row] for row in table])

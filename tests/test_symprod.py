@@ -455,7 +455,7 @@ def test_action_and_metric_blocks_are_sparse_maps(sp_factory, ground, qx2, surfa
     base = {"ground": ground, "qx2": qx2, "surface": surface, "half": half}[base_name]
     for n in (1, 2, 3):
         sp = sp_factory(base, n)
-        for X in (sp.realize(), sp_mod.hilbert_twist(sp)):
+        for X in (sp.realize(), gfrob.twist(sp.realize(), cocy.normalized_sn_cocycle(n, -1))):
             for (gi, hi), block in X.action.items():
                 assert sorted(block) == list(range(X.sector_dims[hi]))
                 assert all(len(col) == 1 and abs(v) == 1 for col in block.values()
@@ -466,9 +466,9 @@ def test_action_and_metric_blocks_are_sparse_maps(sp_factory, ground, qx2, surfa
 
 
 def test_budget_guard(surface):
-    with pytest.raises(gfrob.BudgetExceededError):
-        sp_mod.build(surface, 4)
     sp = sp_mod.SymmetricProductAlgebra(surface, 4)
+    with pytest.raises(gfrob.BudgetExceededError):
+        sp.realize()
     assert sp.table_cost() == 840 ** 2
 
 
@@ -515,7 +515,7 @@ def test_n1_echoes_base(sp_factory, qx2):
 
 def test_hilbert_twist_examples(sp_factory, qx2):
     sp = sp_factory(qx2, 3)
-    twisted = sp_mod.hilbert_twist(sp)
+    twisted = gfrob.twist(sp.realize(), cocy.normalized_sn_cocycle(3, -1))
     c123 = sp.group.index_of("(1 2 3)")
     one = sp.generator(c123)
     assert twisted.multiply(c123, c123, one, one) == [0, -2]
@@ -531,16 +531,19 @@ def test_hilbert_twist_examples(sp_factory, qx2):
 
 def test_qw_family(sp_factory, qx2):
     sp = sp_factory(qx2, 2)
-    assert sp_mod.qw_twist(sp, 1).math_equal(sp.realize())
-    assert sp_mod.qw_twist(sp, -1).math_equal(sp_mod.hilbert_twist(sp))
-    lam2 = sp_mod.qw_twist(sp, 2)
+    def qw_twist(lam):
+        return gfrob.twist(sp.realize(), cocy.normalized_sn_cocycle(2, lam))
+
+    assert qw_twist(1).math_equal(sp.realize())
+    assert qw_twist("-1").math_equal(qw_twist(-1))
+    lam2 = qw_twist(2)
     tau = sp.group.index_of("(1 2)")
     one_tau = sp.generator(tau)
     assert lam2.multiply(tau, tau, one_tau, one_tau) == [0, 2, 2, 0]
     assert lam2.metric[tau] == {i: {j: 2 * v for j, v in row.items()}
                                 for i, row in sp.realize().metric[tau].items()}
     with pytest.raises(ValueError):
-        sp_mod.qw_twist(sp, 0)
+        qw_twist(0)
 
 
 def test_hilbert_twist_flips_invariant_pairing_on_twisted_class(sp_factory, surface):
@@ -548,7 +551,7 @@ def test_hilbert_twist_flips_invariant_pairing_on_twisted_class(sp_factory, surf
     # exactly on the transposition class
     sp = sp_factory(surface, 2)
     plain = gfrob.invariants(sp.realize())
-    twisted = gfrob.invariants(sp_mod.hilbert_twist(sp))
+    twisted = gfrob.invariants(gfrob.twist(sp.realize(), cocy.normalized_sn_cocycle(2, -1)))
     assert plain.dims_by_class() == twisted.dims_by_class()
     assert plain.class_of == twisted.class_of
     tau_class = plain.classes.index([sp.group.index_of("(1 2)")])
