@@ -1,14 +1,14 @@
 """Command-line surface: verify, symprod, mult, twist, invariants, export.
 
 Exit codes: 0 = success / all laws hold; 1 = a mathematical law fails;
-2 = unusable input (parse error, unknown labels, bad flags).  All outputs
-are deterministic: identical inputs produce byte-identical files.
+2 = unusable input (parse error, unreadable path, unknown labels, bad
+flags).  All outputs are deterministic: identical inputs produce
+byte-identical files.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import re
 import sys
 from functools import partial
@@ -333,8 +333,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (UsageError, FileNotFoundError, json.JSONDecodeError, KeyError,
-            ValueError, TypeError, gfrob.BudgetExceededError) as exc:
+    except (UsageError, OSError, KeyError, ValueError, TypeError,
+            gfrob.BudgetExceededError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from . import exactnum as ex
 from ._report import Report
-from .gfrob import VERIFY_BUDGET, BudgetExceededError, GFrobeniusAlgebra
+from .gfrob import VERIFY_BUDGET, BudgetExceededError, GFrobeniusAlgebra, twist
 from .groups import (FiniteGroup, degree, group_doc, group_entry, group_from_doc, symmetric_group,
                      symmetric_order)
 
@@ -42,6 +42,7 @@ class Cocycle2:
         return self.values[g][h]
 
     def validate(self) -> Report:
+        refuse_scan(self.group.order)   # every twist validates its cocycle here
         return validate(self)
 
     def __mul__(self, other: "Cocycle2") -> "Cocycle2":
@@ -84,14 +85,6 @@ class SuperTwist:
                         f"parity map is not a homomorphism at "
                         f"({G.labels[g]}, {G.labels[h]})"
                     )
-
-
-def trivial_cocycle(group: FiniteGroup) -> Cocycle2:
-    return Cocycle2(group, [[1] * group.order for _ in range(group.order)])
-
-
-def zero_supertwist(group: FiniteGroup) -> SuperTwist:
-    return SuperTwist(group, [0] * group.order)
 
 
 def coboundary(group: FiniteGroup, scale: list) -> Cocycle2:
@@ -172,56 +165,23 @@ def epsilon(alpha: Cocycle2) -> list:
 
 def twisted_group_ring(group: FiniteGroup, alpha: Cocycle2 | None = None,
                        sigma: SuperTwist | None = None) -> GFrobeniusAlgebra:
-    """The twisted group ring as a group-graded Frobenius algebra.
+    """The twisted group ring: ``twist`` of the group ring k[G].
 
-    One-dimensional sectors spanned by ``g^``; product ``g^ h^ = alpha(g,h)
-    (gh)^``, pairing ``eta(g^, (g^-1)^) = alpha(g,g^-1)``, action by twisted
-    conjugation with scalar ``(-1)^{sigma(g)sigma(h)} eps(g,h)``, character
-    ``(-1)^{sigma(g)}``, sector parity ``sigma(g)``.  The cocycle is validated
-    by its |G|^3 scan, which is refused past ``VERIFY_BUDGET``.
+    k[G] has one-dimensional sectors spanned by ``g^``, product ``g^ h^ =
+    (gh)^``, pairing, action and character 1 and parity 0.  A group whose
+    |G|^3 cocycle scan passes ``VERIFY_BUDGET`` is refused before k[G] is built.
     """
     refuse_scan(group.order)
-    if alpha is None:
-        alpha = trivial_cocycle(group)
-    if alpha.group != group:
-        raise ValueError("cocycle is defined over a different group")
-    rep = validate(alpha)
-    if not rep.passed:
-        raise ValueError(f"invalid cocycle: {rep.failures()[0].witness}")
-    if sigma is None:
-        sigma = zero_supertwist(group)
-    if sigma.group != group:
-        raise ValueError("super twist is defined over a different group")
-    sigma.validate_homomorphism()
-
     n = group.order
-    eps = epsilon(alpha)
-    product = {}
-    action = {}
-    for g in range(n):
-        sg = sigma.parity[g]
-        for h in range(n):
-            product[(g, h)] = {(0, 0): {0: alpha.values[g][h]}}
-            coeff = eps[g][h]
-            if (sg * sigma.parity[h]) % 2:
-                coeff = ex.norm(-coeff)
-            action[(g, h)] = {0: {0: coeff}}
-    metric = [{0: {0: alpha.values[g][group.inv(g)]}} for g in range(n)]
-    character = [(-1 if sigma.parity[g] else 1) for g in range(n)]
-
-    return GFrobeniusAlgebra(
-        name=f"k^(alpha,sigma)[{'S' if group.perms else 'G'}]",
-        group=group,
-        sector_dims=[1] * n,
-        sector_degrees=[[0] for _ in range(n)],
-        sector_parities=[[sigma.parity[g]] for g in range(n)],
-        sector_labels=[["1"] for _ in range(n)],
-        product=product,
-        action=action,
-        metric=metric,
-        character=character,
-        unit=[1],
-    )
+    ring = twist(GFrobeniusAlgebra(
+        name="k[G]", group=group, sector_dims=[1] * n, sector_degrees=[[0] for _ in range(n)],
+        sector_parities=[[0] for _ in range(n)], sector_labels=[["1"] for _ in range(n)],
+        product={(g, h): {(0, 0): {0: 1}} for g in range(n) for h in range(n)},
+        action={(g, h): {0: {0: 1}} for g in range(n) for h in range(n)},
+        metric=[{0: {0: 1}} for _ in range(n)], character=[1] * n, unit=[1],
+    ), alpha, sigma)
+    ring.name = f"k^(alpha,sigma)[{'S' if group.perms else 'G'}]"
+    return ring
 
 
 def normalized_sn_cocycle(n: int, lam: ex.Rat) -> Cocycle2:

@@ -106,7 +106,10 @@ def save_json(payload, path) -> None:
 
 def load_json(path):
     with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path}: document is nested too deeply to read") from None
 
 
 # -- dense vectors ---------------------------------------------------------

@@ -406,5 +406,5 @@ def from_json_dict(doc: dict, validate: bool = True) -> FrobeniusAlgebra:
     return validated(algebra) if validate else algebra
 
 
-def load(path, validate: bool = True) -> FrobeniusAlgebra:
-    return from_json_dict(ex.load_json(path), validate=validate)
+def load(path) -> FrobeniusAlgebra:
+    return from_json_dict(ex.load_json(path))

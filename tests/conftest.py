@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -70,6 +72,27 @@ def sp_factory():
 @pytest.fixture(scope="session")
 def s3_ring():
     return cocy.twisted_group_ring(symmetric_group(3))
+
+
+# -- cocycle references -------------------------------------------------------
+
+def trivial_cocycle(group) -> cocy.Cocycle2:
+    """alpha = 1 on every pair."""
+    return cocy.Cocycle2(group, [[1] * group.order for _ in range(group.order)])
+
+
+def zero_supertwist(group) -> cocy.SuperTwist:
+    """sigma = 0 on every element."""
+    return cocy.SuperTwist(group, [0] * group.order)
+
+
+def random_coboundary(n, seed):
+    """A valid cocycle with nontrivial conjugation scalars."""
+    G = symmetric_group(n)
+    rng = random.Random(seed)
+    scale = [Fraction(rng.choice([1, 2, 3, -1, -2]), rng.choice([1, 2, 3])) for _ in G.elements()]
+    scale[G.identity] = 1
+    return cocy.coboundary(G, scale)
 
 
 # -- group references ---------------------------------------------------------

@@ -41,6 +41,18 @@ def test_verify_malformed_json_exits_two(tmp_path, capsys):
     bad.write_text("{not json")
     assert run("verify", bad) == 2
     assert run("verify", tmp_path / "missing.json") == 2
+    # a directory and a 100,000-deep array are unusable input too, on every reader
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    capsys.readouterr()
+    for path in (tmp_path, deep):
+        for argv in (["verify", path], ["export", path], ["invariants", path],
+                     ["symprod", path, "--n", 2]):
+            assert run(*argv) == 2, argv
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+    assert run("export", FIXTURES / "dual_numbers.json", "--out", tmp_path) == 2
+    assert capsys.readouterr().err.startswith("error: [Errno 21] Is a directory")
 
 
 def test_verify_zero_denominator_exits_two(tmp_path, capsys):
@@ -296,6 +308,17 @@ def test_twist_refuses_an_oversized_cocycle_before_building_its_group(tmp_path, 
     assert capsys.readouterr().err == message
     assert run("verify", path) == 2
     assert capsys.readouterr().err == message
+
+
+def test_twist_refuses_an_oversized_lambda_scan(tmp_path, capsys):
+    # S_6 has 720^3 group triples; verify refuses the same scan from its budget
+    path = tmp_path / "s6.json"
+    path.write_text(json.dumps({"group": {"type": "symmetric", "n": 6},
+                                "sectors": [{"dim": 0}] * 720, "character": ["1"] * 720}))
+    assert run("twist", path, "--lambda", "-1", "--out", tmp_path / "out.json") == 2
+    assert capsys.readouterr().err == ("error: cocycle check would touch ~373248000 group "
+                                       "triples (budget 50000000)\n")
+    assert not (tmp_path / "out.json").exists()
 
 
 def test_invariants_poincare_builds_the_basis_once(monkeypatch, capsys, sym2_hilbert):

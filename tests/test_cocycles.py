@@ -1,4 +1,3 @@
-import random
 from fractions import Fraction
 
 import pytest
@@ -9,21 +8,12 @@ from orbifrob import gfrob
 from orbifrob import groups as g
 from orbifrob.groups import symmetric_group
 
-from conftest import is_transversal
-
-
-def random_coboundary(n, seed):
-    """A valid cocycle with nontrivial conjugation scalars."""
-    G = symmetric_group(n)
-    rng = random.Random(seed)
-    scale = [Fraction(rng.choice([1, 2, 3, -1, -2]), rng.choice([1, 2, 3])) for _ in G.elements()]
-    scale[G.identity] = 1
-    return cocy.coboundary(G, scale)
+from conftest import is_transversal, random_coboundary, trivial_cocycle
 
 
 def test_validate_trivial_and_normalized():
     G = symmetric_group(3)
-    assert cocy.validate(cocy.trivial_cocycle(G)).passed
+    assert cocy.validate(trivial_cocycle(G)).passed
     assert cocy.validate(cocy.normalized_sn_cocycle(3, -1)).passed
 
 
@@ -36,6 +26,21 @@ def test_validate_flags_perturbed_entry():
     assert report["cocycle-law"].witness is not None
 
 
+def test_value_wrong_off_the_generators_fails_the_cocycle_law():
+    # alpha(x, y) doubled, with x and y non-identity non-generators and y != x^-1:
+    # normalization and inverse symmetry still hold, only the law scan sees it
+    alpha = cocy.normalized_sn_cocycle(4, 2)
+    G = alpha.group
+    others = [x for x in G.elements() if x != G.identity and x not in G._generators()]
+    pairs = [(x, y) for x in others for y in others if y != G.inv(x)]
+    for x, y in (pairs[0], pairs[len(pairs) // 2], pairs[-1]):
+        values = [row[:] for row in alpha.values]
+        values[x][y] = 2 * values[x][y]
+        report = cocy.validate(cocy.Cocycle2(G, values))
+        assert {c.key for c in report.failures()} == {"cocycle-law"}
+        assert report["cocycle-law"].witness is not None
+
+
 def test_cocycle_rejects_zero_value():
     G = symmetric_group(2)
     with pytest.raises(ValueError):
@@ -44,7 +49,7 @@ def test_cocycle_rejects_zero_value():
 
 def test_epsilon_trivial_and_normalized():
     G = symmetric_group(3)
-    eps = cocy.epsilon(cocy.trivial_cocycle(G))
+    eps = cocy.epsilon(trivial_cocycle(G))
     assert all(eps[a][b] == 1 for a in G.elements() for b in G.elements())
     for n in (2, 3, 4):
         eps = cocy.epsilon(cocy.normalized_sn_cocycle(n, -1))
@@ -170,7 +175,7 @@ def test_invalid_cocycle_rejected_by_ring():
 
 
 def test_ring_refuses_a_cocycle_scan_past_the_budget():
-    # Z/400 as a table: 64M triples, refused before the trivial cocycle is built
+    # Z/400 as a table: 64M triples, refused before k[G] is built
     n = 400
     G = g.FiniteGroup([str(i) for i in range(n)], [[(i + j) % n for j in range(n)] for i in range(n)])
     with pytest.raises(gfrob.BudgetExceededError, match=f"~{n ** 3} group triples "

@@ -9,6 +9,8 @@ from orbifrob import gfrob
 from orbifrob import symprod as sp_mod
 from orbifrob.groups import FiniteGroup, symmetric_group
 
+from conftest import random_coboundary, trivial_cocycle, zero_supertwist
+
 
 def test_group_ring_passes_all_axioms(s3_ring):
     report = gfrob.verify_axioms(s3_ring)
@@ -114,8 +116,8 @@ def test_tensor_hat_group_mismatch():
 
 def test_twist_trivial_is_identity(s3_ring):
     assert gfrob.twist(s3_ring).math_equal(s3_ring)
-    assert gfrob.twist(s3_ring, cocy.trivial_cocycle(s3_ring.group),
-                       cocy.zero_supertwist(s3_ring.group)).math_equal(s3_ring)
+    assert gfrob.twist(s3_ring, trivial_cocycle(s3_ring.group),
+                       zero_supertwist(s3_ring.group)).math_equal(s3_ring)
 
 
 def test_twist_k_s2_metric_sign():
@@ -126,14 +128,34 @@ def test_twist_k_s2_metric_sign():
     assert twisted.metric[ring.group.identity] == ring.metric[ring.group.identity]
 
 
+def reference_twisted_ring(G, alpha, sigma) -> gfrob.GFrobeniusAlgebra:
+    """k^(alpha,sigma)[G] written entry by entry: product alpha(g,h), pairing
+    alpha(g,g^-1), action (-1)^{sigma(g)sigma(h)} eps(g,h), character
+    (-1)^{sigma(g)}, sector parity sigma(g)."""
+    n = G.order
+    a = (alpha or trivial_cocycle(G)).values
+    eps = cocy.epsilon(alpha or trivial_cocycle(G))
+    par = (sigma or zero_supertwist(G)).parity
+    return gfrob.GFrobeniusAlgebra(
+        name="reference", group=G, sector_dims=[1] * n, sector_degrees=[[0] for _ in range(n)],
+        sector_parities=[[par[g]] for g in range(n)], sector_labels=[["1"] for _ in range(n)],
+        product={(g, h): {(0, 0): {0: a[g][h]}} for g in range(n) for h in range(n)},
+        action={(g, h): {0: {0: -eps[g][h] if par[g] * par[h] else eps[g][h]}}
+                for g in range(n) for h in range(n)},
+        metric=[{0: {0: a[g][G.inv(g)]}} for g in range(n)],
+        character=[-1 if par[g] else 1 for g in range(n)], unit=[1])
+
+
 def test_twist_matches_ring_construction():
-    # twisting the plain group ring reproduces the twisted ring exactly
-    for n in (2, 3):
+    # the twisted ring, k[G] twisted, against the ring written out entry by entry
+    for n in (2, 3, 4):
         G = symmetric_group(n)
-        alpha = cocy.normalized_sn_cocycle(n, -1)
-        sigma = cocy.sign_supertwist(n)
-        assert gfrob.twist(cocy.twisted_group_ring(G), alpha, sigma).math_equal(
-            cocy.twisted_group_ring(G, alpha, sigma))
+        for alpha in (None, cocy.normalized_sn_cocycle(n, -1), cocy.normalized_sn_cocycle(n, 2),
+                      random_coboundary(n, seed=7 * n)):
+            for sigma in (None, cocy.sign_supertwist(n)):
+                ring = cocy.twisted_group_ring(G, alpha, sigma)
+                assert ring.name == "k^(alpha,sigma)[S]"
+                assert ring.math_equal(reference_twisted_ring(G, alpha, sigma))
 
 
 def test_twist_is_tensoring_with_the_twisted_ring(sp_factory, qx2):
@@ -505,6 +527,20 @@ def test_from_json_rejects_out_of_range_indices(s3_ring, field, entry, position,
     doc[field][entry][position] = value
     with pytest.raises(ValueError, match="is not in range"):
         gfrob.from_json_dict(doc)
+
+
+def test_action_wrong_only_at_a_non_generator_fails_structure(s3_ring):
+    # phi_g on A_h scaled by 2, with g no greedy generator and h neither e nor g:
+    # a scan of the generators' blocks alone would miss it
+    G = s3_ring.group
+    doc = gfrob.to_json_dict(s3_ring)
+    g = next(x for x in G.elements() if x not in G._generators())
+    h = next(x for x in G.elements() if x not in (G.identity, g))
+    entry = next(e for e in doc["action"] if e[:2] == [g, h])
+    entry[-1] = "2"
+    report = gfrob.verify_axioms(gfrob.from_json_dict(doc))
+    assert not report["structure"].passed
+    assert report["structure"].witness is not None
 
 
 @pytest.mark.parametrize("key, document, field, index, value, failing", [

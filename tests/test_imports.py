@@ -92,36 +92,95 @@ def _definitions(tree) -> list[tuple[str, str, int, int]]:
     return out
 
 
-def _references(tree, strings: bool):
-    """(name, line) of every name, attribute and imported name, and with
-    ``strings`` of every string constant (a tracer patches by name)."""
+def _module_of(node, bound: dict, modules) -> str | None:
+    """The package module an expression names: a name bound to it, or a
+    subscript ``m["M"]`` as the benchmark keeps its modules."""
+    if isinstance(node, ast.Name):
+        return bound.get(node.id)
+    if (isinstance(node, ast.Subscript) and isinstance(node.slice, ast.Constant)
+            and node.slice.value in modules):
+        return node.slice.value
+    return None
+
+
+def _bindings(tree, modules) -> dict:
+    """name -> package module, for each name a file binds to one module by an
+    import or by an assignment from ``m["M"]``, and name -> "" for a module
+    outside the package (``import json``); a name bound to two is left out."""
+    pairs = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                module = alias.name.rpartition(".")[2]
+                if module in modules and (isinstance(node, ast.ImportFrom) or alias.asname):
+                    pairs.append((alias.asname or alias.name, module))
+                elif isinstance(node, ast.Import) and alias.name.partition(".")[0] != "orbifrob":
+                    pairs.append((alias.asname or alias.name.partition(".")[0], ""))
+        elif isinstance(node, ast.Assign):
+            for target in node.targets:
+                both = (zip(target.elts, node.value.elts)
+                        if isinstance(target, ast.Tuple) and isinstance(node.value, ast.Tuple)
+                        else [(target, node.value)])
+                pairs += [(name.id, _module_of(value, {}, modules))
+                          for name, value in both if isinstance(name, ast.Name)]
+    bound = defaultdict(set)
+    for name, module in pairs:
+        if module is not None:
+            bound[name].add(module)
+    return {name: found.pop() for name, found in bound.items() if len(found) == 1}
+
+
+def _references(tree, strings: bool, modules=()):
+    """(module, name, line) of every name, attribute and imported name, and
+    with ``strings`` of every string constant (a tracer patches by name).
+    ``module`` is the package module the reference resolves to, None for one
+    that counts by name: ``X.name`` and ``m["M"].name`` with X bound to M,
+    ``from .M import name``, and a string passed after M, as in
+    ``patch(M, "name")``, resolve to M; ``json.load`` resolves to "", no
+    module of the package."""
+    bound = _bindings(tree, modules)
+    resolved = set()   # ids of the string constants a call resolves
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            yield node.id, node.lineno
+            yield None, node.id, node.lineno
         elif isinstance(node, ast.Attribute):
-            yield node.attr, node.lineno
-        elif isinstance(node, ast.alias):
-            yield node.name.rpartition(".")[2], node.lineno
-        elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
-            yield node.value, node.lineno
+            yield _module_of(node.value, bound, modules), node.attr, node.lineno
+        elif isinstance(node, ast.ImportFrom):
+            module = (node.module or "").rpartition(".")[2]
+            for alias in node.names:
+                yield (module if module in modules else None), alias.name, node.lineno
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                yield None, alias.name.rpartition(".")[2], node.lineno
+        elif (strings and isinstance(node, ast.Call) and len(node.args) >= 2
+              and isinstance(node.args[1], ast.Constant) and isinstance(node.args[1].value, str)):
+            module = _module_of(node.args[0], bound, modules)
+            if module is not None:
+                resolved.add(id(node.args[1]))
+                yield module, node.args[1].value, node.lineno
+        elif (strings and isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and id(node) not in resolved):
+            yield None, node.value, node.lineno
 
 
 def _unused_definitions(package: dict, users: dict) -> list[str]:
     """'module.name' of each public definition in ``package`` (module -> source)
     that nothing references outside its own body: not the package, and not
-    ``users`` (file -> (source, whether its string constants count))."""
+    ``users`` (file -> (source, whether its string constants count)).  A
+    reference resolved to a module counts only for that module's definition."""
     trees = {module: ast.parse(source) for module, source in package.items()}
-    seen = defaultdict(list)   # name -> (file, line) of each reference
-    for module, tree in trees.items():
-        for name, line in _references(tree, False):
-            seen[name].append((module, line))
-    for where, (source, strings) in users.items():
-        for name, line in _references(ast.parse(source), strings):
-            seen[name].append((where, line))
+    seen = defaultdict(list)   # (module or None, name) -> (file, line) of each reference
+    sources = [(module, tree, False) for module, tree in trees.items()]
+    sources += [(where, ast.parse(source), strings) for where, (source, strings) in users.items()]
+    for where, tree, strings in sources:
+        for module, name, line in _references(tree, strings, trees):
+            seen[module, name].append((where, line))
     return [f"{module}.{qualified}"
             for module, tree in trees.items()
             for qualified, name, first, last in _definitions(tree)
-            if all(where == module and first <= line <= last for where, line in seen[name])]
+            if all(where == module and first <= line <= last
+                   for where, line in seen[None, name]
+                   + (seen[module, name] if qualified == name else []))]
 
 
 def test_checker_flags_unreferenced_definitions():
@@ -134,6 +193,21 @@ def test_checker_flags_unreferenced_definitions():
     }
     users = {"bench": ('t.patch(K, "patched")\n', True), "acceptance": ('x = "quoted"\n', False)}
     assert _unused_definitions(package, users) == ["m.alone", "m.K.quoted"]
+    # a reference through a module counts for that module's definition only
+    package = {"a": "def load():\n    pass\n", "b": "def load():\n    pass\n",
+               "c": "from . import b\n\n\ndef run():\n    return b.load()\n"}
+    assert _unused_definitions(package, {}) == ["a.load", "c.run"]
+    users = {"bench": ('from orbifrob import a, b\nfa, fb = m["a"], m["b"]\nfb.load()\n'
+                       'm["c"].run()\nt.patch_span(fb, "load")\n', True)}
+    assert _unused_definitions(package, users) == ["a.load"]
+    users = {"bench": ('x = {"a": 1}\nt.patch_span(m["c"], "load")\n', True)}
+    assert _unused_definitions(package, users) == ["a.load", "c.run"]
+    users = {"bench": ('y = m["a"]\nt.patch_span(y, "run")\n', True)}
+    assert _unused_definitions(package, users) == ["a.load", "c.run"]
+    users = {"bench": ('from orbifrob.b import load\nt.patch_span(K, "run")\n', True)}
+    assert _unused_definitions(package, users) == ["a.load"]
+    users = {"bench": ('import json\njson.load(fh)\n', True)}
+    assert _unused_definitions(package, users) == ["a.load", "c.run"]
 
 
 def test_every_public_definition_has_a_user():
