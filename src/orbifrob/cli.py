@@ -142,10 +142,15 @@ def format_element(X: GFrobeniusAlgebra, g: int, vec) -> str:
 
 # -- documents ------------------------------------------------------------------
 
-def _load_galg(path) -> GFrobeniusAlgebra:
+def _load_galg(path, scan: bool = False) -> GFrobeniusAlgebra:
+    """A stored sector-graded algebra.  With ``scan``, a cocycle-law scan over
+    its group that exceeds the budget is refused before anything is built."""
     doc = ex.load_json(path)
     if "sectors" not in doc:
         raise UsageError(f"{path} is not a sector-graded algebra document")
+    if scan:
+        from . import cocycles as cocy
+        cocy.refuse_scan(cocy.document_order(doc))
     return gfrob.from_json_dict(doc)
 
 
@@ -202,10 +207,10 @@ def _emit(payload: dict, out) -> None:
 def cmd_verify(args) -> int:
     title, check, _ = _document(args.file, args.budget)
     report = check()
+    if args.out:   # before any output: a failed save leaves stdout empty
+        ex.save_json(report.to_json(), args.out)
     print(f"verify: {title}")
     print(report.summary())
-    if args.out:
-        ex.save_json(report.to_json(), args.out)
     print("RESULT: " + ("all checks pass" if report.passed else "FAILED"))
     return 0 if report.passed else 1
 
@@ -236,7 +241,8 @@ def cmd_mult(args) -> int:
 
 
 def cmd_twist(args) -> int:
-    X = _load_galg(args.file)
+    # --lambda validates a cocycle on the document's whole group
+    X = _load_galg(args.file, scan=args.lam is not None and not args.cocycle)
     if args.cocycle:
         from . import cocycles as cocy
         doc = ex.load_json(args.cocycle)

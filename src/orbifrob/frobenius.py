@@ -274,6 +274,15 @@ def _divided(acc: list, den: int) -> list:
     return [ex.norm(Fraction(w, den)) if w else 0 for w in acc]
 
 
+def _densified(elem: tuple[dict, int], dim: int, m: int) -> list:
+    """A (trie of numerators, denominator) on A^(x)m as a dense vector, divided once."""
+    root, den = elem
+    acc = [0] * dim ** m
+    for t, w in _leaves(root, m):
+        acc[tensor_index(t, dim)] = w
+    return _divided(acc, den)
+
+
 def factorwise_product(algebra: FrobeniusAlgebra, m: int, left, right) -> tuple[dict, int]:
     """Product on A^(x)m, m >= 1, factor by factor on integer numerators.
 
@@ -326,11 +335,8 @@ def factorwise_multiply(algebra: FrobeniusAlgebra, m: int, u, v):
     tuples = list(itertools.product(range(D), repeat=m))
     gets = [itemgetter(f) for f in range(m)]
     (terms_u, du), (terms_v, dv) = _numerators(u, tuples), _numerators(v, tuples)
-    root, den = factorwise_product(algebra, m, (_nest(gets, terms_u), du), (_nest(gets, terms_v), dv))
-    acc = [0] * size
-    for t, w in _leaves(root, m):
-        acc[tensor_index(t, D)] = w
-    return _divided(acc, den)
+    return _densified(factorwise_product(algebra, m, (_nest(gets, terms_u), du),
+                                         (_nest(gets, terms_v), dv)), D, m)
 
 
 def tensor_metric(algebra: FrobeniusAlgebra, m: int) -> ex.SparseMap:

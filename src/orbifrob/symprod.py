@@ -16,7 +16,8 @@ The product is computed along two independent routes:
 * ``multiply_chain`` expands the right factor into a minimal word of
   transpositions, walks the word, and inserts the dual of the unit of a
   transposition sector (a copairing) at every step where the word length
-  drops, then contracts everything down to the product sector.
+  drops: the product of both operands' unit-tensor lifts to A_e = A^(x)n and
+  the insertions, contracted down to the product sector.
 
 Exact agreement of the two routes on all basis pairs is the cross-oracle the
 test suite enforces.  On a joint orbit B the pushforward is one bilinear map,
@@ -28,18 +29,25 @@ sector pair's plan places these maps at the pair's factor positions.
 orbit, and the realized tables (``pair_table``) walk the basis indices
 through the same plan; the chain stays independent of both as the oracle.
 
-The chain's products in A_e = A^(x)n are ``frobenius.factorwise_product``,
-the one factor-by-factor kernel on tensor powers, on tries that
+The chain never multiplies in A_e.  Its last step, the contraction r_ss'
+onto the product sector, multiplies the factors in each cycle of ss'; as the
+base is commutative and evenly graded, r_ss' is an algebra map, so the chain
+equals the product of r_ss' of the two lifts and of each insertion.  Each is
+contracted first: a lift by one block map per (sector, product sector),
+where factor c lands in the cycle of ss' that holds min(c) and a cycle that
+receives none holds the unit; the insertions once per sector pair.  The
+products then run on A^(x)|ss'| with ``frobenius.factorwise_product``, the
+one factor-by-factor kernel on tensor powers, on tries that
 ``frobenius._nest`` builds; the pushforward walks orbit by orbit.  Each
 skips pairs with zero product before multiplying any coefficient.  Every
 intermediate value of either route is an integer numerator over one
 denominator per stage; the denominators multiply along the stages and each
 product divides once, at the end.  Everything that depends only on the
-sector pair (joint orbits and their composed maps, tries of the copairing
+sector pair (joint orbits and their composed maps, the contracted copairing
 insertions) is built on the pair's first product and reused.  Contractions
-between nested cycle partitions (the chain's last step too), their metric
-adjoints and sections are block maps with one kernel, ``_block_map``, where a
-block of one factor only adds its index times its stride.
+(between nested cycle partitions, and the chain's), their metric adjoints
+and sections are block maps with one kernel, ``_block_map``, where a block
+of one factor only adds its index times its stride.
 """
 
 from __future__ import annotations
@@ -52,7 +60,7 @@ from operator import itemgetter, mul
 
 from . import exactnum as ex
 from . import frobenius as frob
-from .frobenius import (FrobeniusAlgebra, _divided, _leaves, _nest, _numerators, tensor_index,
+from .frobenius import (FrobeniusAlgebra, _densified, _divided, _nest, _numerators, tensor_index,
                         tensor_tuple)
 from .gfrob import BudgetExceededError, GFrobeniusAlgebra, _transpose
 from .groups import (OrbitPartition, Permutation, compose, cycles, degree,
@@ -175,7 +183,7 @@ class SymmetricProductAlgebra:
         # Filled lazily and idempotently, keyed by m, by sector or by sector pair:
         self._tuple_cache: dict[int, list] = {}
         self._columns: dict[tuple, tuple] = {}
-        self._lifts: dict[int, tuple] = {}
+        self._lift_maps: dict[tuple, tuple] = {}
         self._orbit_maps: dict[tuple, tuple] = {}
         self._push_plans: dict[tuple, tuple] = {}
         self._chain_plans: dict[tuple, list] = {}
@@ -288,20 +296,24 @@ class SymmetricProductAlgebra:
                 {k: [((k,) + tail, u) for tail, u in tails] for k in range(self.base.dim)}, den)
         return self._columns["section", m]
 
-    def _gather_map(self, fine: OrbitPartition, coarse: OrbitPartition) -> tuple:
-        """Block map fine -> coarse: each coarse factor multiplies its fine factors."""
-        D, last = self.base.dim, len(coarse) - 1
-        strides, blocks, den = [0] * len(fine), [], 1
-        for c, fps in enumerate(self._nesting(fine, coarse)):
+    def _gather_map(self, nesting: list[list[int]]) -> tuple:
+        """Block map: output factor c multiplies the input factors ``nesting[c]``,
+        and is the unit when it has none."""
+        D, last = self.base.dim, len(nesting) - 1
+        strides, blocks, den = [0] * sum(map(len, nesting)), [], 1
+        for c, fps in enumerate(nesting):
             stride = D ** (last - c)
             if len(fps) == 1:
                 strides[fps[0]] = stride
                 continue
-            cols, d = self._mu_columns(len(fps))
-            blocks.append((itemgetter(*fps),
-                           {key: [(k * stride, w) for k, w in col] for key, col in cols.items()}))
+            if fps:
+                get, (cols, d) = itemgetter(*fps), self._mu_columns(len(fps))
+            else:
+                (tails, d), get = self._unit_tails(1), _no_factors
+                cols = {(): [(k, u) for (k,), u in tails]}
+            blocks.append((get, {key: [(k * stride, w) for k, w in col] for key, col in cols.items()}))
             den *= d
-        return strides, blocks, den, D ** len(coarse)
+        return strides, blocks, den, D ** len(nesting)
 
     def _spread_map(self, fine: OrbitPartition, coarse: OrbitPartition, columns) -> tuple:
         """Block map coarse -> fine: each coarse factor spreads over its fine factors."""
@@ -343,16 +355,19 @@ class SymmetricProductAlgebra:
                     acc[p] += c
         return acc, den * table_den
 
-    def _dense_map(self, v, bmap: tuple) -> list:
-        """A block map applied to a dense vector, divided once."""
+    def _mapped(self, v, bmap: tuple) -> tuple[list, int]:
+        """A block map applied to a dense vector: (integer numerators, denominator)."""
         strides = bmap[0]
         terms, den = _numerators(v, self._tuples(len(strides)))
-        return _divided(*self._block_map(
-            [(t, sum(map(mul, t, strides)), x) for t, x in terms], den, bmap))
+        return self._block_map([(t, sum(map(mul, t, strides)), x) for t, x in terms], den, bmap)
+
+    def _dense_map(self, v, bmap: tuple) -> list:
+        """A block map applied to a dense vector, divided once."""
+        return _divided(*self._mapped(v, bmap))
 
     def restrict_between(self, fine: OrbitPartition, coarse: OrbitPartition, v):
         """Contraction-by-multiplication A^(x)|fine| -> A^(x)|coarse|."""
-        return self._dense_map(v, self._gather_map(fine, coarse))
+        return self._dense_map(v, self._gather_map(self._nesting(fine, coarse)))
 
     def push_between(self, fine: OrbitPartition, coarse: OrbitPartition, w):
         """Metric adjoint of restrict_between(fine, coarse, .): coarse -> fine."""
@@ -465,55 +480,43 @@ class SymmetricProductAlgebra:
             out = [ex.norm(x * y) for x in out for y in power]
         return out
 
-    def _placement(self, positions) -> tuple:
-        """(gets, tails, den) for A_e elements with given factors at ``positions``.
-
-        The given factors followed by a unit tail for the other positions form
-        one tuple, and ``gets[p]`` reads A_e position p off it, so ``_nest``
-        with ``gets`` builds the element's trie; ``tails`` lists the unit
-        tensor's terms on those other positions as numerators over ``den``.
-        """
-        fillers = [p for p in range(self.n) if p not in positions]
-        order = [0] * self.n
-        for spot, p in enumerate([*positions, *fillers]):
-            order[p] = spot
-        return [itemgetter(spot) for spot in order], *self._unit_tails(len(fillers))
-
-    def _lift(self, g: int, a) -> tuple[dict, int]:
-        """``section_lift`` as (trie of integer numerators, denominator)."""
-        if g not in self._lifts:
-            self._lifts[g] = self._placement([blk[0] for blk in self.parts[g].blocks])
-        gets, tails, tail_den = self._lifts[g]
-        terms, den = _numerators(a, self._tuples(self.factors[g]))
-        return _nest(gets, ((t + tail, x * u) for t, x in terms for tail, u in tails)), den * tail_den
-
     def section_lift(self, g: int, a) -> dict:
         """Unit-tensor section A_s -> A_e: factor values at cycle minima."""
-        root, den = self._lift(g, a)
-        return {t: w if den == 1 else ex.norm(Fraction(w, den)) for t, w in _leaves(root, self.n)}
+        lifted = self._joint_section(self.parts[self.group.identity], self.parts[g], a)
+        return {t: x for t, x in zip(self._tuples(self.n), lifted) if x}
 
-    def _copairing_element(self, tau: Permutation) -> tuple[dict, int]:
-        """gamma_{tau,tau} in A_e, the copairing across the two moved points, as
-        (trie of integer numerators, denominator)."""
-        moved = tau.moved_points()
-        if len(moved) != 2:
-            raise ValueError(f"{tau} is not a transposition")
-        gets, tails, tail_den = self._placement(moved)
-        copairing = self.base.copairing()
-        den = math.lcm(*(c.denominator for _, _, c in copairing))
-        return _nest(gets, (((i, j) + tail, c.numerator * (den // c.denominator) * u)
-                            for i, j, c in copairing for tail, u in tails)), den * tail_den
+    def _contraction(self, positions: list[int], gh: int) -> tuple:
+        """Block map r_gh after placing factors at ``positions`` of A_e, the unit
+        elsewhere: each cycle of gh multiplies the factors placed in it."""
+        where = self.parts[gh].block_index()
+        nesting: list = [[] for _ in range(self.factors[gh])]
+        for f, p in enumerate(positions):
+            nesting[where[p]].append(f)
+        return self._gather_map(nesting)
 
-    def _contract_sparse(self, elem: tuple[dict, int], coarse: OrbitPartition):
-        """Restriction A_e -> A^(x)|coarse| of (trie of numerators,
-        denominator), divided once; the trie's leaves take their offsets on
-        the way down."""
-        bmap = self._gather_map(self.parts[self.group.identity], coarse)
-        root, den = elem
-        level = [((), 0, root)]
-        for s in bmap[0]:
-            level = [(t + (x,), o + x * s, sub) for t, o, node in level for x, sub in node.items()]
-        return _divided(*self._block_map(level, den, bmap))
+    def _trie(self, gh: int, acc: list, den: int) -> tuple[dict, int]:
+        """Integer numerators on A^(x)|gh| as the kernel's (trie, denominator)."""
+        m = self.factors[gh]
+        tuples = self._tuples(m)
+        return _nest([itemgetter(f) for f in range(m)],
+                     ((tuples[i], w) for i, w in enumerate(acc) if w)), den
+
+    def _contracted(self, g: int, a, gh: int) -> tuple[dict, int]:
+        """r_gh of the section lift of ``a``, through one block map per (g, gh)."""
+        bmap = self._lift_maps.get((g, gh))
+        if bmap is None:
+            bmap = self._lift_maps[g, gh] = self._contraction(
+                [blk[0] for blk in self.parts[g].blocks], gh)
+        return self._trie(gh, *self._mapped(a, bmap))
+
+    def _insertion(self, tau: Permutation, gh: int) -> tuple[dict, int]:
+        """r_gh of gamma_{tau,tau}, the copairing across the two points that the
+        transposition tau moves (``contraction_steps`` checks every word entry)."""
+        D = self.base.dim
+        copairing = [0] * D * D
+        for i, j, c in self.base.copairing():
+            copairing[i * D + j] = c
+        return self._trie(gh, *self._mapped(copairing, self._contraction(tau.moved_points(), gh)))
 
     def contraction_steps(self, g: int, h: int, word: list[Permutation] | None = None):
         """The word for the right factor and the positions where length drops."""
@@ -538,25 +541,34 @@ class SymmetricProductAlgebra:
         return word, insertions
 
     def _insertions(self, g: int, h: int, word: list[Permutation] | None = None) -> list:
-        """(trie, denominator) of each copairing element the word inserts; cached
-        per sector pair for the default word, rebuilt (and the word validated)
-        when a word is given."""
+        """(trie, denominator) on A^(x)|gh| of each copairing the word inserts,
+        contracted to gh; cached per sector pair for the default word, rebuilt
+        (and the word validated) when a word is given."""
         if word is None and (g, h) in self._chain_plans:
             return self._chain_plans[g, h]
         _, insertions = self.contraction_steps(g, h, word)
-        gammas = [self._copairing_element(t) for t in insertions]
+        gh = self.group.mul(g, h)
+        gammas = [self._insertion(t, gh) for t in insertions]
         if word is None:
             self._chain_plans[g, h] = gammas
         return gammas
 
     def multiply_chain(self, g: int, a, h: int, b, word: list[Permutation] | None = None):
-        """Product via the explicit transposition-word cocycle formula, on
-        integer numerators divided once at the end."""
+        """Product via the explicit transposition-word cocycle formula.
+
+        r_gh(L_g a . L_h b . prod gamma_tau) = r_gh(L_g a) r_gh(L_h b) prod
+        r_gh(gamma_tau), as r_gh is an algebra map: every factor is contracted
+        to gh's cycles first and the products run on A^(x)|gh|, on integer
+        numerators divided once at the end.
+        """
         gammas = self._insertions(g, h, word)
-        acc = frob.factorwise_product(self.base, self.n, self._lift(g, a), self._lift(h, b))
+        gh = self.group.mul(g, h)
+        m = self.factors[gh]
+        acc = frob.factorwise_product(self.base, m, self._contracted(g, a, gh),
+                                      self._contracted(h, b, gh))
         for gamma in gammas:
-            acc = frob.factorwise_product(self.base, self.n, acc, gamma)
-        return self._contract_sparse(acc, self.parts[self.group.mul(g, h)])
+            acc = frob.factorwise_product(self.base, m, acc, gamma)
+        return _densified(acc, self.base.dim, m)
 
     def gamma_cocycle(self, g: int, h: int):
         """The sector cocycle as an identity-sector element (chain form).
@@ -672,6 +684,9 @@ def _integral(cols: dict) -> tuple[dict, int]:
     cols = {key: [(x, w.numerator * (den // w.denominator)) for x, w in col if w]
             for key, col in cols.items()}
     return {key: col for key, col in cols.items() if col}, den
+
+
+_no_factors = itemgetter(slice(0))   # () off any tuple: the key of the empty product
 
 
 def _joint_walk(maps: list, left: dict, right: dict) -> list:

@@ -321,6 +321,34 @@ def test_twist_refuses_an_oversized_lambda_scan(tmp_path, capsys):
     assert not (tmp_path / "out.json").exists()
 
 
+def test_twist_refuses_a_lambda_scan_before_loading_the_document(tmp_path, capsys, monkeypatch):
+    # the refusal reads the group entry alone: no sector table, no S_6 cocycle
+    calls = []
+    monkeypatch.setattr(gfrob, "from_json_dict", lambda doc: calls.append("load"))
+    monkeypatch.setattr(cocy, "normalized_sn_cocycle", lambda *args: calls.append("cocycle"))
+    path = tmp_path / "s6.json"
+    path.write_text(json.dumps({"group": {"type": "symmetric", "n": 6},
+                                "sectors": [{"dim": 0}] * 720, "character": ["1"] * 720}))
+    assert run("twist", path, "--lambda", "-1") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: cocycle check would touch ~373248000 group triples "
+                            "(budget 50000000)\n")
+    assert calls == []
+
+
+def test_verify_writes_its_report_before_printing(tmp_path, capsys):
+    # an --out that cannot be written fails the run before any line of the report
+    assert run("verify", FIXTURES / "dual_numbers.json", "--out", tmp_path) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and len(captured.err.splitlines()) == 1
+    report = tmp_path / "report.json"
+    assert run("verify", FIXTURES / "dual_numbers.json", "--out", report) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "RESULT: all checks pass"
+    assert json.loads(report.read_text())
+
+
 def test_invariants_poincare_builds_the_basis_once(monkeypatch, capsys, sym2_hilbert):
     calls = []
     build = gfrob._invariant_basis

@@ -543,6 +543,36 @@ def test_action_wrong_only_at_a_non_generator_fails_structure(s3_ring):
     assert report["structure"].witness is not None
 
 
+def _associative_at(X, g, h, k) -> bool:
+    """(x y) z = x (y z) on every basis triple of the sectors g, h, k."""
+    def unit(s, i):
+        return [int(i == j) for j in range(X.sector_dims[s])]
+    mul = X.group.mul
+    return all(X.multiply(mul(g, h), k, X.multiply(g, h, unit(g, i), unit(h, j)), unit(k, m))
+               == X.multiply(g, mul(h, k), unit(g, i), X.multiply(h, k, unit(h, j), unit(k, m)))
+               for i in range(X.sector_dims[g]) for j in range(X.sector_dims[h])
+               for m in range(X.sector_dims[k]))
+
+
+def test_associativity_defect_off_the_orbit_representatives_fails_a(sp_factory, qx2):
+    # 1(x)1 times x(x)x doubled in the ((1 3), (1 3)) block of Sym^3(Q[x]/x^2):
+    # associativity fails only at triples that start with (1 3), never at the
+    # smallest triple of a conjugation orbit, so one triple per orbit would miss it
+    X = sp_factory(qx2, 3).realize()
+    G = X.group
+    t = G.index_of("(1 3)")
+    doc = gfrob.to_json_dict(X)
+    entry = next(e for e in doc["product"] if e[:4] == [t, t, 0, X.sector_dims[t] - 1])
+    entry[-1] = str(2 * Fraction(entry[-1]))
+    Y = gfrob.from_json_dict(doc)
+    report = gfrob.verify_axioms(Y)
+    assert not report["a"].passed and report["a"].witness is not None
+    witness = tuple(G.index_of(report["a"].witness[key]) for key in "ghk")
+    orbit = {tuple(G.conj(x, s) for s in witness) for x in G.elements()}
+    assert witness != min(orbit) and _associative_at(Y, *min(orbit))
+    assert {s for s in orbit if not _associative_at(Y, *s)} == {s for s in orbit if s[0] == t}
+
+
 @pytest.mark.parametrize("key, document, field, index, value, failing", [
     ("structure", "ring", "action", 0, "2", {"structure"}),   # phi_e is not the identity
     ("a", "ring", "product", 0, "2", {"a", "c", "iv"}),

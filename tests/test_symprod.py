@@ -764,7 +764,8 @@ def test_block_maps_match_per_entry_reference(sp_factory, qx2, surface, half, n)
         D = base.dim
         for gi, hi in _pairs_to_check(sp, n, rng):
             joint = g.group_orbits([sp.perms[gi], sp.perms[hi]])
-            part_g, part_gh = sp.parts[gi], sp.parts[sp.group.mul(gi, hi)]
+            gh = sp.group.mul(gi, hi)
+            part_g, part_gh = sp.parts[gi], sp.parts[gh]
             for v in (_random_vector(rng, sp.dims[gi]), [0] * sp.dims[gi], [Fraction(0)] * sp.dims[gi]):
                 assert _typed(sp.restrict_between(part_g, joint, v)) == \
                     _typed(_reference_restrict_between(sp, part_g, joint, v))
@@ -774,9 +775,9 @@ def test_block_maps_match_per_entry_reference(sp_factory, qx2, surface, half, n)
                     _typed(_reference_push_between(sp, part_gh, joint, w))
                 assert _typed(sp._joint_section(part_gh, joint, w)) == \
                     _typed(_reference_joint_section(sp, part_gh, joint, w))
-            for elem in (_random_element(rng, D, n, 30), {}):
-                assert _typed(sp._contract_sparse(_numerators(sp, elem), part_gh)) == \
-                    _typed(_reference_contract_sparse(sp, elem, part_gh))
+            for v in (_random_vector(rng, sp.dims[gi]), [Fraction(0)] * sp.dims[gi]):
+                assert _typed(frob._densified(sp._contracted(gi, v, gh), D, sp.factors[gh])) == \
+                    _typed(_reference_contract_sparse(sp, _reference_section_lift(sp, gi, v), part_gh))
 
 
 def _staged_pushforward(sp, gi, a, hi, b):
@@ -804,6 +805,82 @@ def test_pushforward_matches_staged_reference(sp_factory, qx2, surface, half, n)
                          (_random_vector(rng, dg), [Fraction(0)] * dh)):
                 assert _typed(sp.multiply_pushforward(gi, a, hi, b)) == \
                     _typed(_staged_pushforward(sp, gi, a, hi, b))
+
+
+def _reference_copairing(sp, tau):
+    """gamma_{tau,tau} in A_e: the copairing across tau's moved points, the unit elsewhere."""
+    a, b = tau.moved_points()
+    fillers = [p for p in range(sp.n) if p not in (a, b)]
+    unit_support = [(k, u) for k, u in enumerate(sp.base.unit) if u != 0]
+    out: dict = {}
+    for i, j, c in sp.base.copairing():
+        for tail in itertools.product(unit_support, repeat=len(fillers)):
+            full = [0] * sp.n
+            full[a], full[b] = i, j
+            w = c
+            for p, (k, u) in zip(fillers, tail):
+                full[p] = k
+                w *= u
+            out[tuple(full)] = out.get(tuple(full), 0) + w
+    return {t: ex.norm(w) for t, w in out.items() if w}
+
+
+def _chain_in_identity_sector(sp, gi, a, hi, b, word=None):
+    """The chain as it ran in A_e = A^(x)n: both operands lifted, multiplied by
+    factorwise_product on n factors, times each copairing insertion, and only
+    then contracted to the cycles of gh."""
+    _, insertions = sp.contraction_steps(gi, hi, word)
+    elem = _reference_section_lift(sp, gi, a)
+    for right in [_reference_section_lift(sp, hi, b)] + [_reference_copairing(sp, t) for t in insertions]:
+        elem = _divide(sp, frob.factorwise_product(sp.base, sp.n, _numerators(sp, elem),
+                                                   _numerators(sp, right)))
+    return _reference_contract_sparse(sp, elem, sp.parts[sp.group.mul(gi, hi)])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_chain_matches_the_identity_sector_chain(sp_factory, qx2, surface, half, n):
+    # contracting each factor to gh's cycles first is exact: r_gh is an algebra map
+    rng = random.Random(6007 + n)
+    for base in (qx2, surface, half):
+        sp = sp_factory(base, n)
+        for gi in range(sp.group.order):
+            for hi in range(sp.group.order):
+                dg, dh = sp.dims[gi], sp.dims[hi]
+                words = sp_mod.all_minimal_words(sp.perms[hi]) if n == 3 else [None]
+                for a, b in ((_random_vector(rng, dg), _random_vector(rng, dh)),
+                             ([0] * dg, _random_vector(rng, dh)),
+                             (_random_vector(rng, dg), [Fraction(0)] * dh)):
+                    for word in words:
+                        assert _typed(sp.multiply_chain(gi, a, hi, b, word)) == \
+                            _typed(_chain_in_identity_sector(sp, gi, a, hi, b, word))
+
+
+def test_chain_multiplies_on_the_cycles_of_the_product_sector(surface, monkeypatch):
+    # the gain of contracting first: no kernel call runs on all n factors of A_e;
+    # and the chain reads nothing of the pushforward's plans, maps or walk
+    sizes, plans = [], []
+    factorwise_product, joint_walk = frob.factorwise_product, sp_mod._joint_walk
+
+    def counted(algebra, m, left, right):
+        sizes.append(m)
+        return factorwise_product(algebra, m, left, right)
+
+    monkeypatch.setattr(frob, "factorwise_product", counted)
+    monkeypatch.setattr(sp_mod, "_joint_walk", lambda *args: plans.append("walk") or joint_walk(*args))
+    for name in ("_orbit_map", "_push_plan"):
+        monkeypatch.setattr(sp_mod.SymmetricProductAlgebra, name,
+                            lambda self, *args, f=getattr(sp_mod.SymmetricProductAlgebra, name),
+                            name=name: plans.append(name) or f(self, *args))
+    sp = sp_mod.SymmetricProductAlgebra(surface, 5)
+    gi, hi = sp.group.index_of("(1 2)"), sp.group.index_of("(3 4)")
+    gh = sp.group.mul(gi, hi)
+    rng = random.Random(5)
+    a, b = _random_vector(rng, sp.dims[gi]), _random_vector(rng, sp.dims[hi])
+    chain = sp.multiply_chain(gi, a, hi, b)
+    assert sizes[0] == len(sp.parts[gh]) == 3 and set(sizes) == {3}
+    assert plans == []
+    assert chain == sp.multiply_pushforward(gi, a, hi, b)
+    assert {"_push_plan", "_orbit_map", "walk"} <= set(plans)
 
 
 def test_pushforward_route_calls_no_staged_kernel(qx2, monkeypatch):
