@@ -220,6 +220,7 @@ def cmd_symprod(args) -> int:
     from . import symprod as sp_mod
     base = frob.load(args.base)
     budget = sp_mod.BUILD_BUDGET if args.budget is None else args.budget
+    sp_mod.refuse_build(base.dim, args.n, budget)   # before S_n is built
     out = sp_mod.SymmetricProductAlgebra(base, args.n).realize(budget)
     alpha, sigma = _sn_twists(out.group, args.lam, args.super_twist)
     if alpha is not None or sigma is not None:

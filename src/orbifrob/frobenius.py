@@ -8,19 +8,19 @@ validates the full law set (associativity, unit, invariance, nondegeneracy,
 grading and parity bookkeeping) so downstream code may assume the laws hold.
 
 Every product inside a tensor power A^(x)m goes through one kernel,
-``factorwise_product``, which walks two tries of integer numerators factor
-by factor (a trie is ``_nest`` with one single-position getter per factor);
-``factorwise_multiply`` is its form on dense vectors, and the symmetric
-products' chain route calls the kernel on its tries directly.
+``factorwise_product``.  It holds its operands' integer numerators by flat
+index, split as A^(x)m = A^(x)p (x) A^(x)q with p = m // 2, and multiplies
+them in one two-level loop over the pair rows of A^(x)p and A^(x)q, which are
+built once per algebra and power; ``factorwise_multiply`` is its form on
+dense vectors, and the symmetric products' chain route calls the kernel on
+its split numerators directly.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import itemgetter
 
 from . import exactnum as ex
 from ._report import Report
@@ -45,6 +45,7 @@ class FrobeniusAlgebra:
     _pairs_den: int = field(init=False, repr=False, compare=False)
     top_degree: int = field(init=False)
     _metric_inv: ex.SparseMap | None = field(init=False, default=None, repr=False, compare=False)
+    _pair_powers: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if type(self.name) is not str:
@@ -64,6 +65,7 @@ class FrobeniusAlgebra:
         # integer numerators over one denominator
         den = math.lcm(*(c.denominator for row in rows.values() for c in row.values()))
         self._pairs_den = den
+        self._pair_powers = [([[(0, [(0, 1)])]], [[(0, 0, 1)]])]   # ``_power_pairs`` by r
         self._pairs = [[] for _ in range(self.dim)]
         for (x, y), row in rows.items():
             self._pairs[x].append(
@@ -234,8 +236,7 @@ def tensor_tuple(index: int, dim: int, m: int) -> tuple[int, ...]:
 
 def _nest(gets: list, items) -> dict:
     """Nested dicts keyed by each getter in turn on the index tuples of
-    (index tuple, leaf) items.  A trie on A^(x)m, the kernel's operand form,
-    takes one single-position getter per factor."""
+    (index tuple, leaf) items."""
     *inner, last = gets
     root: dict = {}
     for t, leaf in items:
@@ -250,21 +251,18 @@ def _nest(gets: list, items) -> dict:
     return root
 
 
-def _leaves(root: dict, m: int) -> list:
-    """(index tuple, leaf) for every leaf of a trie on A^(x)m, m >= 1."""
-    level = [((), root)]
-    for _ in range(m - 1):
-        level = [(t + (x,), sub) for t, node in level for x, sub in node.items()]
-    return [(t + (x,), c) for t, node in level for x, c in node.items()]
-
-
-def _numerators(v, tuples: list) -> tuple[list, int]:
-    """Nonzero terms (index tuple, integer numerator) of a dense vector, over
-    one denominator; ``tuples`` are the index tuples in basis order."""
-    if len(v) != len(tuples):
-        raise ValueError(f"operand must have length {len(tuples)}")
-    den = math.lcm(*(x.denominator for x in v if x))
-    return [(t, x.numerator * (den // x.denominator)) for t, x in zip(tuples, v) if x], den
+def _numerators(v, keys) -> tuple[list, int]:
+    """Nonzero terms (key, integer numerator) of a dense vector, over one
+    denominator; ``keys`` name the entries in basis order (index tuples or
+    flat indices).  Each entry is read once, and scaled by the factor of its
+    denominator."""
+    if len(v) != len(keys):
+        raise ValueError(f"operand must have length {len(keys)}")
+    terms = [(t, x.as_integer_ratio()) for t, x in zip(keys, v) if x]
+    dens = {d for _, (_, d) in terms}
+    den = math.lcm(*dens)
+    scale = {d: den // d for d in dens}
+    return [(t, w * scale[d]) for t, (w, d) in terms], den
 
 
 def _divided(acc: list, den: int) -> list:
@@ -274,69 +272,79 @@ def _divided(acc: list, den: int) -> list:
     return [ex.norm(Fraction(w, den)) if w else 0 for w in acc]
 
 
-def _densified(elem: tuple[dict, int], dim: int, m: int) -> list:
-    """A (trie of numerators, denominator) on A^(x)m as a dense vector, divided once."""
-    root, den = elem
-    acc = [0] * dim ** m
-    for t, w in _leaves(root, m):
-        acc[tensor_index(t, dim)] = w
-    return _divided(acc, den)
+def _power_pairs(algebra: FrobeniusAlgebra, r: int) -> tuple[list, list]:
+    """The pair rows of A^(x)r on flat indices over ``algebra._pairs_den ** r``,
+    x -> [(y, [(k, numerator)])] for each y with e_x e_y != 0, and the same
+    rows flat, x -> [(y, k, numerator)]: the Kronecker power of the base's,
+    built once per r and cached on the algebra, from A^(x)0's 0 -> [(0, [(0, 1)])]."""
+    tables, D = algebra._pair_powers, algebra.dim
+    while len(tables) <= r:
+        rows = [[(Y * D + y, [(K * D + k, C * c) for K, C in row for k, c in pair_row])
+                 for Y, row in prev for y, pair_row in algebra._pairs[x]]
+                for prev in tables[-1][0] for x in range(D)]
+        tables.append((rows, [[(y, k, c) for y, row in pairs for k, c in row] for pairs in rows]))
+    return tables[r]
 
 
-def factorwise_product(algebra: FrobeniusAlgebra, m: int, left, right) -> tuple[dict, int]:
-    """Product on A^(x)m, m >= 1, factor by factor on integer numerators.
+def _split(acc: list, m: int, dim: int, dense: bool) -> dict:
+    """Flat numerators on A^(x)m = A^(x)p (x) A^(x)q, p = m // 2, keyed by
+    the index on the high p factors: per nonzero high index, the low q
+    factors' numerators as a dense list, or as (low index, numerator) items."""
+    size, out = dim ** (m - m // 2), {}
+    for hi, start in enumerate(range(0, len(acc), size)):
+        chunk = acc[start:start + size]
+        if any(chunk):
+            out[hi] = chunk if dense else [(lo, w) for lo, w in enumerate(chunk) if w]
+    return out
 
-    Operands and result are (trie of numerators, denominator); the result may
-    hold zero leaves and empty branches.  The walk descends position by
-    position through the factor pairs with a nonzero product, so a dead pair
-    costs no multiplication, and writes each term straight into the result's
-    trie.
+
+def factorwise_product(algebra: FrobeniusAlgebra, m: int, left, right) -> tuple[list, int]:
+    """Product on A^(x)m = A^(x)p (x) A^(x)q, p = m // 2, on integer numerators.
+
+    Operands are (``_split`` numerators, denominator): items on the left,
+    dense lists on the right.  Each pair of high indices with a nonzero
+    product multiplies the two low halves through the flat pair rows of
+    A^(x)q, and the low product spreads over the high pair's row, so a dead
+    pair costs no multiplication.  Returns (flat numerators, denominator).
     """
-    pairs = algebra._pairs
-    last = m - 1
-    (root1, d1), (root2, d2) = left, right
-    out: dict = {}
-
-    def walk(d, node1, node2, node, carry):
-        if d == last:
-            for x, c1 in node1.items():
-                for y, row in pairs[x]:
-                    c2 = node2.get(y)
-                    if c2 is not None:
-                        w = c1 * c2 * carry
-                        for k, c in row:
-                            node[k] = node.get(k, 0) + w * c
-            return
-        for x, sub1 in node1.items():
-            for y, row in pairs[x]:
-                sub2 = node2.get(y)
-                if sub2 is not None:
-                    for k, c in row:
-                        child = node.get(k)
-                        if child is None:
-                            child = node[k] = {}
-                        walk(d + 1, sub1, sub2, child, carry * c)
-
-    walk(0, root1, root2, out, 1)
-    # one row constant per position and product
+    p = m // 2
+    high, low = _power_pairs(algebra, p)[0], _power_pairs(algebra, m - p)[1]
+    size = algebra.dim ** (m - p)
+    (lhs, d1), (rhs, d2) = left, right
+    out = [0] * (size * algebra.dim ** p)
+    for xh, terms in lhs.items():
+        for yh, high_row in high[xh]:
+            dense = rhs.get(yh)
+            if dense is None:
+                continue
+            prod = [0] * size
+            for xl, c1 in terms:
+                for yl, k, c in low[xl]:
+                    c2 = dense[yl]
+                    if c2:
+                        prod[k] += c1 * c2 * c
+            prod = [(k, w) for k, w in enumerate(prod) if w]
+            for kh, ch in high_row:
+                base = kh * size
+                for k, w in prod:
+                    out[base + k] += ch * w
+    # one row constant per factor and product
     return out, d1 * d2 * algebra._pairs_den ** m
 
 
 def factorwise_multiply(algebra: FrobeniusAlgebra, m: int, u, v):
     """Product on A^(x)m on dense vectors: ``factorwise_product`` of the
-    operands' nested numerators, divided once.  A^(x)0 is the ground field,
+    operands' flat numerators, divided once.  A^(x)0 is the ground field,
     where the product is that of the two scalars."""
-    D = algebra.dim
-    size = D ** m
+    size = algebra.dim ** m
     if len(u) != size or len(v) != size:
         raise ValueError(f"tensor power operands must have length {size}")
-    if m == 0:
-        return [ex.norm(u[0] * v[0])]
-    tuples = list(itertools.product(range(D), repeat=m))
-    gets = [itemgetter(f) for f in range(m)]
-    (terms_u, du), (terms_v, dv) = _numerators(u, tuples), _numerators(v, tuples)
-    return _densified(factorwise_product(algebra, m, (_nest(gets, terms_u), du),
-                                         (_nest(gets, terms_v), dv)), D, m)
+    operands = []
+    for vec, dense in ((u, False), (v, True)):
+        terms, den = _numerators(vec, range(size))
+        terms = dict(terms)
+        operands.append((_split([terms.get(i, 0) for i in range(size)], m, algebra.dim, dense), den))
+    return _divided(*factorwise_product(algebra, m, *operands))
 
 
 def tensor_metric(algebra: FrobeniusAlgebra, m: int) -> ex.SparseMap:

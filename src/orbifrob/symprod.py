@@ -37,9 +37,10 @@ contracted first: a lift by one block map per (sector, product sector),
 where factor c lands in the cycle of ss' that holds min(c) and a cycle that
 receives none holds the unit; the insertions once per sector pair.  The
 products then run on A^(x)|ss'| with ``frobenius.factorwise_product``, the
-one factor-by-factor kernel on tensor powers, on tries that
-``frobenius._nest`` builds; the pushforward walks orbit by orbit.  Each
-skips pairs with zero product before multiplying any coefficient.  Every
+one kernel on tensor powers, on flat numerators split into a high and a low
+half of the factors; the pushforward walks ``frobenius._nest`` tries orbit
+by orbit.  Each skips pairs with zero product before multiplying any
+coefficient.  Every
 intermediate value of either route is an integer numerator over one
 denominator per stage; the denominators multiply along the stages and each
 product divides once, at the end.  Everything that depends only on the
@@ -60,7 +61,7 @@ from operator import itemgetter, mul
 
 from . import exactnum as ex
 from . import frobenius as frob
-from .frobenius import (FrobeniusAlgebra, _densified, _divided, _nest, _numerators, tensor_index,
+from .frobenius import (FrobeniusAlgebra, _divided, _nest, _numerators, _split, tensor_index,
                         tensor_tuple)
 from .gfrob import BudgetExceededError, GFrobeniusAlgebra, _transpose
 from .groups import (OrbitPartition, Permutation, compose, cycles, degree,
@@ -494,29 +495,25 @@ class SymmetricProductAlgebra:
             nesting[where[p]].append(f)
         return self._gather_map(nesting)
 
-    def _trie(self, gh: int, acc: list, den: int) -> tuple[dict, int]:
-        """Integer numerators on A^(x)|gh| as the kernel's (trie, denominator)."""
-        m = self.factors[gh]
-        tuples = self._tuples(m)
-        return _nest([itemgetter(f) for f in range(m)],
-                     ((tuples[i], w) for i, w in enumerate(acc) if w)), den
-
-    def _contracted(self, g: int, a, gh: int) -> tuple[dict, int]:
-        """r_gh of the section lift of ``a``, through one block map per (g, gh)."""
+    def _contracted(self, g: int, a, gh: int) -> tuple[list, int]:
+        """r_gh of the section lift of ``a``, through one block map per (g, gh):
+        (flat integer numerators on A^(x)|gh|, denominator)."""
         bmap = self._lift_maps.get((g, gh))
         if bmap is None:
             bmap = self._lift_maps[g, gh] = self._contraction(
                 [blk[0] for blk in self.parts[g].blocks], gh)
-        return self._trie(gh, *self._mapped(a, bmap))
+        return self._mapped(a, bmap)
 
     def _insertion(self, tau: Permutation, gh: int) -> tuple[dict, int]:
         """r_gh of gamma_{tau,tau}, the copairing across the two points that the
-        transposition tau moves (``contraction_steps`` checks every word entry)."""
+        transposition tau moves (``contraction_steps`` checks every word entry),
+        as the kernel's left operand: (``_split`` items, denominator)."""
         D = self.base.dim
         copairing = [0] * D * D
         for i, j, c in self.base.copairing():
             copairing[i * D + j] = c
-        return self._trie(gh, *self._mapped(copairing, self._contraction(tau.moved_points(), gh)))
+        acc, den = self._mapped(copairing, self._contraction(tau.moved_points(), gh))
+        return _split(acc, self.factors[gh], D, False), den
 
     def contraction_steps(self, g: int, h: int, word: list[Permutation] | None = None):
         """The word for the right factor and the positions where length drops."""
@@ -541,7 +538,7 @@ class SymmetricProductAlgebra:
         return word, insertions
 
     def _insertions(self, g: int, h: int, word: list[Permutation] | None = None) -> list:
-        """(trie, denominator) on A^(x)|gh| of each copairing the word inserts,
+        """(``_split`` items, denominator) on A^(x)|gh| of each copairing the word inserts,
         contracted to gh; cached per sector pair for the default word, rebuilt
         (and the word validated) when a word is given."""
         if word is None and (g, h) in self._chain_plans:
@@ -558,17 +555,19 @@ class SymmetricProductAlgebra:
 
         r_gh(L_g a . L_h b . prod gamma_tau) = r_gh(L_g a) r_gh(L_h b) prod
         r_gh(gamma_tau), as r_gh is an algebra map: every factor is contracted
-        to gh's cycles first and the products run on A^(x)|gh|, on integer
-        numerators divided once at the end.
+        to gh's cycles first and the products run on A^(x)|gh|, on flat integer
+        numerators divided once at the end.  A^(x)|gh| is commutative, so each
+        insertion multiplies the running product from the left.
         """
         gammas = self._insertions(g, h, word)
         gh = self.group.mul(g, h)
-        m = self.factors[gh]
-        acc = frob.factorwise_product(self.base, m, self._contracted(g, a, gh),
-                                      self._contracted(h, b, gh))
+        m, D = self.factors[gh], self.base.dim
+        (left, da), (right, db) = self._contracted(g, a, gh), self._contracted(h, b, gh)
+        acc, den = frob.factorwise_product(self.base, m, (_split(left, m, D, False), da),
+                                           (_split(right, m, D, True), db))
         for gamma in gammas:
-            acc = frob.factorwise_product(self.base, m, acc, gamma)
-        return _densified(acc, self.base.dim, m)
+            acc, den = frob.factorwise_product(self.base, m, gamma, (_split(acc, m, D, True), den))
+        return _divided(acc, den)
 
     def gamma_cocycle(self, g: int, h: int):
         """The sector cocycle as an identity-sector element (chain form).
@@ -601,24 +600,11 @@ class SymmetricProductAlgebra:
 
     # -- realized group-graded algebra -------------------------------------------
 
-    def table_cost(self) -> int:
-        return sum(self.dims) ** 2
-
     def realize(self, budget: int = BUILD_BUDGET) -> GFrobeniusAlgebra:
         """Materialize the full table-backed algebra (cached)."""
         if self._galg is not None:
             return self._galg
-        cost = self.table_cost()
-        if cost > budget:
-            # the total dim of Sym^m(A) is the rising factorial D(D+1)...(D+m-1)
-            m, total = 0, 1
-            while m < self.n and (total * (self.base.dim + m)) ** 2 <= budget:
-                total *= self.base.dim + m
-                m += 1
-            raise BudgetExceededError(
-                f"building all product tables costs {cost} entries (budget {budget}); "
-                + (f"n <= {m} fits" if m else "no n fits"), cost
-            )
+        refuse_build(self.base.dim, self.n, budget)
         G = self.group
         product = {}
         for g in G.elements():
@@ -676,6 +662,22 @@ class SymmetricProductAlgebra:
                 vec = table[i, j] = {}
             vec[o] = c if den == 1 else ex.norm(Fraction(c, den))
         return table
+
+
+def refuse_build(dim: int, n: int, budget: int) -> None:
+    """Refuse a table build for Sym^n of a base of dimension ``dim`` whose cost,
+    the square of the total dim, exceeds ``budget``, before S_n is built: the
+    total dim of Sym^m(A) is the rising factorial D(D+1)...(D+m-1)."""
+    cost = math.prod(range(dim, dim + n)) ** 2
+    if cost > budget:
+        m, total = 0, 1
+        while m < n and (total * (dim + m)) ** 2 <= budget:
+            total *= dim + m
+            m += 1
+        raise BudgetExceededError(
+            f"building all product tables costs {cost} entries (budget {budget}); "
+            + (f"n <= {m} fits" if m else "no n fits"), cost
+        )
 
 
 def _integral(cols: dict) -> tuple[dict, int]:

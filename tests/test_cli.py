@@ -516,6 +516,20 @@ def test_export_frobenius_and_cocycle_documents(tmp_path):
     assert "values" in json.loads(out2.read_text())
 
 
+def test_symprod_refuses_the_budget_before_building_the_group(monkeypatch, capsys):
+    # S_7 took 17 s to build before the budget refused Sym^7(surface4)
+    from orbifrob import symprod as sp_mod
+
+    def no_group(n):
+        raise AssertionError(f"S_{n} was built")
+
+    monkeypatch.setattr(sp_mod, "symmetric_group", no_group)
+    monkeypatch.setattr(groups, "symmetric_group", no_group)
+    assert run("symprod", FIXTURES / "surface4.json", "--n", 7) == 2
+    assert capsys.readouterr().err == ("error: building all product tables costs 365783040000 "
+                                       "entries (budget 200000); n <= 3 fits\n")
+
+
 def test_symprod_budget_exceeded_exits_two(tmp_path, capsys):
     assert run("symprod", FIXTURES / "surface4.json", "--n", 4,
                "--out", tmp_path / "never.json") == 2

@@ -8,7 +8,7 @@ from orbifrob import exactnum as ex
 from orbifrob import frobenius as frob
 from orbifrob import symprod as sp_mod
 
-from conftest import load_base
+from conftest import kron, load_base
 
 
 def test_multiply_dual_numbers(qx2):
@@ -164,19 +164,64 @@ def test_half_unit_algebra_verifies(half):
     assert half.verify().passed
 
 
-@pytest.mark.parametrize("m", [0, 1, 2, 3, 4])
+def _skew():
+    """Q[x]/(x^2), ungraded, on the basis f0 = 1 + x, f1 = 2x: f0 f0 = f0 + f1/2
+    is a structure row with two entries, which no monomial basis has, and its
+    constants have integer numerators other than 1 over one denominator."""
+    return frob.from_json_dict({
+        "name": "skew", "dim": 2,
+        "basis": [{"label": "f0", "degree": 0, "parity": 0}, {"label": "f1", "degree": 0, "parity": 0}],
+        "unit": ["1", "-1/2"], "metric": [[0, 0, "2"], [0, 1, "2"], [1, 0, "2"]],
+        "structure": [[0, 0, 0, "1"], [0, 0, 1, "1/2"], [0, 1, 1, "1"], [1, 0, 1, "1"]],
+    })
+
+
+@pytest.mark.parametrize("m", [0, 1, 2, 3, 4, 5, 6])
 def test_factorwise_multiply_matches_pairwise_reference(qx2, surface, half, m):
+    # the kernel splits A^(x)m into floor(m/2) + ceil(m/2) factors: m = 1 puts
+    # A^(x)0 in the high half, odd m splits unequally; dense operands up to A^(x)4
     rng = random.Random(7919 + m)
-    for algebra in (qx2, surface, half):
+    for algebra in (qx2, surface, half, _skew()):
         size = algebra.dim ** m
         zero = [0] * size
-        operands = [(_random_operand(rng, size, density), _random_operand(rng, size, 0.6))
-                    for density in (1.0, 0.5, 0.1)]
-        operands += [(zero, _random_operand(rng, size, 1.0)), (zero, zero),
-                     ([Fraction(0)] * size, [Fraction(3, 1)] * size)]
+        sparse, single = list(zero), list(zero)
+        for i in rng.sample(range(size), min(size, 24)):
+            sparse[i] = Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 6))
+        single[rng.randrange(size)] = Fraction(rng.randint(1, 9), rng.randint(1, 6))
+        operands = [(sparse, single), (single, sparse), (single, single), (zero, sparse),
+                    ([Fraction(0)] * size, sparse), (sparse, [Fraction(3, 1)] * size)]
+        if size <= 256:
+            operands += [(_random_operand(rng, size, density), _random_operand(rng, size, 0.6))
+                         for density in (1.0, 0.5, 0.1)]
+            operands += [(zero, _random_operand(rng, size, 1.0)), (zero, zero),
+                         ([Fraction(0)] * size, [Fraction(3, 1)] * size)]
         for u, v in operands:
             assert _typed(frob.factorwise_multiply(algebra, m, u, v)) == \
                 _typed(_reference_factorwise_multiply(algebra, m, u, v))
+
+
+@pytest.mark.parametrize("r", [0, 1, 2, 3])
+def test_power_pairs_are_the_kronecker_power_of_the_structure_constants(qx2, surface, half, r):
+    for algebra in (qx2, surface, half, _skew()):
+        D = algebra.dim
+        # x -> the matrix of left multiplication by e_x: [y][k] = c[x, y, k]
+        left = [[[algebra.rows.get((x, y), {}).get(k, 0) for k in range(D)] for y in range(D)]
+                for x in range(D)]
+        rows, flat = frob._power_pairs(algebra, r)
+        den = algebra._pairs_den ** r
+        assert len(rows) == len(flat) == D ** r
+        for X, (pairs, triples) in enumerate(zip(rows, flat)):
+            want = [[1]]
+            for x in frob.tensor_tuple(X, D, r):
+                want = kron(want, left[x])
+            got = [[0] * D ** r for _ in range(D ** r)]
+            for Y, row in pairs:
+                assert row and len({K for K, _ in row}) == len(row)
+                for K, c in row:
+                    assert type(c) is int and c != 0
+                    got[Y][K] = ex.norm(Fraction(c, den))
+            assert got == want
+            assert triples == [(Y, K, c) for Y, row in pairs for K, c in row]
 
 
 def test_factorwise_multiply_rejects_length_mismatch(qx2):

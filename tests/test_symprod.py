@@ -2,7 +2,6 @@ import functools
 import hashlib
 import itertools
 import math
-import operator
 import random
 from fractions import Fraction
 
@@ -15,7 +14,7 @@ from orbifrob import gfrob
 from orbifrob import groups as g
 from orbifrob import symprod as sp_mod
 
-from conftest import kron
+from conftest import kron, load_base
 
 
 def basis(dim, i):
@@ -353,18 +352,21 @@ def _reference_elem_product(sp, s1, s2):
     return {k: ex.norm(v) for k, v in out.items() if v != 0}
 
 
-def _numerators(sp, elem):
-    """A tuple-keyed element as (trie of integer numerators, denominator)."""
+def _numerators(sp, elem, dense):
+    """A tuple-keyed element on A^(x)n as the kernel's (split integer
+    numerators, denominator): dense lists or items."""
     den = math.lcm(*(c.denominator for c in elem.values()))
-    gets = [operator.itemgetter(p) for p in range(sp.n)]
-    return frob._nest(gets, ((t, c.numerator * (den // c.denominator))
-                             for t, c in elem.items())), den
+    acc = [0] * sp.base.dim ** sp.n
+    for t, c in elem.items():
+        acc[frob.tensor_index(t, sp.base.dim)] = c.numerator * (den // c.denominator)
+    return frob._split(acc, sp.n, sp.base.dim, dense), den
 
 
 def _divide(sp, elem):
-    """(trie of integer numerators, denominator) as exact nonzero scalars."""
-    root, den = elem
-    return {t: ex.norm(Fraction(w, den)) for t, w in frob._leaves(root, sp.n) if w}
+    """(flat integer numerators, denominator) as exact nonzero scalars."""
+    acc, den = elem
+    return {frob.tensor_tuple(i, sp.base.dim, sp.n): ex.norm(Fraction(w, den))
+            for i, w in enumerate(acc) if w}
 
 
 def _random_element(rng, dim, n, terms):
@@ -383,7 +385,8 @@ def test_elem_product_matches_pairwise_reference(sp_factory, qx2, surface, half,
         operands += [({}, some), (some, {}), ({}, {}),
                      ({t: 0 for t in some}, some), ({t: Fraction(2, 1) for t in some}, some)]
         for s1, s2 in operands:
-            product = frob.factorwise_product(base, n, _numerators(sp, s1), _numerators(sp, s2))
+            product = frob.factorwise_product(base, n, _numerators(sp, s1, False),
+                                              _numerators(sp, s2, True))
             got = {k: (type(v), v) for k, v in _divide(sp, product).items()}
             want = {k: (type(v), v) for k, v in _reference_elem_product(sp, s1, s2).items()}
             assert got == want
@@ -465,11 +468,19 @@ def test_action_and_metric_blocks_are_sparse_maps(sp_factory, ground, qx2, surfa
                 assert all(vec and 0 not in vec.values() for vec in block.values())
 
 
-def test_budget_guard(surface):
+def test_budget_guard(sp_factory, qx2, surface):
     sp = sp_mod.SymmetricProductAlgebra(surface, 4)
-    with pytest.raises(gfrob.BudgetExceededError):
+    with pytest.raises(gfrob.BudgetExceededError) as exc:
         sp.realize()
-    assert sp.table_cost() == 840 ** 2
+    assert exc.value.estimate == sum(sp.dims) ** 2 == 840 ** 2
+    # the rising factorial D(D+1)...(D+n-1) that prices a build before S_n exists is sum(dims)
+    for base in (qx2, surface):
+        for n in (1, 2, 3):
+            cost = sum(sp_factory(base, n).dims) ** 2
+            sp_mod.refuse_build(base.dim, n, cost)
+            with pytest.raises(gfrob.BudgetExceededError) as exc:
+                sp_mod.refuse_build(base.dim, n, cost - 1)
+            assert exc.value.estimate == cost
 
 
 def test_odd_base_rejected():
@@ -776,7 +787,7 @@ def test_block_maps_match_per_entry_reference(sp_factory, qx2, surface, half, n)
                 assert _typed(sp._joint_section(part_gh, joint, w)) == \
                     _typed(_reference_joint_section(sp, part_gh, joint, w))
             for v in (_random_vector(rng, sp.dims[gi]), [Fraction(0)] * sp.dims[gi]):
-                assert _typed(frob._densified(sp._contracted(gi, v, gh), D, sp.factors[gh])) == \
+                assert _typed(frob._divided(*sp._contracted(gi, v, gh))) == \
                     _typed(_reference_contract_sparse(sp, _reference_section_lift(sp, gi, v), part_gh))
 
 
@@ -832,8 +843,8 @@ def _chain_in_identity_sector(sp, gi, a, hi, b, word=None):
     _, insertions = sp.contraction_steps(gi, hi, word)
     elem = _reference_section_lift(sp, gi, a)
     for right in [_reference_section_lift(sp, hi, b)] + [_reference_copairing(sp, t) for t in insertions]:
-        elem = _divide(sp, frob.factorwise_product(sp.base, sp.n, _numerators(sp, elem),
-                                                   _numerators(sp, right)))
+        elem = _divide(sp, frob.factorwise_product(sp.base, sp.n, _numerators(sp, elem, False),
+                                                   _numerators(sp, right, True)))
     return _reference_contract_sparse(sp, elem, sp.parts[sp.group.mul(gi, hi)])
 
 
@@ -881,6 +892,23 @@ def test_chain_multiplies_on_the_cycles_of_the_product_sector(surface, monkeypat
     assert plans == []
     assert chain == sp.multiply_pushforward(gi, a, hi, b)
     assert {"_push_plan", "_orbit_map", "walk"} <= set(plans)
+
+
+def test_chain_builds_each_pair_table_once():
+    base = load_base("surface4")   # a fresh algebra: no product has run on it
+    sp = sp_mod.SymmetricProductAlgebra(base, 5)
+    assert len(base._pair_powers) == 1   # A^(x)0 only: set-up builds no table
+    rng = random.Random(19)
+    e, t = sp.group.identity, sp.group.index_of("(1 2)")
+    sp.multiply_chain(t, _random_vector(rng, sp.dims[t]), t, _random_vector(rng, sp.dims[t]))
+    tables = list(base._pair_powers)
+    # t * t = e multiplies on 5 factors, split 2 + 3: A^(x)3 has 9^3 nonzero basis pairs
+    assert len(tables) == 4 and sum(map(len, tables[3][0])) == 9 ** 3
+    for g, h in ((e, t), (t, e), (e, e)):
+        a, b = _random_vector(rng, sp.dims[g]), _random_vector(rng, sp.dims[h])
+        assert sp.multiply_chain(g, a, h, b) == sp.multiply_pushforward(g, a, h, b)
+    assert len(base._pair_powers) == 4
+    assert all(new is old for new, old in zip(base._pair_powers, tables))
 
 
 def test_pushforward_route_calls_no_staged_kernel(qx2, monkeypatch):
@@ -1180,8 +1208,13 @@ def test_product_stages_see_integer_numerators(sp_factory, qx2, surface, monkeyp
         return plan
 
     def checked_factorwise_product(algebra, m, left, right):
-        for root, den in (left, right):
-            ints([w for _, w in frob._leaves(root, m)] + [den])
+        (items, d1), (dense, d2) = left, right
+        ints([w for terms in items.values() for _, w in terms]
+             + [w for row in dense.values() for w in row] + [d1, d2, algebra._pairs_den])
+        for r in {m // 2, m - m // 2}:   # the pair rows the kernel reads
+            rows, flat = frob._power_pairs(algebra, r)
+            ints([c for pairs in rows for _, row in pairs for _, c in row]
+                 + [c for triples in flat for _, _, c in triples])
         return factorwise_product(algebra, m, left, right)
 
     monkeypatch.setattr(sp_mod.SymmetricProductAlgebra, "_nested", checked_nested)
