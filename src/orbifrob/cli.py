@@ -260,18 +260,19 @@ def cmd_twist(args) -> int:
 def cmd_invariants(args) -> int:
     X = _load_galg(args.file)
     inv = gfrob.invariants(X)
-    for label, dim in inv.dims_by_class().items():
-        print(f"class {label}: dim {dim}")
-    print(f"total: {inv.dim}")
-    if not inv.commutative:
-        print("WARNING: invariant product is not commutative")
-    if args.poincare:
+    if args.poincare:   # before any output: bad shift flags leave stdout empty
         from . import grading
         if args.shift == "standard":
             shifts = grading.standard_shifts(X, copies=args.copies)
         else:
             shifts = grading.zero_shifts(X)
         poly = grading.invariant_poincare(X, inv.basis, shifts)
+    for label, dim in inv.dims_by_class().items():
+        print(f"class {label}: dim {dim}")
+    print(f"total: {inv.dim}")
+    if not inv.commutative:
+        print("WARNING: invariant product is not commutative")
+    if args.poincare:
         print(f"poincare: {grading.format_poincare(poly)}")
     return 0
 

@@ -218,14 +218,6 @@ def validated(algebra: FrobeniusAlgebra) -> FrobeniusAlgebra:
 
 # -- tensor powers -----------------------------------------------------------
 
-def tensor_index(indices, dim: int) -> int:
-    """Row-major rank of a factor-index tuple in the lexicographic basis."""
-    out = 0
-    for i in indices:
-        out = out * dim + i
-    return out
-
-
 def tensor_tuple(index: int, dim: int, m: int) -> tuple[int, ...]:
     out = []
     for _ in range(m):

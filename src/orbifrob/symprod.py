@@ -33,22 +33,25 @@ The chain never multiplies in A_e.  Its last step, the contraction r_ss'
 onto the product sector, multiplies the factors in each cycle of ss'; as the
 base is commutative and evenly graded, r_ss' is an algebra map, so the chain
 equals the product of r_ss' of the two lifts and of each insertion.  Each is
-contracted first: a lift by one block map per (sector, product sector),
+contracted first: a lift by rows built once per (sector, product sector),
 where factor c lands in the cycle of ss' that holds min(c) and a cycle that
 receives none holds the unit; the insertions once per sector pair.  The
 products then run on A^(x)|ss'| with ``frobenius.factorwise_product``, the
 one kernel on tensor powers, on flat numerators split into a high and a low
 half of the factors; the pushforward walks ``frobenius._nest`` tries orbit
 by orbit.  Each skips pairs with zero product before multiplying any
-coefficient.  Every
-intermediate value of either route is an integer numerator over one
-denominator per stage; the denominators multiply along the stages and each
-product divides once, at the end.  Everything that depends only on the
-sector pair (joint orbits and their composed maps, the contracted copairing
-insertions) is built on the pair's first product and reused.  Contractions
-(between nested cycle partitions, and the chain's), their metric adjoints
-and sections are block maps with one kernel, ``_block_map``, where a block
-of one factor only adds its index times its stride.
+coefficient.  Every intermediate value of either route is an integer
+numerator over one denominator per stage; the denominators multiply along
+the stages and each product divides once, at the end.  Everything that
+depends only on the sector pair (joint orbits and their composed maps, the
+contracted copairing insertions) is built on the pair's first product and
+reused.  Every other linear map between tensor powers (the contractions
+between nested cycle partitions and the chain's, their metric adjoints and
+sections) has one form: per flat input index, a row of (output index,
+integer numerator) over one denominator, built by ``_linear_map`` in one
+pass over the input basis tuples from per-block columns and applied by
+``_mapped``, one row per nonzero entry of the operand.  The group action
+relabels cycles, so each basis tuple goes to one index, a sum of strides.
 """
 
 from __future__ import annotations
@@ -61,13 +64,13 @@ from operator import itemgetter, mul
 
 from . import exactnum as ex
 from . import frobenius as frob
-from .frobenius import (FrobeniusAlgebra, _divided, _nest, _numerators, _split, tensor_index,
-                        tensor_tuple)
+from .frobenius import FrobeniusAlgebra, _divided, _nest, _numerators, _split
 from .gfrob import BudgetExceededError, GFrobeniusAlgebra, _transpose
 from .groups import (OrbitPartition, Permutation, compose, cycles, degree,
                      group_orbits, symmetric_group)
 
 BUILD_BUDGET = 200_000  # max number of product-table entries a build may cost
+_EXACT_COST = 10 ** 18   # a refused build's cost is printed exactly up to here
 
 
 def obstruction_exponent(sigma: Permutation, sigma2: Permutation, block) -> int:
@@ -298,85 +301,69 @@ class SymmetricProductAlgebra:
         return self._columns["section", m]
 
     def _gather_map(self, nesting: list[list[int]]) -> tuple:
-        """Block map: output factor c multiplies the input factors ``nesting[c]``,
-        and is the unit when it has none."""
+        """Rows of the map whose output factor c multiplies the input factors
+        ``nesting[c]``, and is the unit when it has none."""
         D, last = self.base.dim, len(nesting) - 1
-        strides, blocks, den = [0] * sum(map(len, nesting)), [], 1
+        blocks, den = [], 1
         for c, fps in enumerate(nesting):
-            stride = D ** (last - c)
-            if len(fps) == 1:
-                strides[fps[0]] = stride
-                continue
             if fps:
                 get, (cols, d) = itemgetter(*fps), self._mu_columns(len(fps))
             else:
                 (tails, d), get = self._unit_tails(1), _no_factors
                 cols = {(): [(k, u) for (k,), u in tails]}
+            stride = D ** (last - c)
             blocks.append((get, {key: [(k * stride, w) for k, w in col] for key, col in cols.items()}))
             den *= d
-        return strides, blocks, den, D ** len(nesting)
+        return self._linear_map(sum(map(len, nesting)), blocks, den, D ** len(nesting))
 
     def _spread_map(self, fine: OrbitPartition, coarse: OrbitPartition, columns) -> tuple:
-        """Block map coarse -> fine: each coarse factor spreads over its fine factors."""
+        """Rows of the map coarse -> fine: each coarse factor spreads over its fine factors."""
         D, last = self.base.dim, len(fine) - 1
-        strides, blocks, den = [0] * len(coarse), [], 1
+        blocks, den = [], 1
         for c, fps in enumerate(self._nesting(fine, coarse)):
-            if len(fps) == 1:
-                strides[c] = D ** (last - fps[0])
-                continue
             cols, d = columns(len(fps))
             fine_strides = [D ** (last - f) for f in fps]
             blocks.append((itemgetter(c),
                            {k: [(sum(map(mul, t, fine_strides)), w) for t, w in col]
                             for k, col in cols.items()}))
             den *= d
-        return strides, blocks, den, D ** len(fine)
+        return self._linear_map(len(coarse), blocks, den, D ** len(fine))
 
-    def _block_map(self, terms, den: int, bmap: tuple) -> tuple[list, int]:
-        """Apply a block map (input strides, blocks, denominator, output size)
-        to (factor tuple, offset, integer numerator) terms over ``den``.
-
-        A block of one factor is the identity: the caller folds its factor
-        times its input stride into the term's offset.  Every other block reads
-        one integer column, the columns multiply out and the terms add into
-        the output.  Returns (integer numerators, the operand's times the
-        tables' denominator); the caller divides it out.
-        """
-        _, blocks, table_den, size = bmap
-        acc = [0] * size
-        for t, o, x in terms:
-            out = [(o, x)]
+    def _linear_map(self, m: int, blocks: list, den: int, size: int) -> tuple[list, int, int]:
+        """(rows, ``den``, output size) of a map on A^(x)m, in one pass over the
+        input basis tuples: each block's getter reads a key off a tuple, the
+        keys' columns [(output offset, numerator)] multiply out, and the row of
+        flat index x is ((output index, numerator), ...), () if a column is missing."""
+        rows = []
+        for t in self._tuples(m):
+            out = [(0, 1)]
             for get, table in blocks:
-                col = table.get(get(t))
-                if col is None:
-                    break
-                out = [(p + q, c * w) for p, c in out for q, w in col]
-            else:
-                for p, c in out:
-                    acc[p] += c
-        return acc, den * table_den
+                out = [(p + q, c * w) for p, c in out for q, w in table.get(get(t), ())]
+            rows.append(tuple(out))
+        return rows, den, size
 
-    def _mapped(self, v, bmap: tuple) -> tuple[list, int]:
-        """A block map applied to a dense vector: (integer numerators, denominator)."""
-        strides = bmap[0]
-        terms, den = _numerators(v, self._tuples(len(strides)))
-        return self._block_map([(t, sum(map(mul, t, strides)), x) for t, x in terms], den, bmap)
-
-    def _dense_map(self, v, bmap: tuple) -> list:
-        """A block map applied to a dense vector, divided once."""
-        return _divided(*self._mapped(v, bmap))
+    def _mapped(self, v, linear: tuple) -> tuple[list, int]:
+        """A map's rows applied to a dense vector, one row per nonzero entry:
+        (integer numerators, the operand's times the map's denominator)."""
+        rows, den, size = linear
+        terms, d = _numerators(v, rows)
+        acc = [0] * size
+        for row, x in terms:
+            for o, w in row:
+                acc[o] += x * w
+        return acc, d * den
 
     def restrict_between(self, fine: OrbitPartition, coarse: OrbitPartition, v):
         """Contraction-by-multiplication A^(x)|fine| -> A^(x)|coarse|."""
-        return self._dense_map(v, self._gather_map(self._nesting(fine, coarse)))
+        return _divided(*self._mapped(v, self._gather_map(self._nesting(fine, coarse))))
 
     def push_between(self, fine: OrbitPartition, coarse: OrbitPartition, w):
         """Metric adjoint of restrict_between(fine, coarse, .): coarse -> fine."""
-        return self._dense_map(w, self._spread_map(fine, coarse, self._adjoint_columns))
+        return _divided(*self._mapped(w, self._spread_map(fine, coarse, self._adjoint_columns)))
 
     def _joint_section(self, fine: OrbitPartition, coarse: OrbitPartition, v):
         """Unit-tensor section A^(x)|coarse| -> A^(x)|fine| of the contraction."""
-        return self._dense_map(v, self._spread_map(fine, coarse, self._section_columns))
+        return _divided(*self._mapped(v, self._spread_map(fine, coarse, self._section_columns)))
 
     # -- the two product routes -------------------------------------------------
 
@@ -481,13 +468,8 @@ class SymmetricProductAlgebra:
             out = [ex.norm(x * y) for x in out for y in power]
         return out
 
-    def section_lift(self, g: int, a) -> dict:
-        """Unit-tensor section A_s -> A_e: factor values at cycle minima."""
-        lifted = self._joint_section(self.parts[self.group.identity], self.parts[g], a)
-        return {t: x for t, x in zip(self._tuples(self.n), lifted) if x}
-
     def _contraction(self, positions: list[int], gh: int) -> tuple:
-        """Block map r_gh after placing factors at ``positions`` of A_e, the unit
+        """Rows of r_gh after placing factors at ``positions`` of A_e, the unit
         elsewhere: each cycle of gh multiplies the factors placed in it."""
         where = self.parts[gh].block_index()
         nesting: list = [[] for _ in range(self.factors[gh])]
@@ -496,13 +478,14 @@ class SymmetricProductAlgebra:
         return self._gather_map(nesting)
 
     def _contracted(self, g: int, a, gh: int) -> tuple[list, int]:
-        """r_gh of the section lift of ``a``, through one block map per (g, gh):
-        (flat integer numerators on A^(x)|gh|, denominator)."""
-        bmap = self._lift_maps.get((g, gh))
-        if bmap is None:
-            bmap = self._lift_maps[g, gh] = self._contraction(
+        """r_gh of the section lift of ``a``, through rows built once per (g, gh)
+        (factor c of g sits at min(c)): (flat integer numerators on A^(x)|gh|,
+        denominator)."""
+        linear = self._lift_maps.get((g, gh))
+        if linear is None:
+            linear = self._lift_maps[g, gh] = self._contraction(
                 [blk[0] for blk in self.parts[g].blocks], gh)
-        return self._mapped(a, bmap)
+        return self._mapped(a, linear)
 
     def _insertion(self, tau: Permutation, gh: int) -> tuple[dict, int]:
         """r_gh of gamma_{tau,tau}, the copairing across the two points that the
@@ -576,8 +559,8 @@ class SymmetricProductAlgebra:
         section of the chain product of the generators, which is r_{ss'} of it.
         """
         product = self.multiply_chain(g, self.generator(g), h, self.generator(h))
-        lifted = self.section_lift(self.group.mul(g, h), product)
-        return [lifted.get(t, 0) for t in self._tuples(self.n)]
+        return self._joint_section(self.parts[self.group.identity],
+                                   self.parts[self.group.mul(g, h)], product)
 
     def gamma_data(self, g: int, h: int) -> "GammaData":
         """Decomposition data of the cocycle at a sector pair."""
@@ -632,22 +615,12 @@ class SymmetricProductAlgebra:
 
     def _action_block(self, g: int, h: int) -> dict:
         """phi_g on A_h by columns: cycles relabel along g, coefficient 1."""
-        G = self.group
-        D = self.base.dim
-        tgt = G.conj(g, h)
-        src_part, tgt_part = self.parts[h], self.parts[tgt]
-        perm_g = self.perms[g]
-        tgt_index = tgt_part.block_index()
-        slot_map = [tgt_index[perm_g(block[0])] for block in src_part.blocks]
-        columns = {}
-        lh = self.factors[h]
-        for col in range(self.dims[h]):
-            t = tensor_tuple(col, D, lh)
-            out = [0] * lh
-            for fpos, value in enumerate(t):
-                out[slot_map[fpos]] = value
-            columns[col] = {tensor_index(out, D): 1}
-        return columns
+        tgt_index = self.parts[self.group.conj(g, h)].block_index()
+        last, perm_g = self.factors[h] - 1, self.perms[g]
+        strides = [self.base.dim ** (last - tgt_index[perm_g(block[0])])
+                   for block in self.parts[h].blocks]
+        return {col: {sum(map(mul, t, strides)): 1}
+                for col, t in enumerate(self._tuples(self.factors[h]))}
 
     def pair_table(self, g: int, h: int) -> dict:
         """Product table for a sector pair, read off the pair's push plan: the
@@ -667,16 +640,19 @@ class SymmetricProductAlgebra:
 def refuse_build(dim: int, n: int, budget: int) -> None:
     """Refuse a table build for Sym^n of a base of dimension ``dim`` whose cost,
     the square of the total dim, exceeds ``budget``, before S_n is built: the
-    total dim of Sym^m(A) is the rising factorial D(D+1)...(D+m-1)."""
-    cost = math.prod(range(dim, dim + n)) ** 2
+    total dim of Sym^m(A) is the rising factorial D(D+1)...(D+m-1).  A huge n
+    costs nothing: the factorial stops once its square passes both the budget
+    and ``_EXACT_COST``, and the message gives that as a lower bound."""
+    m, fits, total = 0, 0, 1
+    while m < n and total ** 2 <= max(budget, _EXACT_COST):
+        total *= dim + m
+        m += 1
+        fits = m if total ** 2 <= budget else fits
+    cost = total ** 2
     if cost > budget:
-        m, total = 0, 1
-        while m < n and (total * (dim + m)) ** 2 <= budget:
-            total *= dim + m
-            m += 1
         raise BudgetExceededError(
-            f"building all product tables costs {cost} entries (budget {budget}); "
-            + (f"n <= {m} fits" if m else "no n fits"), cost
+            f"building all product tables costs {'' if m == n else 'at least '}{cost} entries "
+            f"(budget {budget}); " + (f"n <= {fits} fits" if fits else "no n fits"), cost
         )
 
 

@@ -118,6 +118,14 @@ def swapped_cyclic_table(n: int) -> list[list[int]]:
 
 # -- dense references ---------------------------------------------------------
 
+def tensor_index(indices, dim: int) -> int:
+    """Row-major rank of a factor-index tuple in the lexicographic basis."""
+    out = 0
+    for i in indices:
+        out = out * dim + i
+    return out
+
+
 def nullspace(m):
     """Basis of the right kernel, deterministic (free columns in order)."""
     if not m:

@@ -530,6 +530,21 @@ def test_symprod_refuses_the_budget_before_building_the_group(monkeypatch, capsy
                                        "entries (budget 200000); n <= 3 fits\n")
 
 
+def test_invariants_rejects_bad_shift_flags_before_printing(tmp_path, capsys, sym2_hilbert):
+    # the class lines and total used to reach stdout before the shifts failed
+    ring = tmp_path / "z3_ring.json"
+    gfrob.save(cocy.twisted_group_ring(groups.FiniteGroup(["0", "1", "2"], cyclic_table(3))), ring)
+    capsys.readouterr()
+    for argv in ((sym2_hilbert, "--poincare", "--shift", "standard", "--copies", 0),
+                 (ring, "--poincare", "--shift", "standard")):
+        assert run("invariants", *argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and len(captured.err.splitlines()) == 1
+    assert run("invariants", ring, "--poincare") == 0
+    assert capsys.readouterr().out.splitlines()[-2:] == ["total: 3", "poincare: 3"]
+
+
 def test_symprod_budget_exceeded_exits_two(tmp_path, capsys):
     assert run("symprod", FIXTURES / "surface4.json", "--n", 4,
                "--out", tmp_path / "never.json") == 2
@@ -539,6 +554,13 @@ def test_symprod_budget_exceeded_exits_two(tmp_path, capsys):
     assert run("symprod", FIXTURES / "surface4.json", "--n", 2, "--budget", 15) == 2
     assert capsys.readouterr().err == ("error: building all product tables costs 400 "
                                        "entries (budget 15); no n fits\n")
+    # the exact rising factorial has over 4300 digits at n = 2000, too many to
+    # print, and took seconds to compute at n = 200000: a lower bound is printed
+    for n in (2000, 200000):
+        assert run("symprod", FIXTURES / "surface4.json", "--n", n) == 2
+        assert capsys.readouterr().err == ("error: building all product tables costs at least "
+                                           "1077105223434240000 entries (budget 200000); "
+                                           "n <= 3 fits\n")
 
 
 def test_supergraded_document_round_trips_and_verifies(tmp_path, capsys):

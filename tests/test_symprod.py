@@ -14,7 +14,7 @@ from orbifrob import gfrob
 from orbifrob import groups as g
 from orbifrob import symprod as sp_mod
 
-from conftest import kron, load_base
+from conftest import kron, load_base, tensor_index
 
 
 def basis(dim, i):
@@ -60,10 +60,10 @@ def test_restriction_contracts_by_multiplication(sp_factory, qx2):
     fine, coarse = g.group_orbits([t12]), g.group_orbits([t12, t13])
     # factors of (1 2): orbits {0,1} and {2}; target has one orbit: u(x)w -> uw
     x_tensor_x = [0] * 4
-    x_tensor_x[frob.tensor_index((1, 1), 2)] = 1
+    x_tensor_x[tensor_index((1, 1), 2)] = 1
     assert sp3.restrict_between(fine, coarse, x_tensor_x) == [0, 0]
     one_tensor_x = [0] * 4
-    one_tensor_x[frob.tensor_index((0, 1), 2)] = 1
+    one_tensor_x[tensor_index((0, 1), 2)] = 1
     assert sp3.restrict_between(fine, coarse, one_tensor_x) == [0, 1]
 
 
@@ -155,7 +155,7 @@ def test_adjoint_defining_identity(sp_factory, surface, half):
             adj, eta_m = _adjoint_values(sp, m), frob.tensor_metric(base, m)
             for y in range(base.dim):
                 for x, t in enumerate(sp._tuples(m)):
-                    lhs = sum(c * eta_m.get(frob.tensor_index(r, base.dim), {}).get(x, 0)
+                    lhs = sum(c * eta_m.get(tensor_index(r, base.dim), {}).get(x, 0)
                               for r, c in adj.get(y, {}).items())
                     rhs = sum(base.metric.get(y, {}).get(k, 0) * c
                               for k, c in basis_product(sp.base, list(t)).items())
@@ -324,7 +324,7 @@ def test_wrong_length_operands_raise(sp_factory, qx2):
                  lambda: sp.multiply_chain(gi, b, gi, bad),
                  lambda: sp.multiply_pushforward(gi, bad, gi, b),
                  lambda: sp.multiply_pushforward(gi, b, gi, bad),
-                 lambda: sp.section_lift(gi, bad),
+                 lambda: sp._joint_section(fine, coarse, bad),
                  lambda: sp.restrict_between(fine, coarse, bad + [0] * 4)]
         for call in calls:
             with pytest.raises(ValueError, match="operand must have length"):
@@ -358,7 +358,7 @@ def _numerators(sp, elem, dense):
     den = math.lcm(*(c.denominator for c in elem.values()))
     acc = [0] * sp.base.dim ** sp.n
     for t, c in elem.items():
-        acc[frob.tensor_index(t, sp.base.dim)] = c.numerator * (den // c.denominator)
+        acc[tensor_index(t, sp.base.dim)] = c.numerator * (den // c.denominator)
     return frob._split(acc, sp.n, sp.base.dim, dense), den
 
 
@@ -481,6 +481,34 @@ def test_budget_guard(sp_factory, qx2, surface):
             with pytest.raises(gfrob.BudgetExceededError) as exc:
                 sp_mod.refuse_build(base.dim, n, cost - 1)
             assert exc.value.estimate == cost
+    # a budget equal to the cost of Sym^3 fits n = 3
+    with pytest.raises(gfrob.BudgetExceededError, match=r"costs 705600 entries .*; n <= 3 fits$"):
+        sp_mod.refuse_build(surface.dim, 4, sum(sp_factory(surface, 3).dims) ** 2)
+
+
+def test_chain_builds_its_rows_once_per_sector_pair(monkeypatch, surface):
+    # the lift rows per (g, gh) and the insertions per (g, h) are cached
+    sp = sp_mod.SymmetricProductAlgebra(surface, 3)
+    built = []
+    build = sp_mod.SymmetricProductAlgebra._linear_map
+
+    def counted(self, *args):
+        built.append(args[0])
+        return build(self, *args)
+
+    monkeypatch.setattr(sp_mod.SymmetricProductAlgebra, "_linear_map", counted)
+    gi = sp.group.index_of("(1 2 3)")
+    hi = sp.group.inverse[gi]
+    rng = random.Random(31)
+    operands = [(_random_vector(rng, sp.dims[gi]), _random_vector(rng, sp.dims[hi])) for _ in range(2)]
+    first = sp.multiply_chain(gi, operands[0][0], hi, operands[0][1])
+    # the word of the inverse 3-cycle inserts two copairings (two input factors
+    # each), then each one-factor operand is lifted to the identity sector
+    assert built == [2, 2, 1, 1]
+    second = sp.multiply_chain(gi, operands[1][0], hi, operands[1][1])
+    assert built == [2, 2, 1, 1]
+    for (a, b), product in zip(operands, (first, second)):
+        assert _typed(product) == _typed(sp.multiply_pushforward(gi, a, hi, b))
 
 
 def test_odd_base_rejected():
@@ -647,7 +675,7 @@ def _reference_restrict_between(sp, fine, coarse, v):
                     new[prefix + (k,)] = ex.norm(c * w)
             terms = new
         for tup, c in terms.items():
-            out[frob.tensor_index(tup, D)] += c
+            out[tensor_index(tup, D)] += c
     return [ex.norm(x) for x in out]
 
 
@@ -678,7 +706,7 @@ def _reference_push_between(sp, fine, coarse, w):
             canonical = [0] * len(fine)
             for spot, fpos in enumerate(concat):
                 canonical[fpos] = tup[spot]
-            out[frob.tensor_index(canonical, D)] += c
+            out[tensor_index(canonical, D)] += c
     return [ex.norm(x) for x in out]
 
 
@@ -704,7 +732,7 @@ def _reference_joint_section(sp, fine, coarse, v):
                 new.extend(exp)
             terms = new
         for tup, c in terms:
-            out[frob.tensor_index(tup, D)] += c
+            out[tensor_index(tup, D)] += c
     return [ex.norm(x) for x in out]
 
 
@@ -746,7 +774,7 @@ def _reference_contract_sparse(sp, elem, coarse):
             terms = {prefix + (k,): ex.norm(c * v)
                      for prefix, c in terms.items() for k, v in block_val.items()}
         for tup, c in terms.items():
-            out[frob.tensor_index(tup, D)] += c
+            out[tensor_index(tup, D)] += c
     return [ex.norm(x) for x in out]
 
 
@@ -776,11 +804,13 @@ def test_block_maps_match_per_entry_reference(sp_factory, qx2, surface, half, n)
         for gi, hi in _pairs_to_check(sp, n, rng):
             joint = g.group_orbits([sp.perms[gi], sp.perms[hi]])
             gh = sp.group.mul(gi, hi)
-            part_g, part_gh = sp.parts[gi], sp.parts[gh]
+            part_e, part_g, part_gh = sp.parts[sp.group.identity], sp.parts[gi], sp.parts[gh]
             for v in (_random_vector(rng, sp.dims[gi]), [0] * sp.dims[gi], [Fraction(0)] * sp.dims[gi]):
                 assert _typed(sp.restrict_between(part_g, joint, v)) == \
                     _typed(_reference_restrict_between(sp, part_g, joint, v))
-                assert _typed(sp.section_lift(gi, v)) == _typed(_reference_section_lift(sp, gi, v))
+                lifted = _reference_section_lift(sp, gi, v)
+                assert _typed(sp._joint_section(part_e, part_g, v)) == \
+                    _typed([lifted.get(t, 0) for t in itertools.product(range(D), repeat=n)])
             for w in (_random_vector(rng, D ** len(joint)), [0] * D ** len(joint)):
                 assert _typed(sp.push_between(part_gh, joint, w)) == \
                     _typed(_reference_push_between(sp, part_gh, joint, w))
@@ -1076,7 +1106,7 @@ def _reference_pair_table(sp, gi, hi):
                 continue
             vec = {}
             for tup, c in terms:
-                k = frob.tensor_index(tup, D)
+                k = tensor_index(tup, D)
                 vec[k] = vec.get(k, 0) + c
             vec = {k: ex.norm(v) for k, v in vec.items() if v != 0}
             if vec:
