@@ -1,5 +1,10 @@
 """2-cocycles on finite groups and the twisted group rings they generate.
 
+Every discrete-torsion twist is the sectorwise tensor product with the
+twisted group ring k^{alpha,sigma}[G]; ``gfrob`` builds that ring, so the
+twist formulas are written once, and ``twisted_group_ring`` and ``epsilon``
+read them from there.
+
 The distinguished family here is the normalized symmetric-group cocycle
 ``alpha(s, s') = lambda^((|s| + |s'| - |ss'|)/2)``: it is 1 on transversal
 pairs, it is fixed by its value on a transposition pair, its conjugation
@@ -15,7 +20,7 @@ from fractions import Fraction
 
 from . import exactnum as ex
 from ._report import Report
-from .gfrob import VERIFY_BUDGET, BudgetExceededError, GFrobeniusAlgebra, twist
+from .gfrob import VERIFY_BUDGET, BudgetExceededError, GFrobeniusAlgebra, _twisted_ring
 from .groups import (FiniteGroup, degree, group_doc, group_entry, group_from_doc, symmetric_group,
                      symmetric_order)
 
@@ -72,9 +77,6 @@ class SuperTwist:
             raise ValueError("parity table length must equal the group order")
         if any(p not in (0, 1) for p in self.parity):
             raise ValueError("parities must be 0 or 1")
-
-    def parity_of(self, g: int) -> int:
-        return self.parity[g]
 
     def validate_homomorphism(self) -> None:
         G = self.group
@@ -153,35 +155,25 @@ def validate(alpha: Cocycle2) -> Report:
 
 
 def epsilon(alpha: Cocycle2) -> list:
-    """Conjugation scalars eps(g,h) = alpha(g,h) / alpha(ghg^-1, g)."""
-    G = alpha.group
-    n = G.order
-    return [
-        [ex.norm(Fraction(alpha.values[g][h]) / Fraction(alpha.values[G.conj(g, h)][g]))
-         for h in range(n)]
-        for g in range(n)
-    ]
+    """Conjugation scalars eps(g,h) = alpha(g,h) / alpha(ghg^-1, g), read off
+    the action of k^alpha[G]; alpha is validated first."""
+    action, n = twisted_group_ring(alpha.group, alpha).action, alpha.group.order
+    return [[action[g, h][0][0] for h in range(n)] for g in range(n)]
 
 
 def twisted_group_ring(group: FiniteGroup, alpha: Cocycle2 | None = None,
                        sigma: SuperTwist | None = None) -> GFrobeniusAlgebra:
-    """The twisted group ring: ``twist`` of the group ring k[G].
+    """The twisted group ring k^{alpha,sigma}[G], by whose sectorwise tensor
+    product ``twist`` acts.
 
-    k[G] has one-dimensional sectors spanned by ``g^``, product ``g^ h^ =
-    (gh)^``, pairing, action and character 1 and parity 0.  A group whose
-    |G|^3 cocycle scan passes ``VERIFY_BUDGET`` is refused before k[G] is built.
+    Sector g is spanned by ``g^`` with parity sigma(g); ``g^ h^ =
+    alpha(g,h) (gh)^``, the pairing is alpha(g,g^-1), the action
+    (-1)^{sigma(g)sigma(h)} eps(g,h) and the character (-1)^{sigma(g)}.  A
+    group whose |G|^3 cocycle scan passes ``VERIFY_BUDGET`` is refused before
+    the ring is built, even with no alpha.
     """
     refuse_scan(group.order)
-    n = group.order
-    ring = twist(GFrobeniusAlgebra(
-        name="k[G]", group=group, sector_dims=[1] * n, sector_degrees=[[0] for _ in range(n)],
-        sector_parities=[[0] for _ in range(n)], sector_labels=[["1"] for _ in range(n)],
-        product={(g, h): {(0, 0): {0: 1}} for g in range(n) for h in range(n)},
-        action={(g, h): {0: {0: 1}} for g in range(n) for h in range(n)},
-        metric=[{0: {0: 1}} for _ in range(n)], character=[1] * n, unit=[1],
-    ), alpha, sigma)
-    ring.name = f"k^(alpha,sigma)[{'S' if group.perms else 'G'}]"
-    return ring
+    return _twisted_ring(group, alpha, sigma)
 
 
 def normalized_sn_cocycle(n: int, lam: ex.Rat) -> Cocycle2:

@@ -4,8 +4,11 @@ An algebra is given by structure constants ``e_i e_j = sum_k c[i,j,k] e_k``,
 stored as rows ``{(i, j): {k: c[i,j,k]}}`` with no zero constant, a
 distinguished unit vector and the pairing's rows ``{i: {j: eta(e_i, e_j)}}``
 with no zero value, the form every G-algebra block takes.  Construction
-validates the full law set (associativity, unit, invariance, nondegeneracy,
-grading and parity bookkeeping) so downstream code may assume the laws hold.
+checks only names, lengths, basis bookkeeping and metric indices; the laws
+(associativity, unit, invariance, nondegeneracy, grading and parity) are
+checked by ``verify``, which ``from_json_dict`` runs by default and
+``SymmetricProductAlgebra`` runs again on its base, so code downstream of
+those may assume the laws hold.
 
 Every product inside a tensor power A^(x)m goes through one kernel,
 ``factorwise_product``.  It holds its operands' integer numerators by flat

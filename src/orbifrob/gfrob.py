@@ -1,5 +1,7 @@
 """Group-graded Frobenius algebras: the axiom verifier, tensor product,
-discrete-torsion / super twists, and invariant subalgebra extraction.
+discrete-torsion / super twists, and invariant subalgebra extraction.  A
+twist is the sectorwise tensor product with the twisted group ring
+k^{alpha,sigma}[G], whose builder here holds the only twist formulas.
 
 A structure is a family of sector spaces ``A_g`` (one per group element)
 with a graded product ``A_g x A_h -> A_gh``, a pairing that couples ``A_g``
@@ -152,10 +154,10 @@ class GFrobeniusAlgebra:
         for (g, h), table in self.product.items():
             tgt_dim = self.sector_dims[self.group.mul(g, h)]
             for (i, j), vec in table.items():
-                if i >= self.sector_dims[g] or j >= self.sector_dims[h]:
+                if not (0 <= i < self.sector_dims[g] and 0 <= j < self.sector_dims[h]):
                     raise ValueError(f"{self.name}: product entry out of range in sector pair "
                                      f"({self.group.labels[g]}, {self.group.labels[h]})")
-                if any(k >= tgt_dim for k in vec):
+                if any(not 0 <= k < tgt_dim for k in vec):
                     raise ValueError(f"{self.name}: product value out of range in sector pair "
                                      f"({self.group.labels[g]}, {self.group.labels[h]})")
             for key in [key for key, vec in table.items() if not _clean(vec)]:
@@ -551,11 +553,11 @@ def tensor_hat(X: GFrobeniusAlgebra, Y: GFrobeniusAlgebra) -> GFrobeniusAlgebra:
     Products, metrics and actions multiply sector by sector, characters
     multiply, supergradings add.  (Sign bookkeeping for genuinely super
     factors lives entirely in the action/character data of the factors, so
-    sectors of uniform parity compose correctly; see the twist notes.)
+    sectors of uniform parity compose correctly.)  Two super factors are
+    refused unless both supergradings are uniform on every sector and agree.
     """
     if X.group != Y.group:
         raise ValueError("tensor_hat requires both factors to share one group")
-    G = X.group
     if X.is_super() and Y.is_super():
         # the sectorwise formula is only valid when the interchange signs
         # cancel, i.e. for matching sector-uniform supergradings
@@ -572,80 +574,52 @@ def tensor_hat(X: GFrobeniusAlgebra, Y: GFrobeniusAlgebra) -> GFrobeniusAlgebra:
             raise ValueError(
                 "tensor_hat of two differently supergraded factors is not supported"
             )
-    dims = [X.sector_dims[g] * Y.sector_dims[g] for g in G.elements()]
+    return _sectorwise(X, Y)
 
-    def fuse(g, i, a):
-        return i * Y.sector_dims[g] + a
 
-    degrees = []
-    parities = []
-    labels = []
-    for g in G.elements():
-        degrees.append([X.sector_degrees[g][i] + Y.sector_degrees[g][a]
-                        for i in range(X.sector_dims[g]) for a in range(Y.sector_dims[g])])
-        parities.append([(X.sector_parities[g][i] + Y.sector_parities[g][a]) % 2
-                         for i in range(X.sector_dims[g]) for a in range(Y.sector_dims[g])])
-        labels.append([f"{X.sector_labels[g][i]}|{Y.sector_labels[g][a]}"
-                       for i in range(X.sector_dims[g]) for a in range(Y.sector_dims[g])])
-
+def _sectorwise(X: GFrobeniusAlgebra, Y: GFrobeniusAlgebra) -> GFrobeniusAlgebra:
+    """The sectorwise tensor product with row-major index fusion, e_i (x) f_a
+    at i * dim Y_g + a, unguarded.  Its product and action keys are X's."""
+    G, dx, dy = X.group, X.sector_dims, Y.sector_dims
     product = {}
-    for g in G.elements():
-        for h in G.elements():
-            gh = G.mul(g, h)
-            TX = X.product.get((g, h), {})
-            TY = Y.product.get((g, h), {})
-            table = {}
-            for (i, j), rx in TX.items():
-                for (a, b), ry in TY.items():
-                    vec = {}
-                    for k, cx in rx.items():
-                        for c2, cy in ry.items():
-                            vec[fuse(gh, k, c2)] = ex.norm(cx * cy)
-                    table[(fuse(g, i, a), fuse(h, j, b))] = vec
-            product[(g, h)] = table
+    for (g, h), tx in X.product.items():
+        ty, out = Y.product.get((g, h), {}), dy[G.mul(g, h)]
+        product[g, h] = {(i * dy[g] + a, j * dy[h] + b):
+                         {k * out + c: ex.norm(x * y) for k, x in rx.items() for c, y in ry.items()}
+                         for (i, j), rx in tx.items() for (a, b), ry in ty.items()}
+    action = {(g, h): ex.sparse_kron(block, Y.action[g, h], dy[h], dy[G.conj(g, h)])
+              for (g, h), block in X.action.items()}
 
-    dy = Y.sector_dims
-    action = {(g, h): ex.sparse_kron(X.action[(g, h)], Y.action[(g, h)], dy[h], dy[G.conj(g, h)])
-              for g in G.elements() for h in G.elements()}
-    metric = [ex.sparse_kron(X.metric[g], Y.metric[g], dy[g], dy[G.inv(g)]) for g in G.elements()]
-    character = [ex.norm(X.character[g] * Y.character[g]) for g in G.elements()]
-
-    unit = ex.vec_zero(dims[G.identity])
-    for i, x in enumerate(X.unit):
-        if x == 0:
-            continue
-        for a, y in enumerate(Y.unit):
-            if y != 0:
-                unit[fuse(G.identity, i, a)] = ex.norm(x * y)
+    def fused(xs, ys, join):
+        return [[join(x, y) for x in xs[g] for y in ys[g]] for g in G.elements()]
 
     return GFrobeniusAlgebra(
         name=f"{X.name} (x) {Y.name}",
         group=G,
-        sector_dims=dims,
-        sector_degrees=degrees,
-        sector_parities=parities,
-        sector_labels=labels,
+        sector_dims=[a * b for a, b in zip(dx, dy)],
+        sector_degrees=fused(X.sector_degrees, Y.sector_degrees, lambda x, y: x + y),
+        sector_parities=fused(X.sector_parities, Y.sector_parities, lambda x, y: (x + y) % 2),
+        sector_labels=fused(X.sector_labels, Y.sector_labels, lambda x, y: f"{x}|{y}"),
         product=product,
         action=action,
-        metric=metric,
-        character=character,
-        unit=unit,
+        metric=[ex.sparse_kron(X.metric[g], Y.metric[g], dy[g], dy[G.inv(g)]) for g in G.elements()],
+        character=[ex.norm(x * y) for x, y in zip(X.character, Y.character)],
+        unit=[ex.norm(x * y) for x in X.unit for y in Y.unit],
     )
 
 
 # -- twisting ----------------------------------------------------------------
 
-def twist(X: GFrobeniusAlgebra, alpha: "Cocycle2 | None" = None,
-          sigma: "SuperTwist | None" = None) -> GFrobeniusAlgebra:
-    """Twist by a 2-cocycle and/or a parity homomorphism.
+def _twisted_ring(G: FiniteGroup, alpha: "Cocycle2 | None",
+                  sigma: "SuperTwist | None") -> GFrobeniusAlgebra:
+    """The twisted group ring k^{alpha,sigma}[G], after validating alpha and sigma.
 
-    Realized on the same sector spaces: the product picks up alpha(g,h), the
-    metric alpha(g,g^-1), the action the conjugation scalar
-    (-1)^{sigma(g)sigma(h)} alpha(g,h)/alpha(ghg^-1,g), the character
-    (-1)^{sigma(g)}, and sector parities shift by sigma(g).  Twisting is an
-    action: alpha-then-alpha^{-1} and sigma-twice restore the input exactly.
+    Sector g is spanned by g^ with parity sigma(g); g^ h^ = alpha(g,h) (gh)^,
+    eta(g^, (g^-1)^) = alpha(g,g^-1), phi_g(h^) = (-1)^{sigma(g)sigma(h)}
+    eps(g,h) (ghg^-1)^ with eps(g,h) = alpha(g,h) / alpha(ghg^-1,g), and
+    chi(g) = (-1)^{sigma(g)}.  A missing alpha or sigma is trivial.  These
+    are the only twist formulas in the package.
     """
-    G = X.group
     if alpha is not None:
         if alpha.group != G:
             raise ValueError("cocycle group does not match the algebra group")
@@ -656,44 +630,43 @@ def twist(X: GFrobeniusAlgebra, alpha: "Cocycle2 | None" = None,
         if sigma.group != G:
             raise ValueError("super twist group does not match the algebra group")
         sigma.validate_homomorphism()
+    n = G.order
+    a = alpha.values if alpha is not None else [[1] * n] * n
+    s = sigma.parity if sigma is not None else [0] * n
 
-    def a_val(g, h):
-        return alpha.value(g, h) if alpha is not None else 1
-
-    def s_val(g):
-        return sigma.parity_of(g) if sigma is not None else 0
-
-    product = {}
-    for (g, h), table in X.product.items():
-        c = a_val(g, h)
-        product[(g, h)] = {
-            key: {k: ex.norm(c * v) for k, v in vec.items()} for key, vec in table.items()
-        }
-
-    action = {}
-    for (g, h), block in X.action.items():
-        eps = ex.norm(Fraction(a_val(g, h)) / Fraction(a_val(G.conj(g, h), g)))
-        if (s_val(g) * s_val(h)) % 2:
-            eps = ex.norm(-eps)
-        action[(g, h)] = _scaled(eps, block)
-
-    metric = [_scaled(a_val(g, G.inv(g)), X.metric[g]) for g in G.elements()]
-    character = [ex.norm(X.character[g] * (-1 if s_val(g) % 2 else 1)) for g in G.elements()]
-    parities = [[(p + s_val(g)) % 2 for p in X.sector_parities[g]] for g in G.elements()]
+    def phi(g, h):
+        eps = Fraction(a[g][h], a[G.conj(g, h)][g])
+        return -eps if s[g] * s[h] else eps
 
     return GFrobeniusAlgebra(
-        name=f"{X.name} twisted",
-        group=G,
-        sector_dims=list(X.sector_dims),
-        sector_degrees=[list(d) for d in X.sector_degrees],
-        sector_parities=parities,
-        sector_labels=[list(l) for l in X.sector_labels],
-        product=product,
-        action=action,
-        metric=metric,
-        character=character,
-        unit=list(X.unit),
+        name=f"k^(alpha,sigma)[{'S' if G.perms else 'G'}]", group=G, sector_dims=[1] * n,
+        sector_degrees=[[0] for _ in range(n)], sector_parities=[[s[g]] for g in range(n)],
+        sector_labels=[["1"] for _ in range(n)],
+        product={(g, h): {(0, 0): {0: a[g][h]}} for g in range(n) for h in range(n)},
+        action={(g, h): {0: {0: phi(g, h)}} for g in range(n) for h in range(n)},
+        metric=[{0: {0: a[g][G.inv(g)]}} for g in range(n)],
+        character=[(-1) ** s[g] for g in range(n)], unit=[1],
     )
+
+
+def twist(X: GFrobeniusAlgebra, alpha: "Cocycle2 | None" = None,
+          sigma: "SuperTwist | None" = None) -> GFrobeniusAlgebra:
+    """Twist by a 2-cocycle and/or a parity homomorphism: the sectorwise
+    tensor product of X with the twisted group ring k^{alpha,sigma}[G].
+
+    The ring's sectors are one-dimensional, so the result lives on X's sector
+    spaces with X's indices, labels and product and action keys: the product
+    picks up alpha(g,h), the metric alpha(g,g^-1), the action
+    (-1)^{sigma(g)sigma(h)} alpha(g,h)/alpha(ghg^-1,g), the character
+    (-1)^{sigma(g)}, and sector parities shift by sigma(g).  Unlike
+    ``tensor_hat``, a super X with sectors of mixed parity is accepted.
+    Twisting is an action: alpha-then-alpha^{-1} and sigma-twice restore the
+    input exactly.
+    """
+    out = _sectorwise(X, _twisted_ring(X.group, alpha, sigma))
+    out.name = f"{X.name} twisted"
+    out.sector_labels = [list(labels) for labels in X.sector_labels]
+    return out
 
 
 # -- invariants ---------------------------------------------------------------

@@ -640,12 +640,14 @@ class SymmetricProductAlgebra:
 def refuse_build(dim: int, n: int, budget: int) -> None:
     """Refuse a table build for Sym^n of a base of dimension ``dim`` whose cost,
     the square of the total dim, exceeds ``budget``, before S_n is built: the
-    total dim of Sym^m(A) is the rising factorial D(D+1)...(D+m-1).  A huge n
-    costs nothing: the factorial stops once its square passes both the budget
-    and ``_EXACT_COST``, and the message gives that as a lower bound."""
+    total dim of Sym^m(A) is the rising factorial D(D+1)...(D+m-1).  A base of
+    dimension 0 is priced as dimension 1, one entry per sector pair, since its
+    build still makes every (empty) sector.  A huge n costs nothing: the
+    factorial stops once its square passes both the budget and
+    ``_EXACT_COST``, and the message gives that as a lower bound."""
     m, fits, total = 0, 0, 1
     while m < n and total ** 2 <= max(budget, _EXACT_COST):
-        total *= dim + m
+        total *= max(dim, 1) + m
         m += 1
         fits = m if total ** 2 <= budget else fits
     cost = total ** 2

@@ -530,6 +530,27 @@ def test_symprod_refuses_the_budget_before_building_the_group(monkeypatch, capsy
                                        "entries (budget 200000); n <= 3 fits\n")
 
 
+def test_symprod_prices_a_zero_dimensional_base_per_sector_pair(tmp_path, monkeypatch, capsys):
+    # a 0-dimensional base costs one entry per sector pair, (n!)^2: S_6 is refused unbuilt
+    from orbifrob import symprod as sp_mod
+
+    zero = tmp_path / "zero.json"
+    zero.write_text(json.dumps({"name": "z", "dim": 0, "basis": [], "unit": [], "metric": [],
+                                "structure": []}))
+    assert run("symprod", zero, "--n", 5, "--out", tmp_path / "sym5.json") == 0
+    assert gfrob.load(tmp_path / "sym5.json").sector_dims == [0] * 120
+
+    def no_group(n):
+        raise AssertionError(f"S_{n} was built")
+
+    monkeypatch.setattr(sp_mod, "symmetric_group", no_group)
+    monkeypatch.setattr(groups, "symmetric_group", no_group)
+    capsys.readouterr()
+    assert run("symprod", zero, "--n", 6) == 2
+    assert capsys.readouterr().err == ("error: building all product tables costs 518400 "
+                                       "entries (budget 200000); n <= 5 fits\n")
+
+
 def test_invariants_rejects_bad_shift_flags_before_printing(tmp_path, capsys, sym2_hilbert):
     # the class lines and total used to reach stdout before the shifts failed
     ring = tmp_path / "z3_ring.json"

@@ -131,9 +131,9 @@ def test_normalized_cocycle_multiplicative_in_lambda():
 def test_sign_supertwist():
     sigma = cocy.sign_supertwist(3)
     G = sigma.group
-    assert sigma.parity_of(G.index_of("(1 2)")) == 1
-    assert sigma.parity_of(G.index_of("(1 2 3)")) == 0
-    assert sigma.parity_of(G.identity) == 0
+    assert sigma.parity[G.index_of("(1 2)")] == 1
+    assert sigma.parity[G.index_of("(1 2 3)")] == 0
+    assert sigma.parity[G.identity] == 0
     sigma.validate_homomorphism()
     with pytest.raises(ValueError):
         bad = cocy.SuperTwist(G, [0, 1, 0, 0, 0, 0])

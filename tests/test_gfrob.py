@@ -158,13 +158,73 @@ def test_twist_matches_ring_construction():
                 assert ring.math_equal(reference_twisted_ring(G, alpha, sigma))
 
 
-def test_twist_is_tensoring_with_the_twisted_ring(sp_factory, qx2):
-    # the twist is realized on the same sector spaces as the tensor product
-    X = sp_factory(qx2, 2).realize()
-    alpha = cocy.normalized_sn_cocycle(2, -1)
-    sigma = cocy.sign_supertwist(2)
-    ring = cocy.twisted_group_ring(X.group, alpha, sigma)
-    assert gfrob.twist(X, alpha, sigma).math_equal(gfrob.tensor_hat(X, ring))
+def reference_twist(X, alpha, sigma) -> gfrob.GFrobeniusAlgebra:
+    """twist(X, alpha, sigma) written entry by entry on X's own indices: product
+    times alpha(g,h), action times (-1)^{sigma(g)sigma(h)} alpha(g,h) /
+    alpha(ghg^-1,g), metric times alpha(g,g^-1), character times
+    (-1)^{sigma(g)}, parities shifted by sigma(g)."""
+    G = X.group
+    a = (alpha or trivial_cocycle(G)).value
+    par = (sigma or zero_supertwist(G)).parity
+
+    def phi(g, h):
+        return (-1 if par[g] * par[h] else 1) * Fraction(a(g, h)) / Fraction(a(G.conj(g, h), g))
+
+    return gfrob.GFrobeniusAlgebra(
+        name="reference", group=G, sector_dims=list(X.sector_dims),
+        sector_degrees=copy.deepcopy(X.sector_degrees),
+        sector_parities=[[(p + par[g]) % 2 for p in ps] for g, ps in enumerate(X.sector_parities)],
+        sector_labels=copy.deepcopy(X.sector_labels),
+        product={(g, h): {ij: {k: a(g, h) * v for k, v in row.items()} for ij, row in table.items()}
+                 for (g, h), table in X.product.items()},
+        action={(g, h): {j: {i: phi(g, h) * v for i, v in col.items()} for j, col in block.items()}
+                for (g, h), block in X.action.items()},
+        metric=[{i: {j: a(g, G.inv(g)) * v for j, v in row.items()} for i, row in block.items()}
+                for g, block in enumerate(X.metric)],
+        character=[-c if par[g] else c for g, c in enumerate(X.character)],
+        unit=list(X.unit))
+
+
+def test_twist_matches_entry_by_entry_reference(sp_factory, qx2):
+    # the twist, a tensor product with k^(alpha,sigma)[G], keeps X's indices and keys;
+    # a coboundary on S_3 has nontrivial conjugation scalars
+    cases = [(2, cocy.normalized_sn_cocycle(2, 2), cocy.sign_supertwist(2)),
+             (2, random_coboundary(2, seed=11), None),
+             (3, random_coboundary(3, seed=13), cocy.sign_supertwist(3))]
+    for n, alpha, sigma in cases:
+        X = sp_factory(qx2, n).realize()
+        twisted = gfrob.twist(X, alpha, sigma)
+        assert twisted.math_equal(reference_twist(X, alpha, sigma)), n
+        assert twisted.sector_labels == X.sector_labels
+        assert twisted.name == f"{X.name} twisted"
+
+
+def test_twist_accepts_mixed_parity_sectors_that_tensor_hat_refuses():
+    # Lambda[theta] in the identity sector of Z/2, the other sector empty
+    G = FiniteGroup(["0", "1"], [[0, 1], [1, 0]])
+    X = gfrob.GFrobeniusAlgebra(
+        name="Lambda[theta]", group=G, sector_dims=[2, 0], sector_degrees=[[0, 0], []],
+        sector_parities=[[0, 1], []], sector_labels=[["1", "theta"], []],
+        product={(0, 0): {(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 0): {1: 1}}},
+        action={(0, 0): {0: {0: 1}, 1: {1: 1}}, (1, 0): {0: {0: 1}, 1: {1: 1}},
+                (0, 1): {}, (1, 1): {}},
+        metric=[{0: {1: 1}, 1: {0: 1}}, {}], character=[1, 1], unit=[1, 0])
+    sigma = cocy.SuperTwist(G, [0, 1])
+    twisted = gfrob.twist(X, None, sigma)
+    assert gfrob.verify_axioms(twisted).passed
+    assert twisted.product.keys() == {(0, 0)} and twisted.character == [1, -1]
+    with pytest.raises(ValueError, match="differently supergraded"):
+        gfrob.tensor_hat(X, cocy.twisted_group_ring(G, None, sigma))
+
+
+@pytest.mark.parametrize("key, row, issue", [
+    ((-1, 0), {0: 1}, "entry"), ((0, -1), {0: 1}, "entry"), ((0, 0), {-1: 1}, "value")])
+def test_negative_product_index_rejected_at_construction(key, row, issue):
+    with pytest.raises(ValueError, match=f"product {issue} out of range in sector pair"):
+        gfrob.GFrobeniusAlgebra(
+            name="bad", group=FiniteGroup(["e"], [[0]]), sector_dims=[1], sector_degrees=[[0]],
+            sector_parities=[[0]], sector_labels=[["1"]], product={(0, 0): {key: row}},
+            action={(0, 0): {0: {0: 1}}}, metric=[{0: {0: 1}}], character=[1], unit=[1])
 
 
 def test_twist_group_action(sp_factory, qx2):

@@ -71,6 +71,14 @@ def test_each_command_imports_only_the_modules_it_runs(tmp_path):
     counted = _loaded_modules(tmp_path, "invariants", doc, "--poincare", "--shift", "standard")
     assert "grading" in counted
     assert counted.isdisjoint({"symprod", "cocycles"})
+    # a twist builds its twisted group ring in gfrob and its cocycle in cocycles
+    for flags in (["--lambda", "-1"], ["--super"]):
+        twisted = _loaded_modules(tmp_path, "twist", doc, *flags, "--out", "tw.json")
+        assert "cocycles" in twisted, flags
+        assert twisted.isdisjoint({"symprod", "grading", "frobenius"}), flags
+    for argv in (["mult", doc, "1@(1 2)", "1@(1 2)"], ["export", doc]):
+        assert _loaded_modules(tmp_path, *argv).isdisjoint(
+            {"symprod", "cocycles", "grading", "frobenius"}), argv[0]
 
 
 # -- every public definition has a user -------------------------------------------
