@@ -229,23 +229,6 @@ def tensor_tuple(index: int, dim: int, m: int) -> tuple[int, ...]:
     return tuple(reversed(out))
 
 
-def _nest(gets: list, items) -> dict:
-    """Nested dicts keyed by each getter in turn on the index tuples of
-    (index tuple, leaf) items."""
-    *inner, last = gets
-    root: dict = {}
-    for t, leaf in items:
-        node = root
-        for get in inner:
-            key = get(t)
-            child = node.get(key)
-            if child is None:
-                child = node[key] = {}
-            node = child
-        node[last(t)] = leaf
-    return root
-
-
 def _numerators(v, keys) -> tuple[list, int]:
     """Nonzero terms (key, integer numerator) of a dense vector, over one
     denominator; ``keys`` name the entries in basis order (index tuples or
@@ -281,12 +264,12 @@ def _power_pairs(algebra: FrobeniusAlgebra, r: int) -> tuple[list, list]:
     return tables[r]
 
 
-def _split(acc: list, m: int, dim: int, dense: bool) -> dict:
-    """Flat numerators on A^(x)m = A^(x)p (x) A^(x)q, p = m // 2, keyed by
-    the index on the high p factors: per nonzero high index, the low q
-    factors' numerators as a dense list, or as (low index, numerator) items."""
-    size, out = dim ** (m - m // 2), {}
-    for hi, start in enumerate(range(0, len(acc), size)):
+def _split(acc: list, size: int, dense: bool) -> dict:
+    """Flat numerators whose low factors span ``size`` indices, keyed by the
+    index on the high factors: per nonzero high index, the low factors'
+    numerators as a dense list, or as (low index, numerator) items."""
+    out = {}
+    for hi, start in enumerate(range(0, len(acc), size or 1)):   # size 0: a 0-dim base
         chunk = acc[start:start + size]
         if any(chunk):
             out[hi] = chunk if dense else [(lo, w) for lo, w in enumerate(chunk) if w]
@@ -296,11 +279,12 @@ def _split(acc: list, m: int, dim: int, dense: bool) -> dict:
 def factorwise_product(algebra: FrobeniusAlgebra, m: int, left, right) -> tuple[list, int]:
     """Product on A^(x)m = A^(x)p (x) A^(x)q, p = m // 2, on integer numerators.
 
-    Operands are (``_split`` numerators, denominator): items on the left,
-    dense lists on the right.  Each pair of high indices with a nonzero
-    product multiplies the two low halves through the flat pair rows of
-    A^(x)q, and the low product spreads over the high pair's row, so a dead
-    pair costs no multiplication.  Returns (flat numerators, denominator).
+    Operands are (``_split`` numerators, denominator) with A^(x)q as the low
+    factors: items on the left, dense lists on the right.  Each pair of high
+    indices with a nonzero product multiplies the two low halves through the
+    flat pair rows of A^(x)q, and the low product spreads over the high
+    pair's row, so a dead pair costs no multiplication.  Returns (flat
+    numerators, denominator).
     """
     p = m // 2
     high, low = _power_pairs(algebra, p)[0], _power_pairs(algebra, m - p)[1]
@@ -334,11 +318,11 @@ def factorwise_multiply(algebra: FrobeniusAlgebra, m: int, u, v):
     size = algebra.dim ** m
     if len(u) != size or len(v) != size:
         raise ValueError(f"tensor power operands must have length {size}")
-    operands = []
+    operands, low = [], algebra.dim ** (m - m // 2)
     for vec, dense in ((u, False), (v, True)):
         terms, den = _numerators(vec, range(size))
         terms = dict(terms)
-        operands.append((_split([terms.get(i, 0) for i in range(size)], m, algebra.dim, dense), den))
+        operands.append((_split([terms.get(i, 0) for i in range(size)], low, dense), den))
     return _divided(*factorwise_product(algebra, m, *operands))
 
 

@@ -24,10 +24,13 @@ test suite enforces.  On a joint orbit B the pushforward is one bilinear map,
 and as the base is commutative it depends only on the numbers of cycles of
 s, s' and ss' in B and on B's graph defect; it is composed once per instance
 from the m-fold products, the Euler-class power and the metric adjoint.  A
-sector pair's plan places these maps at the pair's factor positions.
-``multiply_pushforward`` walks both operands through the plan orbit by
-orbit, and the realized tables (``pair_table``) walk the basis indices
-through the same plan; the chain stays independent of both as the oracle.
+sector pair's plan splits its joint orbits into a high half (the leading
+orbits, with at most half of the left factor's cycles) and a low half, and
+multiplies each half's maps out once into integer rows on flat indices.
+``multiply_pushforward`` walks both operands through the plan in one
+two-level pass, and the realized tables (``pair_table``) walk the basis
+indices through the same plan; the chain stays independent of both as the
+oracle.
 
 The chain never multiplies in A_e.  Its last step, the contraction r_ss'
 onto the product sector, multiplies the factors in each cycle of ss'; as the
@@ -38,15 +41,16 @@ where factor c lands in the cycle of ss' that holds min(c) and a cycle that
 receives none holds the unit; the insertions once per sector pair.  The
 products then run on A^(x)|ss'| with ``frobenius.factorwise_product``, the
 one kernel on tensor powers, on flat numerators split into a high and a low
-half of the factors; the pushforward walks ``frobenius._nest`` tries orbit
-by orbit.  Each skips pairs with zero product before multiplying any
-coefficient.  Every intermediate value of either route is an integer
-numerator over one denominator per stage; the denominators multiply along
-the stages and each product divides once, at the end.  Everything that
-depends only on the sector pair (joint orbits and their composed maps, the
-contracted copairing insertions) is built on the pair's first product and
-reused.  Every other linear map between tensor powers (the contractions
-between nested cycle partitions and the chain's, their metric adjoints and
+half of the factors; the pushforward runs its own pass of that form, its
+halves made of whole joint orbits.  Each skips pairs with zero product
+before multiplying any coefficient.  Every intermediate value of either
+route is an integer numerator over one denominator per stage; the
+denominators multiply along the stages and each product divides once, at
+the end.  Everything that depends only on the sector pair (the push plan,
+which all pairs whose joint orbits have one shape share, and the contracted
+copairing insertions) is built on the pair's first product and reused.
+Every other linear map between tensor powers (the contractions between
+nested cycle partitions and the chain's, their metric adjoints and
 sections) has one form: per flat input index, a row of (output index,
 integer numerator) over one denominator, built by ``_linear_map`` in one
 pass over the input basis tuples from per-block columns and applied by
@@ -61,10 +65,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter, mul
+from typing import NamedTuple
 
 from . import exactnum as ex
 from . import frobenius as frob
-from .frobenius import FrobeniusAlgebra, _divided, _nest, _numerators, _split
+from .frobenius import FrobeniusAlgebra, _divided, _numerators, _split
 from .gfrob import BudgetExceededError, GFrobeniusAlgebra, _transpose
 from .groups import (OrbitPartition, Permutation, compose, cycles, degree,
                      group_orbits, symmetric_group)
@@ -105,17 +110,17 @@ def obstruction_exponent(sigma: Permutation, sigma2: Permutation, block) -> int:
                 while p not in seen:
                     seen.add(p)
                     p = image[p]
-    return _graph_defect(bset, inside)
+    return _graph_defect(len(bset), inside)
 
 
-def _graph_defect(block, inside: int) -> int:
-    """(|B| + 2 - inside)/2 for a joint orbit B holding ``inside`` cycles of
-    s, s' and ss'; a negative or fractional value signals a convention bug."""
-    num = len(block) + 2 - inside
+def _graph_defect(size: int, inside: int) -> int:
+    """(|B| + 2 - inside)/2 for a joint orbit B of ``size`` points holding
+    ``inside`` cycles of s, s' and ss'; a negative or fractional value
+    signals a convention bug."""
+    num = size + 2 - inside
     if num < 0 or num % 2:
-        raise ValueError(
-            f"obstruction exponent {num}/2 on block {sorted(block)} is negative or fractional"
-        )
+        raise ValueError(f"obstruction exponent {num}/2 on a joint orbit of {size} points "
+                         f"and {inside} cycles is negative or fractional")
     return num // 2
 
 
@@ -178,18 +183,25 @@ class SymmetricProductAlgebra:
         self.perms = self.group.perms
         self.parts = [cycles(p) for p in self.perms]
         self.factors = [len(part) for part in self.parts]
+        # per sector: each point's cycle position, and each cycle's smallest point
+        self._cycle_of = [[pos for _, pos in sorted(part.block_index().items())]
+                          for part in self.parts]
+        self._firsts = [[blk[0] for blk in part.blocks] for part in self.parts]
         self.dims = [base.dim ** l for l in self.factors]
         self.euler = base.euler_class()
         self._perm_index = {p.images: i for i, p in enumerate(self.perms)}
         self._galg: GFrobeniusAlgebra | None = None
         # the routes share read-only tables only (m-fold product columns, base rows);
         # the pushforward's own per-orbit maps keep the cross-oracle independent.
-        # Filled lazily and idempotently, keyed by m, by sector or by sector pair:
+        # Filled lazily and idempotently, keyed by m, by sector, by sector pair
+        # or by joint-orbit shape:
         self._tuple_cache: dict[int, list] = {}
         self._columns: dict[tuple, tuple] = {}
         self._lift_maps: dict[tuple, tuple] = {}
         self._orbit_maps: dict[tuple, tuple] = {}
+        self._layouts: dict[tuple, tuple] = {}
         self._push_plans: dict[tuple, tuple] = {}
+        self._plan_shapes: dict[tuple, tuple] = {}
         self._chain_plans: dict[tuple, list] = {}
 
     # -- bookkeeping ----------------------------------------------------------
@@ -375,8 +387,7 @@ class SymmetricProductAlgebra:
         kg factors x multiply together, so do the kh factors y, the product
         takes e^d and is pushed forward along the metric adjoint of the
         kgh-fold product.  The base is commutative, so these four integers fix
-        the map; it is built once per instance.  A key is a bare index for one
-        factor, as ``itemgetter`` reads it off a tensor tuple.
+        the map; it is built once per instance.
         """
         key = (kg, kh, kgh, d)
         if key not in self._orbit_maps:
@@ -397,64 +408,148 @@ class SymmetricProductAlgebra:
             flat, den = _integral(flat)
             local: dict = {}
             for (x, y), outs in flat.items():
-                local.setdefault(x, []).append((y, outs))
+                local.setdefault(x if kg > 1 else (x,), []).append((y if kh > 1 else (y,), outs))
             self._orbit_maps[key] = local, den * den_g * den_h * adj_den
         return self._orbit_maps[key]
 
+    def _joint_orbits(self, g: int, h: int, gh: int) -> tuple:
+        """The shape of the joint orbits of (g, h), numbered in order of their
+        smallest points: per factor position of g, of h and of gh, its orbit,
+        then each orbit's number of points.  An orbit merges the cycles of g
+        that the cycles of h link."""
+        where = self._cycle_of[g]
+        label = list(range(self.factors[g]))   # g position -> smallest g position in its orbit
+        for blk in self.parts[h].blocks:
+            if len(blk) > 1:
+                merged = {label[where[p]] for p in blk}
+                if len(merged) > 1:
+                    low = min(merged)
+                    label = [low if x in merged else x for x in label]
+        rank = {x: r for r, x in enumerate(dict.fromkeys(label))}
+        orbit = [rank[label[w]] for w in where]   # point -> orbit
+        sizes = [0] * len(rank)
+        for o in orbit:
+            sizes[o] += 1
+        return tuple(tuple(map(orbit.__getitem__, self._firsts[s])) for s in (g, h, gh)) + (
+            tuple(sizes),)
+
+    def _layout(self, m: int, high: tuple) -> "_Layout":
+        """A^(x)m with its factors split into the positions ``high`` and the
+        rest, cached per (m, high)."""
+        layout = self._layouts.get((m, high))
+        if layout is None:
+            D, low = self.base.dim, [q for q in range(m) if q not in high]
+            size, strides = D ** len(low), [0] * m
+            for span in (high, low):
+                for i, q in enumerate(span):
+                    strides[q] = D ** (len(span) - 1 - i)
+            scaled = [c * size if q in high else c for q, c in enumerate(strides)]
+            where = [sum(map(mul, t, scaled)) for t in self._tuples(m)]
+            order = [0] * len(where)
+            for x, p in enumerate(where):
+                order[p] = x
+            layout = self._layouts[m, high] = _Layout(
+                where, size, strides,
+                [sum(D ** (m - 1 - q) * k for q, k in zip(low, t)) for t in self._tuples(len(low))],
+                [order[x * size:(x + 1) * size] for x in range(D ** len(high))])
+        return layout
+
+    def _half(self, orbits: list, sizes: tuple, strides: tuple) -> tuple[list, int]:
+        """The Kronecker product of the orbits' composed maps, placed by
+        ``strides`` (per position of g, h and gh): the rows x -> [(y, [(output,
+        numerator)])] over the half's indices of g, and their denominator."""
+        table, den = {0: [(0, [(0, 1)])]}, 1   # no orbit: the product of A^(x)0, 1 * 1 = 1
+        for positions, size in zip(orbits, sizes):
+            counts = tuple(map(len, positions))
+            local, local_den = self._orbit_map(*counts, _graph_defect(size, sum(counts)))
+            sx, sy, so = ([stride[q] for q in pos] for stride, pos in zip(strides, positions))
+            placed = [(sum(map(mul, x, sx)),
+                       [(sum(map(mul, y, sy)), [(sum(map(mul, t, so)), c) for t, c in outs])
+                        for y, outs in ys]) for x, ys in local.items()]
+            table = {X + x: [(Y + y, [(O + o, C * c) for O, C in row for o, c in outs])
+                             for Y, row in prev for y, outs in ys]
+                     for X, prev in table.items() for x, ys in placed}
+            den *= local_den
+        size = self.base.dim ** sum(len(orbit[0]) for orbit in orbits)
+        return [table.get(x, []) for x in range(size)], den
+
+    def _plan(self, shape: tuple) -> tuple:
+        """The push plan of a joint-orbit shape: its orbits in two halves, the
+        leading ones holding at most half of g's factors, and the rest.
+        Returns the layouts of g and h, the high half's composed rows x ->
+        [(y, [(offset at gh's strides, numerator)])], the low half's flat rows
+        x -> [(y, low index of gh, numerator)], gh's layout, and the product
+        of the maps' denominators; x and y index each half's factors in
+        position order."""
+        *rows, sizes = shape
+        orbits = [([], [], []) for _ in sizes]
+        for r, row in enumerate(rows):
+            for i, o in enumerate(row):
+                orbits[o][r].append(i)
+        half = len(rows[0]) // 2
+        cut = sum(1 for k in itertools.accumulate(len(o[0]) for o in orbits) if k <= half)
+        layouts = [self._layout(len(row), tuple(i for i, o in enumerate(row) if o < cut))
+                   for row in rows]
+        strides = [layout.strides for layout in layouts]
+        m = len(rows[2])
+        high, high_den = self._half(orbits[:cut], sizes[:cut], strides[:2] + [
+            [self.base.dim ** (m - 1 - q) for q in range(m)]])
+        low, low_den = self._half(orbits[cut:], sizes[cut:], strides)
+        return (layouts[0], layouts[1], high,
+                [[(y, k, c) for y, row in ys for k, c in row] for ys in low], layouts[2],
+                high_den * low_den)
+
     def _push_plan(self, g: int, h: int) -> tuple:
-        """Per sector pair, one entry per joint orbit: the getters of its factors
-        of g and of h, and its composed map (its graph defect read off its cycle
-        counts) with output offsets at gh's strides; then the product of the
-        maps' denominators."""
+        """The pair's ``_plan``, cached per sector pair and shared by every pair
+        whose joint orbits have the same shape."""
         plan = self._push_plans.get((g, h))
         if plan is None:
-            gh = self.group.mul(g, h)
-            D, last = self.base.dim, self.factors[gh] - 1
-            joint = group_orbits([self.perms[g], self.perms[h]])
-            where = joint.block_index()
-            positions = [([], [], []) for _ in joint.blocks]   # factor positions of g, h, gh
-            for r, s in enumerate((g, h, gh)):
-                for i, blk in enumerate(self.parts[s].blocks):
-                    positions[where[blk[0]]][r].append(i)
-            gets_g, gets_h, maps, den = [], [], [], 1
-            for block, (s_pos, t_pos, p_pos) in zip(joint.blocks, positions):
-                counts = len(s_pos), len(t_pos), len(p_pos)
-                local, local_den = self._orbit_map(*counts, _graph_defect(block, sum(counts)))
-                strides = [D ** (last - q) for q in p_pos]
-                gets_g.append(itemgetter(*s_pos))
-                gets_h.append(itemgetter(*t_pos))
-                maps.append({x: [(y, [(sum(map(mul, t, strides)), c) for t, c in outs])
-                                 for y, outs in ys] for x, ys in local.items()})
-                den *= local_den
-            plan = self._push_plans[g, h] = (gets_g, gets_h, maps, den)
+            shape = self._joint_orbits(g, h, self.group.mul(g, h))
+            plan = self._plan_shapes.get(shape)
+            if plan is None:
+                plan = self._plan_shapes[shape] = self._plan(shape)
+            self._push_plans[g, h] = plan
         return plan
 
-    def _nested(self, g: int, v, gets: list) -> tuple[dict, int]:
-        """A dense operand of sector g as (``_nest`` of its integer numerators,
-        denominator)."""
-        terms, den = _numerators(v, self._tuples(self.factors[g]))
-        return _nest(gets, terms), den
+    def _halves(self, v, layout: "_Layout", dense: bool) -> tuple[dict, int]:
+        """A dense operand's integer numerators in a plan's layout: (``_split``
+        by high index, denominator)."""
+        terms, den = _numerators(v, layout.where)
+        acc = [0] * len(v)
+        for x, w in terms:
+            acc[x] = w
+        return _split(acc, layout.size, dense), den
 
     def multiply_pushforward(self, g: int, a, h: int, b):
         """Product through the double intersection with Euler-class insertion.
 
-        Both operands' integer numerators, nested orbit by orbit, walk the
-        plan's composed maps once; the product sector's vector is divided once.
+        One pass over the pair's plan: the left operand's numerators by high
+        index as (low index, numerator) items, the right's as dense low lists.
+        Each high pair with a composed entry multiplies the two low halves
+        through the flat low rows, and the low product spreads over the high
+        row, so a dead pair costs no multiplication; the product sector's
+        vector is divided once.
         """
-        gets_g, gets_h, maps, den = self._push_plan(g, h)
-        left, da = self._nested(g, a, gets_g)
-        right, db = self._nested(h, b, gets_h)
+        layout_g, layout_h, high, low, layout_gh, den = self._push_plan(g, h)
+        left, da = self._halves(a, layout_g, False)
+        right, db = self._halves(b, layout_h, True)
+        offsets, size = layout_gh.offsets, len(layout_gh.offsets)
         acc = [0] * self.dims[self.group.mul(g, h)]
-        # the last orbit holds most terms: add them straight into acc
-        *inner, final = maps
-        for node1, node2, off, carry in _joint_walk(inner, left, right):
-            for x, c1 in node1.items():
-                for y, outs in final.get(x, ()):
-                    c2 = node2.get(y)
-                    if c2 is not None:
-                        w = c1 * c2 * carry
-                        for o, c in outs:
-                            acc[off + o] += w * c
+        for xh, terms in left.items():
+            for yh, high_row in high[xh]:
+                dense = right.get(yh)
+                if dense is None:
+                    continue
+                prod = [0] * size
+                for xl, c1 in terms:
+                    for yl, k, c in low[xl]:
+                        c2 = dense[yl]
+                        if c2:
+                            prod[k] += c1 * c2 * c
+                prod = [(offsets[k], w) for k, w in enumerate(prod) if w]
+                for kh, ch in high_row:
+                    for k, w in prod:
+                        acc[kh + k] += ch * w
         return _divided(acc, da * db * den)
 
     def gamma_tilde(self, g: int, h: int, joint: OrbitPartition | None = None):
@@ -496,7 +591,8 @@ class SymmetricProductAlgebra:
         for i, j, c in self.base.copairing():
             copairing[i * D + j] = c
         acc, den = self._mapped(copairing, self._contraction(tau.moved_points(), gh))
-        return _split(acc, self.factors[gh], D, False), den
+        m = self.factors[gh]
+        return _split(acc, D ** (m - m // 2), False), den
 
     def contraction_steps(self, g: int, h: int, word: list[Permutation] | None = None):
         """The word for the right factor and the positions where length drops."""
@@ -544,12 +640,13 @@ class SymmetricProductAlgebra:
         """
         gammas = self._insertions(g, h, word)
         gh = self.group.mul(g, h)
-        m, D = self.factors[gh], self.base.dim
+        m = self.factors[gh]
+        size = self.base.dim ** (m - m // 2)   # the kernel's low factors
         (left, da), (right, db) = self._contracted(g, a, gh), self._contracted(h, b, gh)
-        acc, den = frob.factorwise_product(self.base, m, (_split(left, m, D, False), da),
-                                           (_split(right, m, D, True), db))
+        acc, den = frob.factorwise_product(self.base, m, (_split(left, size, False), da),
+                                           (_split(right, size, True), db))
         for gamma in gammas:
-            acc, den = frob.factorwise_product(self.base, m, gamma, (_split(acc, m, D, True), den))
+            acc, den = frob.factorwise_product(self.base, m, gamma, (_split(acc, size, True), den))
         return _divided(acc, den)
 
     def gamma_cocycle(self, g: int, h: int):
@@ -594,6 +691,7 @@ class SymmetricProductAlgebra:
             for h in G.elements():
                 product[(g, h)] = self.pair_table(g, h)
                 self._push_plans.pop((g, h), None)   # it served this table only
+        self._plan_shapes.clear()
         action = {(g, h): self._action_block(g, h) for g in G.elements() for h in G.elements()}
         powers = {m: frob.tensor_metric(self.base, m) for m in set(self.factors)}
         degrees = [[sum(self.base.degrees[i] for i in t) for t in self._tuples(self.factors[g])]
@@ -624,16 +722,21 @@ class SymmetricProductAlgebra:
 
     def pair_table(self, g: int, h: int) -> dict:
         """Product table for a sector pair, read off the pair's push plan: the
-        basis indices, nested orbit by orbit, walk its composed maps."""
-        gets_g, gets_h, maps, den = self._push_plan(g, h)
-        left = _nest(gets_g, zip(self._tuples(self.factors[g]), itertools.count()))
-        right = _nest(gets_h, zip(self._tuples(self.factors[h]), itertools.count()))
+        basis indices walk it as the pushforward's operands do."""
+        layout_g, layout_h, high, low, layout_gh, den = self._push_plan(g, h)
+        offsets = layout_gh.offsets
         table: dict = {}
-        for i, j, o, c in _joint_walk(maps, left, right):
-            vec = table.get((i, j))
-            if vec is None:
-                vec = table[i, j] = {}
-            vec[o] = c if den == 1 else ex.norm(Fraction(c, den))
+        for xh, row_i in enumerate(layout_g.chunks):
+            for yh, high_row in high[xh]:
+                row_j = layout_h.chunks[yh]
+                for xl, i in enumerate(row_i):
+                    for yl, k, c in low[xl]:
+                        vec = table.get((i, row_j[yl]))
+                        if vec is None:
+                            vec = table[i, row_j[yl]] = {}
+                        for kh, ch in high_row:
+                            w = ch * c
+                            vec[kh + offsets[k]] = w if den == 1 else ex.norm(Fraction(w, den))
         return table
 
 
@@ -669,22 +772,14 @@ def _integral(cols: dict) -> tuple[dict, int]:
 _no_factors = itemgetter(slice(0))   # () off any tuple: the key of the empty product
 
 
-def _joint_walk(maps: list, left: dict, right: dict) -> list:
-    """Walk two ``_nest`` operands orbit by orbit through the per-orbit maps.
-
-    Returns (left leaf, right leaf, output offset, product of the map
-    numerators) for every term; a pair of keys with no map entry ends its
-    branch.
-    """
-    level = [(left, right, 0, 1)]
-    for table in maps:
-        level = [(sub1, sub2, off + o, carry * c)
-                 for node1, node2, off, carry in level
-                 for x, sub1 in node1.items()
-                 for y, outs in table.get(x, ())
-                 if (sub2 := node2.get(y)) is not None
-                 for o, c in outs]
-    return level
+class _Layout(NamedTuple):
+    """A^(x)m with its factors split into a high and a low part, each part's
+    index reading its factors in position order."""
+    where: list     # per flat index: high index * size + low index
+    size: int       # the number of low indices
+    strides: list   # per position: its stride within its part
+    offsets: list   # per low index: its flat offset
+    chunks: list    # per high index: the flat index at each low index
 
 
 @dataclass

@@ -594,7 +594,7 @@ def test_action_wrong_only_at_a_non_generator_fails_structure(s3_ring):
     # a scan of the generators' blocks alone would miss it
     G = s3_ring.group
     doc = gfrob.to_json_dict(s3_ring)
-    g = next(x for x in G.elements() if x not in G._generators())
+    g = next(x for x in G.elements() if x not in G._generators() + [G.identity])
     h = next(x for x in G.elements() if x not in (G.identity, g))
     entry = next(e for e in doc["action"] if e[:2] == [g, h])
     entry[-1] = "2"
@@ -657,3 +657,147 @@ def test_one_document_edit_fails_each_check(sp_factory, qx2, s3_ring, key, docum
     report = gfrob.verify_axioms(gfrob.from_json_dict(doc))
     assert {c.key for c in report.failures()} == failing
     assert report[key].witness is not None
+
+
+def _untwisted_s2_document(product, metric, unit, swap) -> dict:
+    """A document over S_2 whose twisted sector is zero: the algebra A_e
+    (product rows, metric rows, unit) and phi_(1 2) on it by columns.  The
+    checks then see the (1 2) sector only through phi_(1 2) on A_e, and the
+    trace axiom asks that every l_c phi_(1 2) on A_e has trace 0."""
+    G = symmetric_group(2)
+    e, t = G.identity, G.index_of("(1 2)")
+    dims = [len(unit) if s == e else 0 for s in G.elements()]
+    d = dims[e]
+    return gfrob.to_json_dict(gfrob.GFrobeniusAlgebra(
+        name="untwisted", group=G, sector_dims=dims,
+        sector_degrees=[[0] * n for n in dims], sector_parities=[[0] * n for n in dims],
+        sector_labels=[[f"e{i}" for i in range(n)] for n in dims],
+        product={(e, e): product},
+        action={(e, e): {j: {j: 1} for j in range(d)}, (e, t): {}, (t, e): swap, (t, t): {}},
+        metric=[metric if s == e else {} for s in G.elements()], character=[1, 1], unit=unit))
+
+
+def _klein_group_algebra() -> dict:
+    """Q[Z/2 x Z/2] on 1, h, p, q = hp with eta(x, y) the coefficient of 1 in
+    xy, and phi_(1 2) negating h and p, an automorphism whose l_c phi_(1 2)
+    have trace c_1 (1 - 1 - 1 + 1) = 0."""
+    basis = {(0, 0): 0, (1, 0): 1, (0, 1): 2, (1, 1): 3}
+    product = {(x, y): {basis[(a + c) % 2, (b + d) % 2]: 1}
+               for (a, b), x in basis.items() for (c, d), y in basis.items()}
+    return _untwisted_s2_document(product, {x: {x: 1} for x in range(4)}, [1, 0, 0, 0],
+                                  {0: {0: 1}, 1: {1: -1}, 2: {2: -1}, 3: {3: 1}})
+
+
+def _weighted_idempotents() -> dict:
+    """Q^4 on orthogonal idempotents of pairing weights 1, 1, 2, 2, with
+    phi_(1 2) swapping the first two and the last two: a fixed-point-free
+    permutation, so every l_c phi_(1 2) has zero diagonal."""
+    weights = [1, 1, 2, 2]
+    return _untwisted_s2_document({(i, i): {i: 1} for i in range(4)},
+                                  {i: {i: w} for i, w in enumerate(weights)}, [1, 1, 1, 1],
+                                  {0: {1: 1}, 1: {0: 1}, 2: {3: 1}, 3: {2: 1}})
+
+
+def _scale_nontrivial_products(doc):
+    # e_g e_h doubled whenever g, h and gh are not e: still twisted
+    # commutative, invariant, equivariant and unital, but for transpositions
+    # s != s', (s s) s' keeps its factor 1 while s (s s') takes 2 * 2
+    G = symmetric_group(3)
+    for entry in doc["product"]:
+        g, h = entry[:2]
+        if G.identity not in (g, h, G.mul(g, h)):
+            entry[-1] = str(2 * Fraction(entry[-1]))
+
+
+def _quaternion_signs(doc):
+    # ph = -q, qh = -p, pq = -h, qq = -1 and eta(q, q) = -1: the split
+    # quaternions, associative and symmetric Frobenius but not commutative
+    for entry in doc["product"]:
+        if entry[2:4] in ([2, 1], [3, 1], [2, 3], [3, 3]):
+            entry[-1] = str(-Fraction(entry[-1]))
+    next(e for e in doc["metric"] if e[1:3] == [3, 3])[-1] = "-1"
+
+
+def _negated_characters(doc):
+    # chi = -1 everywhere: iii reads chi^-2 and iv the ratio of two values of
+    # chi, but phi_e = id is no longer chi_e^-1 id
+    doc["character"] = ["-1"] * len(doc["character"])
+
+
+def _non_automorphic_swap(doc):
+    # 2 Pi - 1 for Pi the weighted-orthogonal projection onto the span of
+    # 1 and (-2, 2, -1, 1): an involutive isometry that fixes 1 and has zero
+    # diagonal, but is no permutation of the idempotents, so no automorphism
+    P = [["0", "-1/3", "4/3", "0"], ["-1/3", "0", "0", "4/3"],
+         ["2/3", "0", "0", "1/3"], ["0", "2/3", "1/3", "0"]]
+    doc["action"] = [e for e in doc["action"] if e[:2] != [1, 0]] + [
+        [1, 0, i, j, P[i][j]] for i in range(4) for j in range(4) if P[i][j] != "0"]
+
+
+def _unpaired_swap(doc):
+    # phi_(1 2) on A_e = A(x)A: 1(x)x -> x(x)1 + x(x)x and x(x)1 -> 1(x)x - x(x)x
+    # is still an involutive automorphism with mu phi = mu that fixes 1 and the
+    # image of the (1 2) sector's square, but pairs 1(x)x with 1(x)1 to 1
+    doc["action"] += [[1, 0, 3, 1, "1"], [1, 0, 3, 2, "-1"]]
+
+
+def _identity_on_the_untwisted_sector(doc):
+    # phi_(1 2) = id on A(x)A keeps every law but the trace axiom: the trace of
+    # l_c is 4 c_(1(x)1), against 2 c_(1(x)1) for l_c after the swap
+    doc["action"] = [e for e in doc["action"] if e[:2] != [1, 0]] + [
+        [1, 0, j, j, "1"] for j in range(4)]
+
+
+@pytest.mark.parametrize("key, document, edit", [
+    ("a", "ring", _scale_nontrivial_products),
+    ("b", "klein", _quaternion_signs),
+    ("i", "ring", _negated_characters),
+    ("ii", "idempotents", _non_automorphic_swap),
+    ("iii", "sym2", _unpaired_swap),
+    ("iv", "sym2", _identity_on_the_untwisted_sector),
+])
+def test_one_document_edit_fails_one_check_alone(sp_factory, qx2, s3_ring, key, document, edit):
+    # the edits above fail a, b, i, ii, iii and iv together with other checks;
+    # each edit here fails its check and nothing else, so a scan that stops
+    # seeing its defects shows here (structure, c and d already fail alone
+    # above).  The character cannot isolate i or iv: negating one value of chi
+    # breaks both, since i reads chi_g and iv compares chi_h with chi_g^-1, so
+    # i is isolated by negating every value and iv by an action edit.
+    doc = {"ring": lambda: gfrob.to_json_dict(s3_ring),
+           "sym2": lambda: gfrob.to_json_dict(sp_factory(qx2, 2).realize()),
+           "klein": _klein_group_algebra, "idempotents": _weighted_idempotents}[document]()
+    assert gfrob.verify_axioms(gfrob.from_json_dict(doc)).passed
+    edit(doc)
+    report = gfrob.verify_axioms(gfrob.from_json_dict(doc))
+    assert {c.key for c in report.failures()} == {key}
+    assert report[key].witness is not None
+
+
+def _multiplicative_at(X, k) -> bool:
+    """phi_k(x y) = phi_k(x) phi_k(y) on every pair of basis vectors."""
+    def unit(s, i):
+        return [int(i == j) for j in range(X.sector_dims[s])]
+    G = X.group
+    return all(X.act(k, G.mul(g, h), X.multiply(g, h, unit(g, i), unit(h, j)))
+               == X.multiply(G.conj(k, g), G.conj(k, h), X.act(k, g, unit(g, i)),
+                             X.act(k, h, unit(h, j)))
+               for g in G.elements() for h in G.elements()
+               for i in range(X.sector_dims[g]) for j in range(X.sector_dims[h]))
+
+
+def test_action_multiplicative_defect_at_a_non_generator_only_fails(s3_ring):
+    # phi_k negated on every sector for one k outside the greedy generators:
+    # ii fails at k alone, so a scan of the generators' ii would pass.  A
+    # defect of ii at non-generators only needs an action that is no
+    # representation (the k where ii holds are closed under products once
+    # phi_gh = phi_g phi_h), so the document must still fail, by structure
+    G = s3_ring.group
+    doc = gfrob.to_json_dict(s3_ring)
+    k = next(x for x in G.elements() if x not in G._generators() + [G.identity])
+    for entry in doc["action"]:
+        if entry[0] == k:
+            entry[-1] = str(-Fraction(entry[-1]))
+    Y = gfrob.from_json_dict(doc)
+    assert [x for x in G.elements() if not _multiplicative_at(Y, x)] == [k]
+    report = gfrob.verify_axioms(Y)
+    assert not report.passed and not report["structure"].passed

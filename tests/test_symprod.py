@@ -359,7 +359,7 @@ def _numerators(sp, elem, dense):
     acc = [0] * sp.base.dim ** sp.n
     for t, c in elem.items():
         acc[tensor_index(t, sp.base.dim)] = c.numerator * (den // c.denominator)
-    return frob._split(acc, sp.n, sp.base.dim, dense), den
+    return frob._split(acc, sp.base.dim ** (sp.n - sp.n // 2), dense), den
 
 
 def _divide(sp, elem):
@@ -848,6 +848,38 @@ def test_pushforward_matches_staged_reference(sp_factory, qx2, surface, half, n)
                     _typed(_staged_pushforward(sp, gi, a, hi, b))
 
 
+def _dense_fractions(rng, size):
+    return [Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(2, 9))
+            for _ in range(size)]
+
+
+@pytest.mark.parametrize("n, left, right, edge", [
+    (4, "(1 2 3 4)", "(1 3)", "one orbit"),     # g an n-cycle: the high half is empty
+    (4, "e", "e", "singletons"),                  # every joint orbit is one point
+    (1, "e", "e", "one orbit"),                   # Sym^1
+    (5, "(2 4)", "(2 4)", None),                  # the products workload's t*t, t*u and t|u
+    (5, "(1 5)", "(3 5)", None),
+    (5, "(3 4)", "(1 5)", None),
+])
+def test_pushforward_matches_staged_reference_at_the_kernel_edges(sp_factory, surface, n, left,
+                                                                  right, edge):
+    sp = sp_factory(surface, n)
+    gi, hi = sp.group.index_of(left), sp.group.index_of(right)
+    *_, sizes = sp._joint_orbits(gi, hi, sp.group.mul(gi, hi))
+    high = sp._push_plan(gi, hi)[2]
+    if edge == "one orbit":
+        assert len(sizes) == 1 and high == [[(0, [(0, 1)])]]
+    elif edge == "singletons":   # the leading n // 2 orbits form the high half
+        assert sizes == (1,) * n and len(high) == surface.dim ** (n // 2)
+    rng = random.Random(1789 + n)
+    dg, dh = sp.dims[gi], sp.dims[hi]
+    for a, b in ((_dense_fractions(rng, dg), _dense_fractions(rng, dh)),
+                 ([0] * dg, _dense_fractions(rng, dh)),
+                 (_dense_fractions(rng, dg), [Fraction(0)] * dh)):
+        assert _typed(sp.multiply_pushforward(gi, a, hi, b)) == \
+            _typed(_staged_pushforward(sp, gi, a, hi, b))
+
+
 def _reference_copairing(sp, tau):
     """gamma_{tau,tau} in A_e: the copairing across tau's moved points, the unit elsewhere."""
     a, b = tau.moved_points()
@@ -898,17 +930,19 @@ def test_chain_matches_the_identity_sector_chain(sp_factory, qx2, surface, half,
 
 def test_chain_multiplies_on_the_cycles_of_the_product_sector(surface, monkeypatch):
     # the gain of contracting first: no kernel call runs on all n factors of A_e;
-    # and the chain reads nothing of the pushforward's plans, maps or walk
+    # and the chain reads nothing of the pushforward's joint orbits, plans, maps,
+    # layouts or walk (the walk is multiply_pushforward's own loop over _halves)
     sizes, plans = [], []
-    factorwise_product, joint_walk = frob.factorwise_product, sp_mod._joint_walk
+    factorwise_product = frob.factorwise_product
+    pushforward = ("_joint_orbits", "_plan", "_push_plan", "_orbit_map", "_layout", "_halves",
+                   "multiply_pushforward")
 
     def counted(algebra, m, left, right):
         sizes.append(m)
         return factorwise_product(algebra, m, left, right)
 
     monkeypatch.setattr(frob, "factorwise_product", counted)
-    monkeypatch.setattr(sp_mod, "_joint_walk", lambda *args: plans.append("walk") or joint_walk(*args))
-    for name in ("_orbit_map", "_push_plan"):
+    for name in pushforward:
         monkeypatch.setattr(sp_mod.SymmetricProductAlgebra, name,
                             lambda self, *args, f=getattr(sp_mod.SymmetricProductAlgebra, name),
                             name=name: plans.append(name) or f(self, *args))
@@ -921,7 +955,7 @@ def test_chain_multiplies_on_the_cycles_of_the_product_sector(surface, monkeypat
     assert sizes[0] == len(sp.parts[gh]) == 3 and set(sizes) == {3}
     assert plans == []
     assert chain == sp.multiply_pushforward(gi, a, hi, b)
-    assert {"_push_plan", "_orbit_map", "walk"} <= set(plans)
+    assert set(plans) == set(pushforward)
 
 
 def test_chain_builds_each_pair_table_once():
@@ -966,6 +1000,19 @@ def test_pushforward_route_calls_no_staged_kernel(qx2, monkeypatch):
             sp.multiply_pushforward(gi, _random_vector(rng, sp.dims[gi]), hi,
                                     _random_vector(rng, sp.dims[hi]))
     assert calls == {"multiply_pushforward": 36, "factorwise_multiply": 0}
+
+
+def test_both_routes_multiply_over_a_zero_dimensional_base():
+    # every sector of Sym^n of a 0-dimensional base is 0-dimensional, so are the
+    # low halves both kernels split off: the products and tables are empty
+    zero = frob.from_json_dict({"name": "zero", "dim": 0, "basis": [], "unit": [], "metric": [],
+                                "structure": []})
+    sp = sp_mod.SymmetricProductAlgebra(zero, 3)
+    for gi in range(6):
+        for hi in range(6):
+            assert sp.multiply_pushforward(gi, [], hi, []) == []
+            assert sp.multiply_chain(gi, [], hi, []) == []
+            assert sp.pair_table(gi, hi) == {}
 
 
 def test_planned_products_repeat(sp_factory, surface, half):
@@ -1148,7 +1195,7 @@ def test_realize_keeps_no_push_plan(qx2):
     # composed map per (k_g, k_h, k_gh, d) that a joint orbit of some pair has
     sp = sp_mod.SymmetricProductAlgebra(qx2, 3)
     sp.realize()
-    assert not sp._push_plans
+    assert not sp._push_plans and not sp._plan_shapes
     want = set()
     for gi in range(6):
         for hi in range(6):
@@ -1213,28 +1260,28 @@ def test_route_outputs_are_pinned(sp_factory, qx2, surface, half, base_name, n):
 def test_product_stages_see_integer_numerators(sp_factory, qx2, surface, monkeypatch):
     # between scaling the operands and the one final division, every stage of
     # either route multiplies integers only (on a base with integral constants):
-    # the pushforward walks nested operand numerators through the plan's maps
+    # the pushforward walks both operands' split numerators through the plan's
+    # composed rows
     stages = []
 
     def ints(values):
         stages.append(all(type(x) is int for x in values))
 
-    nested, push_plan = sp_mod.SymmetricProductAlgebra._nested, sp_mod.SymmetricProductAlgebra._push_plan
+    cls = sp_mod.SymmetricProductAlgebra
+    halves, push_plan = cls._halves, cls._push_plan
     factorwise_product = frob.factorwise_product
 
-    def checked_nested(self, g, v, gets):
-        root, den = nested(self, g, v, gets)
-        level = [root]
-        for _ in gets:
-            level = [leaf for node in level for leaf in node.values()]
-        ints(level + [den])
-        return root, den
+    def checked_halves(self, v, layout, dense):
+        split, den = halves(self, v, layout, dense)
+        ints(([w for row in split.values() for w in row] if dense else
+              [w for terms in split.values() for _, w in terms]) + [den])
+        return split, den
 
     def checked_push_plan(self, g, h):
         plan = push_plan(self, g, h)
-        _, _, maps, den = plan
-        ints([c for table in maps for ys in table.values() for _, outs in ys for _, c in outs]
-             + [den])
+        _, _, high, low, _, den = plan
+        ints([c for ys in high for _, row in ys for _, c in row]
+             + [c for triples in low for _, _, c in triples] + [den])
         return plan
 
     def checked_factorwise_product(algebra, m, left, right):
@@ -1247,7 +1294,7 @@ def test_product_stages_see_integer_numerators(sp_factory, qx2, surface, monkeyp
                  + [c for triples in flat for _, _, c in triples])
         return factorwise_product(algebra, m, left, right)
 
-    monkeypatch.setattr(sp_mod.SymmetricProductAlgebra, "_nested", checked_nested)
+    monkeypatch.setattr(sp_mod.SymmetricProductAlgebra, "_halves", checked_halves)
     monkeypatch.setattr(sp_mod.SymmetricProductAlgebra, "_push_plan", checked_push_plan)
     monkeypatch.setattr(frob, "factorwise_product", checked_factorwise_product)
     rng = random.Random(61)
