@@ -561,20 +561,18 @@ def tensor_hat(X: GFrobeniusAlgebra, Y: GFrobeniusAlgebra) -> GFrobeniusAlgebra:
     if X.is_super() and Y.is_super():
         # the sectorwise formula is only valid when the interchange signs
         # cancel, i.e. for matching sector-uniform supergradings
-        def uniform(Z):
-            out = []
-            for ps in Z.sector_parities:
-                vals = set(ps)
-                if len(vals) > 1:
-                    return None
-                out.append(vals.pop() if vals else 0)
-            return out
-        px, py = uniform(X), uniform(Y)
+        px, py = _uniform_parities(X), _uniform_parities(Y)
         if px is None or py is None or px != py:
             raise ValueError(
                 "tensor_hat of two differently supergraded factors is not supported"
             )
     return _sectorwise(X, Y)
+
+
+def _uniform_parities(Z: GFrobeniusAlgebra) -> list | None:
+    """Per sector, its basis's one parity (0 if empty); None if a sector mixes parities."""
+    sets = [set(ps) for ps in Z.sector_parities]
+    return None if any(len(s) > 1 for s in sets) else [min(s, default=0) for s in sets]
 
 
 def _sectorwise(X: GFrobeniusAlgebra, Y: GFrobeniusAlgebra) -> GFrobeniusAlgebra:
@@ -658,12 +656,16 @@ def twist(X: GFrobeniusAlgebra, alpha: "Cocycle2 | None" = None,
     spaces with X's indices, labels and product and action keys: the product
     picks up alpha(g,h), the metric alpha(g,g^-1), the action
     (-1)^{sigma(g)sigma(h)} alpha(g,h)/alpha(ghg^-1,g), the character
-    (-1)^{sigma(g)}, and sector parities shift by sigma(g).  Unlike
-    ``tensor_hat``, a super X with sectors of mixed parity is accepted.
+    (-1)^{sigma(g)}, and sector parities shift by sigma(g).  A super X with
+    sectors of mixed parity is accepted, unlike by ``tensor_hat``; one graded
+    by sector-uniform parities other than sigma's is refused, as by it.
     Twisting is an action: alpha-then-alpha^{-1} and sigma-twice restore the
     input exactly.
     """
-    out = _sectorwise(X, _twisted_ring(X.group, alpha, sigma))
+    ring = _twisted_ring(X.group, alpha, sigma)
+    if X.is_super() and ring.is_super() and _uniform_parities(X) not in (None, sigma.parity):
+        raise ValueError(f"twist of a super algebra by the different supergrading {sigma.parity}")
+    out = _sectorwise(X, ring)
     out.name = f"{X.name} twisted"
     out.sector_labels = [list(labels) for labels in X.sector_labels]
     return out

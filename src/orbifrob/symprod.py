@@ -28,9 +28,10 @@ sector pair's plan splits its joint orbits into a high half (the leading
 orbits, with at most half of the left factor's cycles) and a low half, and
 multiplies each half's maps out once into integer rows on flat indices.
 ``multiply_pushforward`` walks both operands through the plan in one
-two-level pass, and the realized tables (``pair_table``) walk the basis
-indices through the same plan; the chain stays independent of both as the
-oracle.
+two-level pass; a realized table (``pair_table``) is the Kronecker product
+of all of the pair's orbit maps at flat strides.  Plans and tables depend
+only on the joint orbits' shape and are cached per shape; the chain stays
+independent of both as the oracle.
 
 The chain never multiplies in A_e.  Its last step, the contraction r_ss'
 onto the product sector, multiplies the factors in each cycle of ss'; as the
@@ -46,9 +47,9 @@ halves made of whole joint orbits.  Each skips pairs with zero product
 before multiplying any coefficient.  Every intermediate value of either
 route is an integer numerator over one denominator per stage; the
 denominators multiply along the stages and each product divides once, at
-the end.  Everything that depends only on the sector pair (the push plan,
-which all pairs whose joint orbits have one shape share, and the contracted
-copairing insertions) is built on the pair's first product and reused.
+the end.  What depends only on the joint-orbit shape (the push plan) or on
+the sector pair (the contracted copairing insertions) is built on the first
+product that needs it and reused.
 Every other linear map between tensor powers (the contractions between
 nested cycle partitions and the chain's, their metric adjoints and
 sections) has one form: per flat input index, a row of (output index,
@@ -200,8 +201,8 @@ class SymmetricProductAlgebra:
         self._lift_maps: dict[tuple, tuple] = {}
         self._orbit_maps: dict[tuple, tuple] = {}
         self._layouts: dict[tuple, tuple] = {}
-        self._push_plans: dict[tuple, tuple] = {}
         self._plan_shapes: dict[tuple, tuple] = {}
+        self._pair_tables: dict[tuple, dict] = {}
         self._chain_plans: dict[tuple, list] = {}
 
     # -- bookkeeping ----------------------------------------------------------
@@ -444,14 +445,9 @@ class SymmetricProductAlgebra:
                 for i, q in enumerate(span):
                     strides[q] = D ** (len(span) - 1 - i)
             scaled = [c * size if q in high else c for q, c in enumerate(strides)]
-            where = [sum(map(mul, t, scaled)) for t in self._tuples(m)]
-            order = [0] * len(where)
-            for x, p in enumerate(where):
-                order[p] = x
             layout = self._layouts[m, high] = _Layout(
-                where, size, strides,
-                [sum(D ** (m - 1 - q) * k for q, k in zip(low, t)) for t in self._tuples(len(low))],
-                [order[x * size:(x + 1) * size] for x in range(D ** len(high))])
+                [sum(map(mul, t, scaled)) for t in self._tuples(m)], size, strides,
+                [sum(D ** (m - 1 - q) * k for q, k in zip(low, t)) for t in self._tuples(len(low))])
         return layout
 
     def _half(self, orbits: list, sizes: tuple, strides: tuple) -> tuple[list, int]:
@@ -482,10 +478,7 @@ class SymmetricProductAlgebra:
         of the maps' denominators; x and y index each half's factors in
         position order."""
         *rows, sizes = shape
-        orbits = [([], [], []) for _ in sizes]
-        for r, row in enumerate(rows):
-            for i, o in enumerate(row):
-                orbits[o][r].append(i)
+        orbits = _orbit_positions(shape)
         half = len(rows[0]) // 2
         cut = sum(1 for k in itertools.accumulate(len(o[0]) for o in orbits) if k <= half)
         layouts = [self._layout(len(row), tuple(i for i, o in enumerate(row) if o < cut))
@@ -500,15 +493,11 @@ class SymmetricProductAlgebra:
                 high_den * low_den)
 
     def _push_plan(self, g: int, h: int) -> tuple:
-        """The pair's ``_plan``, cached per sector pair and shared by every pair
-        whose joint orbits have the same shape."""
-        plan = self._push_plans.get((g, h))
+        """The ``_plan`` of the pair's joint-orbit shape, cached per shape."""
+        shape = self._joint_orbits(g, h, self.group.mul(g, h))
+        plan = self._plan_shapes.get(shape)
         if plan is None:
-            shape = self._joint_orbits(g, h, self.group.mul(g, h))
-            plan = self._plan_shapes.get(shape)
-            if plan is None:
-                plan = self._plan_shapes[shape] = self._plan(shape)
-            self._push_plans[g, h] = plan
+            plan = self._plan_shapes[shape] = self._plan(shape)
         return plan
 
     def _halves(self, v, layout: "_Layout", dense: bool) -> tuple[dict, int]:
@@ -690,8 +679,7 @@ class SymmetricProductAlgebra:
         for g in G.elements():
             for h in G.elements():
                 product[(g, h)] = self.pair_table(g, h)
-                self._push_plans.pop((g, h), None)   # it served this table only
-        self._plan_shapes.clear()
+        self._pair_tables.clear()   # the pairs of one shape hold its table
         action = {(g, h): self._action_block(g, h) for g in G.elements() for h in G.elements()}
         powers = {m: frob.tensor_metric(self.base, m) for m in set(self.factors)}
         degrees = [[sum(self.base.degrees[i] for i in t) for t in self._tuples(self.factors[g])]
@@ -721,22 +709,20 @@ class SymmetricProductAlgebra:
                 for col, t in enumerate(self._tuples(self.factors[h]))}
 
     def pair_table(self, g: int, h: int) -> dict:
-        """Product table for a sector pair, read off the pair's push plan: the
-        basis indices walk it as the pushforward's operands do."""
-        layout_g, layout_h, high, low, layout_gh, den = self._push_plan(g, h)
-        offsets = layout_gh.offsets
-        table: dict = {}
-        for xh, row_i in enumerate(layout_g.chunks):
-            for yh, high_row in high[xh]:
-                row_j = layout_h.chunks[yh]
-                for xl, i in enumerate(row_i):
-                    for yl, k, c in low[xl]:
-                        vec = table.get((i, row_j[yl]))
-                        if vec is None:
-                            vec = table[i, row_j[yl]] = {}
-                        for kh, ch in high_row:
-                            w = ch * c
-                            vec[kh + offsets[k]] = w if den == 1 else ex.norm(Fraction(w, den))
+        """Product table for a sector pair: the Kronecker product of its joint
+        orbits' maps at the flat strides of g, h and gh, divided once; built
+        per joint-orbit shape, its pairs share one object that nothing mutates."""
+        shape = self._joint_orbits(g, h, self.group.mul(g, h))
+        table = self._pair_tables.get(shape)
+        if table is None:
+            D, (*rows, sizes) = self.base.dim, shape
+            flat, den = self._half(_orbit_positions(shape), sizes,
+                                   [[D ** (len(row) - 1 - q) for q in range(len(row))] for row in rows])
+            if den != 1:
+                flat = [[(j, [(k, ex.norm(Fraction(c, den))) for k, c in outs]) for j, outs in ys]
+                        for ys in flat]
+            table = self._pair_tables[shape] = {
+                (i, j): dict(outs) for i, ys in enumerate(flat) for j, outs in ys}
         return table
 
 
@@ -772,14 +758,23 @@ def _integral(cols: dict) -> tuple[dict, int]:
 _no_factors = itemgetter(slice(0))   # () off any tuple: the key of the empty product
 
 
+def _orbit_positions(shape: tuple) -> list:
+    """Per joint orbit of a ``_joint_orbits`` shape: its positions of g, h and gh."""
+    *rows, sizes = shape
+    orbits = [([], [], []) for _ in sizes]
+    for r, row in enumerate(rows):
+        for i, o in enumerate(row):
+            orbits[o][r].append(i)
+    return orbits
+
+
 class _Layout(NamedTuple):
-    """A^(x)m with its factors split into a high and a low part, each part's
-    index reading its factors in position order."""
+    """A push plan's split of A^(x)m into a high and a low part of its
+    factors, each part's index reading its factors in position order."""
     where: list     # per flat index: high index * size + low index
     size: int       # the number of low indices
     strides: list   # per position: its stride within its part
     offsets: list   # per low index: its flat offset
-    chunks: list    # per high index: the flat index at each low index
 
 
 @dataclass

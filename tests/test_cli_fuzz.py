@@ -1,5 +1,5 @@
-"""Single-leaf mutations of sector-graded and cocycle documents under the
-commands that read them.
+"""Single-leaf mutations of sector-graded, cocycle and base-algebra documents
+under the commands that read them.
 
 Every run must end in exit code 0, 1 or 2, with no exception escaping
 ``cli.main``; an exit 1 must name a failing check with its witness, and an
@@ -53,6 +53,9 @@ def _leaves(node, path=()):
 
 LEAVES = {name: list(_leaves(doc)) for name, (doc, _) in DOCUMENTS.items()}
 LEAVES["sn3_cocycle"] = list(_leaves(SN3_COCYCLE))
+BASES = {name: json.loads((FIXTURES / f"{name}.json").read_text())
+         for name in ("dual_numbers", "surface4")}
+LEAVES.update({name: list(_leaves(doc)) for name, doc in BASES.items()})
 
 REPLACEMENTS = st.one_of(
     st.integers(-2, 9),
@@ -116,4 +119,15 @@ def test_mutated_document_verifies_and_twists_cleanly(workdir, data):
     else:
         cocycle = _mutated(data, workdir, "sn3_cocycle", SN3_COCYCLE)
     for argv in (["verify", ks3], ["verify", cocycle], ["twist", ks3, "--cocycle", cocycle]):
+        _check_run(argv)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_mutated_base_document_exits_cleanly(workdir, data):
+    name = data.draw(st.sampled_from(sorted(BASES)))
+    path = _mutated(data, workdir, name, BASES[name])
+    for argv in (["verify", path], ["symprod", path, "--n", "2", "--out", workdir / "sym2.json"],
+                 ["export", path]):
         _check_run(argv)

@@ -1,4 +1,5 @@
 import copy
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -561,6 +562,25 @@ def test_tensor_hat_guards_mismatched_supergradings():
     assert gfrob.verify_axioms(gfrob.tensor_hat(X, X)).passed
     with pytest.raises(ValueError):
         gfrob.tensor_hat(X, Y)
+
+
+def test_twist_refuses_a_different_sector_uniform_supergrading():
+    # X = k[V4] super-graded by a homomorphism p, twisted by sigma: with both
+    # nontrivial and p != sigma the interchange signs break check b, so the
+    # twist is refused as tensor_hat refuses it; the other pairs verify
+    G = klein_group()
+    homs = [[0, 0, 0, 0], [0, 1, 0, 1], [0, 0, 1, 1], [0, 1, 1, 0]]
+    refused = 0
+    for p, s in itertools.product(homs, homs):
+        X = cocy.twisted_group_ring(G, None, cocy.SuperTwist(G, p))
+        sigma = cocy.SuperTwist(G, s)
+        if any(p) and any(s) and p != s:
+            with pytest.raises(ValueError, match="different supergrading"):
+                gfrob.twist(X, None, sigma)
+            refused += 1
+        else:
+            assert gfrob.verify_axioms(gfrob.twist(X, None, sigma)).passed, (p, s)
+    assert refused == 6
 
 
 def test_json_explicit_table_group(tmp_path):

@@ -1,3 +1,4 @@
+import copy
 import functools
 import hashlib
 import itertools
@@ -1044,7 +1045,7 @@ def test_explicit_word_is_validated_after_the_plan_is_built(sp_factory, qx2):
 def test_plan_reads_graph_defects_from_its_cycle_counts(qx2, monkeypatch):
     # the plan already holds each joint orbit's cycle counts, so it calls no
     # orbit-walking obstruction_exponent; test_realize_keeps_no_push_plan pins
-    # the exponents it reads through the keys of _orbit_maps
+    # the exponents the tables read through the keys of _orbit_maps
     calls = []
     original = sp_mod.obstruction_exponent
 
@@ -1064,7 +1065,7 @@ def test_plan_reads_graph_defects_from_its_cycle_counts(qx2, monkeypatch):
             assert sp.multiply_pushforward(gi, a, hi, b) == sp.multiply_chain(gi, a, hi, b)
             products += 1
     assert products == 64
-    assert (gi, hi) in sp._push_plans and calls == []
+    assert sp._joint_orbits(gi, hi, sp.group.mul(gi, hi)) in sp._plan_shapes and calls == []
 
 
 # -- pair tables against the inlined per-orbit loops they replaced -----------------
@@ -1191,11 +1192,12 @@ def test_realize_builds_one_pair_table_per_sector_pair(qx2, monkeypatch):
 
 
 def test_realize_keeps_no_push_plan(qx2):
-    # each sector pair's plan serves its table and is dropped; what stays is one
-    # composed map per (k_g, k_h, k_gh, d) that a joint orbit of some pair has
+    # realize builds no push plan, and drops its per-shape tables once every
+    # pair holds its own; what stays is one composed map per (k_g, k_h, k_gh, d)
+    # that a joint orbit of some pair has
     sp = sp_mod.SymmetricProductAlgebra(qx2, 3)
     sp.realize()
-    assert not sp._push_plans and not sp._plan_shapes
+    assert not sp._pair_tables and not sp._plan_shapes
     want = set()
     for gi in range(6):
         for hi in range(6):
@@ -1205,6 +1207,28 @@ def test_realize_keeps_no_push_plan(qx2):
                                for x in (gi, hi, sp.group.mul(gi, hi)))
                 want.add(counts + (sp_mod.obstruction_exponent(sigma, sigma2, block),))
     assert set(sp._orbit_maps) == want
+
+
+def test_pairs_of_one_shape_share_one_table_that_nothing_mutates(qx2):
+    # a pair's table depends only on its joint-orbit shape: realize hands every
+    # pair of a shape one object, so no reader of the built algebra may change it
+    sp = sp_mod.SymmetricProductAlgebra(qx2, 4)
+    X = sp.realize()
+    by_shape: dict = {}
+    for gi in range(24):
+        for hi in range(24):
+            by_shape.setdefault(sp._joint_orbits(gi, hi, sp.group.mul(gi, hi)), []).append((gi, hi))
+    assert len(by_shape) < 24 * 24
+    for pairs in by_shape.values():
+        first = X.product[pairs[0]]
+        assert all(X.product[pair] is first for pair in pairs)
+        assert first == _reference_pair_table(sp, *pairs[0])
+    tables = copy.deepcopy(X.product)
+    gfrob.twist(X, cocy.normalized_sn_cocycle(4, -1), cocy.sign_supertwist(4))
+    gfrob.invariants(X)
+    assert gfrob.verify_axioms(X).passed
+    assert gfrob.from_json_dict(gfrob.to_json_dict(X)).math_equal(X)
+    assert repr(X.product) == repr(tables)   # values, their types and key order
 
 
 # -- exact outputs of both routes, pinned across kernel changes ---------------------
