@@ -66,12 +66,18 @@ def parse_element(X: GFrobeniusAlgebra, text: str) -> tuple[int, list]:
             raise UsageError(f"element {text!r}: coeffs must be a {{...}} map")
         vec = ex.vec_zero(X.sector_dims[g])
         body = coeffs[1:-1].strip()
+        seen: set = set()
         if body:
             for chunk in re.split(r",(?![^()]*\))", body):
                 label, _, value = chunk.rpartition(":")
                 if not label:
                     raise UsageError(f"element {text!r}: bad coefficient entry {chunk!r}")
-                vec[_basis_index(X, g, label)] = ex.rat(value.strip())
+                idx = _basis_index(X, g, label)
+                if idx in seen:   # a map holds one coefficient per basis label
+                    raise UsageError(f"element {text!r}: basis label "
+                                     f"{X.sector_labels[g][idx]!r} is given twice")
+                seen.add(idx)
+                vec[idx] = ex.rat(value.strip())
         return g, vec
     if "@" not in s:
         raise UsageError(f"element {text!r}: expected 'combination@sector'")

@@ -12,11 +12,12 @@ those may assume the laws hold.
 
 Every product inside a tensor power A^(x)m goes through one kernel,
 ``factorwise_product``.  It holds its operands' integer numerators by flat
-index, split as A^(x)m = A^(x)p (x) A^(x)q with p = m // 2, and multiplies
-them in one two-level loop over the pair rows of A^(x)p and A^(x)q, which are
-built once per algebra and power; ``factorwise_multiply`` is its form on
-dense vectors, and the symmetric products' chain route calls the kernel on
-its split numerators directly.
+index, split as A^(x)m = A^(x)p (x) A^(x)q after the p leading factors, and
+multiplies them in one two-level loop over the pair rows of A^(x)p and
+A^(x)q, which are built once per algebra and power.  ``factorwise_multiply``
+is its form on dense vectors, with p = m // 2; the symmetric products' chain
+route calls the kernel on its split numerators directly, with its
+structurally unit factors leading.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import compress
 
 from . import exactnum as ex
 from ._report import Report
@@ -229,25 +231,33 @@ def tensor_tuple(index: int, dim: int, m: int) -> tuple[int, ...]:
     return tuple(reversed(out))
 
 
+def _scaled(v, length: int) -> tuple[list, int]:
+    """A dense vector of ``length`` entries as integer numerators over one
+    denominator, the lcm of theirs: each entry's ratio is read once, and the
+    numerators are rescaled only when the denominators differ."""
+    if len(v) != length:
+        raise ValueError(f"operand must have length {length}")
+    ratios = [x.as_integer_ratio() for x in v]
+    dens = {d for _, d in ratios}
+    if len(dens) > 1:
+        den = math.lcm(*dens)
+        return [w * (den // d) for w, d in ratios], den
+    return [w for w, _ in ratios], dens.pop() if dens else 1
+
+
 def _numerators(v, keys) -> tuple[list, int]:
     """Nonzero terms (key, integer numerator) of a dense vector, over one
     denominator; ``keys`` name the entries in basis order (index tuples or
-    flat indices).  Each entry is read once, and scaled by the factor of its
-    denominator."""
-    if len(v) != len(keys):
-        raise ValueError(f"operand must have length {len(keys)}")
-    terms = [(t, x.as_integer_ratio()) for t, x in zip(keys, v) if x]
-    dens = {d for _, (_, d) in terms}
-    den = math.lcm(*dens)
-    scale = {d: den // d for d in dens}
-    return [(t, w * scale[d]) for t, (w, d) in terms], den
+    flat indices)."""
+    nums, den = _scaled(v, len(keys))
+    return list(compress(zip(keys, nums), nums)), den
 
 
 def _divided(acc: list, den: int) -> list:
     """Integer numerators over ``den`` as exact scalars (int when integral)."""
     if den == 1:
         return acc
-    return [ex.norm(Fraction(w, den)) if w else 0 for w in acc]
+    return [w // den if not w % den else Fraction(w, den) for w in acc]
 
 
 def _power_pairs(algebra: FrobeniusAlgebra, r: int) -> tuple[list, list]:
@@ -264,31 +274,32 @@ def _power_pairs(algebra: FrobeniusAlgebra, r: int) -> tuple[list, list]:
     return tables[r]
 
 
-def _split(acc: list, size: int, dense: bool) -> dict:
+def _split(acc, size: int, dense: bool) -> dict:
     """Flat numerators whose low factors span ``size`` indices, keyed by the
     index on the high factors: per nonzero high index, the low factors'
-    numerators as a dense list, or as (low index, numerator) items."""
+    numerators as a dense slice, or as (low index, numerator) items."""
     out = {}
     for hi, start in enumerate(range(0, len(acc), size or 1)):   # size 0: a 0-dim base
         chunk = acc[start:start + size]
         if any(chunk):
-            out[hi] = chunk if dense else [(lo, w) for lo, w in enumerate(chunk) if w]
+            out[hi] = chunk if dense else list(compress(enumerate(chunk), chunk))
     return out
 
 
-def factorwise_product(algebra: FrobeniusAlgebra, m: int, left, right) -> tuple[list, int]:
-    """Product on A^(x)m = A^(x)p (x) A^(x)q, p = m // 2, on integer numerators.
+def factorwise_product(algebra: FrobeniusAlgebra, p: int, q: int, left, right) -> tuple[list, int]:
+    """Product on A^(x)p (x) A^(x)q on integer numerators.
 
-    Operands are (``_split`` numerators, denominator) with A^(x)q as the low
-    factors: items on the left, dense lists on the right.  Each pair of high
-    indices with a nonzero product multiplies the two low halves through the
-    flat pair rows of A^(x)q, and the low product spreads over the high
-    pair's row, so a dead pair costs no multiplication.  Returns (flat
-    numerators, denominator).
+    Operands are (``_split`` numerators, denominator) with the p leading
+    factors as the high half and the q others as the low one: items on the
+    left, dense lists on the right.  Each pair of high indices with a nonzero
+    product multiplies the two low halves through the flat pair rows of
+    A^(x)q, and the low product spreads over the high pair's row, so a dead
+    pair costs no multiplication; a right operand whose high factors are
+    mostly the unit has few high indices, and its dead pairs are skipped
+    once per high pair.  Returns (flat numerators, denominator).
     """
-    p = m // 2
-    high, low = _power_pairs(algebra, p)[0], _power_pairs(algebra, m - p)[1]
-    size = algebra.dim ** (m - p)
+    high, low = _power_pairs(algebra, p)[0], _power_pairs(algebra, q)[1]
+    size = algebra.dim ** q
     (lhs, d1), (rhs, d2) = left, right
     out = [0] * (size * algebra.dim ** p)
     for xh, terms in lhs.items():
@@ -302,28 +313,27 @@ def factorwise_product(algebra: FrobeniusAlgebra, m: int, left, right) -> tuple[
                     c2 = dense[yl]
                     if c2:
                         prod[k] += c1 * c2 * c
-            prod = [(k, w) for k, w in enumerate(prod) if w]
+            prod = list(compress(enumerate(prod), prod))
             for kh, ch in high_row:
                 base = kh * size
                 for k, w in prod:
                     out[base + k] += ch * w
     # one row constant per factor and product
-    return out, d1 * d2 * algebra._pairs_den ** m
+    return out, d1 * d2 * algebra._pairs_den ** (p + q)
 
 
 def factorwise_multiply(algebra: FrobeniusAlgebra, m: int, u, v):
     """Product on A^(x)m on dense vectors: ``factorwise_product`` of the
-    operands' flat numerators, divided once.  A^(x)0 is the ground field,
-    where the product is that of the two scalars."""
-    size = algebra.dim ** m
+    operands' flat numerators split after m // 2 factors, divided once.
+    A^(x)0 is the ground field, where the product is that of the two scalars."""
+    size, p = algebra.dim ** m, m // 2
     if len(u) != size or len(v) != size:
         raise ValueError(f"tensor power operands must have length {size}")
-    operands, low = [], algebra.dim ** (m - m // 2)
+    operands, low = [], algebra.dim ** (m - p)
     for vec, dense in ((u, False), (v, True)):
-        terms, den = _numerators(vec, range(size))
-        terms = dict(terms)
-        operands.append((_split([terms.get(i, 0) for i in range(size)], low, dense), den))
-    return _divided(*factorwise_product(algebra, m, *operands))
+        nums, den = _scaled(vec, size)
+        operands.append((_split(nums, low, dense), den))
+    return _divided(*factorwise_product(algebra, p, m - p, *operands))
 
 
 def tensor_metric(algebra: FrobeniusAlgebra, m: int) -> ex.SparseMap:

@@ -37,19 +37,26 @@ The chain never multiplies in A_e.  Its last step, the contraction r_ss'
 onto the product sector, multiplies the factors in each cycle of ss'; as the
 base is commutative and evenly graded, r_ss' is an algebra map, so the chain
 equals the product of r_ss' of the two lifts and of each insertion.  Each is
-contracted first: a lift by rows built once per (sector, product sector),
-where factor c lands in the cycle of ss' that holds min(c) and a cycle that
-receives none holds the unit; the insertions once per sector pair.  The
-products then run on A^(x)|ss'| with ``frobenius.factorwise_product``, the
-one kernel on tensor powers, on flat numerators split into a high and a low
-half of the factors; the pushforward runs its own pass of that form, its
-halves made of whole joint orbits.  Each skips pairs with zero product
-before multiplying any coefficient.  Every intermediate value of either
-route is an integer numerator over one denominator per stage; the
-denominators multiply along the stages and each product divides once, at
-the end.  What depends only on the joint-orbit shape (the push plan) or on
-the sector pair (the contracted copairing insertions) is built on the first
-product that needs it and reused.
+contracted first: a lift by rows built once per (sector, product sector,
+order), where factor c lands in the cycle of ss' that holds min(c) and a
+cycle that receives none holds the unit; the insertions once per sector
+pair.  The products then run on A^(x)|ss'| with
+``frobenius.factorwise_product``, the one kernel on tensor powers, on flat
+numerators split into a high and a low half of the factors; the pushforward
+runs its own pass of that form, its halves made of whole joint orbits.
+Each skips pairs with zero product before multiplying any coefficient.  The
+chain lays out the cycles of ss' unit first: those where the right
+operand's lift is structurally the unit lead, all in the high half, so
+that a high pair the right operand lacks is skipped once, not once per low
+term, and one getter returns the product to basis order.  Every
+intermediate value of either route is an integer numerator over one
+denominator per stage; the denominators multiply along the stages and each
+product divides once, at the end.  Operands enter and leave the kernels
+through C-level getters: each entry's ratio is read once, a cached
+``itemgetter`` reads a dense operand into a layout's order, and the high
+chunks are slices.  What depends only on the joint-orbit shape (the push
+plan) or on the sector pair (the chain's order and contracted copairing
+insertions) is built on the first product that needs it and reused.
 Every other linear map between tensor powers (the contractions between
 nested cycle partitions and the chain's, their metric adjoints and
 sections) has one form: per flat input index, a row of (output index,
@@ -70,7 +77,7 @@ from typing import NamedTuple
 
 from . import exactnum as ex
 from . import frobenius as frob
-from .frobenius import FrobeniusAlgebra, _divided, _numerators, _split
+from .frobenius import FrobeniusAlgebra, _divided, _numerators, _scaled, _split
 from .gfrob import BudgetExceededError, GFrobeniusAlgebra, _transpose
 from .groups import (OrbitPartition, Permutation, compose, cycles, degree,
                      group_orbits, symmetric_group)
@@ -201,9 +208,10 @@ class SymmetricProductAlgebra:
         self._lift_maps: dict[tuple, tuple] = {}
         self._orbit_maps: dict[tuple, tuple] = {}
         self._layouts: dict[tuple, tuple] = {}
+        self._chain_readers: dict[tuple, object] = {}
         self._plan_shapes: dict[tuple, tuple] = {}
         self._pair_tables: dict[tuple, dict] = {}
-        self._chain_plans: dict[tuple, list] = {}
+        self._chain_plans: dict[tuple, tuple] = {}
 
     # -- bookkeeping ----------------------------------------------------------
 
@@ -440,14 +448,16 @@ class SymmetricProductAlgebra:
         layout = self._layouts.get((m, high))
         if layout is None:
             D, low = self.base.dim, [q for q in range(m) if q not in high]
-            size, strides = D ** len(low), [0] * m
+            strides = [0] * m
+            offsets = []   # per part and index: its flat offset
             for span in (high, low):
                 for i, q in enumerate(span):
                     strides[q] = D ** (len(span) - 1 - i)
-            scaled = [c * size if q in high else c for q, c in enumerate(strides)]
+                offsets.append([sum(D ** (m - 1 - q) * k for q, k in zip(span, t))
+                                for t in self._tuples(len(span))])
+            order = [x + y for x in offsets[0] for y in offsets[1]]
             layout = self._layouts[m, high] = _Layout(
-                [sum(map(mul, t, scaled)) for t in self._tuples(m)], size, strides,
-                [sum(D ** (m - 1 - q) * k for q, k in zip(low, t)) for t in self._tuples(len(low))])
+                len(order), _reader(order), len(offsets[1]), strides, offsets[1])
         return layout
 
     def _half(self, orbits: list, sizes: tuple, strides: tuple) -> tuple[list, int]:
@@ -501,13 +511,11 @@ class SymmetricProductAlgebra:
         return plan
 
     def _halves(self, v, layout: "_Layout", dense: bool) -> tuple[dict, int]:
-        """A dense operand's integer numerators in a plan's layout: (``_split``
-        by high index, denominator)."""
-        terms, den = _numerators(v, layout.where)
-        acc = [0] * len(v)
-        for x, w in terms:
-            acc[x] = w
-        return _split(acc, layout.size, dense), den
+        """A dense operand's integer numerators read into a plan's layout by
+        its getter and sliced into chunks: (``_split`` by high index,
+        denominator)."""
+        nums, den = _scaled(v, layout.length)
+        return _split(nums if layout.read is None else layout.read(nums), layout.size, dense), den
 
     def multiply_pushforward(self, g: int, a, h: int, b):
         """Product through the double intersection with Euler-class insertion.
@@ -535,7 +543,7 @@ class SymmetricProductAlgebra:
                         c2 = dense[yl]
                         if c2:
                             prod[k] += c1 * c2 * c
-                prod = [(offsets[k], w) for k, w in enumerate(prod) if w]
+                prod = [(offsets[k], w) for k, w in itertools.compress(enumerate(prod), prod)]
                 for kh, ch in high_row:
                     for k, w in prod:
                         acc[kh + k] += ch * w
@@ -552,36 +560,37 @@ class SymmetricProductAlgebra:
             out = [ex.norm(x * y) for x in out for y in power]
         return out
 
-    def _contraction(self, positions: list[int], gh: int) -> tuple:
+    def _contraction(self, positions: list[int], gh: int, order: tuple) -> tuple:
         """Rows of r_gh after placing factors at ``positions`` of A_e, the unit
-        elsewhere: each cycle of gh multiplies the factors placed in it."""
+        elsewhere, with gh's cycles in ``order``: each cycle of gh multiplies
+        the factors placed in it."""
         where = self.parts[gh].block_index()
         nesting: list = [[] for _ in range(self.factors[gh])]
         for f, p in enumerate(positions):
             nesting[where[p]].append(f)
-        return self._gather_map(nesting)
+        return self._gather_map([nesting[c] for c in order])
 
-    def _contracted(self, g: int, a, gh: int) -> tuple[list, int]:
-        """r_gh of the section lift of ``a``, through rows built once per (g, gh)
-        (factor c of g sits at min(c)): (flat integer numerators on A^(x)|gh|,
-        denominator)."""
-        linear = self._lift_maps.get((g, gh))
+    def _contracted(self, g: int, a, gh: int, order: tuple) -> tuple[list, int]:
+        """r_gh of the section lift of ``a``, gh's cycles in ``order``, through
+        rows built once per (g, gh, order) (factor c of g sits at min(c)):
+        (flat integer numerators on A^(x)|gh|, denominator)."""
+        linear = self._lift_maps.get((g, gh, order))
         if linear is None:
-            linear = self._lift_maps[g, gh] = self._contraction(
-                [blk[0] for blk in self.parts[g].blocks], gh)
+            linear = self._lift_maps[g, gh, order] = self._contraction(
+                [blk[0] for blk in self.parts[g].blocks], gh, order)
         return self._mapped(a, linear)
 
-    def _insertion(self, tau: Permutation, gh: int) -> tuple[dict, int]:
+    def _insertion(self, tau: Permutation, gh: int, order: tuple, high: int) -> tuple[dict, int]:
         """r_gh of gamma_{tau,tau}, the copairing across the two points that the
         transposition tau moves (``contraction_steps`` checks every word entry),
-        as the kernel's left operand: (``_split`` items, denominator)."""
+        as the kernel's left operand with ``high`` leading factors:
+        (``_split`` items, denominator)."""
         D = self.base.dim
         copairing = [0] * D * D
         for i, j, c in self.base.copairing():
             copairing[i * D + j] = c
-        acc, den = self._mapped(copairing, self._contraction(tau.moved_points(), gh))
-        m = self.factors[gh]
-        return _split(acc, D ** (m - m // 2), False), den
+        acc, den = self._mapped(copairing, self._contraction(tau.moved_points(), gh, order))
+        return _split(acc, D ** (len(order) - high), False), den
 
     def contraction_steps(self, g: int, h: int, word: list[Permutation] | None = None):
         """The word for the right factor and the positions where length drops."""
@@ -605,18 +614,50 @@ class SymmetricProductAlgebra:
             rho = nxt
         return word, insertions
 
-    def _insertions(self, g: int, h: int, word: list[Permutation] | None = None) -> list:
-        """(``_split`` items, denominator) on A^(x)|gh| of each copairing the word inserts,
-        contracted to gh; cached per sector pair for the default word, rebuilt
-        (and the word validated) when a word is given."""
+    def _chain_order(self, h: int, gh: int) -> tuple[tuple, int]:
+        """gh's cycles in the chain kernel's order, and its number of high
+        factors.  A cycle of gh that holds no smallest point of a cycle of h
+        receives no factor of h's lift, so the right operand is the unit
+        there (as is the running product where the left lift is too).  Those
+        cycles lead, then the others, each in position order, so the right
+        operand has few high indices and a dead pair is skipped once per high
+        pair.  The high half holds m // 2 factors, or ceil(m / 2) when more
+        cycles than that are unit: all of them fit up to that size, and a
+        larger half would read pair rows of A^(x)p that grow as (nonzero
+        basis pairs)^p while its products get slower."""
+        m, where = self.factors[gh], self._cycle_of[gh]
+        fed = {where[p] for p in self._firsts[h]}
+        unit = [c for c in range(m) if c not in fed]
+        return tuple(unit + sorted(fed)), min(max(m // 2, len(unit)), m - m // 2)
+
+    def _chain_reader(self, order: tuple):
+        """The getter of the chain kernel's flat output in gh's basis order
+        (None when ``order`` is the identity), cached per order."""
+        if order not in self._chain_readers:
+            D, m = self.base.dim, len(order)
+            strides = [0] * m
+            for i, c in enumerate(order):
+                strides[c] = D ** (m - 1 - i)
+            self._chain_readers[order] = _reader(
+                [sum(map(mul, t, strides)) for t in self._tuples(m)])
+        return self._chain_readers[order]
+
+    def _chain_plan(self, g: int, h: int, word: list[Permutation] | None = None) -> tuple:
+        """The chain's state for a sector pair: gh's cycles in kernel order,
+        the number of high factors, the getter back to basis order, and
+        (``_split`` items, denominator) of each copairing the word inserts,
+        contracted to gh in that order.  Cached per sector pair for the
+        default word, rebuilt (and the word validated) when a word is given."""
         if word is None and (g, h) in self._chain_plans:
             return self._chain_plans[g, h]
         _, insertions = self.contraction_steps(g, h, word)
         gh = self.group.mul(g, h)
-        gammas = [self._insertion(t, gh) for t in insertions]
+        order, high = self._chain_order(h, gh)
+        plan = (order, high, self._chain_reader(order),
+                [self._insertion(t, gh, order, high) for t in insertions])
         if word is None:
-            self._chain_plans[g, h] = gammas
-        return gammas
+            self._chain_plans[g, h] = plan
+        return plan
 
     def multiply_chain(self, g: int, a, h: int, b, word: list[Permutation] | None = None):
         """Product via the explicit transposition-word cocycle formula.
@@ -624,19 +665,22 @@ class SymmetricProductAlgebra:
         r_gh(L_g a . L_h b . prod gamma_tau) = r_gh(L_g a) r_gh(L_h b) prod
         r_gh(gamma_tau), as r_gh is an algebra map: every factor is contracted
         to gh's cycles first and the products run on A^(x)|gh|, on flat integer
-        numerators divided once at the end.  A^(x)|gh| is commutative, so each
-        insertion multiplies the running product from the left.
+        numerators divided once at the end.  The cycles run in the unit-first
+        order of ``_chain_order``, so the kernel's high half holds every
+        factor where h's lift is the unit; one getter returns the product to
+        gh's basis order.  A^(x)|gh| is commutative, so each insertion
+        multiplies the running product from the left.
         """
-        gammas = self._insertions(g, h, word)
+        order, p, reader, gammas = self._chain_plan(g, h, word)
         gh = self.group.mul(g, h)
-        m = self.factors[gh]
-        size = self.base.dim ** (m - m // 2)   # the kernel's low factors
-        (left, da), (right, db) = self._contracted(g, a, gh), self._contracted(h, b, gh)
-        acc, den = frob.factorwise_product(self.base, m, (_split(left, size, False), da),
+        q = len(order) - p
+        size = self.base.dim ** q   # the kernel's low factors
+        (left, da), (right, db) = self._contracted(g, a, gh, order), self._contracted(h, b, gh, order)
+        acc, den = frob.factorwise_product(self.base, p, q, (_split(left, size, False), da),
                                            (_split(right, size, True), db))
         for gamma in gammas:
-            acc, den = frob.factorwise_product(self.base, m, gamma, (_split(acc, size, True), den))
-        return _divided(acc, den)
+            acc, den = frob.factorwise_product(self.base, p, q, gamma, (_split(acc, size, True), den))
+        return _divided(acc if reader is None else list(reader(acc)), den)
 
     def gamma_cocycle(self, g: int, h: int):
         """The sector cocycle as an identity-sector element (chain form).
@@ -758,6 +802,13 @@ def _integral(cols: dict) -> tuple[dict, int]:
 _no_factors = itemgetter(slice(0))   # () off any tuple: the key of the empty product
 
 
+def _reader(order: list):
+    """A C-level getter of a dense vector's entries at ``order`` (a tuple), or
+    None when ``order`` is the identity, which it always is for fewer than two
+    entries (where ``itemgetter`` would raise or return a scalar)."""
+    return None if order == list(range(len(order))) else itemgetter(*order)
+
+
 def _orbit_positions(shape: tuple) -> list:
     """Per joint orbit of a ``_joint_orbits`` shape: its positions of g, h and gh."""
     *rows, sizes = shape
@@ -770,8 +821,11 @@ def _orbit_positions(shape: tuple) -> list:
 
 class _Layout(NamedTuple):
     """A push plan's split of A^(x)m into a high and a low part of its
-    factors, each part's index reading its factors in position order."""
-    where: list     # per flat index: high index * size + low index
+    factors, each part's index reading its factors in position order.  The
+    layout index of a basis tuple is high index * size + low index; ``read``
+    takes a dense operand into layout order in one C-level call."""
+    length: int     # D^m
+    read: object    # ``_reader`` of the flat index at each layout index
     size: int       # the number of low indices
     strides: list   # per position: its stride within its part
     offsets: list   # per low index: its flat offset

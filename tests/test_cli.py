@@ -442,6 +442,20 @@ def test_mult_tuple_coefficient_syntax(tmp_path, capsys):
     assert out == "x⊗x@e"
 
 
+@pytest.mark.parametrize("coeffs", ["(1,x): 2, (1,x): 3", "1⊗x: 2, (1,x): 3"])
+def test_mult_map_form_refuses_a_repeated_label(tmp_path, capsys, coeffs):
+    # a map that names one basis element twice is refused, not overwritten;
+    # a combination that names it twice sums
+    sp2 = tmp_path / "sp2.json"
+    run("symprod", FIXTURES / "dual_numbers.json", "--n", 2, "--out", sp2)
+    capsys.readouterr()
+    assert run("mult", sp2, f"sector=e; coeffs={{{coeffs}}}", "1⊗1@e") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "'1⊗x' is given twice" in err
+    assert run("mult", sp2, "2*1⊗x + 3*1⊗x@e", "1⊗1@e") == 0
+    assert capsys.readouterr().out.strip() == "5*1⊗x@e"
+
+
 def test_mult_unknown_label_exits_two(tmp_path, capsys):
     sp2 = tmp_path / "sp2.json"
     run("symprod", FIXTURES / "dual_numbers.json", "--n", 2, "--out", sp2)

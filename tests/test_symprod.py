@@ -386,7 +386,7 @@ def test_elem_product_matches_pairwise_reference(sp_factory, qx2, surface, half,
         operands += [({}, some), (some, {}), ({}, {}),
                      ({t: 0 for t in some}, some), ({t: Fraction(2, 1) for t in some}, some)]
         for s1, s2 in operands:
-            product = frob.factorwise_product(base, n, _numerators(sp, s1, False),
+            product = frob.factorwise_product(base, n // 2, n - n // 2, _numerators(sp, s1, False),
                                               _numerators(sp, s2, True))
             got = {k: (type(v), v) for k, v in _divide(sp, product).items()}
             want = {k: (type(v), v) for k, v in _reference_elem_product(sp, s1, s2).items()}
@@ -818,7 +818,7 @@ def test_block_maps_match_per_entry_reference(sp_factory, qx2, surface, half, n)
                 assert _typed(sp._joint_section(part_gh, joint, w)) == \
                     _typed(_reference_joint_section(sp, part_gh, joint, w))
             for v in (_random_vector(rng, sp.dims[gi]), [Fraction(0)] * sp.dims[gi]):
-                assert _typed(frob._divided(*sp._contracted(gi, v, gh))) == \
+                assert _typed(frob._divided(*sp._contracted(gi, v, gh, tuple(range(len(part_gh)))))) == \
                     _typed(_reference_contract_sparse(sp, _reference_section_lift(sp, gi, v), part_gh))
 
 
@@ -854,6 +854,9 @@ def _dense_fractions(rng, size):
             for _ in range(size)]
 
 
+ZERO_BASE = {"name": "zero", "dim": 0, "basis": [], "unit": [], "metric": [], "structure": []}
+
+
 @pytest.mark.parametrize("n, left, right, edge", [
     (4, "(1 2 3 4)", "(1 3)", "one orbit"),     # g an n-cycle: the high half is empty
     (4, "e", "e", "singletons"),                  # every joint orbit is one point
@@ -861,10 +864,18 @@ def _dense_fractions(rng, size):
     (5, "(2 4)", "(2 4)", None),                  # the products workload's t*t, t*u and t|u
     (5, "(1 5)", "(3 5)", None),
     (5, "(3 4)", "(1 5)", None),
+    (5, "(4 5)", "(4 5)", "last points"),         # the chain moves gh's last point high
+    (4, "(3 4)", "(3 4)", "last points"),
+    (4, "(1 2 3 4)", "(1 4 3 2)", "last points"), # three unit points, two in the chain's high half
+    (3, "(2 3)", "(2 3)", "length 0"),            # a 0-dimensional base: empty operands
+    (3, "(2 3)", "(2 3)", "length 1"),            # Sym^3(k): one-entry operands
 ])
-def test_pushforward_matches_staged_reference_at_the_kernel_edges(sp_factory, surface, n, left,
-                                                                  right, edge):
-    sp = sp_factory(surface, n)
+def test_pushforward_matches_staged_reference_at_the_kernel_edges(sp_factory, surface, ground, n,
+                                                                  left, right, edge):
+    # the chain is checked beside the pushforward: at the last points its
+    # kernel order differs from gh's basis order
+    base = {"length 0": frob.from_json_dict(ZERO_BASE), "length 1": ground}.get(edge, surface)
+    sp = sp_factory(base, n)
     gi, hi = sp.group.index_of(left), sp.group.index_of(right)
     *_, sizes = sp._joint_orbits(gi, hi, sp.group.mul(gi, hi))
     high = sp._push_plan(gi, hi)[2]
@@ -872,13 +883,21 @@ def test_pushforward_matches_staged_reference_at_the_kernel_edges(sp_factory, su
         assert len(sizes) == 1 and high == [[(0, [(0, 1)])]]
     elif edge == "singletons":   # the leading n // 2 orbits form the high half
         assert sizes == (1,) * n and len(high) == surface.dim ** (n // 2)
+    elif edge == "last points":
+        order = sp._chain_plan(gi, hi)[0]
+        assert order != tuple(range(len(order)))
     rng = random.Random(1789 + n)
     dg, dh = sp.dims[gi], sp.dims[hi]
+    integral = [rng.randint(-9, 9) for _ in range(dh)]
     for a, b in ((_dense_fractions(rng, dg), _dense_fractions(rng, dh)),
                  ([0] * dg, _dense_fractions(rng, dh)),
-                 (_dense_fractions(rng, dg), [Fraction(0)] * dh)):
-        assert _typed(sp.multiply_pushforward(gi, a, hi, b)) == \
-            _typed(_staged_pushforward(sp, gi, a, hi, b))
+                 (_dense_fractions(rng, dg), [Fraction(0)] * dh),
+                 ([Fraction(rng.randint(-9, 9)) for _ in range(dg)], integral)):
+        push = _typed(sp.multiply_pushforward(gi, a, hi, b))
+        assert push == _typed(_staged_pushforward(sp, gi, a, hi, b))
+        assert _typed(sp.multiply_chain(gi, a, hi, b)) == push == \
+            _typed(_chain_in_identity_sector(sp, gi, a, hi, b))
+        assert len(push) == sp.dims[sp.group.mul(gi, hi)]
 
 
 def _reference_copairing(sp, tau):
@@ -906,7 +925,8 @@ def _chain_in_identity_sector(sp, gi, a, hi, b, word=None):
     _, insertions = sp.contraction_steps(gi, hi, word)
     elem = _reference_section_lift(sp, gi, a)
     for right in [_reference_section_lift(sp, hi, b)] + [_reference_copairing(sp, t) for t in insertions]:
-        elem = _divide(sp, frob.factorwise_product(sp.base, sp.n, _numerators(sp, elem, False),
+        elem = _divide(sp, frob.factorwise_product(sp.base, sp.n // 2, sp.n - sp.n // 2,
+                                                   _numerators(sp, elem, False),
                                                    _numerators(sp, right, True)))
     return _reference_contract_sparse(sp, elem, sp.parts[sp.group.mul(gi, hi)])
 
@@ -938,9 +958,9 @@ def test_chain_multiplies_on_the_cycles_of_the_product_sector(surface, monkeypat
     pushforward = ("_joint_orbits", "_plan", "_push_plan", "_orbit_map", "_layout", "_halves",
                    "multiply_pushforward")
 
-    def counted(algebra, m, left, right):
-        sizes.append(m)
-        return factorwise_product(algebra, m, left, right)
+    def counted(algebra, p, q, left, right):
+        sizes.append(p + q)
+        return factorwise_product(algebra, p, q, left, right)
 
     monkeypatch.setattr(frob, "factorwise_product", counted)
     for name in pushforward:
@@ -957,6 +977,58 @@ def test_chain_multiplies_on_the_cycles_of_the_product_sector(surface, monkeypat
     assert plans == []
     assert chain == sp.multiply_pushforward(gi, a, hi, b)
     assert set(plans) == set(pushforward)
+
+
+def _unit_cycles(sp, hi, gh, rng) -> set:
+    """The cycles of gh where h's lift of a dense operand, contracted to gh in
+    basis order, has only the unit's support."""
+    m = len(sp.parts[gh])
+    acc, _ = sp._contracted(hi, _dense_fractions(rng, sp.dims[hi]), gh, tuple(range(m)))
+    unit = {k for k, u in enumerate(sp.base.unit) if u}
+    support = [frob.tensor_tuple(x, sp.base.dim, m) for x, w in enumerate(acc) if w]
+    return {c for c in range(m) if all(t[c] in unit for t in support)}
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_chain_kernel_holds_the_right_lifts_units_in_its_high_half(surface, n, monkeypatch):
+    # where the right operand is the unit, a low half would read mostly zeros;
+    # in the high half those dead pairs are skipped once per high pair.  Sym^4:
+    # every sector pair; Sym^5: t*t, t*u and t|u on every choice of points.
+    # The half grows to ceil(m / 2) factors at most, as a larger one reads
+    # pair rows of A^(x)p that grow as 9^p; when more cycles are unit (Sym^4:
+    # 3 of the 4 for a 4-cycle times its inverse) it holds unit cycles only
+    sp = sp_mod.SymmetricProductAlgebra(surface, n)
+    if n == 4:
+        pairs = [(gi, hi) for gi in range(sp.group.order) for hi in range(sp.group.order)]
+    else:
+        t = [sp.group.index_of(f"({a} {b})") for a, b in itertools.combinations(range(1, 6), 2)]
+        pairs = [(gi, hi) for gi in t for hi in t]   # t*t, t*u and t|u, each on all points
+    splits = []
+    factorwise_product = frob.factorwise_product
+
+    def recorded(algebra, p, q, left, right):
+        splits.append((p, q))
+        return factorwise_product(algebra, p, q, left, right)
+
+    monkeypatch.setattr(frob, "factorwise_product", recorded)
+    rng = random.Random(8039 + n)
+    moved = crowded = 0
+    for gi, hi in pairs:
+        gh = sp.group.mul(gi, hi)
+        order, p, _, _ = sp._chain_plan(gi, hi)
+        m, units = len(order), _unit_cycles(sp, hi, gh, rng)
+        assert sorted(order) == list(range(m)) and p in (m // 2, m - m // 2)
+        if len(units) <= m - m // 2:
+            assert units <= set(order[:p])
+        else:
+            assert set(order[:p]) < units and p == m - m // 2
+            crowded += 1
+        moved += any(c >= m // 2 for c in units)   # low in basis order
+        del splits[:]
+        a, b = _dense_fractions(rng, sp.dims[gi]), _dense_fractions(rng, sp.dims[hi])
+        assert sp.multiply_chain(gi, a, hi, b) == sp.multiply_pushforward(gi, a, hi, b)
+        assert set(splits) == {(p, len(order) - p)}
+    assert moved > 0 and crowded == (6 if n == 4 else 0)
 
 
 def test_chain_builds_each_pair_table_once():
@@ -1308,15 +1380,15 @@ def test_product_stages_see_integer_numerators(sp_factory, qx2, surface, monkeyp
              + [c for triples in low for _, _, c in triples] + [den])
         return plan
 
-    def checked_factorwise_product(algebra, m, left, right):
+    def checked_factorwise_product(algebra, p, q, left, right):
         (items, d1), (dense, d2) = left, right
         ints([w for terms in items.values() for _, w in terms]
              + [w for row in dense.values() for w in row] + [d1, d2, algebra._pairs_den])
-        for r in {m // 2, m - m // 2}:   # the pair rows the kernel reads
+        for r in {p, q}:   # the pair rows the kernel reads
             rows, flat = frob._power_pairs(algebra, r)
             ints([c for pairs in rows for _, row in pairs for _, c in row]
                  + [c for triples in flat for _, _, c in triples])
-        return factorwise_product(algebra, m, left, right)
+        return factorwise_product(algebra, p, q, left, right)
 
     monkeypatch.setattr(sp_mod.SymmetricProductAlgebra, "_halves", checked_halves)
     monkeypatch.setattr(sp_mod.SymmetricProductAlgebra, "_push_plan", checked_push_plan)
