@@ -12,12 +12,11 @@ those may assume the laws hold.
 
 Every product inside a tensor power A^(x)m goes through one kernel,
 ``factorwise_product``.  It holds its operands' integer numerators by flat
-index, split as A^(x)m = A^(x)p (x) A^(x)q after the p leading factors, and
-multiplies them in one two-level loop over the pair rows of A^(x)p and
-A^(x)q, which are built once per algebra and power.  ``factorwise_multiply``
-is its form on dense vectors, with p = m // 2; the symmetric products' chain
-route calls the kernel on its split numerators directly, with its
-structurally unit factors leading.
+index, split as A^(x)m = A^(x)p (x) A^(x)q with p = m // 2, and multiplies
+them in one two-level loop over the pair rows of A^(x)p and A^(x)q, which are
+built once per algebra and power; ``factorwise_multiply`` is its form on
+dense vectors, and the symmetric products' chain route calls the kernel on
+its split numerators directly, with its structurally unit factors leading.
 """
 
 from __future__ import annotations
@@ -286,20 +285,20 @@ def _split(acc, size: int, dense: bool) -> dict:
     return out
 
 
-def factorwise_product(algebra: FrobeniusAlgebra, p: int, q: int, left, right) -> tuple[list, int]:
-    """Product on A^(x)p (x) A^(x)q on integer numerators.
+def factorwise_product(algebra: FrobeniusAlgebra, m: int, left, right) -> tuple[list, int]:
+    """Product on A^(x)m = A^(x)p (x) A^(x)q, p = m // 2, on integer numerators.
 
-    Operands are (``_split`` numerators, denominator) with the p leading
-    factors as the high half and the q others as the low one: items on the
-    left, dense lists on the right.  Each pair of high indices with a nonzero
-    product multiplies the two low halves through the flat pair rows of
-    A^(x)q, and the low product spreads over the high pair's row, so a dead
-    pair costs no multiplication; a right operand whose high factors are
-    mostly the unit has few high indices, and its dead pairs are skipped
-    once per high pair.  Returns (flat numerators, denominator).
+    Operands are (``_split`` numerators, denominator) with A^(x)q as the low
+    factors: items on the left, dense lists on the right.  Each pair of high
+    indices with a nonzero product multiplies the two low halves through the
+    flat pair rows of A^(x)q, and the low product spreads over the high
+    pair's row, so a dead pair costs no multiplication; a right operand whose
+    high factors are mostly the unit has few high indices, and its dead pairs
+    are skipped once per high pair.  Returns (flat numerators, denominator).
     """
-    high, low = _power_pairs(algebra, p)[0], _power_pairs(algebra, q)[1]
-    size = algebra.dim ** q
+    p = m // 2
+    high, low = _power_pairs(algebra, p)[0], _power_pairs(algebra, m - p)[1]
+    size = algebra.dim ** (m - p)
     (lhs, d1), (rhs, d2) = left, right
     out = [0] * (size * algebra.dim ** p)
     for xh, terms in lhs.items():
@@ -319,21 +318,21 @@ def factorwise_product(algebra: FrobeniusAlgebra, p: int, q: int, left, right) -
                 for k, w in prod:
                     out[base + k] += ch * w
     # one row constant per factor and product
-    return out, d1 * d2 * algebra._pairs_den ** (p + q)
+    return out, d1 * d2 * algebra._pairs_den ** m
 
 
 def factorwise_multiply(algebra: FrobeniusAlgebra, m: int, u, v):
     """Product on A^(x)m on dense vectors: ``factorwise_product`` of the
-    operands' flat numerators split after m // 2 factors, divided once.
-    A^(x)0 is the ground field, where the product is that of the two scalars."""
-    size, p = algebra.dim ** m, m // 2
+    operands' flat numerators, divided once.  A^(x)0 is the ground field,
+    where the product is that of the two scalars."""
+    size = algebra.dim ** m
     if len(u) != size or len(v) != size:
         raise ValueError(f"tensor power operands must have length {size}")
-    operands, low = [], algebra.dim ** (m - p)
+    operands, low = [], algebra.dim ** (m - m // 2)
     for vec, dense in ((u, False), (v, True)):
         nums, den = _scaled(vec, size)
         operands.append((_split(nums, low, dense), den))
-    return _divided(*factorwise_product(algebra, p, m - p, *operands))
+    return _divided(*factorwise_product(algebra, m, *operands))
 
 
 def tensor_metric(algebra: FrobeniusAlgebra, m: int) -> ex.SparseMap:

@@ -46,12 +46,12 @@ numerators split into a high and a low half of the factors; the pushforward
 runs its own pass of that form, its halves made of whole joint orbits.
 Each skips pairs with zero product before multiplying any coefficient.  The
 chain lays out the cycles of ss' unit first: those where the right
-operand's lift is structurally the unit lead, all in the high half, so
-that a high pair the right operand lacks is skipped once, not once per low
-term, and one getter returns the product to basis order.  Every
-intermediate value of either route is an integer numerator over one
-denominator per stage; the denominators multiply along the stages and each
-product divides once, at the end.  Operands enter and leave the kernels
+operand's lift is structurally the unit lead, in the high half of m // 2
+factors as far as they fit, so that a high pair the right operand lacks is
+skipped once, not once per low term, and one getter returns the product to
+basis order.  Every intermediate value of either route is an integer
+numerator over one denominator per stage; the denominators multiply along
+the stages and each product divides once, at the end.  Operands enter and leave the kernels
 through C-level getters: each entry's ratio is read once, a cached
 ``itemgetter`` reads a dense operand into a layout's order, and the high
 chunks are slices.  What depends only on the joint-orbit shape (the push
@@ -580,17 +580,18 @@ class SymmetricProductAlgebra:
                 [blk[0] for blk in self.parts[g].blocks], gh, order)
         return self._mapped(a, linear)
 
-    def _insertion(self, tau: Permutation, gh: int, order: tuple, high: int) -> tuple[dict, int]:
+    def _insertion(self, tau: Permutation, gh: int, order: tuple) -> tuple[dict, int]:
         """r_gh of gamma_{tau,tau}, the copairing across the two points that the
         transposition tau moves (``contraction_steps`` checks every word entry),
-        as the kernel's left operand with ``high`` leading factors:
-        (``_split`` items, denominator)."""
+        gh's cycles in ``order``, as the kernel's left operand: (``_split``
+        items, denominator)."""
         D = self.base.dim
         copairing = [0] * D * D
         for i, j, c in self.base.copairing():
             copairing[i * D + j] = c
         acc, den = self._mapped(copairing, self._contraction(tau.moved_points(), gh, order))
-        return _split(acc, D ** (len(order) - high), False), den
+        m = len(order)
+        return _split(acc, D ** (m - m // 2), False), den
 
     def contraction_steps(self, g: int, h: int, word: list[Permutation] | None = None):
         """The word for the right factor and the positions where length drops."""
@@ -614,21 +615,17 @@ class SymmetricProductAlgebra:
             rho = nxt
         return word, insertions
 
-    def _chain_order(self, h: int, gh: int) -> tuple[tuple, int]:
-        """gh's cycles in the chain kernel's order, and its number of high
-        factors.  A cycle of gh that holds no smallest point of a cycle of h
-        receives no factor of h's lift, so the right operand is the unit
-        there (as is the running product where the left lift is too).  Those
-        cycles lead, then the others, each in position order, so the right
-        operand has few high indices and a dead pair is skipped once per high
-        pair.  The high half holds m // 2 factors, or ceil(m / 2) when more
-        cycles than that are unit: all of them fit up to that size, and a
-        larger half would read pair rows of A^(x)p that grow as (nonzero
-        basis pairs)^p while its products get slower."""
+    def _chain_order(self, h: int, gh: int) -> tuple:
+        """gh's cycles in the chain kernel's order.  A cycle of gh that holds
+        no smallest point of a cycle of h receives no factor of h's lift, so
+        the right operand is the unit there (as is the running product where
+        the left lift is too).  Those cycles lead, then the others, each in
+        position order, so the kernel's high half (its m // 2 leading
+        factors) holds as many of them as fit, the right operand has few high
+        indices and a dead pair is skipped once per high pair."""
         m, where = self.factors[gh], self._cycle_of[gh]
         fed = {where[p] for p in self._firsts[h]}
-        unit = [c for c in range(m) if c not in fed]
-        return tuple(unit + sorted(fed)), min(max(m // 2, len(unit)), m - m // 2)
+        return tuple([c for c in range(m) if c not in fed] + sorted(fed))
 
     def _chain_reader(self, order: tuple):
         """The getter of the chain kernel's flat output in gh's basis order
@@ -644,17 +641,16 @@ class SymmetricProductAlgebra:
 
     def _chain_plan(self, g: int, h: int, word: list[Permutation] | None = None) -> tuple:
         """The chain's state for a sector pair: gh's cycles in kernel order,
-        the number of high factors, the getter back to basis order, and
-        (``_split`` items, denominator) of each copairing the word inserts,
-        contracted to gh in that order.  Cached per sector pair for the
+        the getter back to basis order, and (``_split`` items, denominator)
+        of each copairing the word inserts, contracted to gh in that order.  Cached per sector pair for the
         default word, rebuilt (and the word validated) when a word is given."""
         if word is None and (g, h) in self._chain_plans:
             return self._chain_plans[g, h]
         _, insertions = self.contraction_steps(g, h, word)
         gh = self.group.mul(g, h)
-        order, high = self._chain_order(h, gh)
-        plan = (order, high, self._chain_reader(order),
-                [self._insertion(t, gh, order, high) for t in insertions])
+        order = self._chain_order(h, gh)
+        plan = (order, self._chain_reader(order),
+                [self._insertion(t, gh, order) for t in insertions])
         if word is None:
             self._chain_plans[g, h] = plan
         return plan
@@ -666,20 +662,21 @@ class SymmetricProductAlgebra:
         r_gh(gamma_tau), as r_gh is an algebra map: every factor is contracted
         to gh's cycles first and the products run on A^(x)|gh|, on flat integer
         numerators divided once at the end.  The cycles run in the unit-first
-        order of ``_chain_order``, so the kernel's high half holds every
-        factor where h's lift is the unit; one getter returns the product to
-        gh's basis order.  A^(x)|gh| is commutative, so each insertion
-        multiplies the running product from the left.
+        order of ``_chain_order``, so the kernel's high half holds the factors
+        where h's lift is the unit, as many as its m // 2 factors take; one
+        getter returns the product to gh's basis order.  A^(x)|gh| is
+        commutative, so each insertion multiplies the running product from
+        the left.
         """
-        order, p, reader, gammas = self._chain_plan(g, h, word)
+        order, reader, gammas = self._chain_plan(g, h, word)
         gh = self.group.mul(g, h)
-        q = len(order) - p
-        size = self.base.dim ** q   # the kernel's low factors
+        m = len(order)
+        size = self.base.dim ** (m - m // 2)   # the kernel's low factors
         (left, da), (right, db) = self._contracted(g, a, gh, order), self._contracted(h, b, gh, order)
-        acc, den = frob.factorwise_product(self.base, p, q, (_split(left, size, False), da),
+        acc, den = frob.factorwise_product(self.base, m, (_split(left, size, False), da),
                                            (_split(right, size, True), db))
         for gamma in gammas:
-            acc, den = frob.factorwise_product(self.base, p, q, gamma, (_split(acc, size, True), den))
+            acc, den = frob.factorwise_product(self.base, m, gamma, (_split(acc, size, True), den))
         return _divided(acc if reader is None else list(reader(acc)), den)
 
     def gamma_cocycle(self, g: int, h: int):
