@@ -12,11 +12,14 @@ those may assume the laws hold.
 
 Every product inside a tensor power A^(x)m goes through one kernel,
 ``factorwise_product``.  It holds its operands' integer numerators by flat
-index, split as A^(x)m = A^(x)p (x) A^(x)q with p = m // 2, and multiplies
-them in one two-level loop over the pair rows of A^(x)p and A^(x)q, which are
-built once per algebra and power; ``factorwise_multiply`` is its form on
-dense vectors, and the symmetric products' chain route calls the kernel on
-its split numerators directly, with its structurally unit factors leading.
+index, split as A^(x)m = A^(x)p (x) A^(x)q with p = m // 2, and runs them
+through ``_walk``, one two-level loop, over the pair rows of A^(x)p and
+A^(x)q, which are built once per algebra and power; ``factorwise_multiply``
+is its form on dense vectors, and the symmetric products' chain route calls
+the kernel on its split numerators directly, with its structurally unit
+factors leading.  ``_walk`` only applies the rows it is given: the
+symmetric products' pushforward runs it on rows composed from its own joint
+orbits' maps, which keeps the two product routes independent.
 """
 
 from __future__ import annotations
@@ -285,22 +288,16 @@ def _split(acc, size: int, dense: bool) -> dict:
     return out
 
 
-def factorwise_product(algebra: FrobeniusAlgebra, m: int, left, right) -> tuple[list, int]:
-    """Product on A^(x)m = A^(x)p (x) A^(x)q, p = m // 2, on integer numerators.
-
-    Operands are (``_split`` numerators, denominator) with A^(x)q as the low
-    factors: items on the left, dense lists on the right.  Each pair of high
-    indices with a nonzero product multiplies the two low halves through the
-    flat pair rows of A^(x)q, and the low product spreads over the high
-    pair's row, so a dead pair costs no multiplication; a right operand whose
-    high factors are mostly the unit has few high indices, and its dead pairs
-    are skipped once per high pair.  Returns (flat numerators, denominator).
-    """
-    p = m // 2
-    high, low = _power_pairs(algebra, p)[0], _power_pairs(algebra, m - p)[1]
-    size = algebra.dim ** (m - p)
-    (lhs, d1), (rhs, d2) = left, right
-    out = [0] * (size * algebra.dim ** p)
+def _walk(lhs: dict, rhs: dict, high: list, low: list, size: int, length: int) -> list:
+    """The two-level product loop on integer numerators, written to ``length``
+    flat outputs at ``kh * size + k``: operands are ``_split`` by high index,
+    items on the left and dense lists on the right.  Each high pair with a
+    row in ``high`` (x -> [(y, [(kh, numerator)])]) multiplies the two low
+    halves through the flat rows ``low`` (x -> [(y, k, numerator)]), and the
+    low product spreads over the high pair's row, so a dead pair costs no
+    multiplication and a high index the right operand lacks is skipped once
+    per high pair."""
+    out = [0] * length
     for xh, terms in lhs.items():
         for yh, high_row in high[xh]:
             dense = rhs.get(yh)
@@ -317,6 +314,23 @@ def factorwise_product(algebra: FrobeniusAlgebra, m: int, left, right) -> tuple[
                 base = kh * size
                 for k, w in prod:
                     out[base + k] += ch * w
+    return out
+
+
+def factorwise_product(algebra: FrobeniusAlgebra, m: int, left, right) -> tuple[list, int]:
+    """Product on A^(x)m = A^(x)p (x) A^(x)q, p = m // 2, on integer numerators.
+
+    Operands are (``_split`` numerators, denominator) with A^(x)q as the low
+    factors: items on the left, dense lists on the right.  ``_walk`` runs
+    them through the pair rows of A^(x)p and A^(x)q; a right operand whose
+    high factors are mostly the unit has few high indices.  Returns (flat
+    numerators, denominator).
+    """
+    p = m // 2
+    size = algebra.dim ** (m - p)
+    (lhs, d1), (rhs, d2) = left, right
+    out = _walk(lhs, rhs, _power_pairs(algebra, p)[0], _power_pairs(algebra, m - p)[1], size,
+                size * algebra.dim ** p)
     # one row constant per factor and product
     return out, d1 * d2 * algebra._pairs_den ** m
 

@@ -25,13 +25,15 @@ and as the base is commutative it depends only on the numbers of cycles of
 s, s' and ss' in B and on B's graph defect; it is composed once per instance
 from the m-fold products, the Euler-class power and the metric adjoint.  A
 sector pair's plan splits its joint orbits into a high half (the leading
-orbits, with at most half of the left factor's cycles) and a low half, and
-multiplies each half's maps out once into integer rows on flat indices.
-``multiply_pushforward`` walks both operands through the plan in one
-two-level pass; a realized table (``pair_table``) is the Kronecker product
-of all of the pair's orbit maps at flat strides.  Plans and tables depend
-only on the joint orbits' shape and are cached per shape; the chain stays
-independent of both as the oracle.
+orbits, with at most half of the left factor's cycles) and a low half, puts
+the high factors of g, h and gh first, and multiplies each half's maps out
+once into integer rows on that half's indices.  ``multiply_pushforward``
+runs both operands through the plan's rows with ``frobenius._walk``, the
+two-level loop the chain's kernel runs on the base's pair rows; a realized
+table (``pair_table``) is the Kronecker product of all of the pair's orbit
+maps at flat strides.  Plans and tables depend only on the joint orbits'
+shape and are cached per shape; the chain stays independent of both as the
+oracle.
 
 The chain never multiplies in A_e.  Its last step, the contraction r_ss'
 onto the product sector, multiplies the factors in each cycle of ss'; as the
@@ -43,17 +45,19 @@ cycle that receives none holds the unit; the insertions once per sector
 pair.  The products then run on A^(x)|ss'| with
 ``frobenius.factorwise_product``, the one kernel on tensor powers, on flat
 numerators split into a high and a low half of the factors; the pushforward
-runs its own pass of that form, its halves made of whole joint orbits.
-Each skips pairs with zero product before multiplying any coefficient.  The
-chain lays out the cycles of ss' unit first: those where the right
-operand's lift is structurally the unit lead, in the high half of m // 2
-factors as far as they fit, so that a high pair the right operand lacks is
-skipped once, not once per low term, and one getter returns the product to
-basis order.  Every intermediate value of either route is an integer
-numerator over one denominator per stage; the denominators multiply along
-the stages and each product divides once, at the end.  Operands enter and leave the kernels
-through C-level getters: each entry's ratio is read once, a cached
-``itemgetter`` reads a dense operand into a layout's order, and the high
+runs the same loop, ``frobenius._walk``, with halves made of whole joint
+orbits.  The loop skips pairs with zero product before multiplying any
+coefficient; the maps it applies stay separate per route.  The chain lays
+out the cycles of ss' unit first: those where the right operand's lift is
+structurally the unit lead, in the high half of m // 2 factors as far as
+they fit, so that a high pair the right operand lacks is skipped once, not
+once per low term, and one getter returns the product to basis order.
+Every intermediate value of either route is an integer numerator over one
+denominator per stage; the denominators multiply along the stages and each
+product divides once, at the end.  Operands enter and leave the loop
+through C-level getters built once per factor order by ``_order``: each
+entry's ratio is read once, an ``itemgetter`` reads a dense operand into
+kernel order, another returns the product to basis order, and the high
 chunks are slices.  What depends only on the joint-orbit shape (the push
 plan) or on the sector pair (the chain's order and contracted copairing
 insertions) is built on the first product that needs it and reused.
@@ -73,7 +77,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter, mul
-from typing import NamedTuple
 
 from . import exactnum as ex
 from . import frobenius as frob
@@ -199,16 +202,16 @@ class SymmetricProductAlgebra:
         self.euler = base.euler_class()
         self._perm_index = {p.images: i for i, p in enumerate(self.perms)}
         self._galg: GFrobeniusAlgebra | None = None
-        # the routes share read-only tables only (m-fold product columns, base rows);
-        # the pushforward's own per-orbit maps keep the cross-oracle independent.
-        # Filled lazily and idempotently, keyed by m, by sector, by sector pair
-        # or by joint-orbit shape:
+        # the routes share read-only tables (m-fold product columns, base rows),
+        # the loop that applies rows (frobenius._walk) and the per-order getters,
+        # but no map: the pushforward's own per-orbit maps keep the cross-oracle
+        # independent.  Filled lazily and idempotently, keyed by m, by sector, by
+        # factor order, by sector pair or by joint-orbit shape:
         self._tuple_cache: dict[int, list] = {}
         self._columns: dict[tuple, tuple] = {}
         self._lift_maps: dict[tuple, tuple] = {}
         self._orbit_maps: dict[tuple, tuple] = {}
-        self._layouts: dict[tuple, tuple] = {}
-        self._chain_readers: dict[tuple, object] = {}
+        self._orders: dict[tuple, tuple] = {}
         self._plan_shapes: dict[tuple, tuple] = {}
         self._pair_tables: dict[tuple, dict] = {}
         self._chain_plans: dict[tuple, tuple] = {}
@@ -442,24 +445,6 @@ class SymmetricProductAlgebra:
         return tuple(tuple(map(orbit.__getitem__, self._firsts[s])) for s in (g, h, gh)) + (
             tuple(sizes),)
 
-    def _layout(self, m: int, high: tuple) -> "_Layout":
-        """A^(x)m with its factors split into the positions ``high`` and the
-        rest, cached per (m, high)."""
-        layout = self._layouts.get((m, high))
-        if layout is None:
-            D, low = self.base.dim, [q for q in range(m) if q not in high]
-            strides = [0] * m
-            offsets = []   # per part and index: its flat offset
-            for span in (high, low):
-                for i, q in enumerate(span):
-                    strides[q] = D ** (len(span) - 1 - i)
-                offsets.append([sum(D ** (m - 1 - q) * k for q, k in zip(span, t))
-                                for t in self._tuples(len(span))])
-            order = [x + y for x in offsets[0] for y in offsets[1]]
-            layout = self._layouts[m, high] = _Layout(
-                len(order), _reader(order), len(offsets[1]), strides, offsets[1])
-        return layout
-
     def _half(self, orbits: list, sizes: tuple, strides: tuple) -> tuple[list, int]:
         """The Kronecker product of the orbits' composed maps, placed by
         ``strides`` (per position of g, h and gh): the rows x -> [(y, [(output,
@@ -479,27 +464,48 @@ class SymmetricProductAlgebra:
         size = self.base.dim ** sum(len(orbit[0]) for orbit in orbits)
         return [table.get(x, []) for x in range(size)], den
 
+    def _order(self, order: tuple) -> tuple:
+        """A^(x)m with its factors in a kernel's order, ``order[i]`` the factor
+        at kernel position i: per factor its stride in the kernel index, the
+        getter of a dense vector into kernel order and the getter back to
+        basis order.  Both getters are C-level ``_reader``s, None for the
+        identity order; cached per order."""
+        if order not in self._orders:
+            D, m = self.base.dim, len(order)
+            strides = [0] * m
+            for i, q in enumerate(order):
+                strides[q] = D ** (m - 1 - i)
+            back = [sum(map(mul, t, strides)) for t in self._tuples(m)]   # per basis index
+            into = [0] * len(back)
+            for x, k in enumerate(back):
+                into[k] = x
+            self._orders[order] = strides, _reader(into), _reader(back)
+        return self._orders[order]
+
     def _plan(self, shape: tuple) -> tuple:
         """The push plan of a joint-orbit shape: its orbits in two halves, the
-        leading ones holding at most half of g's factors, and the rest.
-        Returns the layouts of g and h, the high half's composed rows x ->
-        [(y, [(offset at gh's strides, numerator)])], the low half's flat rows
-        x -> [(y, low index of gh, numerator)], gh's layout, and the product
-        of the maps' denominators; x and y index each half's factors in
-        position order."""
+        leading ones holding at most half of g's factors, and the rest.  The
+        factors of g, h and gh run in kernel order, high positions first, so
+        a kernel index is high index * (number of low indices) + low index,
+        each half's index reading its factors in position order.  Returns,
+        for g and for h, (getter into kernel order, number of low indices);
+        the high half's composed rows x -> [(y, [(high index of gh,
+        numerator)])]; the low half's flat rows x -> [(y, low index of gh,
+        numerator)]; gh's number of low indices and getter back to basis
+        order; and the product of the maps' denominators."""
         *rows, sizes = shape
         orbits = _orbit_positions(shape)
         half = len(rows[0]) // 2
         cut = sum(1 for k in itertools.accumulate(len(o[0]) for o in orbits) if k <= half)
-        layouts = [self._layout(len(row), tuple(i for i, o in enumerate(row) if o < cut))
-                   for row in rows]
-        strides = [layout.strides for layout in layouts]
-        m = len(rows[2])
-        high, high_den = self._half(orbits[:cut], sizes[:cut], strides[:2] + [
-            [self.base.dim ** (m - 1 - q) for q in range(m)]])
+        spans = [self.base.dim ** sum(o >= cut for o in row) for row in rows]   # low indices
+        orders = [tuple(sorted(range(len(row)), key=lambda q: row[q] >= cut)) for row in rows]
+        strides, into, back = zip(*map(self._order, orders))   # high positions first
+        # a high factor's stride within the high half (a 0-dimensional base has no index)
+        high, high_den = self._half(orbits[:cut], sizes[:cut],
+                                    [[s // (span or 1) for s in ss] for ss, span in zip(strides, spans)])
         low, low_den = self._half(orbits[cut:], sizes[cut:], strides)
-        return (layouts[0], layouts[1], high,
-                [[(y, k, c) for y, row in ys for k, c in row] for ys in low], layouts[2],
+        return ((into[0], spans[0]), (into[1], spans[1]), high,
+                [[(y, k, c) for y, row in ys for k, c in row] for ys in low], spans[2], back[2],
                 high_den * low_den)
 
     def _push_plan(self, g: int, h: int) -> tuple:
@@ -510,44 +516,27 @@ class SymmetricProductAlgebra:
             plan = self._plan_shapes[shape] = self._plan(shape)
         return plan
 
-    def _halves(self, v, layout: "_Layout", dense: bool) -> tuple[dict, int]:
-        """A dense operand's integer numerators read into a plan's layout by
-        its getter and sliced into chunks: (``_split`` by high index,
-        denominator)."""
-        nums, den = _scaled(v, layout.length)
-        return _split(nums if layout.read is None else layout.read(nums), layout.size, dense), den
+    def _halves(self, v, g: int, part: tuple, dense: bool) -> tuple[dict, int]:
+        """A dense operand of sector g read into a plan's kernel order by the
+        getter of ``part`` (getter, number of low indices) and sliced into
+        chunks: (``_split`` by high index, denominator)."""
+        into, size = part
+        nums, den = _scaled(v, self.dims[g])
+        return _split(nums if into is None else into(nums), size, dense), den
 
     def multiply_pushforward(self, g: int, a, h: int, b):
         """Product through the double intersection with Euler-class insertion.
 
-        One pass over the pair's plan: the left operand's numerators by high
-        index as (low index, numerator) items, the right's as dense low lists.
-        Each high pair with a composed entry multiplies the two low halves
-        through the flat low rows, and the low product spreads over the high
-        row, so a dead pair costs no multiplication; the product sector's
-        vector is divided once.
+        ``frobenius._walk`` runs both operands through the pair's plan in
+        kernel order: the left operand's numerators by high index as (low
+        index, numerator) items, the right's as dense low lists, through the
+        high and low rows composed from the joint orbits' maps.  One getter
+        returns the product to gh's basis order, divided once.
         """
-        layout_g, layout_h, high, low, layout_gh, den = self._push_plan(g, h)
-        left, da = self._halves(a, layout_g, False)
-        right, db = self._halves(b, layout_h, True)
-        offsets, size = layout_gh.offsets, len(layout_gh.offsets)
-        acc = [0] * self.dims[self.group.mul(g, h)]
-        for xh, terms in left.items():
-            for yh, high_row in high[xh]:
-                dense = right.get(yh)
-                if dense is None:
-                    continue
-                prod = [0] * size
-                for xl, c1 in terms:
-                    for yl, k, c in low[xl]:
-                        c2 = dense[yl]
-                        if c2:
-                            prod[k] += c1 * c2 * c
-                prod = [(offsets[k], w) for k, w in itertools.compress(enumerate(prod), prod)]
-                for kh, ch in high_row:
-                    for k, w in prod:
-                        acc[kh + k] += ch * w
-        return _divided(acc, da * db * den)
+        left, right, high, low, size, back, den = self._push_plan(g, h)
+        (lhs, da), (rhs, db) = self._halves(a, g, left, False), self._halves(b, h, right, True)
+        acc = frob._walk(lhs, rhs, high, low, size, self.dims[self.group.mul(g, h)])
+        return _divided(acc if back is None else list(back(acc)), da * db * den)
 
     def gamma_tilde(self, g: int, h: int, joint: OrbitPartition | None = None):
         """Obstruction class: one Euler-class power per joint orbit."""
@@ -627,18 +616,6 @@ class SymmetricProductAlgebra:
         fed = {where[p] for p in self._firsts[h]}
         return tuple([c for c in range(m) if c not in fed] + sorted(fed))
 
-    def _chain_reader(self, order: tuple):
-        """The getter of the chain kernel's flat output in gh's basis order
-        (None when ``order`` is the identity), cached per order."""
-        if order not in self._chain_readers:
-            D, m = self.base.dim, len(order)
-            strides = [0] * m
-            for i, c in enumerate(order):
-                strides[c] = D ** (m - 1 - i)
-            self._chain_readers[order] = _reader(
-                [sum(map(mul, t, strides)) for t in self._tuples(m)])
-        return self._chain_readers[order]
-
     def _chain_plan(self, g: int, h: int, word: list[Permutation] | None = None) -> tuple:
         """The chain's state for a sector pair: gh's cycles in kernel order,
         the getter back to basis order, and (``_split`` items, denominator)
@@ -649,7 +626,7 @@ class SymmetricProductAlgebra:
         _, insertions = self.contraction_steps(g, h, word)
         gh = self.group.mul(g, h)
         order = self._chain_order(h, gh)
-        plan = (order, self._chain_reader(order),
+        plan = (order, self._order(order)[2],
                 [self._insertion(t, gh, order) for t in insertions])
         if word is None:
             self._chain_plans[g, h] = plan
@@ -668,7 +645,7 @@ class SymmetricProductAlgebra:
         commutative, so each insertion multiplies the running product from
         the left.
         """
-        order, reader, gammas = self._chain_plan(g, h, word)
+        order, back, gammas = self._chain_plan(g, h, word)
         gh = self.group.mul(g, h)
         m = len(order)
         size = self.base.dim ** (m - m // 2)   # the kernel's low factors
@@ -677,7 +654,7 @@ class SymmetricProductAlgebra:
                                            (_split(right, size, True), db))
         for gamma in gammas:
             acc, den = frob.factorwise_product(self.base, m, gamma, (_split(acc, size, True), den))
-        return _divided(acc if reader is None else list(reader(acc)), den)
+        return _divided(acc if back is None else list(back(acc)), den)
 
     def gamma_cocycle(self, g: int, h: int):
         """The sector cocycle as an identity-sector element (chain form).
@@ -814,18 +791,6 @@ def _orbit_positions(shape: tuple) -> list:
         for i, o in enumerate(row):
             orbits[o][r].append(i)
     return orbits
-
-
-class _Layout(NamedTuple):
-    """A push plan's split of A^(x)m into a high and a low part of its
-    factors, each part's index reading its factors in position order.  The
-    layout index of a basis tuple is high index * size + low index; ``read``
-    takes a dense operand into layout order in one C-level call."""
-    length: int     # D^m
-    read: object    # ``_reader`` of the flat index at each layout index
-    size: int       # the number of low indices
-    strides: list   # per position: its stride within its part
-    offsets: list   # per low index: its flat offset
 
 
 @dataclass

@@ -2,7 +2,8 @@
 orbifrob module or a standard-library module.  Each CLI command imports only
 the orbifrob modules it runs.  The package holds nothing that no one uses:
 every public definition is reached from the package, the benchmark or an
-acceptance criterion."""
+acceptance criterion, and every private one from the package or the
+benchmark."""
 
 import ast
 import os
@@ -83,15 +84,16 @@ def test_each_command_imports_only_the_modules_it_runs(tmp_path):
 
 # -- every public definition has a user -------------------------------------------
 
-def _definitions(tree) -> list[tuple[str, str, int, int]]:
+def _definitions(tree, private: bool = False) -> list[tuple[str, str, int, int]]:
     """(qualified name, name, first line, last line) of every public function
-    and class at module level and every public method of those classes."""
+    and class at module level and every public method of those classes; with
+    ``private``, of those whose name starts with one underscore instead."""
     out = []
 
     def visit(body, owner):
         for node in body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                if not node.name.startswith("_"):
+                if node.name.startswith("_") == private and not node.name.startswith("__"):
                     out.append((owner + node.name, node.name, node.lineno, node.end_lineno))
                 if isinstance(node, ast.ClassDef):
                     visit(node.body, node.name + ".")
@@ -171,11 +173,12 @@ def _references(tree, strings: bool, modules=()):
             yield None, node.value, node.lineno
 
 
-def _unused_definitions(package: dict, users: dict) -> list[str]:
-    """'module.name' of each public definition in ``package`` (module -> source)
-    that nothing references outside its own body: not the package, and not
-    ``users`` (file -> (source, whether its string constants count)).  A
-    reference resolved to a module counts only for that module's definition."""
+def _unused_definitions(package: dict, users: dict, private: bool = False) -> list[str]:
+    """'module.name' of each public (with ``private``: private) definition in
+    ``package`` (module -> source) that nothing references outside its own
+    body: not the package, and not ``users`` (file -> (source, whether its
+    string constants count)).  A reference resolved to a module counts only
+    for that module's definition."""
     trees = {module: ast.parse(source) for module, source in package.items()}
     seen = defaultdict(list)   # (module or None, name) -> (file, line) of each reference
     sources = [(module, tree, False) for module, tree in trees.items()]
@@ -185,7 +188,7 @@ def _unused_definitions(package: dict, users: dict) -> list[str]:
             seen[module, name].append((where, line))
     return [f"{module}.{qualified}"
             for module, tree in trees.items()
-            for qualified, name, first, last in _definitions(tree)
+            for qualified, name, first, last in _definitions(tree, private)
             if all(where == module and first <= line <= last
                    for where, line in seen[None, name]
                    + (seen[module, name] if qualified == name else []))]
@@ -201,6 +204,12 @@ def test_checker_flags_unreferenced_definitions():
     }
     users = {"bench": ('t.patch(K, "patched")\n', True), "acceptance": ('x = "quoted"\n', False)}
     assert _unused_definitions(package, users) == ["m.alone", "m.K.quoted"]
+    # the private check: a helper only its own body calls is flagged, a used one is not
+    package["m"] += ("\n\ndef _helper():\n    return _helper()\n\n\n"
+                     "def _used():\n    pass\n\n\nclass _Kept:\n    def __init__(self):\n"
+                     "        _used()\n")
+    package["n"] += "from m import _Kept\n"
+    assert _unused_definitions(package, users, private=True) == ["m.K._private", "m._helper"]
     # a reference through a module counts for that module's definition only
     package = {"a": "def load():\n    pass\n", "b": "def load():\n    pass\n",
                "c": "from . import b\n\n\ndef run():\n    return b.load()\n"}
@@ -224,6 +233,8 @@ def test_every_public_definition_has_a_user():
     package = {path.stem: path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))}
     users = {str(path): (path.read_text(encoding="utf-8"), True)
              for path in sorted((ROOT / "bench").glob("*.py"))}
+    # a private helper that only tests call is dead code in src/
+    assert _unused_definitions(package, users, private=True) == []
     acceptance = ROOT / "tests" / "test_acceptance.py"
     users[str(acceptance)] = (acceptance.read_text(encoding="utf-8"), False)
     assert _unused_definitions(package, users) == []

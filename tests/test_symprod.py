@@ -950,18 +950,30 @@ def test_chain_matches_the_identity_sector_chain(sp_factory, qx2, surface, half,
 
 def test_chain_multiplies_on_the_cycles_of_the_product_sector(surface, monkeypatch):
     # the gain of contracting first: no kernel call runs on all n factors of A_e;
-    # and the chain reads nothing of the pushforward's joint orbits, plans, maps,
-    # layouts or walk (the walk is multiply_pushforward's own loop over _halves)
-    sizes, plans = [], []
-    factorwise_product = frob.factorwise_product
-    pushforward = ("_joint_orbits", "_plan", "_push_plan", "_orbit_map", "_layout", "_halves",
+    # and the chain reads nothing of the pushforward's joint orbits, plans, maps
+    # or operand halves.  Both routes run frobenius._walk, which applies the rows
+    # it is given: the chain only inside factorwise_product, on the base's pair
+    # rows, the pushforward directly on its plan's rows, never through
+    # factorwise_product
+    sizes, plans, walks, within = [], [], [], []
+    factorwise_product, walk = frob.factorwise_product, frob._walk
+    pushforward = ("_joint_orbits", "_plan", "_push_plan", "_orbit_map", "_halves",
                    "multiply_pushforward")
 
     def counted(algebra, m, left, right):
         sizes.append(m)
-        return factorwise_product(algebra, m, left, right)
+        within.append(m)
+        try:
+            return factorwise_product(algebra, m, left, right)
+        finally:
+            within.pop()
+
+    def counted_walk(*args):
+        walks.append(bool(within))
+        return walk(*args)
 
     monkeypatch.setattr(frob, "factorwise_product", counted)
+    monkeypatch.setattr(frob, "_walk", counted_walk)
     for name in pushforward:
         monkeypatch.setattr(sp_mod.SymmetricProductAlgebra, name,
                             lambda self, *args, f=getattr(sp_mod.SymmetricProductAlgebra, name),
@@ -973,9 +985,11 @@ def test_chain_multiplies_on_the_cycles_of_the_product_sector(surface, monkeypat
     a, b = _random_vector(rng, sp.dims[gi]), _random_vector(rng, sp.dims[hi])
     chain = sp.multiply_chain(gi, a, hi, b)
     assert sizes[0] == len(sp.parts[gh]) == 3 and set(sizes) == {3}
-    assert plans == []
+    assert plans == [] and walks == [True] * len(sizes)
+    del sizes[:], walks[:]
     assert chain == sp.multiply_pushforward(gi, a, hi, b)
     assert set(plans) == set(pushforward)
+    assert sizes == [] and walks == [False]
 
 
 def _unit_cycles(sp, hi, gh, rng) -> set:
@@ -1017,6 +1031,29 @@ def test_chain_kernel_holds_the_right_lifts_units_in_its_high_half(surface, n):
     assert moved > 0 and crowded == (53 if n == 4 else 0)
 
 
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_order_getters_permute_the_factors(surface, m):
+    # order[i] is the factor at kernel position i: ``into`` reads a dense
+    # vector into kernel order, ``back`` returns it to basis order, ``strides``
+    # give each basis tuple's kernel index, and the identity order (the only
+    # one of one factor) has no getters
+    sp = sp_mod.SymmetricProductAlgebra(surface, 1)
+    D = surface.dim
+    v = list(range(D ** m))   # each entry is its basis index
+    for order in itertools.permutations(range(m)):
+        strides, into, back = sp._order(order)
+        assert sp._order(order) is sp._order(order)
+        if order == tuple(range(m)):
+            assert into is None and back is None
+            continue
+        kernel = list(into(v))
+        assert list(back(kernel)) == v
+        for k, x in enumerate(kernel):
+            t, u = frob.tensor_tuple(x, D, m), frob.tensor_tuple(k, D, m)
+            assert all(t[q] == u[i] for i, q in enumerate(order))
+            assert sum(q * s for q, s in zip(t, strides)) == k
+
+
 def test_chain_builds_each_pair_table_once():
     base = load_base("surface4")   # a fresh algebra: no product has run on it
     sp = sp_mod.SymmetricProductAlgebra(base, 5)
@@ -1035,8 +1072,9 @@ def test_chain_builds_each_pair_table_once():
 
 
 def test_pushforward_route_calls_no_staged_kernel(qx2, monkeypatch):
-    # pair_table reads the push plan instead of calling multiply_pushforward, and
-    # multiply_pushforward walks the composed maps instead of factorwise_multiply
+    # realize never calls multiply_pushforward (pair_table composes the joint
+    # orbits' maps itself), and multiply_pushforward never calls
+    # factorwise_multiply (it walks its plan's composed rows)
     calls = {"multiply_pushforward": 0, "factorwise_multiply": 0}
     push, factorwise = sp_mod.SymmetricProductAlgebra.multiply_pushforward, frob.factorwise_multiply
 
@@ -1353,15 +1391,15 @@ def test_product_stages_see_integer_numerators(sp_factory, qx2, surface, monkeyp
     halves, push_plan = cls._halves, cls._push_plan
     factorwise_product = frob.factorwise_product
 
-    def checked_halves(self, v, layout, dense):
-        split, den = halves(self, v, layout, dense)
+    def checked_halves(self, v, g, part, dense):
+        split, den = halves(self, v, g, part, dense)
         ints(([w for row in split.values() for w in row] if dense else
               [w for terms in split.values() for _, w in terms]) + [den])
         return split, den
 
     def checked_push_plan(self, g, h):
         plan = push_plan(self, g, h)
-        _, _, high, low, _, den = plan
+        _, _, high, low, _, _, den = plan
         ints([c for ys in high for _, row in ys for _, c in row]
              + [c for triples in low for _, _, c in triples] + [den])
         return plan
