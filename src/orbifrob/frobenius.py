@@ -12,14 +12,27 @@ those may assume the laws hold.
 
 Every product inside a tensor power A^(x)m goes through one kernel,
 ``factorwise_product``.  It holds its operands' integer numerators by flat
-index, split as A^(x)m = A^(x)p (x) A^(x)q with p = m // 2, and runs them
-through ``_walk``, one two-level loop, over the pair rows of A^(x)p and
-A^(x)q, which are built once per algebra and power; ``factorwise_multiply``
-is its form on dense vectors, and the symmetric products' chain route calls
-the kernel on its split numerators directly, with its structurally unit
-factors leading.  ``_walk`` only applies the rows it is given: the
-symmetric products' pushforward runs it on rows composed from its own joint
-orbits' maps, which keeps the two product routes independent.
+index, split as A^(x)m = A^(x)p (x) A^(x)q with p = m // 2 into dense chunks
+of the low factors A^(x)q, and runs them through ``_walk``, one two-level
+loop: over the pair rows of A^(x)p, and per live pair of high indices one
+call of the low table A^(x)q compiled into straight-line code.
+``factorwise_multiply`` is its form on dense vectors, and the symmetric
+products' chain route calls the kernel on its split numerators directly,
+with its structurally unit factors leading.  ``_walk`` only applies the rows
+it is given: the symmetric products' pushforward runs it on rows composed
+from its own joint orbits' maps, which keeps the two product routes
+independent.
+
+One kernel is compiled per low table: ``_kernel`` writes a function that
+unpacks both chunks into locals and returns every low output in one list
+display, and compiles it.  The pair rows of A^(x)r are built once per
+algebra and power, and the kernel of A^(x)r is compiled on the first call
+that asks for r and cached with them (the symmetric products' push plans
+keep theirs the same way, per joint-orbit shape).  Compiling costs about
+0.1, 0.3, 3, 25 and 370 ms of CPU for A^(x)q of surface4 at q = 1..5 (9**q
+terms; q = 5 has a transient peak near 70 MB; CPython 3.11, one core of a
+shared 2-core machine), so the low half stays at m - m // 2 factors.  The source is built from integer indices and integer
+numerators only: ``_kernel`` refuses any other entry.
 """
 
 from __future__ import annotations
@@ -27,7 +40,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import compress
+from itertools import compress, repeat
+from operator import add, mul
 
 from . import exactnum as ex
 from ._report import Report
@@ -72,7 +86,7 @@ class FrobeniusAlgebra:
         # integer numerators over one denominator
         den = math.lcm(*(c.denominator for row in rows.values() for c in row.values()))
         self._pairs_den = den
-        self._pair_powers = [([[(0, [(0, 1)])]], [[(0, 0, 1)]])]   # ``_power_pairs`` by r
+        self._pair_powers = [[[[(0, [(0, 1)])]], None]]   # ``_power_pairs`` by r
         self._pairs = [[] for _ in range(self.dim)]
         for (x, y), row in rows.items():
             self._pairs[x].append(
@@ -233,26 +247,40 @@ def tensor_tuple(index: int, dim: int, m: int) -> tuple[int, ...]:
     return tuple(reversed(out))
 
 
-def _scaled(v, length: int) -> tuple[list, int]:
-    """A dense vector of ``length`` entries as integer numerators over one
-    denominator, the lcm of theirs: each entry's ratio is read once, and the
-    numerators are rescaled only when the denominators differ."""
+def _support(v, length: int) -> tuple[list, list, int]:
+    """The nonzero entries of a dense vector of ``length`` entries: their
+    positions, their integer numerators over one denominator (the lcm of
+    theirs) and that denominator.  Only nonzero entries have their ratio
+    read, and the numerators are rescaled only when the denominators differ."""
     if len(v) != length:
         raise ValueError(f"operand must have length {length}")
-    ratios = [x.as_integer_ratio() for x in v]
+    support = list(compress(range(length), v))
+    ratios = [v[i].as_integer_ratio() for i in support]
     dens = {d for _, d in ratios}
     if len(dens) > 1:
         den = math.lcm(*dens)
-        return [w * (den // d) for w, d in ratios], den
-    return [w for w, _ in ratios], dens.pop() if dens else 1
+        return support, [w * (den // d) for w, d in ratios], den
+    return support, [w for w, _ in ratios], dens.pop() if dens else 1
+
+
+def _scaled(v, length: int) -> tuple[list, int]:
+    """A dense vector of ``length`` entries as integer numerators over one
+    denominator: ``_support``'s numerators back in place, zeros elsewhere."""
+    support, nums, den = _support(v, length)
+    if len(nums) == length:
+        return nums, den
+    out = [0] * length
+    for i, w in zip(support, nums):
+        out[i] = w
+    return out, den
 
 
 def _numerators(v, keys) -> tuple[list, int]:
     """Nonzero terms (key, integer numerator) of a dense vector, over one
     denominator; ``keys`` name the entries in basis order (index tuples or
     flat indices)."""
-    nums, den = _scaled(v, len(keys))
-    return list(compress(zip(keys, nums), nums)), den
+    support, nums, den = _support(v, len(keys))
+    return list(zip(map(keys.__getitem__, support), nums)), den
 
 
 def _divided(acc: list, den: int) -> list:
@@ -262,58 +290,98 @@ def _divided(acc: list, den: int) -> list:
     return [w // den if not w % den else Fraction(w, den) for w in acc]
 
 
-def _power_pairs(algebra: FrobeniusAlgebra, r: int) -> tuple[list, list]:
-    """The pair rows of A^(x)r on flat indices over ``algebra._pairs_den ** r``,
-    x -> [(y, [(k, numerator)])] for each y with e_x e_y != 0, and the same
-    rows flat, x -> [(y, k, numerator)]: the Kronecker power of the base's,
-    built once per r and cached on the algebra, from A^(x)0's 0 -> [(0, [(0, 1)])]."""
+_FLAT_SUM = 256   # terms a kernel adds in one flat chain, far below the compiler's nesting limit
+
+
+def _sum(terms: list) -> str:
+    """Source of the sum of ``terms``, nested in halves past ``_FLAT_SUM``
+    terms so that the compiler's recursion depth stays logarithmic."""
+    if len(terms) <= _FLAT_SUM:
+        return " + ".join(terms)
+    half = len(terms) // 2
+    return f"({_sum(terms[:half])}) + ({_sum(terms[half:])})"
+
+
+def _kernel(rows: list, right: int, size: int):
+    """The low table ``rows`` (x -> [(y, [(k, numerator)])] with x < len(rows),
+    y < ``right`` and k < ``size``) compiled into one function of two dense
+    integer chunks: it unpacks them into locals and returns the ``size``
+    outputs in one list display, output k the sum over x of l_x * (c r_y +
+    ...).  The source is built from integer indices and integer numerators
+    only; any other entry is refused."""
+    outputs = [{} for _ in range(size)]   # k -> x -> [(y, numerator)]
+    for x, pairs in enumerate(rows):
+        for y, row in pairs:
+            for k, c in row:
+                if not (type(y) is type(k) is type(c) is int and 0 <= y < right and 0 <= k < size):
+                    raise TypeError(f"kernel entry {(x, y, k, c)!r} is not an integer in range")
+                outputs[k].setdefault(x, []).append((y, c))
+
+    def times(x, ys):
+        terms = [f"r{y}" if c == 1 else f"{c} * r{y}" for y, c in ys]
+        return f"l{x} * " + (terms[0] if len(terms) == 1 else f"({_sum(terms)})")
+
+    lines = ["def kernel(L, R):"]
+    for name, count, chunk in (("l", len(rows), "L"), ("r", right, "R")):
+        if count:   # a 0-dimensional base has no entries to unpack
+            lines.append(f"    {''.join(f'{name}{i}, ' for i in range(count))}= {chunk}")
+    body = ", ".join(_sum([times(x, ys) for x, ys in xs.items()]) or "0" for xs in outputs)
+    lines.append(f"    return [{body}]")
+    namespace: dict = {}
+    exec(compile("\n".join(lines), "<product kernel>", "exec"), namespace)
+    return namespace["kernel"]
+
+
+def _power_pairs(algebra: FrobeniusAlgebra, r: int) -> list:
+    """[rows, kernel] of A^(x)r: the pair rows on flat indices over
+    ``algebra._pairs_den ** r``, x -> [(y, [(k, numerator)])] for each y with
+    e_x e_y != 0, the Kronecker power of the base's built from A^(x)0's
+    0 -> [(0, [(0, 1)])], and their ``_kernel``.  Both are cached on the
+    algebra: the rows built once per r, the kernel compiled on the first
+    call for r."""
     tables, D = algebra._pair_powers, algebra.dim
     while len(tables) <= r:
         rows = [[(Y * D + y, [(K * D + k, C * c) for K, C in row for k, c in pair_row])
                  for Y, row in prev for y, pair_row in algebra._pairs[x]]
                 for prev in tables[-1][0] for x in range(D)]
-        tables.append((rows, [[(y, k, c) for y, row in pairs for k, c in row] for pairs in rows]))
+        tables.append([rows, None])
+    if tables[r][1] is None:
+        tables[r][1] = _kernel(tables[r][0], D ** r, D ** r)
     return tables[r]
 
 
-def _split(acc, size: int, dense: bool) -> dict:
+def _split(acc, size: int) -> dict:
     """Flat numerators whose low factors span ``size`` indices, keyed by the
     index on the high factors: per nonzero high index, the low factors'
-    numerators as a dense slice, or as (low index, numerator) items."""
+    numerators as a dense slice."""
     out = {}
     for hi, start in enumerate(range(0, len(acc), size or 1)):   # size 0: a 0-dim base
         chunk = acc[start:start + size]
         if any(chunk):
-            out[hi] = chunk if dense else list(compress(enumerate(chunk), chunk))
+            out[hi] = chunk
     return out
 
 
-def _walk(lhs: dict, rhs: dict, high: list, low: list, size: int, length: int) -> list:
+def _walk(lhs: dict, rhs: dict, high: list, kernel, size: int, length: int) -> list:
     """The two-level product loop on integer numerators, written to ``length``
-    flat outputs at ``kh * size + k``: operands are ``_split`` by high index,
-    items on the left and dense lists on the right.  Each high pair with a
-    row in ``high`` (x -> [(y, [(kh, numerator)])]) multiplies the two low
-    halves through the flat rows ``low`` (x -> [(y, k, numerator)]), and the
-    low product spreads over the high pair's row, so a dead pair costs no
-    multiplication and a high index the right operand lacks is skipped once
-    per high pair."""
+    flat outputs at ``kh * size + k``: operands are ``_split`` by high index
+    into dense low chunks.  Each high pair with a row in ``high`` (x -> [(y,
+    [(kh, numerator)])]) multiplies its two low chunks once by the compiled
+    low table ``kernel``, and the low product, times the row's numerator, is
+    added into the output block of each high index kh of the row; a dead
+    pair costs no multiplication, and a high index the right operand lacks
+    is skipped once per high pair."""
     out = [0] * length
-    for xh, terms in lhs.items():
+    for xh, left in lhs.items():
         for yh, high_row in high[xh]:
-            dense = rhs.get(yh)
-            if dense is None:
+            right = rhs.get(yh)
+            if right is None:
                 continue
-            prod = [0] * size
-            for xl, c1 in terms:
-                for yl, k, c in low[xl]:
-                    c2 = dense[yl]
-                    if c2:
-                        prod[k] += c1 * c2 * c
-            prod = list(compress(enumerate(prod), prod))
+            prod = kernel(left, right)
             for kh, ch in high_row:
-                base = kh * size
-                for k, w in prod:
-                    out[base + k] += ch * w
+                start = kh * size
+                out[start:start + size] = map(add, out[start:start + size],
+                                              prod if ch == 1 else map(mul, prod, repeat(ch)))
     return out
 
 
@@ -321,10 +389,9 @@ def factorwise_product(algebra: FrobeniusAlgebra, m: int, left, right) -> tuple[
     """Product on A^(x)m = A^(x)p (x) A^(x)q, p = m // 2, on integer numerators.
 
     Operands are (``_split`` numerators, denominator) with A^(x)q as the low
-    factors: items on the left, dense lists on the right.  ``_walk`` runs
-    them through the pair rows of A^(x)p and A^(x)q; a right operand whose
-    high factors are mostly the unit has few high indices.  Returns (flat
-    numerators, denominator).
+    factors.  ``_walk`` runs them through the pair rows of A^(x)p and the
+    kernel of A^(x)q; a right operand whose high factors are mostly the unit
+    has few high indices.  Returns (flat numerators, denominator).
     """
     p = m // 2
     size = algebra.dim ** (m - p)
@@ -343,9 +410,9 @@ def factorwise_multiply(algebra: FrobeniusAlgebra, m: int, u, v):
     if len(u) != size or len(v) != size:
         raise ValueError(f"tensor power operands must have length {size}")
     operands, low = [], algebra.dim ** (m - m // 2)
-    for vec, dense in ((u, False), (v, True)):
+    for vec in (u, v):
         nums, den = _scaled(vec, size)
-        operands.append((_split(nums, low, dense), den))
+        operands.append((_split(nums, low), den))
     return _divided(*factorwise_product(algebra, m, *operands))
 
 

@@ -27,13 +27,14 @@ from the m-fold products, the Euler-class power and the metric adjoint.  A
 sector pair's plan splits its joint orbits into a high half (the leading
 orbits, with at most half of the left factor's cycles) and a low half, puts
 the high factors of g, h and gh first, and multiplies each half's maps out
-once into integer rows on that half's indices.  ``multiply_pushforward``
-runs both operands through the plan's rows with ``frobenius._walk``, the
-two-level loop the chain's kernel runs on the base's pair rows; a realized
-table (``pair_table``) is the Kronecker product of all of the pair's orbit
-maps at flat strides.  Plans and tables depend only on the joint orbits'
-shape and are cached per shape; the chain stays independent of both as the
-oracle.
+once into integer rows on that half's indices; the low half's rows are
+compiled into one straight-line kernel (``frobenius._kernel``) when the plan
+is built.  ``multiply_pushforward`` runs both operands through the plan with
+``frobenius._walk``, the two-level loop the chain's kernel runs on the base's
+pair rows and their compiled kernels; a realized table (``pair_table``) is
+the Kronecker product of all of the pair's orbit maps at flat strides.
+Plans and tables depend only on the joint orbits' shape and are cached per
+shape; the chain stays independent of both as the oracle.
 
 The chain never multiplies in A_e.  Its last step, the contraction r_ss'
 onto the product sector, multiplies the factors in each cycle of ss'; as the
@@ -47,17 +48,18 @@ pair.  The products then run on A^(x)|ss'| with
 numerators split into a high and a low half of the factors; the pushforward
 runs the same loop, ``frobenius._walk``, with halves made of whole joint
 orbits.  The loop skips pairs with zero product before multiplying any
-coefficient; the maps it applies stay separate per route.  The chain lays
-out the cycles of ss' unit first: those where the right operand's lift is
-structurally the unit lead, in the high half of m // 2 factors as far as
-they fit, so that a high pair the right operand lacks is skipped once, not
-once per low term, and one getter returns the product to basis order.
+coefficient; the maps it applies, and the low kernels compiled from them,
+stay separate per route.  The chain lays out the cycles of ss' unit first:
+those where the right operand's lift is structurally the unit lead, in the
+high half of m // 2 factors as far as they fit, so that a high pair the
+right operand lacks is skipped once, not once per low chunk, and one getter
+returns the product to basis order.
 Every intermediate value of either route is an integer numerator over one
 denominator per stage; the denominators multiply along the stages and each
 product divides once, at the end.  Operands enter and leave the loop
 through C-level getters built once per factor order by ``_order``: each
-entry's ratio is read once, an ``itemgetter`` reads a dense operand into
-kernel order, another returns the product to basis order, and the high
+nonzero entry's ratio is read once, an ``itemgetter`` reads a dense operand
+into kernel order, another returns the product to basis order, and the
 chunks are slices.  What depends only on the joint-orbit shape (the push
 plan) or on the sector pair (the chain's order and contracted copairing
 insertions) is built on the first product that needs it and reused.
@@ -490,9 +492,9 @@ class SymmetricProductAlgebra:
         each half's index reading its factors in position order.  Returns,
         for g and for h, (getter into kernel order, number of low indices);
         the high half's composed rows x -> [(y, [(high index of gh,
-        numerator)])]; the low half's flat rows x -> [(y, low index of gh,
-        numerator)]; gh's number of low indices and getter back to basis
-        order; and the product of the maps' denominators."""
+        numerator)])]; the low half's composed rows compiled by
+        ``frobenius._kernel``; gh's number of low indices and getter back to
+        basis order; and the product of the maps' denominators."""
         *rows, sizes = shape
         orbits = _orbit_positions(shape)
         half = len(rows[0]) // 2
@@ -505,8 +507,7 @@ class SymmetricProductAlgebra:
                                     [[s // (span or 1) for s in ss] for ss, span in zip(strides, spans)])
         low, low_den = self._half(orbits[cut:], sizes[cut:], strides)
         return ((into[0], spans[0]), (into[1], spans[1]), high,
-                [[(y, k, c) for y, row in ys for k, c in row] for ys in low], spans[2], back[2],
-                high_den * low_den)
+                frob._kernel(low, spans[1], spans[2]), spans[2], back[2], high_den * low_den)
 
     def _push_plan(self, g: int, h: int) -> tuple:
         """The ``_plan`` of the pair's joint-orbit shape, cached per shape."""
@@ -516,26 +517,26 @@ class SymmetricProductAlgebra:
             plan = self._plan_shapes[shape] = self._plan(shape)
         return plan
 
-    def _halves(self, v, g: int, part: tuple, dense: bool) -> tuple[dict, int]:
+    def _halves(self, v, g: int, part: tuple) -> tuple[dict, int]:
         """A dense operand of sector g read into a plan's kernel order by the
         getter of ``part`` (getter, number of low indices) and sliced into
         chunks: (``_split`` by high index, denominator)."""
         into, size = part
         nums, den = _scaled(v, self.dims[g])
-        return _split(nums if into is None else into(nums), size, dense), den
+        return _split(nums if into is None else into(nums), size), den
 
     def multiply_pushforward(self, g: int, a, h: int, b):
         """Product through the double intersection with Euler-class insertion.
 
         ``frobenius._walk`` runs both operands through the pair's plan in
-        kernel order: the left operand's numerators by high index as (low
-        index, numerator) items, the right's as dense low lists, through the
-        high and low rows composed from the joint orbits' maps.  One getter
-        returns the product to gh's basis order, divided once.
+        kernel order, split by high index into dense low chunks: through the
+        high rows composed from the joint orbits' maps and the kernel compiled
+        from the low ones.  One getter returns the product to gh's basis
+        order, divided once.
         """
-        left, right, high, low, size, back, den = self._push_plan(g, h)
-        (lhs, da), (rhs, db) = self._halves(a, g, left, False), self._halves(b, h, right, True)
-        acc = frob._walk(lhs, rhs, high, low, size, self.dims[self.group.mul(g, h)])
+        left, right, high, kernel, size, back, den = self._push_plan(g, h)
+        (lhs, da), (rhs, db) = self._halves(a, g, left), self._halves(b, h, right)
+        acc = frob._walk(lhs, rhs, high, kernel, size, self.dims[self.group.mul(g, h)])
         return _divided(acc if back is None else list(back(acc)), da * db * den)
 
     def gamma_tilde(self, g: int, h: int, joint: OrbitPartition | None = None):
@@ -573,14 +574,14 @@ class SymmetricProductAlgebra:
         """r_gh of gamma_{tau,tau}, the copairing across the two points that the
         transposition tau moves (``contraction_steps`` checks every word entry),
         gh's cycles in ``order``, as the kernel's left operand: (``_split``
-        items, denominator)."""
+        chunks, denominator)."""
         D = self.base.dim
         copairing = [0] * D * D
         for i, j, c in self.base.copairing():
             copairing[i * D + j] = c
         acc, den = self._mapped(copairing, self._contraction(tau.moved_points(), gh, order))
         m = len(order)
-        return _split(acc, D ** (m - m // 2), False), den
+        return _split(acc, D ** (m - m // 2)), den
 
     def contraction_steps(self, g: int, h: int, word: list[Permutation] | None = None):
         """The word for the right factor and the positions where length drops."""
@@ -618,7 +619,7 @@ class SymmetricProductAlgebra:
 
     def _chain_plan(self, g: int, h: int, word: list[Permutation] | None = None) -> tuple:
         """The chain's state for a sector pair: gh's cycles in kernel order,
-        the getter back to basis order, and (``_split`` items, denominator)
+        the getter back to basis order, and (``_split`` chunks, denominator)
         of each copairing the word inserts, contracted to gh in that order.  Cached per sector pair for the
         default word, rebuilt (and the word validated) when a word is given."""
         if word is None and (g, h) in self._chain_plans:
@@ -650,10 +651,10 @@ class SymmetricProductAlgebra:
         m = len(order)
         size = self.base.dim ** (m - m // 2)   # the kernel's low factors
         (left, da), (right, db) = self._contracted(g, a, gh, order), self._contracted(h, b, gh, order)
-        acc, den = frob.factorwise_product(self.base, m, (_split(left, size, False), da),
-                                           (_split(right, size, True), db))
+        acc, den = frob.factorwise_product(self.base, m, (_split(left, size), da),
+                                           (_split(right, size), db))
         for gamma in gammas:
-            acc, den = frob.factorwise_product(self.base, m, gamma, (_split(acc, size, True), den))
+            acc, den = frob.factorwise_product(self.base, m, gamma, (_split(acc, size), den))
         return _divided(acc if back is None else list(back(acc)), den)
 
     def gamma_cocycle(self, g: int, h: int):

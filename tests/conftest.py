@@ -53,6 +53,28 @@ def half():
     })
 
 
+@pytest.fixture(scope="session")
+def rescaled():
+    """surface4 on the basis f0 = 2, f1 = 3a, f2 = 5b, f3 = 3t: the same
+    algebra, with unit f0 / 2, f0 f_i = 2 f_i, f1 f2 = 5 f3, eta(f0, f3) = 6
+    and eta(f1, f2) = 15.  Its structure and pairing constants are not 1, so
+    the pair rows of its tensor powers and the push plans' rows carry
+    numerators other than 1 in both halves of the product kernels."""
+    return frob.from_json_dict({
+        "name": "surface4-rescaled", "dim": 4,
+        "basis": [{"label": "f0", "degree": 0, "parity": 0}, {"label": "f1", "degree": 2, "parity": 0},
+                  {"label": "f2", "degree": 2, "parity": 0}, {"label": "f3", "degree": 4, "parity": 0}],
+        "unit": ["1/2", "0", "0", "0"],
+        "metric": [[0, 3, "6"], [1, 2, "15"], [2, 1, "15"], [3, 0, "6"]],
+        "structure": [[0, 0, 0, "2"], [0, 1, 1, "2"], [0, 2, 2, "2"], [0, 3, 3, "2"], [1, 0, 1, "2"],
+                      [1, 2, 3, "5"], [2, 0, 2, "2"], [2, 1, 3, "5"], [3, 0, 3, "2"]],
+    })
+
+
+# a 0-dimensional base: every tensor power of positive degree is empty
+ZERO_BASE = {"name": "zero", "dim": 0, "basis": [], "unit": [], "metric": [], "structure": []}
+
+
 _SP_CACHE: dict = {}
 
 
@@ -72,6 +94,35 @@ def sp_factory():
 @pytest.fixture(scope="session")
 def s3_ring():
     return cocy.twisted_group_ring(symmetric_group(3))
+
+
+# -- product kernel references -------------------------------------------------
+
+def reference_low(rows, left, right, size):
+    """A low table applied term by term: output k gets left[x] * right[y] * c
+    for each (y, [(k, c)]) in row x."""
+    out = [0] * size
+    for x, pairs in enumerate(rows):
+        for y, row in pairs:
+            for k, c in row:
+                out[k] += left[x] * right[y] * c
+    return out
+
+
+def check_kernel(rng, rows, right, size, kernel=None):
+    """``frobenius._kernel`` of ``rows`` (or the given compiled ``kernel``)
+    against ``reference_low`` on random integer chunks, zeros and large
+    entries among them, and on all-zero chunks."""
+    kernel = kernel or frob._kernel(rows, right, size)
+    chunks = [([rng.randint(-9, 9) for _ in range(len(rows))], [rng.randint(-9, 9) for _ in range(right)])
+              for _ in range(4)]
+    chunks += [([rng.choice((0, 0, 3, -10 ** 30)) for _ in range(len(rows))],
+                [rng.choice((0, 7, 10 ** 25)) for _ in range(right)]),
+               ([0] * len(rows), [rng.randint(1, 9) for _ in range(right)])]
+    for left, right_chunk in chunks:
+        got = kernel(left, right_chunk)
+        assert got == reference_low(rows, left, right_chunk, size)
+        assert len(got) == size and all(type(w) is int for w in got)
 
 
 # -- cocycle references -------------------------------------------------------

@@ -8,7 +8,7 @@ from orbifrob import exactnum as ex
 from orbifrob import frobenius as frob
 from orbifrob import symprod as sp_mod
 
-from conftest import kron, load_base
+from conftest import ZERO_BASE, check_kernel, kron, load_base
 
 
 def test_multiply_dual_numbers(qx2):
@@ -207,10 +207,10 @@ def test_power_pairs_are_the_kronecker_power_of_the_structure_constants(qx2, sur
         # x -> the matrix of left multiplication by e_x: [y][k] = c[x, y, k]
         left = [[[algebra.rows.get((x, y), {}).get(k, 0) for k in range(D)] for y in range(D)]
                 for x in range(D)]
-        rows, flat = frob._power_pairs(algebra, r)
+        rows, kernel = frob._power_pairs(algebra, r)
         den = algebra._pairs_den ** r
-        assert len(rows) == len(flat) == D ** r
-        for X, (pairs, triples) in enumerate(zip(rows, flat)):
+        assert len(rows) == D ** r and callable(kernel)
+        for X, pairs in enumerate(rows):
             want = [[1]]
             for x in frob.tensor_tuple(X, D, r):
                 want = kron(want, left[x])
@@ -221,7 +221,45 @@ def test_power_pairs_are_the_kronecker_power_of_the_structure_constants(qx2, sur
                     assert type(c) is int and c != 0
                     got[Y][K] = ex.norm(Fraction(c, den))
             assert got == want
-            assert triples == [(Y, K, c) for Y, row in pairs for K, c in row]
+
+
+@pytest.mark.parametrize("q", [1, 2, 3, 4])
+def test_power_kernels_match_the_row_loop(ground, qx2, surface, q):
+    # one dense chunk per side; the ground base has one local per side
+    rng = random.Random(7919 + q)
+    for algebra in (ground, qx2, surface, _skew()):
+        rows, kernel = frob._power_pairs(algebra, q)
+        check_kernel(rng, rows, algebra.dim ** q, algebra.dim ** q, kernel)
+
+
+def test_kernels_at_the_edges():
+    # a 0-dimensional base unpacks nothing; a chunk of one entry unpacks one
+    # local; chunk sizes may differ from each other and from the output's;
+    # an output no row reaches is 0; a coefficient may be negative or large
+    rng = random.Random(31)
+    zero = frob.from_json_dict(ZERO_BASE)
+    for q in (1, 2):
+        rows, kernel = frob._power_pairs(zero, q)
+        assert rows == [] and kernel([], []) == []
+    assert frob._kernel([], 0, 2)([], []) == [0, 0]
+    check_kernel(rng, [[(0, [(0, 5)])]], 1, 1)
+    check_kernel(rng, [[(0, [(0, 1), (2, -3)]), (1, [(2, 1)])], [], [(2, [(1, 10 ** 20)])]], 3, 4)
+    wide = [[(y, [((x + y) % 3, x - y or 1)]) for y in range(300)] for x in range(2)]
+    check_kernel(rng, wide, 300, 3)
+    # sums past _FLAT_SUM terms, within one l_x and over 4000 l_x: a flat
+    # chain of 4000 terms passes the compiler's recursion limit
+    check_kernel(rng, [[(y, [(0, 1)]) for y in range(700)]], 700, 1)
+    check_kernel(rng, [[(0, [(0, x % 5 - 2 or 1)])] for x in range(4000)], 1, 1)
+
+
+@pytest.mark.parametrize("rows", [
+    [[(0, [(0, Fraction(1, 2))])]], [[(0, [(0, 1.0)])]], [[(0, [(0, True)])]], [[(0, [(0, "1")])]],
+    [[("0", [(0, 1)])]], [[(0, [((0,), 1)])]],                        # indices that are not ints
+    [[(1, [(0, 1)])]], [[(-1, [(0, 1)])]], [[(0, [(1, 1)])]], [[(0, [(-1, 1)])]],   # out of range
+])
+def test_kernel_refuses_an_entry_that_is_not_an_integer_in_range(rows):
+    with pytest.raises(TypeError, match="not an integer in range"):
+        frob._kernel(rows, 1, 1)
 
 
 def test_factorwise_multiply_rejects_length_mismatch(qx2):

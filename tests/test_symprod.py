@@ -15,7 +15,7 @@ from orbifrob import gfrob
 from orbifrob import groups as g
 from orbifrob import symprod as sp_mod
 
-from conftest import kron, load_base, tensor_index
+from conftest import ZERO_BASE, check_kernel, kron, load_base, tensor_index
 
 
 def basis(dim, i):
@@ -353,14 +353,14 @@ def _reference_elem_product(sp, s1, s2):
     return {k: ex.norm(v) for k, v in out.items() if v != 0}
 
 
-def _numerators(sp, elem, dense):
+def _numerators(sp, elem):
     """A tuple-keyed element on A^(x)n as the kernel's (split integer
-    numerators, denominator): dense lists or items."""
+    numerators, denominator): dense low chunks by high index."""
     den = math.lcm(*(c.denominator for c in elem.values()))
     acc = [0] * sp.base.dim ** sp.n
     for t, c in elem.items():
         acc[tensor_index(t, sp.base.dim)] = c.numerator * (den // c.denominator)
-    return frob._split(acc, sp.base.dim ** (sp.n - sp.n // 2), dense), den
+    return frob._split(acc, sp.base.dim ** (sp.n - sp.n // 2)), den
 
 
 def _divide(sp, elem):
@@ -386,8 +386,7 @@ def test_elem_product_matches_pairwise_reference(sp_factory, qx2, surface, half,
         operands += [({}, some), (some, {}), ({}, {}),
                      ({t: 0 for t in some}, some), ({t: Fraction(2, 1) for t in some}, some)]
         for s1, s2 in operands:
-            product = frob.factorwise_product(base, n, _numerators(sp, s1, False),
-                                              _numerators(sp, s2, True))
+            product = frob.factorwise_product(base, n, _numerators(sp, s1), _numerators(sp, s2))
             got = {k: (type(v), v) for k, v in _divide(sp, product).items()}
             want = {k: (type(v), v) for k, v in _reference_elem_product(sp, s1, s2).items()}
             assert got == want
@@ -854,9 +853,6 @@ def _dense_fractions(rng, size):
             for _ in range(size)]
 
 
-ZERO_BASE = {"name": "zero", "dim": 0, "basis": [], "unit": [], "metric": [], "structure": []}
-
-
 @pytest.mark.parametrize("n, left, right, edge", [
     (4, "(1 2 3 4)", "(1 3)", "one orbit"),     # g an n-cycle: the high half is empty
     (4, "e", "e", "singletons"),                  # every joint orbit is one point
@@ -925,8 +921,8 @@ def _chain_in_identity_sector(sp, gi, a, hi, b, word=None):
     _, insertions = sp.contraction_steps(gi, hi, word)
     elem = _reference_section_lift(sp, gi, a)
     for right in [_reference_section_lift(sp, hi, b)] + [_reference_copairing(sp, t) for t in insertions]:
-        elem = _divide(sp, frob.factorwise_product(sp.base, sp.n, _numerators(sp, elem, False),
-                                                   _numerators(sp, right, True)))
+        elem = _divide(sp, frob.factorwise_product(sp.base, sp.n, _numerators(sp, elem),
+                                                   _numerators(sp, right)))
     return _reference_contract_sparse(sp, elem, sp.parts[sp.group.mul(gi, hi)])
 
 
@@ -1029,6 +1025,31 @@ def test_chain_kernel_holds_the_right_lifts_units_in_its_high_half(surface, n):
         a, b = _dense_fractions(rng, sp.dims[gi]), _dense_fractions(rng, sp.dims[hi])
         assert sp.multiply_chain(gi, a, hi, b) == sp.multiply_pushforward(gi, a, hi, b)
     assert moved > 0 and crowded == (53 if n == 4 else 0)
+
+
+def test_push_plan_kernels_match_the_row_loop(surface, monkeypatch):
+    # the low half of every push-plan shape of Sym^4(surface4), compiled once
+    # per shape: the chunks of g and h and the output of gh differ in size, a
+    # pair of low indices has several outputs, and numerators are not all 1
+    compiled, kernel = [], frob._kernel
+
+    def recorded(rows, right, size):
+        compiled.append((rows, right, size, kernel(rows, right, size)))
+        return compiled[-1][-1]
+
+    monkeypatch.setattr(frob, "_kernel", recorded)
+    sp = sp_mod.SymmetricProductAlgebra(surface, 4)
+    pairs = [(gi, hi) for gi in range(sp.group.order) for hi in range(sp.group.order)]
+    for gi, hi in pairs:
+        sp._push_plan(gi, hi)
+    assert len(compiled) == len({sp._joint_orbits(gi, hi, sp.group.mul(gi, hi)) for gi, hi in pairs})
+    rng = random.Random(4409)
+    for rows, right, size, compiled_kernel in compiled:
+        check_kernel(rng, rows, right, size, compiled_kernel)
+    outputs = [row for rows, *_ in compiled for pairs in rows for _, row in pairs]
+    assert any(len({len(rows), right, size}) > 1 for rows, right, size, _ in compiled)
+    assert any(len(row) > 1 for row in outputs)
+    assert any(c != 1 for row in outputs for _, c in row)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
@@ -1366,6 +1387,26 @@ ROUTE_DIGESTS = {
 }
 
 
+# surface4 on a rescaled basis (the ``rescaled`` fixture), whose pair rows and
+# push-plan rows carry numerators other than 1 in both halves of the walk, so
+# a kernel that drops a low numerator or a walk that drops a high one changes
+# these; recorded before the low halves were compiled
+RESCALED_ROUTE_DIGESTS = {
+    3: "95961e2527d68564ea454e4baa881971cf3b476359d02d44ab48b37ba0f45051",
+    4: "77659aaef7f7fb83aa8c664d898b0d471c69ca34feefeef41d2996c24272c075",
+}
+
+
+@pytest.mark.parametrize("n", sorted(RESCALED_ROUTE_DIGESTS))
+def test_route_outputs_on_a_rescaled_base_are_pinned(sp_factory, rescaled, n):
+    sp = sp_factory(rescaled, n)
+    rng = random.Random(2718 + n)
+    pairs = [(gi, hi) for gi in range(sp.group.order) for hi in range(sp.group.order)]
+    if n > 3:
+        pairs = rng.sample(pairs, 24)
+    assert _route_digest(sp, pairs, rng) == RESCALED_ROUTE_DIGESTS[n]
+
+
 @pytest.mark.parametrize("base_name,n", sorted(ROUTE_DIGESTS))
 def test_route_outputs_are_pinned(sp_factory, qx2, surface, half, base_name, n):
     base = {"qx2": qx2, "surface": surface, "half": half}[base_name]
@@ -1381,7 +1422,8 @@ def test_product_stages_see_integer_numerators(sp_factory, qx2, surface, monkeyp
     # between scaling the operands and the one final division, every stage of
     # either route multiplies integers only (on a base with integral constants):
     # the pushforward walks both operands' split numerators through the plan's
-    # composed rows
+    # composed high rows and the kernel compiled from its low rows, which the
+    # kernel generator refuses unless they are integers
     stages = []
 
     def ints(values):
@@ -1389,33 +1431,35 @@ def test_product_stages_see_integer_numerators(sp_factory, qx2, surface, monkeyp
 
     cls = sp_mod.SymmetricProductAlgebra
     halves, push_plan = cls._halves, cls._push_plan
-    factorwise_product = frob.factorwise_product
+    factorwise_product, kernel = frob.factorwise_product, frob._kernel
 
-    def checked_halves(self, v, g, part, dense):
-        split, den = halves(self, v, g, part, dense)
-        ints(([w for row in split.values() for w in row] if dense else
-              [w for terms in split.values() for _, w in terms]) + [den])
+    def checked_halves(self, v, g, part):
+        split, den = halves(self, v, g, part)
+        ints([w for chunk in split.values() for w in chunk] + [den])
         return split, den
 
     def checked_push_plan(self, g, h):
         plan = push_plan(self, g, h)
-        _, _, high, low, _, _, den = plan
-        ints([c for ys in high for _, row in ys for _, c in row]
-             + [c for triples in low for _, _, c in triples] + [den])
+        _, _, high, _, _, _, den = plan
+        ints([c for ys in high for _, row in ys for _, c in row] + [den])
         return plan
 
+    def checked_kernel(rows, right, size):
+        ints([c for pairs in rows for _, row in pairs for _, c in row])
+        return kernel(rows, right, size)
+
     def checked_factorwise_product(algebra, m, left, right):
-        (items, d1), (dense, d2) = left, right
-        ints([w for terms in items.values() for _, w in terms]
-             + [w for row in dense.values() for w in row] + [d1, d2, algebra._pairs_den])
-        for r in {m // 2, m - m // 2}:   # the pair rows the kernel reads
-            rows, flat = frob._power_pairs(algebra, r)
-            ints([c for pairs in rows for _, row in pairs for _, c in row]
-                 + [c for triples in flat for _, _, c in triples])
+        (lhs, d1), (rhs, d2) = left, right
+        ints([w for split in (lhs, rhs) for chunk in split.values() for w in chunk]
+             + [d1, d2, algebra._pairs_den])
+        for r in {m // 2, m - m // 2}:   # the high rows the walk reads, the low ones compiled
+            rows, _ = frob._power_pairs(algebra, r)
+            ints([c for pairs in rows for _, row in pairs for _, c in row])
         return factorwise_product(algebra, m, left, right)
 
     monkeypatch.setattr(sp_mod.SymmetricProductAlgebra, "_halves", checked_halves)
     monkeypatch.setattr(sp_mod.SymmetricProductAlgebra, "_push_plan", checked_push_plan)
+    monkeypatch.setattr(frob, "_kernel", checked_kernel)
     monkeypatch.setattr(frob, "factorwise_product", checked_factorwise_product)
     rng = random.Random(61)
     for base in (qx2, surface):
