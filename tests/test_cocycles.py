@@ -26,6 +26,34 @@ def test_validate_flags_perturbed_entry():
     assert report["cocycle-law"].witness is not None
 
 
+@pytest.mark.parametrize("g, h, value, summary", [
+    ("e", "(1 2)", 2,
+     "normalization (alpha(g,e) = alpha(e,g) = 1): FAIL [12 instances] witness: {'g': '(1 2)'}\n"
+     "cocycle-law (alpha(g,h) alpha(gh,k) = alpha(g,hk) alpha(h,k)): FAIL [216 instances] "
+     "witness: {'g': 'e', 'h': 'e', 'k': '(1 2)', 'lhs': '2', 'rhs': '4'}\n"
+     "inverse-symmetry (alpha(g,g^-1) = alpha(g^-1,g)): pass [6 instances]"),
+    ("(1 2)", "(1 2 3)", 5,
+     "normalization (alpha(g,e) = alpha(e,g) = 1): pass [12 instances]\n"
+     "cocycle-law (alpha(g,h) alpha(gh,k) = alpha(g,hk) alpha(h,k)): FAIL [216 instances] "
+     "witness: {'g': '(2 3)', 'h': '(1 2)', 'k': '(1 2 3)', 'lhs': '1', 'rhs': '-5'}\n"
+     "inverse-symmetry (alpha(g,g^-1) = alpha(g^-1,g)): pass [6 instances]"),
+    ("(1 2 3)", "(1 3 2)", 2,
+     "normalization (alpha(g,e) = alpha(e,g) = 1): pass [12 instances]\n"
+     "cocycle-law (alpha(g,h) alpha(gh,k) = alpha(g,hk) alpha(h,k)): FAIL [216 instances] "
+     "witness: {'g': '(2 3)', 'h': '(1 2 3)', 'k': '(1 3 2)', 'lhs': '1', 'rhs': '2'}\n"
+     "inverse-symmetry (alpha(g,g^-1) = alpha(g^-1,g)): FAIL [6 instances] "
+     "witness: {'g': '(1 2 3)'}"),
+])
+def test_one_wrong_value_pins_the_whole_report(g, h, value, summary):
+    # alpha(g, h) of the S_3 sign cocycle replaced by ``value``; one edit per
+    # check key, with every line, instance count and witness pinned
+    alpha = cocy.normalized_sn_cocycle(3, -1)
+    G = alpha.group
+    values = [row[:] for row in alpha.values]
+    values[G.index_of(g)][G.index_of(h)] = value
+    assert cocy.validate(cocy.Cocycle2(G, values)).summary() == summary
+
+
 def test_value_wrong_off_the_generators_fails_the_cocycle_law():
     # alpha(x, y) doubled, with x and y non-identity non-generators and y != x^-1:
     # normalization and inverse symmetry still hold, only the law scan sees it

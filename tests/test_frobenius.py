@@ -45,6 +45,61 @@ def test_verify_flags_broken_invariance(qx2):
     assert not report["invariance"].passed
 
 
+_BASE_PASSES = {
+    "associativity": "associativity ((ab)c = a(bc)): pass [8 instances]",
+    "unit": "unit (1 a = a 1 = a): pass [2 instances]",
+    "invariance": "invariance (eta(ab,c) = eta(a,bc)): pass [8 instances]",
+    "nondegeneracy": "nondegeneracy (pairing invertible): pass [1 instances]",
+    "symmetry": "symmetry (pairing symmetric): pass [1 instances]",
+    "metric-grading": "metric-grading (pairing concentrated in one degree): pass [2 instances]",
+    "grading": "grading (deg(ab) = deg a + deg b on nonzero products): pass [3 instances]",
+    "parity": "parity (parity additive, unit even): pass [4 instances]",
+}
+
+
+@pytest.mark.parametrize("key, edit, lines", [
+    ("associativity", {"structure": [[0, 0, 0, "2"], [0, 1, 1, "1"], [1, 0, 1, "1"]]}, {
+        "associativity": "associativity ((ab)c = a(bc)): FAIL [8 instances] witness: "
+                         "{'i': '1', 'j': '1', 'k': 'x', 'lhs': '2*x', 'rhs': '1*x'}",
+        "unit": "unit (1 a = a 1 = a): FAIL [2 instances] witness: {'i': '1'}",
+        "invariance": "invariance (eta(ab,c) = eta(a,bc)): FAIL [8 instances] witness: "
+                      "{'i': '1', 'j': '1', 'k': 'x', 'eta(ij,k)': '2', 'eta(i,jk)': '1'}"}),
+    ("unit", {"unit": ["1", "1"]}, {
+        "unit": "unit (1 a = a 1 = a): FAIL [2 instances] witness: {'i': '1'}"}),
+    ("invariance", {"metric": [[0, 1, "1"], [1, 0, "1"], [1, 1, "1"]]}, {
+        "invariance": "invariance (eta(ab,c) = eta(a,bc)): FAIL [8 instances] witness: "
+                      "{'i': '1', 'j': 'x', 'k': 'x', 'eta(ij,k)': '1', 'eta(i,jk)': '0'}",
+        "metric-grading": "metric-grading (pairing concentrated in one degree): FAIL [3 instances] "
+                          "witness: {'i': '1', 'j': 'x', 'degree': 2, 'top': 4}"}),
+    ("nondegeneracy", {"metric": [[1, 1, "1"]]}, {
+        "invariance": "invariance (eta(ab,c) = eta(a,bc)): FAIL [8 instances] witness: "
+                      "{'i': '1', 'j': 'x', 'k': 'x', 'eta(ij,k)': '1', 'eta(i,jk)': '0'}",
+        "nondegeneracy": "nondegeneracy (pairing invertible): FAIL [1 instances] witness: {'rank': 1}",
+        "metric-grading": "metric-grading (pairing concentrated in one degree): pass [1 instances]"}),
+    ("symmetry", {"metric": [[0, 1, "1"], [1, 0, "2"]]}, {
+        "invariance": "invariance (eta(ab,c) = eta(a,bc)): FAIL [8 instances] witness: "
+                      "{'i': '1', 'j': 'x', 'k': '1', 'eta(ij,k)': '2', 'eta(i,jk)': '1'}",
+        "symmetry": "symmetry (pairing symmetric): FAIL [1 instances] witness: {}"}),
+    ("metric-grading", {"metric": [[0, 0, "1"], [0, 1, "1"], [1, 0, "1"]]}, {
+        "metric-grading": "metric-grading (pairing concentrated in one degree): FAIL [3 instances] "
+                          "witness: {'i': '1', 'j': '1', 'degree': 0, 'top': 2}"}),
+    ("grading", {"structure": [[0, 0, 0, "1"], [0, 1, 1, "1"], [1, 0, 1, "1"], [1, 1, 0, "1"]]}, {
+        "grading": "grading (deg(ab) = deg a + deg b on nonzero products): FAIL [4 instances] "
+                   "witness: {'i': 'x', 'j': 'x', 'k': '1'}",
+        "parity": "parity (parity additive, unit even): pass [5 instances]"}),
+    ("parity", {"basis": [{"label": "1", "degree": 0, "parity": 1},
+                          {"label": "x", "degree": 2, "parity": 0}]}, {
+        "parity": "parity (parity additive, unit even): FAIL [4 instances] witness: "
+                  "{'i': '1', 'j': '1', 'k': '1'}"}),
+])
+def test_one_edit_of_the_dual_numbers_pins_the_whole_report(qx2, key, edit, lines):
+    # one replaced field fails its check; every line of the report, with its
+    # instance count and witness, is pinned, the lines not listed as passing
+    report = frob.from_json_dict({**frob.to_json_dict(qx2), **edit}, validate=False).verify()
+    assert not report[key].passed
+    assert report.summary() == "\n".join({**_BASE_PASSES, **lines}.values())
+
+
 def test_metric_inverse_rejects_degenerate_metric(qx2):
     # the copairing and every metric adjoint read the inverse pairing
     with pytest.raises(ex.SingularMatrixError) as info:

@@ -50,6 +50,18 @@ def test_malformed_shapes_rejected(s3_ring):
         )
 
 
+def test_missing_action_block_outranks_a_degenerate_metric_block(s3_ring):
+    # the structure check reports a missing action block over an earlier
+    # metric witness, with n instances, and no other check runs
+    X = copy.deepcopy(s3_ring)
+    tau = X.group.index_of("(1 2)")
+    X.metric[tau] = {}
+    del X.action[tau, tau]
+    assert gfrob.verify_axioms(X).summary() == (
+        "structure (shapes, metric blocks, action is a representation): FAIL [6 instances] "
+        "witness: {'g': '(1 2)', 'h': '(1 2)', 'issue': 'missing action block'}")
+
+
 def test_verify_budget_guard(s3_ring):
     with pytest.raises(gfrob.BudgetExceededError):
         gfrob.verify_axioms(s3_ring, budget=10)
