@@ -18,8 +18,13 @@ class CheckResult:
 class Report:
     checks: list[CheckResult] = field(default_factory=list)
 
-    def add(self, key: str, name: str, passed: bool, instances: int, witness: dict | None = None):
-        self.checks.append(CheckResult(key, name, passed, instances, witness))
+    def run(self, rows) -> "Report":
+        """Run each (key, name, instances, check, *args) row in order and record
+        it; ``check(*args)`` returns the law's first witness, or None when it holds."""
+        for key, name, instances, check, *args in rows:
+            witness = check(*args)
+            self.checks.append(CheckResult(key, name, witness is None, instances, witness))
+        return self
 
     @property
     def passed(self) -> bool:

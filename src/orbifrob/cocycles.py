@@ -113,45 +113,45 @@ def refuse_scan(order: int, budget: int = VERIFY_BUDGET) -> None:
 
 def validate(alpha: Cocycle2) -> Report:
     """Exhaustive cocycle-law and normalization check."""
-    report = Report()
-    G = alpha.group
-    vals = alpha.values
-    e = G.identity
+    n = alpha.group.order
+    return Report().run([
+        ("normalization", "alpha(g,e) = alpha(e,g) = 1", 2 * n, _normalized, alpha),
+        ("cocycle-law", "alpha(g,h) alpha(gh,k) = alpha(g,hk) alpha(h,k)", n ** 3,
+         _cocycle_law, alpha),
+        ("inverse-symmetry", "alpha(g,g^-1) = alpha(g^-1,g)", n, _inverse_symmetric, alpha),
+    ])
 
-    witness = None
-    count = 0
-    for g in G.elements():
-        count += 2
-        if (vals[g][e] != 1 or vals[e][g] != 1) and witness is None:
-            witness = {"g": G.labels[g]}
-    report.add("normalization", "alpha(g,e) = alpha(e,g) = 1", witness is None, count, witness)
 
-    witness = None
-    count = 0
-    mul = G.mul
+# -- the laws: each returns its first witness, or None when it holds ----------
+
+def _normalized(alpha: Cocycle2):
+    G, vals, e = alpha.group, alpha.values, alpha.group.identity
     for g in G.elements():
+        if vals[g][e] != 1 or vals[e][g] != 1:
+            return {"g": G.labels[g]}
+    return None
+
+
+def _cocycle_law(alpha: Cocycle2):
+    G, vals, mul = alpha.group, alpha.values, alpha.group.mul
+    for g in G.elements():
+        vg = vals[g]
         for h in G.elements():
-            gh = mul(g, h)
-            vgh = vals[g][h]
-            vg = vals[g]
-            row_gh = vals[gh]
+            vgh, row_gh, row_h = vg[h], vals[mul(g, h)], vals[h]
             for k in G.elements():
-                count += 1
-                if vgh * row_gh[k] != vg[mul(h, k)] * vals[h][k] and witness is None:
-                    witness = {"g": G.labels[g], "h": G.labels[h], "k": G.labels[k],
-                               "lhs": ex.fmt_rat(ex.norm(vgh * row_gh[k])),
-                               "rhs": ex.fmt_rat(ex.norm(vals[g][mul(h, k)] * vals[h][k]))}
-    report.add("cocycle-law", "alpha(g,h) alpha(gh,k) = alpha(g,hk) alpha(h,k)",
-               witness is None, count, witness)
+                if vgh * row_gh[k] != vg[mul(h, k)] * row_h[k]:
+                    return {"g": G.labels[g], "h": G.labels[h], "k": G.labels[k],
+                            "lhs": ex.fmt_rat(ex.norm(vgh * row_gh[k])),
+                            "rhs": ex.fmt_rat(ex.norm(vg[mul(h, k)] * row_h[k]))}
+    return None
 
-    witness = None
-    count = 0
+
+def _inverse_symmetric(alpha: Cocycle2):
+    G, vals = alpha.group, alpha.values
     for g in G.elements():
-        count += 1
-        if vals[g][G.inv(g)] != vals[G.inv(g)][g] and witness is None:
-            witness = {"g": G.labels[g]}
-    report.add("inverse-symmetry", "alpha(g,g^-1) = alpha(g^-1,g)", witness is None, count, witness)
-    return report
+        if vals[g][G.inv(g)] != vals[G.inv(g)][g]:
+            return {"g": G.labels[g]}
+    return None
 
 
 def epsilon(alpha: Cocycle2) -> list:

@@ -43,8 +43,8 @@ def norm(x: Rat) -> Rat:
 
 
 def rat(x) -> Rat:
-    """Coerce ints, Fractions and strings like ``-3/4`` to a scalar."""
-    if isinstance(x, int):
+    """Coerce ints, Fractions and strings like ``-3/4`` to a scalar; a bool is refused."""
+    if type(x) is int:
         return x
     if isinstance(x, Fraction):
         return norm(x)

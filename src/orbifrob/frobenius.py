@@ -6,9 +6,10 @@ distinguished unit vector and the pairing's rows ``{i: {j: eta(e_i, e_j)}}``
 with no zero value, the form every G-algebra block takes.  Construction
 checks only names, lengths, basis bookkeeping and metric indices; the laws
 (associativity, unit, invariance, nondegeneracy, grading and parity) are
-checked by ``verify``, which ``from_json_dict`` runs by default and
-``SymmetricProductAlgebra`` runs again on its base, so code downstream of
-those may assume the laws hold.
+checked by ``verify``, one function per law that stops at its first
+witness, and ``validated``, which ``from_json_dict`` runs by default and
+``SymmetricProductAlgebra`` on its base, refuses any failure, so code
+downstream of those may assume the laws hold.
 
 Every product inside a tensor power A^(x)m goes through one kernel,
 ``factorwise_product``.  It holds its operands' integer numerators by flat
@@ -25,14 +26,15 @@ independent.
 
 One kernel is compiled per low table: ``_kernel`` writes a function that
 unpacks both chunks into locals and returns every low output in one list
-display, and compiles it.  The pair rows of A^(x)r are built once per
-algebra and power, and the kernel of A^(x)r is compiled on the first call
-that asks for r and cached with them (the symmetric products' push plans
-keep theirs the same way, per joint-orbit shape).  Compiling costs about
-0.1, 0.3, 3, 25 and 370 ms of CPU for A^(x)q of surface4 at q = 1..5 (9**q
-terms; q = 5 has a transient peak near 70 MB; CPython 3.11, one core of a
-shared 2-core machine), so the low half stays at m - m // 2 factors.  The source is built from integer indices and integer
-numerators only: ``_kernel`` refuses any other entry.
+display, built from integer indices and integer numerators only (it
+refuses any other entry), and compiles it.  The pair rows of A^(x)r are
+built once per algebra and power, and the kernel of A^(x)r is compiled on
+the first call that asks for r and cached with them (the symmetric
+products' push plans keep theirs the same way, per joint-orbit shape).
+Compiling costs about 0.1, 0.3, 3, 25 and 370 ms of CPU for A^(x)q of
+surface4 at q = 1..5 (9**q terms; q = 5 has a transient peak near 70 MB;
+CPython 3.11, one core of a shared 2-core machine), so the low half stays
+at m - m // 2 factors.
 """
 
 from __future__ import annotations
@@ -154,79 +156,76 @@ class FrobeniusAlgebra:
 
     def verify(self) -> Report:
         """Exhaustive law check; failures are report entries, not exceptions."""
-        report = Report()
-        dim = self.dim
-
-        # the associator kernel with a single outer index
-        entries = _entries(self.rows)
+        entries = _entries(self.rows)   # x y of both associator laws; y z with one outer index
         yz = [(0, j, k, p, c) for j, k, p, c in entries]
-        after, before = _joins(self.rows, 0)
-        found = _associator(entries, after, yz, before)
-        witness = None
-        if found:
-            (_, i, j, k), lhs, rhs = found
-            witness = {"i": self.labels[i], "j": self.labels[j], "k": self.labels[k],
-                       "lhs": _fmt_vec(self.labels, lhs), "rhs": _fmt_vec(self.labels, rhs)}
-        report.add("associativity", "(ab)c = a(bc)", witness is None, dim ** 3, witness)
+        constants = sum(map(len, self.rows.values()))
+        return Report().run([
+            ("associativity", "(ab)c = a(bc)", self.dim ** 3, _associative, self, entries, yz),
+            ("unit", "1 a = a 1 = a", self.dim, _unital, self),
+            ("invariance", "eta(ab,c) = eta(a,bc)", self.dim ** 3, _invariant, self, entries, yz),
+            ("nondegeneracy", "pairing invertible", 1, _nondegenerate, self),
+            ("symmetry", "pairing symmetric", 1, _symmetric, self),
+            ("metric-grading", "pairing concentrated in one degree",
+             sum(map(len, self.metric.values())), _metric_graded, self),
+            ("grading", "deg(ab) = deg a + deg b on nonzero products", constants, _graded, self),
+            ("parity", "parity additive, unit even", constants + 1, _parity, self),
+        ])
 
-        witness = None
-        for i in range(dim):
-            e = ex.basis_vector(dim, i)
-            if self.multiply(self.unit, e) != e or self.multiply(e, self.unit) != e:
-                witness = {"i": self.labels[i]}
-                break
-        report.add("unit", "1 a = a 1 = a", witness is None, dim, witness)
 
-        after, before = _joins(_as_product(self.metric), 0)
-        found = _associator(entries, after, yz, before)
-        witness = None
-        if found:
-            (_, i, j, k), lhs, rhs = found
-            witness = {"i": self.labels[i], "j": self.labels[j], "k": self.labels[k],
-                       "eta(ij,k)": ex.fmt_rat(lhs.get(0, 0)), "eta(i,jk)": ex.fmt_rat(rhs.get(0, 0))}
-        report.add("invariance", "eta(ab,c) = eta(a,bc)", witness is None, dim ** 3, witness)
+def _associative(A: FrobeniusAlgebra, entries: list, yz: list):
+    found = _associator(entries, yz, *_joins(A.rows, 0))
+    if found:
+        (_, i, j, k), lhs, rhs = found
+        return {"i": A.labels[i], "j": A.labels[j], "k": A.labels[k],
+                "lhs": _fmt_vec(A.labels, lhs), "rhs": _fmt_vec(A.labels, rhs)}
+    return None
 
-        rank = len(ex.sparse_echelon(self.metric))
-        report.add("nondegeneracy", "pairing invertible", rank == dim, 1,
-                   None if rank == dim else {"rank": rank})
 
-        sym = _transpose(self.metric) == self.metric
-        report.add("symmetry", "pairing symmetric", sym, 1, None if sym else {})
+def _unital(A: FrobeniusAlgebra):
+    basis = (ex.basis_vector(A.dim, i) for i in range(A.dim))
+    return next(({"i": A.labels[i]} for i, e in enumerate(basis)
+                 if A.multiply(A.unit, e) != e or A.multiply(e, A.unit) != e), None)
 
-        witness = None
-        count = 0
-        for i in sorted(self.metric):
-            for j in sorted(self.metric[i]):
-                count += 1
-                if self.degrees[i] + self.degrees[j] != self.top_degree and witness is None:
-                    witness = {"i": self.labels[i], "j": self.labels[j],
-                               "degree": self.degrees[i] + self.degrees[j],
-                               "top": self.top_degree}
-        report.add("metric-grading", "pairing concentrated in one degree",
-                   witness is None, count, witness)
 
-        witness = None
-        count = 0
-        for i, j, k in self._constants():
-            count += 1
-            if self.degrees[i] + self.degrees[j] != self.degrees[k] and witness is None:
-                witness = {"i": self.labels[i], "j": self.labels[j], "k": self.labels[k]}
-        report.add("grading", "deg(ab) = deg a + deg b on nonzero products", witness is None, count, witness)
+def _invariant(A: FrobeniusAlgebra, entries: list, yz: list):
+    found = _associator(entries, yz, *_joins(_as_product(A.metric), 0))
+    if found:
+        (_, i, j, k), lhs, rhs = found
+        return {"i": A.labels[i], "j": A.labels[j], "k": A.labels[k],
+                "eta(ij,k)": ex.fmt_rat(lhs.get(0, 0)), "eta(i,jk)": ex.fmt_rat(rhs.get(0, 0))}
+    return None
 
-        witness = None
-        count = 0
-        for i, j, k in self._constants():
-            count += 1
-            if (self.parities[i] + self.parities[j] - self.parities[k]) % 2 and witness is None:
-                witness = {"i": self.labels[i], "j": self.labels[j], "k": self.labels[k]}
-        unit_even = all(
-            x == 0 or self.parities[i] == 0 for i, x in enumerate(self.unit)
-        )
-        if not unit_even and witness is None:
-            witness = {"unit": "odd component"}
-        report.add("parity", "parity additive, unit even", witness is None and unit_even, count + 1, witness)
 
-        return report
+def _nondegenerate(A: FrobeniusAlgebra):
+    rank = len(ex.sparse_echelon(A.metric))
+    return None if rank == A.dim else {"rank": rank}
+
+
+def _symmetric(A: FrobeniusAlgebra):
+    return None if _transpose(A.metric) == A.metric else {}
+
+
+def _metric_graded(A: FrobeniusAlgebra):
+    d, top = A.degrees, A.top_degree
+    pairs = ((i, j) for i in sorted(A.metric) for j in sorted(A.metric[i]))
+    return next(({"i": A.labels[i], "j": A.labels[j], "degree": d[i] + d[j], "top": top}
+                 for i, j in pairs if d[i] + d[j] != top), None)
+
+
+def _graded(A: FrobeniusAlgebra):
+    d = A.degrees
+    return next(({"i": A.labels[i], "j": A.labels[j], "k": A.labels[k]}
+                 for i, j, k in A._constants() if d[i] + d[j] != d[k]), None)
+
+
+def _parity(A: FrobeniusAlgebra):
+    p = A.parities
+    for i, j, k in A._constants():
+        if (p[i] + p[j] - p[k]) % 2:
+            return {"i": A.labels[i], "j": A.labels[j], "k": A.labels[k]}
+    if any(x != 0 and p[i] != 0 for i, x in enumerate(A.unit)):
+        return {"unit": "odd component"}
+    return None
 
 
 def validated(algebra: FrobeniusAlgebra) -> FrobeniusAlgebra:

@@ -12,12 +12,14 @@ value}}`` with no zero value stored.
 
 The verifier is exhaustive over basis tuples but joins nonzero rows only:
 each law computes both sides where some table row reaches, so a tuple
-neither side reaches is decided as 0 = 0 and still counted in
-``instances``.  Associativity (a), invariance of the metric (d) and the
-base algebra's two such laws share one kernel, ``_associator``.  Before any
-scan, ``_verify_cost`` counts the products the joins will multiply, the
-|G|^3 compositions of the representation check and the per-pair loops of
-the other checks; ``VERIFY_BUDGET`` bounds that count.
+neither side reaches is decided as 0 = 0 and still counted in the closed
+form ``instances``.  Each law is one function that stops at its first
+witness and returns it, or None; the eight axioms run only once the
+structure check passes.  Associativity (a), invariance of the metric (d)
+and the base algebra's two such laws share one kernel, ``_associator``.
+Before any scan, ``_verify_cost`` counts the products the joins will
+multiply, the |G|^3 compositions of the representation check and the
+per-pair loops of the other checks; ``VERIFY_BUDGET`` bounds that count.
 """
 
 from __future__ import annotations
@@ -221,12 +223,12 @@ def _first_difference(lhs: dict, rhs: dict):
     return None
 
 
-def _associator(xy: list, after: dict, yz: list, before: dict):
+def _associator(xy: list, yz: list, after: dict, before: dict):
     """The smallest basis tuple (k, i, j, m) where (x_i y_j) z_m != x_i (y_j z_m).
 
-    ``xy`` lists the entries (i, j, p, c) of x_i y_j = ... + c e_p and
-    ``after[p]`` the rows (k, m, row) of e_p z_m; ``yz`` lists the entries
-    (k, j, m, p, c) of y_j z_m and ``before[p]`` the rows (i, row) of x_i e_p.
+    ``xy`` lists the entries (i, j, p, c) of x_i y_j = ... + c e_p and ``yz``
+    the entries (k, j, m, p, c) of y_j z_m; ``after[p]`` holds the rows
+    (k, m, row) of e_p z_m and ``before[p]`` the rows (i, row) of x_i e_p.
     Both sides meet in one flat accumulator {(k, i, j, m, q): lhs - rhs};
     only a failing call sums the two sides at its tuple for the witness.
     Returns ``(key, lhs, rhs)`` or None.
@@ -283,12 +285,6 @@ def _as_product(block: ex.SparseMap) -> dict:
     return {(i, j): {0: v} for i, row in block.items() for j, v in row.items()}
 
 
-def _add(out: dict, key, x) -> None:
-    """Add the scalar x to the one-dimensional vector ``out[key]``."""
-    acc = out.setdefault(key, {0: 0})
-    acc[0] += x
-
-
 def _verify_cost(X: GFrobeniusAlgebra) -> int:
     """The work of ``verify_axioms``, counted before any scan from the nonzero
     entries and the dimensions: the products the associativity join
@@ -311,153 +307,119 @@ def _verify_cost(X: GFrobeniusAlgebra) -> int:
             + n ** 3 + sum(d * (dims[G.identity] + d) for d in dims) + n * n * largest)
 
 
-def _verify_structure(X: GFrobeniusAlgebra, report: Report) -> bool:
-    G, n = X.group, X.group.order
-    name = "shapes, metric blocks, action is a representation"
-    witness = None
+def _structure(X: GFrobeniusAlgebra, pairs: list):
+    """A missing action block; per g, a metric block that is not its partner's
+    transpose or is degenerate, a zero character; phi_e != id; phi_g phi_h != phi_gh."""
+    G, labels = X.group, X.group.labels
+    for g, h in pairs:
+        if (g, h) not in X.action:
+            return {"g": labels[g], "h": labels[h], "issue": "missing action block"}
     for g in G.elements():
-        ginv = G.inv(g)
-        if _transpose(X.metric[g]) != X.metric[ginv] and witness is None:
-            witness = {"g": G.labels[g], "issue": "metric block not the transpose of its partner"}
+        if _transpose(X.metric[g]) != X.metric[G.inv(g)]:
+            return {"g": labels[g], "issue": "metric block not the transpose of its partner"}
         rank = len(ex.sparse_echelon(X.metric[g]))
-        if rank != X.sector_dims[g] and witness is None:
-            witness = {"g": G.labels[g], "issue": "metric block degenerate", "rank": rank}
-        if X.character[g] == 0 and witness is None:
-            witness = {"g": G.labels[g], "issue": "character value zero"}
-    missing = [(g, h) for g in G.elements() for h in G.elements() if (g, h) not in X.action]
-    if missing:
-        g, h = missing[0]
-        report.add("structure", name, False, n,
-                   {"g": G.labels[g], "h": G.labels[h], "issue": "missing action block"})
-        return False
-    e = G.identity
+        if rank != X.sector_dims[g]:
+            return {"g": labels[g], "issue": "metric block degenerate", "rank": rank}
+        if X.character[g] == 0:
+            return {"g": labels[g], "issue": "character value zero"}
     for h in G.elements():
-        if X.action[(e, h)] != _scalar_map(1, X.sector_dims[h]) and witness is None:
-            witness = {"h": G.labels[h], "issue": "phi_e is not the identity"}
-    for g in G.elements():
-        for h in G.elements():
-            for s in G.elements():
-                if witness is None and (_compose(X.action[(g, G.conj(h, s))], X.action[(h, s)])
-                                        != X.action[(G.mul(g, h), s)]):
-                    witness = {"g": G.labels[g], "h": G.labels[h], "sector": G.labels[s],
-                               "issue": "phi_g phi_h != phi_gh"}
-    report.add("structure", name, witness is None, 2 * n + n ** 3, witness)
-    return witness is None
+        if X.action[G.identity, h] != _scalar_map(1, X.sector_dims[h]):
+            return {"h": labels[h], "issue": "phi_e is not the identity"}
+    for g, h in pairs:
+        for s in G.elements():
+            if _compose(X.action[g, G.conj(h, s)], X.action[h, s]) != X.action[G.mul(g, h), s]:
+                return {"g": labels[g], "h": labels[h], "sector": labels[s],
+                        "issue": "phi_g phi_h != phi_gh"}
+    return None
 
 
-def verify_axioms(X: GFrobeniusAlgebra, budget: int = VERIFY_BUDGET) -> Report:
-    """Exhaustive exact check of the eight defining axioms.
-
-    When some basis element is odd, twisted commutativity and the trace axiom
-    take their supergraded forms (signs from element parities, supertrace).
-    For evenly graded input the super forms coincide with the plain ones.
-    """
-    report = Report()
-    super_mode = X.is_super()
-    estimate = _verify_cost(X)
-    if estimate > budget:
-        raise BudgetExceededError(
-            f"verification would cost ~{estimate} products and loop steps (budget {budget})",
-            estimate)
-    if not _verify_structure(X, report):
-        return report
-
-    G, dims, product, par = X.group, X.sector_dims, X.product, X.sector_parities
-    mul, inv, conj, labels, blabels = G.mul, G.inv, G.conj, G.labels, X.sector_labels
-    n, total = G.order, sum(dims)
-    pairs = [(g, h) for g in G.elements() for h in G.elements()]
-    pulled = {key: _transpose(block) for key, block in X.action.items()}   # rows of phi_g|A_h
-
-    # a) associativity, one join per sector pair (g, h) with every k inside:
-    # the entries of T_{g,h} meet the tables T_{gh,k} by left index, and the
-    # entries of every T_{h,k} meet the tables T_{g,hk} by right index
-    entries = {key: _entries(table) for key, table in product.items()}
+def _associativity(X: GFrobeniusAlgebra, pairs: list, entries: dict):
+    """a) One join per (g, h) with every k inside: the entries of T_{g,h} meet
+    T_{gh,k} by left index, those of every T_{h,k} meet T_{g,hk} by right index."""
+    G, mul, labels = X.group, X.group.mul, X.group.labels
     after: list = [{} for _ in G.elements()]    # per s: p -> [(k, m, row of e_p z_m)]
     before: list = [{} for _ in G.elements()]   # per g: (s, p) -> [(i, row of x_i e_p)]
-    for (s, t), table in product.items():
+    for (s, t), table in X.product.items():
         for (p, m), row in table.items():
             after[s].setdefault(p, []).append((t, m, row))
             before[s].setdefault((t, m), []).append((p, row))
     yz_of = [[(k, j, m, (mul(h, k), p), c) for k in G.elements()
               for j, m, p, c in entries.get((h, k), ())] for h in G.elements()]
-    witness = None
     for g, h in pairs:
-        found = _associator(entries.get((g, h), ()), after[mul(g, h)], yz_of[h], before[g])
+        found = _associator(entries.get((g, h), ()), yz_of[h], after[mul(g, h)], before[g])
         if found:
             (k, i, j, m), lhs, rhs = found
-            ghk = mul(mul(g, h), k)
-            witness = {"g": labels[g], "h": labels[h], "k": labels[k], "basis": (i, j, m),
-                       "lhs": _fmt_vec(blabels[ghk], lhs), "rhs": _fmt_vec(blabels[ghk], rhs)}
-            break
-    report.add("a", "associativity", witness is None, total ** 3, witness)
+            ghk = X.sector_labels[mul(mul(g, h), k)]
+            return {"g": labels[g], "h": labels[h], "k": labels[k], "basis": (i, j, m),
+                    "lhs": _fmt_vec(ghk, lhs), "rhs": _fmt_vec(ghk, rhs)}
+    return None
 
-    # b) twisted (super-)commutativity: T_{g,h} against the rows of
-    # T_{ghg^-1,g} pulled back through phi_g
-    witness = None
+
+def _twisted_commutativity(X: GFrobeniusAlgebra, pairs: list, pulled: dict):
+    """b) T_{g,h} against the rows of T_{ghg^-1,g} pulled back through phi_g."""
+    G, par, super_mode = X.group, X.sector_parities, X.is_super()
     for g, h in pairs:
         rhs: dict = {}
-        for (p, i), row in product.get((conj(g, h), g), {}).items():
+        for (p, i), row in X.product.get((G.conj(g, h), g), {}).items():
             for j, c in pulled[g, h].get(p, {}).items():
                 c = -c if super_mode and par[g][i] * par[h][j] % 2 else c
                 acc = rhs.setdefault((i, j), {})
                 for q, v in row.items():
                     acc[q] = acc.get(q, 0) + c * v
-        found = _first_difference(product.get((g, h), {}), rhs)
+        found = _first_difference(X.product.get((g, h), {}), rhs)
         if found:
             (i, j), lhs, rhs = found
-            witness = {"g": labels[g], "h": labels[h], "basis": (i, j),
-                       "lhs": _fmt_vec(blabels[mul(g, h)], lhs),
-                       "rhs": _fmt_vec(blabels[mul(g, h)], rhs)}
-            break
-    report.add("b", "twisted commutativity", witness is None, total ** 2, witness)
+            gh = X.sector_labels[G.mul(g, h)]
+            return {"g": G.labels[g], "h": G.labels[h], "basis": (i, j),
+                    "lhs": _fmt_vec(gh, lhs), "rhs": _fmt_vec(gh, rhs)}
+    return None
 
-    # c) invariant unit
-    witness = None
-    e = G.identity
+
+def _invariant_unit(X: GFrobeniusAlgebra):
+    """c) The unit is a two-sided identity on every basis vector, fixed by every phi_g."""
+    G, dims, e = X.group, X.sector_dims, X.group.identity
     for h in G.elements():
         for j in range(dims[h]):
             ej = ex.basis_vector(dims[h], j)
             if X.multiply(e, h, X.unit, ej) != ej or X.multiply(h, e, ej, X.unit) != ej:
-                if witness is None:
-                    witness = {"h": labels[h], "basis": j, "issue": "unit does not act as identity"}
-    for g in G.elements():
-        if X.act(g, e, X.unit) != X.unit and witness is None:
-            witness = {"g": labels[g], "issue": "phi_g(1) != 1"}
-    report.add("c", "invariant unit", witness is None, total + n, witness)
+                return {"h": G.labels[h], "basis": j, "issue": "unit does not act as identity"}
+    return next(({"g": G.labels[g], "issue": "phi_g(1) != 1"} for g in G.elements()
+                 if X.act(g, e, X.unit) != X.unit), None)
 
-    # d) invariance of the metric: the associativity join, each pairing block
-    # read as a product into a one-dimensional sector
+
+def _metric_invariance(X: GFrobeniusAlgebra, pairs: list, entries: dict):
+    """d) The associativity join, each pairing block read as a product into a 1-dim sector."""
+    G, mul, inv, labels = X.group, X.group.mul, X.group.inv, X.group.labels
     eta = [_joins(_as_product(block), inv(s)) for s, block in enumerate(X.metric)]
-    witness = None
     for g, h in pairs:
         k = inv(mul(g, h))
-        found = _associator(entries.get((g, h), ()), eta[mul(g, h)][0],
-                            [(k, j, m, p, c) for j, m, p, c in entries.get((h, k), ())], eta[g][1])
+        found = _associator(entries.get((g, h), ()),
+                            [(k, j, m, p, c) for j, m, p, c in entries.get((h, k), ())],
+                            eta[mul(g, h)][0], eta[g][1])
         if found:
             (_, i, j, m), lhs, rhs = found
-            witness = {"g": labels[g], "h": labels[h], "k": labels[k], "basis": (i, j, m),
-                       "eta(a,bc)": ex.fmt_rat(rhs.get(0, 0)), "eta(ab,c)": ex.fmt_rat(lhs.get(0, 0))}
-            break
-    count = sum(dims[g] * dims[h] * dims[inv(mul(g, h))] for g, h in pairs)
-    report.add("d", "invariance of the metric", witness is None, count, witness)
+            return {"g": labels[g], "h": labels[h], "k": labels[k], "basis": (i, j, m),
+                    "eta(a,bc)": ex.fmt_rat(rhs.get(0, 0)), "eta(ab,c)": ex.fmt_rat(lhs.get(0, 0))}
+    return None
 
-    # i) projective self-invariance of the twisted sectors
-    witness = None
-    for g in G.elements():
-        chi_inv = ex.norm(1 / Fraction(X.character[g]))
-        if X.action[(g, g)] != _scalar_map(chi_inv, dims[g]) and witness is None:
-            witness = {"g": labels[g], "issue": "phi_g|A_g != chi_g^-1 id"}
-    report.add("i", "projective self-invariance", witness is None, n, witness)
 
-    # ii) G-invariance of the multiplication, one join per (k, g) with every h
-    # inside: the rows of T_{g,h} pushed through phi_k meet the rows of
-    # T_{kgk^-1,khk^-1} pulled back through the transposed action columns, both
-    # sides in one flat accumulator {(h, i, j, r): lhs - rhs}
+def _self_invariance(X: GFrobeniusAlgebra):
+    """i) phi_g on the twisted sector A_g is chi_g^-1 times the identity."""
+    for g, chi in enumerate(X.character):
+        if X.action[g, g] != _scalar_map(ex.norm(1 / Fraction(chi)), X.sector_dims[g]):
+            return {"g": X.group.labels[g], "issue": "phi_g|A_g != chi_g^-1 id"}
+    return None
+
+
+def _multiplicative(X: GFrobeniusAlgebra, pairs: list, pulled: dict):
+    """ii) One join per (k, g) with every h inside: the rows of T_{g,h} pushed
+    through phi_k meet the rows of T_{kgk^-1,khk^-1} pulled back through the
+    transposed action columns, in one accumulator {(h, i, j, r): lhs - rhs}."""
+    G, mul, conj = X.group, X.group.mul, X.group.conj
     tables_from: list = [[] for _ in G.elements()]   # per g: (h, T_{g,h}) for T_{g,h} != 0
-    for (g, h), table in product.items():
+    for (g, h), table in X.product.items():
         if table:
             tables_from[g].append((h, table))
-    witness = None
     for k, g in pairs:
         diff: dict = {}
         for h, table in tables_from[g]:
@@ -469,7 +431,7 @@ def verify_axioms(X: GFrobeniusAlgebra, budget: int = VERIFY_BUDGET) -> Report:
                         diff[key] = diff.get(key, 0) + c * v
         back_g = pulled[k, g]
         for kh, table in tables_from[conj(k, g)]:
-            h = conj(inv(k), kh)
+            h = conj(G.inv(k), kh)
             back_h = pulled[k, h]
             for (p, q), row in table.items():
                 for i, cg in back_g.get(p, {}).items():
@@ -480,62 +442,95 @@ def verify_axioms(X: GFrobeniusAlgebra, budget: int = VERIFY_BUDGET) -> Report:
                             diff[key] = diff.get(key, 0) - c * v
         if any(diff.values()):
             h, i, j = min(key[:3] for key, v in diff.items() if v)
-            witness = {"k": labels[k], "g": labels[g], "h": labels[h], "basis": (i, j)}
-            break
-    report.add("ii", "action multiplicative", witness is None, n * total ** 2, witness)
+            return {"k": G.labels[k], "g": G.labels[g], "h": G.labels[h], "basis": (i, j)}
+    return None
 
-    # iii) projective G-invariance of the metric: eta(phi_g e_i, phi_g e_j)
-    # from the nonzero pairing entries, against chi_g^-2 eta(e_i, e_j)
-    witness = None
+
+def _metric_projective(X: GFrobeniusAlgebra, pairs: list, pulled: dict):
+    """iii) eta(phi_g e_i, phi_g e_j) from the nonzero pairing entries, against
+    chi_g^-2 eta(e_i, e_j)."""
+    G = X.group
     for g, h in pairs:
         chi2_inv = ex.norm(1 / (Fraction(X.character[g]) ** 2))
-        eta_gh, back = X.metric[conj(g, h)], pulled[g, inv(h)]
+        eta_gh, back = X.metric[G.conj(g, h)], pulled[g, G.inv(h)]
         lhs: dict = {}
         for i, col in X.action[g, h].items():
             for p, cp in col.items():
                 for q, v in eta_gh.get(p, {}).items():
                     for j, cq in back.get(q, {}).items():
-                        _add(lhs, (i, j), cp * v * cq)
+                        lhs.setdefault((i, j), {0: 0})[0] += cp * v * cq
         rhs = {(i, j): {0: chi2_inv * v} for i, row in X.metric[h].items() for j, v in row.items()}
         found = _first_difference(lhs, rhs)
         if found:
             (i, j), lhs, rhs = found
-            witness = {"g": labels[g], "h": labels[h], "basis": (i, j),
-                       "lhs": ex.fmt_rat(lhs.get(0, 0)), "rhs": ex.fmt_rat(rhs.get(0, 0))}
-            break
-    count = n * sum(d * dims[inv(h)] for h, d in enumerate(dims))
-    report.add("iii", "projective invariance of the metric", witness is None, count, witness)
+            return {"g": G.labels[g], "h": G.labels[h], "basis": (i, j),
+                    "lhs": ex.fmt_rat(lhs.get(0, 0)), "rhs": ex.fmt_rat(rhs.get(0, 0))}
+    return None
 
-    # iv) projective (super-)trace axiom, over all pairs (g, h): the
-    # supertraces of l_c phi_h on A_g and of phi_g^-1 l_c on A_h, from the
-    # nonzero rows of l_c
-    def sign(s, v):
-        return -1 if super_mode and par[s][v] % 2 else 1
 
-    witness = None
+def _trace(X: GFrobeniusAlgebra, pairs: list):
+    """iv) The (super)traces of l_c phi_h on A_g and of phi_g^-1 l_c on A_h,
+    from the nonzero rows of l_c."""
+    G, product, super_mode = X.group, X.product, X.is_super()
+    sign = [[-1 if super_mode and p % 2 else 1 for p in ps] for ps in X.sector_parities]
     for g, h in pairs:
-        comm, chi_h, chi_ginv = G.commutator(g, h), X.character[h], X.character[inv(g)]
-        phi_h, phi_ginv = X.action[h, g], X.action[inv(g), conj(g, h)]
+        comm, chi_h, chi_ginv = G.commutator(g, h), X.character[h], X.character[G.inv(g)]
+        phi_h, phi_ginv = X.action[h, g], X.action[G.inv(g), G.conj(g, h)]
         lhs: dict = {}
-        for (c, p), row in product.get((comm, conj(h, g)), {}).items():   # l_c: A_{hgh^-1} -> A_g
+        for (c, p), row in product.get((comm, G.conj(h, g)), {}).items():  # l_c: A_{hgh^-1} -> A_g
             for v, x in row.items():
                 if p in phi_h.get(v, ()):
-                    _add(lhs, c, sign(g, v) * chi_h * x * phi_h[v][p])
+                    lhs.setdefault(c, {0: 0})[0] += sign[g][v] * chi_h * x * phi_h[v][p]
         rhs: dict = {}
-        for (c, v), row in product.get((comm, h), {}).items():            # l_c: A_h -> A_{ghg^-1}
+        for (c, v), row in product.get((comm, h), {}).items():             # l_c: A_h -> A_{ghg^-1}
             for p, x in row.items():
                 if v in phi_ginv.get(p, ()):
-                    _add(rhs, c, sign(h, v) * chi_ginv * x * phi_ginv[p][v])
+                    rhs.setdefault(c, {0: 0})[0] += sign[h][v] * chi_ginv * x * phi_ginv[p][v]
         found = _first_difference(lhs, rhs)
         if found:
             c, lhs, rhs = found
-            witness = {"g": labels[g], "h": labels[h], "c": c,
-                       "lhs": ex.fmt_rat(lhs.get(0, 0)), "rhs": ex.fmt_rat(rhs.get(0, 0))}
-            break
-    count = sum(dims[G.commutator(g, h)] for g, h in pairs)
-    report.add("iv", "projective trace axiom" + (" (supertrace)" if super_mode else ""),
-               witness is None, count, witness)
-    return report
+            return {"g": G.labels[g], "h": G.labels[h], "c": c,
+                    "lhs": ex.fmt_rat(lhs.get(0, 0)), "rhs": ex.fmt_rat(rhs.get(0, 0))}
+    return None
+
+
+def verify_axioms(X: GFrobeniusAlgebra, budget: int = VERIFY_BUDGET) -> Report:
+    """Exhaustive exact check of the eight defining axioms, behind the structure check.
+
+    When some basis element is odd, twisted commutativity and the trace axiom
+    take their supergraded forms (signs from element parities, supertrace).
+    For evenly graded input the super forms coincide with the plain ones.
+    """
+    estimate = _verify_cost(X)
+    if estimate > budget:
+        raise BudgetExceededError(
+            f"verification would cost ~{estimate} products and loop steps (budget {budget})",
+            estimate)
+    G, dims = X.group, X.sector_dims
+    mul, inv, n, total = G.mul, G.inv, G.order, sum(dims)
+    pairs = [(g, h) for g in G.elements() for h in G.elements()]
+    complete = all(key in X.action for key in pairs)   # else structure reports n instances
+    report = Report().run([("structure", "shapes, metric blocks, action is a representation",
+                            2 * n + n ** 3 if complete else n, _structure, X, pairs)])
+    if not report.passed:
+        return report
+    pulled = {key: _transpose(block) for key, block in X.action.items()}   # rows of phi_g|A_h
+    entries = {key: _entries(table) for key, table in X.product.items()}
+    return report.run([
+        ("a", "associativity", total ** 3, _associativity, X, pairs, entries),
+        ("b", "twisted commutativity", total ** 2, _twisted_commutativity, X, pairs, pulled),
+        ("c", "invariant unit", total + n, _invariant_unit, X),
+        ("d", "invariance of the metric",
+         sum(dims[g] * dims[h] * dims[inv(mul(g, h))] for g, h in pairs),
+         _metric_invariance, X, pairs, entries),
+        ("i", "projective self-invariance", n, _self_invariance, X),
+        ("ii", "action multiplicative", n * total ** 2, _multiplicative, X, pairs, pulled),
+        ("iii", "projective invariance of the metric",
+         n * sum(d * dims[inv(h)] for h, d in enumerate(dims)),
+         _metric_projective, X, pairs, pulled),
+        ("iv", "projective trace axiom" + (" (supertrace)" if X.is_super() else ""),
+         sum(dims[G.commutator(g, h)] for g, h in pairs), _trace, X, pairs),
+    ])
 
 
 def _fmt_vec(labels: list, vec: SparseVec) -> str:

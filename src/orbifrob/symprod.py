@@ -175,10 +175,7 @@ class SymmetricProductAlgebra:
     """Sector bookkeeping plus the two product routes; tables built on demand."""
 
     def __init__(self, base: FrobeniusAlgebra, n: int):
-        report = base.verify()
-        if not report.passed:
-            first = report.failures()[0]
-            raise ValueError(f"base algebra fails {first.key}: {first.witness}")
+        frob.validated(base)
         if not base.is_even():
             raise ValueError("second quantization requires an evenly graded base")
         for i in range(base.dim):

@@ -220,6 +220,33 @@ def test_sector_basis_data_must_be_typed(tmp_path, capsys, sym2_hilbert, field, 
             f"error: sym2(Q[x]/(x^2)) lambda=-1: sector (1 2): {message}\n"
 
 
+@pytest.mark.parametrize("fixture, field, position", [
+    ("dual_numbers.json", "unit", (0,)),
+    ("dual_numbers.json", "metric", (0, 2)),
+    ("dual_numbers.json", "structure", (0, 3)),
+    ("ks3.json", "product", (0, 5)),
+    ("ks3.json", "action", (0, 4)),
+    ("ks3.json", "metric", (0, 3)),
+    ("ks3.json", "character", (0,)),
+    ("ks3.json", "unit", (0, 1)),
+    ("sn3_sign_cocycle.json", "values", (0, 2)),
+])
+def test_boolean_coefficients_exit_two(tmp_path, capsys, fixture, field, position):
+    # a JSON true used to be read as the int 1: verify passed, and export wrote
+    # "True", which verify then refused as no integer
+    def edit(doc):
+        *parents, last = position
+        node = doc[field]
+        for key in parents:
+            node = node[key]
+        node[last] = True
+
+    path = _variant(tmp_path, fixture, edit)
+    for command in ("verify", "export"):
+        assert run(command, path) == 2
+        assert capsys.readouterr().err == "error: cannot interpret True as an exact rational\n"
+
+
 def test_document_names_must_be_strings(tmp_path, capsys, sym2_hilbert):
     # a base named [1, 2] used to verify, and symprod wrote it out as "sym2([1, 2])"
     base = _variant(tmp_path, "dual_numbers.json", lambda doc: doc.__setitem__("name", [1, 2]))

@@ -83,7 +83,8 @@ def _mutated(data, workdir, name, original) -> Path:
     return path
 
 
-def _check_run(argv) -> None:
+def _check_run(argv) -> tuple[int, str]:
+    """Run ``argv`` and check its exit contract; returns (exit code, stdout)."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main([str(a) for a in argv])
@@ -94,6 +95,7 @@ def _check_run(argv) -> None:
     if code == 2:
         lines = err.getvalue().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), err.getvalue()
+    return code, out.getvalue()
 
 
 @settings(max_examples=150, derandomize=True, deadline=None,
@@ -128,6 +130,11 @@ def test_mutated_document_verifies_and_twists_cleanly(workdir, data):
 def test_mutated_base_document_exits_cleanly(workdir, data):
     name = data.draw(st.sampled_from(sorted(BASES)))
     path = _mutated(data, workdir, name, BASES[name])
-    for argv in (["verify", path], ["symprod", path, "--n", "2", "--out", workdir / "sym2.json"],
-                 ["export", path]):
+    for argv in (["verify", path], ["symprod", path, "--n", "2", "--out", workdir / "sym2.json"]):
         _check_run(argv)
+    # the canonical form is a fixed point: an export reads back to the same bytes
+    code, text = _check_run(["export", path])
+    if code == 0:
+        exported = workdir / f"{name}.export.json"
+        exported.write_text(text)
+        assert _check_run(["export", exported]) == (0, text)

@@ -1,16 +1,20 @@
-"""The benchmark's tracer (bench/tracing.py) patches orbifrob attributes by name.
+"""The benchmark's tracer (bench/tracing.py) patches orbifrob attributes by name,
+and its runner (bench/run.py) reads the verifier's check keys by name.
 
 Renaming or deleting one of them breaks traced benchmark runs, which tier-1
-does not start; this test installs the tracer on the current modules and
-restores it, so such a change fails here.
+does not start; these tests install the tracer on the current modules and
+restore it, and compare the runner's key list with a report's, so such a
+change fails here.
 """
 
+import ast
 import importlib.util
 from pathlib import Path
 
 from orbifrob import cocycles, exactnum, frobenius, gfrob, grading, groups, symprod
 
-TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+TRACING = BENCH / "tracing.py"
 MODULES = {"exactnum": exactnum, "frobenius": frobenius, "groups": groups,
            "cocycles": cocycles, "symprod": symprod, "gfrob": gfrob, "grading": grading}
 
@@ -35,3 +39,13 @@ def test_tracer_installs_and_restores_on_the_current_modules():
     assert len(patched) > 20
     for owner, attr, original in patched:
         assert owner.__dict__[attr] is original
+
+
+def test_verify_keys_match_the_benchmark(sp_factory, qx2):
+    # a renamed or reordered check would silently zero the runner's
+    # gfrob.verify.<key>.instances metrics; the runner is read, not imported
+    tree = ast.parse((BENCH / "run.py").read_text(encoding="utf-8"))
+    keys = next(ast.literal_eval(node.value) for node in tree.body if isinstance(node, ast.Assign)
+                and [getattr(t, "id", None) for t in node.targets] == ["VERIFY_KEYS"])
+    report = gfrob.verify_axioms(sp_factory(qx2, 2).realize())
+    assert tuple(check.key for check in report.checks) == keys
