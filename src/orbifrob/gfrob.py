@@ -383,8 +383,10 @@ def _invariant_unit(X: GFrobeniusAlgebra):
             ej = ex.basis_vector(dims[h], j)
             if X.multiply(e, h, X.unit, ej) != ej or X.multiply(h, e, ej, X.unit) != ej:
                 return {"h": G.labels[h], "basis": j, "issue": "unit does not act as identity"}
-    return next(({"g": G.labels[g], "issue": "phi_g(1) != 1"} for g in G.elements()
-                 if X.act(g, e, X.unit) != X.unit), None)
+    for g in G.elements():
+        if X.act(g, e, X.unit) != X.unit:
+            return {"g": G.labels[g], "issue": "phi_g(1) != 1"}
+    return None
 
 
 def _metric_invariance(X: GFrobeniusAlgebra, pairs: list, entries: dict):
