@@ -14,12 +14,11 @@ import sys
 from functools import partial
 
 # Each step runs in a process of its own, and compiling modules it never calls
-# costs more than most steps' arithmetic: frobenius, cocycles, symprod and
-# grading are imported inside the commands that use them.
+# costs more than most steps' arithmetic: only exactnum and _report are
+# imported here, and gfrob, groups, frobenius, cocycles, symprod and grading
+# inside the commands and helpers that run them.
 from . import exactnum as ex
-from . import gfrob
-from .gfrob import GFrobeniusAlgebra
-from .groups import cycle_notation, parse_cycles
+from ._report import VERIFY_BUDGET, BudgetExceededError
 
 
 class UsageError(Exception):
@@ -31,7 +30,8 @@ class UsageError(Exception):
 _COEFF_RE = re.compile(r"^([+-]?\d+(?:/\d+)?)\s*\*?\s*")
 
 
-def _sector_index(X: GFrobeniusAlgebra, text: str) -> int:
+def _sector_index(X, text: str) -> int:
+    from .groups import cycle_notation, parse_cycles
     s = text.strip()
     if X.group.perms is not None:
         perm = parse_cycles(s, X.group.perms[0].n)
@@ -39,7 +39,7 @@ def _sector_index(X: GFrobeniusAlgebra, text: str) -> int:
     return X.group.index_of(s)
 
 
-def _basis_index(X: GFrobeniusAlgebra, g: int, label: str) -> int:
+def _basis_index(X, g: int, label: str) -> int:
     s = label.strip()
     if s.startswith("(") and s.endswith(")"):
         s = "⊗".join(part.strip() for part in s[1:-1].split(","))
@@ -52,8 +52,9 @@ def _basis_index(X: GFrobeniusAlgebra, g: int, label: str) -> int:
                          f"expected one of {labels}")
 
 
-def parse_element(X: GFrobeniusAlgebra, text: str) -> tuple[int, list]:
-    """Parse '1@(1 2)', '(1(x)x + x(x)1)@e', or 'sector=(1 2); coeffs={(x,1): 3/2}'."""
+def parse_element(X, text: str) -> tuple[int, list]:
+    """Parse '1@(1 2)', '(1(x)x + x(x)1)@e', or 'sector=(1 2); coeffs={(x,1): 3/2}'
+    as an element of the sector-graded algebra X."""
     s = text.strip()
     if s.startswith("sector="):
         try:
@@ -121,7 +122,7 @@ def parse_element(X: GFrobeniusAlgebra, text: str) -> tuple[int, list]:
     return g, vec
 
 
-def format_element(X: GFrobeniusAlgebra, g: int, vec) -> str:
+def format_element(X, g: int, vec) -> str:
     terms = [(i, c) for i, c in enumerate(vec) if c != 0]
     if not terms:
         return f"0@{X.group.labels[g]}"
@@ -148,7 +149,7 @@ def format_element(X: GFrobeniusAlgebra, g: int, vec) -> str:
 
 # -- documents ------------------------------------------------------------------
 
-def _load_galg(path, scan: bool = False) -> GFrobeniusAlgebra:
+def _load_galg(path, scan: bool = False):
     """A stored sector-graded algebra.  With ``scan``, a cocycle-law scan over
     its group that exceeds the budget is refused before anything is built."""
     doc = ex.load_json(path)
@@ -157,6 +158,7 @@ def _load_galg(path, scan: bool = False) -> GFrobeniusAlgebra:
     if scan:
         from . import cocycles as cocy
         cocy.refuse_scan(cocy.document_order(doc))
+    from . import gfrob
     return gfrob.from_json_dict(doc)
 
 
@@ -167,6 +169,7 @@ def _document(path, budget: int | None = None) -> tuple:
     before its group and value tables are built."""
     doc = ex.load_json(path)
     if "sectors" in doc:
+        from . import gfrob
         X = gfrob.from_json_dict(doc)
         return (f"sector-graded algebra {X.name!r}", partial(gfrob.verify_axioms, X, budget=budget),
                 partial(gfrob.to_json_dict, X))
@@ -223,6 +226,7 @@ def cmd_verify(args) -> int:
 
 def cmd_symprod(args) -> int:
     from . import frobenius as frob
+    from . import gfrob
     from . import symprod as sp_mod
     base = frob.load(args.base)
     budget = sp_mod.BUILD_BUDGET if args.budget is None else args.budget
@@ -248,6 +252,7 @@ def cmd_mult(args) -> int:
 
 
 def cmd_twist(args) -> int:
+    from . import gfrob
     # --lambda validates a cocycle on the document's whole group
     X = _load_galg(args.file, scan=args.lam is not None and not args.cocycle)
     if args.cocycle:
@@ -264,6 +269,7 @@ def cmd_twist(args) -> int:
 
 
 def cmd_invariants(args) -> int:
+    from . import gfrob
     X = _load_galg(args.file)
     inv = gfrob.invariants(X)
     if args.poincare:   # before any output: bad shift flags leave stdout empty
@@ -299,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="check every defining law of a stored structure")
     p.add_argument("file")
     p.add_argument("--out", help="write the machine-readable report here")
-    p.add_argument("--budget", type=int, default=gfrob.VERIFY_BUDGET)
+    p.add_argument("--budget", type=int, default=VERIFY_BUDGET)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("symprod", help="second-quantize a base algebra for S_n")
@@ -348,7 +354,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (UsageError, OSError, KeyError, ValueError, TypeError,
-            gfrob.BudgetExceededError) as exc:
+            BudgetExceededError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

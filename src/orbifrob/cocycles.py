@@ -19,8 +19,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import exactnum as ex
-from ._report import Report
-from .gfrob import VERIFY_BUDGET, BudgetExceededError, GFrobeniusAlgebra, _twisted_ring
+from ._report import VERIFY_BUDGET, BudgetExceededError, Report
+from .gfrob import GFrobeniusAlgebra, _twisted_ring
 from .groups import (FiniteGroup, degree, group_doc, group_entry, group_from_doc, symmetric_group,
                      symmetric_order)
 

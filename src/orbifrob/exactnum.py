@@ -7,11 +7,13 @@ back to ``int`` so the hot loops stay on machine integers as long as the
 denominators allow).
 
 Linear maps are sparse ``{index: {index: value}}`` maps, reduced by
-``sparse_echelon`` and combined by ``sparse_kron``.  The dense ``echelon``,
-``rank`` and ``mat_mul`` (with its ``mat_zero``) have no caller in the
-package: they remain as the entry points the benchmark tracer patches by
-name, and as references the tests check sparse results against.  Documents
-are read and written here too, in one canonical JSON form (``dump_json``).
+``sparse_echelon`` and combined by ``sparse_kron``; the private helpers
+after them clean, transpose and sum such maps for both algebra layers.  The
+dense ``echelon``, ``rank`` and ``mat_mul`` (with its ``mat_zero``) have no
+caller in the package: they remain as the entry points the benchmark tracer
+patches by name, and as references the tests check sparse results against.
+Documents are read and written here too, in one canonical JSON form
+(``dump_json``).
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ Rat = Union[int, Fraction]
 Vector = list  # list[Rat]
 Matrix = list  # list[list[Rat]]
 SparseMap = dict  # {index: {index: Rat}}, no zero value and no empty inner map stored
+SparseVec = dict  # {index: Rat}
 
 
 class SingularMatrixError(ValueError):
@@ -75,7 +78,8 @@ def check_indices(what: str, indices, bounds) -> None:
 
 
 def check_basis_data(what: str, degrees, parities, labels) -> None:
-    """Reject a degree that is not an int (nor a bool), a parity not 0 or 1, a label not a str."""
+    """Reject a degree that is not an int (nor a bool), a parity not 0 or 1, a label not a
+    str, and a label that repeats another."""
     for d in degrees:
         if type(d) is not int:
             raise ValueError(f"{what}: degree {d!r} is not an integer")
@@ -85,6 +89,8 @@ def check_basis_data(what: str, degrees, parities, labels) -> None:
     for label in labels:
         if type(label) is not str:
             raise ValueError(f"{what}: basis label {label!r} is not a string")
+    if len(set(labels)) != len(labels):
+        raise ValueError(f"{what}: basis labels {list(labels)} are not distinct")
 
 
 def check_new(what: str, seen: set, key: tuple) -> None:
@@ -213,3 +219,54 @@ def sparse_kron(a: SparseMap, b: SparseMap, outer: int, inner: int) -> SparseMap
     and ``inner`` bound the outer and inner indices of ``b``."""
     return {p * outer + r: {q * inner + s: norm(x * y) for q, x in ap.items() for s, y in br.items()}
             for p, ap in a.items() for r, br in b.items()}
+
+
+def _clean(vec: SparseVec) -> SparseVec:
+    """Drop the zeros of a sparse vector and normalize its values, in place."""
+    for k in [k for k, v in vec.items() if v == 0]:
+        del vec[k]
+    for k, v in vec.items():
+        vec[k] = norm(v)
+    return vec
+
+
+def _clean_map(block: SparseMap, outer: int, inner: int, what: str) -> None:
+    """``_clean`` every vector of an {index: {index: value}} map and drop the
+    empty ones, in place; the indices are checked first."""
+    for p, vec in block.items():
+        if not 0 <= p < outer or any(not 0 <= q < inner for q in vec):
+            raise ValueError(f"{what} index out of range")
+    for p in [p for p, vec in block.items() if not _clean(vec)]:
+        del block[p]
+
+
+def _transpose(block: SparseMap) -> SparseMap:
+    out: dict = {}
+    for i, row in block.items():
+        for j, v in row.items():
+            out.setdefault(j, {})[i] = v
+    return out
+
+
+def _sum_rows(terms) -> SparseVec:
+    """The cleaned sum of c * row over the (c, row) pairs of ``terms``."""
+    out: SparseVec = {}
+    for c, row in terms:
+        for q, v in row.items():
+            out[q] = out.get(q, 0) + c * v
+    return _clean(out)
+
+
+def _bilinear(table: dict, a, b, size: int) -> list:
+    """Dense vectors a and b multiplied through a table {(i, j): {k: c}}."""
+    out = vec_zero(size)
+    for i, x in enumerate(a):
+        if x == 0:
+            continue
+        for j, y in enumerate(b):
+            row = table.get((i, j)) if y != 0 else None
+            if row:
+                xy = x * y
+                for k, c in row.items():
+                    out[k] += xy * c
+    return [norm(v) for v in out]

@@ -46,10 +46,8 @@ from itertools import compress, repeat
 from operator import add, mul
 
 from . import exactnum as ex
-from ._report import Report
-from .exactnum import Rat
-from .gfrob import (_as_product, _associator, _bilinear, _clean_map, _entries, _fmt_vec, _joins,
-                    _transpose)
+from ._report import Report, _as_product, _associator, _entries, _fmt_vec, _joins
+from .exactnum import Rat, _bilinear, _clean, _clean_map, _sum_rows, _transpose
 
 
 @dataclass
@@ -78,12 +76,8 @@ class FrobeniusAlgebra:
             raise ValueError(f"{self.name}: field lengths disagree with dim {self.dim}")
         ex.check_basis_data(self.name, self.degrees, self.parities, self.labels)
         _clean_map(self.metric, self.dim, self.dim, f"{self.name}: metric")
-        rows = {}
-        for key, row in self.rows.items():
-            row = {k: ex.norm(v) for k, v in row.items() if v != 0}
-            if row:
-                rows[key] = row
-        self.rows = rows
+        cleaned = ((key, _clean(dict(row))) for key, row in self.rows.items())
+        self.rows = rows = {key: row for key, row in cleaned if row}
         # per left index x: (y, row items) for each y with e_x e_y != 0, as
         # integer numerators over one denominator
         den = math.lcm(*(c.denominator for row in rows.values() for c in row.values()))
@@ -130,11 +124,8 @@ class FrobeniusAlgebra:
 
     def euler_class(self):
         """Product of the copairing: sum over dual pairs of e_i e^i."""
-        out = ex.vec_zero(self.dim)
-        for i, j, c in self.copairing():
-            for k, v in self.rows.get((i, j), {}).items():
-                out[k] += c * v
-        return [ex.norm(v) for v in out]
+        out = _sum_rows((c, self.rows.get((i, j), {})) for i, j, c in self.copairing())
+        return [out.get(k, 0) for k in range(self.dim)]
 
     def power(self, v, exponent: int):
         """v^exponent with v^0 = unit."""

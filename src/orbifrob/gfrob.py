@@ -16,7 +16,7 @@ neither side reaches is decided as 0 = 0 and still counted in the closed
 form ``instances``.  Each law is one function that stops at its first
 witness and returns it, or None; the eight axioms run only once the
 structure check passes.  Associativity (a), invariance of the metric (d)
-and the base algebra's two such laws share one kernel, ``_associator``.
+and the base algebra's two such laws share one kernel, ``_report._associator``.
 Before any scan, ``_verify_cost`` counts the products the joins will
 multiply, the |G|^3 compositions of the representation check and the
 per-pair loops of the other checks; ``VERIFY_BUDGET`` bounds that count.
@@ -29,43 +29,13 @@ from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from . import exactnum as ex
-from ._report import Report
+from ._report import (VERIFY_BUDGET, BudgetExceededError, Report, _as_product, _associator,
+                      _entries, _fmt_vec, _joins)
+from .exactnum import _bilinear, _clean, _clean_map, _sum_rows, _transpose
 from .groups import FiniteGroup, group_doc, group_entry, group_from_doc, symmetric_order
 
 if TYPE_CHECKING:  # pragma: no cover
     from .cocycles import Cocycle2, SuperTwist
-
-# budget of the exhaustive verifier: the products its joins multiply plus its
-# per-pair and |G|^3 loop steps, as ``_verify_cost`` counts them
-VERIFY_BUDGET = 50_000_000
-
-
-class BudgetExceededError(RuntimeError):
-    def __init__(self, message: str, estimate: int):
-        super().__init__(message)
-        self.estimate = estimate
-
-
-SparseVec = dict  # dict[int, Rat]
-
-
-def _clean(vec: SparseVec) -> SparseVec:
-    """Drop the zeros of a sparse vector and normalize its values, in place."""
-    for k in [k for k, v in vec.items() if v == 0]:
-        del vec[k]
-    for k, v in vec.items():
-        vec[k] = ex.norm(v)
-    return vec
-
-
-def _clean_map(block: ex.SparseMap, outer: int, inner: int, what: str) -> None:
-    """``_clean`` every vector of an {index: {index: value}} map and drop the
-    empty ones, in place; the indices are checked first."""
-    for p, vec in block.items():
-        if not 0 <= p < outer or any(not 0 <= q < inner for q in vec):
-            raise ValueError(f"{what} index out of range")
-    for p in [p for p, vec in block.items() if not _clean(vec)]:
-        del block[p]
 
 
 def _scalar_map(c, d: int) -> ex.SparseMap:
@@ -77,42 +47,10 @@ def _scaled(c, block: ex.SparseMap) -> ex.SparseMap:
     return {p: {q: ex.norm(c * v) for q, v in vec.items()} for p, vec in block.items()}
 
 
-def _transpose(block: ex.SparseMap) -> ex.SparseMap:
-    out: dict = {}
-    for i, row in block.items():
-        for j, v in row.items():
-            out.setdefault(j, {})[i] = v
-    return out
-
-
-def _apply(block: ex.SparseMap, vec: SparseVec) -> SparseVec:
-    """A column map applied to a sparse vector."""
-    out: SparseVec = {}
-    for k, c in vec.items():
-        for i, v in block.get(k, {}).items():
-            out[i] = out.get(i, 0) + c * v
-    return _clean(out)
-
-
-def _bilinear(table: dict, a, b, size: int) -> list:
-    """Dense vectors a and b multiplied through a table {(i, j): {k: c}}."""
-    out = ex.vec_zero(size)
-    for i, x in enumerate(a):
-        if x == 0:
-            continue
-        for j, y in enumerate(b):
-            row = table.get((i, j)) if y != 0 else None
-            if row:
-                xy = x * y
-                for k, c in row.items():
-                    out[k] += xy * c
-    return [ex.norm(v) for v in out]
-
-
 def _compose(a: ex.SparseMap, b: ex.SparseMap) -> ex.SparseMap:
     """Column map of a after b."""
-    out = {j: _apply(a, col) for j, col in b.items()}
-    return {j: col for j, col in out.items() if col}
+    return {j: out for j, col in b.items()
+            if (out := _sum_rows((c, a.get(k, {})) for k, c in col.items()))}
 
 
 @dataclass
@@ -174,12 +112,8 @@ class GFrobeniusAlgebra:
     def act(self, g: int, h: int, v):
         """phi_g applied to v in A_h; result in A_{ghg^-1}."""
         block = self.action[(g, h)]
-        out = ex.vec_zero(self.sector_dims[self.group.conj(g, h)])
-        for j, x in enumerate(v):
-            if x != 0:
-                for i, c in block.get(j, {}).items():
-                    out[i] += c * x
-        return [ex.norm(y) for y in out]
+        out = _sum_rows((x, block.get(j, {})) for j, x in enumerate(v) if x != 0)
+        return [out.get(i, 0) for i in range(self.sector_dims[self.group.conj(g, h)])]
 
     def pair(self, g: int, a, b) -> ex.Rat:
         """eta(a, b) for a in A_g, b in A_{g^-1}."""
@@ -221,68 +155,6 @@ def _first_difference(lhs: dict, rhs: dict):
         if a != b:
             return key, a, b
     return None
-
-
-def _associator(xy: list, yz: list, after: dict, before: dict):
-    """The smallest basis tuple (k, i, j, m) where (x_i y_j) z_m != x_i (y_j z_m).
-
-    ``xy`` lists the entries (i, j, p, c) of x_i y_j = ... + c e_p and ``yz``
-    the entries (k, j, m, p, c) of y_j z_m; ``after[p]`` holds the rows
-    (k, m, row) of e_p z_m and ``before[p]`` the rows (i, row) of x_i e_p.
-    Both sides meet in one flat accumulator {(k, i, j, m, q): lhs - rhs};
-    only a failing call sums the two sides at its tuple for the witness.
-    Returns ``(key, lhs, rhs)`` or None.
-    """
-    diff: dict = {}
-    for i, j, p, c in xy:
-        for k, m, row in after.get(p, ()):
-            for q, v in row.items():
-                key = (k, i, j, m, q)
-                diff[key] = diff.get(key, 0) + c * v
-    for k, j, m, p, c in yz:
-        for i, row in before.get(p, ()):
-            for q, v in row.items():
-                key = (k, i, j, m, q)
-                diff[key] = diff.get(key, 0) - c * v
-    if not any(diff.values()):
-        return None
-    t = min(key[:4] for key, v in diff.items() if v)
-    k, i, j, m = t
-    lhs = _sum_rows((c, row) for i2, j2, p, c in xy if (i2, j2) == (i, j)
-                    for k2, m2, row in after.get(p, ()) if (k2, m2) == (k, m))
-    rhs = _sum_rows((c, row) for k2, j2, m2, p, c in yz if (k2, j2, m2) == (k, j, m)
-                    for i2, row in before.get(p, ()) if i2 == i)
-    return t, lhs, rhs
-
-
-def _sum_rows(terms) -> SparseVec:
-    """The cleaned sum of c * row over the (c, row) pairs of ``terms``."""
-    out: SparseVec = {}
-    for c, row in terms:
-        for q, v in row.items():
-            out[q] = out.get(q, 0) + c * v
-    return _clean(out)
-
-
-def _entries(table: dict) -> list:
-    """The entries (i, j, p, c) of a product table: c e_p is a term of e_i e_j."""
-    return [(i, j, p, c) for (i, j), row in table.items() for p, c in row.items()]
-
-
-def _joins(table: dict, k) -> tuple[dict, dict]:
-    """A product table's rows as the ``after`` (outer index k) and ``before``
-    arguments of ``_associator``: by left index and by right index."""
-    after: dict = {}
-    before: dict = {}
-    for (p, m), row in table.items():
-        after.setdefault(p, []).append((k, m, row))
-        before.setdefault(m, []).append((p, row))
-    return after, before
-
-
-def _as_product(block: ex.SparseMap) -> dict:
-    """A pairing block read as a product table into a one-dimensional sector."""
-    return {(i, j): {0: v} for i, row in block.items() for j, v in row.items()}
 
 
 def _verify_cost(X: GFrobeniusAlgebra) -> int:
@@ -533,13 +405,6 @@ def verify_axioms(X: GFrobeniusAlgebra, budget: int = VERIFY_BUDGET) -> Report:
         ("iv", "projective trace axiom" + (" (supertrace)" if X.is_super() else ""),
          sum(dims[G.commutator(g, h)] for g, h in pairs), _trace, X, pairs),
     ])
-
-
-def _fmt_vec(labels: list, vec: SparseVec) -> str:
-    """A sparse vector as ``c*label`` terms in index order, "0" when empty."""
-    if not vec:
-        return "0"
-    return " + ".join(f"{ex.fmt_rat(c)}*{labels[k]}" for k, c in sorted(vec.items()))
 
 
 # -- graded tensor product ---------------------------------------------------

@@ -230,6 +230,9 @@ class FiniteGroup:
     """A finite group given by its multiplication table over 0..order-1."""
 
     def __init__(self, labels, table):
+        if (type(labels) is not list or any(type(x) is not str for x in labels)
+                or len(set(labels)) != len(labels)):
+            raise ValueError(f"group labels {labels!r} are not a list of distinct strings")
         self.labels = list(labels)
         self.order = len(self.labels)
         self.table = [list(row) for row in table]
@@ -355,7 +358,7 @@ class FiniteGroup:
         try:
             return self.labels.index(label)
         except ValueError:
-            raise KeyError(f"no group element labelled {label!r}")
+            raise ValueError(f"no group element labelled {label!r}") from None
 
     def __eq__(self, other):
         return (

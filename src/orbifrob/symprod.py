@@ -83,7 +83,7 @@ from operator import itemgetter, mul
 from . import exactnum as ex
 from . import frobenius as frob
 from .frobenius import FrobeniusAlgebra, _divided, _numerators, _scaled, _split
-from .gfrob import BudgetExceededError, GFrobeniusAlgebra, _transpose
+from .gfrob import BudgetExceededError, GFrobeniusAlgebra
 from .groups import (OrbitPartition, Permutation, compose, cycles, degree,
                      group_orbits, symmetric_group)
 
@@ -294,7 +294,7 @@ class SymmetricProductAlgebra:
         """
         if ("adj", m) not in self._columns:
             mu, mu_den = self._mu_columns(m)
-            eta, inv = self.base.metric, _transpose(self.base.metric_inv)
+            eta, inv = self.base.metric, ex._transpose(self.base.metric_inv)
             cols: dict = {}
             for s, col in mu.items():
                 t = s if m > 1 else (s,)

@@ -194,9 +194,11 @@ def sym2_hilbert(tmp_path):
     ("parity", 2, "parity 2 is not 0 or 1"),
     ("parity", True, "parity True is not 0 or 1"),
     ("label", 7, "basis label 7 is not a string"),
+    ("label", "1", "basis labels ['1', '1'] are not distinct"),
 ])
 def test_base_basis_data_must_be_typed(tmp_path, capsys, field, value, message):
-    # 2.5, true and "2" used to pass verify, and export wrote them back as 2, 1 and 2
+    # 2.5, true and "2" used to pass verify, and export wrote them back as 2, 1 and 2;
+    # a repeated label passed too, and symprod wrote sectors whose labels all repeated
     path = _variant(tmp_path, "dual_numbers.json", lambda doc: doc["basis"][1].__setitem__(field, value))
     for command in ("verify", "export"):
         assert run(command, path) == 2
@@ -208,10 +210,12 @@ def test_base_basis_data_must_be_typed(tmp_path, capsys, field, value, message):
     ("degrees", 2.5, "degree 2.5 is not an integer"),
     ("parities", -1, "parity -1 is not 0 or 1"),
     ("basis", None, "basis label None is not a string"),
+    ("basis", "x", "basis labels ['x', 'x'] are not distinct"),
 ])
 def test_sector_basis_data_must_be_typed(tmp_path, capsys, sym2_hilbert, field, value, message):
     # a sector degree "2" used to pass verify, then fail invariants --poincare on comparing
-    # an int with a str; 2.5 reached the exact engine as a float
+    # an int with a str; 2.5 reached the exact engine as a float; of two equal labels,
+    # mult read the first
     path = _variant(tmp_path, sym2_hilbert, lambda doc: doc["sectors"][1][field].__setitem__(0, value))
     capsys.readouterr()
     for argv in (("verify",), ("invariants", "--poincare", "--shift", "standard"), ("export",)):
@@ -309,6 +313,28 @@ def test_group_table_entries_must_be_integers(tmp_path, capsys, entry):
     assert run("verify", path) == 2
     assert capsys.readouterr().err == \
         f"error: multiplication table entry {entry!r} is not an integer\n"
+
+
+@pytest.mark.parametrize("labels", [["e", "x", "x"], ["e", 1, "y"], ["e", ["x"], "y"], "exy"])
+def test_group_labels_must_be_distinct_strings(tmp_path, capsys, labels):
+    # ["e", "x", "x"] used to verify, and to name two elements "x" in a witness;
+    # a cocycle on it was written out as a document that export refused; "exy"
+    # was read as ["e", "x", "y"], and export rewrote it so
+    path = tmp_path / "z3_cocycle.json"
+    path.write_text(json.dumps({"group": {"type": "table", "labels": labels, "table": cyclic_table(3)},
+                                "values": []}))
+    for command in ("verify", "export"):
+        assert run(command, path) == 2
+        assert capsys.readouterr().err == \
+            f"error: group labels {labels!r} are not a list of distinct strings\n"
+
+
+def test_unknown_group_label_is_printed_without_quotes(tmp_path, capsys):
+    # a KeyError used to print its message in quotes: error: "no group element ..."
+    path = _variant(tmp_path, "sn3_sign_cocycle.json", lambda doc: doc["values"][0].__setitem__(0, "zz"))
+    for command in ("verify", "export"):
+        assert run(command, path) == 2
+        assert capsys.readouterr().err == "error: no group element labelled 'zz'\n"
 
 
 def _table_cocycle(path, table):

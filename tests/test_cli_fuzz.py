@@ -56,6 +56,12 @@ LEAVES["sn3_cocycle"] = list(_leaves(SN3_COCYCLE))
 BASES = {name: json.loads((FIXTURES / f"{name}.json").read_text())
          for name in ("dual_numbers", "surface4")}
 LEAVES.update({name: list(_leaves(doc)) for name, doc in BASES.items()})
+# the coefficient leaves of a base: each unit entry and the value ending each
+# metric and structure entry, a few of the many leaves a uniform draw picks from
+VALUE_LEAVES = {name: [("unit", i) for i in range(len(doc["unit"]))]
+                + [(field, k, len(entry) - 1) for field in ("metric", "structure")
+                   for k, entry in enumerate(doc[field])]
+                for name, doc in BASES.items()}
 
 REPLACEMENTS = st.one_of(
     st.integers(-2, 9),
@@ -70,14 +76,15 @@ def workdir(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz")
 
 
-def _mutated(data, workdir, name, original) -> Path:
-    """Write ``original`` with one leaf, drawn from ``data``, replaced."""
+def _mutated(data, workdir, name, original, leaves=None, replacements=REPLACEMENTS) -> Path:
+    """Write ``original`` with one leaf, drawn from ``data`` out of ``leaves``
+    (by default every leaf), replaced by a draw from ``replacements``."""
     doc = copy.deepcopy(original)
-    *parents, last = data.draw(st.sampled_from(LEAVES[name]))
+    *parents, last = data.draw(st.sampled_from(leaves or LEAVES[name]))
     node = doc
     for key in parents:
         node = node[key]
-    node[last] = data.draw(REPLACEMENTS)
+    node[last] = data.draw(replacements)
     path = workdir / f"{name}.json"
     path.write_text(json.dumps(doc))
     return path
@@ -129,7 +136,11 @@ def test_mutated_document_verifies_and_twists_cleanly(workdir, data):
 @given(data=st.data())
 def test_mutated_base_document_exits_cleanly(workdir, data):
     name = data.draw(st.sampled_from(sorted(BASES)))
-    path = _mutated(data, workdir, name, BASES[name])
+    if data.draw(st.booleans()):   # a coefficient leaf, where a JSON bool once read as 0 or 1
+        path = _mutated(data, workdir, name, BASES[name], VALUE_LEAVES[name],
+                        st.one_of(st.booleans(), REPLACEMENTS))
+    else:
+        path = _mutated(data, workdir, name, BASES[name])
     for argv in (["verify", path], ["symprod", path, "--n", "2", "--out", workdir / "sym2.json"]):
         _check_run(argv)
     # the canonical form is a fixed point: an export reads back to the same bytes

@@ -5,7 +5,7 @@ import pytest
 
 from orbifrob import groups as g
 
-from conftest import is_transversal, swapped_cyclic_table
+from conftest import cyclic_table, is_transversal, swapped_cyclic_table
 
 
 def P(text, n):
@@ -206,6 +206,10 @@ def test_bad_table_rejected():
     # True == 1 passes the Latin check, so the type is checked first, at every order
     with pytest.raises(ValueError, match="entry True is not an integer"):
         g.FiniteGroup(list("eabcd"), [[True if x == 1 else x for x in row] for row in table])
+    # labels name elements in documents and witnesses: a list of strings, none repeated
+    for labels in (["e", "x", "x"], ["e", 1, "y"], ["e", None, "y"], "exy"):
+        with pytest.raises(ValueError, match="are not a list of distinct strings"):
+            g.FiniteGroup(labels, cyclic_table(3))
 
 
 # -- table validation: Light's test against the cubic scan ------------------------

@@ -1,6 +1,8 @@
 """The package stays stdlib-only: every import under src/orbifrob names an
-orbifrob module or a standard-library module.  Each CLI command imports only
-the orbifrob modules it runs.  The package holds nothing that no one uses:
+orbifrob module or a standard-library module.  The layers import downward
+only: exactnum imports no package module, _report only exactnum, and the
+base algebras and the CLI's module level only those two.  Each CLI command
+imports only the orbifrob modules it runs.  The package holds nothing that no one uses:
 every public definition is reached from the package, the benchmark or an
 acceptance criterion, and every private one from the package or the
 benchmark."""
@@ -49,6 +51,33 @@ def test_package_imports_only_stdlib_and_itself():
     assert {name: found for name, found in foreign.items() if found} == {}
 
 
+def _module_level_imports(source: str) -> set[str]:
+    """The package modules a module's ``from .`` imports load with it: those
+    outside functions, classes and ``if TYPE_CHECKING:`` blocks."""
+    found, body = set(), list(ast.parse(source).body)
+    while body:
+        node = body.pop()
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            found.update([node.module] if node.module else [alias.name for alias in node.names])
+        elif isinstance(node, ast.If) and getattr(node.test, "id", None) != "TYPE_CHECKING":
+            body += node.body + node.orelse
+    return found
+
+
+def test_layer_reader_skips_deferred_imports():
+    source = ("from . import exactnum as ex\nfrom ._report import Report\nif TYPE_CHECKING:\n"
+              "    from .gfrob import G\nif True:\n    from .groups import cycles\n"
+              "else:\n    from . import grading\n\n\ndef f():\n    from . import symprod\n")
+    assert _module_level_imports(source) == {"exactnum", "_report", "groups", "grading"}
+
+
+def test_base_layers_import_no_higher_module():
+    imports = {name: _module_level_imports((PACKAGE / f"{name}.py").read_text(encoding="utf-8"))
+               for name in ("exactnum", "_report", "frobenius", "cli")}
+    assert imports == {"exactnum": set(), "_report": {"exactnum"},
+                       "frobenius": {"exactnum", "_report"}, "cli": {"exactnum", "_report"}}
+
+
 def _loaded_modules(cwd, *argv) -> set[str]:
     """Short names of the orbifrob modules a fresh ``python -m orbifrob.cli``
     process imports, read from its ``-X importtime`` report."""
@@ -61,6 +90,10 @@ def _loaded_modules(cwd, *argv) -> set[str]:
 
 
 def test_each_command_imports_only_the_modules_it_runs(tmp_path):
+    for base in ("dual_numbers", "surface4"):
+        for command in ("verify", "export"):
+            assert _loaded_modules(tmp_path, command, FIXTURES / f"{base}.json") == \
+                {"exactnum", "_report", "frobenius"}, (command, base)
     doc = tmp_path / "sym2.json"
     built = _loaded_modules(tmp_path, "symprod", FIXTURES / "dual_numbers.json", "--n", 2,
                             "--lambda", "-1", "--out", doc)

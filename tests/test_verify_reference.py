@@ -24,7 +24,8 @@ from orbifrob import cocycles as cocy
 from orbifrob import exactnum as ex
 from orbifrob import frobenius as frob
 from orbifrob import gfrob
-from orbifrob.gfrob import _apply, _clean, _fmt_vec
+from orbifrob._report import _fmt_vec
+from orbifrob.exactnum import _clean, _sum_rows
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -133,7 +134,8 @@ def reference_ii(X):
                 count += dims[g] * dims[h]
                 for i in range(dims[g]):
                     for j in range(dims[h]):
-                        lhs = _apply(act_gh, T.get((i, j), {}))
+                        lhs = _sum_rows((c, act_gh.get(p, {}))
+                                        for p, c in T.get((i, j), {}).items())
                         rhs: dict = {}
                         for p, cg in act_g.get(i, {}).items():
                             for q, ch in act_h.get(j, {}).items():
