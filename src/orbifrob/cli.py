@@ -12,6 +12,7 @@ import argparse
 import re
 import sys
 from functools import partial
+from typing import TYPE_CHECKING
 
 # Each step runs in a process of its own, and compiling modules it never calls
 # costs more than most steps' arithmetic: only exactnum and _report are
@@ -19,6 +20,9 @@ from functools import partial
 # inside the commands and helpers that run them.
 from . import exactnum as ex
 from ._report import VERIFY_BUDGET, BudgetExceededError
+
+if TYPE_CHECKING:  # pragma: no cover
+    from .gfrob import GFrobeniusAlgebra
 
 
 class UsageError(Exception):
@@ -30,7 +34,7 @@ class UsageError(Exception):
 _COEFF_RE = re.compile(r"^([+-]?\d+(?:/\d+)?)\s*\*?\s*")
 
 
-def _sector_index(X, text: str) -> int:
+def _sector_index(X: GFrobeniusAlgebra, text: str) -> int:
     from .groups import cycle_notation, parse_cycles
     s = text.strip()
     if X.group.perms is not None:
@@ -39,7 +43,7 @@ def _sector_index(X, text: str) -> int:
     return X.group.index_of(s)
 
 
-def _basis_index(X, g: int, label: str) -> int:
+def _basis_index(X: GFrobeniusAlgebra, g: int, label: str) -> int:
     s = label.strip()
     if s.startswith("(") and s.endswith(")"):
         s = "⊗".join(part.strip() for part in s[1:-1].split(","))
@@ -52,9 +56,8 @@ def _basis_index(X, g: int, label: str) -> int:
                          f"expected one of {labels}")
 
 
-def parse_element(X, text: str) -> tuple[int, list]:
-    """Parse '1@(1 2)', '(1(x)x + x(x)1)@e', or 'sector=(1 2); coeffs={(x,1): 3/2}'
-    as an element of the sector-graded algebra X."""
+def parse_element(X: GFrobeniusAlgebra, text: str) -> tuple[int, list]:
+    """Parse '1@(1 2)', '(1(x)x + x(x)1)@e', or 'sector=(1 2); coeffs={(x,1): 3/2}'."""
     s = text.strip()
     if s.startswith("sector="):
         try:
@@ -122,7 +125,7 @@ def parse_element(X, text: str) -> tuple[int, list]:
     return g, vec
 
 
-def format_element(X, g: int, vec) -> str:
+def format_element(X: GFrobeniusAlgebra, g: int, vec) -> str:
     terms = [(i, c) for i, c in enumerate(vec) if c != 0]
     if not terms:
         return f"0@{X.group.labels[g]}"
@@ -149,7 +152,7 @@ def format_element(X, g: int, vec) -> str:
 
 # -- documents ------------------------------------------------------------------
 
-def _load_galg(path, scan: bool = False):
+def _load_galg(path, scan: bool = False) -> GFrobeniusAlgebra:
     """A stored sector-graded algebra.  With ``scan``, a cocycle-law scan over
     its group that exceeds the budget is refused before anything is built."""
     doc = ex.load_json(path)

@@ -78,8 +78,7 @@ def check_indices(what: str, indices, bounds) -> None:
 
 
 def check_basis_data(what: str, degrees, parities, labels) -> None:
-    """Reject a degree that is not an int (nor a bool), a parity not 0 or 1, a label not a
-    str, and a label that repeats another."""
+    """Reject a non-int degree (a bool too), a parity not 0 or 1, a label not a str or repeated."""
     for d in degrees:
         if type(d) is not int:
             raise ValueError(f"{what}: degree {d!r} is not an integer")
