@@ -178,7 +178,7 @@ def _document(path, budget: int | None = None) -> tuple:
                 partial(gfrob.to_json_dict, X))
     if "basis" in doc:
         from . import frobenius as frob
-        algebra = frob.from_json_dict(doc, validate=False)
+        algebra = frob.from_json_dict(doc)
         return f"algebra {algebra.name!r}", algebra.verify, partial(frob.to_json_dict, algebra)
     if "values" in doc:
         from . import cocycles as cocy
@@ -278,7 +278,7 @@ def cmd_invariants(args) -> int:
     if args.poincare:   # before any output: bad shift flags leave stdout empty
         from . import grading
         if args.shift == "standard":
-            shifts = grading.standard_shifts(X, copies=args.copies)
+            shifts = grading.standard_shifts(X)
         else:
             shifts = grading.zero_shifts(X)
         poly = grading.invariant_poincare(X, inv.basis, shifts)
@@ -340,7 +340,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--poincare", action="store_true")
     p.add_argument("--shift", choices=["none", "standard"], default="none")
-    p.add_argument("--copies", type=int, default=1)
     p.set_defaults(func=cmd_invariants)
 
     p = sub.add_parser("export", help="re-emit a document in canonical form")
@@ -358,7 +357,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (UsageError, OSError, KeyError, ValueError, TypeError,
             BudgetExceededError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # the loaders index documents directly, so a KeyError names a missing key
+        message = f"missing required key {exc}" if type(exc) is KeyError else exc
+        print(f"error: {message}", file=sys.stderr)
         return 2
 
 

@@ -7,9 +7,10 @@ with no zero value, the form every G-algebra block takes.  Construction
 checks only names, lengths, basis bookkeeping and metric indices; the laws
 (associativity, unit, invariance, nondegeneracy, grading and parity) are
 checked by ``verify``, one function per law that stops at its first
-witness, and ``validated``, which ``from_json_dict`` runs by default and
-``SymmetricProductAlgebra`` on its base, refuses any failure, so code
-downstream of those may assume the laws hold.
+witness.  ``from_json_dict`` and ``load`` only parse: they range-check
+indices and refuse repeated entries.  ``validated`` refuses any failure of
+the laws; ``SymmetricProductAlgebra.__init__`` runs it on its base, the one
+consumer that assumes the laws hold.
 
 Every product inside a tensor power A^(x)m goes through one kernel,
 ``factorwise_product``.  It holds its operands' integer numerators by flat
@@ -448,7 +449,7 @@ def to_json_dict(algebra: FrobeniusAlgebra) -> dict:
     }
 
 
-def from_json_dict(doc: dict, validate: bool = True) -> FrobeniusAlgebra:
+def from_json_dict(doc: dict) -> FrobeniusAlgebra:
     dim = doc["dim"]
     basis = doc["basis"]
     if type(dim) is not int or dim < 0:
@@ -467,7 +468,7 @@ def from_json_dict(doc: dict, validate: bool = True) -> FrobeniusAlgebra:
         ex.check_indices("structure", (i, j, k), (dim, dim, dim))
         ex.check_new("structure", seen, (i, j, k))
         rows.setdefault((i, j), {})[k] = ex.rat(v)
-    algebra = FrobeniusAlgebra(
+    return FrobeniusAlgebra(
         name=doc.get("name", "algebra"),
         labels=[b["label"] for b in basis],
         degrees=[b.get("degree", 0) for b in basis],
@@ -476,7 +477,6 @@ def from_json_dict(doc: dict, validate: bool = True) -> FrobeniusAlgebra:
         rows=rows,
         metric=metric,
     )
-    return validated(algebra) if validate else algebra
 
 
 def load(path) -> FrobeniusAlgebra:

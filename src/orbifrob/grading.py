@@ -29,19 +29,13 @@ class ShiftData:
     s: list
 
 
-def permutation_eigenangles(sigma: Permutation, copies: int = 1) -> list[Fraction]:
-    """Angles of the permutation matrix: each k-cycle contributes {j/k}.
-
-    ``copies`` repeats the multiset, one copy per complex dimension of the
-    underlying factor.
-    """
-    if copies < 1:
-        raise ValueError("copies must be a positive integer")
+def permutation_eigenangles(sigma: Permutation) -> list[Fraction]:
+    """Angles of the permutation matrix: each k-cycle contributes {j/k}."""
     angles = []
     for block in cycles(sigma).blocks:
         k = len(block)
         angles.extend(Fraction(j, k) for j in range(k))
-    return sorted(angles * copies)
+    return sorted(angles)
 
 
 def shifts_from_eigenvalues(top_degree, pairing_degrees, eigenangles) -> ShiftData:
@@ -90,12 +84,12 @@ def sector_pairing_degrees(X: GFrobeniusAlgebra) -> list[int]:
     return out
 
 
-def standard_shifts(X: GFrobeniusAlgebra, copies: int = 1) -> ShiftData:
+def standard_shifts(X: GFrobeniusAlgebra) -> ShiftData:
     """Shifts for a symmetric-group algebra from the permutation eigenangles."""
     if X.group.perms is None:
         raise ValueError("standard shifts need a symmetric-group graded algebra")
     degrees = sector_pairing_degrees(X)
-    angles = [permutation_eigenangles(p, copies) for p in X.group.perms]
+    angles = [permutation_eigenangles(p) for p in X.group.perms]
     return shifts_from_eigenvalues(max(degrees), degrees, angles)
 
 

@@ -18,7 +18,7 @@ FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def load_base(name: str) -> frob.FrobeniusAlgebra:
-    """A validated base algebra from ``fixtures/<name>.json``."""
+    """The base algebra of ``fixtures/<name>.json``."""
     return frob.load(FIXTURES / f"{name}.json")
 
 

@@ -1,10 +1,13 @@
+import argparse
 import json
+import re
 from pathlib import Path
 
 import pytest
 
 from orbifrob import cli
 from orbifrob import cocycles as cocy
+from orbifrob import frobenius as frob
 from orbifrob import gfrob
 from orbifrob import grading
 from orbifrob import groups
@@ -12,7 +15,8 @@ from orbifrob.groups import symmetric_group
 
 from conftest import cyclic_table, swapped_cyclic_table
 
-FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+ROOT = Path(__file__).resolve().parent.parent
+FIXTURES = ROOT / "fixtures"
 
 
 def run(*argv):
@@ -337,6 +341,21 @@ def test_unknown_group_label_is_printed_without_quotes(tmp_path, capsys):
         assert capsys.readouterr().err == "error: no group element labelled 'zz'\n"
 
 
+_DUAL_NUMBERS = json.loads((FIXTURES / "dual_numbers.json").read_text())
+
+
+@pytest.mark.parametrize("doc, key", [
+    ({"values": []}, "group"),
+    ({k: v for k, v in _DUAL_NUMBERS.items() if k != "unit"}, "unit"),
+])
+def test_missing_required_key_is_named(tmp_path, capsys, doc, key):
+    # the one error line says the key is missing, not just its repr
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    assert run("verify", path) == 2
+    assert capsys.readouterr().err == f"error: missing required key '{key}'\n"
+
+
 def _table_cocycle(path, table):
     """A cocycle document with every value 1 on the group of ``table``."""
     labels = [str(i) for i in range(len(table))]
@@ -415,6 +434,37 @@ def test_invariants_poincare_builds_the_basis_once(monkeypatch, capsys, sym2_hil
     assert run("invariants", sym2_hilbert, "--poincare", "--shift", "standard") == 0
     assert "poincare: 1 + t + t^2 + t^3 + t^4" in capsys.readouterr().out
     assert len(calls) == 1
+
+
+def test_symprod_checks_the_base_laws_once(monkeypatch, capsys):
+    # the loader only parses: SymmetricProductAlgebra is the one place the base's laws are checked
+    calls = []
+    verify = frob.FrobeniusAlgebra.verify
+
+    def counted(algebra):
+        calls.append(algebra.name)
+        return verify(algebra)
+
+    monkeypatch.setattr(frob.FrobeniusAlgebra, "verify", counted)
+    assert run("symprod", FIXTURES / "surface4.json", "--n", 2, "--lambda", -1) == 0
+    assert len(calls) == 1
+    capsys.readouterr()
+    assert run("symprod", FIXTURES / "dual_numbers_broken_invariance.json", "--n", 2) == 2
+    assert capsys.readouterr().err == (
+        "error: Q[x]/(x^2) broken pairing: invariance fails, witness "
+        "{'i': '1', 'j': 'x', 'k': 'x', 'eta(ij,k)': '1', 'eta(i,jk)': '0'}\n")
+
+
+def test_readme_synopsis_matches_the_parser():
+    # every flag a subcommand takes is in README's synopsis, and no other
+    block = (ROOT / "README.md").read_text().split("## Command line", 1)[1].split("```")[1]
+    synopsis = {line.split()[1]: set(re.findall(r"--[a-z][a-z-]*", line))
+                for line in block.strip().splitlines()}
+    subparsers = next(action for action in cli.build_parser()._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    options = {name: {flag for action in parser._actions for flag in action.option_strings}
+               - {"-h", "--help"} for name, parser in subparsers.choices.items()}
+    assert synopsis == options
 
 
 def test_verify_cocycle_document():
@@ -618,17 +668,15 @@ def test_symprod_prices_a_zero_dimensional_base_per_sector_pair(tmp_path, monkey
                                        "entries (budget 200000); n <= 5 fits\n")
 
 
-def test_invariants_rejects_bad_shift_flags_before_printing(tmp_path, capsys, sym2_hilbert):
+def test_invariants_rejects_bad_shift_flags_before_printing(tmp_path, capsys):
     # the class lines and total used to reach stdout before the shifts failed
     ring = tmp_path / "z3_ring.json"
     gfrob.save(cocy.twisted_group_ring(groups.FiniteGroup(["0", "1", "2"], cyclic_table(3))), ring)
     capsys.readouterr()
-    for argv in ((sym2_hilbert, "--poincare", "--shift", "standard", "--copies", 0),
-                 (ring, "--poincare", "--shift", "standard")):
-        assert run("invariants", *argv) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("error: ") and len(captured.err.splitlines()) == 1
+    assert run("invariants", ring, "--poincare", "--shift", "standard") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and len(captured.err.splitlines()) == 1
     assert run("invariants", ring, "--poincare") == 0
     assert capsys.readouterr().out.splitlines()[-2:] == ["total: 3", "poincare: 3"]
 

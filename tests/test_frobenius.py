@@ -95,7 +95,7 @@ _BASE_PASSES = {
 def test_one_edit_of_the_dual_numbers_pins_the_whole_report(qx2, key, edit, lines):
     # one replaced field fails its check; every line of the report, with its
     # instance count and witness, is pinned, the lines not listed as passing
-    report = frob.from_json_dict({**frob.to_json_dict(qx2), **edit}, validate=False).verify()
+    report = frob.from_json_dict({**frob.to_json_dict(qx2), **edit}).verify()
     assert not report[key].passed
     assert report.summary() == "\n".join({**_BASE_PASSES, **lines}.values())
 

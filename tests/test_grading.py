@@ -19,11 +19,7 @@ def test_permutation_eigenangles():
     tau = g.parse_cycles("(1 2)", 2)
     assert grading.permutation_eigenangles(tau) == [0, Fraction(1, 2)]
     c123 = g.parse_cycles("(1 2 3)", 3)
-    assert grading.permutation_eigenangles(c123, copies=2) == sorted(
-        [0, 0, Fraction(1, 3), Fraction(1, 3), Fraction(2, 3), Fraction(2, 3)]
-    )
-    with pytest.raises(ValueError):
-        grading.permutation_eigenangles(tau, copies=0)
+    assert grading.permutation_eigenangles(c123) == [0, Fraction(1, 3), Fraction(2, 3)]
 
 
 def test_trivial_representation_shifts():

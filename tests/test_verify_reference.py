@@ -284,10 +284,9 @@ def test_fixtures_match_the_reference_scans():
         if "sectors" in doc:
             assert_g_report_matches(gfrob.from_json_dict(doc))
         elif "basis" in doc:
-            assert_base_report_matches(frob.from_json_dict(doc, validate=False))
+            assert_base_report_matches(frob.from_json_dict(doc))
     assert not assert_base_report_matches(
-        frob.from_json_dict(ex.load_json(FIXTURES / "dual_numbers_broken_invariance.json"),
-                            validate=False)).passed
+        frob.load(FIXTURES / "dual_numbers_broken_invariance.json")).passed
     assert not assert_g_report_matches(gfrob.load(FIXTURES / "ks3_broken_metric.json")).passed
 
 
@@ -348,8 +347,8 @@ def test_deleted_base_structure_constant_matches_the_reference_scans(surface):
     for index in range(len(doc["structure"])):
         edited = copy.deepcopy(doc)
         del edited["structure"][index]
-        assert not assert_base_report_matches(frob.from_json_dict(edited, validate=False)).passed
+        assert not assert_base_report_matches(frob.from_json_dict(edited)).passed
     edited = copy.deepcopy(doc)
     edited["structure"][-1][-1] = "2"
-    assert not assert_base_report_matches(frob.from_json_dict(edited, validate=False)).passed
+    assert not assert_base_report_matches(frob.from_json_dict(edited)).passed
 
