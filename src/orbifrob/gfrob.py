@@ -726,9 +726,13 @@ def to_json_dict(X: GFrobeniusAlgebra) -> dict:
 
 def from_json_dict(doc: dict) -> GFrobeniusAlgebra:
     gdoc, sectors = group_entry(doc), doc["sectors"]
-    # compare before building the (n!)^2-entry table
-    if gdoc.get("type") == "symmetric" and symmetric_order(gdoc["n"], len(sectors)) != len(sectors):
-        raise ValueError("sector count does not match the group order")
+    if gdoc.get("type") == "symmetric":   # checked before the (n!)^2-entry table is built
+        order = symmetric_order(gdoc["n"], len(sectors))
+        if order != len(sectors):
+            raise ValueError("sector count does not match the group order")
+        if order ** 2 > VERIFY_BUDGET:   # as cocycles.document_order bounds a cocycle's S_n
+            raise BudgetExceededError(f"the table of S_{gdoc['n']} holds {order ** 2} entries "
+                                      f"(budget {VERIFY_BUDGET})", order ** 2)
     group = group_from_doc(gdoc)
     if len(sectors) != group.order:
         raise ValueError("sector count does not match the group order")
@@ -736,6 +740,9 @@ def from_json_dict(doc: dict) -> GFrobeniusAlgebra:
     for g, d in enumerate(dims):
         if type(d) is not int or d < 0:
             raise ValueError(f"sector {g}: dim {d!r} is not an integer >= 0")
+    if (total := sum(dims)) > VERIFY_BUDGET:   # before any list of a sector's length is made
+        raise BudgetExceededError(f"the sectors hold {total} basis vectors in all "
+                                  f"(budget {VERIFY_BUDGET})", total)
     order = group.order
     product: dict = {(g, h): {} for g in group.elements() for h in group.elements()}
     seen: set = set()

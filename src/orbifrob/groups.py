@@ -5,7 +5,8 @@ i.e. the right factor acts first.  Every derived identity in this package --
 minimal transposition words, contraction index sets, cocycle exponent tables --
 depends on this choice.  Indices are 0-based internally; cycle notation at I/O
 boundaries is 1-based, e.g. ``(1 2)(3 4)``, with fixed points omitted and
-``e`` (or ``()``) for the identity.
+``e`` (or ``()``) for the identity.  Every orbit partition comes from one
+walk, ``group_orbits``: a permutation's cycles are its one-generator case.
 """
 
 from __future__ import annotations
@@ -117,19 +118,7 @@ def compose(p: Permutation, q: Permutation) -> Permutation:
 
 def cycles(p: Permutation) -> OrbitPartition:
     """Orbits of <p>, fixed points included as singletons."""
-    seen = [False] * p.n
-    blocks = []
-    for start in range(p.n):
-        if seen[start]:
-            continue
-        block = []
-        i = start
-        while not seen[i]:
-            seen[i] = True
-            block.append(i)
-            i = p.images[i]
-        blocks.append(tuple(sorted(block)))
-    return OrbitPartition(p.n, tuple(blocks))
+    return group_orbits([p])
 
 
 def degree(p: Permutation) -> int:

@@ -97,33 +97,12 @@ def obstruction_exponent(sigma: Permutation, sigma2: Permutation, block) -> int:
     ``block`` must be an orbit of <sigma, sigma'>.  A negative or fractional
     value signals a convention bug and raises.
     """
-    if sigma.n != sigma2.n:
-        raise ValueError(f"generators of mixed degree: {sorted({sigma.n, sigma2.n})}")
-    s1, s2, n = sigma.images, sigma2.images, sigma.n
-    bset = set(block)
-    # an orbit: inside 0..n-1, and the points reached from one of them under
-    # sigma and sigma' are exactly the block
-    reached = {min(bset)} if bset and all(0 <= p < n for p in bset) else set()
-    frontier = list(reached)
-    while frontier:
-        p = frontier.pop()
-        for q in (s1[p], s2[p]):
-            if q not in reached:
-                reached.add(q)
-                frontier.append(q)
-    if not bset or reached != bset:
-        raise ValueError(f"{sorted(bset)} is not an orbit of the pair")
-
-    inside = 0   # cycles of sigma, sigma' and sigma sigma' inside the block
-    for image in (s1, s2, [s1[q] for q in s2]):
-        seen: set = set()
-        for p in bset:
-            if p not in seen:
-                inside += 1
-                while p not in seen:
-                    seen.add(p)
-                    p = image[p]
-    return _graph_defect(len(bset), inside)
+    points = tuple(sorted(set(block)))
+    if points not in group_orbits([sigma, sigma2]).blocks:
+        raise ValueError(f"{list(points)} is not an orbit of the pair")
+    inside = sum(c[0] in points for p in (sigma, sigma2, compose(sigma, sigma2))
+                 for c in cycles(p).blocks)   # a cycle lies in the orbit with its smallest point
+    return _graph_defect(len(points), inside)
 
 
 def _graph_defect(size: int, inside: int) -> int:
@@ -551,7 +530,7 @@ class SymmetricProductAlgebra:
         """Rows of r_gh after placing factors at ``positions`` of A_e, the unit
         elsewhere, with gh's cycles in ``order``: each cycle of gh multiplies
         the factors placed in it."""
-        where = self.parts[gh].block_index()
+        where = self._cycle_of[gh]
         nesting: list = [[] for _ in range(self.factors[gh])]
         for f, p in enumerate(positions):
             nesting[where[p]].append(f)
@@ -717,7 +696,7 @@ class SymmetricProductAlgebra:
 
     def _action_block(self, g: int, h: int) -> dict:
         """phi_g on A_h by columns: cycles relabel along g, coefficient 1."""
-        tgt_index = self.parts[self.group.conj(g, h)].block_index()
+        tgt_index = self._cycle_of[self.group.conj(g, h)]
         last, perm_g = self.factors[h] - 1, self.perms[g]
         strides = [self.base.dim ** (last - tgt_index[perm_g(block[0])])
                    for block in self.parts[h].blocks]

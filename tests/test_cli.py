@@ -89,6 +89,17 @@ def test_verify_negative_sector_dim_exits_two(tmp_path, capsys):
     assert capsys.readouterr().err == "error: sector 1: dim -1 is not an integer >= 0\n"
 
 
+@pytest.mark.parametrize("sector", [0, 1])   # the identity sector and another
+def test_huge_sector_dim_exits_two_before_any_list_is_made(tmp_path, capsys, sector):
+    # used to escape as an OverflowError from a list of dim entries
+    path = _variant(tmp_path, "ks3.json",
+                    lambda doc: doc["sectors"][sector].__setitem__("dim", 10 ** 20))
+    for command in ("verify", "export"):
+        assert run(command, path) == 2
+        assert capsys.readouterr().err == \
+            f"error: the sectors hold {10 ** 20 + 5} basis vectors in all (budget 50000000)\n"
+
+
 @pytest.mark.parametrize("n,message", [
     (8, "sector count does not match the group order"),
     (10 ** 30, "sector count does not match the group order"),
@@ -407,6 +418,30 @@ def test_twist_refuses_a_lambda_scan_before_loading_the_document(tmp_path, capsy
     assert captured.err == ("error: cocycle check would touch ~373248000 group triples "
                             "(budget 50000000)\n")
     assert calls == []
+
+
+@pytest.mark.parametrize("argv", [["verify"], ["export"], ["invariants"], ["mult", "0@e", "0@e"],
+                                  ["twist", "--super"]])
+def test_sector_document_on_s8_is_refused_before_building_the_group(tmp_path, capsys, monkeypatch,
+                                                                     argv):
+    # one empty sector per element of S_8 used to build its 40320^2-entry table
+    calls = []
+    original = groups.symmetric_group
+
+    def guarded(n):
+        calls.append(n)
+        if n >= 8:   # a regression fails on the call record, not by exhausting memory
+            raise ValueError(f"S_{n} table built")
+        return original(n)
+    for module in (cocy, groups):
+        monkeypatch.setattr(module, "symmetric_group", guarded)
+    path = tmp_path / "s8.json"
+    path.write_text(json.dumps({"group": {"type": "symmetric", "n": 8},
+                                "sectors": [{"dim": 0}] * 40320, "character": ["1"] * 40320}))
+    assert run(argv[0], path, *argv[1:]) == 2
+    assert calls == []
+    assert capsys.readouterr().err == \
+        "error: the table of S_8 holds 1625702400 entries (budget 50000000)\n"
 
 
 def test_verify_writes_its_report_before_printing(tmp_path, capsys):

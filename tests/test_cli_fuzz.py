@@ -66,7 +66,7 @@ VALUE_LEAVES = {name: [("unit", i) for i in range(len(doc["unit"]))]
 REPLACEMENTS = st.one_of(
     st.integers(-2, 9),
     st.sampled_from(["0", "-1", "1/2", "1/0", "x", "", "e", "(1 2)", True, None, 2.5, [], {},
-                     [0], {"n": 2}]),
+                     [0], {"n": 2}, 10 ** 20]),
     st.text(max_size=4),
 )
 

@@ -222,6 +222,16 @@ def test_obstruction_exponent_examples():
     assert sp_mod.obstruction_exponent(t12, t13, (0, 1, 2)) == 0
     with pytest.raises(ValueError):
         sp_mod.obstruction_exponent(t12, t13, (0, 1))
+    # refusals: mixed degree, an empty block, a point out of range, two joint orbits
+    t12_4, t34 = g.parse_cycles("(1 2)", 4), g.parse_cycles("(3 4)", 4)
+    for sigma, sigma2, block, message in [
+            (tau2, c123, (0, 1), "generators of mixed degree: [2, 3]"),
+            (t12, t13, (), "[] is not an orbit of the pair"),
+            (t12, t13, (0, 1, 2, 3), "[0, 1, 2, 3] is not an orbit of the pair"),
+            (t12_4, t34, (0, 1, 2, 3), "[0, 1, 2, 3] is not an orbit of the pair")]:
+        with pytest.raises(ValueError) as refused:
+            sp_mod.obstruction_exponent(sigma, sigma2, block)
+        assert str(refused.value) == message
 
 
 # -- minimal words ----------------------------------------------------------------
