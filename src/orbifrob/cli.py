@@ -256,17 +256,21 @@ def cmd_mult(args) -> int:
 
 def cmd_twist(args) -> int:
     from . import gfrob
+    if args.lam is not None and args.cocycle:
+        raise UsageError("--lambda and --cocycle are alternatives: pass one")
     # --lambda validates a cocycle on the document's whole group
-    X = _load_galg(args.file, scan=args.lam is not None and not args.cocycle)
+    X = _load_galg(args.file, scan=args.lam is not None)
     if args.cocycle:
         from . import cocycles as cocy
         doc = ex.load_json(args.cocycle)
+        if "values" not in doc:
+            raise UsageError(f"{args.cocycle} is not a cocycle document")
         cocy.refuse_scan(cocy.document_order(doc))   # as verify does: twist runs the scan
         alpha, sigma = cocy.from_json_dict(doc), _sn_twists(X.group, None, args.super_twist)[1]
     else:
         alpha, sigma = _sn_twists(X.group, args.lam, args.super_twist)
     if alpha is None and sigma is None:
-        raise UsageError("nothing to do: pass --lambda, --cocycle and/or --super")
+        raise UsageError("nothing to do: pass --lambda or --cocycle, and/or --super")
     _emit(gfrob.to_json_dict(gfrob.twist(X, alpha, sigma)), args.out)
     return 0
 

@@ -30,8 +30,11 @@ unpacks both chunks into locals and returns every low output in one list
 display, built from integer indices and integer numerators only (it
 refuses any other entry), and compiles it.  The pair rows of A^(x)r are
 built once per algebra and power, and the kernel of A^(x)r is compiled on
-the first call that asks for r and cached with them (the symmetric
-products' push plans keep theirs the same way, per joint-orbit shape).
+the first call that asks for r (the symmetric products' push plans keep
+theirs per joint-orbit shape).  Both, like the inverse pairing and every
+derived map of the symmetric products, are kept by ``memo``: a function of
+its owner and a key, built on the first call for that key and stored in
+the owner's ``_memo`` dict, so it lives and dies with the owner.
 Compiling costs about 0.1, 0.3, 3, 25 and 370 ms of CPU for A^(x)q of
 surface4 at q = 1..5 (9**q terms; q = 5 has a transient peak near 70 MB;
 CPython 3.11, one core of a shared 2-core machine), so the low half stays
@@ -51,6 +54,23 @@ from ._report import Report, _as_product, _associator, _entries, _fmt_vec, _join
 from .exactnum import Rat, _bilinear, _clean, _clean_map, _sum_rows, _transpose
 
 
+def memo(build):
+    """``build(owner, *key)`` kept per owner and key: built on the first call
+    for a key, returned by every later one.  The results live in the owner's
+    ``_memo`` dict under the name of ``build``, so they go with the owner; a
+    build that raises stores nothing."""
+    name = build.__name__
+
+    def cached(owner, *key):
+        table = owner._memo.setdefault(name, {})
+        if key not in table:
+            table[key] = build(owner, *key)
+        return table[key]
+
+    cached.__name__, cached.__doc__ = name, build.__doc__
+    return cached
+
+
 @dataclass
 class FrobeniusAlgebra:
     name: str
@@ -66,8 +86,7 @@ class FrobeniusAlgebra:
     _pairs: list = field(init=False, repr=False, compare=False)
     _pairs_den: int = field(init=False, repr=False, compare=False)
     top_degree: int = field(init=False)
-    _metric_inv: ex.SparseMap | None = field(init=False, default=None, repr=False, compare=False)
-    _pair_powers: list = field(init=False, repr=False, compare=False)
+    _memo: dict = field(init=False, default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         if type(self.name) is not str:
@@ -83,7 +102,6 @@ class FrobeniusAlgebra:
         # integer numerators over one denominator
         den = math.lcm(*(c.denominator for row in rows.values() for c in row.values()))
         self._pairs_den = den
-        self._pair_powers = [[[[(0, [(0, 1)])]], None]]   # ``_power_pairs`` by r
         self._pairs = [[] for _ in range(self.dim)]
         for (x, y), row in rows.items():
             self._pairs[x].append(
@@ -94,17 +112,15 @@ class FrobeniusAlgebra:
         self.top_degree = max(pair_degrees) if pair_degrees else 0
 
     @property
+    @memo
     def metric_inv(self) -> ex.SparseMap:
         """The inverse pairing's rows: the right block of the echelon of [eta | I]."""
-        if self._metric_inv is None:
-            n = self.dim
-            ech = ex.sparse_echelon({i: {**self.metric.get(i, {}), n + i: 1} for i in range(n)})
-            rank = sum(c < n for c in ech)
-            if rank != n:
-                raise ex.SingularMatrixError(f"singular matrix (rank {rank})", rank=rank)
-            self._metric_inv = {i: {j - n: v for j, v in ech[i].items() if j >= n}
-                                for i in range(n)}
-        return self._metric_inv
+        n = self.dim
+        ech = ex.sparse_echelon({i: {**self.metric.get(i, {}), n + i: 1} for i in range(n)})
+        rank = sum(c < n for c in ech)
+        if rank != n:
+            raise ex.SingularMatrixError(f"singular matrix (rank {rank})", rank=rank)
+        return {i: {j - n: v for j, v in ech[i].items() if j >= n} for i in range(n)}
 
     # -- algebra operations -------------------------------------------------
 
@@ -230,14 +246,6 @@ def validated(algebra: FrobeniusAlgebra) -> FrobeniusAlgebra:
 
 # -- tensor powers -----------------------------------------------------------
 
-def tensor_tuple(index: int, dim: int, m: int) -> tuple[int, ...]:
-    out = []
-    for _ in range(m):
-        out.append(index % dim)
-        index //= dim
-    return tuple(reversed(out))
-
-
 def _support(v, length: int) -> tuple[list, list, int]:
     """The nonzero entries of a dense vector of ``length`` entries: their
     positions, their integer numerators over one denominator (the lcm of
@@ -323,22 +331,24 @@ def _kernel(rows: list, right: int, size: int):
     return namespace["kernel"]
 
 
-def _power_pairs(algebra: FrobeniusAlgebra, r: int) -> list:
-    """[rows, kernel] of A^(x)r: the pair rows on flat indices over
-    ``algebra._pairs_den ** r``, x -> [(y, [(k, numerator)])] for each y with
-    e_x e_y != 0, the Kronecker power of the base's built from A^(x)0's
-    0 -> [(0, [(0, 1)])], and their ``_kernel``.  Both are cached on the
-    algebra: the rows built once per r, the kernel compiled on the first
-    call for r."""
-    tables, D = algebra._pair_powers, algebra.dim
-    while len(tables) <= r:
-        rows = [[(Y * D + y, [(K * D + k, C * c) for K, C in row for k, c in pair_row])
-                 for Y, row in prev for y, pair_row in algebra._pairs[x]]
-                for prev in tables[-1][0] for x in range(D)]
-        tables.append([rows, None])
-    if tables[r][1] is None:
-        tables[r][1] = _kernel(tables[r][0], D ** r, D ** r)
-    return tables[r]
+@memo
+def _pair_rows(algebra: FrobeniusAlgebra, r: int) -> list:
+    """The pair rows of A^(x)r on flat indices over ``algebra._pairs_den **
+    r``, x -> [(y, [(k, numerator)])] for each y with e_x e_y != 0: the
+    Kronecker power of the base's, built from A^(x)0's 0 -> [(0, [(0, 1)])]."""
+    if r == 0:
+        return [[(0, [(0, 1)])]]
+    D = algebra.dim
+    return [[(Y * D + y, [(K * D + k, C * c) for K, C in row for k, c in pair_row])
+             for Y, row in prev for y, pair_row in algebra._pairs[x]]
+            for prev in _pair_rows(algebra, r - 1) for x in range(D)]
+
+
+@memo
+def _power_pairs(algebra: FrobeniusAlgebra, r: int) -> tuple:
+    """(rows, kernel) of A^(x)r: its ``_pair_rows`` and their ``_kernel``."""
+    rows = _pair_rows(algebra, r)
+    return rows, _kernel(rows, algebra.dim ** r, algebra.dim ** r)
 
 
 def _split(acc, size: int) -> dict:

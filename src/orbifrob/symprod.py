@@ -33,36 +33,34 @@ is built.  ``multiply_pushforward`` runs both operands through the plan with
 ``frobenius._walk``, the two-level loop the chain's kernel runs on the base's
 pair rows and their compiled kernels; a realized table (``pair_table``) is
 the Kronecker product of all of the pair's orbit maps at flat strides.
-Plans and tables depend only on the joint orbits' shape and are cached per
-shape; the chain stays independent of both as the oracle.
+Plans and tables depend only on the joint orbits' shape, so they are kept
+per shape; the chain reads neither and stays independent as the oracle.
 
 The chain never multiplies in A_e.  Its last step, the contraction r_ss'
 onto the product sector, multiplies the factors in each cycle of ss'; as the
 base is commutative and evenly graded, r_ss' is an algebra map, so the chain
 equals the product of r_ss' of the two lifts and of each insertion.  Each is
-contracted first: a lift by rows built once per (sector, product sector,
-order), where factor c lands in the cycle of ss' that holds min(c) and a
-cycle that receives none holds the unit; the insertions once per sector
-pair.  The products then run on A^(x)|ss'| with
-``frobenius.factorwise_product``, the one kernel on tensor powers, on flat
-numerators split into a high and a low half of the factors; the pushforward
-runs the same loop, ``frobenius._walk``, with halves made of whole joint
-orbits.  The loop skips pairs with zero product before multiplying any
-coefficient; the maps it applies, and the low kernels compiled from them,
-stay separate per route.  The chain lays out the cycles of ss' unit first:
-those where the right operand's lift is structurally the unit lead, in the
-high half of m // 2 factors as far as they fit, so that a high pair the
-right operand lacks is skipped once, not once per low chunk, and one getter
-returns the product to basis order.
+contracted first: a lift by rows kept per (sector, product sector, order),
+where factor c lands in the cycle of ss' that holds min(c) and a cycle that
+receives none holds the unit; the insertions per sector pair and word.
+The products then run on A^(x)|ss'| with ``frobenius.factorwise_product``,
+the one kernel on tensor powers, on flat numerators split into a high and a
+low half of the factors; the pushforward runs the same loop,
+``frobenius._walk``, with halves made of whole joint orbits.  The loop skips
+pairs with zero product before multiplying any coefficient; the maps it
+applies, and the low kernels compiled from them, stay separate per route.
+The chain lays out the cycles of ss' unit first: those where the right
+operand's lift is structurally the unit lead, in the high half of m // 2
+factors as far as they fit, so that a high pair the right operand lacks is
+skipped once, not once per low chunk, and one getter returns the product to
+basis order.
 Every intermediate value of either route is an integer numerator over one
 denominator per stage; the denominators multiply along the stages and each
 product divides once, at the end.  Operands enter and leave the loop
-through C-level getters built once per factor order by ``_order``: each
-nonzero entry's ratio is read once, an ``itemgetter`` reads a dense operand
-into kernel order, another returns the product to basis order, and the
-chunks are slices.  What depends only on the joint-orbit shape (the push
-plan) or on the sector pair (the chain's order and contracted copairing
-insertions) is built on the first product that needs it and reused.
+through C-level getters kept per factor order by ``_order``: each nonzero
+entry's ratio is read once, an ``itemgetter`` reads a dense operand into
+kernel order, another returns the product to basis order, and the chunks
+are slices.
 Every other linear map between tensor powers (the contractions between
 nested cycle partitions and the chain's, their metric adjoints and
 sections) has one form: per flat input index, a row of (output index,
@@ -70,6 +68,13 @@ integer numerator) over one denominator, built by ``_linear_map`` in one
 pass over the input basis tuples from per-block columns and applied by
 ``_mapped``, one row per nonzero entry of the operand.  The group action
 relabels cycles, so each basis tuple goes to one index, a sum of strides.
+
+Every derived map is a method of its key under ``frobenius.memo``: built on
+the first call for that key, kept on the instance and reused, whether the
+key is m, a factor order, a joint-orbit shape, a sector pair or a lift.
+The two routes share that mechanism, the loop and the getters, but no map,
+which keeps the cross-oracle independent; ``realize`` drops the per-shape
+tables once every sector pair holds its own.
 """
 
 from __future__ import annotations
@@ -82,7 +87,7 @@ from operator import itemgetter, mul
 
 from . import exactnum as ex
 from . import frobenius as frob
-from .frobenius import FrobeniusAlgebra, _divided, _numerators, _scaled, _split
+from .frobenius import FrobeniusAlgebra, _divided, _numerators, _scaled, _split, memo
 from .gfrob import BudgetExceededError, GFrobeniusAlgebra
 from .groups import (OrbitPartition, Permutation, compose, cycles, degree,
                      group_orbits, symmetric_group)
@@ -180,19 +185,13 @@ class SymmetricProductAlgebra:
         self.euler = base.euler_class()
         self._perm_index = {p.images: i for i, p in enumerate(self.perms)}
         self._galg: GFrobeniusAlgebra | None = None
-        # the routes share read-only tables (m-fold product columns, base rows),
+        # the derived maps by method name, each built by ``frobenius.memo`` per key
+        # on first use.
+        # The routes share read-only tables (m-fold product columns, base rows),
         # the loop that applies rows (frobenius._walk) and the per-order getters,
         # but no map: the pushforward's own per-orbit maps keep the cross-oracle
-        # independent.  Filled lazily and idempotently, keyed by m, by sector, by
-        # factor order, by sector pair or by joint-orbit shape:
-        self._tuple_cache: dict[int, list] = {}
-        self._columns: dict[tuple, tuple] = {}
-        self._lift_maps: dict[tuple, tuple] = {}
-        self._orbit_maps: dict[tuple, tuple] = {}
-        self._orders: dict[tuple, tuple] = {}
-        self._plan_shapes: dict[tuple, tuple] = {}
-        self._pair_tables: dict[tuple, dict] = {}
-        self._chain_plans: dict[tuple, tuple] = {}
+        # independent.
+        self._memo: dict[str, dict] = {}
 
     # -- bookkeeping ----------------------------------------------------------
 
@@ -218,16 +217,16 @@ class SymmetricProductAlgebra:
             out[coarse_of[fblock[0]]].append(fpos)
         return out
 
+    @memo
     def _tuples(self, m: int) -> list:
         """Factor-index tuples of A^(x)m in basis order."""
-        if m not in self._tuple_cache:
-            self._tuple_cache[m] = list(itertools.product(range(self.base.dim), repeat=m))
-        return self._tuple_cache[m]
+        return list(itertools.product(range(self.base.dim), repeat=m))
 
     def _unit_tails(self, m: int) -> tuple[list, int]:
         """``_numerators`` of the unit tensor of A^(x)m."""
         return _numerators(frob.tensor_unit(self.base, m), self._tuples(m))
 
+    @memo
     def _mu_columns(self, m: int) -> tuple[dict, int]:
         """The m-fold product as integer columns over one denominator.
 
@@ -236,34 +235,31 @@ class SymmetricProductAlgebra:
         the (m-1)-fold product meets the base's pair rows, so no zero product is
         formed; the keys come out in lexicographic order.
         """
-        if ("mu", m) not in self._columns:
-            if m == 1:
-                self._columns["mu", m] = {k: [(k, 1)] for k in range(self.base.dim)}, 1
-                return self._columns["mu", m]
-            prev, prev_den = self._mu_columns(m - 1)
-            pairs, den = self.base._pairs, prev_den * self.base._pairs_den
-            nums: dict = {}
-            for s, col in prev.items():
-                t = s if m > 2 else (s,)
-                by_last: dict = {}
-                for k, c in col:
-                    for y, row in pairs[k]:
-                        acc = by_last.get(y)
-                        if acc is None:
-                            acc = by_last[y] = {}
-                        for q, w in row:
-                            acc[q] = acc.get(q, 0) + c * w
-                for y in sorted(by_last):
-                    col_y = [(q, v) for q, v in by_last[y].items() if v]
-                    if col_y:
-                        nums[t + (y,)] = col_y
-            # numerators over den, rescaled to the lcm of their reduced denominators
-            out_den = math.lcm(*(den // math.gcd(v, den) for col in nums.values() for _, v in col))
-            scale = den // out_den
-            self._columns["mu", m] = (
-                {t: [(q, v // scale) for q, v in col] for t, col in nums.items()}, out_den)
-        return self._columns["mu", m]
+        if m == 1:
+            return {k: [(k, 1)] for k in range(self.base.dim)}, 1
+        prev, prev_den = self._mu_columns(m - 1)
+        pairs, den = self.base._pairs, prev_den * self.base._pairs_den
+        nums: dict = {}
+        for s, col in prev.items():
+            t = s if m > 2 else (s,)
+            by_last: dict = {}
+            for k, c in col:
+                for y, row in pairs[k]:
+                    acc = by_last.get(y)
+                    if acc is None:
+                        acc = by_last[y] = {}
+                    for q, w in row:
+                        acc[q] = acc.get(q, 0) + c * w
+            for y in sorted(by_last):
+                col_y = [(q, v) for q, v in by_last[y].items() if v]
+                if col_y:
+                    nums[t + (y,)] = col_y
+        # numerators over den, rescaled to the lcm of their reduced denominators
+        out_den = math.lcm(*(den // math.gcd(v, den) for col in nums.values() for _, v in col))
+        scale = den // out_den
+        return {t: [(q, v // scale) for q, v in col] for t, col in nums.items()}, out_den
 
+    @memo
     def _adjoint_columns(self, m: int) -> tuple[dict, int]:
         """Metric adjoint of the m-fold product: k -> [(factor tuple, numerator)].
 
@@ -271,36 +267,31 @@ class SymmetricProductAlgebra:
         product's columns meet the pairing's rows, then the inverse pairing's
         columns spread over one factor at a time.
         """
-        if ("adj", m) not in self._columns:
-            mu, mu_den = self._mu_columns(m)
-            eta, inv = self.base.metric, ex._transpose(self.base.metric_inv)
-            cols: dict = {}
-            for s, col in mu.items():
-                t = s if m > 1 else (s,)
-                for p, w in col:
-                    for k, e in eta.get(p, {}).items():
-                        vec = cols.setdefault(k, {})
-                        vec[t] = vec.get(t, 0) + w * e
-            for f in range(m):
-                for k, vec in cols.items():
-                    spread: dict = {}
-                    for t, c in vec.items():
-                        for q, v in inv.get(t[f], {}).items():
-                            u = t[:f] + (q,) + t[f + 1:]
-                            spread[u] = spread.get(u, 0) + c * v
-                    cols[k] = spread
-            self._columns["adj", m] = _integral(
-                {k: [(t, Fraction(c, mu_den)) for t, c in sorted(cols[k].items())]
-                 for k in sorted(cols)})
-        return self._columns["adj", m]
+        mu, mu_den = self._mu_columns(m)
+        eta, inv = self.base.metric, ex._transpose(self.base.metric_inv)
+        cols: dict = {}
+        for s, col in mu.items():
+            t = s if m > 1 else (s,)
+            for p, w in col:
+                for k, e in eta.get(p, {}).items():
+                    vec = cols.setdefault(k, {})
+                    vec[t] = vec.get(t, 0) + w * e
+        for f in range(m):
+            for k, vec in cols.items():
+                spread: dict = {}
+                for t, c in vec.items():
+                    for q, v in inv.get(t[f], {}).items():
+                        u = t[:f] + (q,) + t[f + 1:]
+                        spread[u] = spread.get(u, 0) + c * v
+                cols[k] = spread
+        return _integral({k: [(t, Fraction(c, mu_den)) for t, c in sorted(cols[k].items())]
+                          for k in sorted(cols)})
 
+    @memo
     def _section_columns(self, m: int) -> tuple[dict, int]:
         """Unit-tensor section A -> A^(x)m: k -> [((k, unit tail), numerator)]."""
-        if ("section", m) not in self._columns:
-            tails, den = self._unit_tails(m - 1)
-            self._columns["section", m] = (
-                {k: [((k,) + tail, u) for tail, u in tails] for k in range(self.base.dim)}, den)
-        return self._columns["section", m]
+        tails, den = self._unit_tails(m - 1)
+        return {k: [((k,) + tail, u) for tail, u in tails] for k in range(self.base.dim)}, den
 
     def _gather_map(self, nesting: list[list[int]]) -> tuple:
         """Rows of the map whose output factor c multiplies the input factors
@@ -369,6 +360,7 @@ class SymmetricProductAlgebra:
 
     # -- the two product routes -------------------------------------------------
 
+    @memo
     def _orbit_map(self, kg: int, kh: int, kgh: int, d: int) -> tuple[dict, int]:
         """The product on one joint orbit as integer numerators over one denominator.
 
@@ -377,30 +369,27 @@ class SymmetricProductAlgebra:
         kg factors x multiply together, so do the kh factors y, the product
         takes e^d and is pushed forward along the metric adjoint of the
         kgh-fold product.  The base is commutative, so these four integers fix
-        the map; it is built once per instance.
+        the map.
         """
-        key = (kg, kh, kgh, d)
-        if key not in self._orbit_maps:
-            power = self.base.power(self.euler, d)
-            adj, adj_den = self._adjoint_columns(kgh)
-            pushed = {}   # (i, j) -> terms of e_i e_j e^d pushed forward
-            for (i, j), row in self.base.rows.items():
-                z = self.base.multiply([row.get(k, 0) for k in range(self.base.dim)], power)
-                pushed[i, j] = [(t, c * w) for k, c in enumerate(z) if c for t, w in adj.get(k, ())]
-            (mu_g, den_g), (mu_h, den_h) = self._mu_columns(kg), self._mu_columns(kh)
-            flat = {}
-            for (x, col_x), (y, col_y) in itertools.product(mu_g.items(), mu_h.items()):
-                out: dict = {}
-                for (i, a), (j, b) in itertools.product(col_x, col_y):
-                    for t, c in pushed.get((i, j), ()):
-                        out[t] = out.get(t, 0) + a * b * c
-                flat[x, y] = sorted(out.items())
-            flat, den = _integral(flat)
-            local: dict = {}
-            for (x, y), outs in flat.items():
-                local.setdefault(x if kg > 1 else (x,), []).append((y if kh > 1 else (y,), outs))
-            self._orbit_maps[key] = local, den * den_g * den_h * adj_den
-        return self._orbit_maps[key]
+        power = self.base.power(self.euler, d)
+        adj, adj_den = self._adjoint_columns(kgh)
+        pushed = {}   # (i, j) -> terms of e_i e_j e^d pushed forward
+        for (i, j), row in self.base.rows.items():
+            z = self.base.multiply([row.get(k, 0) for k in range(self.base.dim)], power)
+            pushed[i, j] = [(t, c * w) for k, c in enumerate(z) if c for t, w in adj.get(k, ())]
+        (mu_g, den_g), (mu_h, den_h) = self._mu_columns(kg), self._mu_columns(kh)
+        flat = {}
+        for (x, col_x), (y, col_y) in itertools.product(mu_g.items(), mu_h.items()):
+            out: dict = {}
+            for (i, a), (j, b) in itertools.product(col_x, col_y):
+                for t, c in pushed.get((i, j), ()):
+                    out[t] = out.get(t, 0) + a * b * c
+            flat[x, y] = sorted(out.items())
+        flat, den = _integral(flat)
+        local: dict = {}
+        for (x, y), outs in flat.items():
+            local.setdefault(x if kg > 1 else (x,), []).append((y if kh > 1 else (y,), outs))
+        return local, den * den_g * den_h * adj_den
 
     def _joint_orbits(self, g: int, h: int, gh: int) -> tuple:
         """The shape of the joint orbits of (g, h), numbered in order of their
@@ -442,24 +431,24 @@ class SymmetricProductAlgebra:
         size = self.base.dim ** sum(len(orbit[0]) for orbit in orbits)
         return [table.get(x, []) for x in range(size)], den
 
+    @memo
     def _order(self, order: tuple) -> tuple:
         """A^(x)m with its factors in a kernel's order, ``order[i]`` the factor
         at kernel position i: per factor its stride in the kernel index, the
         getter of a dense vector into kernel order and the getter back to
         basis order.  Both getters are C-level ``_reader``s, None for the
-        identity order; cached per order."""
-        if order not in self._orders:
-            D, m = self.base.dim, len(order)
-            strides = [0] * m
-            for i, q in enumerate(order):
-                strides[q] = D ** (m - 1 - i)
-            back = [sum(map(mul, t, strides)) for t in self._tuples(m)]   # per basis index
-            into = [0] * len(back)
-            for x, k in enumerate(back):
-                into[k] = x
-            self._orders[order] = strides, _reader(into), _reader(back)
-        return self._orders[order]
+        identity order."""
+        D, m = self.base.dim, len(order)
+        strides = [0] * m
+        for i, q in enumerate(order):
+            strides[q] = D ** (m - 1 - i)
+        back = [sum(map(mul, t, strides)) for t in self._tuples(m)]   # per basis index
+        into = [0] * len(back)
+        for x, k in enumerate(back):
+            into[k] = x
+        return strides, _reader(into), _reader(back)
 
+    @memo
     def _plan(self, shape: tuple) -> tuple:
         """The push plan of a joint-orbit shape: its orbits in two halves, the
         leading ones holding at most half of g's factors, and the rest.  The
@@ -486,12 +475,8 @@ class SymmetricProductAlgebra:
                 frob._kernel(low, spans[1], spans[2]), spans[2], back[2], high_den * low_den)
 
     def _push_plan(self, g: int, h: int) -> tuple:
-        """The ``_plan`` of the pair's joint-orbit shape, cached per shape."""
-        shape = self._joint_orbits(g, h, self.group.mul(g, h))
-        plan = self._plan_shapes.get(shape)
-        if plan is None:
-            plan = self._plan_shapes[shape] = self._plan(shape)
-        return plan
+        """The ``_plan`` of the pair's joint-orbit shape."""
+        return self._plan(self._joint_orbits(g, h, self.group.mul(g, h)))
 
     def _halves(self, v, g: int, part: tuple) -> tuple[dict, int]:
         """A dense operand of sector g read into a plan's kernel order by the
@@ -536,15 +521,11 @@ class SymmetricProductAlgebra:
             nesting[where[p]].append(f)
         return self._gather_map([nesting[c] for c in order])
 
-    def _contracted(self, g: int, a, gh: int, order: tuple) -> tuple[list, int]:
-        """r_gh of the section lift of ``a``, gh's cycles in ``order``, through
-        rows built once per (g, gh, order) (factor c of g sits at min(c)):
-        (flat integer numerators on A^(x)|gh|, denominator)."""
-        linear = self._lift_maps.get((g, gh, order))
-        if linear is None:
-            linear = self._lift_maps[g, gh, order] = self._contraction(
-                [blk[0] for blk in self.parts[g].blocks], gh, order)
-        return self._mapped(a, linear)
+    @memo
+    def _lift_map(self, g: int, gh: int, order: tuple) -> tuple:
+        """Rows of r_gh of the section lift from sector g, gh's cycles in
+        ``order``: factor c of g sits at min(c)."""
+        return self._contraction(self._firsts[g], gh, order)
 
     def _insertion(self, tau: Permutation, gh: int, order: tuple) -> tuple[dict, int]:
         """r_gh of gamma_{tau,tau}, the copairing across the two points that the
@@ -593,21 +574,16 @@ class SymmetricProductAlgebra:
         fed = {where[p] for p in self._firsts[h]}
         return tuple([c for c in range(m) if c not in fed] + sorted(fed))
 
-    def _chain_plan(self, g: int, h: int, word: list[Permutation] | None = None) -> tuple:
-        """The chain's state for a sector pair: gh's cycles in kernel order,
-        the getter back to basis order, and (``_split`` chunks, denominator)
-        of each copairing the word inserts, contracted to gh in that order.  Cached per sector pair for the
-        default word, rebuilt (and the word validated) when a word is given."""
-        if word is None and (g, h) in self._chain_plans:
-            return self._chain_plans[g, h]
+    @memo
+    def _chain_plan(self, g: int, h: int, word: tuple | None) -> tuple:
+        """The chain's state for a sector pair and a word (None: the minimal
+        one): gh's cycles in kernel order, the getter back to basis order, and
+        (``_split`` chunks, denominator) of each copairing the word inserts,
+        contracted to gh in that order."""
         _, insertions = self.contraction_steps(g, h, word)
         gh = self.group.mul(g, h)
         order = self._chain_order(h, gh)
-        plan = (order, self._order(order)[2],
-                [self._insertion(t, gh, order) for t in insertions])
-        if word is None:
-            self._chain_plans[g, h] = plan
-        return plan
+        return order, self._order(order)[2], [self._insertion(t, gh, order) for t in insertions]
 
     def multiply_chain(self, g: int, a, h: int, b, word: list[Permutation] | None = None):
         """Product via the explicit transposition-word cocycle formula.
@@ -622,11 +598,12 @@ class SymmetricProductAlgebra:
         commutative, so each insertion multiplies the running product from
         the left.
         """
-        order, back, gammas = self._chain_plan(g, h, word)
+        order, back, gammas = self._chain_plan(g, h, None if word is None else tuple(word))
         gh = self.group.mul(g, h)
         m = len(order)
         size = self.base.dim ** (m - m // 2)   # the kernel's low factors
-        (left, da), (right, db) = self._contracted(g, a, gh, order), self._contracted(h, b, gh, order)
+        (left, da), (right, db) = (self._mapped(v, self._lift_map(s, gh, order))
+                                   for s, v in ((g, a), (h, b)))
         acc, den = frob.factorwise_product(self.base, m, (_split(left, size), da),
                                            (_split(right, size), db))
         for gamma in gammas:
@@ -674,7 +651,7 @@ class SymmetricProductAlgebra:
         for g in G.elements():
             for h in G.elements():
                 product[(g, h)] = self.pair_table(g, h)
-        self._pair_tables.clear()   # the pairs of one shape hold its table
+        self._memo.pop("_shape_table", None)   # the pairs of one shape hold its table
         action = {(g, h): self._action_block(g, h) for g in G.elements() for h in G.elements()}
         powers = {m: frob.tensor_metric(self.base, m) for m in set(self.factors)}
         degrees = [[sum(self.base.degrees[i] for i in t) for t in self._tuples(self.factors[g])]
@@ -704,21 +681,21 @@ class SymmetricProductAlgebra:
                 for col, t in enumerate(self._tuples(self.factors[h]))}
 
     def pair_table(self, g: int, h: int) -> dict:
-        """Product table for a sector pair: the Kronecker product of its joint
-        orbits' maps at the flat strides of g, h and gh, divided once; built
-        per joint-orbit shape, its pairs share one object that nothing mutates."""
-        shape = self._joint_orbits(g, h, self.group.mul(g, h))
-        table = self._pair_tables.get(shape)
-        if table is None:
-            D, (*rows, sizes) = self.base.dim, shape
-            flat, den = self._half(_orbit_positions(shape), sizes,
-                                   [[D ** (len(row) - 1 - q) for q in range(len(row))] for row in rows])
-            if den != 1:
-                flat = [[(j, [(k, ex.norm(Fraction(c, den))) for k, c in outs]) for j, outs in ys]
-                        for ys in flat]
-            table = self._pair_tables[shape] = {
-                (i, j): dict(outs) for i, ys in enumerate(flat) for j, outs in ys}
-        return table
+        """Product table for a sector pair: the ``_shape_table`` of its joint
+        orbits, so the pairs of one shape share one object that nothing mutates."""
+        return self._shape_table(self._joint_orbits(g, h, self.group.mul(g, h)))
+
+    @memo
+    def _shape_table(self, shape: tuple) -> dict:
+        """The Kronecker product of a shape's joint orbits' maps at the flat
+        strides of g, h and gh, divided once."""
+        D, (*rows, sizes) = self.base.dim, shape
+        flat, den = self._half(_orbit_positions(shape), sizes,
+                               [[D ** (len(row) - 1 - q) for q in range(len(row))] for row in rows])
+        if den != 1:
+            flat = [[(j, [(k, ex.norm(Fraction(c, den))) for k, c in outs]) for j, outs in ys]
+                    for ys in flat]
+        return {(i, j): dict(outs) for i, ys in enumerate(flat) for j, outs in ys}
 
 
 def refuse_build(dim: int, n: int, budget: int) -> None:

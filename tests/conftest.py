@@ -177,6 +177,15 @@ def tensor_index(indices, dim: int) -> int:
     return out
 
 
+def tensor_tuple(index: int, dim: int, m: int) -> tuple[int, ...]:
+    """The factor-index tuple of flat ``index`` in A^(x)m, the inverse of ``tensor_index``."""
+    out = []
+    for _ in range(m):
+        out.append(index % dim)
+        index //= dim
+    return tuple(reversed(out))
+
+
 def nullspace(m):
     """Basis of the right kernel, deterministic (free columns in order)."""
     if not m:

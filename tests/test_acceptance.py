@@ -18,7 +18,7 @@ from orbifrob import groups as g
 from orbifrob import symprod as sp_mod
 from orbifrob.groups import symmetric_group
 
-from conftest import nullspace, sp_instance
+from conftest import nullspace, sp_instance, tensor_tuple
 
 
 def basis(dim, i):
@@ -125,7 +125,7 @@ def _assembled_chain_table(sp, gi, hi):
         """local index -> its digits at ``positions`` of sector s, as an index"""
         last = sp.factors[s] - 1
         return {packed: sum(x * D ** (last - p)
-                            for x, p in zip(frob.tensor_tuple(packed, D, len(positions)), positions))
+                            for x, p in zip(tensor_tuple(packed, D, len(positions)), positions))
                 for packed in range(D ** len(positions))}
 
     table = {(0, 0): {0: 1}}
@@ -389,7 +389,7 @@ def test_criterion_7_intersection_lemmas(qx2, surface):
                     degrees = set()
                     for idx, c in enumerate(tilde):
                         if c != 0:
-                            t = frob.tensor_tuple(idx, base.dim, len(joint))
+                            t = tensor_tuple(idx, base.dim, len(joint))
                             degrees.add(sum(base.degrees[i] for i in t))
                     assert len(degrees) == 1
                     ghi = sp.group.mul(gi, hi)

@@ -420,6 +420,28 @@ def test_twist_refuses_a_lambda_scan_before_loading_the_document(tmp_path, capsy
     assert calls == []
 
 
+@pytest.mark.parametrize("kind", ["algebra", "bare group"])
+def test_twist_refuses_a_cocycle_file_without_values(tmp_path, capsys, kind):
+    # a document with a group entry and no values used to twist by the trivial cocycle
+    path = FIXTURES / "ks3.json"
+    if kind == "bare group":
+        path = tmp_path / "s3_group.json"
+        path.write_text(json.dumps({"group": {"type": "symmetric", "n": 3}}))
+    assert run("twist", FIXTURES / "ks3.json", "--cocycle", path, "--out", tmp_path / "out.json") == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {path} is not a cocycle document\n"
+    assert not (tmp_path / "out.json").exists()
+
+
+def test_twist_refuses_lambda_with_cocycle(capsys):
+    # the two flags are alternatives: --lambda used to be dropped in silence
+    assert run("twist", FIXTURES / "ks3.json", "--lambda", "1/2",
+               "--cocycle", FIXTURES / "sn3_sign_cocycle.json") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --lambda and --cocycle are alternatives: pass one\n"
+
+
 @pytest.mark.parametrize("argv", [["verify"], ["export"], ["invariants"], ["mult", "0@e", "0@e"],
                                   ["twist", "--super"]])
 def test_sector_document_on_s8_is_refused_before_building_the_group(tmp_path, capsys, monkeypatch,

@@ -8,7 +8,7 @@ from orbifrob import exactnum as ex
 from orbifrob import frobenius as frob
 from orbifrob import symprod as sp_mod
 
-from conftest import ZERO_BASE, check_kernel, kron, load_base
+from conftest import ZERO_BASE, check_kernel, kron, load_base, tensor_tuple
 
 
 def test_multiply_dual_numbers(qx2):
@@ -178,11 +178,11 @@ def _reference_factorwise_multiply(algebra, m, u, v):
     for iu, x in enumerate(u):
         if x == 0:
             continue
-        tu = frob.tensor_tuple(iu, algebra.dim, m)
+        tu = tensor_tuple(iu, algebra.dim, m)
         for iv, y in enumerate(v):
             if y == 0:
                 continue
-            tv = frob.tensor_tuple(iv, algebra.dim, m)
+            tv = tensor_tuple(iv, algebra.dim, m)
             for idx, c in _reference_factorwise_basis(algebra, tu, tv).items():
                 out[idx] += x * y * c
     return [ex.norm(w) for w in out]
@@ -267,7 +267,7 @@ def test_power_pairs_are_the_kronecker_power_of_the_structure_constants(qx2, sur
         assert len(rows) == D ** r and callable(kernel)
         for X, pairs in enumerate(rows):
             want = [[1]]
-            for x in frob.tensor_tuple(X, D, r):
+            for x in tensor_tuple(X, D, r):
                 want = kron(want, left[x])
             got = [[0] * D ** r for _ in range(D ** r)]
             for Y, row in pairs:

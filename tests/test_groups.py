@@ -89,8 +89,18 @@ def test_group_orbits():
 
 
 def test_single_generator_orbits_match_cycles():
-    for p in g.enumerate_sn(4):
-        assert g.group_orbits([p]) == g.cycles(p)
+    # the reference follows p's images from each unseen point until the cycle closes
+    for n in range(1, 6):
+        for p in g.enumerate_sn(n):
+            seen, want = set(), []
+            for start in range(n):
+                if start not in seen:
+                    cycle = [start]
+                    while p.images[cycle[-1]] != start:
+                        cycle.append(p.images[cycle[-1]])
+                    seen.update(cycle)
+                    want.append(tuple(sorted(cycle)))
+            assert g.group_orbits([p]).blocks == g.cycles(p).blocks == tuple(want)
 
 
 def test_transversal():

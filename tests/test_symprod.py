@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import math
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -15,7 +16,7 @@ from orbifrob import gfrob
 from orbifrob import groups as g
 from orbifrob import symprod as sp_mod
 
-from conftest import ZERO_BASE, check_kernel, kron, load_base, tensor_index
+from conftest import ZERO_BASE, check_kernel, kron, load_base, tensor_index, tensor_tuple
 
 
 def basis(dim, i):
@@ -376,7 +377,7 @@ def _numerators(sp, elem):
 def _divide(sp, elem):
     """(flat integer numerators, denominator) as exact nonzero scalars."""
     acc, den = elem
-    return {frob.tensor_tuple(i, sp.base.dim, sp.n): ex.norm(Fraction(w, den))
+    return {tensor_tuple(i, sp.base.dim, sp.n): ex.norm(Fraction(w, den))
             for i, w in enumerate(acc) if w}
 
 
@@ -672,7 +673,7 @@ def _reference_restrict_between(sp, fine, coarse, v):
     for idx, x in enumerate(v):
         if x == 0:
             continue
-        t = frob.tensor_tuple(idx, D, len(fine))
+        t = tensor_tuple(idx, D, len(fine))
         terms = {(): x}
         for fps in nest:
             block_val = basis_product(sp.base, [t[f] for f in fps])
@@ -698,7 +699,7 @@ def _reference_push_between(sp, fine, coarse, w):
     for idx, x in enumerate(w):
         if x == 0:
             continue
-        tc = frob.tensor_tuple(idx, D, len(coarse))
+        tc = tensor_tuple(idx, D, len(coarse))
         terms = {(): x}
         for cpos, fps in enumerate(nest):
             adj = adjoints[cpos]
@@ -708,7 +709,7 @@ def _reference_push_between(sp, fine, coarse, w):
                 for row in range(len(adj)):
                     v = adj[row][col]
                     if v != 0:
-                        new[prefix + frob.tensor_tuple(row, D, len(fps))] = ex.norm(c * v)
+                        new[prefix + tensor_tuple(row, D, len(fps))] = ex.norm(c * v)
             terms = new
             if not terms:
                 break
@@ -728,7 +729,7 @@ def _reference_joint_section(sp, fine, coarse, v):
     for idx, x in enumerate(v):
         if x == 0:
             continue
-        tc = frob.tensor_tuple(idx, D, len(coarse))
+        tc = tensor_tuple(idx, D, len(coarse))
         terms = [([0] * len(fine), x)]
         for cpos, fps in enumerate(nest):
             new = []
@@ -756,7 +757,7 @@ def _reference_section_lift(sp, g, a):
     for idx, x in enumerate(a):
         if x == 0:
             continue
-        t = frob.tensor_tuple(idx, D, len(part))
+        t = tensor_tuple(idx, D, len(part))
         partial = [(tuple(), x)]
         for _ in fillers:
             partial = [(tup + (k,), ex.norm(c * v)) for tup, c in partial for k, v in unit_support]
@@ -827,7 +828,8 @@ def test_block_maps_match_per_entry_reference(sp_factory, qx2, surface, half, n)
                 assert _typed(sp._joint_section(part_gh, joint, w)) == \
                     _typed(_reference_joint_section(sp, part_gh, joint, w))
             for v in (_random_vector(rng, sp.dims[gi]), [Fraction(0)] * sp.dims[gi]):
-                assert _typed(frob._divided(*sp._contracted(gi, v, gh, tuple(range(len(part_gh)))))) == \
+                lift = sp._lift_map(gi, gh, tuple(range(len(part_gh))))
+                assert _typed(frob._divided(*sp._mapped(v, lift))) == \
                     _typed(_reference_contract_sparse(sp, _reference_section_lift(sp, gi, v), part_gh))
 
 
@@ -890,7 +892,7 @@ def test_pushforward_matches_staged_reference_at_the_kernel_edges(sp_factory, su
     elif edge == "singletons":   # the leading n // 2 orbits form the high half
         assert sizes == (1,) * n and len(high) == surface.dim ** (n // 2)
     elif edge == "last points":
-        order = sp._chain_plan(gi, hi)[0]
+        order = sp._chain_plan(gi, hi, None)[0]
         assert order != tuple(range(len(order)))
     rng = random.Random(1789 + n)
     dg, dh = sp.dims[gi], sp.dims[hi]
@@ -1002,9 +1004,9 @@ def _unit_cycles(sp, hi, gh, rng) -> set:
     """The cycles of gh where h's lift of a dense operand, contracted to gh in
     basis order, has only the unit's support."""
     m = len(sp.parts[gh])
-    acc, _ = sp._contracted(hi, _dense_fractions(rng, sp.dims[hi]), gh, tuple(range(m)))
+    acc, _ = sp._mapped(_dense_fractions(rng, sp.dims[hi]), sp._lift_map(hi, gh, tuple(range(m))))
     unit = {k for k, u in enumerate(sp.base.unit) if u}
-    support = [frob.tensor_tuple(x, sp.base.dim, m) for x, w in enumerate(acc) if w]
+    support = [tensor_tuple(x, sp.base.dim, m) for x, w in enumerate(acc) if w]
     return {c for c in range(m) if all(t[c] in unit for t in support)}
 
 
@@ -1026,7 +1028,7 @@ def test_chain_kernel_holds_the_right_lifts_units_in_its_high_half(surface, n):
     moved = crowded = 0
     for gi, hi in pairs:
         gh = sp.group.mul(gi, hi)
-        order = sp._chain_plan(gi, hi)[0]
+        order = sp._chain_plan(gi, hi, None)[0]
         m, units = len(order), _unit_cycles(sp, hi, gh, rng)
         assert sorted(order) == list(range(m))
         assert len(units & set(order[:m // 2])) == min(len(units), m // 2)
@@ -1080,7 +1082,7 @@ def test_order_getters_permute_the_factors(surface, m):
         kernel = list(into(v))
         assert list(back(kernel)) == v
         for k, x in enumerate(kernel):
-            t, u = frob.tensor_tuple(x, D, m), frob.tensor_tuple(k, D, m)
+            t, u = tensor_tuple(x, D, m), tensor_tuple(k, D, m)
             assert all(t[q] == u[i] for i, q in enumerate(order))
             assert sum(q * s for q, s in zip(t, strides)) == k
 
@@ -1088,18 +1090,20 @@ def test_order_getters_permute_the_factors(surface, m):
 def test_chain_builds_each_pair_table_once():
     base = load_base("surface4")   # a fresh algebra: no product has run on it
     sp = sp_mod.SymmetricProductAlgebra(base, 5)
-    assert len(base._pair_powers) == 1   # A^(x)0 only: set-up builds no table
+    assert "_pair_rows" not in base._memo   # set-up builds no table
     rng = random.Random(19)
     e, t = sp.group.identity, sp.group.index_of("(1 2)")
     sp.multiply_chain(t, _random_vector(rng, sp.dims[t]), t, _random_vector(rng, sp.dims[t]))
-    tables = list(base._pair_powers)
-    # t * t = e multiplies on 5 factors, split 2 + 3: A^(x)3 has 9^3 nonzero basis pairs
-    assert len(tables) == 4 and sum(map(len, tables[3][0])) == 9 ** 3
+    tables, kernels = dict(base._memo["_pair_rows"]), dict(base._memo["_power_pairs"])
+    # t * t = e multiplies on 5 factors, split 2 + 3: A^(x)3 has 9^3 nonzero basis pairs,
+    # and the rows of A^(x)0..3 are built on the way
+    assert sorted(tables) == [(0,), (1,), (2,), (3,)] and sum(map(len, tables[3,])) == 9 ** 3
+    assert sorted(kernels) == [(2,), (3,)]
     for g, h in ((e, t), (t, e), (e, e)):
         a, b = _random_vector(rng, sp.dims[g]), _random_vector(rng, sp.dims[h])
         assert sp.multiply_chain(g, a, h, b) == sp.multiply_pushforward(g, a, h, b)
-    assert len(base._pair_powers) == 4
-    assert all(new is old for new, old in zip(base._pair_powers, tables))
+    for built, kept in ((base._memo["_pair_rows"], tables), (base._memo["_power_pairs"], kernels)):
+        assert built.keys() == kept.keys() and all(built[r] is kept[r] for r in kept)
 
 
 def test_pushforward_route_calls_no_staged_kernel(qx2, monkeypatch):
@@ -1172,7 +1176,7 @@ def test_explicit_word_is_validated_after_the_plan_is_built(sp_factory, qx2):
 def test_plan_reads_graph_defects_from_its_cycle_counts(qx2, monkeypatch):
     # the plan already holds each joint orbit's cycle counts, so it calls no
     # orbit-walking obstruction_exponent; test_realize_keeps_no_push_plan pins
-    # the exponents the tables read through the keys of _orbit_maps
+    # the exponents the tables read through the keys of the _orbit_map memo
     calls = []
     original = sp_mod.obstruction_exponent
 
@@ -1192,7 +1196,7 @@ def test_plan_reads_graph_defects_from_its_cycle_counts(qx2, monkeypatch):
             assert sp.multiply_pushforward(gi, a, hi, b) == sp.multiply_chain(gi, a, hi, b)
             products += 1
     assert products == 64
-    assert sp._joint_orbits(gi, hi, sp.group.mul(gi, hi)) in sp._plan_shapes and calls == []
+    assert (sp._joint_orbits(gi, hi, sp.group.mul(gi, hi)),) in sp._memo["_plan"] and calls == []
 
 
 # -- pair tables against the inlined per-orbit loops they replaced -----------------
@@ -1256,9 +1260,9 @@ def _reference_pair_table(sp, gi, hi):
     table = {}
     lg, lh, lp = sp.factors[gi], sp.factors[hi], sp.factors[gh]
     for i in range(sp.dims[gi]):
-        ti = frob.tensor_tuple(i, D, lg)
+        ti = tensor_tuple(i, D, lg)
         for j in range(sp.dims[hi]):
-            tj = frob.tensor_tuple(j, D, lh)
+            tj = tensor_tuple(j, D, lh)
             terms = [([0] * lp, 1)]
             dead = False
             for s_pos, t_pos, p_pos, local in block_infos:
@@ -1271,7 +1275,7 @@ def _reference_pair_table(sp, gi, hi):
                 new = []
                 for tup, c in terms:
                     for packed, v in vals.items():
-                        sub = frob.tensor_tuple(packed, D, m)
+                        sub = tensor_tuple(packed, D, m)
                         t2 = list(tup)
                         for spot, ppos in enumerate(p_pos):
                             t2[ppos] = sub[spot]
@@ -1318,13 +1322,28 @@ def test_realize_builds_one_pair_table_per_sector_pair(qx2, monkeypatch):
     assert sorted(calls) == pairs
 
 
+def test_memo_keeps_no_instance_alive(surface):
+    # the derived maps live on the instance they belong to, with no global
+    # store and no reference back, so dropping the instance frees them at once
+    sp = sp_mod.SymmetricProductAlgebra(surface, 3)
+    rng = random.Random(3)
+    gi, hi = sp.group.index_of("(1 2)"), sp.group.index_of("(2 3)")
+    a, b = _random_vector(rng, sp.dims[gi]), _random_vector(rng, sp.dims[hi])
+    assert sp.multiply_chain(gi, a, hi, b) == sp.multiply_pushforward(gi, a, hi, b)
+    sp.realize()
+    assert {"_plan", "_chain_plan", "_lift_map", "_orbit_map", "_order"} <= set(sp._memo)
+    ref = weakref.ref(sp)
+    del sp
+    assert ref() is None
+
+
 def test_realize_keeps_no_push_plan(qx2):
     # realize builds no push plan, and drops its per-shape tables once every
     # pair holds its own; what stays is one composed map per (k_g, k_h, k_gh, d)
     # that a joint orbit of some pair has
     sp = sp_mod.SymmetricProductAlgebra(qx2, 3)
     sp.realize()
-    assert not sp._pair_tables and not sp._plan_shapes
+    assert "_shape_table" not in sp._memo and "_plan" not in sp._memo
     want = set()
     for gi in range(6):
         for hi in range(6):
@@ -1333,7 +1352,7 @@ def test_realize_keeps_no_push_plan(qx2):
                 counts = tuple(sum(1 for blk in sp.parts[x].blocks if blk[0] in block)
                                for x in (gi, hi, sp.group.mul(gi, hi)))
                 want.add(counts + (sp_mod.obstruction_exponent(sigma, sigma2, block),))
-    assert set(sp._orbit_maps) == want
+    assert set(sp._memo["_orbit_map"]) == want
 
 
 def test_pairs_of_one_shape_share_one_table_that_nothing_mutates(qx2):
