@@ -31,7 +31,7 @@ class UsageError(Exception):
 
 # -- element syntax ----------------------------------------------------------
 
-_COEFF_RE = re.compile(r"^([+-]?\d+(?:/\d+)?)\s*\*?\s*")
+_COEFF_RE = re.compile(r"^([+-]?[0-9]+(?:/[0-9]+)?)\s*\*?\s*")   # ASCII digits, as exactnum.rat reads
 
 
 def _sector_index(X: GFrobeniusAlgebra, text: str) -> int:

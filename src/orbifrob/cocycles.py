@@ -133,16 +133,22 @@ def _normalized(alpha: Cocycle2):
 
 
 def _cocycle_law(alpha: Cocycle2):
-    G, vals, mul = alpha.group, alpha.values, alpha.group.mul
+    """The law on the value table read once as integer numerators over one
+    denominator: both sides of each triple then carry its square, so the
+    scan compares integer products.  The witness prints the values."""
+    G, mul, n = alpha.group, alpha.group.mul, alpha.group.order
+    flat, _ = ex.numerators([v for row in alpha.values for v in row])
+    vals = [flat[g * n:(g + 1) * n] for g in range(n)]
     for g in G.elements():
         vg = vals[g]
         for h in G.elements():
             vgh, row_gh, row_h = vg[h], vals[mul(g, h)], vals[h]
             for k in G.elements():
                 if vgh * row_gh[k] != vg[mul(h, k)] * row_h[k]:
+                    v = alpha.values
                     return {"g": G.labels[g], "h": G.labels[h], "k": G.labels[k],
-                            "lhs": ex.fmt_rat(ex.norm(vgh * row_gh[k])),
-                            "rhs": ex.fmt_rat(ex.norm(vg[mul(h, k)] * row_h[k]))}
+                            "lhs": ex.fmt_rat(ex.norm(v[g][h] * v[mul(g, h)][k])),
+                            "rhs": ex.fmt_rat(ex.norm(v[g][mul(h, k)] * v[h][k]))}
     return None
 
 

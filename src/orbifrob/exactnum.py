@@ -6,6 +6,22 @@ and ``fractions.Fraction`` otherwise (``norm`` collapses integral fractions
 back to ``int`` so the hot loops stay on machine integers as long as the
 denominators allow).
 
+The product kernels and the cocycle scan run on integer numerators over one
+denominator, and cross the boundary between exact scalars and numerators
+in exactly two places: ``numerators`` reads a vector into (integer
+numerators, the lcm of its entries' denominators), and ``divided`` writes
+numerators over a denominator back as exact scalars, ``int`` where
+integral.  ``numerators`` runs its per-entry work at C level: an all-int
+vector passes through untouched, and a ``Fraction`` entry is read from its
+two slots with ``map``.  ``divided`` takes one ``gcd`` per entry through
+``map`` and builds each non-integral entry from its reduced pair, as
+``Fraction._from_coprime_ints`` does, without ``Fraction.__new__``'s
+generic dispatch.  That rests on CPython's ``Fraction`` layout (two slots,
+``_numerator`` and ``_denominator``, that hold the reduced pair with a
+positive denominator) on Python 3.10 to 3.13; ``tests/fraction_layout.py``
+pins it (value, type, hash and repr against ``norm(Fraction(n, d))``) and
+runs under pytest and as a plain script.
+
 Linear maps are sparse ``{index: {index: value}}`` maps, reduced by
 ``sparse_echelon`` and combined by ``sparse_kron``; the private helpers
 after them clean, transpose and sum such maps for both algebra layers.  The
@@ -19,7 +35,11 @@ Documents are read and written here too, in one canonical JSON form
 from __future__ import annotations
 
 import json
+import math
+import re
 from fractions import Fraction
+from itertools import repeat
+from operator import attrgetter, mul
 from typing import Union
 
 Rat = Union[int, Fraction]
@@ -45,20 +65,29 @@ def norm(x: Rat) -> Rat:
     return x
 
 
+_RAT_RE = re.compile(r"([+-]?[0-9]+)(?:/([+-]?[0-9]+))?")   # ASCII digits only
+
+
 def rat(x) -> Rat:
-    """Coerce ints, Fractions and strings like ``-3/4`` to a scalar; a bool is refused."""
+    """Coerce ints, Fractions and strings ``p`` or ``p/q`` (ASCII digits, an
+    optional sign on each part, surrounding white space) to a scalar; a bool
+    is refused, and so is any other string, such as ``1_0`` or a non-ASCII
+    digit, which ``int`` would read."""
     if type(x) is int:
         return x
     if isinstance(x, Fraction):
         return norm(x)
     if isinstance(x, str):
         s = x.strip()
-        if "/" in s:
-            num, den = (int(part) for part in s.split("/", 1))
-            if den == 0:
-                raise ValueError(f"zero denominator in {s!r}")
-            return norm(Fraction(num, den))
-        return int(s)
+        m = _RAT_RE.fullmatch(s)
+        if m is None:
+            raise ValueError(f"{x!r} is not an exact rational p or p/q")
+        num, den = m.groups()
+        if den is None:
+            return int(num)
+        if int(den) == 0:
+            raise ValueError(f"zero denominator in {s!r}")
+        return norm(Fraction(int(num), int(den)))
     raise TypeError(f"cannot interpret {x!r} as an exact rational")
 
 
@@ -68,6 +97,62 @@ def fmt_rat(x: Rat) -> str:
     if isinstance(x, int):
         return str(x)
     return f"{x.numerator}/{x.denominator}"
+
+
+# -- the boundary between exact scalars and integer numerators --------------
+
+_slots = attrgetter("_numerator"), attrgetter("_denominator")
+_ratio = attrgetter("numerator"), attrgetter("denominator")
+_INTS = {int}
+
+
+def numerators(v, length: int | None = None) -> tuple[list, int]:
+    """A vector of exact scalars as (integer numerators, denominator): the
+    denominator is the lcm of the entries' reduced denominators, and each
+    numerator is its entry times it.  A vector of ints alone is returned as
+    it is (a list), over 1; callers read the numerators and never write them.
+    ``Fraction`` entries are read from their slots with ``map``, so no entry
+    costs a Python-level call, and the rescale to one denominator is one
+    ``map(mul, ...)``, skipped when the denominators agree.  A vector whose
+    length is not ``length`` (when given) is refused."""
+    if length is not None and len(v) != length:
+        raise ValueError(f"operand must have length {length}")
+    num, den = _slots if v and type(v[0]) is Fraction else _ratio
+    if num is _ratio[0] and set(map(type, v)) <= _INTS:
+        return v if type(v) is list else list(v), 1
+    try:
+        nums, dens = list(map(num, v)), list(map(den, v))
+    except AttributeError:   # an int after a leading Fraction has no slots
+        nums, dens = list(map(_ratio[0], v)), list(map(_ratio[1], v))
+    common = set(dens)
+    if len(common) == 1:
+        return nums, common.pop()
+    lcm = math.lcm(*common)
+    scale = {d: lcm // d for d in common}
+    return list(map(mul, nums, map(scale.__getitem__, dens))), lcm
+
+
+def _from_coprime_ints(numerator: int, denominator: int) -> Fraction:
+    """``Fraction._from_coprime_ints`` of Python 3.12 on earlier versions: the
+    two slots filled with a pair already in lowest terms, denominator > 1."""
+    out = object.__new__(Fraction)
+    out._numerator, out._denominator = numerator, denominator
+    return out
+
+
+_coprime = getattr(Fraction, "_from_coprime_ints", _from_coprime_ints)
+
+
+def divided(nums, den: int) -> list:
+    """Integer numerators over a positive ``den`` as exact scalars: ``int``
+    where ``den`` divides the numerator, else the ``Fraction`` of the
+    reduced pair, equal in value, type, hash and repr to ``norm(Fraction(w,
+    den))``.  One ``gcd`` per entry through ``map``; ``nums`` itself (as a
+    list) when ``den`` is 1."""
+    if den == 1:
+        return nums if type(nums) is list else list(nums)
+    return [w // g if g == den else _coprime(w // g, den // g)
+            for w, g in zip(nums, map(math.gcd, nums, repeat(den)))]
 
 
 def check_indices(what: str, indices, bounds) -> None:

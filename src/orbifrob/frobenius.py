@@ -45,8 +45,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
-from itertools import compress, repeat
+from itertools import repeat
 from operator import add, mul
 
 from . import exactnum as ex
@@ -246,49 +245,6 @@ def validated(algebra: FrobeniusAlgebra) -> FrobeniusAlgebra:
 
 # -- tensor powers -----------------------------------------------------------
 
-def _support(v, length: int) -> tuple[list, list, int]:
-    """The nonzero entries of a dense vector of ``length`` entries: their
-    positions, their integer numerators over one denominator (the lcm of
-    theirs) and that denominator.  Only nonzero entries have their ratio
-    read, and the numerators are rescaled only when the denominators differ."""
-    if len(v) != length:
-        raise ValueError(f"operand must have length {length}")
-    support = list(compress(range(length), v))
-    ratios = [v[i].as_integer_ratio() for i in support]
-    dens = {d for _, d in ratios}
-    if len(dens) > 1:
-        den = math.lcm(*dens)
-        return support, [w * (den // d) for w, d in ratios], den
-    return support, [w for w, _ in ratios], dens.pop() if dens else 1
-
-
-def _scaled(v, length: int) -> tuple[list, int]:
-    """A dense vector of ``length`` entries as integer numerators over one
-    denominator: ``_support``'s numerators back in place, zeros elsewhere."""
-    support, nums, den = _support(v, length)
-    if len(nums) == length:
-        return nums, den
-    out = [0] * length
-    for i, w in zip(support, nums):
-        out[i] = w
-    return out, den
-
-
-def _numerators(v, keys) -> tuple[list, int]:
-    """Nonzero terms (key, integer numerator) of a dense vector, over one
-    denominator; ``keys`` name the entries in basis order (index tuples or
-    flat indices)."""
-    support, nums, den = _support(v, len(keys))
-    return list(zip(map(keys.__getitem__, support), nums)), den
-
-
-def _divided(acc: list, den: int) -> list:
-    """Integer numerators over ``den`` as exact scalars (int when integral)."""
-    if den == 1:
-        return acc
-    return [w // den if not w % den else Fraction(w, den) for w in acc]
-
-
 _FLAT_SUM = 256   # terms a kernel adds in one flat chain, far below the compiler's nesting limit
 
 
@@ -412,9 +368,9 @@ def factorwise_multiply(algebra: FrobeniusAlgebra, m: int, u, v):
         raise ValueError(f"tensor power operands must have length {size}")
     operands, low = [], algebra.dim ** (m - m // 2)
     for vec in (u, v):
-        nums, den = _scaled(vec, size)
+        nums, den = ex.numerators(vec)
         operands.append((_split(nums, low), den))
-    return _divided(*factorwise_product(algebra, m, *operands))
+    return ex.divided(*factorwise_product(algebra, m, *operands))
 
 
 def tensor_metric(algebra: FrobeniusAlgebra, m: int) -> ex.SparseMap:

@@ -56,18 +56,23 @@ skipped once, not once per low chunk, and one getter returns the product to
 basis order.
 Every intermediate value of either route is an integer numerator over one
 denominator per stage; the denominators multiply along the stages and each
-product divides once, at the end.  Operands enter and leave the loop
-through C-level getters kept per factor order by ``_order``: each nonzero
-entry's ratio is read once, an ``itemgetter`` reads a dense operand into
-kernel order, another returns the product to basis order, and the chunks
-are slices.
+product divides once, at the end.  Operands cross between exact scalars and
+numerators only through ``exactnum``'s boundary: ``numerators`` reads each
+operand once (an all-int one passes through), and ``divided`` writes each
+product back.  In between they move through C-level getters kept per factor
+order by ``_order``: an ``itemgetter`` reads a dense operand into kernel
+order, another returns the product to basis order, and the chunks are
+slices.
 Every other linear map between tensor powers (the contractions between
 nested cycle partitions and the chain's, their metric adjoints and
 sections) has one form: per flat input index, a row of (output index,
 integer numerator) over one denominator, built by ``_linear_map`` in one
-pass over the input basis tuples from per-block columns and applied by
-``_mapped``, one row per nonzero entry of the operand.  The group action
-relabels cycles, so each basis tuple goes to one index, a sum of strides.
+pass over the input basis tuples from per-block columns, and the same rows
+transposed into layers (``_layers``), kept in the map's own tuple.
+``_mapped`` applies the layers, one gather and one ``map(add, ...)`` each,
+to an operand with enough nonzero entries, and scatters one row per nonzero
+entry of a sparser one.  The group action relabels cycles, so each basis
+tuple goes to one index, a sum of strides.
 
 Every derived map is a method of its key under ``frobenius.memo``: built on
 the first call for that key, kept on the instance and reused, whether the
@@ -82,18 +87,20 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from operator import itemgetter, mul
+from itertools import compress
+from operator import add, itemgetter, mul
 
 from . import exactnum as ex
 from . import frobenius as frob
-from .frobenius import FrobeniusAlgebra, _divided, _numerators, _scaled, _split, memo
+from .frobenius import FrobeniusAlgebra, _split, memo
 from .gfrob import BudgetExceededError, GFrobeniusAlgebra
 from .groups import (OrbitPartition, Permutation, compose, cycles, degree,
                      group_orbits, symmetric_group)
 
 BUILD_BUDGET = 200_000  # max number of product-table entries a build may cost
 _EXACT_COST = 10 ** 18   # a refused build's cost is printed exactly up to here
+_LAYER_COST = 5          # layer slots that cost about as much as one scattered row entry
+_LAYER_SETUP = 64        # the fixed cost of applying one layer, in layer slots
 
 
 def obstruction_exponent(sigma: Permutation, sigma2: Permutation, block) -> int:
@@ -223,8 +230,10 @@ class SymmetricProductAlgebra:
         return list(itertools.product(range(self.base.dim), repeat=m))
 
     def _unit_tails(self, m: int) -> tuple[list, int]:
-        """``_numerators`` of the unit tensor of A^(x)m."""
-        return _numerators(frob.tensor_unit(self.base, m), self._tuples(m))
+        """The unit tensor of A^(x)m as nonzero terms (factor tuple, integer
+        numerator) over one denominator."""
+        nums, den = ex.numerators(frob.tensor_unit(self.base, m))
+        return list(zip(compress(self._tuples(m), nums), compress(nums, nums))), den
 
     @memo
     def _mu_columns(self, m: int) -> tuple[dict, int]:
@@ -284,8 +293,7 @@ class SymmetricProductAlgebra:
                         u = t[:f] + (q,) + t[f + 1:]
                         spread[u] = spread.get(u, 0) + c * v
                 cols[k] = spread
-        return _integral({k: [(t, Fraction(c, mu_den)) for t, c in sorted(cols[k].items())]
-                          for k in sorted(cols)})
+        return _integral({k: sorted(cols[k].items()) for k in sorted(cols)}, mu_den)
 
     @memo
     def _section_columns(self, m: int) -> tuple[dict, int]:
@@ -322,41 +330,53 @@ class SymmetricProductAlgebra:
             den *= d
         return self._linear_map(len(coarse), blocks, den, D ** len(fine))
 
-    def _linear_map(self, m: int, blocks: list, den: int, size: int) -> tuple[list, int, int]:
-        """(rows, ``den``, output size) of a map on A^(x)m, in one pass over the
-        input basis tuples: each block's getter reads a key off a tuple, the
-        keys' columns [(output offset, numerator)] multiply out, and the row of
-        flat index x is ((output index, numerator), ...), () if a column is missing."""
+    def _linear_map(self, m: int, blocks: list, den: int, size: int) -> tuple:
+        """(rows, layers, ``den``, output size) of a map on A^(x)m, in one pass
+        over the input basis tuples: each block's getter reads a key off a
+        tuple, the keys' columns [(output offset, numerator)] multiply out,
+        and the row of flat index x is ((output index, numerator), ...), () if
+        a column is missing.  The layers are the rows transposed (``_layers``)."""
         rows = []
         for t in self._tuples(m):
             out = [(0, 1)]
             for get, table in blocks:
                 out = [(p + q, c * w) for p, c in out for q, w in table.get(get(t), ())]
             rows.append(tuple(out))
-        return rows, den, size
+        return rows, _layers(rows, size), den, size
 
     def _mapped(self, v, linear: tuple) -> tuple[list, int]:
-        """A map's rows applied to a dense vector, one row per nonzero entry:
-        (integer numerators, the operand's times the map's denominator)."""
-        rows, den, size = linear
-        terms, d = _numerators(v, rows)
+        """A map applied to a dense vector: (integer numerators, the operand's
+        times the map's denominator).  An operand with more nonzero entries
+        than the map's layers cost (``_layers``) runs through them, each one
+        gather and one ``map(add, ...)`` over every output; a sparser one is
+        scattered, one row per nonzero entry."""
+        rows, (layers, dense), den, size = linear
+        nums, d = ex.numerators(v, len(rows))
+        if len(nums) - nums.count(0) > dense:
+            padded = nums + [0]   # the zero slot a layer reads for an output with fewer inputs
+            acc = None
+            for get, coefs in layers:
+                terms = get(padded) if coefs is None else map(mul, coefs, get(padded))
+                acc = list(terms) if acc is None else list(map(add, acc, terms))
+            return acc, d * den
         acc = [0] * size
-        for row, x in terms:
-            for o, w in row:
-                acc[o] += x * w
+        for x in compress(range(len(nums)), nums):
+            c = nums[x]
+            for o, w in rows[x]:
+                acc[o] += c * w
         return acc, d * den
 
     def restrict_between(self, fine: OrbitPartition, coarse: OrbitPartition, v):
         """Contraction-by-multiplication A^(x)|fine| -> A^(x)|coarse|."""
-        return _divided(*self._mapped(v, self._gather_map(self._nesting(fine, coarse))))
+        return ex.divided(*self._mapped(v, self._gather_map(self._nesting(fine, coarse))))
 
     def push_between(self, fine: OrbitPartition, coarse: OrbitPartition, w):
         """Metric adjoint of restrict_between(fine, coarse, .): coarse -> fine."""
-        return _divided(*self._mapped(w, self._spread_map(fine, coarse, self._adjoint_columns)))
+        return ex.divided(*self._mapped(w, self._spread_map(fine, coarse, self._adjoint_columns)))
 
     def _joint_section(self, fine: OrbitPartition, coarse: OrbitPartition, v):
         """Unit-tensor section A^(x)|coarse| -> A^(x)|fine| of the contraction."""
-        return _divided(*self._mapped(v, self._spread_map(fine, coarse, self._section_columns)))
+        return ex.divided(*self._mapped(v, self._spread_map(fine, coarse, self._section_columns)))
 
     # -- the two product routes -------------------------------------------------
 
@@ -483,7 +503,7 @@ class SymmetricProductAlgebra:
         getter of ``part`` (getter, number of low indices) and sliced into
         chunks: (``_split`` by high index, denominator)."""
         into, size = part
-        nums, den = _scaled(v, self.dims[g])
+        nums, den = ex.numerators(v, self.dims[g])
         return _split(nums if into is None else into(nums), size), den
 
     def multiply_pushforward(self, g: int, a, h: int, b):
@@ -498,7 +518,7 @@ class SymmetricProductAlgebra:
         left, right, high, kernel, size, back, den = self._push_plan(g, h)
         (lhs, da), (rhs, db) = self._halves(a, g, left), self._halves(b, h, right)
         acc = frob._walk(lhs, rhs, high, kernel, size, self.dims[self.group.mul(g, h)])
-        return _divided(acc if back is None else list(back(acc)), da * db * den)
+        return ex.divided(acc if back is None else back(acc), da * db * den)
 
     def gamma_tilde(self, g: int, h: int, joint: OrbitPartition | None = None):
         """Obstruction class: one Euler-class power per joint orbit."""
@@ -608,7 +628,7 @@ class SymmetricProductAlgebra:
                                            (_split(right, size), db))
         for gamma in gammas:
             acc, den = frob.factorwise_product(self.base, m, gamma, (_split(acc, size), den))
-        return _divided(acc if back is None else list(back(acc)), den)
+        return ex.divided(acc if back is None else back(acc), den)
 
     def gamma_cocycle(self, g: int, h: int):
         """The sector cocycle as an identity-sector element (chain form).
@@ -693,7 +713,8 @@ class SymmetricProductAlgebra:
         flat, den = self._half(_orbit_positions(shape), sizes,
                                [[D ** (len(row) - 1 - q) for q in range(len(row))] for row in rows])
         if den != 1:
-            flat = [[(j, [(k, ex.norm(Fraction(c, den))) for k, c in outs]) for j, outs in ys]
+            values = iter(ex.divided([c for ys in flat for _, outs in ys for _, c in outs], den))
+            flat = [[(j, list(zip(map(itemgetter(0), outs), values))) for j, outs in ys]
                     for ys in flat]
         return {(i, j): dict(outs) for i, ys in enumerate(flat) for j, outs in ys}
 
@@ -719,12 +740,44 @@ def refuse_build(dim: int, n: int, budget: int) -> None:
         )
 
 
-def _integral(cols: dict) -> tuple[dict, int]:
-    """Nonzero column entries as integer numerators over one denominator."""
-    den = math.lcm(*(w.denominator for col in cols.values() for _, w in col))
-    cols = {key: [(x, w.numerator * (den // w.denominator)) for x, w in col if w]
-            for key, col in cols.items()}
-    return {key: col for key, col in cols.items() if col}, den
+def _integral(cols: dict, den: int = 1) -> tuple[dict, int]:
+    """Column entries {key: [(x, exact value)]}, each divided by ``den``, as
+    integer numerators over one denominator, the lcm of the reduced ones;
+    zero entries and then empty columns are dropped."""
+    nums, d = ex.numerators([w for col in cols.values() for _, w in col])
+    if den != 1:
+        nums, d = ex.numerators(ex.divided(nums, d * den))
+    nums = iter(nums)
+    cols = {key: [(x, w) for (x, _), w in zip(col, nums) if w] for key, col in cols.items()}
+    return {key: col for key, col in cols.items() if col}, d
+
+
+def _layers(rows: list, size: int) -> tuple:
+    """A map's ``rows`` transposed into layers, and the number of nonzero
+    operand entries past which ``_mapped`` applies them.  Layer j holds, for
+    every output, its j-th (input, numerator), or the zero slot (index
+    len(rows), one past the operand) when it has fewer inputs: a C-level
+    getter of the inputs, and the numerators, None when all are 1.  A layer
+    costs about its ``size`` slots plus ``_LAYER_SETUP``, and a scattered
+    row entry as much as ``_LAYER_COST`` slots (measured on the lift maps of
+    Sym^3..Sym^5 of surface4), so sparser operands keep the scatter."""
+    inputs: list = [[] for _ in range(size)]
+    for x, row in enumerate(rows):
+        for o, w in row:
+            inputs[o].append((x, w))
+    width = max(map(len, inputs), default=0)
+    if not width:   # a zero map: nothing to gather, and no operand is denser than its length
+        return [], len(rows)
+    slot = (len(rows), 1)
+    layers = []
+    for j in range(width):
+        xs, ws = zip(*(ins[j] if j < len(ins) else slot for ins in inputs))
+        # a tuple getter: only a base of dimension 1 has one output, and then one
+        # input, below its cut, so its layers are never applied
+        layers.append((itemgetter(*xs), None if set(ws) == {1} else list(ws)))
+    # the scatter costs about (1 + row entries per input) per nonzero entry
+    return layers, (width * (size + _LAYER_SETUP) * len(rows)
+                    // (_LAYER_COST * (len(rows) + sum(map(len, rows)))))
 
 
 _no_factors = itemgetter(slice(0))   # () off any tuple: the key of the empty product

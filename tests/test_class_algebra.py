@@ -11,6 +11,14 @@ the characters alone, by Frobenius' formula
 with the characters from the Murnaghan-Nakayama rule (Lehn-Sorger 2001 read
 the graded form of this algebra as the cohomology of Hilb^n(C^2)).  Nothing
 here is computed by the package: it only supplies the algebra read.
+
+Over a base whose Euler class has positive degree the same constants check
+every other base through its degree-0 quotient: modulo the span I of the
+sector basis vectors with a tensor factor of positive degree, u_g u_h is
+u_{gh} when deg g + deg h = deg gh (deg = n minus the number of cycles) and
+0 otherwise, since each Euler-class insertion has positive degree.  So the
+class sums of unit tensors multiply by the graded constants, those with
+deg nu = deg lambda + deg mu.
 """
 
 import math
@@ -107,3 +115,48 @@ def test_invariants_of_sym_n_of_k_are_the_class_algebra(ground, n):
     got = {(kind[i], kind[j], kind[k]): value
            for (i, j), row in inv.product.items() for k, value in row.items()}
     assert got == _class_constants(n)
+
+
+def _graded_constants(n: int) -> dict:
+    """The class constants of S_n with deg nu = deg lambda + deg mu, deg = n - parts."""
+    return {(a, b, c): value for (a, b, c), value in _class_constants(n).items()
+            if n - len(c) == (n - len(a)) + (n - len(b))}
+
+
+@pytest.mark.parametrize("base_name, n", [("qx2", 1), ("qx2", 2), ("qx2", 3), ("qx2", 4),
+                                          ("surface", 1), ("surface", 2), ("surface", 3)])
+def test_degree_zero_quotient_is_the_graded_class_algebra(request, base_name, n):
+    # the dual numbers and surface4: every basis vector but the unit has positive
+    # degree, so I holds every sector basis vector but the unit tensor; read
+    # through invariants (the realized tables) and through both product routes
+    base = request.getfixturevalue(base_name)
+    assert base.unit == [1] + [0] * (base.dim - 1) and base.degrees[0] == 0 < min(base.degrees[1:])
+    sp = SymmetricProductAlgebra(base, n)
+    X = sp.realize()
+    G = X.group
+    unit = {g: [1] + [0] * (X.sector_dims[g] - 1) for g in G.elements()}
+    kind = {g: _cycle_type(G.perms[g].images) for g in G.elements()}
+    inv = invariants(X)
+    kept = {}   # basis index -> cycle type, for the class sums of unit tensors
+    for r, vector in enumerate(inv.basis):
+        cls = inv.classes[inv.class_of[r]]
+        if vector == {g: unit[g] for g in cls}:
+            kept[r] = kind[cls[0]]
+    assert sorted(kept.values()) == sorted(_partitions(n))
+    got = {(kept[i], kept[j], kept[k]): value for (i, j), row in inv.product.items()
+           if i in kept and j in kept for k, value in row.items() if k in kept}
+    want = _graded_constants(n)
+    assert got == want
+    # the same constants from the routes' unit-tensor coefficients, pair by pair:
+    # the class sum of lambda times that of mu has, at each u_z, the count of
+    # pairs (g, h) in lambda x mu with gh = z and no Euler class between them
+    for route in (sp.multiply_chain, sp.multiply_pushforward):
+        at: dict = {}
+        for g in G.elements():
+            for h in G.elements():
+                z = G.mul(g, h)
+                key = (kind[g], kind[h], z)
+                at[key] = at.get(key, 0) + route(g, unit[g], h, unit[h])[0]
+        seen = {(a, b, kind[z]): value for (a, b, z), value in at.items() if value}
+        assert seen == want
+        assert all(value == want.get((a, b, kind[z]), 0) for (a, b, z), value in at.items())

@@ -69,6 +69,27 @@ def test_verify_zero_denominator_exits_two(tmp_path, capsys):
     assert err == "error: zero denominator in '1/0'\n"
 
 
+@pytest.mark.parametrize("value", ["1_0", "\u0661", "1/\u0662", "1 / 1"])
+def test_coefficients_outside_the_grammar_exit_two(tmp_path, capsys, value):
+    # int() reads "1_0" as 10 and an Arabic-Indic digit as its value: verify
+    # used to pass a base whose metric values were "1_0", and export wrote them
+    # back as "10"; a value outside [+-]?[0-9]+(/[+-]?[0-9]+)? is refused, by name
+    def edit(doc):
+        for entry in doc["metric"]:
+            entry[2] = value
+
+    path = _variant(tmp_path, "dual_numbers.json", edit)
+    for command in ("verify", "export"):
+        assert run(command, path) == 2
+        assert capsys.readouterr().err == f"error: {value!r} is not an exact rational p or p/q\n"
+    # an element's leading coefficient is read with ASCII digits only, too
+    sp2 = tmp_path / "sp2.json"
+    run("symprod", FIXTURES / "dual_numbers.json", "--n", 2, "--out", sp2)
+    capsys.readouterr()
+    assert run("mult", sp2, "\u0661x@(1 2)", "1@(1 2)") == 2
+    assert "unknown basis label '\u0661x'" in capsys.readouterr().err
+
+
 def _variant(tmp_path, fixture, edit):
     doc = json.loads((FIXTURES / fixture).read_text())
     edit(doc)

@@ -26,28 +26,46 @@ def test_validate_flags_perturbed_entry():
     assert report["cocycle-law"].witness is not None
 
 
-@pytest.mark.parametrize("g, h, value, summary", [
-    ("e", "(1 2)", 2,
+_PINNED_REPORTS = [
+    (-1, "e", "(1 2)", 2,
      "normalization (alpha(g,e) = alpha(e,g) = 1): FAIL [12 instances] witness: {'g': '(1 2)'}\n"
      "cocycle-law (alpha(g,h) alpha(gh,k) = alpha(g,hk) alpha(h,k)): FAIL [216 instances] "
      "witness: {'g': 'e', 'h': 'e', 'k': '(1 2)', 'lhs': '2', 'rhs': '4'}\n"
      "inverse-symmetry (alpha(g,g^-1) = alpha(g^-1,g)): pass [6 instances]"),
-    ("(1 2)", "(1 2 3)", 5,
+    (-1, "(1 2)", "(1 2 3)", 5,
      "normalization (alpha(g,e) = alpha(e,g) = 1): pass [12 instances]\n"
      "cocycle-law (alpha(g,h) alpha(gh,k) = alpha(g,hk) alpha(h,k)): FAIL [216 instances] "
      "witness: {'g': '(2 3)', 'h': '(1 2)', 'k': '(1 2 3)', 'lhs': '1', 'rhs': '-5'}\n"
      "inverse-symmetry (alpha(g,g^-1) = alpha(g^-1,g)): pass [6 instances]"),
-    ("(1 2 3)", "(1 3 2)", 2,
+    (-1, "(1 2 3)", "(1 3 2)", 2,
      "normalization (alpha(g,e) = alpha(e,g) = 1): pass [12 instances]\n"
      "cocycle-law (alpha(g,h) alpha(gh,k) = alpha(g,hk) alpha(h,k)): FAIL [216 instances] "
      "witness: {'g': '(2 3)', 'h': '(1 2 3)', 'k': '(1 3 2)', 'lhs': '1', 'rhs': '2'}\n"
      "inverse-symmetry (alpha(g,g^-1) = alpha(g^-1,g)): FAIL [6 instances] "
      "witness: {'g': '(1 2 3)'}"),
-])
-def test_one_wrong_value_pins_the_whole_report(g, h, value, summary):
-    # alpha(g, h) of the S_3 sign cocycle replaced by ``value``; one edit per
-    # check key, with every line, instance count and witness pinned
-    alpha = cocy.normalized_sn_cocycle(3, -1)
+    # lambda = 1/3: the scan compares integer numerators, the witness prints the values
+    (Fraction(1, 3), "(1 2)", "(1 3)", Fraction(2, 3),
+     "normalization (alpha(g,e) = alpha(e,g) = 1): pass [12 instances]\n"
+     "cocycle-law (alpha(g,h) alpha(gh,k) = alpha(g,hk) alpha(h,k)): FAIL [216 instances] "
+     "witness: {'g': '(2 3)', 'h': '(1 2)', 'k': '(1 3)', 'lhs': '1/3', 'rhs': '2/9'}\n"
+     "inverse-symmetry (alpha(g,g^-1) = alpha(g^-1,g)): pass [6 instances]"),
+]
+
+
+def _pinned_id(lam, g, h, value, summary) -> str:
+    """pytest's own id of (g, h, value, summary), so the lambda = -1 cases keep
+    their names; other lambdas lead the id."""
+    parts = [g, h, str(value), summary]   # pytest escapes the newlines itself
+    return "-".join(parts if lam == -1 else [f"lambda={lam}"] + parts)
+
+
+@pytest.mark.parametrize("lam, g, h, value, summary", _PINNED_REPORTS,
+                         ids=[_pinned_id(*case) for case in _PINNED_REPORTS])
+def test_one_wrong_value_pins_the_whole_report(lam, g, h, value, summary):
+    # alpha(g, h) of the S_3 cocycle with alpha(tau, tau) = lam replaced by
+    # ``value``; one edit per check key, with every line, instance count and
+    # witness pinned
+    alpha = cocy.normalized_sn_cocycle(3, lam)
     G = alpha.group
     values = [row[:] for row in alpha.values]
     values[G.index_of(g)][G.index_of(h)] = value

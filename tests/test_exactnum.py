@@ -7,6 +7,7 @@ from orbifrob import exactnum as ex
 from orbifrob import frobenius as frob
 
 from conftest import kron, nullspace
+from fraction_layout import check as check_fraction_layout
 
 
 def test_rat_parsing_and_formatting():
@@ -22,6 +23,44 @@ def test_rat_parsing_and_formatting():
 def test_rat_rejects_zero_denominator():
     with pytest.raises(ValueError, match="zero denominator in '1/0'"):
         ex.rat("1/0")
+
+
+@pytest.mark.parametrize("text, value", [
+    (" 3/4 ", Fraction(3, 4)), ("+7", 7), ("-0", 0), ("6/-4", Fraction(-3, 2)), ("-2/+2", -1),
+    ("0012", 12)])
+def test_rat_reads_the_documented_grammar(text, value):
+    # [+-]?[0-9]+(/[+-]?[0-9]+)? after strip, as README states
+    got = ex.rat(text)
+    assert got == value and type(got) is type(value)
+
+
+@pytest.mark.parametrize("text", [
+    "1_0", "1/2_0", "\u0661", "\u0661/2", "\uff11", "1/\u0662", "3 / 4", "1/", "/2", "",
+    "+", "1.5", "1e3", "0x10", "1/2/3", "--1", "- 1"])
+def test_rat_refuses_strings_outside_the_grammar(text):
+    # int() reads underscores and non-ASCII digits; a document value may not
+    with pytest.raises(ValueError, match="is not an exact rational p or p/q$") as info:
+        ex.rat(text)
+    assert repr(text) in str(info.value)
+
+
+def test_divided_matches_the_fraction_constructor():
+    # the writer's Fraction layout: value, type, hash and repr of every entry
+    # agree with norm(Fraction(w, den)); the same check runs as a script
+    # (tests/fraction_layout.py) on interpreters without pytest
+    assert check_fraction_layout() > 10
+
+
+def test_numerators_read_one_lcm_denominator():
+    assert ex.numerators([Fraction(1, 4), Fraction(-1, 6), 0, 2]) == ([3, -2, 0, 24], 12)
+    assert ex.numerators([Fraction(0), Fraction(2, 4)]) == ([0, 1], 2)
+    ints = [0, 5, 0, -1]
+    nums, den = ex.numerators(ints)
+    assert (nums, den) == (ints, 1) and nums is ints   # an all-int list passes through
+    assert ex.numerators((1, 2)) == ([1, 2], 1)
+    assert ex.numerators([]) == ([], 1)
+    with pytest.raises(ValueError, match="operand must have length 3"):
+        ex.numerators([1, 2], 3)
 
 
 def test_exact_arithmetic_no_tolerance():
