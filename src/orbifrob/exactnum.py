@@ -12,15 +12,18 @@ in exactly two places: ``numerators`` reads a vector into (integer
 numerators, the lcm of its entries' denominators), and ``divided`` writes
 numerators over a denominator back as exact scalars, ``int`` where
 integral.  ``numerators`` runs its per-entry work at C level: an all-int
-vector passes through untouched, and a ``Fraction`` entry is read from its
-two slots with ``map``.  ``divided`` takes one ``gcd`` per entry through
-``map`` and builds each non-integral entry from its reduced pair, as
-``Fraction._from_coprime_ints`` does, without ``Fraction.__new__``'s
-generic dispatch.  That rests on CPython's ``Fraction`` layout (two slots,
-``_numerator`` and ``_denominator``, that hold the reduced pair with a
-positive denominator) on Python 3.10 to 3.13; ``tests/fraction_layout.py``
-pins it (value, type, hash and repr against ``norm(Fraction(n, d))``) and
-runs under pytest and as a plain script.
+vector passes through untouched, and any other vector, ``Fraction`` entries
+mixed with ``int`` ones or not, is read with ``map(getattr, ...)`` from the
+``Fraction`` slots, an ``int`` standing for its own numerator over 1.
+``divided`` takes one ``gcd`` per entry through ``map`` and builds each
+non-integral entry from its reduced pair by filling the two slots, as
+``Fraction._from_coprime_ints`` of Python 3.12 does, without
+``Fraction.__new__``'s generic dispatch.  Both rest on CPython's
+``Fraction`` layout (two slots, ``_numerator`` and ``_denominator``, that
+hold the reduced pair with a positive denominator) on Python 3.10 to 3.13;
+``tests/fraction_layout.py`` pins it (value, type, hash and repr against
+``norm(Fraction(n, d))``, and the reader back) and runs under pytest and
+as a plain script.
 
 Linear maps are sparse ``{index: {index: value}}`` maps, reduced by
 ``sparse_echelon`` and combined by ``sparse_kron``; the private helpers
@@ -39,7 +42,7 @@ import math
 import re
 from fractions import Fraction
 from itertools import repeat
-from operator import attrgetter, mul
+from operator import mul
 from typing import Union
 
 Rat = Union[int, Fraction]
@@ -101,9 +104,8 @@ def fmt_rat(x: Rat) -> str:
 
 # -- the boundary between exact scalars and integer numerators --------------
 
-_slots = attrgetter("_numerator"), attrgetter("_denominator")
-_ratio = attrgetter("numerator"), attrgetter("denominator")
 _INTS = {int}
+_RATS = {int, Fraction}
 
 
 def numerators(v, length: int | None = None) -> tuple[list, int]:
@@ -111,19 +113,21 @@ def numerators(v, length: int | None = None) -> tuple[list, int]:
     denominator is the lcm of the entries' reduced denominators, and each
     numerator is its entry times it.  A vector of ints alone is returned as
     it is (a list), over 1; callers read the numerators and never write them.
-    ``Fraction`` entries are read from their slots with ``map``, so no entry
-    costs a Python-level call, and the rescale to one denominator is one
-    ``map(mul, ...)``, skipped when the denominators agree.  A vector whose
-    length is not ``length`` (when given) is refused."""
+    Any other vector is read in one pass per slot with ``map(getattr, ...)``,
+    an ``int`` entry being its own numerator over 1, and the rescale to one
+    denominator is one ``map(mul, ...)``, skipped when the denominators agree.
+    A vector whose length is not ``length`` (when given), or with an entry
+    neither ``int`` nor ``Fraction``, is refused."""
     if length is not None and len(v) != length:
         raise ValueError(f"operand must have length {length}")
-    num, den = _slots if v and type(v[0]) is Fraction else _ratio
-    if num is _ratio[0] and set(map(type, v)) <= _INTS:
+    types = set(map(type, v))
+    if types <= _INTS:
         return v if type(v) is list else list(v), 1
-    try:
-        nums, dens = list(map(num, v)), list(map(den, v))
-    except AttributeError:   # an int after a leading Fraction has no slots
-        nums, dens = list(map(_ratio[0], v)), list(map(_ratio[1], v))
+    if not types <= _RATS:
+        other = sorted(t.__name__ for t in types - _RATS)
+        raise TypeError(f"operand entries must be int or Fraction, not {', '.join(other)}")
+    nums = list(map(getattr, v, repeat("_numerator"), v))
+    dens = list(map(getattr, v, repeat("_denominator"), repeat(1)))
     common = set(dens)
     if len(common) == 1:
         return nums, common.pop()
@@ -133,14 +137,12 @@ def numerators(v, length: int | None = None) -> tuple[list, int]:
 
 
 def _from_coprime_ints(numerator: int, denominator: int) -> Fraction:
-    """``Fraction._from_coprime_ints`` of Python 3.12 on earlier versions: the
-    two slots filled with a pair already in lowest terms, denominator > 1."""
+    """The ``Fraction`` of a pair already in lowest terms, denominator > 1:
+    its two slots filled directly, as ``Fraction._from_coprime_ints`` of
+    Python 3.12 does."""
     out = object.__new__(Fraction)
     out._numerator, out._denominator = numerator, denominator
     return out
-
-
-_coprime = getattr(Fraction, "_from_coprime_ints", _from_coprime_ints)
 
 
 def divided(nums, den: int) -> list:
@@ -151,7 +153,7 @@ def divided(nums, den: int) -> list:
     list) when ``den`` is 1."""
     if den == 1:
         return nums if type(nums) is list else list(nums)
-    return [w // g if g == den else _coprime(w // g, den // g)
+    return [w // g if g == den else _from_coprime_ints(w // g, den // g)
             for w, g in zip(nums, map(math.gcd, nums, repeat(den)))]
 
 

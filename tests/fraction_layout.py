@@ -1,12 +1,12 @@
 """The ``Fraction`` layout that ``exactnum``'s scalar boundary relies on.
 
 ``exactnum.divided`` builds each non-integral entry from its reduced pair
-(``Fraction._from_coprime_ints`` on Python 3.12+, the same two slots filled
-directly before), and ``exactnum.numerators`` reads a ``Fraction`` from its
-``_numerator`` and ``_denominator`` slots.  ``check`` compares both with
-the public ``Fraction`` constructor in value, type, hash and repr, over
-negative values, zero, denominator 1 and integers far past 64 bits.  It runs
-under pytest (tests/test_exactnum.py) and, with no pytest installed, as
+by filling its two slots, ``_numerator`` and ``_denominator``, and
+``exactnum.numerators`` reads a ``Fraction`` from those slots.  ``check``
+compares both with the public ``Fraction`` constructor in value, type, hash
+and repr, over negative values, zero, denominator 1 and integers far past
+64 bits.  It runs under pytest (tests/test_exactnum.py) and, with no pytest
+installed, as
 
     PYTHONPATH=src python tests/fraction_layout.py
 """

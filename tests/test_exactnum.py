@@ -61,6 +61,8 @@ def test_numerators_read_one_lcm_denominator():
     assert ex.numerators([]) == ([], 1)
     with pytest.raises(ValueError, match="operand must have length 3"):
         ex.numerators([1, 2], 3)
+    with pytest.raises(TypeError, match="not float"):   # no inexact entry is read
+        ex.numerators([Fraction(1, 2), 0.5])
 
 
 def test_exact_arithmetic_no_tolerance():
