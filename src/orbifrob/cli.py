@@ -32,6 +32,7 @@ class UsageError(Exception):
 # -- element syntax ----------------------------------------------------------
 
 _COEFF_RE = re.compile(r"^([+-]?[0-9]+(?:/[0-9]+)?)\s*\*?\s*")   # ASCII digits, as exactnum.rat reads
+_TENSOR_RE = re.compile(r"(?<=\S)\(x\)(?=\S)")   # the ASCII ⊗ between two factors, as in 1(x)x
 
 
 def _sector_index(X: GFrobeniusAlgebra, text: str) -> int:
@@ -103,6 +104,8 @@ def parse_element(X: GFrobeniusAlgebra, text: str) -> tuple[int, list]:
         elif term.startswith("-"):
             sign = -1
             term = term[1:].strip()
+        # before a coefficient is split off: 1(x)x is the label 1⊗x, not 1 times (x)x
+        term = _TENSOR_RE.sub("⊗", term)
         labels = X.sector_labels[g]
         if term in labels or (term.startswith("(") and term.endswith(")")):
             coeff, label = 1, term

@@ -11,19 +11,20 @@ denominator, and cross the boundary between exact scalars and numerators
 in exactly two places: ``numerators`` reads a vector into (integer
 numerators, the lcm of its entries' denominators), and ``divided`` writes
 numerators over a denominator back as exact scalars, ``int`` where
-integral.  ``numerators`` runs its per-entry work at C level: an all-int
-vector passes through untouched, and any other vector, ``Fraction`` entries
-mixed with ``int`` ones or not, is read with ``map(getattr, ...)`` from the
-``Fraction`` slots, an ``int`` standing for its own numerator over 1.
-``divided`` takes one ``gcd`` per entry through ``map`` and builds each
-non-integral entry from its reduced pair by filling the two slots, as
-``Fraction._from_coprime_ints`` of Python 3.12 does, without
-``Fraction.__new__``'s generic dispatch.  Both rest on CPython's
-``Fraction`` layout (two slots, ``_numerator`` and ``_denominator``, that
-hold the reduced pair with a positive denominator) on Python 3.10 to 3.13;
-``tests/fraction_layout.py`` pins it (value, type, hash and repr against
-``norm(Fraction(n, d))``, and the reader back) and runs under pytest and
-as a plain script.
+integral.  An all-int vector passes ``numerators`` untouched; any other
+vector, ``Fraction`` entries mixed with ``int`` ones or not, is read by
+comprehensions over the ``Fraction`` slots: one collects the denominators,
+and one builds every numerator over their lcm, an ``int`` standing for its
+own numerator over 1.  ``divided`` builds each entry in one loop with no
+function call of its own: one ``gcd``, then an ``int`` where the
+denominator divides the numerator, else a ``Fraction`` whose two slots are
+filled with the reduced pair, as ``Fraction._from_coprime_ints`` of Python
+3.12 does, without ``Fraction.__new__``'s generic dispatch.  Both rest on
+CPython's ``Fraction`` layout (two slots, ``_numerator`` and
+``_denominator``, that hold the reduced pair with a positive denominator)
+on Python 3.10 to 3.13; ``tests/fraction_layout.py`` pins it (value, type,
+hash and repr against ``norm(Fraction(n, d))``, and both of the reader's
+passes back) and runs under pytest and as a plain script.
 
 Linear maps are sparse ``{index: {index: value}}`` maps, reduced by
 ``sparse_echelon`` and combined by ``sparse_kron``; the private helpers
@@ -41,8 +42,6 @@ import json
 import math
 import re
 from fractions import Fraction
-from itertools import repeat
-from operator import mul
 from typing import Union
 
 Rat = Union[int, Fraction]
@@ -113,11 +112,12 @@ def numerators(v, length: int | None = None) -> tuple[list, int]:
     denominator is the lcm of the entries' reduced denominators, and each
     numerator is its entry times it.  A vector of ints alone is returned as
     it is (a list), over 1; callers read the numerators and never write them.
-    Any other vector is read in one pass per slot with ``map(getattr, ...)``,
-    an ``int`` entry being its own numerator over 1, and the rescale to one
-    denominator is one ``map(mul, ...)``, skipped when the denominators agree.
-    A vector whose length is not ``length`` (when given), or with an entry
-    neither ``int`` nor ``Fraction``, is refused."""
+    Any other vector is read by two comprehensions over the ``Fraction``
+    slots: one collects the denominators, and one scales every entry to
+    their lcm, an ``int`` entry being its own numerator over 1.  When every
+    entry is a ``Fraction`` over one denominator, the second reads the
+    numerators alone.  A vector whose length is not ``length`` (when given),
+    or with an entry neither ``int`` nor ``Fraction``, is refused."""
     if length is not None and len(v) != length:
         raise ValueError(f"operand must have length {length}")
     types = set(map(type, v))
@@ -126,35 +126,36 @@ def numerators(v, length: int | None = None) -> tuple[list, int]:
     if not types <= _RATS:
         other = sorted(t.__name__ for t in types - _RATS)
         raise TypeError(f"operand entries must be int or Fraction, not {', '.join(other)}")
-    nums = list(map(getattr, v, repeat("_numerator"), v))
-    dens = list(map(getattr, v, repeat("_denominator"), repeat(1)))
-    common = set(dens)
-    if len(common) == 1:
-        return nums, common.pop()
-    lcm = math.lcm(*common)
-    scale = {d: lcm // d for d in common}
-    return list(map(mul, nums, map(scale.__getitem__, dens))), lcm
-
-
-def _from_coprime_ints(numerator: int, denominator: int) -> Fraction:
-    """The ``Fraction`` of a pair already in lowest terms, denominator > 1:
-    its two slots filled directly, as ``Fraction._from_coprime_ints`` of
-    Python 3.12 does."""
-    out = object.__new__(Fraction)
-    out._numerator, out._denominator = numerator, denominator
-    return out
+    dens = {x._denominator for x in v if type(x) is Fraction}
+    if len(dens) == 1 and int not in types:
+        return [x._numerator for x in v], dens.pop()
+    lcm = math.lcm(*dens)
+    scale = {d: lcm // d for d in dens}
+    return [x._numerator * scale[x._denominator] if type(x) is Fraction else x * lcm
+            for x in v], lcm
 
 
 def divided(nums, den: int) -> list:
     """Integer numerators over a positive ``den`` as exact scalars: ``int``
     where ``den`` divides the numerator, else the ``Fraction`` of the
     reduced pair, equal in value, type, hash and repr to ``norm(Fraction(w,
-    den))``.  One ``gcd`` per entry through ``map``; ``nums`` itself (as a
-    list) when ``den`` is 1."""
+    den))``.  One loop builds each entry from one ``gcd``, filling a
+    non-integral entry's two slots in place; ``nums`` itself (as a list)
+    when ``den`` is 1."""
     if den == 1:
         return nums if type(nums) is list else list(nums)
-    return [w // g if g == den else _from_coprime_ints(w // g, den // g)
-            for w, g in zip(nums, map(math.gcd, nums, repeat(den)))]
+    out: list = []
+    append, gcd, new = out.append, math.gcd, object.__new__
+    for w in nums:
+        g = gcd(w, den)
+        if g == den:
+            append(w // den)
+        else:
+            x = new(Fraction)
+            x._numerator = w // g
+            x._denominator = den // g
+            append(x)
+    return out
 
 
 def check_indices(what: str, indices, bounds) -> None:

@@ -758,25 +758,26 @@ def _layers(rows: list, size: int) -> tuple:
     every output, its j-th (input, numerator), or the zero slot (index
     len(rows), one past the operand) when it has fewer inputs: a C-level
     getter of the inputs, and the numerators, None when all are 1.  A layer
-    costs about its ``size`` slots plus ``_LAYER_SETUP``, and a scattered
-    row entry as much as ``_LAYER_COST`` slots (measured on the lift maps of
+    costs about its ``size`` slots, each one after the first (whose gather
+    needs no ``map(add, ...)``) ``_LAYER_SETUP`` more, and a scattered row
+    entry as much as ``_LAYER_COST`` slots (measured on the lift maps of
     Sym^3..Sym^5 of surface4), so sparser operands keep the scatter."""
     inputs: list = [[] for _ in range(size)]
     for x, row in enumerate(rows):
         for o, w in row:
             inputs[o].append((x, w))
     width = max(map(len, inputs), default=0)
-    if not width:   # a zero map: nothing to gather, and no operand is denser than its length
+    # no operand is denser than its length: a zero map has nothing to gather,
+    # and a map with one output (a base of dimension 1, so one input) scatters
+    if not width or size == 1:
         return [], len(rows)
     slot = (len(rows), 1)
     layers = []
     for j in range(width):
         xs, ws = zip(*(ins[j] if j < len(ins) else slot for ins in inputs))
-        # a tuple getter: only a base of dimension 1 has one output, and then one
-        # input, below its cut, so its layers are never applied
         layers.append((itemgetter(*xs), None if set(ws) == {1} else list(ws)))
     # the scatter costs about (1 + row entries per input) per nonzero entry
-    return layers, (width * (size + _LAYER_SETUP) * len(rows)
+    return layers, ((width * size + (width - 1) * _LAYER_SETUP) * len(rows)
                     // (_LAYER_COST * (len(rows) + sum(map(len, rows)))))
 
 

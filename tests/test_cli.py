@@ -637,6 +637,19 @@ def test_mult_map_form_refuses_a_repeated_label(tmp_path, capsys, coeffs):
     assert capsys.readouterr().out.strip() == "5*1⊗x@e"
 
 
+def test_mult_ascii_tensor_sign_before_a_digit_label(tmp_path, capsys):
+    # (x) spells ⊗ also where a label starts with a digit, as parse_element's docstring shows
+    sp2 = tmp_path / "sp2.json"
+    run("symprod", FIXTURES / "dual_numbers.json", "--n", 2, "--out", sp2)
+    capsys.readouterr()
+    assert run("mult", sp2, "(1(x)x + x(x)1)@e", "1(x)1@e") == 0
+    assert capsys.readouterr().out.strip() == "(1⊗x + x⊗1)@e"
+    assert run("mult", sp2, "2*1(x)x - 3/2 x(x)1@e", "(1,1)@e") == 0
+    assert capsys.readouterr().out.strip() == "(2*1⊗x - 3/2x⊗1)@e"
+    assert run("mult", sp2, "2(x)@(1 2)", "(1)@(1 2)") == 0   # a one-factor tuple is no ⊗
+    assert capsys.readouterr().out.strip() == "2x⊗x@e"
+
+
 def test_mult_unknown_label_exits_two(tmp_path, capsys):
     sp2 = tmp_path / "sp2.json"
     run("symprod", FIXTURES / "dual_numbers.json", "--n", 2, "--out", sp2)
