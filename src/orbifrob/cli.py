@@ -69,7 +69,7 @@ def parse_element(X: GFrobeniusAlgebra, text: str) -> tuple[int, list]:
         coeffs = coeff_part.split("=", 1)[1].strip()
         if not (coeffs.startswith("{") and coeffs.endswith("}")):
             raise UsageError(f"element {text!r}: coeffs must be a {{...}} map")
-        vec = ex.vec_zero(X.sector_dims[g])
+        vec = [0] * X.sector_dims[g]
         body = coeffs[1:-1].strip()
         seen: set = set()
         if body:
@@ -91,7 +91,7 @@ def parse_element(X: GFrobeniusAlgebra, text: str) -> tuple[int, list]:
     combo = combo.strip()
     if combo.startswith("(") and combo.endswith(")") and ("+" in combo or " - " in combo):
         combo = combo[1:-1]
-    vec = ex.vec_zero(X.sector_dims[g])
+    vec = [0] * X.sector_dims[g]
     if combo in ("0", ""):
         return g, vec
     for signed_term in re.split(r"\s+(?=[+-])", combo.replace("+-", "-")):
@@ -280,6 +280,8 @@ def cmd_twist(args) -> int:
 
 def cmd_invariants(args) -> int:
     from . import gfrob
+    if args.shift is not None and not args.poincare:
+        raise UsageError("--shift needs --poincare")
     X = _load_galg(args.file)
     inv = gfrob.invariants(X)
     if args.poincare:   # before any output: bad shift flags leave stdout empty
@@ -346,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("invariants", help="invariant subalgebra dimensions per class")
     p.add_argument("file")
     p.add_argument("--poincare", action="store_true")
-    p.add_argument("--shift", choices=["none", "standard"], default="none")
+    p.add_argument("--shift", choices=["none", "standard"])
     p.set_defaults(func=cmd_invariants)
 
     p = sub.add_parser("export", help="re-emit a document in canonical form")

@@ -43,9 +43,6 @@ class Cocycle2:
                         f"cocycle value at ({self.group.labels[g]}, {self.group.labels[h]}) is zero"
                     )
 
-    def value(self, g: int, h: int) -> ex.Rat:
-        return self.values[g][h]
-
     def validate(self) -> Report:
         refuse_scan(self.group.order)   # every twist validates its cocycle here
         return validate(self)

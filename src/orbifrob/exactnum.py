@@ -6,9 +6,11 @@ and ``fractions.Fraction`` otherwise (``norm`` collapses integral fractions
 back to ``int`` so the hot loops stay on machine integers as long as the
 denominators allow).
 
-The product kernels and the cocycle scan run on integer numerators over one
-denominator, and cross the boundary between exact scalars and numerators
-in exactly two places: ``numerators`` reads a vector into (integer
+The product kernels, the cocycle scan and the integer tables the algebras
+build run on integer numerators over one denominator, and cross the
+boundary between exact scalars and numerators in exactly two places, both
+here; no other module reads a numerator or a denominator or takes an lcm
+or a gcd.  ``numerators`` reads a vector into (integer
 numerators, the lcm of its entries' denominators), and ``divided`` writes
 numerators over a denominator back as exact scalars, ``int`` where
 integral.  An all-int vector passes ``numerators`` untouched; any other
@@ -32,8 +34,9 @@ after them clean, transpose and sum such maps for both algebra layers.  The
 dense ``echelon``, ``rank`` and ``mat_mul`` (with its ``mat_zero``) have no
 caller in the package: they remain as the entry points the benchmark tracer
 patches by name, and as references the tests check sparse results against.
-Documents are read and written here too, in one canonical JSON form
-(``dump_json``).
+Documents are read and written here too, in one canonical form: every
+table of scalars is written by ``table_entries`` as ``[*indices, "p/q"]``
+entries sorted by their indices, and every document by ``dump_json``.
 """
 
 from __future__ import annotations
@@ -45,7 +48,6 @@ from fractions import Fraction
 from typing import Union
 
 Rat = Union[int, Fraction]
-Vector = list  # list[Rat]
 Matrix = list  # list[list[Rat]]
 SparseMap = dict  # {index: {index: Rat}}, no zero value and no empty inner map stored
 SparseVec = dict  # {index: Rat}
@@ -187,6 +189,22 @@ def check_new(what: str, seen: set, key: tuple) -> None:
     seen.add(key)
 
 
+def table_entries(table: dict) -> list:
+    """A document table's entries from a nested sparse map: the keys of each
+    level in turn, a tuple key spread into its indices, give an entry
+    ``[*indices, fmt_rat(value)]``; entries come sorted by their indices,
+    which are unique, so no two values are compared."""
+    def flat(node, prefix):
+        for key, value in node.items():
+            index = (*prefix, *key) if type(key) is tuple else (*prefix, key)
+            if type(value) is dict:
+                yield from flat(value, index)
+            else:
+                yield index, value
+
+    return [[*index, fmt_rat(value)] for index, value in sorted(flat(table, ()))]
+
+
 def dump_json(payload) -> str:
     """A document's canonical text: sorted keys, two-space indent, final newline."""
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
@@ -203,18 +221,6 @@ def load_json(path):
             return json.load(fh)
         except RecursionError:
             raise ValueError(f"{path}: document is nested too deeply to read") from None
-
-
-# -- dense vectors ---------------------------------------------------------
-
-def vec_zero(n: int) -> Vector:
-    return [0] * n
-
-
-def basis_vector(n: int, i: int) -> Vector:
-    v = [0] * n
-    v[i] = 1
-    return v
 
 
 # -- dense matrices --------------------------------------------------------
@@ -346,7 +352,7 @@ def _sum_rows(terms) -> SparseVec:
 
 def _bilinear(table: dict, a, b, size: int) -> list:
     """Dense vectors a and b multiplied through a table {(i, j): {k: c}}."""
-    out = vec_zero(size)
+    out = [0] * size
     for i, x in enumerate(a):
         if x == 0:
             continue

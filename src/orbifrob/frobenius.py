@@ -43,7 +43,6 @@ at m - m // 2 factors.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from itertools import repeat
 from operator import add, mul
@@ -99,12 +98,11 @@ class FrobeniusAlgebra:
         self.rows = rows = {key: row for key, row in cleaned if row}
         # per left index x: (y, row items) for each y with e_x e_y != 0, as
         # integer numerators over one denominator
-        den = math.lcm(*(c.denominator for row in rows.values() for c in row.values()))
-        self._pairs_den = den
+        nums, self._pairs_den = ex.numerators([c for row in rows.values() for c in row.values()])
+        nums = iter(nums)
         self._pairs = [[] for _ in range(self.dim)]
         for (x, y), row in rows.items():
-            self._pairs[x].append(
-                (y, [(k, c.numerator * (den // c.denominator)) for k, c in row.items()]))
+            self._pairs[x].append((y, [(k, next(nums)) for k in row]))
         pair_degrees = {self.degrees[i] + self.degrees[j]
                         for i, row in self.metric.items() for j in row}
         # uniformity of the pairing degree is a law checked by verify()
@@ -128,10 +126,6 @@ class FrobeniusAlgebra:
         if len(a) != self.dim or len(b) != self.dim:
             raise ValueError(f"{self.name}: operand dimension mismatch")
         return _bilinear(self.rows, a, b, self.dim)
-
-    def multiply_basis(self, i: int, j: int) -> dict:
-        """Sparse product of two basis elements."""
-        return dict(self.rows.get((i, j), {}))
 
     def copairing(self) -> list[tuple[int, int, Rat]]:
         """Dual-basis tensor: triples (i, j, c) representing sum c e_i (x) e_j."""
@@ -189,7 +183,7 @@ def _associative(A: FrobeniusAlgebra, entries: list, yz: list):
 
 
 def _unital(A: FrobeniusAlgebra):
-    basis = (ex.basis_vector(A.dim, i) for i in range(A.dim))
+    basis = ([int(j == i) for j in range(A.dim)] for i in range(A.dim))
     return next(({"i": A.labels[i]} for i, e in enumerate(basis)
                  if A.multiply(A.unit, e) != e or A.multiply(e, A.unit) != e), None)
 
@@ -384,14 +378,7 @@ def tensor_metric(algebra: FrobeniusAlgebra, m: int) -> ex.SparseMap:
 def tensor_unit(algebra: FrobeniusAlgebra, m: int):
     out = [1]
     for _ in range(m):
-        new = ex.vec_zero(len(out) * algebra.dim)
-        for idx, c in enumerate(out):
-            if c == 0:
-                continue
-            for k, v in enumerate(algebra.unit):
-                if v != 0:
-                    new[idx * algebra.dim + k] = ex.norm(c * v)
-        out = new
+        out = [ex.norm(c * v) for c in out for v in algebra.unit]
     return out
 
 
@@ -406,12 +393,8 @@ def to_json_dict(algebra: FrobeniusAlgebra) -> dict:
             for i in range(algebra.dim)
         ],
         "unit": [ex.fmt_rat(x) for x in algebra.unit],
-        "metric": [[i, j, ex.fmt_rat(row[j])]
-                   for i, row in sorted(algebra.metric.items()) for j in sorted(row)],
-        "structure": [
-            [i, j, k, ex.fmt_rat(algebra.rows[i, j][k])]
-            for i, j, k in sorted(algebra._constants())
-        ],
+        "metric": ex.table_entries(algebra.metric),
+        "structure": ex.table_entries(algebra.rows),
     }
 
 

@@ -252,7 +252,7 @@ def _invariant_unit(X: GFrobeniusAlgebra):
     G, dims, e = X.group, X.sector_dims, X.group.identity
     for h in G.elements():
         for j in range(dims[h]):
-            ej = ex.basis_vector(dims[h], j)
+            ej = [int(i == j) for i in range(dims[h])]
             if X.multiply(e, h, X.unit, ej) != ej or X.multiply(h, e, ej, X.unit) != ej:
                 return {"h": G.labels[h], "basis": j, "issue": "unit does not act as identity"}
     for g in G.elements():
@@ -693,34 +693,16 @@ def to_json_dict(X: GFrobeniusAlgebra) -> dict:
             "parities": list(X.sector_parities[g]),
             "basis": list(X.sector_labels[g]),
         })
-    product = []
-    for g in G.elements():
-        for h in G.elements():
-            table = X.product.get((g, h), {})
-            for (i, j) in sorted(table):
-                for k in sorted(table[(i, j)]):
-                    product.append([g, h, i, j, k, ex.fmt_rat(table[(i, j)][k])])
-    action = []
-    for g in G.elements():
-        for h in G.elements():
-            block = X.action[(g, h)]
-            for i, j in sorted((i, j) for j, col in block.items() for i in col):
-                action.append([g, h, i, j, ex.fmt_rat(block[j][i])])
-    metric = []
-    for g in G.elements():
-        block = X.metric[g]
-        for i in sorted(block):
-            for j in sorted(block[i]):
-                metric.append([g, i, j, ex.fmt_rat(block[i][j])])
     return {
         "name": X.name,
         "group": group_doc(G),
         "sectors": sectors,
-        "product": product,
-        "action": action,
-        "metric": metric,
+        "product": ex.table_entries(X.product),
+        # action blocks are stored by columns, written as [g, h, i, j]
+        "action": ex.table_entries({key: _transpose(block) for key, block in X.action.items()}),
+        "metric": ex.table_entries(dict(enumerate(X.metric))),
         "character": [ex.fmt_rat(c) for c in X.character],
-        "unit": [[i, ex.fmt_rat(v)] for i, v in enumerate(X.unit) if v != 0],
+        "unit": ex.table_entries({i: v for i, v in enumerate(X.unit) if v != 0}),
     }
 
 
@@ -765,7 +747,7 @@ def from_json_dict(doc: dict) -> GFrobeniusAlgebra:
         ex.check_indices("metric", (i, j), (dims[g], dims[group.inv(g)]))
         ex.check_new("metric", seen, (g, i, j))
         metric[g].setdefault(i, {})[j] = ex.rat(v)
-    unit = ex.vec_zero(dims[group.identity])
+    unit = [0] * dims[group.identity]
     seen = set()
     for i, v in doc.get("unit", []):
         ex.check_indices("unit", (i,), (dims[group.identity],))

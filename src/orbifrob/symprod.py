@@ -85,7 +85,6 @@ tables once every sector pair holds its own.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from itertools import compress
 from operator import add, itemgetter, mul
@@ -171,7 +170,7 @@ class SymmetricProductAlgebra:
             raise ValueError("second quantization requires an evenly graded base")
         for i in range(base.dim):
             for j in range(i + 1, base.dim):
-                if base.multiply_basis(i, j) != base.multiply_basis(j, i):
+                if base.rows.get((i, j)) != base.rows.get((j, i)):
                     raise ValueError(
                         f"second quantization requires a commutative base; "
                         f"witness ({base.labels[i]}, {base.labels[j]})"
@@ -263,10 +262,7 @@ class SymmetricProductAlgebra:
                 col_y = [(q, v) for q, v in by_last[y].items() if v]
                 if col_y:
                     nums[t + (y,)] = col_y
-        # numerators over den, rescaled to the lcm of their reduced denominators
-        out_den = math.lcm(*(den // math.gcd(v, den) for col in nums.values() for _, v in col))
-        scale = den // out_den
-        return {t: [(q, v // scale) for q, v in col] for t, col in nums.items()}, out_den
+        return _integral(nums, den)
 
     @memo
     def _adjoint_columns(self, m: int) -> tuple[dict, int]:

@@ -772,6 +772,21 @@ def test_invariants_rejects_bad_shift_flags_before_printing(tmp_path, capsys):
     assert capsys.readouterr().out.splitlines()[-2:] == ["total: 3", "poincare: 3"]
 
 
+def test_invariants_refuses_shift_without_poincare(tmp_path, capsys):
+    # --shift used to be ignored without --poincare: class lines, no poincare line, exit 0
+    sym2 = tmp_path / "sym2.json"
+    assert run("symprod", FIXTURES / "dual_numbers.json", "--n", 2, "--out", sym2) == 0
+    capsys.readouterr()
+    for shift in ("standard", "none"):
+        assert run("invariants", sym2, "--shift", shift) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == "error: --shift needs --poincare\n"
+    assert run("invariants", sym2, "--poincare", "--shift", "none") == 0
+    plain = capsys.readouterr().out
+    assert run("invariants", sym2, "--poincare") == 0
+    assert capsys.readouterr().out == plain and "poincare: " in plain
+
+
 def test_symprod_budget_exceeded_exits_two(tmp_path, capsys):
     assert run("symprod", FIXTURES / "surface4.json", "--n", 4,
                "--out", tmp_path / "never.json") == 2

@@ -109,7 +109,7 @@ def test_epsilon_relations_on_s3():
     assert cocy.validate(alpha).passed
     G = alpha.group
     eps = cocy.epsilon(alpha)
-    a = alpha.value
+    a = alpha.values
     e = G.identity
     F = Fraction
     for x in G.elements():
@@ -123,14 +123,14 @@ def test_epsilon_relations_on_s3():
             for y in G.elements():
                 lhs = F(eps[k][G.mul(x, y)])
                 rhs = (F(eps[k][x]) * F(eps[k][y])
-                       * F(a(G.conj(k, x), G.conj(k, y))) / F(a(x, y)))
+                       * F(a[G.conj(k, x)][G.conj(k, y)]) / F(a[x][y]))
                 assert lhs == rhs
     for x in G.elements():
         for h in G.elements():
             comm = G.commutator(x, h)
             lhs = F(eps[h][x])
             rhs = (F(eps[G.inv(x)][G.conj(x, h)])
-                   * F(a(comm, h)) / F(a(comm, G.conj(h, x))))
+                   * F(a[comm][h]) / F(a[comm][G.conj(h, x)]))
             assert lhs == rhs
 
 
@@ -154,15 +154,15 @@ def test_epsilon_on_commuting_pairs(n):
 def test_normalized_cocycle_values():
     alpha = cocy.normalized_sn_cocycle(3, -1)
     G = alpha.group
-    assert alpha.value(G.index_of("(1 2 3)"), G.index_of("(1 2)")) == -1
+    assert alpha.values[G.index_of("(1 2 3)")][G.index_of("(1 2)")] == -1
     for a in G.elements():
         for b in G.elements():
             if is_transversal(G.perms[a], G.perms[b]):
-                assert alpha.value(a, b) == 1
+                assert alpha.values[a][b] == 1
     G2 = symmetric_group(2)
     alpha2 = cocy.normalized_sn_cocycle(2, -1)
     tau = G2.index_of("(1 2)")
-    assert alpha2.value(tau, tau) == -1
+    assert alpha2.values[tau][tau] == -1
     with pytest.raises(ValueError):
         cocy.normalized_sn_cocycle(2, 0)
 

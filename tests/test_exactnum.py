@@ -65,6 +65,22 @@ def test_numerators_read_one_lcm_denominator():
         ex.numerators([Fraction(1, 2), 0.5])
 
 
+def test_table_entries_flatten_sort_and_format():
+    # nested levels inserted out of index order come out sorted by the index tuple
+    nested = {2: {1: 5, 0: Fraction(-3, 6)}, 0: {3: -7}}
+    assert ex.table_entries(nested) == [[0, 3, "-7"], [2, 0, "-1/2"], [2, 1, "5"]]
+    # a tuple key spreads into its indices, at any level
+    rows = {(1, 0): {0: Fraction(4, 2)}, (0, 1): {1: 1, 0: Fraction(2, 3)}}
+    assert ex.table_entries(rows) == [[0, 1, 0, "2/3"], [0, 1, 1, "1"], [1, 0, 0, "2"]]
+    blocks = {(1, 0): {(0, 0): {0: -1}}, (0, 1): {(1, 0): {2: Fraction(-1, 4)}}}
+    assert ex.table_entries(blocks) == [[0, 1, 1, 0, 2, "-1/4"], [1, 0, 0, 0, 0, "-1"]]
+    # each value is formatted as fmt_rat formats it
+    values = [3, -2, Fraction(5, 7), Fraction(-9, 4), Fraction(6, 3)]
+    assert ex.table_entries(dict(enumerate(values))) == [
+        [i, ex.fmt_rat(v)] for i, v in enumerate(values)]
+    assert ex.table_entries({}) == []
+
+
 def test_exact_arithmetic_no_tolerance():
     rng = random.Random(7)
     for _ in range(50):

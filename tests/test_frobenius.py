@@ -134,12 +134,12 @@ def test_copairing_reproduces_identity(qx2, surface):
     # sum_i eta(a, e_i) e^i = a for every basis a
     for algebra in (qx2, surface):
         for b in range(algebra.dim):
-            a = ex.basis_vector(algebra.dim, b)
-            out = ex.vec_zero(algebra.dim)
+            a = [int(i == b) for i in range(algebra.dim)]
+            out = [0] * algebra.dim
             for i, j, c in algebra.copairing():
                 coeff = c * algebra.metric.get(b, {}).get(i, 0)
                 if coeff:
-                    out = [x + coeff * y for x, y in zip(out, ex.basis_vector(algebra.dim, j))]
+                    out = [x + coeff * y for x, y in zip(out, [int(k == j) for k in range(algebra.dim)])]
             assert out == a
 
 
@@ -153,7 +153,7 @@ def test_euler_class_is_central_and_top_degree(qx2, surface):
     for algebra in (qx2, surface):
         e = algebra.euler_class()
         for b in range(algebra.dim):
-            v = ex.basis_vector(algebra.dim, b)
+            v = [int(i == b) for i in range(algebra.dim)]
             assert algebra.multiply(e, v) == algebra.multiply(v, e)
         degs = {algebra.degrees[i] for i, c in enumerate(e) if c != 0}
         assert degs == {algebra.top_degree}
@@ -174,7 +174,7 @@ def _reference_factorwise_multiply(algebra, m, u, v):
     size = algebra.dim ** m
     if len(u) != size or len(v) != size:
         raise ValueError(f"tensor power operands must have length {size}")
-    out = ex.vec_zero(size)
+    out = [0] * size
     for iu, x in enumerate(u):
         if x == 0:
             continue

@@ -177,22 +177,22 @@ def reference_twist(X, alpha, sigma) -> gfrob.GFrobeniusAlgebra:
     alpha(ghg^-1,g), metric times alpha(g,g^-1), character times
     (-1)^{sigma(g)}, parities shifted by sigma(g)."""
     G = X.group
-    a = (alpha or trivial_cocycle(G)).value
+    a = (alpha or trivial_cocycle(G)).values
     par = (sigma or zero_supertwist(G)).parity
 
     def phi(g, h):
-        return (-1 if par[g] * par[h] else 1) * Fraction(a(g, h)) / Fraction(a(G.conj(g, h), g))
+        return (-1 if par[g] * par[h] else 1) * Fraction(a[g][h]) / Fraction(a[G.conj(g, h)][g])
 
     return gfrob.GFrobeniusAlgebra(
         name="reference", group=G, sector_dims=list(X.sector_dims),
         sector_degrees=copy.deepcopy(X.sector_degrees),
         sector_parities=[[(p + par[g]) % 2 for p in ps] for g, ps in enumerate(X.sector_parities)],
         sector_labels=copy.deepcopy(X.sector_labels),
-        product={(g, h): {ij: {k: a(g, h) * v for k, v in row.items()} for ij, row in table.items()}
+        product={(g, h): {ij: {k: a[g][h] * v for k, v in row.items()} for ij, row in table.items()}
                  for (g, h), table in X.product.items()},
         action={(g, h): {j: {i: phi(g, h) * v for i, v in col.items()} for j, col in block.items()}
                 for (g, h), block in X.action.items()},
-        metric=[{i: {j: a(g, G.inv(g)) * v for j, v in row.items()} for i, row in block.items()}
+        metric=[{i: {j: a[g][G.inv(g)] * v for j, v in row.items()} for i, row in block.items()}
                 for g, block in enumerate(X.metric)],
         character=[-c if par[g] else c for g, c in enumerate(X.character)],
         unit=list(X.unit))

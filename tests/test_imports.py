@@ -2,7 +2,9 @@
 orbifrob module or a standard-library module.  The layers import downward
 only: exactnum imports no package module, _report only exactnum, and the
 base algebras and the CLI's module level only those two.  Each CLI command
-imports only the orbifrob modules it runs.  The package holds nothing that no one uses:
+imports only the orbifrob modules it runs.  Only exactnum crosses the
+boundary between exact scalars and integer numerators: no other module
+reads a numerator or denominator or takes an lcm or gcd.  The package holds nothing that no one uses:
 every public definition is reached from the package, the benchmark or an
 acceptance criterion, and every private one from the package or the
 benchmark."""
@@ -113,6 +115,39 @@ def test_each_command_imports_only_the_modules_it_runs(tmp_path):
     for argv in (["mult", doc, "1@(1 2)", "1@(1 2)"], ["export", doc]):
         assert _loaded_modules(tmp_path, *argv).isdisjoint(
             {"symprod", "cocycles", "grading", "frobenius"}), argv[0]
+
+
+# -- one numerator boundary ----------------------------------------------------------
+
+_SLOTS = {"numerator", "denominator", "_numerator", "_denominator"}
+
+
+def _boundary_crossings(source: str) -> list[str]:
+    """'line: name' for every read of a Fraction's numerator or denominator
+    and every use of ``math.lcm`` or ``math.gcd``, imported by name or not."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and (
+                node.attr in _SLOTS or (node.attr in ("lcm", "gcd")
+                                        and getattr(node.value, "id", None) == "math")):
+            found.append((node.lineno, node.col_offset, ast.unparse(node)))
+        elif isinstance(node, ast.ImportFrom) and node.module == "math":
+            found += [(node.lineno, node.col_offset, f"math.{alias.name}") for alias in node.names
+                      if alias.name in ("lcm", "gcd")]
+    return [f"{line}: {name}" for line, _, name in sorted(found)]
+
+
+def test_checker_flags_boundary_crossings():
+    source = ("import math\nd = x.denominator * y._numerator\nm = math.lcm(*ds)\n"
+              "from math import gcd\ng = math.gcd\nr = math.isqrt(n) + q.numerators\n")
+    assert _boundary_crossings(source) == [
+        "2: x.denominator", "2: y._numerator", "3: math.lcm", "4: math.gcd", "5: math.gcd"]
+
+
+def test_only_exactnum_crosses_the_numerator_boundary():
+    crossings = {path.name: _boundary_crossings(path.read_text(encoding="utf-8"))
+                 for path in sorted(PACKAGE.glob("*.py")) if path.stem != "exactnum"}
+    assert {name: found for name, found in crossings.items() if found} == {}
 
 
 # -- every public definition has a user -------------------------------------------
