@@ -261,8 +261,8 @@ def cmd_twist(args) -> int:
     from . import gfrob
     if args.lam is not None and args.cocycle:
         raise UsageError("--lambda and --cocycle are alternatives: pass one")
-    # --lambda validates a cocycle on the document's whole group
-    X = _load_galg(args.file, scan=args.lam is not None)
+    # either cocycle is validated on the document's whole group
+    X = _load_galg(args.file, scan=args.lam is not None or bool(args.cocycle))
     if args.cocycle:
         from . import cocycles as cocy
         doc = ex.load_json(args.cocycle)

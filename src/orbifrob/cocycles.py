@@ -182,9 +182,10 @@ def twisted_group_ring(group: FiniteGroup, alpha: Cocycle2 | None = None,
 def normalized_sn_cocycle(n: int, lam: ex.Rat) -> Cocycle2:
     """The normalized S_n cocycle fixed by alpha(tau, tau) = lambda.
 
-    Values are lambda^((|s|+|s'|-|ss'|)/2); transversal pairs get 1.
+    Values are lambda^((|s|+|s'|-|ss'|)/2); transversal pairs get 1.  Lambda
+    is read by ``ex.rat``: an int, a Fraction or a ``p/q`` string.
     """
-    lam = ex.rat(lam) if isinstance(lam, str) else ex.norm(lam)
+    lam = ex.rat(lam)
     if lam == 0:
         raise ValueError("lambda must be nonzero")
     group = symmetric_group(n)

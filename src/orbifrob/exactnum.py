@@ -1,4 +1,4 @@
-"""Exact rational scalars and the small dense/sparse linear algebra kit.
+"""Exact rational scalars and the small sparse linear algebra kit.
 
 Everything in this package runs over arbitrary-precision rationals; there is
 no floating point anywhere.  Scalars are plain Python ``int`` where possible
@@ -29,11 +29,9 @@ hash and repr against ``norm(Fraction(n, d))``, and both of the reader's
 passes back) and runs under pytest and as a plain script.
 
 Linear maps are sparse ``{index: {index: value}}`` maps, reduced by
-``sparse_echelon`` and combined by ``sparse_kron``; the private helpers
-after them clean, transpose and sum such maps for both algebra layers.  The
-dense ``echelon``, ``rank`` and ``mat_mul`` (with its ``mat_zero``) have no
-caller in the package: they remain as the entry points the benchmark tracer
-patches by name, and as references the tests check sparse results against.
+``echelon`` (``rank`` counts its rows), combined by ``sparse_kron`` and
+composed by ``mat_mul``; the private helpers beside them clean, transpose
+and sum such maps for both algebra layers.
 Documents are read and written here too, in one canonical form: every
 table of scalars is written by ``table_entries`` as ``[*indices, "p/q"]``
 entries sorted by their indices, and every document by ``dump_json``.
@@ -48,7 +46,6 @@ from fractions import Fraction
 from typing import Union
 
 Rat = Union[int, Fraction]
-Matrix = list  # list[list[Rat]]
 SparseMap = dict  # {index: {index: Rat}}, no zero value and no empty inner map stored
 SparseVec = dict  # {index: Rat}
 
@@ -223,67 +220,14 @@ def load_json(path):
             raise ValueError(f"{path}: document is nested too deeply to read") from None
 
 
-# -- dense matrices --------------------------------------------------------
+# -- sparse linear maps ------------------------------------------------------
 
-def mat_zero(rows: int, cols: int) -> Matrix:
-    return [[0] * cols for _ in range(rows)]
-
-
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    if a and b and len(a[0]) != len(b):
-        raise ValueError(f"shape mismatch for matrix product: {len(a[0])} vs {len(b)}")
-    cols = len(b[0]) if b else 0
-    out = mat_zero(len(a), cols)
-    for i, row in enumerate(a):
-        oi = out[i]
-        for k, c in enumerate(row):
-            if c == 0:
-                continue
-            bk = b[k]
-            for j in range(cols):
-                if bk[j] != 0:
-                    oi[j] = norm(oi[j] + c * bk[j])
-    return out
-
-
-def echelon(m: Matrix) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form (copy) plus pivot column list."""
-    a = [[Fraction(x) for x in row] for row in m]
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        pivot = next((i for i in range(r, rows) if a[i][c] != 0), None)
-        if pivot is None:
-            continue
-        a[r], a[pivot] = a[pivot], a[r]
-        inv = 1 / a[r][c]
-        a[r] = [x * inv for x in a[r]]
-        for i in range(rows):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    return [[norm(x) for x in row] for row in a], pivots
-
-
-def rank(m: Matrix) -> int:
-    if not m or not m[0]:
-        return 0
-    _, pivots = echelon(m)
-    return len(pivots)
-
-
-def sparse_echelon(m: SparseMap) -> SparseMap:
+def echelon(m: SparseMap) -> SparseMap:
     """Reduced row echelon form of a sparse map's inner maps, as {pivot: row}.
 
     Each kept row is 1 at its pivot, 0 at every other pivot and 0 before its
-    pivot, so the rows are the unique RREF of the dense ``echelon``; the rank
-    is their count.  Reducing a new row needs one pass over the pivots it
+    pivot, so the rows are the unique reduced row echelon form; the rank is
+    their count.  Reducing a new row needs one pass over the pivots it
     touches.
     """
     kept: dict = {}
@@ -305,6 +249,11 @@ def sparse_echelon(m: SparseMap) -> SparseMap:
                             other[k] = other.get(k, 0) - f * v
             kept[c] = pivot
     return {c: {k: norm(v) for k, v in row.items() if v != 0} for c, row in kept.items()}
+
+
+def rank(m: SparseMap) -> int:
+    """The rank of a sparse map's inner maps: the row count of its ``echelon``."""
+    return len(echelon(m))
 
 
 def sparse_kron(a: SparseMap, b: SparseMap, outer: int, inner: int) -> SparseMap:
@@ -348,6 +297,12 @@ def _sum_rows(terms) -> SparseVec:
         for q, v in row.items():
             out[q] = out.get(q, 0) + c * v
     return _clean(out)
+
+
+def mat_mul(a: SparseMap, b: SparseMap) -> SparseMap:
+    """Column map of a after b."""
+    return {j: out for j, col in b.items()
+            if (out := _sum_rows((c, a.get(k, {})) for k, c in col.items()))}
 
 
 def _bilinear(table: dict, a, b, size: int) -> list:

@@ -113,7 +113,7 @@ class FrobeniusAlgebra:
     def metric_inv(self) -> ex.SparseMap:
         """The inverse pairing's rows: the right block of the echelon of [eta | I]."""
         n = self.dim
-        ech = ex.sparse_echelon({i: {**self.metric.get(i, {}), n + i: 1} for i in range(n)})
+        ech = ex.echelon({i: {**self.metric.get(i, {}), n + i: 1} for i in range(n)})
         rank = sum(c < n for c in ech)
         if rank != n:
             raise ex.SingularMatrixError(f"singular matrix (rank {rank})", rank=rank)
@@ -198,7 +198,7 @@ def _invariant(A: FrobeniusAlgebra, entries: list, yz: list):
 
 
 def _nondegenerate(A: FrobeniusAlgebra):
-    rank = len(ex.sparse_echelon(A.metric))
+    rank = ex.rank(A.metric)
     return None if rank == A.dim else {"rank": rank}
 
 

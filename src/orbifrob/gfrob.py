@@ -47,12 +47,6 @@ def _scaled(c, block: ex.SparseMap) -> ex.SparseMap:
     return {p: {q: ex.norm(c * v) for q, v in vec.items()} for p, vec in block.items()}
 
 
-def _compose(a: ex.SparseMap, b: ex.SparseMap) -> ex.SparseMap:
-    """Column map of a after b."""
-    return {j: out for j, col in b.items()
-            if (out := _sum_rows((c, a.get(k, {})) for k, c in col.items()))}
-
-
 @dataclass
 class GFrobeniusAlgebra:
     name: str
@@ -189,7 +183,7 @@ def _structure(X: GFrobeniusAlgebra, pairs: list):
     for g in G.elements():
         if _transpose(X.metric[g]) != X.metric[G.inv(g)]:
             return {"g": labels[g], "issue": "metric block not the transpose of its partner"}
-        rank = len(ex.sparse_echelon(X.metric[g]))
+        rank = ex.rank(X.metric[g])
         if rank != X.sector_dims[g]:
             return {"g": labels[g], "issue": "metric block degenerate", "rank": rank}
         if X.character[g] == 0:
@@ -199,7 +193,7 @@ def _structure(X: GFrobeniusAlgebra, pairs: list):
             return {"h": labels[h], "issue": "phi_e is not the identity"}
     for g, h in pairs:
         for s in G.elements():
-            if _compose(X.action[g, G.conj(h, s)], X.action[h, s]) != X.action[G.mul(g, h), s]:
+            if ex.mat_mul(X.action[g, G.conj(h, s)], X.action[h, s]) != X.action[G.mul(g, h), s]:
                 return {"g": labels[g], "h": labels[h], "sector": labels[s],
                         "issue": "phi_g phi_h != phi_gh"}
     return None
@@ -593,12 +587,12 @@ def _invariant_basis(X: GFrobeniusAlgebra) -> tuple[list, list, list, list]:
                         row[c] = row.get(c, 0) + v
         proj = {r: _clean(row) for r, row in proj.items() if any(row.values())}
         # read as a column map, the row map is the transpose: P^2 = P iff (|G|P)^2 = |G|(|G|P)
-        if _compose(proj, proj) != _scaled(G.order, proj):
+        if ex.mat_mul(proj, proj) != _scaled(G.order, proj):
             raise ValueError(
                 f"projector on class of {G.labels[cls[0]]} is not idempotent; "
                 "the action table is not a representation"
             )
-        ech = ex.sparse_echelon(proj)
+        ech = ex.echelon(proj)
         for col in sorted(ech):
             elem: dict = {}
             for c, x in sorted(ech[col].items()):
@@ -675,7 +669,7 @@ def invariants(X: GFrobeniusAlgebra) -> InvariantAlgebra:
         classes=classes,
         product=product,
         pairing=pairing,
-        pairing_nondegenerate=len(ex.sparse_echelon(pairing)) == len(basis),
+        pairing_nondegenerate=ex.rank(pairing) == len(basis),
         commutative=commutative,
     )
 

@@ -186,12 +186,68 @@ def tensor_tuple(index: int, dim: int, m: int) -> tuple[int, ...]:
     return tuple(reversed(out))
 
 
+def mat_zero(rows: int, cols: int) -> list:
+    """A rows x cols dense matrix of zeros; the dense kit below is the
+    reference the sparse ``ex.echelon``, ``ex.rank`` and ``ex.mat_mul`` are
+    checked against."""
+    return [[0] * cols for _ in range(rows)]
+
+
+def dense_mat_mul(a, b) -> list:
+    if a and b and len(a[0]) != len(b):
+        raise ValueError(f"shape mismatch for matrix product: {len(a[0])} vs {len(b)}")
+    cols = len(b[0]) if b else 0
+    out = mat_zero(len(a), cols)
+    for i, row in enumerate(a):
+        oi = out[i]
+        for k, c in enumerate(row):
+            if c == 0:
+                continue
+            bk = b[k]
+            for j in range(cols):
+                if bk[j] != 0:
+                    oi[j] = ex.norm(oi[j] + c * bk[j])
+    return out
+
+
+def dense_echelon(m) -> tuple[list, list[int]]:
+    """Reduced row echelon form (copy) plus pivot column list."""
+    a = [[Fraction(x) for x in row] for row in m]
+    rows = len(a)
+    cols = len(a[0]) if rows else 0
+    pivots: list[int] = []
+    r = 0
+    for c in range(cols):
+        pivot = next((i for i in range(r, rows) if a[i][c] != 0), None)
+        if pivot is None:
+            continue
+        a[r], a[pivot] = a[pivot], a[r]
+        inv = 1 / a[r][c]
+        a[r] = [x * inv for x in a[r]]
+        for i in range(rows):
+            if i != r and a[i][c] != 0:
+                f = a[i][c]
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+        r += 1
+        if r == rows:
+            break
+    return [[ex.norm(x) for x in row] for row in a], pivots
+
+
+def dense_rank(m) -> int:
+    if not m or not m[0]:
+        return 0
+    _, pivots = dense_echelon(m)
+    return len(pivots)
+
+
 def nullspace(m):
     """Basis of the right kernel, deterministic (free columns in order)."""
     if not m:
         return []
     cols = len(m[0])
-    ech, pivots = ex.echelon(m)
+    ech, pivots = dense_echelon(m)
     basis = []
     for f in (c for c in range(cols) if c not in pivots):
         v = [0] * cols
@@ -207,7 +263,7 @@ def kron(a, b):
     if not a or not b:
         return []
     ra, ca, rb, cb = len(a), len(a[0]), len(b), len(b[0])
-    out = ex.mat_zero(ra * rb, ca * cb)
+    out = mat_zero(ra * rb, ca * cb)
     for i in range(ra):
         for j in range(ca):
             x = a[i][j]

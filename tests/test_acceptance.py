@@ -18,7 +18,7 @@ from orbifrob import groups as g
 from orbifrob import symprod as sp_mod
 from orbifrob.groups import symmetric_group
 
-from conftest import nullspace, sp_instance, tensor_tuple
+from conftest import dense_rank, mat_zero, nullspace, sp_instance, tensor_tuple
 
 
 def basis(dim, i):
@@ -431,12 +431,12 @@ def _fixed_space_count(X):
         rep = cls[0]
         Z = [z for z in X.group.elements() if X.group.mul(rep, z) == X.group.mul(z, rep)]
         d = X.sector_dims[rep]
-        P = ex.mat_zero(d, d)
+        P = mat_zero(d, d)
         for z in Z:
             for j, col in X.action[(z, rep)].items():
                 for i, v in col.items():
                     P[i][j] += Fraction(v, len(Z))
-        per_class[X.group.labels[rep]] = ex.rank([[ex.norm(v) for v in row] for row in P])
+        per_class[X.group.labels[rep]] = dense_rank([[ex.norm(v) for v in row] for row in P])
     return per_class
 
 

@@ -441,6 +441,22 @@ def test_twist_refuses_a_lambda_scan_before_loading_the_document(tmp_path, capsy
     assert calls == []
 
 
+def test_twist_refuses_a_cocycle_scan_before_loading_the_document(tmp_path, capsys, monkeypatch):
+    # --cocycle scans on the document's group entry too: no sector table is built
+    calls = []
+    monkeypatch.setattr(gfrob, "from_json_dict", lambda doc: calls.append("load"))
+    path, cocycle = tmp_path / "s6.json", tmp_path / "c6.json"
+    path.write_text(json.dumps({"group": {"type": "symmetric", "n": 6},
+                                "sectors": [{"dim": 0}] * 720, "character": ["1"] * 720}))
+    cocycle.write_text(json.dumps({"group": {"type": "symmetric", "n": 6}, "values": []}))
+    assert run("twist", path, "--cocycle", cocycle) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: cocycle check would touch ~373248000 group triples "
+                            "(budget 50000000)\n")
+    assert calls == []
+
+
 @pytest.mark.parametrize("kind", ["algebra", "bare group"])
 def test_twist_refuses_a_cocycle_file_without_values(tmp_path, capsys, kind):
     # a document with a group entry and no values used to twist by the trivial cocycle

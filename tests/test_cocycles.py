@@ -167,6 +167,15 @@ def test_normalized_cocycle_values():
         cocy.normalized_sn_cocycle(2, 0)
 
 
+def test_normalized_cocycle_refuses_an_inexact_lambda():
+    # a float used to be stored as its binary fraction, and True read as 1
+    for lam in (0.1, True):
+        with pytest.raises(TypeError, match="cannot interpret"):
+            cocy.normalized_sn_cocycle(3, lam)
+    exact = cocy.normalized_sn_cocycle(3, Fraction(1, 3)).values
+    assert cocy.normalized_sn_cocycle(3, "1/3").values == exact
+
+
 def test_normalized_cocycle_multiplicative_in_lambda():
     for n in (2, 3, 4):
         lhs = cocy.normalized_sn_cocycle(n, 2) * cocy.normalized_sn_cocycle(n, Fraction(1, 3))

@@ -6,7 +6,7 @@ import pytest
 from orbifrob import exactnum as ex
 from orbifrob import frobenius as frob
 
-from conftest import kron, nullspace
+from conftest import dense_echelon, dense_mat_mul, dense_rank, kron, nullspace
 from fraction_layout import check as check_fraction_layout
 
 
@@ -106,8 +106,8 @@ def test_metric_inv_inverts_identity_and_diagonal():
 
 def test_rank_of_dual_number_pairing(qx2):
     metric = qx2.metric
-    assert len(ex.sparse_echelon(metric)) == 2
-    assert ex.rank([[metric.get(i, {}).get(j, 0) for j in range(2)] for i in range(2)]) == 2
+    assert ex.rank(metric) == 2
+    assert dense_rank([[metric.get(i, {}).get(j, 0) for j in range(2)] for i in range(2)]) == 2
 
 
 def test_singular_matrix_reports_rank():
@@ -120,7 +120,7 @@ def test_nullspace():
     basis = nullspace([[1, 2, 3]])
     assert len(basis) == 2
     for v in basis:
-        assert ex.mat_mul([[1, 2, 3]], [[x] for x in v]) == [[0]]
+        assert dense_mat_mul([[1, 2, 3]], [[x] for x in v]) == [[0]]
 
 
 def test_kron_row_major():
@@ -145,14 +145,42 @@ def test_sparse_echelon_matches_dense_echelon():
         dense.append([0] * cols)
         dense.append(list(rng.choice(dense)))
         sparse = {i: {j: v for j, v in enumerate(row) if v} for i, row in enumerate(dense)}
-        ech, pivots = ex.echelon(dense)
+        ech, pivots = dense_echelon(dense)
         expected = {c: {j: (type(v), v) for j, v in enumerate(ech[r]) if v}
                     for r, c in enumerate(pivots)}
-        kept = ex.sparse_echelon(sparse)
+        kept = ex.echelon(sparse)
         assert {c: {j: (type(v), v) for j, v in row.items()} for c, row in kept.items()} == expected
         assert sorted(kept) == pivots
-        assert len(kept) == ex.rank(dense)
-    assert ex.sparse_echelon({}) == {}
+        assert len(kept) == ex.rank(sparse) == dense_rank(dense)
+    assert ex.echelon({}) == {} and ex.rank({}) == 0
+
+
+def _random_dense(rng, rows, cols):
+    # proper Fractions, and enough zeros that whole rows and columns vanish
+    return [[rng.choice((0, 0, 0, 1, -2, Fraction(1, 3), Fraction(-5, 7))) for _ in range(cols)]
+            for _ in range(rows)]
+
+
+def _columns(dense):
+    # a dense matrix as the sparse column map {column: {row: value}}, empty columns absent
+    cols = {j: {i: row[j] for i, row in enumerate(dense) if row[j]} for j in range(len(dense[0]))}
+    return {j: col for j, col in cols.items() if col}
+
+
+def _typed(block):
+    return {p: {q: (type(v), v) for q, v in vec.items()} for p, vec in block.items()}
+
+
+def test_mat_mul_and_rank_match_the_dense_kit():
+    # ex.mat_mul composes column maps, "a after b", which is the dense product a b
+    rng = random.Random(11)
+    for _ in range(60):
+        r, m, c = rng.randint(1, 5), rng.randint(1, 5), rng.randint(1, 5)
+        a, b = _random_dense(rng, r, m), _random_dense(rng, m, c)
+        assert _typed(ex.mat_mul(_columns(a), _columns(b))) == _typed(_columns(dense_mat_mul(a, b)))
+        assert ex.rank(_columns(a)) == dense_rank(a)   # column rank, read off the column map
+    assert ex.mat_mul({}, {}) == {} and ex.mat_mul({0: {0: 1}}, {}) == {}
+    assert ex.mat_mul({}, {0: {0: 1}}) == {}
 
 
 def test_check_new_rejects_a_repeated_key():

@@ -107,6 +107,17 @@ def test_metric_inverse_rejects_degenerate_metric(qx2):
     assert info.value.rank == 1
 
 
+def test_pairing_with_dependent_nonzero_rows_is_degenerate(qx2):
+    # no row is empty, so a count of rows would read full rank
+    algebra = _with_metric(qx2, {0: {0: 1, 1: 1}, 1: {0: 1, 1: 1}})
+    report = algebra.verify()
+    assert not report["nondegeneracy"].passed
+    assert report["nondegeneracy"].witness == {"rank": 1}
+    with pytest.raises(ex.SingularMatrixError, match=r"singular matrix \(rank 1\)") as info:
+        algebra.metric_inv
+    assert info.value.rank == 1
+
+
 def test_metric_rows_are_index_checked_and_cleaned(qx2):
     algebra = _with_metric(qx2, {0: {1: Fraction(2, 2), 0: 0}, 1: {0: 1}})
     assert algebra.metric == {0: {1: 1}, 1: {0: 1}} and type(algebra.metric[0][1]) is int

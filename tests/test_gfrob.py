@@ -10,7 +10,8 @@ from orbifrob import gfrob
 from orbifrob import symprod as sp_mod
 from orbifrob.groups import FiniteGroup, symmetric_group
 
-from conftest import random_coboundary, trivial_cocycle, zero_supertwist
+from conftest import (dense_echelon, dense_mat_mul, dense_rank, mat_zero, random_coboundary,
+                      trivial_cocycle, zero_supertwist)
 
 
 def test_group_ring_passes_all_axioms(s3_ring):
@@ -60,6 +61,32 @@ def test_missing_action_block_outranks_a_degenerate_metric_block(s3_ring):
     assert gfrob.verify_axioms(X).summary() == (
         "structure (shapes, metric blocks, action is a representation): FAIL [6 instances] "
         "witness: {'g': '(1 2)', 'h': '(1 2)', 'issue': 'missing action block'}")
+
+
+def test_structure_flags_a_metric_block_with_dependent_nonzero_rows(sp_factory, qx2):
+    # the (1 2) sector of Sym^2(Q[x]/x^2) has dimension 2; its block stays
+    # symmetric, so only the rank tells it is degenerate
+    X = copy.deepcopy(sp_factory(qx2, 2).realize())
+    tau = X.group.index_of("(1 2)")
+    X.metric[tau] = {0: {0: 1, 1: 1}, 1: {0: 1, 1: 1}}
+    report = gfrob.verify_axioms(X)
+    assert report["structure"].witness == {"g": "(1 2)", "issue": "metric block degenerate",
+                                           "rank": 1}
+
+
+def test_invariant_pairing_with_dependent_nonzero_rows_is_degenerate():
+    # Q[x]/x^2 over the trivial group, paired by a rank-1 form with no zero row
+    one = FiniteGroup(["e"], [[0]])
+    X = gfrob.GFrobeniusAlgebra(
+        name="degenerate", group=one, sector_dims=[2], sector_degrees=[[0, 2]],
+        sector_parities=[[0, 0]], sector_labels=[["1", "x"]],
+        product={(0, 0): {(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 0): {1: 1}}},
+        action={(0, 0): {0: {0: 1}, 1: {1: 1}}},
+        metric=[{0: {0: 1, 1: 1}, 1: {0: 1, 1: 1}}], character=[1], unit=[1, 0],
+    )
+    inv = gfrob.invariants(X)
+    assert inv.dim == 2
+    assert inv.pairing_nondegenerate is False
 
 
 def test_verify_budget_guard(s3_ring):
@@ -373,7 +400,7 @@ def _reference_product(X, inv):
                     for k, x in enumerate(X.multiply(g, h, ug, vh)):
                         uv[offsets[gh] + k] += x
             aug = [[col[r] for col in columns] + [uv[r]] for r in range(pos)]
-            ech, pivots = ex.echelon(aug)
+            ech, pivots = dense_echelon(aug)
             assert len(columns) not in pivots, "product left the invariant subspace"
             row = {c: ech[r][len(columns)] for r, c in enumerate(pivots)
                    if ech[r][len(columns)] != 0}
@@ -417,7 +444,7 @@ def _dense_invariants(X):
             size += X.sector_dims[g]
         if size == 0:
             continue
-        proj = ex.mat_zero(size, size)
+        proj = mat_zero(size, size)
         for k in G.elements():
             for h in cls:
                 ro, co = offsets[G.conj(k, h)], offsets[h]
@@ -425,10 +452,10 @@ def _dense_invariants(X):
                     for i, v in col.items():
                         proj[ro + i][co + j] += v * scale
         proj = [[ex.norm(v) for v in row] for row in proj]
-        if ex.mat_mul(proj, proj) != proj:
+        if dense_mat_mul(proj, proj) != proj:
             raise ValueError(f"projector on class of {G.labels[cls[0]]} is not idempotent; "
                              "the action table is not a representation")
-        ech, pivots = ex.echelon(proj)
+        ech, pivots = dense_echelon(proj)
         position = [(g, k) for g in cls for k in range(X.sector_dims[g])]
         for r, col in enumerate(pivots):
             segs = {g: ech[r][offsets[g]: offsets[g] + X.sector_dims[g]] for g in cls}
@@ -469,7 +496,7 @@ def _dense_invariants(X):
                 commutative = False
     pairing = [[ex.norm(sum(X.pair(g, ug, v[G.inv(g)]) for g, ug in u.items() if G.inv(g) in v))
                 for v in basis] for u in basis]
-    nondeg = ex.rank(pairing) == len(basis) if basis else True
+    nondeg = dense_rank(pairing) == len(basis) if basis else True
     return basis, class_of, classes, product, pairing, nondeg, commutative
 
 

@@ -16,7 +16,8 @@ from orbifrob import gfrob
 from orbifrob import groups as g
 from orbifrob import symprod as sp_mod
 
-from conftest import ZERO_BASE, check_kernel, kron, load_base, tensor_index, tensor_tuple
+from conftest import (ZERO_BASE, check_kernel, dense_echelon, dense_mat_mul, kron, load_base,
+                      tensor_index, tensor_tuple)
 
 
 def basis(dim, i):
@@ -122,13 +123,14 @@ def _adjoint_matrix(sp, m):
     product, with the inverse pairing read off the dense echelon of [eta | I]."""
     D = sp.base.dim
     eta = _dense(sp.base.metric, D)
-    ech, pivots = ex.echelon([row + [int(i == j) for j in range(D)] for i, row in enumerate(eta)])
+    ech, pivots = dense_echelon([row + [int(i == j) for j in range(D)]
+                                 for i, row in enumerate(eta)])
     assert pivots[:D] == list(range(D))
     eta_inv_power = [[1]]
     for _ in range(m):
         eta_inv_power = kron(eta_inv_power, [row[D:] for row in ech])
     mu_t = [[basis_product(sp.base, list(t)).get(k, 0) for k in range(D)] for t in sp._tuples(m)]
-    return ex.mat_mul(eta_inv_power, ex.mat_mul(mu_t, eta))
+    return dense_mat_mul(eta_inv_power, dense_mat_mul(mu_t, eta))
 
 
 def _adjoint_values(sp, m):

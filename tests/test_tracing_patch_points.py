@@ -32,13 +32,29 @@ def test_tracer_installs_and_restores_on_the_current_modules():
     try:
         tracing.install(tracer, MODULES)
         patched = list(tracer._patches)
-        assert exactnum.rank([[1, 0], [0, 1]]) == 2
+        assert exactnum.rank({0: {0: 1}, 1: {1: 1}}) == 2
         assert tracer.calls["exactnum.rank"] == 1
     finally:
         tracer.restore()
     assert len(patched) > 20
     for owner, attr, original in patched:
         assert owner.__dict__[attr] is original
+
+
+def test_tracer_counts_the_linear_algebra_the_program_runs(qx2):
+    # the patched names are the kit that verify_axioms and invariants call, so
+    # the benchmark's exactnum.* metrics count real work
+    tracing = _tracing()
+    tracer = tracing.Tracer()
+    try:
+        tracing.install(tracer, MODULES)
+        X = symprod.SymmetricProductAlgebra(qx2, 2).realize()
+        assert gfrob.verify_axioms(X).passed
+        gfrob.invariants(X)
+    finally:
+        tracer.restore()
+    for name in ("exactnum.echelon", "exactnum.mat_mul", "exactnum.rank"):
+        assert tracer.calls[name] > 0, name
 
 
 def test_verify_keys_match_the_benchmark(sp_factory, qx2):
