@@ -40,9 +40,10 @@ The chain never multiplies in A_e.  Its last step, the contraction r_ss'
 onto the product sector, multiplies the factors in each cycle of ss'; as the
 base is commutative and evenly graded, r_ss' is an algebra map, so the chain
 equals the product of r_ss' of the two lifts and of each insertion.  Each is
-contracted first: a lift by rows kept per (sector, product sector, order),
-where factor c lands in the cycle of ss' that holds min(c) and a cycle that
-receives none holds the unit; the insertions per sector pair and word.
+contracted first, by rows kept per nesting (which factors each cycle of ss'
+receives, in kernel order), not per sector pair: in a lift factor c lands in
+the cycle of ss' that holds min(c), and a cycle that receives none holds the
+unit.
 The products then run on A^(x)|ss'| with ``frobenius.factorwise_product``,
 the one kernel on tensor powers, on flat numerators split into a high and a
 low half of the factors; the pushforward runs the same loop,
@@ -76,7 +77,7 @@ tuple goes to one index, a sum of strides.
 
 Every derived map is a method of its key under ``frobenius.memo``: built on
 the first call for that key, kept on the instance and reused, whether the
-key is m, a factor order, a joint-orbit shape, a sector pair or a lift.
+key is m, a factor order, a joint-orbit shape, a sector pair or a nesting.
 The two routes share that mechanism, the loop and the getters, but no map,
 which keeps the cross-oracle independent; ``realize`` drops the per-shape
 tables once every sector pair holds its own.
@@ -192,7 +193,8 @@ class SymmetricProductAlgebra:
         self._perm_index = {p.images: i for i, p in enumerate(self.perms)}
         self._galg: GFrobeniusAlgebra | None = None
         # the derived maps by method name, each built by ``frobenius.memo`` per key
-        # on first use.
+        # on first use; the chain's contraction maps once per nesting
+        # (``_gather_map``), its per-pair plans holding references to them.
         # The routes share read-only tables (m-fold product columns, base rows),
         # the loop that applies rows (frobenius._walk) and the per-order getters,
         # but no map: the pushforward's own per-orbit maps keep the cross-oracle
@@ -213,7 +215,7 @@ class SymmetricProductAlgebra:
 
     # -- contraction maps -------------------------------------------------------
 
-    def _nesting(self, fine: OrbitPartition, coarse: OrbitPartition) -> list[list[int]]:
+    def _nesting(self, fine: OrbitPartition, coarse: OrbitPartition) -> tuple:
         """Per coarse block: positions of the fine blocks it swallows."""
         if not fine.refines(coarse):
             raise ValueError("partitions are not nested")
@@ -221,7 +223,7 @@ class SymmetricProductAlgebra:
         out: list[list[int]] = [[] for _ in coarse.blocks]
         for fpos, fblock in enumerate(fine.blocks):
             out[coarse_of[fblock[0]]].append(fpos)
-        return out
+        return tuple(map(tuple, out))
 
     @memo
     def _tuples(self, m: int) -> list:
@@ -297,9 +299,12 @@ class SymmetricProductAlgebra:
         tails, den = self._unit_tails(m - 1)
         return {k: [((k,) + tail, u) for tail, u in tails] for k in range(self.base.dim)}, den
 
-    def _gather_map(self, nesting: list[list[int]]) -> tuple:
+    @memo
+    def _gather_map(self, nesting: tuple) -> tuple:
         """Rows of the map whose output factor c multiplies the input factors
-        ``nesting[c]``, and is the unit when it has none."""
+        ``nesting[c]``, and is the unit when it has none.  The one store of
+        contraction maps: the chain's lifts and insertions and
+        ``restrict_between`` are kept per nesting, a tuple of tuples."""
         D, last = self.base.dim, len(nesting) - 1
         blocks, den = [], 1
         for c, fps in enumerate(nesting):
@@ -528,32 +533,32 @@ class SymmetricProductAlgebra:
         return out
 
     def _contraction(self, positions: list[int], gh: int, order: tuple) -> tuple:
-        """Rows of r_gh after placing factors at ``positions`` of A_e, the unit
-        elsewhere, with gh's cycles in ``order``: each cycle of gh multiplies
-        the factors placed in it."""
+        """The nesting of r_gh after placing factors at ``positions`` of A_e,
+        the unit elsewhere, with gh's cycles in ``order``: per cycle of gh, the
+        factors placed in it, which it multiplies."""
         where = self._cycle_of[gh]
         nesting: list = [[] for _ in range(self.factors[gh])]
         for f, p in enumerate(positions):
             nesting[where[p]].append(f)
-        return self._gather_map([nesting[c] for c in order])
+        return tuple(tuple(nesting[c]) for c in order)
 
-    @memo
     def _lift_map(self, g: int, gh: int, order: tuple) -> tuple:
         """Rows of r_gh of the section lift from sector g, gh's cycles in
         ``order``: factor c of g sits at min(c)."""
-        return self._contraction(self._firsts[g], gh, order)
+        return self._gather_map(self._contraction(self._firsts[g], gh, order))
 
-    def _insertion(self, tau: Permutation, gh: int, order: tuple) -> tuple[dict, int]:
-        """r_gh of gamma_{tau,tau}, the copairing across the two points that the
-        transposition tau moves (``contraction_steps`` checks every word entry),
-        gh's cycles in ``order``, as the kernel's left operand: (``_split``
-        chunks, denominator)."""
+    @memo
+    def _insertion(self, nesting: tuple) -> tuple[dict, int]:
+        """r_gh of gamma_{tau,tau}, the copairing across the two points that a
+        transposition tau moves, by the ``_contraction`` nesting of those two
+        points, as the kernel's left operand: (``_split`` chunks,
+        denominator)."""
         D = self.base.dim
         copairing = [0] * D * D
         for i, j, c in self.base.copairing():
             copairing[i * D + j] = c
-        acc, den = self._mapped(copairing, self._contraction(tau.moved_points(), gh, order))
-        m = len(order)
+        acc, den = self._mapped(copairing, self._gather_map(nesting))
+        m = len(nesting)
         return _split(acc, D ** (m - m // 2)), den
 
     def contraction_steps(self, g: int, h: int, word: list[Permutation] | None = None):
@@ -593,13 +598,17 @@ class SymmetricProductAlgebra:
     @memo
     def _chain_plan(self, g: int, h: int, word: tuple | None) -> tuple:
         """The chain's state for a sector pair and a word (None: the minimal
-        one): gh's cycles in kernel order, the getter back to basis order, and
-        (``_split`` chunks, denominator) of each copairing the word inserts,
-        contracted to gh in that order."""
+        one), references only: gh's cycles in kernel order, the getter back to
+        basis order, the lift maps of g and of h, and the ``_insertion`` of
+        each copairing the word inserts.  The maps are contracted to gh in
+        that order and kept per nesting, so pairs of one nesting share them."""
         _, insertions = self.contraction_steps(g, h, word)
         gh = self.group.mul(g, h)
         order = self._chain_order(h, gh)
-        return order, self._order(order)[2], [self._insertion(t, gh, order) for t in insertions]
+        gammas = tuple(self._insertion(self._contraction(t.moved_points(), gh, order))
+                       for t in insertions)
+        back = self._order(order)[2]
+        return order, back, self._lift_map(g, gh, order), self._lift_map(h, gh, order), gammas
 
     def multiply_chain(self, g: int, a, h: int, b, word: list[Permutation] | None = None):
         """Product via the explicit transposition-word cocycle formula.
@@ -614,12 +623,10 @@ class SymmetricProductAlgebra:
         commutative, so each insertion multiplies the running product from
         the left.
         """
-        order, back, gammas = self._chain_plan(g, h, None if word is None else tuple(word))
-        gh = self.group.mul(g, h)
+        order, back, lift_g, lift_h, gammas = self._chain_plan(g, h, None if word is None else tuple(word))
         m = len(order)
         size = self.base.dim ** (m - m // 2)   # the kernel's low factors
-        (left, da), (right, db) = (self._mapped(v, self._lift_map(s, gh, order))
-                                   for s, v in ((g, a), (h, b)))
+        (left, da), (right, db) = self._mapped(a, lift_g), self._mapped(b, lift_h)
         acc, den = frob.factorwise_product(self.base, m, (_split(left, size), da),
                                            (_split(right, size), db))
         for gamma in gammas:

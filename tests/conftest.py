@@ -17,6 +17,22 @@ from orbifrob.groups import compose, degree, symmetric_group
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
+# the base documents of the ``half`` and ``rescaled`` fixtures
+HALF_BASE = {
+    "name": "half", "dim": 1, "basis": [{"label": "u", "degree": 0, "parity": 0}],
+    "unit": ["2"], "metric": [[0, 0, "1/4"]], "structure": [[0, 0, 0, "1/2"]],
+}
+RESCALED_BASE = {
+    "name": "surface4-rescaled", "dim": 4,
+    "basis": [{"label": "f0", "degree": 0, "parity": 0}, {"label": "f1", "degree": 2, "parity": 0},
+              {"label": "f2", "degree": 2, "parity": 0}, {"label": "f3", "degree": 4, "parity": 0}],
+    "unit": ["1/2", "0", "0", "0"],
+    "metric": [[0, 3, "6"], [1, 2, "15"], [2, 1, "15"], [3, 0, "6"]],
+    "structure": [[0, 0, 0, "2"], [0, 1, 1, "2"], [0, 2, 2, "2"], [0, 3, 3, "2"], [1, 0, 1, "2"],
+                  [1, 2, 3, "5"], [2, 0, 2, "2"], [2, 1, 3, "5"], [3, 0, 3, "2"]],
+}
+
+
 def load_base(name: str) -> frob.FrobeniusAlgebra:
     """The base algebra of ``fixtures/<name>.json``."""
     return frob.load(FIXTURES / f"{name}.json")
@@ -47,10 +63,7 @@ def half():
     Its one structure constant is not 1, so a product kernel that drops the
     constants of one-dimensional factors disagrees with the pairwise product.
     """
-    return frob.from_json_dict({
-        "name": "half", "dim": 1, "basis": [{"label": "u", "degree": 0, "parity": 0}],
-        "unit": ["2"], "metric": [[0, 0, "1/4"]], "structure": [[0, 0, 0, "1/2"]],
-    })
+    return frob.from_json_dict(HALF_BASE)
 
 
 @pytest.fixture(scope="session")
@@ -60,15 +73,7 @@ def rescaled():
     and eta(f1, f2) = 15.  Its structure and pairing constants are not 1, so
     the pair rows of its tensor powers and the push plans' rows carry
     numerators other than 1 in both halves of the product kernels."""
-    return frob.from_json_dict({
-        "name": "surface4-rescaled", "dim": 4,
-        "basis": [{"label": "f0", "degree": 0, "parity": 0}, {"label": "f1", "degree": 2, "parity": 0},
-                  {"label": "f2", "degree": 2, "parity": 0}, {"label": "f3", "degree": 4, "parity": 0}],
-        "unit": ["1/2", "0", "0", "0"],
-        "metric": [[0, 3, "6"], [1, 2, "15"], [2, 1, "15"], [3, 0, "6"]],
-        "structure": [[0, 0, 0, "2"], [0, 1, 1, "2"], [0, 2, 2, "2"], [0, 3, 3, "2"], [1, 0, 1, "2"],
-                      [1, 2, 3, "5"], [2, 0, 2, "2"], [2, 1, 3, "5"], [3, 0, 3, "2"]],
-    })
+    return frob.from_json_dict(RESCALED_BASE)
 
 
 # a 0-dimensional base: every tensor power of positive degree is empty

@@ -500,7 +500,7 @@ def test_budget_guard(sp_factory, qx2, surface):
 
 
 def test_chain_builds_its_rows_once_per_sector_pair(monkeypatch, surface):
-    # the lift rows per (g, gh) and the insertions per (g, h) are cached
+    # the lift and insertion rows are cached per nesting, the plan per (g, h)
     sp = sp_mod.SymmetricProductAlgebra(surface, 3)
     built = []
     build = sp_mod.SymmetricProductAlgebra._linear_map
@@ -516,10 +516,11 @@ def test_chain_builds_its_rows_once_per_sector_pair(monkeypatch, surface):
     operands = [(_random_vector(rng, sp.dims[gi]), _random_vector(rng, sp.dims[hi])) for _ in range(2)]
     first = sp.multiply_chain(gi, operands[0][0], hi, operands[0][1])
     # the word of the inverse 3-cycle inserts two copairings (two input factors
-    # each), then each one-factor operand is lifted to the identity sector
-    assert built == [2, 2, 1, 1]
+    # each), then both one-factor operands are lifted to the identity sector
+    # with one nesting: each one's factor lands on point 1
+    assert built == [2, 2, 1]
     second = sp.multiply_chain(gi, operands[1][0], hi, operands[1][1])
-    assert built == [2, 2, 1, 1]
+    assert built == [2, 2, 1]
     for (a, b), product in zip(operands, (first, second)):
         assert _typed(product) == _typed(sp.multiply_pushforward(gi, a, hi, b))
 
@@ -1333,7 +1334,7 @@ def test_memo_keeps_no_instance_alive(surface):
     a, b = _random_vector(rng, sp.dims[gi]), _random_vector(rng, sp.dims[hi])
     assert sp.multiply_chain(gi, a, hi, b) == sp.multiply_pushforward(gi, a, hi, b)
     sp.realize()
-    assert {"_plan", "_chain_plan", "_lift_map", "_orbit_map", "_order"} <= set(sp._memo)
+    assert {"_plan", "_chain_plan", "_gather_map", "_orbit_map", "_order"} <= set(sp._memo)
     ref = weakref.ref(sp)
     del sp
     assert ref() is None
@@ -1359,7 +1360,10 @@ def test_realize_keeps_no_push_plan(qx2):
 
 def test_pairs_of_one_shape_share_one_table_that_nothing_mutates(qx2):
     # a pair's table depends only on its joint-orbit shape: realize hands every
-    # pair of a shape one object, so no reader of the built algebra may change it
+    # pair of a shape one object, so no reader of the built algebra may change it.
+    # Likewise a lift map depends only on its nesting: both factors of (1 2 3) and
+    # (1 2 4) times their inverses each lift one factor to point 1, the other to
+    # a point of its own, so the two pairs share one map
     sp = sp_mod.SymmetricProductAlgebra(qx2, 4)
     X = sp.realize()
     by_shape: dict = {}
@@ -1377,6 +1381,49 @@ def test_pairs_of_one_shape_share_one_table_that_nothing_mutates(qx2):
     assert gfrob.verify_axioms(X).passed
     assert gfrob.from_json_dict(gfrob.to_json_dict(X)).math_equal(X)
     assert repr(X.product) == repr(tables)   # values, their types and key order
+    pairs = [(sp.group.index_of(c), sp.group.index_of(c_inv))
+             for c, c_inv in (("(1 2 3)", "(1 3 2)"), ("(1 2 4)", "(1 4 2)"))]
+    lifts = [sp._chain_plan(gi, hi, None)[k] for gi, hi in pairs for k in (2, 3)]
+    assert all(lift is lifts[0] for lift in lifts)
+    kept = repr(lifts[0])   # rows, layers (their getters and numerators), denominator, size
+    rng = random.Random(37)
+    for gi, hi in pairs:
+        for a in (_random_vector(rng, sp.dims[gi]), basis(sp.dims[gi], 3)):
+            b = _random_vector(rng, sp.dims[hi])
+            assert sp.multiply_chain(gi, a, hi, b) == sp.multiply_pushforward(gi, a, hi, b)
+    assert repr(lifts[0]) == kept
+
+
+def test_chain_keeps_one_contraction_map_per_nesting(surface):
+    # an all-pairs chain sweep of Sym^4(surface4) builds each contraction map
+    # once per nesting (per cycle of gh in kernel order, the factors placed in
+    # it), not per (sector, product sector, order): 49 nestings for the 728
+    # lift keys, and 7 more that only the copairing insertions reach
+    sp = sp_mod.SymmetricProductAlgebra(surface, 4)
+
+    def nesting(points, gh, order):
+        cycle_of = sp.parts[gh].block_index()
+        return tuple(tuple(f for f, p in enumerate(points) if cycle_of[p] == c) for c in order)
+
+    lift_keys, lifts, insertions = set(), {}, set()
+    for gi in range(sp.group.order):
+        for hi in range(sp.group.order):
+            sp.multiply_chain(gi, sp.generator(gi), hi, sp.generator(hi))
+            gh = sp.group.mul(gi, hi)
+            order, _, lift_g, lift_h, gammas = sp._chain_plan(gi, hi, None)
+            for s, lift in ((gi, lift_g), (hi, lift_h)):
+                lift_keys.add((s, gh, order))
+                key = nesting([blk[0] for blk in sp.parts[s].blocks], gh, order)
+                assert lifts.setdefault(key, lift) is lift
+            for tau, gamma in zip(sp.contraction_steps(gi, hi)[1], gammas):
+                key = nesting(tau.moved_points(), gh, order)
+                assert sp._memo["_insertion"][key,] is gamma
+                insertions.add(key)
+    nestings = lifts.keys() | insertions
+    assert len(lift_keys) == 728 and len(lifts) == 49 and len(nestings) == 56
+    store = sp._memo["_gather_map"]
+    assert set(store) == {(key,) for key in nestings}
+    assert all(store[key,] is lift for key, lift in lifts.items())
 
 
 # -- exact outputs of both routes, pinned across kernel changes ---------------------
