@@ -39,15 +39,18 @@ per shape; the chain reads neither and stays independent as the oracle.
 The chain never multiplies in A_e.  Its last step, the contraction r_ss'
 onto the product sector, multiplies the factors in each cycle of ss'; as the
 base is commutative and evenly graded, r_ss' is an algebra map, so the chain
-equals the product of r_ss' of the two lifts and of each insertion.  Each is
-contracted first, by rows kept per nesting (which factors each cycle of ss'
-receives, in kernel order), not per sector pair: in a lift factor c lands in
-the cycle of ss' that holds min(c), and a cycle that receives none holds the
-unit.
-The products then run on A^(x)|ss'| with ``frobenius.factorwise_product``,
-the one kernel on tensor powers, on flat numerators split into a high and a
-low half of the factors; the pushforward runs the same loop,
-``frobenius._walk``, with halves made of whole joint orbits.  The loop skips
+equals the product of r_ss' of the two lifts and of each insertion.  The
+lifts are contracted first, by rows kept per nesting (which factors each
+cycle of ss' receives, in kernel order), not per sector pair: factor c lands
+in the cycle of ss' that holds min(c), and a cycle that receives none holds
+the unit.  The two lifts then multiply on A^(x)|ss'| in one call of
+``frobenius.factorwise_product``, the one kernel on tensor powers, on flat
+numerators split into a high and a low half of the factors, so each chain
+product runs one kernel walk.  Each insertion is left multiplication by
+r_ss'(gamma_tau), a linear map kept per nesting of tau's two points that
+touches only the cycles holding them, applied to the running product by
+``_mapped``.  The pushforward runs the kernel's loop, ``frobenius._walk``,
+with halves made of whole joint orbits.  The loop skips
 pairs with zero product before multiplying any coefficient; the maps it
 applies, and the low kernels compiled from them, stay separate per route.
 The chain lays out the cycles of ss' unit first: those where the right
@@ -66,10 +69,12 @@ order, another returns the product to basis order, and the chunks are
 slices.
 Every other linear map between tensor powers (the contractions between
 nested cycle partitions and the chain's, their metric adjoints and
-sections) has one form: per flat input index, a row of (output index,
-integer numerator) over one denominator, built by ``_linear_map`` in one
-pass over the input basis tuples from per-block columns, and the same rows
-transposed into layers (``_layers``), kept in the map's own tuple.
+sections, and the chain's insertions) has one form: per flat input index, a
+row of (output index, integer numerator) over one denominator, built by
+``_linear_map`` in one pass over the input basis tuples from per-block
+columns (an insertion's rows, a joint block's shifted over the cycles it
+leaves alone, are laid out directly), and the same rows transposed into
+layers (``_layers``), kept in the map's own tuple.
 ``_mapped`` applies the layers, one gather and one ``map(add, ...)`` each,
 to an operand with enough nonzero entries, and scatters one row per nonzero
 entry of a sparser one.  The group action relabels cycles, so each basis
@@ -78,6 +83,9 @@ tuple goes to one index, a sum of strides.
 Every derived map is a method of its key under ``frobenius.memo``: built on
 the first call for that key, kept on the instance and reused, whether the
 key is m, a factor order, a joint-orbit shape, a sector pair or a nesting.
+A sector pair looks its push plan up once and keeps a reference to it, so
+``_joint_orbits`` runs on a pair's first product, and the plan is built
+once per shape.
 The two routes share that mechanism, the loop and the getters, but no map,
 which keeps the cross-oracle independent; ``realize`` drops the per-shape
 tables once every sector pair holds its own.
@@ -87,7 +95,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from itertools import compress
+from itertools import compress, zip_longest
 from operator import add, itemgetter, mul
 
 from . import exactnum as ex
@@ -303,8 +311,8 @@ class SymmetricProductAlgebra:
     def _gather_map(self, nesting: tuple) -> tuple:
         """Rows of the map whose output factor c multiplies the input factors
         ``nesting[c]``, and is the unit when it has none.  The one store of
-        contraction maps: the chain's lifts and insertions and
-        ``restrict_between`` are kept per nesting, a tuple of tuples."""
+        contraction maps: the chain's lifts and ``restrict_between`` are kept
+        per nesting, a tuple of tuples."""
         D, last = self.base.dim, len(nesting) - 1
         blocks, den = [], 1
         for c, fps in enumerate(nesting):
@@ -495,8 +503,11 @@ class SymmetricProductAlgebra:
         return ((into[0], spans[0]), (into[1], spans[1]), high,
                 frob._kernel(low, spans[1], spans[2]), spans[2], back[2], high_den * low_den)
 
+    @memo
     def _push_plan(self, g: int, h: int) -> tuple:
-        """The ``_plan`` of the pair's joint-orbit shape."""
+        """The ``_plan`` of the pair's joint-orbit shape, looked up once per
+        pair: the pair keeps a reference to the plan, which is built once per
+        shape, so ``_joint_orbits`` runs on a pair's first product only."""
         return self._plan(self._joint_orbits(g, h, self.group.mul(g, h)))
 
     def _halves(self, v, g: int, part: tuple) -> tuple[dict, int]:
@@ -548,18 +559,52 @@ class SymmetricProductAlgebra:
         return self._gather_map(self._contraction(self._firsts[g], gh, order))
 
     @memo
-    def _insertion(self, nesting: tuple) -> tuple[dict, int]:
-        """r_gh of gamma_{tau,tau}, the copairing across the two points that a
-        transposition tau moves, by the ``_contraction`` nesting of those two
-        points, as the kernel's left operand: (``_split`` chunks,
-        denominator)."""
-        D = self.base.dim
-        copairing = [0] * D * D
-        for i, j, c in self.base.copairing():
-            copairing[i * D + j] = c
-        acc, den = self._mapped(copairing, self._gather_map(nesting))
-        m = len(nesting)
-        return _split(acc, D ** (m - m // 2)), den
+    def _insertion(self, nesting: tuple) -> tuple:
+        """Left multiplication by r_gh of gamma_{tau,tau}, the copairing sum c
+        e_i (x) e_j across the two points that a transposition tau moves, on
+        A^(x)|gh| in kernel order, in ``_linear_map``'s form; ``nesting`` is
+        the ``_contraction`` of those two points.  A joint block on the cycles
+        that hold them multiplies their factors x, y by e_i and e_j (x alone by
+        the Euler class sum c e_i e_j when one cycle holds both), read off the
+        base's pair rows, and the factors of the other cycles pass through:
+        rows over the copairing's denominator times ``_pairs_den`` squared.
+        The rows are laid out directly, each the joint block's row shifted by
+        the other cycles' offset, as ``_linear_map`` would read every input
+        tuple through both blocks at about twice the cost (CPython 3.11), a
+        cost each nesting's first product pays."""
+        D, last = self.base.dim, len(nesting) - 1
+        pairs = [dict(row) for row in self.base._pairs]   # x -> y -> [(k, numerator)]
+        copairing = self.base.copairing()
+        cop, cop_den = ex.numerators([c for _, _, c in copairing])
+        terms = [(i, j, c) for (i, j, _), c in zip(copairing, cop)]
+        held = [c for _, c in sorted((fs, c) for c, fs in enumerate(nesting) if fs)]   # by factor
+        strides = [D ** (last - c) for c in held]
+        table: dict = {}   # the held factors' offset -> {output offset: numerator}
+        if len(held) == 1:   # x -> sum c (e_i e_j) x, through the pair rows twice
+            s0, = strides
+            for x in range(D):
+                out = table[x * s0] = {}
+                for i, j, c in terms:
+                    for k, u in pairs[i].get(j, ()):
+                        for p, w in pairs[k].get(x, ()):
+                            out[p * s0] = out.get(p * s0, 0) + c * u * w
+        else:   # (x, y) -> sum c (e_i x) (x) (e_j y)
+            s0, s1 = strides
+            for x, y in itertools.product(range(D), repeat=2):
+                out = table[x * s0 + y * s1] = {}
+                for i, j, c in terms:
+                    for p, u in pairs[i].get(x, ()):
+                        for q, w in pairs[j].get(y, ()):
+                            out[p * s0 + q * s1] = out.get(p * s0 + q * s1, 0) + c * u * w
+        through = [D ** (last - c) for c, fs in enumerate(nesting) if not fs]
+        offsets = [sum(map(mul, t, through)) for t in self._tuples(len(through))]
+        size = D ** len(nesting)
+        rows: list = [()] * size
+        for start, out in table.items():
+            out = [(o, w) for o, w in out.items() if w]
+            for r in offsets:   # the other cycles' factors, at the same offset in and out
+                rows[start + r] = tuple([(r + o, w) for o, w in out])
+        return rows, _layers(rows, size), cop_den * self.base._pairs_den ** 2, size
 
     def contraction_steps(self, g: int, h: int, word: list[Permutation] | None = None):
         """The word for the right factor and the positions where length drops."""
@@ -599,9 +644,9 @@ class SymmetricProductAlgebra:
     def _chain_plan(self, g: int, h: int, word: tuple | None) -> tuple:
         """The chain's state for a sector pair and a word (None: the minimal
         one), references only: gh's cycles in kernel order, the getter back to
-        basis order, the lift maps of g and of h, and the ``_insertion`` of
-        each copairing the word inserts.  The maps are contracted to gh in
-        that order and kept per nesting, so pairs of one nesting share them."""
+        basis order, the lift maps of g and of h, and the ``_insertion`` map
+        of each copairing the word inserts.  The maps act on gh in that order
+        and are kept per nesting, so pairs of one nesting share them."""
         _, insertions = self.contraction_steps(g, h, word)
         gh = self.group.mul(g, h)
         order = self._chain_order(h, gh)
@@ -618,10 +663,13 @@ class SymmetricProductAlgebra:
         to gh's cycles first and the products run on A^(x)|gh|, on flat integer
         numerators divided once at the end.  The cycles run in the unit-first
         order of ``_chain_order``, so the kernel's high half holds the factors
-        where h's lift is the unit, as many as its m // 2 factors take; one
-        getter returns the product to gh's basis order.  A^(x)|gh| is
-        commutative, so each insertion multiplies the running product from
-        the left.
+        where h's lift is the unit, as many as its m // 2 factors take.  The
+        two lifts multiply in one ``frobenius.factorwise_product``, the one
+        kernel walk of the product.  A^(x)|gh| is commutative, so each
+        insertion multiplies the running product from the left: ``_mapped``
+        applies its ``_insertion`` map, and an all-int running product passes
+        ``ex.numerators`` untouched.  One getter returns the product to gh's
+        basis order.
         """
         order, back, lift_g, lift_h, gammas = self._chain_plan(g, h, None if word is None else tuple(word))
         m = len(order)
@@ -630,7 +678,8 @@ class SymmetricProductAlgebra:
         acc, den = frob.factorwise_product(self.base, m, (_split(left, size), da),
                                            (_split(right, size), db))
         for gamma in gammas:
-            acc, den = frob.factorwise_product(self.base, m, gamma, (_split(acc, size), den))
+            acc, d = self._mapped(acc, gamma)
+            den *= d
         return ex.divided(acc if back is None else back(acc), den)
 
     def gamma_cocycle(self, g: int, h: int):
@@ -774,10 +823,9 @@ def _layers(rows: list, size: int) -> tuple:
     # and a map with one output (a base of dimension 1, so one input) scatters
     if not width or size == 1:
         return [], len(rows)
-    slot = (len(rows), 1)
     layers = []
-    for j in range(width):
-        xs, ws = zip(*(ins[j] if j < len(ins) else slot for ins in inputs))
+    for column in zip_longest(*inputs, fillvalue=(len(rows), 1)):   # the zero slot pads
+        xs, ws = zip(*column)
         layers.append((itemgetter(*xs), None if set(ws) == {1} else list(ws)))
     # the scatter costs about (1 + row entries per input) per nonzero entry
     return layers, ((width * size + (width - 1) * _LAYER_SETUP) * len(rows)

@@ -500,27 +500,29 @@ def test_budget_guard(sp_factory, qx2, surface):
 
 
 def test_chain_builds_its_rows_once_per_sector_pair(monkeypatch, surface):
-    # the lift and insertion rows are cached per nesting, the plan per (g, h)
+    # the lift and insertion rows are cached per nesting, the plan per (g, h);
+    # every map in the row form is transposed into layers once, when it is built
     sp = sp_mod.SymmetricProductAlgebra(surface, 3)
     built = []
-    build = sp_mod.SymmetricProductAlgebra._linear_map
+    layers = sp_mod._layers
 
-    def counted(self, *args):
-        built.append(args[0])
-        return build(self, *args)
+    def counted(rows, size):
+        built.append(len(rows))
+        return layers(rows, size)
 
-    monkeypatch.setattr(sp_mod.SymmetricProductAlgebra, "_linear_map", counted)
+    monkeypatch.setattr(sp_mod, "_layers", counted)
     gi = sp.group.index_of("(1 2 3)")
     hi = sp.group.inverse[gi]
     rng = random.Random(31)
     operands = [(_random_vector(rng, sp.dims[gi]), _random_vector(rng, sp.dims[hi])) for _ in range(2)]
     first = sp.multiply_chain(gi, operands[0][0], hi, operands[0][1])
-    # the word of the inverse 3-cycle inserts two copairings (two input factors
-    # each), then both one-factor operands are lifted to the identity sector
-    # with one nesting: each one's factor lands on point 1
-    assert built == [2, 2, 1]
+    # the word of the inverse 3-cycle inserts two copairings, each a map on the
+    # three factors of the identity sector (4^3 rows), then both one-factor
+    # operands (4 rows) are lifted to the identity sector with one nesting:
+    # each one's factor lands on point 1
+    assert built == [64, 64, 4]
     second = sp.multiply_chain(gi, operands[1][0], hi, operands[1][1])
-    assert built == [2, 2, 1]
+    assert built == [64, 64, 4]
     for (a, b), product in zip(operands, (first, second)):
         assert _typed(product) == _typed(sp.multiply_pushforward(gi, a, hi, b))
 
@@ -1334,7 +1336,8 @@ def test_memo_keeps_no_instance_alive(surface):
     a, b = _random_vector(rng, sp.dims[gi]), _random_vector(rng, sp.dims[hi])
     assert sp.multiply_chain(gi, a, hi, b) == sp.multiply_pushforward(gi, a, hi, b)
     sp.realize()
-    assert {"_plan", "_chain_plan", "_gather_map", "_orbit_map", "_order"} <= set(sp._memo)
+    assert {"_plan", "_push_plan", "_chain_plan", "_gather_map", "_orbit_map",
+            "_order"} <= set(sp._memo)
     ref = weakref.ref(sp)
     del sp
     assert ref() is None
@@ -1346,7 +1349,7 @@ def test_realize_keeps_no_push_plan(qx2):
     # that a joint orbit of some pair has
     sp = sp_mod.SymmetricProductAlgebra(qx2, 3)
     sp.realize()
-    assert "_shape_table" not in sp._memo and "_plan" not in sp._memo
+    assert not {"_shape_table", "_plan", "_push_plan"} & set(sp._memo)
     want = set()
     for gi in range(6):
         for hi in range(6):
@@ -1398,7 +1401,8 @@ def test_chain_keeps_one_contraction_map_per_nesting(surface):
     # an all-pairs chain sweep of Sym^4(surface4) builds each contraction map
     # once per nesting (per cycle of gh in kernel order, the factors placed in
     # it), not per (sector, product sector, order): 49 nestings for the 728
-    # lift keys, and 7 more that only the copairing insertions reach
+    # lift keys.  Each copairing insertion is a map of its own, kept per the
+    # nesting of tau's two points: 17 of them, none in the contraction store
     sp = sp_mod.SymmetricProductAlgebra(surface, 4)
 
     def nesting(points, gh, order):
@@ -1419,11 +1423,81 @@ def test_chain_keeps_one_contraction_map_per_nesting(surface):
                 key = nesting(tau.moved_points(), gh, order)
                 assert sp._memo["_insertion"][key,] is gamma
                 insertions.add(key)
-    nestings = lifts.keys() | insertions
-    assert len(lift_keys) == 728 and len(lifts) == 49 and len(nestings) == 56
+    assert len(lift_keys) == 728 and len(lifts) == 49 and len(insertions) == 17
+    assert set(sp._memo["_insertion"]) == {(key,) for key in insertions}
     store = sp._memo["_gather_map"]
-    assert set(store) == {(key,) for key in nestings}
+    assert set(store) == {(key,) for key in lifts}
     assert all(store[key,] is lift for key, lift in lifts.items())
+
+
+def _insertion_nestings(sp) -> set:
+    """The nesting of every copairing insertion of the default words, over all sector pairs."""
+    out = set()
+    for gi in range(sp.group.order):
+        for hi in range(sp.group.order):
+            gh = sp.group.mul(gi, hi)
+            order = sp._chain_order(hi, gh)
+            out.update(sp._contraction(tau.moved_points(), gh, order)
+                       for tau in sp.contraction_steps(gi, hi)[1])
+    return out
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_insertion_map_multiplies_by_the_contracted_copairing(sp_factory, surface, rescaled,
+                                                              half, n):
+    # each insertion is left multiplication by r_gh(gamma_tau), built as a map of
+    # its own: on every basis vector (scattered) and a dense vector (through the
+    # layers) it must give the kernel's product by the copairing contracted
+    # through the nesting's contraction map.  Both cases occur: both points in
+    # one cycle of gh (the Euler class) and in two.  The half base's pair rows
+    # carry a denominator, so a map over one power of it too few fails there
+    rng = random.Random(41 + n)
+    for base in (surface, rescaled, half):
+        sp, D = sp_factory(base, n), base.dim
+        copairing = [0] * D * D
+        for i, j, c in base.copairing():
+            copairing[i * D + j] = c
+        nestings = sorted(_insertion_nestings(sp))
+        assert {sum(map(bool, nesting)) for nesting in nestings} == {1, 2}
+        layered = 0
+        for nesting in nestings:
+            m, gamma = len(nesting), sp._insertion(nesting)
+            r_gamma = ex.divided(*sp._mapped(copairing, sp._gather_map(nesting)))
+            dense = _dense_fractions(rng, D ** m)
+            layered += len(dense) > gamma[1][1]
+            for v in [basis(D ** m, x) for x in range(D ** m)] + [dense]:
+                assert _typed(ex.divided(*sp._mapped(v, gamma))) == \
+                    _typed(frob.factorwise_multiply(base, m, r_gamma, v))
+        assert layered or D == 1   # a one-dimensional base's maps always scatter
+
+
+def test_pushforward_finds_a_pairs_shape_once(surface, monkeypatch):
+    # a pair keeps a reference to its shape's plan: k products of one sector
+    # pair walk its joint orbits once, and the pairs of one shape hold one plan
+    calls = []
+    joint_orbits = sp_mod.SymmetricProductAlgebra._joint_orbits
+
+    def counted(self, *args):
+        calls.append(args)
+        return joint_orbits(self, *args)
+
+    monkeypatch.setattr(sp_mod.SymmetricProductAlgebra, "_joint_orbits", counted)
+    sp = sp_mod.SymmetricProductAlgebra(surface, 4)
+    gi, hi = sp.group.index_of("(1 2)"), sp.group.index_of("(2 3 4)")
+    rng = random.Random(53)
+    for _ in range(4):
+        a, b = _random_vector(rng, sp.dims[gi]), _random_vector(rng, sp.dims[hi])
+        assert sp.multiply_pushforward(gi, a, hi, b) == sp.multiply_chain(gi, a, hi, b)
+    assert calls == [(gi, hi, sp.group.mul(gi, hi))]
+    pairs = [(x, y) for x in range(sp.group.order) for y in range(sp.group.order)]
+    by_shape: dict = {}
+    for x, y in pairs * 2:
+        by_shape.setdefault(joint_orbits(sp, x, y, sp.group.mul(x, y)), []).append(
+            sp._push_plan(x, y))
+    assert len(calls) == len(pairs) and len(by_shape) < len(pairs)
+    plans = sp._memo["_plan"]
+    assert len(plans) == len(by_shape)
+    assert all(plan is plans[shape,] for shape, kept in by_shape.items() for plan in kept)
 
 
 # -- exact outputs of both routes, pinned across kernel changes ---------------------
