@@ -69,12 +69,15 @@ order, another returns the product to basis order, and the chunks are
 slices.
 Every other linear map between tensor powers (the contractions between
 nested cycle partitions and the chain's, their metric adjoints and
-sections, and the chain's insertions) has one form: per flat input index, a
-row of (output index, integer numerator) over one denominator, built by
-``_linear_map`` in one pass over the input basis tuples from per-block
-columns (an insertion's rows, a joint block's shifted over the cycles it
-leaves alone, are laid out directly), and the same rows transposed into
-layers (``_layers``), kept in the map's own tuple.
+sections, and the chain's insertions) is a tensor product of per-cycle maps:
+the m-fold product, the unit (the empty product), the product's metric
+adjoint, the unit-tensor section and the copairing.  All have one form,
+built by ``_linear_map``: per flat input index, a row of (output index,
+integer numerator) over one denominator, the Kronecker product of the map's
+blocks, each the columns of some input factors placed at those factors'
+strides, and the same rows transposed into layers (``_layers``), kept in
+the map's own tuple.  An insertion is two blocks: the copairing on the
+cycles that hold tau's points, and the identity on the others.
 ``_mapped`` applies the layers, one gather and one ``map(add, ...)`` each,
 to an operand with enough nonzero entries, and scatters one row per nonzero
 entry of a sparser one.  The group action relabels cycles, so each basis
@@ -248,18 +251,17 @@ class SymmetricProductAlgebra:
     def _mu_columns(self, m: int) -> tuple[dict, int]:
         """The m-fold product as integer columns over one denominator.
 
-        Factor tuple -> [(k, numerator)]; the key is the bare index when m = 1,
-        as ``itemgetter`` reads it off a tensor tuple.  Each nonzero column of
-        the (m-1)-fold product meets the base's pair rows, so no zero product is
-        formed; the keys come out in lexicographic order.
+        Factor tuple -> [(k, numerator)]; at m = 0 the empty product, the
+        unit.  Each nonzero column of the (m-1)-fold product meets the base's
+        pair rows, so no zero product is formed; the keys come out in
+        lexicographic order.
         """
-        if m == 1:
-            return {k: [(k, 1)] for k in range(self.base.dim)}, 1
+        if m == 0:
+            return _integral({(): list(enumerate(self.base.unit))})
         prev, prev_den = self._mu_columns(m - 1)
         pairs, den = self.base._pairs, prev_den * self.base._pairs_den
         nums: dict = {}
         for s, col in prev.items():
-            t = s if m > 2 else (s,)
             by_last: dict = {}
             for k, c in col:
                 for y, row in pairs[k]:
@@ -271,7 +273,7 @@ class SymmetricProductAlgebra:
             for y in sorted(by_last):
                 col_y = [(q, v) for q, v in by_last[y].items() if v]
                 if col_y:
-                    nums[t + (y,)] = col_y
+                    nums[s + (y,)] = col_y
         return _integral(nums, den)
 
     @memo
@@ -285,8 +287,7 @@ class SymmetricProductAlgebra:
         mu, mu_den = self._mu_columns(m)
         eta, inv = self.base.metric, ex._transpose(self.base.metric_inv)
         cols: dict = {}
-        for s, col in mu.items():
-            t = s if m > 1 else (s,)
+        for t, col in mu.items():
             for p, w in col:
                 for k, e in eta.get(p, {}).items():
                     vec = cols.setdefault(k, {})
@@ -310,21 +311,17 @@ class SymmetricProductAlgebra:
     @memo
     def _gather_map(self, nesting: tuple) -> tuple:
         """Rows of the map whose output factor c multiplies the input factors
-        ``nesting[c]``, and is the unit when it has none.  The one store of
-        contraction maps: the chain's lifts and ``restrict_between`` are kept
-        per nesting, a tuple of tuples."""
+        ``nesting[c]``, and is the unit (the empty product) when it has none.
+        The one store of contraction maps: the chain's lifts and
+        ``restrict_between`` are kept per nesting, a tuple of tuples."""
         D, last = self.base.dim, len(nesting) - 1
         blocks, den = [], 1
         for c, fps in enumerate(nesting):
-            if fps:
-                get, (cols, d) = itemgetter(*fps), self._mu_columns(len(fps))
-            else:
-                (tails, d), get = self._unit_tails(1), _no_factors
-                cols = {(): [(k, u) for (k,), u in tails]}
+            cols, d = self._mu_columns(len(fps))
             stride = D ** (last - c)
-            blocks.append((get, {key: [(k * stride, w) for k, w in col] for key, col in cols.items()}))
+            blocks.append((fps, {key: [(k * stride, w) for k, w in col] for key, col in cols.items()}))
             den *= d
-        return self._linear_map(sum(map(len, nesting)), blocks, den, D ** len(nesting))
+        return self._linear_map(blocks, den, D ** len(nesting))
 
     def _spread_map(self, fine: OrbitPartition, coarse: OrbitPartition, columns) -> tuple:
         """Rows of the map coarse -> fine: each coarse factor spreads over its fine factors."""
@@ -333,24 +330,27 @@ class SymmetricProductAlgebra:
         for c, fps in enumerate(self._nesting(fine, coarse)):
             cols, d = columns(len(fps))
             fine_strides = [D ** (last - f) for f in fps]
-            blocks.append((itemgetter(c),
-                           {k: [(sum(map(mul, t, fine_strides)), w) for t, w in col]
-                            for k, col in cols.items()}))
+            blocks.append(((c,), {(k,): [(sum(map(mul, t, fine_strides)), w) for t, w in col]
+                                  for k, col in cols.items()}))
             den *= d
-        return self._linear_map(len(coarse), blocks, den, D ** len(fine))
+        return self._linear_map(blocks, den, D ** len(fine))
 
-    def _linear_map(self, m: int, blocks: list, den: int, size: int) -> tuple:
-        """(rows, layers, ``den``, output size) of a map on A^(x)m, in one pass
-        over the input basis tuples: each block's getter reads a key off a
-        tuple, the keys' columns [(output offset, numerator)] multiply out,
-        and the row of flat index x is ((output index, numerator), ...), () if
-        a column is missing.  The layers are the rows transposed (``_layers``)."""
-        rows = []
-        for t in self._tuples(m):
-            out = [(0, 1)]
-            for get, table in blocks:
-                out = [(p + q, c * w) for p, c in out for q, w in table.get(get(t), ())]
-            rows.append(tuple(out))
+    def _linear_map(self, blocks: list, den: int, size: int) -> tuple:
+        """(rows, layers, ``den``, output size) of a map on A^(x)m: the
+        Kronecker product of ``blocks``, each (input factor positions,
+        {factor tuple: [(output offset, numerator)]}), a key placed at its
+        positions' strides; the blocks' positions partition the m factors.
+        The row of flat index x is ((output index, numerator), ...), the
+        blocks' entries multiplied out in block order, () if a block has no
+        column there.  The layers are the rows transposed (``_layers``)."""
+        D, m = self.base.dim, sum(len(positions) for positions, _ in blocks)
+        table = {0: [(0, 1)]}   # no block: the map of A^(x)0, 1 -> 1
+        for positions, cols in blocks:
+            strides = [D ** (m - 1 - f) for f in positions]
+            placed = [(sum(map(mul, key, strides)), col) for key, col in cols.items()]
+            table = {X + x: [(O + o, C * c) for O, C in prev for o, c in col]
+                     for X, prev in table.items() for x, col in placed}
+        rows = [tuple(table.get(x, ())) for x in range(D ** m)]
         return rows, _layers(rows, size), den, size
 
     def _mapped(self, v, linear: tuple) -> tuple[list, int]:
@@ -417,7 +417,7 @@ class SymmetricProductAlgebra:
         flat, den = _integral(flat)
         local: dict = {}
         for (x, y), outs in flat.items():
-            local.setdefault(x if kg > 1 else (x,), []).append((y if kh > 1 else (y,), outs))
+            local.setdefault(x, []).append((y, outs))
         return local, den * den_g * den_h * adj_den
 
     def _joint_orbits(self, g: int, h: int, gh: int) -> tuple:
@@ -562,16 +562,13 @@ class SymmetricProductAlgebra:
     def _insertion(self, nesting: tuple) -> tuple:
         """Left multiplication by r_gh of gamma_{tau,tau}, the copairing sum c
         e_i (x) e_j across the two points that a transposition tau moves, on
-        A^(x)|gh| in kernel order, in ``_linear_map``'s form; ``nesting`` is
-        the ``_contraction`` of those two points.  A joint block on the cycles
-        that hold them multiplies their factors x, y by e_i and e_j (x alone by
-        the Euler class sum c e_i e_j when one cycle holds both), read off the
-        base's pair rows, and the factors of the other cycles pass through:
-        rows over the copairing's denominator times ``_pairs_den`` squared.
-        The rows are laid out directly, each the joint block's row shifted by
-        the other cycles' offset, as ``_linear_map`` would read every input
-        tuple through both blocks at about twice the cost (CPython 3.11), a
-        cost each nesting's first product pays."""
+        A^(x)|gh| in kernel order, built by ``_linear_map``; ``nesting`` is
+        the ``_contraction`` of those two points.  Two blocks: a joint one on
+        the cycles that hold them multiplies their factors x, y by e_i and
+        e_j (x alone by the Euler class sum c e_i e_j when one cycle holds
+        both), read off the base's pair rows, and the factors of the other
+        cycles pass through, over the copairing's denominator times
+        ``_pairs_den`` squared."""
         D, last = self.base.dim, len(nesting) - 1
         pairs = [dict(row) for row in self.base._pairs]   # x -> y -> [(k, numerator)]
         copairing = self.base.copairing()
@@ -579,11 +576,11 @@ class SymmetricProductAlgebra:
         terms = [(i, j, c) for (i, j, _), c in zip(copairing, cop)]
         held = [c for _, c in sorted((fs, c) for c, fs in enumerate(nesting) if fs)]   # by factor
         strides = [D ** (last - c) for c in held]
-        table: dict = {}   # the held factors' offset -> {output offset: numerator}
+        joint: dict = {}   # the held factors -> {output offset: numerator}
         if len(held) == 1:   # x -> sum c (e_i e_j) x, through the pair rows twice
             s0, = strides
             for x in range(D):
-                out = table[x * s0] = {}
+                out = joint[x,] = {}
                 for i, j, c in terms:
                     for k, u in pairs[i].get(j, ()):
                         for p, w in pairs[k].get(x, ()):
@@ -591,20 +588,17 @@ class SymmetricProductAlgebra:
         else:   # (x, y) -> sum c (e_i x) (x) (e_j y)
             s0, s1 = strides
             for x, y in itertools.product(range(D), repeat=2):
-                out = table[x * s0 + y * s1] = {}
+                out = joint[x, y] = {}
                 for i, j, c in terms:
                     for p, u in pairs[i].get(x, ()):
                         for q, w in pairs[j].get(y, ()):
                             out[p * s0 + q * s1] = out.get(p * s0 + q * s1, 0) + c * u * w
-        through = [D ** (last - c) for c, fs in enumerate(nesting) if not fs]
-        offsets = [sum(map(mul, t, through)) for t in self._tuples(len(through))]
-        size = D ** len(nesting)
-        rows: list = [()] * size
-        for start, out in table.items():
-            out = [(o, w) for o, w in out.items() if w]
-            for r in offsets:   # the other cycles' factors, at the same offset in and out
-                rows[start + r] = tuple([(r + o, w) for o, w in out])
-        return rows, _layers(rows, size), cop_den * self.base._pairs_den ** 2, size
+        through = [c for c, fs in enumerate(nesting) if not fs]
+        passing = [D ** (last - c) for c in through]   # their strides, the same in and out
+        blocks = [(held, {x: [(o, w) for o, w in out.items() if w] for x, out in joint.items()}),
+                  (through, {t: [(sum(map(mul, t, passing)), 1)]
+                             for t in self._tuples(len(through))})]
+        return self._linear_map(blocks, cop_den * self.base._pairs_den ** 2, D ** len(nesting))
 
     def contraction_steps(self, g: int, h: int, word: list[Permutation] | None = None):
         """The word for the right factor and the positions where length drops."""
@@ -830,9 +824,6 @@ def _layers(rows: list, size: int) -> tuple:
     # the scatter costs about (1 + row entries per input) per nonzero entry
     return layers, ((width * size + (width - 1) * _LAYER_SETUP) * len(rows)
                     // (_LAYER_COST * (len(rows) + sum(map(len, rows)))))
-
-
-_no_factors = itemgetter(slice(0))   # () off any tuple: the key of the empty product
 
 
 def _reader(order: list):

@@ -22,6 +22,11 @@ documented convention, cycles ordered by smallest point, the first one most
 significant in a flat index.  Unlike the degree-0 class-algebra oracle, this
 one sees the order of tensor factors.  The package supplies only the algebra
 it checks.
+
+Summed over all transpositions with unit labels, the rule multiplies by the
+class D of transpositions, an invariant element; so on the invariant ring of
+the untwisted Sym^n(A) it also checks ``invariants``' product by D, in
+positive degree (Lehn and Sorger's boundary class).
 """
 
 import json
@@ -30,6 +35,7 @@ from pathlib import Path
 
 import pytest
 
+from orbifrob.gfrob import invariants
 from orbifrob.symprod import SymmetricProductAlgebra
 
 from conftest import HALF_BASE, RESCALED_BASE
@@ -40,11 +46,12 @@ DOCUMENTS = {"qx2": "dual_numbers", "surface": "surface4", "half": HALF_BASE,
 
 
 class _Base:
-    """A commutative base algebra read from its document: dim, structure
-    constants {(i, j): {k: c}} and the copairing [(i, j, c)]."""
+    """A commutative base algebra read from its document: dim, unit {k: c},
+    structure constants {(i, j): {k: c}} and the copairing [(i, j, c)]."""
 
     def __init__(self, doc: dict):
         self.dim = D = doc["dim"]
+        self.unit = {k: Fraction(c) for k, c in enumerate(doc["unit"]) if Fraction(c)}
         self.rows: dict = {}
         for i, j, k, c in doc["structure"]:
             self.rows.setdefault((i, j), {})[k] = Fraction(c)
@@ -143,6 +150,20 @@ def _cut_and_join(base: _Base, g: tuple, i: int, h: tuple, j: int) -> list:
     return out
 
 
+def _unit_tensor(base: _Base, cycles: int) -> dict:
+    """The unit tensor of a sector with ``cycles`` cycles: {index: coefficient}."""
+    terms = {0: Fraction(1)}
+    for _ in range(cycles):
+        terms = {x * base.dim + k: c * u for x, c in terms.items() for k, u in base.unit.items()}
+    return terms
+
+
+def _load(base_name: str) -> _Base:
+    """The oracle's base, read from the document of a base fixture."""
+    doc = DOCUMENTS[base_name]
+    return _Base(json.loads((FIXTURES / f"{doc}.json").read_text()) if isinstance(doc, str) else doc)
+
+
 CASES = [("qx2", 2), ("qx2", 3), ("qx2", 4), ("surface", 2), ("surface", 3), ("half", 2),
          ("half", 3), ("half", 4), ("rescaled", 2), ("rescaled", 3)]
 
@@ -151,8 +172,7 @@ CASES = [("qx2", 2), ("qx2", 3), ("qx2", 4), ("surface", 2), ("surface", 3), ("h
 def test_transposition_products_are_cut_and_join(request, base_name, n):
     # every (transposition basis tensor, sector basis tensor) pair, in both
     # orders, through both routes
-    doc = DOCUMENTS[base_name]
-    base = _Base(json.loads((FIXTURES / f"{doc}.json").read_text()) if isinstance(doc, str) else doc)
+    base = _load(base_name)
     sp = SymmetricProductAlgebra(request.getfixturevalue(base_name), n)
     images = [p.images for p in sp.perms]
     transpositions = [t for t in range(sp.group.order)
@@ -172,3 +192,61 @@ def test_transposition_products_are_cut_and_join(request, base_name, n):
                         assert sp.multiply_pushforward(g, u, h, v) == want, (g, i, h, j)
                         checked += 1
     assert checked == 2 * len(transpositions) * base.dim ** (n - 1) * sum(sp.dims)
+
+
+@pytest.mark.parametrize("base_name, n", [("qx2", 2), ("qx2", 3), ("qx2", 4), ("surface", 2),
+                                          ("surface", 3), ("surface", 4)])
+def test_invariant_product_by_the_transposition_class_is_cut_and_join(request, base_name, n):
+    # D, the sum of the transpositions' unit tensors, times every basis vector
+    # of the untwisted invariant ring: through the realized tables and
+    # ``invariants``' product, and through the rule on every basis tensor
+    base = _load(base_name)
+    sp = SymmetricProductAlgebra(request.getfixturevalue(base_name), n)
+    inv = invariants(sp.realize(budget=sum(sp.dims) ** 2))
+    images = [p.images for p in sp.perms]
+    sector = {p: s for s, p in enumerate(images)}
+    transpositions = [t for t, p in enumerate(images) if sum(q != x for q, x in enumerate(p)) == 2]
+    D = {t: _unit_tensor(base, len(_cycles(images[t]))) for t in transpositions}
+    # D's coordinates: each basis vector is the only one nonzero at its pivot
+    entries = [{(g, k): x for g, vec in b.items() for k, x in enumerate(vec) if x}
+               for b in inv.basis]
+    coords = {}
+    for r, entry in enumerate(entries):
+        pos = next(p for p in entry if all(p not in other for other in entries if other is not entry))
+        if D.get(pos[0], {}).get(pos[1]):
+            coords[r] = D[pos[0]][pos[1]] / entry[pos]
+    spanned: dict = {}
+    for r, c in coords.items():
+        for pos, x in entries[r].items():
+            spanned[pos] = spanned.get(pos, 0) + c * x
+    assert {p: x for p, x in spanned.items() if x} == \
+        {(t, k): x for t, vec in D.items() for k, x in vec.items()}
+    products: dict = {}   # (t, i, g, j) -> the rule's product of basis tensors
+
+    def rule(g, vec) -> dict:
+        out: dict = {}
+        for t, unit in D.items():
+            gh = sector[tuple(images[t][q] for q in images[g])]
+            for i, u in unit.items():
+                for j, v in enumerate(vec):
+                    if v:
+                        key = t, i, g, j
+                        if key not in products:
+                            products[key] = _cut_and_join(base, images[t], i, images[g], j)
+                        for k, x in enumerate(products[key]):
+                            if x:
+                                out[gh, k] = out.get((gh, k), 0) + u * v * x
+        return out
+
+    for i, b in enumerate(inv.basis):
+        want: dict = {}
+        for g, vec in b.items():
+            for pos, x in rule(g, vec).items():
+                want[pos] = want.get(pos, 0) + x
+        got: dict = {}
+        for r, c in coords.items():
+            for k, x in inv.product.get((r, i), {}).items():
+                for pos, y in entries[k].items():
+                    got[pos] = got.get(pos, 0) + c * x * y
+        assert {p: x for p, x in got.items() if x} == {p: x for p, x in want.items() if x}, i
+    assert coords and len(products) >= len(transpositions)

@@ -4,7 +4,9 @@ only: exactnum imports no package module, _report only exactnum, and the
 base algebras and the CLI's module level only those two.  Each CLI command
 imports only the orbifrob modules it runs.  Only exactnum crosses the
 boundary between exact scalars and integer numerators: no other module
-reads a numerator or denominator or takes an lcm or gcd.  The package holds nothing that no one uses:
+reads a numerator or denominator or takes an lcm or gcd.  In symprod only
+the map builder, ``_linear_map``, transposes rows into layers.  The package
+holds nothing that no one uses:
 every public definition is reached from the package, the benchmark or an
 acceptance criterion, and every private one from the package or the
 benchmark."""
@@ -148,6 +150,44 @@ def test_only_exactnum_crosses_the_numerator_boundary():
     crossings = {path.name: _boundary_crossings(path.read_text(encoding="utf-8"))
                  for path in sorted(PACKAGE.glob("*.py")) if path.stem != "exactnum"}
     assert {name: found for name, found in crossings.items() if found} == {}
+
+
+# -- one builder of linear maps ---------------------------------------------------------
+
+def _layer_users(source: str) -> list[str]:
+    """'line: scope' for every reference to ``_layers``, by name or as an
+    attribute: the function that holds it, qualified by its class, or
+    <module>."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, child.name if scope == "<module>" else f"{scope}.{child.name}")
+                continue
+            if getattr(child, "id", None) == "_layers" or (
+                    isinstance(child, ast.Attribute) and child.attr == "_layers"):
+                found.append(f"{child.lineno}: {scope}")
+            visit(child, scope)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_checker_flags_layer_users():
+    source = ("class K:\n    def build(self):\n        return _layers(rows, 1)\n\n"
+              "    def other(self):\n        def inner():\n            return sp._layers\n"
+              "        return inner\n\n\ndef _layers(rows, size):\n    return rows\n\n\n"
+              "LAYERS = _layers\n")
+    assert _layer_users(source) == ["3: K.build", "7: K.other.inner", "15: <module>"]
+
+
+def test_only_the_map_builder_transposes_rows_into_layers():
+    # every linear map of symprod is the Kronecker product of its blocks, built
+    # by ``_linear_map``; a map that lays out its own rows and layers would
+    # skip that builder and the reference test of its rows
+    users = _layer_users((PACKAGE / "symprod.py").read_text(encoding="utf-8"))
+    assert [user.partition(": ")[2] for user in users] == ["SymmetricProductAlgebra._linear_map"]
 
 
 # -- every public definition has a user -------------------------------------------

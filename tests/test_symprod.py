@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import math
 import random
+import sys
 import weakref
 from fractions import Fraction
 
@@ -198,15 +199,17 @@ def test_adjoint_columns_match_the_dense_reference(sp_factory, qx2, surface, hal
 
 
 def test_mu_columns_match_the_product_of_every_tuple(qx2, surface, half):
-    # the columns grow from the (m-1)-fold ones through nonzero products only;
-    # the reference multiplies every one of the D^m factor tuples
+    # the columns grow from the (m-1)-fold ones through nonzero products only,
+    # starting from the empty product, the unit; the reference multiplies
+    # every one of the D^m factor tuples
     kk = frob.from_json_dict({
         "name": "kk", "dim": 2, "basis": [{"label": "e"}, {"label": "f"}], "unit": ["1", "1"],
         "metric": [[0, 0, "1"], [1, 1, "2/3"]], "structure": [[0, 0, 0, "1"], [1, 1, 1, "1"]]})
     for base in (qx2, surface, half, kk):
         sp = sp_mod.SymmetricProductAlgebra(base, 2)
-        for m in range(1, 7):
-            cols = {t if m > 1 else t[0]: list(basis_product(base, list(t)).items())
+        unit = [(k, Fraction(u)) for k, u in enumerate(base.unit) if u]
+        for m in range(7):
+            cols = {t: list(basis_product(base, list(t)).items()) if t else unit
                     for t in itertools.product(range(base.dim), repeat=m)}
             den = math.lcm(*(w.denominator for col in cols.values() for _, w in col))
             want = {key: [(k, w.numerator * (den // w.denominator)) for k, w in col]
@@ -1498,6 +1501,61 @@ def test_pushforward_finds_a_pairs_shape_once(surface, monkeypatch):
     plans = sp._memo["_plan"]
     assert len(plans) == len(by_shape)
     assert all(plan is plans[shape,] for shape, kept in by_shape.items() for plan in kept)
+
+
+def _expanded(sp, blocks) -> list:
+    """Reference: a linear map's rows in one pass over the input basis tuples.
+    Each block's key is read off the tuple at the block's positions, the
+    blocks' columns multiply out in block order, and a missing column gives
+    the row ()."""
+    rows = []
+    for t in sp._tuples(sum(len(positions) for positions, _ in blocks)):
+        out = [(0, 1)]
+        for positions, cols in blocks:
+            out = [(p + q, c * w) for p, c in out
+                   for q, w in cols.get(tuple(t[f] for f in positions), ())]
+        rows.append(tuple(out))
+    return rows
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_linear_maps_are_the_expansion_of_every_input_tuple(monkeypatch, surface, half,
+                                                            rescaled, qx2, n):
+    # every gather, spread and insertion map is the Kronecker product of its
+    # blocks: its rows must equal the per-tuple expansion of the same blocks
+    # entry for entry, order included, so the layers are built from the same
+    # input.  The maps: the chain's lifts and insertions over all sector pairs,
+    # and, per nesting, the contraction of the product sector onto the joint
+    # orbits, its metric adjoint and its unit-tensor section, and those of the
+    # identity sector onto each sector
+    built = []
+    linear_map = sp_mod.SymmetricProductAlgebra._linear_map
+
+    def recorded(self, blocks, den, size):
+        out = linear_map(self, blocks, den, size)
+        built.append((sys._getframe(1).f_code.co_name, self, blocks, out))
+        return out
+
+    monkeypatch.setattr(sp_mod.SymmetricProductAlgebra, "_linear_map", recorded)
+    for base in (surface, half, rescaled, qx2):
+        sp = sp_mod.SymmetricProductAlgebra(base, n)   # fresh: every map is built here
+        e, nested = sp.parts[sp.group.identity], {}
+        for gi in range(sp.group.order):
+            nested[sp._nesting(e, sp.parts[gi])] = e, sp.parts[gi]
+            for hi in range(sp.group.order):
+                sp._chain_plan(gi, hi, None)
+                part = sp.parts[sp.group.mul(gi, hi)]
+                joint = g.group_orbits([sp.perms[gi], sp.perms[hi]])
+                nested[sp._nesting(part, joint)] = part, joint
+        for fine, coarse in nested.values():
+            sp._gather_map(sp._nesting(fine, coarse))
+            for columns in (sp._adjoint_columns, sp._section_columns):
+                sp._spread_map(fine, coarse, columns)
+    kinds = {}
+    for kind, sp, blocks, (rows, *_) in built:
+        assert rows == _expanded(sp, blocks), kind
+        kinds[kind] = kinds.get(kind, 0) + 1
+    assert set(kinds) == {"_gather_map", "_spread_map", "_insertion"}
 
 
 # -- exact outputs of both routes, pinned across kernel changes ---------------------
