@@ -32,11 +32,11 @@ display, built from integer indices and integer numerators only (it
 refuses any other entry), and compiles it.  The pair rows of A^(x)r are
 built once per algebra and power, and the kernel of A^(x)r is compiled on
 the first call that asks for r (the symmetric products' push plans keep
-theirs per joint-orbit shape, and each sector pair keeps a reference to its
-shape's plan).  Both, like the inverse pairing and every derived map of the
-symmetric products, are kept by ``memo``: a function of its owner and a
-key, built on the first call for that key and stored in the owner's
-``_memo`` dict, so it lives and dies with the owner.
+theirs per low half, its joint orbits' sizes and strides, and every plan
+with that half holds the one kernel).  Both, like the inverse pairing and
+every derived map of the symmetric products, are kept by ``memo``: a
+function of its owner and a key, built on the first call for that key and
+stored in the owner's ``_memo`` dict, so it lives and dies with the owner.
 Compiling costs about 0.1, 0.3, 3, 25 and 370 ms of CPU for A^(x)q of
 surface4 at q = 1..5 (9**q terms; q = 5 has a transient peak near 70 MB;
 CPython 3.11, one core of a shared 2-core machine), so the low half stays

@@ -233,7 +233,7 @@ class FiniteGroup:
                     raise ValueError(f"multiplication table entry {x!r} is not an integer")
         self.identity = self._find_identity()
         self.inverse = self._find_inverses()
-        self.perms: list[Permutation] | None = None  # set by symmetric()
+        self.perms: list[Permutation] | None = None  # set by symmetric_group()
         self._validate()
 
     def _find_identity(self) -> int:

@@ -28,13 +28,17 @@ sector pair's plan splits its joint orbits into a high half (the leading
 orbits, with at most half of the left factor's cycles) and a low half, puts
 the high factors of g, h and gh first, and multiplies each half's maps out
 once into integer rows on that half's indices; the low half's rows are
-compiled into one straight-line kernel (``frobenius._kernel``) when the plan
-is built.  ``multiply_pushforward`` runs both operands through the plan with
+compiled into one straight-line kernel (``frobenius._kernel``).
+``multiply_pushforward`` runs both operands through the plan with
 ``frobenius._walk``, the two-level loop the chain's kernel runs on the base's
 pair rows and their compiled kernels; a realized table (``pair_table``) is
 the Kronecker product of all of the pair's orbit maps at flat strides.
-Plans and tables depend only on the joint orbits' shape, so they are kept
-per shape; the chain reads neither and stays independent as the oracle.
+The product is local on the joint orbits, so a half depends only on its own
+orbits' sizes and the strides of their positions (``_half_key``): the high
+rows and the low kernel are kept per half key, and the plans of different
+shapes that have equal halves hold one object for each.  Plans are kept per
+shape and tables are built per shape; the chain reads neither and stays
+independent as the oracle.
 
 The chain never multiplies in A_e.  Its last step, the contraction r_ss'
 onto the product sector, multiplies the factors in each cycle of ss'; as the
@@ -75,20 +79,24 @@ adjoint, the unit-tensor section and the copairing.  All have one form,
 built by ``_linear_map``: per flat input index, a row of (output index,
 integer numerator) over one denominator, the Kronecker product of the map's
 blocks, each the columns of some input factors placed at those factors'
-strides, and the same rows transposed into layers (``_layers``), kept in
-the map's own tuple.  An insertion is two blocks: the copairing on the
+strides, and the number of nonzero operand entries past which the rows'
+layers pay (``_dense``).  An insertion is two blocks: the copairing on the
 cycles that hold tau's points, and the identity on the others.
-``_mapped`` applies the layers, one gather and one ``map(add, ...)`` each,
-to an operand with enough nonzero entries, and scatters one row per nonzero
-entry of a sparser one.  The group action relabels cycles, so each basis
-tuple goes to one index, a sum of strides.
+``_mapped`` applies the layers, the rows transposed, one gather and one
+``map(add, ...)`` each, to an operand with more nonzero entries, and
+scatters one row per nonzero entry of a sparser one.  The layers are a memo
+entry of their own (``_map_layers``), built the first time an operand runs
+through them, so a map that only ever scatters never holds them.  The
+group action relabels cycles, so each basis tuple goes to one index, a sum
+of strides.
 
 Every derived map is a method of its key under ``frobenius.memo``: built on
 the first call for that key, kept on the instance and reused, whether the
-key is m, a factor order, a joint-orbit shape, a sector pair or a nesting.
-A sector pair looks its push plan up once and keeps a reference to it, so
-``_joint_orbits`` runs on a pair's first product, and the plan is built
-once per shape.
+key is m, a factor order, a joint-orbit shape, a plan half, a sector pair, a
+nesting or a map's own memo key (its layers).  A sector pair looks its push
+plan up once and keeps a reference to it, so ``_joint_orbits`` runs on a
+pair's first product; the plan is built once per shape, and each of its
+halves once per half key.
 The two routes share that mechanism, the loop and the getters, but no map,
 which keeps the cross-oracle independent; ``realize`` drops the per-shape
 tables once every sector pair holds its own.
@@ -321,28 +329,37 @@ class SymmetricProductAlgebra:
             stride = D ** (last - c)
             blocks.append((fps, {key: [(k * stride, w) for k, w in col] for key, col in cols.items()}))
             den *= d
-        return self._linear_map(blocks, den, D ** len(nesting))
+        return self._linear_map(blocks, den, D ** len(nesting), ("_gather_map", nesting))
 
-    def _spread_map(self, fine: OrbitPartition, coarse: OrbitPartition, columns) -> tuple:
-        """Rows of the map coarse -> fine: each coarse factor spreads over its fine factors."""
-        D, last = self.base.dim, len(fine) - 1
+    @memo
+    def _spread_map(self, nesting: tuple, adjoint: bool) -> tuple:
+        """Rows of the map coarse -> fine that spreads coarse factor c over the
+        fine factors ``nesting[c]``: by the metric adjoint of the product
+        (``_adjoint_columns``) if ``adjoint``, else by the unit-tensor section
+        (``_section_columns``); kept per nesting, like ``_gather_map``."""
+        D, last = self.base.dim, sum(map(len, nesting)) - 1
+        columns = self._adjoint_columns if adjoint else self._section_columns
         blocks, den = [], 1
-        for c, fps in enumerate(self._nesting(fine, coarse)):
+        for c, fps in enumerate(nesting):
             cols, d = columns(len(fps))
             fine_strides = [D ** (last - f) for f in fps]
             blocks.append(((c,), {(k,): [(sum(map(mul, t, fine_strides)), w) for t, w in col]
                                   for k, col in cols.items()}))
             den *= d
-        return self._linear_map(blocks, den, D ** len(fine))
+        return self._linear_map(blocks, den, D ** (last + 1), ("_spread_map", nesting, adjoint))
 
-    def _linear_map(self, blocks: list, den: int, size: int) -> tuple:
-        """(rows, layers, ``den``, output size) of a map on A^(x)m: the
+    def _linear_map(self, blocks: list, den: int, size: int, key: tuple) -> tuple:
+        """(rows, dense, ``den``, output size, ``key``) of a map on A^(x)m: the
         Kronecker product of ``blocks``, each (input factor positions,
         {factor tuple: [(output offset, numerator)]}), a key placed at its
         positions' strides; the blocks' positions partition the m factors.
         The row of flat index x is ((output index, numerator), ...), the
         blocks' entries multiplied out in block order, () if a block has no
-        column there.  The layers are the rows transposed (``_layers``)."""
+        column there.  ``dense`` is the number of nonzero operand entries
+        past which ``_mapped`` runs an operand through the rows' layers
+        (``_dense``).  ``key`` is the memo entry that holds the map, (method
+        name, *its key); the layers are not built here but kept under that
+        key by ``_map_layers``, on the first operand that needs them."""
         D, m = self.base.dim, sum(len(positions) for positions, _ in blocks)
         table = {0: [(0, 1)]}   # no block: the map of A^(x)0, 1 -> 1
         for positions, cols in blocks:
@@ -351,20 +368,29 @@ class SymmetricProductAlgebra:
             table = {X + x: [(O + o, C * c) for O, C in prev for o, c in col]
                      for X, prev in table.items() for x, col in placed}
         rows = [tuple(table.get(x, ())) for x in range(D ** m)]
-        return rows, _layers(rows, size), den, size
+        return rows, _dense(rows, size), den, size, key
+
+    @memo
+    def _map_layers(self, name: str, *key) -> list:
+        """The layers (``_layers``) of the map that the memo entry ``name(*key)``
+        holds, built the first time ``_mapped`` runs an operand through them."""
+        rows, _, _, size, _ = getattr(self, name)(*key)
+        return _layers(rows, size)
 
     def _mapped(self, v, linear: tuple) -> tuple[list, int]:
         """A map applied to a dense vector: (integer numerators, the operand's
         times the map's denominator).  An operand with more nonzero entries
-        than the map's layers cost (``_layers``) runs through them, each one
-        gather and one ``map(add, ...)`` over every output; a sparser one is
-        scattered, one row per nonzero entry."""
-        rows, (layers, dense), den, size = linear
+        than the map's ``dense`` threshold (``_dense``) runs through its
+        layers, each one gather and one ``map(add, ...)`` over every output;
+        the layers are built on the first such operand (``_map_layers``).  A
+        sparser operand is scattered, one row per nonzero entry, and builds
+        no layers."""
+        rows, dense, den, size, key = linear
         nums, d = ex.numerators(v, len(rows))
         if len(nums) - nums.count(0) > dense:
             padded = nums + [0]   # the zero slot a layer reads for an output with fewer inputs
             acc = None
-            for get, coefs in layers:
+            for get, coefs in self._map_layers(*key):
                 terms = get(padded) if coefs is None else map(mul, coefs, get(padded))
                 acc = list(terms) if acc is None else list(map(add, acc, terms))
             return acc, d * den
@@ -381,11 +407,11 @@ class SymmetricProductAlgebra:
 
     def push_between(self, fine: OrbitPartition, coarse: OrbitPartition, w):
         """Metric adjoint of restrict_between(fine, coarse, .): coarse -> fine."""
-        return ex.divided(*self._mapped(w, self._spread_map(fine, coarse, self._adjoint_columns)))
+        return ex.divided(*self._mapped(w, self._spread_map(self._nesting(fine, coarse), True)))
 
     def _joint_section(self, fine: OrbitPartition, coarse: OrbitPartition, v):
         """Unit-tensor section A^(x)|coarse| -> A^(x)|fine| of the contraction."""
-        return ex.divided(*self._mapped(v, self._spread_map(fine, coarse, self._section_columns)))
+        return ex.divided(*self._mapped(v, self._spread_map(self._nesting(fine, coarse), False)))
 
     # -- the two product routes -------------------------------------------------
 
@@ -441,15 +467,16 @@ class SymmetricProductAlgebra:
         return tuple(tuple(map(orbit.__getitem__, self._firsts[s])) for s in (g, h, gh)) + (
             tuple(sizes),)
 
-    def _half(self, orbits: list, sizes: tuple, strides: tuple) -> tuple[list, int]:
-        """The Kronecker product of the orbits' composed maps, placed by
-        ``strides`` (per position of g, h and gh): the rows x -> [(y, [(output,
-        numerator)])] over the half's indices of g, and their denominator."""
+    def _half(self, key: tuple) -> tuple[list, int]:
+        """The Kronecker product of some joint orbits' composed maps: ``key``
+        holds per orbit (``_half_key``) its number of points and the strides
+        of its positions of g, of h and of gh.  Returns the rows x -> [(y,
+        [(output, numerator)])] over the half's indices of g, and their
+        denominator."""
         table, den = {0: [(0, [(0, 1)])]}, 1   # no orbit: the product of A^(x)0, 1 * 1 = 1
-        for positions, size in zip(orbits, sizes):
-            counts = tuple(map(len, positions))
+        for size, sx, sy, so in key:
+            counts = len(sx), len(sy), len(so)
             local, local_den = self._orbit_map(*counts, _graph_defect(size, sum(counts)))
-            sx, sy, so = ([stride[q] for q in pos] for stride, pos in zip(strides, positions))
             placed = [(sum(map(mul, x, sx)),
                        [(sum(map(mul, y, sy)), [(sum(map(mul, t, so)), c) for t, c in outs])
                         for y, outs in ys]) for x, ys in local.items()]
@@ -457,8 +484,24 @@ class SymmetricProductAlgebra:
                              for Y, row in prev for y, outs in ys]
                      for X, prev in table.items() for x, ys in placed}
             den *= local_den
-        size = self.base.dim ** sum(len(orbit[0]) for orbit in orbits)
+        size = self.base.dim ** sum(len(sx) for _, sx, _, _ in key)
         return [table.get(x, []) for x in range(size)], den
+
+    @memo
+    def _high_half(self, key: tuple) -> tuple[list, int]:
+        """A push plan's high rows, the ``_half`` of ``key``: every plan whose
+        high half has this key holds this one object."""
+        return self._half(key)
+
+    @memo
+    def _low_half(self, key: tuple) -> tuple:
+        """A push plan's low half: the ``_half`` of ``key`` compiled by
+        ``frobenius._kernel`` (its rows are not kept), and their denominator.
+        Every plan whose low half has this key holds this one kernel."""
+        rows, den = self._half(key)
+        D = self.base.dim
+        right, size = (D ** sum(len(orbit[i]) for orbit in key) for i in (2, 3))
+        return frob._kernel(rows, right, size), den
 
     @memo
     def _order(self, order: tuple) -> tuple:
@@ -486,9 +529,11 @@ class SymmetricProductAlgebra:
         each half's index reading its factors in position order.  Returns,
         for g and for h, (getter into kernel order, number of low indices);
         the high half's composed rows x -> [(y, [(high index of gh,
-        numerator)])]; the low half's composed rows compiled by
-        ``frobenius._kernel``; gh's number of low indices and getter back to
-        basis order; and the product of the maps' denominators."""
+        numerator)])] (``_high_half``); the low half's composed rows compiled
+        by ``frobenius._kernel`` (``_low_half``); gh's number of low indices
+        and getter back to basis order; and the product of the maps'
+        denominators.  Each half is kept per its own key, so plans of
+        different shapes share equal halves."""
         *rows, sizes = shape
         orbits = _orbit_positions(shape)
         half = len(rows[0]) // 2
@@ -497,11 +542,11 @@ class SymmetricProductAlgebra:
         orders = [tuple(sorted(range(len(row)), key=lambda q: row[q] >= cut)) for row in rows]
         strides, into, back = zip(*map(self._order, orders))   # high positions first
         # a high factor's stride within the high half (a 0-dimensional base has no index)
-        high, high_den = self._half(orbits[:cut], sizes[:cut],
-                                    [[s // (span or 1) for s in ss] for ss, span in zip(strides, spans)])
-        low, low_den = self._half(orbits[cut:], sizes[cut:], strides)
-        return ((into[0], spans[0]), (into[1], spans[1]), high,
-                frob._kernel(low, spans[1], spans[2]), spans[2], back[2], high_den * low_den)
+        high_strides = [[s // (span or 1) for s in ss] for ss, span in zip(strides, spans)]
+        high, high_den = self._high_half(_half_key(orbits[:cut], sizes[:cut], high_strides))
+        kernel, low_den = self._low_half(_half_key(orbits[cut:], sizes[cut:], strides))
+        return ((into[0], spans[0]), (into[1], spans[1]), high, kernel, spans[2], back[2],
+                high_den * low_den)
 
     @memo
     def _push_plan(self, g: int, h: int) -> tuple:
@@ -598,7 +643,8 @@ class SymmetricProductAlgebra:
         blocks = [(held, {x: [(o, w) for o, w in out.items() if w] for x, out in joint.items()}),
                   (through, {t: [(sum(map(mul, t, passing)), 1)]
                              for t in self._tuples(len(through))})]
-        return self._linear_map(blocks, cop_den * self.base._pairs_den ** 2, D ** len(nesting))
+        return self._linear_map(blocks, cop_den * self.base._pairs_den ** 2, D ** len(nesting),
+                                ("_insertion", nesting))
 
     def contraction_steps(self, g: int, h: int, word: list[Permutation] | None = None):
         """The word for the right factor and the positions where length drops."""
@@ -756,8 +802,9 @@ class SymmetricProductAlgebra:
         """The Kronecker product of a shape's joint orbits' maps at the flat
         strides of g, h and gh, divided once."""
         D, (*rows, sizes) = self.base.dim, shape
-        flat, den = self._half(_orbit_positions(shape), sizes,
-                               [[D ** (len(row) - 1 - q) for q in range(len(row))] for row in rows])
+        flat, den = self._half(_half_key(_orbit_positions(shape), sizes,
+                                         [[D ** (len(row) - 1 - q) for q in range(len(row))]
+                                          for row in rows]))
         if den != 1:
             values = iter(ex.divided([c for ys in flat for _, outs in ys for _, c in outs], den))
             flat = [[(j, list(zip(map(itemgetter(0), outs), values))) for j, outs in ys]
@@ -798,32 +845,43 @@ def _integral(cols: dict, den: int = 1) -> tuple[dict, int]:
     return {key: col for key, col in cols.items() if col}, d
 
 
-def _layers(rows: list, size: int) -> tuple:
-    """A map's ``rows`` transposed into layers, and the number of nonzero
-    operand entries past which ``_mapped`` applies them.  Layer j holds, for
-    every output, its j-th (input, numerator), or the zero slot (index
-    len(rows), one past the operand) when it has fewer inputs: a C-level
-    getter of the inputs, and the numerators, None when all are 1.  A layer
-    costs about its ``size`` slots, each one after the first (whose gather
-    needs no ``map(add, ...)``) ``_LAYER_SETUP`` more, and a scattered row
-    entry as much as ``_LAYER_COST`` slots (measured on the lift maps of
-    Sym^3..Sym^5 of surface4), so sparser operands keep the scatter."""
+def _dense(rows: list, size: int) -> int:
+    """The number of nonzero operand entries past which ``_mapped`` runs an
+    operand through the layers of a map with ``rows`` and ``size`` outputs
+    rather than scattering it.  A layer costs about its ``size`` slots, each
+    one after the first (whose gather needs no ``map(add, ...)``)
+    ``_LAYER_SETUP`` more, there are as many layers as the most inputs of
+    one output, and a scattered row entry costs as much as ``_LAYER_COST``
+    slots (measured on the lift maps of Sym^3..Sym^5 of surface4), so
+    sparser operands keep the scatter."""
+    counts = [0] * size   # per output, its number of inputs
+    for row in rows:
+        for o, _ in row:
+            counts[o] += 1
+    width = max(counts, default=0)
+    # no operand is denser than its length: a zero map has nothing to gather,
+    # and a map with one output (a base of dimension 1, so one input) scatters
+    if not width or size == 1:
+        return len(rows)
+    # the scatter costs about (1 + row entries per input) per nonzero entry
+    return ((width * size + (width - 1) * _LAYER_SETUP) * len(rows)
+            // (_LAYER_COST * (len(rows) + sum(counts))))
+
+
+def _layers(rows: list, size: int) -> list:
+    """A map's ``rows`` transposed into layers.  Layer j holds, for every
+    output, its j-th (input, numerator), or the zero slot (index len(rows),
+    one past the operand) when it has fewer inputs: a C-level getter of the
+    inputs, and the numerators, None when all are 1."""
     inputs: list = [[] for _ in range(size)]
     for x, row in enumerate(rows):
         for o, w in row:
             inputs[o].append((x, w))
-    width = max(map(len, inputs), default=0)
-    # no operand is denser than its length: a zero map has nothing to gather,
-    # and a map with one output (a base of dimension 1, so one input) scatters
-    if not width or size == 1:
-        return [], len(rows)
     layers = []
     for column in zip_longest(*inputs, fillvalue=(len(rows), 1)):   # the zero slot pads
         xs, ws = zip(*column)
         layers.append((itemgetter(*xs), None if set(ws) == {1} else list(ws)))
-    # the scatter costs about (1 + row entries per input) per nonzero entry
-    return layers, ((width * size + (width - 1) * _LAYER_SETUP) * len(rows)
-                    // (_LAYER_COST * (len(rows) + sum(map(len, rows)))))
+    return layers
 
 
 def _reader(order: list):
@@ -831,6 +889,16 @@ def _reader(order: list):
     None when ``order`` is the identity, which it always is for fewer than two
     entries (where ``itemgetter`` would raise or return a scalar)."""
     return None if order == list(range(len(order))) else itemgetter(*order)
+
+
+def _half_key(orbits: list, sizes: tuple, strides) -> tuple:
+    """The key of some joint orbits placed at ``strides`` (per position of g,
+    h and gh): per orbit, its number of points and the strides of its
+    positions of g, of h and of gh, which fix its cycle counts and graph
+    defect, so ``_half`` reads nothing else."""
+    return tuple((size,) + tuple(tuple(map(stride.__getitem__, pos))
+                                 for stride, pos in zip(strides, positions))
+                 for positions, size in zip(orbits, sizes))
 
 
 def _orbit_positions(shape: tuple) -> list:

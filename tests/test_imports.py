@@ -5,7 +5,8 @@ base algebras and the CLI's module level only those two.  Each CLI command
 imports only the orbifrob modules it runs.  Only exactnum crosses the
 boundary between exact scalars and integer numerators: no other module
 reads a numerator or denominator or takes an lcm or gcd.  In symprod only
-the map builder, ``_linear_map``, transposes rows into layers.  The package
+``_map_layers`` transposes rows into layers, those that the map builder,
+``_linear_map``, made.  The package
 holds nothing that no one uses:
 every public definition is reached from the package, the benchmark or an
 acceptance criterion, and every private one from the package or the
@@ -184,10 +185,11 @@ def test_checker_flags_layer_users():
 
 def test_only_the_map_builder_transposes_rows_into_layers():
     # every linear map of symprod is the Kronecker product of its blocks, built
-    # by ``_linear_map``; a map that lays out its own rows and layers would
-    # skip that builder and the reference test of its rows
+    # by ``_linear_map``, and its layers are transposed from those rows by one
+    # memo method, on first use; a map that lays out its own rows and layers
+    # would skip that builder and the reference test of its rows
     users = _layer_users((PACKAGE / "symprod.py").read_text(encoding="utf-8"))
-    assert [user.partition(": ")[2] for user in users] == ["SymmetricProductAlgebra._linear_map"]
+    assert [user.partition(": ")[2] for user in users] == ["SymmetricProductAlgebra._map_layers"]
 
 
 # -- every public definition has a user -------------------------------------------

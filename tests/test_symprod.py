@@ -504,16 +504,23 @@ def test_budget_guard(sp_factory, qx2, surface):
 
 def test_chain_builds_its_rows_once_per_sector_pair(monkeypatch, surface):
     # the lift and insertion rows are cached per nesting, the plan per (g, h);
-    # every map in the row form is transposed into layers once, when it is built
+    # a map's layers are built only when an operand runs through them, and no
+    # operand of these products is denser than its map's threshold
     sp = sp_mod.SymmetricProductAlgebra(surface, 3)
-    built = []
-    layers = sp_mod._layers
+    built, transposed = [], []
+    linear_map, layers = sp_mod.SymmetricProductAlgebra._linear_map, sp_mod._layers
 
-    def counted(rows, size):
-        built.append(len(rows))
+    def counted(self, *args):
+        out = linear_map(self, *args)
+        built.append(len(out[0]))
+        return out
+
+    def counted_layers(rows, size):
+        transposed.append(len(rows))
         return layers(rows, size)
 
-    monkeypatch.setattr(sp_mod, "_layers", counted)
+    monkeypatch.setattr(sp_mod.SymmetricProductAlgebra, "_linear_map", counted)
+    monkeypatch.setattr(sp_mod, "_layers", counted_layers)
     gi = sp.group.index_of("(1 2 3)")
     hi = sp.group.inverse[gi]
     rng = random.Random(31)
@@ -523,9 +530,9 @@ def test_chain_builds_its_rows_once_per_sector_pair(monkeypatch, surface):
     # three factors of the identity sector (4^3 rows), then both one-factor
     # operands (4 rows) are lifted to the identity sector with one nesting:
     # each one's factor lands on point 1
-    assert built == [64, 64, 4]
+    assert built == [64, 64, 4] and transposed == []
     second = sp.multiply_chain(gi, operands[1][0], hi, operands[1][1])
-    assert built == [64, 64, 4]
+    assert built == [64, 64, 4] and transposed == []
     for (a, b), product in zip(operands, (first, second)):
         assert _typed(product) == _typed(sp.multiply_pushforward(gi, a, hi, b))
 
@@ -1049,8 +1056,9 @@ def test_chain_kernel_holds_the_right_lifts_units_in_its_high_half(surface, n):
 
 def test_push_plan_kernels_match_the_row_loop(surface, monkeypatch):
     # the low half of every push-plan shape of Sym^4(surface4), compiled once
-    # per shape: the chunks of g and h and the output of gh differ in size, a
-    # pair of low indices has several outputs, and numerators are not all 1
+    # per distinct low half, fewer than the shapes: the chunks of g and h and
+    # the output of gh differ in size, a pair of low indices has several
+    # outputs, and numerators are not all 1
     compiled, kernel = [], frob._kernel
 
     def recorded(rows, right, size):
@@ -1062,7 +1070,9 @@ def test_push_plan_kernels_match_the_row_loop(surface, monkeypatch):
     pairs = [(gi, hi) for gi in range(sp.group.order) for hi in range(sp.group.order)]
     for gi, hi in pairs:
         sp._push_plan(gi, hi)
-    assert len(compiled) == len({sp._joint_orbits(gi, hi, sp.group.mul(gi, hi)) for gi, hi in pairs})
+    shapes = {sp._joint_orbits(gi, hi, sp.group.mul(gi, hi)) for gi, hi in pairs}
+    assert len(compiled) == len(sp._memo["_low_half"]) < len(shapes) == len(sp._memo["_plan"])
+    assert [kept for kept, _ in sp._memo["_low_half"].values()] == [k for *_, k in compiled]
     rng = random.Random(4409)
     for rows, right, size, compiled_kernel in compiled:
         check_kernel(rng, rows, right, size, compiled_kernel)
@@ -1070,6 +1080,115 @@ def test_push_plan_kernels_match_the_row_loop(surface, monkeypatch):
     assert any(len({len(rows), right, size}) > 1 for rows, right, size, _ in compiled)
     assert any(len(row) > 1 for row in outputs)
     assert any(c != 1 for row in outputs for _, c in row)
+
+
+def test_push_plans_share_equal_halves(surface, monkeypatch):
+    # each half of a push plan depends only on its own joint orbits' sizes and
+    # strides (its ``_half_key``): over the sector pairs of Sym^4(surface4)
+    # whose sectors both have at least 2 cycles, 72 plans hold 38 distinct low
+    # halves, each compiled once, and plans whose half keys are equal hold one
+    # high-rows object and one kernel
+    compiled, kernel = [], frob._kernel
+    keys, half_key = [], sp_mod._half_key
+
+    def recorded(rows, right, size):
+        compiled.append(repr((rows, right, size)))
+        return kernel(rows, right, size)
+
+    def recorded_key(*args):
+        keys.append(half_key(*args))
+        return keys[-1]
+
+    monkeypatch.setattr(frob, "_kernel", recorded)
+    monkeypatch.setattr(sp_mod, "_half_key", recorded_key)
+    sp = sp_mod.SymmetricProductAlgebra(surface, 4)
+    sectors = [gi for gi in range(sp.group.order) if sp.factors[gi] >= 2]
+    plans = {}   # shape -> (high key, low key, plan)
+    for gi in sectors:
+        for hi in sectors:
+            shape = sp._joint_orbits(gi, hi, sp.group.mul(gi, hi))
+            built = len(sp._memo.get("_plan", ()))
+            plan = sp._push_plan(gi, hi)
+            if len(sp._memo["_plan"]) > built:   # each new plan makes its high key, then its low key
+                plans[shape] = (*keys[-2:], plan)
+    high_keys, low_keys = ({keys[i] for keys in plans.values()} for i in (0, 1))
+    assert len(keys) == 2 * len(plans) == 2 * 72
+    assert len(compiled) == len(set(compiled)) == len(low_keys) == 38
+    assert set(sp._memo["_high_half"]) == {(key,) for key in high_keys}
+    assert set(sp._memo["_low_half"]) == {(key,) for key in low_keys}
+    for (high_a, low_a, plan_a), (high_b, low_b, plan_b) in itertools.combinations(plans.values(), 2):
+        assert (plan_a[2] is plan_b[2]) == (high_a == high_b)
+        assert (plan_a[3] is plan_b[3]) == (low_a == low_b)
+    rng = random.Random(4421)
+    for gi in sectors:
+        for hi in sectors:
+            a, b = _dense_fractions(rng, sp.dims[gi]), _dense_fractions(rng, sp.dims[hi])
+            assert sp.multiply_pushforward(gi, a, hi, b) == sp.multiply_chain(gi, a, hi, b)
+    assert len(sp._memo["_plan"]) == 72 and len(sp._memo["_low_half"]) == 38
+
+
+def _old_threshold(rows, size) -> int:
+    """Reference for ``_dense``: the layer threshold read off the rows
+    transposed into per-output inputs, the widest output's number of inputs."""
+    inputs = [[] for _ in range(size)]
+    for x, row in enumerate(rows):
+        for o, w in row:
+            inputs[o].append((x, w))
+    width = max(map(len, inputs), default=0)
+    if not width or size == 1:
+        return len(rows)
+    return ((width * size + (width - 1) * sp_mod._LAYER_SETUP) * len(rows)
+            // (sp_mod._LAYER_COST * (len(rows) + sum(map(len, rows)))))
+
+
+def test_layers_are_built_on_first_dense_use(surface, monkeypatch):
+    # a map's layers are their own memo entry, built by the first operand that
+    # runs through them: a t*t chain product of Sym^5(surface4) scatters its
+    # running product (256 nonzero entries) through the insertion, building
+    # no layers for it, while each dense lift builds its layers once and the
+    # next product reuses them.  Every application takes the path the
+    # threshold of eagerly built layers chose, and a basis vector scatters
+    cls = sp_mod.SymmetricProductAlgebra
+    mapped, map_layers, layers = cls._mapped, cls._map_layers, sp_mod._layers
+    applied, taken, transposed = [], [], []
+
+    def recorded_mapped(self, v, linear):
+        taken.append(False)
+        out = mapped(self, v, linear)
+        applied.append((linear, sum(map(bool, v)), taken.pop()))
+        return out
+
+    def recorded_entry(self, *key):
+        taken[-1] = True
+        return map_layers(self, *key)
+
+    def counted(rows, size):
+        transposed.append(rows)
+        return layers(rows, size)
+
+    monkeypatch.setattr(cls, "_mapped", recorded_mapped)
+    monkeypatch.setattr(cls, "_map_layers", recorded_entry)
+    monkeypatch.setattr(sp_mod, "_layers", counted)
+    sp = cls(surface, 5)
+    t, u = sp.group.index_of("(1 2)"), sp.group.index_of("(2 3)")
+    order, _, lift, _, gammas = sp._chain_plan(t, t, None)
+    assert sp._chain_plan(t, u, None)[2] is not lift
+    assert sp._mapped(basis(sp.dims[t], 5), lift)[0] and not transposed   # sparse: scattered
+    rng = random.Random(59)
+    for g, h in ((t, t), (t, t), (t, u)):
+        a, b = _dense_fractions(rng, sp.dims[g]), _dense_fractions(rng, sp.dims[h])
+        assert sp.multiply_chain(g, a, h, b) == sp.multiply_pushforward(g, a, h, b)
+    gamma, = gammas
+    assert [(nonzero, path) for linear, nonzero, path in applied if linear is gamma] == [
+        (256, False), (256, False)]
+    assert not any(name == "_insertion" for name, *_ in sp._memo["_map_layers"])
+    # t*t lifts both operands by one map, t*u the right one by another:
+    # each map's rows are transposed once, on its first dense operand
+    assert transposed == [lift[0], sp._chain_plan(t, u, None)[3][0]]
+    assert sp._memo["_map_layers"][lift[4]] is map_layers(sp, *lift[4])
+    assert len(applied) == 1 + 3 + 3 + 2   # t*u inserts no copairing
+    for (rows, dense, _, size, _), nonzero, path in applied:
+        assert dense == _old_threshold(rows, size) and path == (nonzero > dense)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
@@ -1391,13 +1510,23 @@ def test_pairs_of_one_shape_share_one_table_that_nothing_mutates(qx2):
              for c, c_inv in (("(1 2 3)", "(1 3 2)"), ("(1 2 4)", "(1 4 2)"))]
     lifts = [sp._chain_plan(gi, hi, None)[k] for gi, hi in pairs for k in (2, 3)]
     assert all(lift is lifts[0] for lift in lifts)
-    kept = repr(lifts[0])   # rows, layers (their getters and numerators), denominator, size
+    # so is a push plan's half, shared by plans of different shapes, and a
+    # map's layers, shared by every dense operand once the first built them
     rng = random.Random(37)
-    for gi, hi in pairs:
-        for a in (_random_vector(rng, sp.dims[gi]), basis(sp.dims[gi], 3)):
+    sp._mapped([rng.randint(1, 9) for _ in lifts[0][0]], lifts[0])
+    layers = sp._memo["_map_layers"][lifts[0][4]]
+    plans = {shape: sp._push_plan(*pairs[0]) for shape, pairs in by_shape.items()}
+    high = next(plan_a[2] for (shape_a, plan_a), (shape_b, plan_b)
+                in itertools.combinations(plans.items(), 2) if plan_a[2] is plan_b[2])
+    # rows, dense threshold, denominator, size, memo key; the layers' getters
+    # and numerators; the shared high rows
+    kept = repr(lifts[0]), repr(layers), repr(high)
+    for gi, hi in itertools.product(range(24), repeat=2):
+        for a in (_random_vector(rng, sp.dims[gi]), basis(sp.dims[gi], sp.dims[gi] - 1)):
             b = _random_vector(rng, sp.dims[hi])
             assert sp.multiply_chain(gi, a, hi, b) == sp.multiply_pushforward(gi, a, hi, b)
-    assert repr(lifts[0]) == kept
+    assert sp._memo["_map_layers"][lifts[0][4]] is layers
+    assert (repr(lifts[0]), repr(layers), repr(high)) == kept
 
 
 def test_chain_keeps_one_contraction_map_per_nesting(surface):
@@ -1467,7 +1596,7 @@ def test_insertion_map_multiplies_by_the_contracted_copairing(sp_factory, surfac
             m, gamma = len(nesting), sp._insertion(nesting)
             r_gamma = ex.divided(*sp._mapped(copairing, sp._gather_map(nesting)))
             dense = _dense_fractions(rng, D ** m)
-            layered += len(dense) > gamma[1][1]
+            layered += len(dense) > gamma[1]
             for v in [basis(D ** m, x) for x in range(D ** m)] + [dense]:
                 assert _typed(ex.divided(*sp._mapped(v, gamma))) == \
                     _typed(frob.factorwise_multiply(base, m, r_gamma, v))
@@ -1531,8 +1660,8 @@ def test_linear_maps_are_the_expansion_of_every_input_tuple(monkeypatch, surface
     built = []
     linear_map = sp_mod.SymmetricProductAlgebra._linear_map
 
-    def recorded(self, blocks, den, size):
-        out = linear_map(self, blocks, den, size)
+    def recorded(self, blocks, den, size, key):
+        out = linear_map(self, blocks, den, size, key)
         built.append((sys._getframe(1).f_code.co_name, self, blocks, out))
         return out
 
@@ -1549,8 +1678,8 @@ def test_linear_maps_are_the_expansion_of_every_input_tuple(monkeypatch, surface
                 nested[sp._nesting(part, joint)] = part, joint
         for fine, coarse in nested.values():
             sp._gather_map(sp._nesting(fine, coarse))
-            for columns in (sp._adjoint_columns, sp._section_columns):
-                sp._spread_map(fine, coarse, columns)
+            for adjoint in (True, False):
+                sp._spread_map(sp._nesting(fine, coarse), adjoint)
     kinds = {}
     for kind, sp, blocks, (rows, *_) in built:
         assert rows == _expanded(sp, blocks), kind
